@@ -23,13 +23,11 @@ func main() {
 	traceOut := flag.String("trace-out", "", "also run an instrumented fluidfaas/medium capture and write its Chrome trace-event JSON here")
 	metricsOut := flag.String("metrics-out", "", "also run an instrumented fluidfaas/medium capture and write its Prometheus metrics here")
 	jsonOut := flag.String("json-out", "", "write a machine-readable BENCH_<exp>.json (end-to-end matrix + span analytics) into this directory")
-	shards := flag.Int("shards", 0, "simulation kernel shards (<=1 sequential engine, >=2 sharded; behaviour-identical, same-seed output is bit-for-bit the same)")
 	flag.Parse()
 
 	cfg := experiments.DefaultConfig()
 	cfg.Seed = *seed
 	cfg.Duration = *duration
-	cfg.Shards = *shards
 
 	needE2E := map[string]bool{
 		"fig9": true, "fig10": true, "fig11": true, "fig12": true,

@@ -35,7 +35,6 @@ func main() {
 	decisionsOut := flag.String("decisions-out", "", "record decision provenance and write the full export (records, counts, anomaly dumps) to this JSON file")
 	utilOut := flag.String("util-out", "", "record the GPU utilization ledger and write its report (per-slice state timelines, waste roll-ups, fragmentation analytics) to this JSON file")
 	engineStats := flag.Bool("engine-stats", false, "print the sim engine's self-telemetry (events, rate, heap depth) after the run")
-	shards := flag.Int("shards", 0, "simulation kernel shards (<=1 sequential engine, >=2 sharded; behaviour-identical, same-seed output is bit-for-bit the same)")
 	flag.Parse()
 
 	var pol scheduler.Policy
@@ -67,7 +66,6 @@ func main() {
 	cfg := experiments.DefaultConfig()
 	cfg.Seed = *seed
 	cfg.Duration = *duration
-	cfg.Shards = *shards
 	switch *partition {
 	case "P1":
 		cfg.GPUConfigs = mig.UniformNode(mig.ConfigP1, 8)
@@ -141,13 +139,9 @@ func main() {
 	fmt.Printf("instances      %d launched, %d evictions, %d migrations\n",
 		r.Launched, r.Evictions, r.Migrations)
 	if *engineStats {
-		kernel := "sequential"
-		if r.Engine.Shards > 0 {
-			kernel = fmt.Sprintf("%d shards", r.Engine.Shards)
-		}
-		fmt.Printf("engine         %d events (%d scheduled, %d cancelled), peak heap %d, %.0f events/s, %s\n",
+		fmt.Printf("engine         %d events (%d scheduled, %d cancelled), peak heap %d, %.0f events/s\n",
 			r.Engine.Executed, r.Engine.Scheduled, r.Engine.Cancellations,
-			r.Engine.PeakHeapDepth, r.Engine.EventsPerSec, kernel)
+			r.Engine.PeakHeapDepth, r.Engine.EventsPerSec)
 	}
 	if *events > 0 || *eventsKind != "" {
 		evs := r.Events

@@ -111,9 +111,6 @@ func WriteBenchJSON(w io.Writer, exp string, e2e *EndToEnd, rp *analytics.Report
 			if r.Engine.PeakHeapDepth > agg.PeakHeapDepth {
 				agg.PeakHeapDepth = r.Engine.PeakHeapDepth
 			}
-			if r.Engine.Shards > agg.Shards {
-				agg.Shards = r.Engine.Shards
-			}
 			agg.WallSeconds += r.Engine.WallSeconds
 		}
 	}

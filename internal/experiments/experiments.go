@@ -155,11 +155,6 @@ type Config struct {
 	// cache is behaviour-invariant, so this only exists for the planner
 	// benchmark and the CI cache-on/off determinism diff.
 	DisablePlanCache bool
-	// Shards selects the simulation kernel (platform.Options.Shards):
-	// <= 1 is the sequential engine, >= 2 the sharded engine with one
-	// coordinator shard plus node shards. Behaviour-invariant — same
-	// seed, same results at any shard count (enforced by test).
-	Shards int
 	// TransferScale multiplies every stage-boundary hop cost (0 = 1,
 	// the paper's cost model); the transfer-sensitivity ablation sweeps
 	// it. Applied per-run to the freshly built DAGs, never globally.
@@ -343,9 +338,8 @@ func RunSystem(pol scheduler.Policy, w Workload, cfg Config) SystemResult {
 		Policy: pol, Seed: cfg.Seed, MaxBatch: cfg.MaxBatch, Routing: cfg.Routing,
 		Faults: cfg.Faults, Overload: cfg.Overload, Swap: cfg.Swap, Gray: cfg.Gray,
 		Obs: cfg.Obs, Decisions: cfg.Decisions, Util: cfg.Util,
-		EventLogCap: cfg.EventLogCap,
+		EventLogCap:      cfg.EventLogCap,
 		DisablePlanCache: cfg.DisablePlanCache,
-		Shards:           cfg.Shards,
 	})
 	if cfg.OnEvent != nil {
 		p.EventBus().Subscribe(cfg.OnEvent)

@@ -1,0 +1,209 @@
+package platform
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"math"
+	"reflect"
+	"sort"
+	"testing"
+
+	"fluidfaas/internal/cluster"
+	"fluidfaas/internal/dnn"
+	"fluidfaas/internal/obs"
+	"fluidfaas/internal/obs/decisions"
+	"fluidfaas/internal/obs/util"
+	"fluidfaas/internal/sim"
+	"fluidfaas/internal/trace"
+)
+
+// fullStackRun holds one full-stack run and its observability sinks, so
+// the identity tests can compare both in-memory state and every export
+// byte stream.
+type fullStackRun struct {
+	p    *Platform
+	rec  *obs.Recorder
+	dec  *decisions.Recorder
+	util *util.Ledger
+}
+
+// runFullStack exercises every subsystem at once — degraded and slice
+// faults, gray scoring with hedging, the swap tier, full overload
+// control, decision provenance, the utilization ledger, and the obs
+// recorder.
+func runFullStack(t *testing.T) fullStackRun {
+	t.Helper()
+	r := fullStackRun{
+		rec:  obs.NewRecorder(),
+		dec:  decisions.NewRecorder(0),
+		util: util.NewLedger(),
+	}
+	opts := richOptions(r.dec)
+	opts.Obs = r.rec
+	opts.Util = r.util
+	specs := specsFor(t, dnn.Small)
+	cl := cluster.New(cluster.DefaultSpec())
+	r.p = New(cl, specs, opts)
+	r.p.Run(flatTrace(specs, 6, 180, 7), 60)
+	return r
+}
+
+// exports renders every exporter into bytes: Chrome trace, Prometheus
+// text, the decision-provenance JSON, and the utilization report JSON.
+func (r fullStackRun) exports(t *testing.T) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	var buf bytes.Buffer
+	if err := obs.WriteChromeTrace(&buf, r.rec); err != nil {
+		t.Fatal(err)
+	}
+	out["trace"] = append([]byte(nil), buf.Bytes()...)
+	buf.Reset()
+	if err := obs.WritePrometheus(&buf, r.rec); err != nil {
+		t.Fatal(err)
+	}
+	out["prom"] = append([]byte(nil), buf.Bytes()...)
+	buf.Reset()
+	if err := r.dec.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out["decisions"] = append([]byte(nil), buf.Bytes()...)
+	buf.Reset()
+	if err := r.util.Report().WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out["util"] = append([]byte(nil), buf.Bytes()...)
+	return out
+}
+
+func sha256Hex(b []byte) string {
+	s := sha256.Sum256(b)
+	return hex.EncodeToString(s[:])
+}
+
+// recordsSHA is a sha256 over the JSON encoding of a run's request
+// records, in record order.
+func recordsSHA(t *testing.T, p *Platform) string {
+	t.Helper()
+	b, err := json.Marshal(p.Collector().Records())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sha256Hex(b)
+}
+
+// TestFullStackGoldenExports pins the full-stack run byte for byte: the
+// request records and all four export streams hash to the values the
+// kernel produced when every arrival was scheduled up front, and the
+// event count is unchanged. Any diff here is a behaviour change of the
+// kernel or the platform, not noise.
+func TestFullStackGoldenExports(t *testing.T) {
+	r := runFullStack(t)
+	want := map[string]string{
+		"records":   "3aa05ecf13bf9212ae00c07429f3a17c6b4c505a6103daa369949f1caf726aae",
+		"trace":     "68131eedfb99c8b879dd687ff74e8f174f93a16e978767c1d9296fe6a1e7c552",
+		"prom":      "9614799bb63c922f564108dbf71c93825f23adaaa516671c457822ac194d1d32",
+		"decisions": "7115441a28cf2186b8948855b6716dd44b2c1b0e4f280c9389cb78735c707f0f",
+		"util":      "3b8d6e77af8ccd45eece975d830f04f7e82aefe569d2c485d960ea90f901c65e",
+	}
+	got := map[string]string{"records": recordsSHA(t, r.p)}
+	for name, b := range r.exports(t) {
+		got[name] = sha256Hex(b)
+	}
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("%s sha256 = %s, want %s", name, got[name], w)
+		}
+	}
+	if st := r.p.Engine().Stats(); st.Executed != 9069 || st.Scheduled != 9069 {
+		t.Errorf("engine executed %d of %d scheduled events, want 9069 of 9069", st.Executed, st.Scheduled)
+	}
+}
+
+// TestFullStackRunRepeatable: two same-seed full-stack runs are
+// identical to each other in state, counters and exports.
+func TestFullStackRunRepeatable(t *testing.T) {
+	a, b := runFullStack(t), runFullStack(t)
+	if !reflect.DeepEqual(a.p.Collector().Records(), b.p.Collector().Records()) {
+		t.Error("request records diverged")
+	}
+	if a.p.Engine().Executed() != b.p.Engine().Executed() {
+		t.Errorf("event counts diverged: %d vs %d", a.p.Engine().Executed(), b.p.Engine().Executed())
+	}
+	if !reflect.DeepEqual(a.p.Events(), b.p.Events()) {
+		t.Error("event logs diverged")
+	}
+	if !reflect.DeepEqual(a.p.UtilGPCs, b.p.UtilGPCs) {
+		t.Error("utilisation timelines diverged")
+	}
+	ea, eb := a.exports(t), b.exports(t)
+	for name, want := range ea {
+		if !bytes.Equal(want, eb[name]) {
+			t.Errorf("%s export diverged (%d vs %d bytes)", name, len(want), len(eb[name]))
+		}
+	}
+}
+
+// tiedTrace is the full-stack trace with arrivals floored to half
+// seconds: most arrivals tie with another, and every one of them ties
+// with a control tick or utilisation sample.
+func tiedTrace(specs []FunctionSpec) *trace.Trace {
+	tr := flatTrace(specs, 6, 180, 7)
+	for i := range tr.Requests {
+		tr.Requests[i].Arrival = math.Floor(tr.Requests[i].Arrival*2) / 2
+	}
+	return tr
+}
+
+// shuffledTrace returns a copy of tr with its requests in a seeded random
+// order; IDs travel with their requests.
+func shuffledTrace(tr *trace.Trace) *trace.Trace {
+	out := *tr
+	out.Requests = append([]trace.Request(nil), tr.Requests...)
+	sim.NewRNG(3, "shuffle").Shuffle(len(out.Requests), func(i, j int) {
+		out.Requests[i], out.Requests[j] = out.Requests[j], out.Requests[i]
+	})
+	return &out
+}
+
+func runRichTrace(t *testing.T, tr *trace.Trace) *Platform {
+	t.Helper()
+	p := New(cluster.New(cluster.DefaultSpec()), specsFor(t, dnn.Small), richOptions(nil))
+	p.Run(tr, 60)
+	return p
+}
+
+// TestRunTiedArrivalsGolden: exact-time ties among arrivals, and between
+// arrivals and the control and sampling loops, fire in the order they
+// did when every arrival was scheduled up front. An unsorted trace
+// replays exactly like its stable sort by arrival, which keeps tied
+// requests in trace order. The hashes were recorded with the up-front
+// scheduler.
+func TestRunTiedArrivalsGolden(t *testing.T) {
+	specs := specsFor(t, dnn.Small)
+	tied := tiedTrace(specs)
+	shuffled := shuffledTrace(tied)
+	sorted := shuffledTrace(tied)
+	sort.SliceStable(sorted.Requests, func(i, j int) bool {
+		return sorted.Requests[i].Arrival < sorted.Requests[j].Arrival
+	})
+	for _, c := range []struct {
+		name string
+		tr   *trace.Trace
+		want string
+	}{
+		{"tied", tied, "403a7497ca738c5655e29b7042132394c1e24f5e767b7a8f1c5c5c0b2f508ae3"},
+		{"shuffled", shuffled, "f028d2bf37c043be9e3aa5f4da8b90530ba411f03432b0ae727ee6ee793942ce"},
+		{"shuffled then stable-sorted", sorted, "f028d2bf37c043be9e3aa5f4da8b90530ba411f03432b0ae727ee6ee793942ce"},
+	} {
+		p := runRichTrace(t, c.tr)
+		if got := recordsSHA(t, p); got != c.want {
+			t.Errorf("%s: records sha256 = %s, want %s", c.name, got, c.want)
+		}
+		if got := p.Engine().Executed(); got != 8849 {
+			t.Errorf("%s: %d events executed, want 8849", c.name, got)
+		}
+	}
+}

@@ -20,10 +20,6 @@ type Instance struct {
 	id   string
 	fn   *Function
 	node *cluster.Node
-	// clk is the node's shard clock (the engine itself on a sequential
-	// kernel): all the instance's timers — load completion, station
-	// service, inter-stage transfer hops — are node-local events.
-	clk  sim.Clock
 	plan pipeline.Plan
 
 	slices   []*mig.Slice
@@ -78,7 +74,6 @@ func (p *Platform) launchInstance(fn *Function, node *cluster.Node, plan pipelin
 		id:      fmt.Sprintf("%s#%d", fn.spec.Name, p.instSeq),
 		fn:      fn,
 		node:    node,
-		clk:     p.inv[node.ID].clk,
 		plan:    plan,
 		slices:  slices,
 		tracker: keepalive.NewTracker(),
@@ -96,7 +91,7 @@ func (p *Platform) launchInstance(fn *Function, node *cluster.Node, plan pipelin
 		// until then the reservation is space without data. No-op if the
 		// pool evicted the reservation mid-fetch.
 		name := fn.spec.Name
-		inst.clk.After(loadTime, func() {
+		p.eng.After(loadTime, func() {
 			if !inst.failed {
 				node.Pool().MarkLoaded(name)
 			}
@@ -112,7 +107,7 @@ func (p *Platform) launchInstance(fn *Function, node *cluster.Node, plan pipelin
 		if p.opts.MaxBatch > 1 {
 			exec := sp.ExecTime
 			slice := sl
-			bs := sim.NewBatchStation(inst.clk, inst.id+"/"+sl.ID(),
+			bs := sim.NewBatchStation(p.eng, inst.id+"/"+sl.ID(),
 				p.opts.MaxBatch, p.opts.BatchWindow,
 				func(n int) sim.Time {
 					// Gray degradation stretches the whole batch (x1.0
@@ -138,7 +133,7 @@ func (p *Platform) launchInstance(fn *Function, node *cluster.Node, plan pipelin
 			inst.bstations = append(inst.bstations, bs)
 			continue
 		}
-		st := sim.NewStation(inst.clk, inst.id+"/"+sl.ID())
+		st := sim.NewStation(p.eng, inst.id+"/"+sl.ID())
 		st.Pause()
 		inst.stations = append(inst.stations, st)
 	}
@@ -154,7 +149,7 @@ func (p *Platform) launchInstance(fn *Function, node *cluster.Node, plan pipelin
 		}
 	}
 	if loadTime > 0 {
-		inst.clk.After(loadTime, resume)
+		p.eng.After(loadTime, resume)
 	} else {
 		resume()
 	}
@@ -327,7 +322,7 @@ func (sj *stageJob) Done() {
 		p.opts.Obs.SliceSpan("transfer", "transfer", sl.ID(),
 			rq.rec.Func, rq.rec.ID, si, now, now+tr)
 		p.utilBusy(sl, util.BusyTransfer, now, now+tr)
-		inst.clk.After(tr, func() {
+		p.eng.After(tr, func() {
 			inst.enqueueStage(p, rq, si+1)
 		})
 		p.observeSliceExec(sl, sp.ExecTime, exec)
@@ -392,7 +387,7 @@ func (inst *Instance) enqueueStageBatched(p *Platform, rq *request, si int) {
 			p.opts.Obs.SliceSpan("transfer", "transfer", sl.ID(),
 				rq.rec.Func, rq.rec.ID, si, p.eng.Now(), p.eng.Now()+tr)
 			p.utilBusy(sl, util.BusyTransfer, p.eng.Now(), p.eng.Now()+tr)
-			inst.clk.After(tr, func() {
+			p.eng.After(tr, func() {
 				inst.enqueueStageBatched(p, rq, si+1)
 			})
 			p.observeSliceExec(sl, declared, dur)

@@ -10,19 +10,13 @@ import (
 	"fluidfaas/internal/obs/decisions"
 	"fluidfaas/internal/obs/util"
 	"fluidfaas/internal/overload"
-	"fluidfaas/internal/sim"
 )
 
 // Invoker is the per-node runtime: it owns the node's time-sharing slice
 // pool and performs eviction, pool resizing, and pipeline migration.
 type Invoker struct {
-	p    *Platform
-	node *cluster.Node
-	// clk is where this node's events live: the node's shard clock on a
-	// sharded kernel, the engine itself otherwise. All node-local timers
-	// (station service, instance loads, transfer hops, time-sharing
-	// service) schedule here; cluster-global work stays on p.eng.
-	clk    sim.Clock
+	p      *Platform
+	node   *cluster.Node
 	shared []*sharedSlice
 
 	// Cached free-slice snapshot, revalidated against the node's
@@ -37,8 +31,8 @@ type Invoker struct {
 	freePhys  []*mig.Slice
 }
 
-func newInvoker(p *Platform, node *cluster.Node, clk sim.Clock) *Invoker {
-	return &Invoker{p: p, node: node, clk: clk}
+func newInvoker(p *Platform, node *cluster.Node) *Invoker {
+	return &Invoker{p: p, node: node}
 }
 
 // freeView returns the node's free slices (types and physical slices,
@@ -588,7 +582,7 @@ func (ss *sharedSlice) kick(p *Platform) {
 	}
 	p.utilBusy(ss.slice, util.BusyLoad, now, now+load)
 	p.utilBusy(ss.slice, util.BusyExec, now+load, now+load+exec)
-	ss.inv.clk.After(load+exec, func() {
+	ss.inv.p.eng.After(load+exec, func() {
 		if ss.failed {
 			// The slice died mid-service; the fault handler already
 			// retried the job elsewhere.

@@ -10,6 +10,8 @@ package platform
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 
 	"fluidfaas/internal/cluster"
 	"fluidfaas/internal/dag"
@@ -51,14 +53,6 @@ type Options struct {
 	Policy scheduler.Policy
 	// Seed feeds the platform's RNG streams.
 	Seed int64
-	// Shards selects the simulation kernel: <= 1 runs on the sequential
-	// sim.Engine; >= 2 runs on a sim.ShardedEngine with shard 0 as the
-	// coordinator (arrivals, routing, control loop, cluster-global
-	// decisions) and node-local work — stations, instance load/transfer
-	// timers, time-sharing service — spread over the remaining shards by
-	// node ID. The kernel choice is behaviour-invariant: same-seed runs
-	// are bit-for-bit identical at any shard count (enforced by test).
-	Shards int
 	// ControlPeriod is the autoscaler cadence (default 1 s).
 	ControlPeriod float64
 	// SamplePeriod is the utilisation sampling cadence (default 1 s).
@@ -278,7 +272,7 @@ func (rq *request) snapshot() {
 
 // Platform wires the controller, load balancer and invokers together.
 type Platform struct {
-	eng      sim.Kernel
+	eng      *sim.Engine
 	cl       *cluster.Cluster
 	opts     Options
 	funcs    []*Function
@@ -363,20 +357,8 @@ func New(cl *cluster.Cluster, specs []FunctionSpec, opts Options) *Platform {
 	if opts.Policy == nil {
 		panic("platform: nil policy")
 	}
-	// Kernel selection: a sharded engine with one shard per node (plus
-	// the coordinator shard 0) when Shards >= 2, the sequential engine
-	// otherwise. nodeClock maps the i-th node onto its shard's clock.
-	var eng sim.Kernel
-	nodeClock := func(i int) sim.Clock { return eng }
-	if opts.Shards > 1 {
-		se := sim.NewShardedEngine(opts.Shards)
-		eng = se
-		nodeClock = func(i int) sim.Clock { return se.Shard(1 + i%(opts.Shards-1)) }
-	} else {
-		eng = sim.NewEngine()
-	}
 	p := &Platform{
-		eng:      eng,
+		eng:      sim.NewEngine(),
 		cl:       cl,
 		opts:     opts,
 		fnByName: make(map[string]*Function),
@@ -420,8 +402,8 @@ func New(cl *cluster.Cluster, specs []FunctionSpec, opts Options) *Platform {
 		}
 		p.fnByName[spec.Name] = fn
 	}
-	for i, node := range cl.Nodes {
-		p.inv = append(p.inv, newInvoker(p, node, nodeClock(i)))
+	for _, node := range cl.Nodes {
+		p.inv = append(p.inv, newInvoker(p, node))
 	}
 	p.utilRegister()
 	if p.decOn() {
@@ -431,7 +413,7 @@ func New(cl *cluster.Cluster, specs []FunctionSpec, opts Options) *Platform {
 }
 
 // Engine exposes the simulation kernel (for tests and custom drivers).
-func (p *Platform) Engine() sim.Kernel { return p.eng }
+func (p *Platform) Engine() *sim.Engine { return p.eng }
 
 // Collector returns the request-outcome collector.
 func (p *Platform) Collector() *metrics.Collector { return p.col }
@@ -478,11 +460,19 @@ func (p *Platform) Cluster() *cluster.Cluster { return p.cl }
 // controller ticks at its period, and the engine runs until the trace
 // ends plus drain seconds (so in-flight requests finish).
 func (p *Platform) Run(tr *trace.Trace, drain float64) {
-	p.col.Reserve(len(tr.Requests))
-	for _, r := range tr.Requests {
-		req := r
-		p.eng.At(req.Arrival, func() { p.arrive(req) })
+	reqs := tr.Requests
+	p.col.Reserve(len(reqs))
+	// Arrivals feed the engine as one lazy stream. A hand-built trace not
+	// sorted by arrival replays a stable-sorted copy, which fires tied
+	// arrivals in trace order, as scheduling each one up front would.
+	byArrival := func(i, j int) bool { return reqs[i].Arrival < reqs[j].Arrival }
+	if !sort.SliceIsSorted(reqs, byArrival) {
+		reqs = slices.Clone(reqs)
+		sort.SliceStable(reqs, byArrival)
 	}
+	p.eng.Stream(len(reqs),
+		func(i int) sim.Time { return reqs[i].Arrival },
+		func(i int) { p.InjectRequest(reqs[i].Func, reqs[i].ID) })
 	end := tr.Duration + drain
 	p.runEnd = end
 	p.scheduleFaults(end)
@@ -525,11 +515,6 @@ func (p *Platform) Run(tr *trace.Trace, drain float64) {
 	p.utilClose(end)
 	p.exportRunCounters()
 	p.opts.Obs.SetDuration(end)
-}
-
-// arrive is the load balancer entry point.
-func (p *Platform) arrive(r trace.Request) {
-	p.InjectRequest(r.Func, r.ID)
 }
 
 // InjectRequest routes a request for function fn arriving now, tagged

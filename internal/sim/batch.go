@@ -7,7 +7,7 @@ package sim
 // serving systems (e.g. INFless) trade a small queueing delay for
 // throughput.
 type BatchStation struct {
-	eng      Clock
+	eng      *Engine
 	name     string
 	maxBatch int
 	window   Time
@@ -31,7 +31,7 @@ type BatchStation struct {
 
 // NewBatchStation returns an idle batch station. maxBatch must be >= 1;
 // window <= 0 serves whatever is queued as soon as the server idles.
-func NewBatchStation(eng Clock, name string, maxBatch int, window Time, service func(n int) Time) *BatchStation {
+func NewBatchStation(eng *Engine, name string, maxBatch int, window Time, service func(n int) Time) *BatchStation {
 	if maxBatch < 1 {
 		panic("sim: maxBatch must be >= 1")
 	}

@@ -7,7 +7,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -25,15 +24,10 @@ type Event struct {
 	time      Time
 	seq       uint64
 	fn        func()
-	index     int // heap index; -1 when not in a heap, laneIndex when in a shard lane
+	index     int // heap slot; -1 when not queued
 	cancelled bool
 	fired     bool
-	sh        *shard // owning shard when scheduled on a ShardedEngine, else nil
 }
-
-// laneIndex marks an event queued in a shard's monotone lane rather than
-// its heap (see ShardedEngine).
-const laneIndex = -2
 
 // Time returns the virtual time at which the event fires.
 func (e *Event) Time() Time { return e.time }
@@ -46,38 +40,24 @@ func (e *Event) Cancelled() bool { return e.cancelled }
 // Fired reports whether the event's callback has run.
 func (e *Event) Fired() bool { return e.fired }
 
-type eventHeap []*Event
-
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return h[i].before(h[j]) }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+// before is the execution order: (time, seq) lexicographic. Sequence
+// numbers are unique, so this is a total order and the firing order does
+// not depend on the heap's shape.
+func (e *Event) before(o *Event) bool {
+	if e.time != o.time {
+		return e.time < o.time
+	}
+	return e.seq < o.seq
 }
 
 // Engine is a discrete-event simulator. The zero value is ready to use.
 type Engine struct {
 	now     Time
 	seq     uint64
-	events  eventHeap
-	nRun    uint64 // events executed
-	cancels uint64 // events cancelled before firing
-	peak    int    // deepest the heap ever got
+	heap    []*Event // binary min-heap on (time, seq)
+	nRun    uint64   // events executed
+	cancels uint64   // events cancelled before firing
+	peak    int      // deepest the heap ever got
 	wall    time.Duration
 }
 
@@ -90,20 +70,18 @@ type Stats struct {
 	// Executed counts events that fired.
 	Executed uint64 `json:"events"`
 	// Scheduled counts events ever scheduled (fired, pending or
-	// cancelled).
+	// cancelled). Every element of a Stream counts, from the moment the
+	// stream starts.
 	Scheduled uint64 `json:"scheduled"`
 	// Cancellations counts events cancelled before firing.
 	Cancellations uint64 `json:"cancellations"`
 	// PeakHeapDepth is the largest number of events simultaneously
-	// queued.
+	// queued. A Stream occupies one slot however long it is.
 	PeakHeapDepth int `json:"peak_heap_depth"`
 	// WallSeconds is real time spent inside Run/RunUntil.
 	WallSeconds float64 `json:"wall_seconds"`
 	// EventsPerSec is Executed/WallSeconds (0 before any timed run).
 	EventsPerSec float64 `json:"events_per_sec"`
-	// Shards is the shard count when the kernel is a ShardedEngine;
-	// omitted (0) for the sequential Engine.
-	Shards int `json:"shards,omitempty"`
 }
 
 // Stats returns the engine's self-telemetry so far.
@@ -127,25 +105,29 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Pending returns the number of scheduled (uncancelled) events. Cancel
-// removes events from the heap eagerly, so this is just the heap size.
-func (e *Engine) Pending() int { return len(e.events) }
+// Pending returns the number of queued events. Cancel removes events
+// eagerly, so this is just the heap size; an unfinished Stream counts
+// as one.
+func (e *Engine) Pending() int { return len(e.heap) }
 
 // Executed returns the number of events executed so far.
 func (e *Engine) Executed() uint64 { return e.nRun }
 
-// At schedules fn to run at absolute time t. Scheduling in the past
-// (t < Now) panics: it always indicates a model bug.
-func (e *Engine) At(t Time, fn func()) *Event {
-	if t < e.now {
+// check panics unless t is a valid time to schedule at: scheduling in
+// the past or at NaN always indicates a model bug.
+func (e *Engine) check(t Time) {
+	if !(t >= e.now) {
 		panic(fmt.Sprintf("sim: event scheduled at %v, before now %v", t, e.now))
 	}
+}
+
+// At schedules fn to run at absolute time t. Scheduling in the past
+// (t < Now) or at NaN panics.
+func (e *Engine) At(t Time, fn func()) *Event {
+	e.check(t)
 	e.seq++
-	ev := &Event{time: t, seq: e.seq, fn: fn, index: -1}
-	heap.Push(&e.events, ev)
-	if len(e.events) > e.peak {
-		e.peak = len(e.events)
-	}
+	ev := &Event{time: t, seq: e.seq, fn: fn}
+	e.push(ev)
 	return ev
 }
 
@@ -157,6 +139,51 @@ func (e *Engine) After(d Time, fn func()) *Event {
 	return e.At(e.now+d, fn)
 }
 
+// Stream schedules n callbacks: fn(i) runs at time at(i), for i in
+// [0, n). The times must be non-decreasing in i; a decrease panics when
+// the stream reaches it, as scheduling in the past does.
+//
+// The stream keeps one event in the heap at a time, scheduling element
+// i+1 when element i fires, so a long pre-sorted arrival trace costs one
+// heap slot instead of n. Its n sequence numbers are reserved now, so
+// the firing order — including exact-time ties with each other and with
+// any other event — is the one n At calls made here would produce.
+func (e *Engine) Stream(n int, at func(i int) Time, fn func(i int)) {
+	if n <= 0 {
+		return
+	}
+	t := at(0)
+	e.check(t)
+	s := &stream{e: e, n: n, base: e.seq + 1, at: at, fn: fn}
+	e.seq += uint64(n)
+	s.ev = Event{time: t, seq: s.base, fn: s.fire}
+	e.push(&s.ev)
+}
+
+// stream is the state of one Stream call: a single Event that stands for
+// element next and is requeued for each element in turn.
+type stream struct {
+	e    *Engine
+	ev   Event
+	next int
+	n    int
+	base uint64 // sequence number of element 0
+	at   func(int) Time
+	fn   func(int)
+}
+
+func (s *stream) fire() {
+	i := s.next
+	s.next++
+	if s.next < s.n {
+		t := s.at(s.next)
+		s.e.check(t)
+		s.ev.time, s.ev.seq, s.ev.fired = t, s.base+uint64(s.next), false
+		s.e.push(&s.ev)
+	}
+	s.fn(i)
+}
+
 // Cancel removes ev from the schedule. Cancelling an already-fired or
 // already-cancelled event is a true no-op: it neither marks the event
 // cancelled nor counts toward Stats.Cancellations.
@@ -166,17 +193,17 @@ func (e *Engine) Cancel(ev *Event) {
 	}
 	ev.cancelled = true
 	e.cancels++
-	heap.Remove(&e.events, ev.index)
+	e.remove(ev.index)
 }
 
 // Step executes the single earliest event. It reports false when no
 // events remain. Cancelled events are removed eagerly by Cancel, so
 // whatever is at the heap top is live.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
+	if len(e.heap) == 0 {
 		return false
 	}
-	e.fire(heap.Pop(&e.events).(*Event))
+	e.fire(e.pop())
 	return true
 }
 
@@ -192,8 +219,8 @@ func (e *Engine) fire(ev *Event) {
 // earlier, in which case the clock stays at the last event time.
 func (e *Engine) RunUntil(t Time) {
 	start := time.Now()
-	for len(e.events) > 0 && e.events[0].time <= t {
-		e.fire(heap.Pop(&e.events).(*Event))
+	for len(e.heap) > 0 && e.heap[0].time <= t {
+		e.fire(e.pop())
 	}
 	if e.now < t && t != Forever {
 		e.now = t
@@ -207,4 +234,81 @@ func (e *Engine) Run() {
 	for e.Step() {
 	}
 	e.wall += time.Since(start)
+}
+
+// push adds ev to the heap.
+func (e *Engine) push(ev *Event) {
+	e.heap = append(e.heap, ev)
+	e.up(len(e.heap)-1, ev)
+	if len(e.heap) > e.peak {
+		e.peak = len(e.heap)
+	}
+}
+
+// pop removes and returns the heap's least event.
+func (e *Engine) pop() *Event {
+	top := e.heap[0]
+	e.remove(0)
+	return top
+}
+
+// remove deletes the event in slot i, refilling the slot with the last
+// event and sifting that one to its place.
+func (e *Engine) remove(i int) {
+	h := e.heap
+	last := len(h) - 1
+	h[i].index = -1
+	moved := h[last]
+	h[last] = nil
+	e.heap = h[:last]
+	if i == last {
+		return
+	}
+	if !e.down(i, moved) {
+		e.up(i, moved)
+	}
+}
+
+// up places ev, which belongs in slot i or above, moving parents down
+// into the hole until ev's place is found.
+func (e *Engine) up(i int, ev *Event) {
+	h := e.heap
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].index = i
+		i = p
+	}
+	h[i] = ev
+	ev.index = i
+}
+
+// down places ev, which belongs in slot i0 or below, moving the lesser
+// child up into the hole until ev's place is found. It reports whether
+// ev ended below i0.
+func (e *Engine) down(i0 int, ev *Event) bool {
+	h := e.heap
+	n := len(h)
+	i := i0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(ev) {
+			break
+		}
+		h[i] = h[c]
+		h[i].index = i
+		i = c
+	}
+	h[i] = ev
+	ev.index = i
+	return i > i0
 }

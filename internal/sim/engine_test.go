@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -136,6 +139,405 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 		}
 	}()
 	e.After(-1, func() {})
+}
+
+// TestEngineScheduleTimes: At and After accept any time at or after now
+// and panic on the past and on NaN, which no ordering can place.
+func TestEngineScheduleTimes(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		sched func(e *Engine)
+		panic bool
+	}{
+		{"At now", func(e *Engine) { e.At(2, func() {}) }, false},
+		{"At later", func(e *Engine) { e.At(3, func() {}) }, false},
+		{"At +Inf", func(e *Engine) { e.At(math.Inf(1), func() {}) }, false},
+		{"At past", func(e *Engine) { e.At(1, func() {}) }, true},
+		{"At -Inf", func(e *Engine) { e.At(math.Inf(-1), func() {}) }, true},
+		{"At NaN", func(e *Engine) { e.At(math.NaN(), func() {}) }, true},
+		{"After NaN", func(e *Engine) { e.After(math.NaN(), func() {}) }, true},
+		{"Stream NaN", func(e *Engine) {
+			e.Stream(1, func(int) Time { return math.NaN() }, func(int) {})
+		}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine()
+			e.RunUntil(2)
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				c.sched(e)
+				return false
+			}()
+			if panicked != c.panic {
+				t.Fatalf("panicked = %v, want %v", panicked, c.panic)
+			}
+			want := 1
+			if c.panic {
+				want = 0
+			}
+			if e.Pending() != want {
+				t.Fatalf("Pending = %d, want %d", e.Pending(), want)
+			}
+		})
+	}
+}
+
+func TestEngineCancelAfterFire(t *testing.T) {
+	e := NewEngine()
+	ran := false
+	ev := e.After(1, func() { ran = true })
+	e.Run()
+	if !ran || !ev.Fired() {
+		t.Fatalf("event did not fire")
+	}
+	e.Cancel(ev)
+	if ev.Cancelled() {
+		t.Fatalf("Cancel after fire marked the event cancelled")
+	}
+	if got := e.Stats().Cancellations; got != 0 {
+		t.Fatalf("Cancel after fire counted as a cancellation: %d", got)
+	}
+}
+
+func TestEngineCancelTwice(t *testing.T) {
+	e := NewEngine()
+	ev := e.After(1, func() {})
+	e.After(2, func() {})
+	e.Cancel(ev)
+	e.Cancel(ev)
+	if got := e.Stats().Cancellations; got != 1 {
+		t.Fatalf("double Cancel counted %d cancellations, want 1", got)
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("Pending = %d, want 1", e.Pending())
+	}
+}
+
+func TestEnginePendingInterleaved(t *testing.T) {
+	e := NewEngine()
+	evs := make([]*Event, 6)
+	for i := range evs {
+		evs[i] = e.After(float64(i+1), func() {})
+	}
+	e.Cancel(evs[2]) // cancel a queued event
+	e.Step()         // fire evs[0]
+	e.Cancel(evs[0]) // no-op: already fired
+	e.Cancel(evs[4])
+	if got := e.Pending(); got != 3 {
+		t.Fatalf("Pending = %d, want 3", got)
+	}
+	e.Run()
+	if got := e.Executed(); got != 4 {
+		t.Fatalf("Executed = %d, want 4", got)
+	}
+	s := e.Stats()
+	if s.Cancellations != 2 {
+		t.Fatalf("Cancellations = %d, want 2", s.Cancellations)
+	}
+}
+
+func TestEngineRunUntilForeverDrained(t *testing.T) {
+	e := NewEngine()
+	e.RunUntil(Forever) // empty schedule: clock must stay at 0, not jump to Forever
+	if e.Now() != 0 {
+		t.Fatalf("Now = %v after RunUntil(Forever) on empty schedule", e.Now())
+	}
+	e.After(3, func() {})
+	e.RunUntil(Forever)
+	if e.Now() != 3 {
+		t.Fatalf("Now = %v, want 3 (last event time)", e.Now())
+	}
+}
+
+// TestEngineZeroDelayTies: zero-delay events scheduled from a callback
+// fire after it, in scheduling order, before any later-time event and
+// after every event already queued at the same time.
+func TestEngineZeroDelayTies(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	note := func(s string) func() { return func() { order = append(order, s) } }
+	e.At(1, func() {
+		order = append(order, "a")
+		e.After(0, func() {
+			order = append(order, "c")
+			e.After(0, note("e"))
+		})
+		e.After(0, note("d"))
+	})
+	e.At(1, note("b"))
+	e.At(1.5, note("f"))
+	e.Run()
+	want := []string{"a", "b", "c", "d", "e", "f"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+}
+
+// TestEngineScheduleThenCancel: an event scheduled and cancelled inside
+// one callback never fires and is counted once, at both a tie with the
+// current time and a later time.
+func TestEngineScheduleThenCancel(t *testing.T) {
+	e := NewEngine()
+	fired := 0
+	e.At(1, func() {
+		e.Cancel(e.After(0, func() { t.Error("cancelled zero-delay event fired") }))
+		e.Cancel(e.After(0.005, func() { t.Error("cancelled event fired") }))
+		e.After(0.005, func() { fired++ })
+	})
+	e.Run()
+	s := e.Stats()
+	if fired != 1 || s.Executed != 2 || s.Scheduled != 4 || s.Cancellations != 2 {
+		t.Fatalf("fired %d, stats %+v; want 1 fired, 2 executed of 4 scheduled, 2 cancelled", fired, s)
+	}
+}
+
+// TestEngineScheduleBelowNextEvent: an event a callback schedules
+// between now and the next queued event fires before that event.
+func TestEngineScheduleBelowNextEvent(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	e.At(1, func() {
+		order = append(order, "x@1")
+		e.After(0, func() { order = append(order, "y@1") })
+		e.After(0.5, func() { order = append(order, "y@1.5") })
+	})
+	e.At(2, func() { order = append(order, "x@2") })
+	e.Run()
+	want := []string{"x@1", "y@1", "y@1.5", "x@2"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+}
+
+// checkHeap asserts the heap invariant and every event's slot index.
+func checkHeap(t *testing.T, e *Engine) {
+	t.Helper()
+	for i, ev := range e.heap {
+		if ev.index != i {
+			t.Fatalf("slot %d holds an event indexed %d", i, ev.index)
+		}
+		if i > 0 && ev.before(e.heap[(i-1)/2]) {
+			t.Fatalf("slot %d is before its parent", i)
+		}
+	}
+}
+
+// byTimeSeq sorts events by (time, seq), the engine's firing contract.
+func byTimeSeq(evs []*Event) {
+	sort.Slice(evs, func(i, j int) bool {
+		if evs[i].time != evs[j].time {
+			return evs[i].time < evs[j].time
+		}
+		return evs[i].seq < evs[j].seq
+	})
+}
+
+// TestEngineHeapRandomized drives seeded random interleavings of At,
+// After, Cancel (of the root, the last slot, a middle slot, a random
+// queued event and an already-fired one) and Step, with callbacks that
+// schedule zero-delay ties. Every Step must fire the least queued event
+// by (time, seq), and the final drain must fire the survivors in sorted
+// order.
+func TestEngineHeapRandomized(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := NewRNG(seed, "heap")
+		e := NewEngine()
+		queued := map[*Event]bool{}
+		var log, firedEvs []*Event
+		var schedule func(at bool)
+		schedule = func(at bool) {
+			d := Time(rng.Intn(8)) * 0.25 // coarse delays: many exact ties
+			var ev *Event
+			fn := func() {
+				log = append(log, ev)
+				if rng.Intn(4) == 0 {
+					schedule(false)
+				}
+			}
+			if at {
+				ev = e.At(e.Now()+d, fn)
+			} else {
+				ev = e.After(d, fn)
+			}
+			queued[ev] = true
+		}
+		for op := 0; op < 400; op++ {
+			switch r := rng.Intn(20); {
+			case r < 7:
+				schedule(true)
+			case r < 10:
+				schedule(false)
+			case r < 15 && len(e.heap) > 0:
+				var victim *Event
+				switch rng.Intn(5) {
+				case 0:
+					victim = e.heap[0]
+				case 1:
+					victim = e.heap[len(e.heap)-1]
+				case 2:
+					victim = e.heap[len(e.heap)/2]
+				case 3:
+					victim = e.heap[rng.Intn(len(e.heap))]
+				default:
+					if len(firedEvs) > 0 {
+						victim = firedEvs[rng.Intn(len(firedEvs))]
+					}
+				}
+				e.Cancel(victim)
+				delete(queued, victim)
+			case r >= 15 && len(e.heap) > 0:
+				want := make([]*Event, 0, len(queued))
+				for ev := range queued {
+					want = append(want, ev)
+				}
+				byTimeSeq(want)
+				n := len(log)
+				e.Step()
+				if len(log) != n+1 || log[n] != want[0] {
+					t.Fatalf("seed %d op %d: Step fired the wrong event", seed, op)
+				}
+				delete(queued, want[0])
+				firedEvs = append(firedEvs, want[0])
+			}
+			checkHeap(t, e)
+			if e.Pending() != len(queued) {
+				t.Fatalf("seed %d op %d: Pending = %d, want %d", seed, op, e.Pending(), len(queued))
+			}
+		}
+		// Callbacks keep scheduling ties during the drain, so compare the
+		// drained log against the schedule it implies: sorted by
+		// (time, seq) and fired exactly once each.
+		n := len(log)
+		e.Run()
+		rest := append([]*Event(nil), log[n:]...)
+		byTimeSeq(rest)
+		if !reflect.DeepEqual(rest, log[n:]) {
+			t.Fatalf("seed %d: drain fired out of (time, seq) order", seed)
+		}
+		for ev := range queued {
+			if !ev.Fired() {
+				t.Fatalf("seed %d: queued event never fired", seed)
+			}
+		}
+		if e.Pending() != 0 {
+			t.Fatalf("seed %d: %d events left after Run", seed, e.Pending())
+		}
+	}
+}
+
+// streamWorkload schedules n arrivals at times[i] plus non-stream events
+// tying with them, before and after the arrivals are scheduled and from
+// inside arrival callbacks, and returns the firing log. With stream set
+// the arrivals go through Stream, otherwise through one At each.
+func streamWorkload(times []Time, stream bool) ([]string, Stats) {
+	e := NewEngine()
+	var log []string
+	note := func(s string) func() {
+		return func() { log = append(log, fmt.Sprintf("%v %s", e.Now(), s)) }
+	}
+	e.At(0, note("before@0"))
+	e.At(1, note("before@1"))
+	arrive := func(i int) {
+		log = append(log, fmt.Sprintf("%v arrival %d", e.Now(), i))
+		if i%3 == 0 {
+			e.After(0, note(fmt.Sprintf("tie-from-%d", i)))
+		}
+		if i%4 == 0 {
+			e.After(0.5, note(fmt.Sprintf("later-from-%d", i)))
+		}
+	}
+	if stream {
+		e.Stream(len(times), func(i int) Time { return times[i] }, arrive)
+	} else {
+		for i := range times {
+			e.At(times[i], func() { arrive(i) })
+		}
+	}
+	e.At(1, note("after@1"))
+	e.At(2, note("after@2"))
+	e.Run()
+	return log, e.Stats()
+}
+
+// TestEngineStream: a Stream fires exactly as the same arrivals
+// scheduled one At each, through ties inside the stream and ties with
+// events scheduled before it, after it and by its own callbacks, while
+// holding a single heap slot. An empty stream schedules nothing.
+func TestEngineStream(t *testing.T) {
+	for _, times := range [][]Time{
+		{},
+		{0},
+		{0, 0, 0, 1, 1, 1.5, 2, 2, 2, 2, 3},
+		{1, 1, 1, 1},
+		{0.25, 0.5, 1, 1.25, 2.5, 2.5, 4},
+	} {
+		want, ws := streamWorkload(times, false)
+		got, gs := streamWorkload(times, true)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("times %v:\n got %q\nwant %q", times, got, want)
+		}
+		if gs.Executed != ws.Executed || gs.Scheduled != ws.Scheduled {
+			t.Fatalf("times %v: stream stats %+v, At stats %+v", times, gs, ws)
+		}
+	}
+	rng := NewRNG(5, "stream")
+	times := make([]Time, 500)
+	for i := 1; i < len(times); i++ {
+		times[i] = times[i-1] + Time(rng.Intn(3))*0.5 // many ties
+	}
+	want, ws := streamWorkload(times, false)
+	got, gs := streamWorkload(times, true)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("randomized stream diverged from one At per arrival")
+	}
+	if gs.PeakHeapDepth >= ws.PeakHeapDepth/10 {
+		t.Fatalf("stream peak heap %d, up-front peak %d: the stream is not lazy", gs.PeakHeapDepth, ws.PeakHeapDepth)
+	}
+}
+
+// TestEngineStreamOneSlot: a long pre-sorted stream occupies one heap
+// slot, reserves its sequence numbers up front, and fires every element.
+func TestEngineStreamOneSlot(t *testing.T) {
+	e := NewEngine()
+	n := 0
+	e.Stream(1000, func(i int) Time { return Time(i) * 0.001 }, func(int) { n++ })
+	if e.Pending() != 1 || e.Stats().Scheduled != 1000 {
+		t.Fatalf("Pending = %d, Scheduled = %d; want 1 and 1000", e.Pending(), e.Stats().Scheduled)
+	}
+	e.Run()
+	if s := e.Stats(); n != 1000 || s.Executed != 1000 || s.PeakHeapDepth != 1 {
+		t.Fatalf("fired %d, stats %+v; want 1000 executed, peak heap 1", n, s)
+	}
+}
+
+// TestEngineStreamRunUntil: elements after the RunUntil horizon stay
+// queued, and a later RunUntil resumes the stream.
+func TestEngineStreamRunUntil(t *testing.T) {
+	e := NewEngine()
+	var got []int
+	e.Stream(5, func(i int) Time { return Time(i) }, func(i int) { got = append(got, i) })
+	e.RunUntil(2.5)
+	if !reflect.DeepEqual(got, []int{0, 1, 2}) || e.Pending() != 1 {
+		t.Fatalf("fired %v, Pending %d after RunUntil(2.5)", got, e.Pending())
+	}
+	e.RunUntil(10)
+	if len(got) != 5 || e.Now() != 10 {
+		t.Fatalf("fired %v, Now %v after RunUntil(10)", got, e.Now())
+	}
+}
+
+// TestEngineStreamUnsortedPanics: a stream whose times decrease panics
+// when it reaches the decrease, like scheduling in the past.
+func TestEngineStreamUnsortedPanics(t *testing.T) {
+	e := NewEngine()
+	times := []Time{1, 2, 1.5}
+	e.Stream(len(times), func(i int) Time { return times[i] }, func(int) {})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("decreasing stream did not panic")
+		}
+	}()
+	e.Run()
 }
 
 func TestEnginePendingExecuted(t *testing.T) {

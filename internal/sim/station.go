@@ -1,12 +1,12 @@
 package sim
 
-// Station is a single-server FIFO queueing station driven by a Clock.
+// Station is a single-server FIFO queueing station driven by an Engine.
 // Jobs enter via Enqueue; the station serves one job at a time, holding
 // it for the service time returned by the job's Service callback, then
 // invokes Done. Stations are the building block for both monolithic
 // instances (one station) and pipelines (a chain of stations).
 type Station struct {
-	eng  Clock
+	eng  *Engine
 	name string
 
 	queue []*Job
@@ -70,7 +70,7 @@ func (j *Job) done() {
 }
 
 // NewStation returns an idle station bound to eng.
-func NewStation(eng Clock, name string) *Station {
+func NewStation(eng *Engine, name string) *Station {
 	s := &Station{eng: eng, name: name}
 	// One completion callback per station, not per job: the station is a
 	// single server, so the job it belongs to is always s.cur.

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 )
@@ -50,6 +51,9 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 		arrival, err := strconv.ParseFloat(row[0], 64)
 		if err != nil {
 			return nil, fmt.Errorf("trace: row %d arrival: %w", i+start, err)
+		}
+		if math.IsNaN(arrival) || math.IsInf(arrival, 0) {
+			return nil, fmt.Errorf("trace: row %d arrival %q is not finite", i+start, row[0])
 		}
 		if arrival < 0 {
 			return nil, fmt.Errorf("trace: row %d negative arrival", i+start)

@@ -182,6 +182,18 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
+// TestReadCSVNonFiniteArrival: strconv parses NaN and infinities, but no
+// arrival can be either — NaN breaks the sort and the event order, and
+// an infinite arrival makes the trace endless.
+func TestReadCSVNonFiniteArrival(t *testing.T) {
+	for _, arrival := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "infinity", "1e999"} {
+		_, err := ReadCSV(strings.NewReader("arrival_s,func\n1.0,0\n" + arrival + ",0\n"))
+		if err == nil || !strings.Contains(err.Error(), "row 2") {
+			t.Errorf("ReadCSV with arrival %q: err = %v, want a row 2 error", arrival, err)
+		}
+	}
+}
+
 func TestReadCSVNoHeader(t *testing.T) {
 	tr, err := ReadCSV(strings.NewReader("2.0,1\n1.0,0\n"))
 	if err != nil {
