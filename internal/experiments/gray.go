@@ -71,10 +71,10 @@ type GrayRun struct {
 // GrayPoint is one sweep point: the three mitigation levels on the same
 // degradation schedule and arrival sequence.
 type GrayPoint struct {
-	Rate           float64 `json:"rate"`
-	Severity       float64 `json:"severity"`
-	NoMitigation   GrayRun `json:"noMitigation"`
-	QuarantineOnly GrayRun `json:"quarantineOnly"`
+	Rate            float64 `json:"rate"`
+	Severity        float64 `json:"severity"`
+	NoMitigation    GrayRun `json:"noMitigation"`
+	QuarantineOnly  GrayRun `json:"quarantineOnly"`
 	QuarantineHedge GrayRun `json:"quarantineHedge"`
 }
 

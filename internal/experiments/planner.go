@@ -80,12 +80,12 @@ func RunPlanner(cfg Config) PlannerResult {
 			on.Migrations == off.Migrations &&
 			reflect.DeepEqual(on.Events, off.Events) &&
 			reflect.DeepEqual(on.UtilGPCs, off.UtilGPCs),
-		Hits:         st.Hits,
-		Misses:       st.Misses,
-		Uncached:     st.Uncached,
-		QuickRejects: st.QuickRejects,
-		HitRate:      st.HitRate(),
-		Events:       capOn.exec,
+		Hits:            st.Hits,
+		Misses:          st.Misses,
+		Uncached:        st.Uncached,
+		QuickRejects:    st.QuickRejects,
+		HitRate:         st.HitRate(),
+		Events:          capOn.exec,
 		CachedSeconds:   wallOn,
 		UncachedSeconds: wallOff,
 	}

@@ -21,6 +21,9 @@ type Slice struct {
 	// Index of the slice within its GPU (stable across frees).
 	Index int
 
+	// id caches ID(), rendered once when the GPU builds its slices.
+	id string
+
 	// Owner is an opaque tag identifying the holder (instance ID);
 	// empty when free.
 	Owner string
@@ -54,9 +57,7 @@ func (s *Slice) bumpGen() {
 }
 
 // ID returns a stable identifier like "gpu3/2g.20gb#1".
-func (s *Slice) ID() string {
-	return fmt.Sprintf("gpu%d/%s#%d", s.GPU.ID, s.Type, s.Index)
-}
+func (s *Slice) ID() string { return s.id }
 
 // Free reports whether the slice has no owner.
 func (s *Slice) Free() bool { return s.Owner == "" }
@@ -203,7 +204,10 @@ func NewGPU(node, id int, cfg Config) *GPU {
 func (g *GPU) buildSlices() {
 	g.Slices = g.Slices[:0]
 	for i, t := range g.config {
-		g.Slices = append(g.Slices, &Slice{Type: t, GPU: g, Index: i})
+		g.Slices = append(g.Slices, &Slice{
+			Type: t, GPU: g, Index: i,
+			id: fmt.Sprintf("gpu%d/%s#%d", g.ID, t, i),
+		})
 	}
 }
 

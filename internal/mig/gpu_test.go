@@ -1,6 +1,7 @@
 package mig
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -162,6 +163,32 @@ func TestSliceIDStable(t *testing.T) {
 	g := NewGPU(0, 3, DefaultConfig)
 	if got := g.Slices[1].ID(); got != "gpu3/2g.20gb#1" {
 		t.Errorf("slice ID = %q", got)
+	}
+}
+
+// TestSliceIDAfterReconfigure: the cached ID follows the rebuilt
+// partition, gpu<g>/<type>#<i>, not the slices it replaced.
+func TestSliceIDAfterReconfigure(t *testing.T) {
+	g := NewGPU(0, 3, DefaultConfig)
+	if err := g.Reconfigure(ConfigFull1g, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range g.Slices {
+		if want := fmt.Sprintf("gpu3/1g.10gb#%d", i); s.ID() != want {
+			t.Errorf("slice %d ID = %q, want %q", i, s.ID(), want)
+		}
+	}
+	if err := g.Reconfigure(ConfigP2, ReconfigureDelay); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"gpu3/3g.40gb#0", "gpu3/2g.20gb#1", "gpu3/2g.20gb#2"}
+	if len(g.Slices) != len(want) {
+		t.Fatalf("%d slices after reconfigure, want %d", len(g.Slices), len(want))
+	}
+	for i, s := range g.Slices {
+		if s.ID() != want[i] {
+			t.Errorf("slice %d ID = %q, want %q", i, s.ID(), want[i])
+		}
 	}
 }
 

@@ -124,6 +124,9 @@ func Handler(o ServerOptions) http.Handler {
 		if limit > 0 && len(kept) > limit {
 			kept = kept[len(kept)-limit:]
 		}
+		if kept == nil {
+			kept = []decisions.Record{} // "records": [], as WriteJSON emits
+		}
 		doc := struct {
 			Total   int                `json:"total"`
 			Dropped int                `json:"dropped"`

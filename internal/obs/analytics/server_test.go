@@ -162,6 +162,12 @@ func TestServerDecisions(t *testing.T) {
 	if code != 200 || json.Unmarshal([]byte(body), &exp) != nil || exp.Total != 0 {
 		t.Errorf("nil /decisions: code %d body %q", code, body)
 	}
+	for _, path := range []string{"/decisions?kind=admit", "/decisions?limit=5"} {
+		code, body = get(t, empty, path)
+		if code != 200 || !strings.Contains(body, `"records": []`) {
+			t.Errorf("nil %s: want empty records array, code %d body %q", path, code, body)
+		}
+	}
 	code, body = get(t, empty, "/why?req=1")
 	if code != 200 || json.Unmarshal([]byte(body), &chain) != nil || len(chain.Chain) != 0 {
 		t.Errorf("nil /why: code %d body %q", code, body)

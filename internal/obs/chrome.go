@@ -1,10 +1,13 @@
 package obs
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"strconv"
+	"strings"
 )
 
 // Chrome trace-event export: one process per node with one thread per
@@ -16,27 +19,12 @@ import (
 // spec and loads directly in Perfetto / chrome://tracing.
 //
 // The export is deterministic: events are emitted in record order,
-// timestamps are integral microseconds, and all JSON field order is
-// fixed by the event struct.
-
-// chromeEvent is one trace event. Field order fixes the byte layout.
-type chromeEvent struct {
-	Name  string         `json:"name"`
-	Cat   string         `json:"cat,omitempty"`
-	Ph    string         `json:"ph"`
-	Ts    int64          `json:"ts"`
-	Dur   *int64         `json:"dur,omitempty"`
-	Pid   int            `json:"pid"`
-	Tid   int            `json:"tid"`
-	ID    string         `json:"id,omitempty"`
-	Scope string         `json:"s,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
+// timestamps are integral microseconds, and the byte layout is the one
+// encoding/json gives a struct with fields name, cat (omitempty), ph,
+// ts, dur (omitempty), pid, tid, id (omitempty), s (omitempty) and an
+// args map (sorted keys, omitted when empty). The writer streams: each
+// event is rendered into one reused buffer and written through a
+// bufio.Writer, so the document is never held in memory.
 
 // Reserved pids: requests (async chains) and platform-wide marks live
 // in their own processes; node n's hardware tracks use pid nodePidBase+n.
@@ -48,110 +36,246 @@ const (
 
 func usec(t float64) int64 { return int64(math.Round(t * 1e6)) }
 
-// asyncID is the async chain identity of a request.
-func asyncID(fn, req int) string { return fmt.Sprintf("f%d-r%d", fn, req) }
+// trackLoc places a registered track: its node process and its thread
+// (the track's per-node index).
+type trackLoc struct{ node, tid int }
 
 // WriteChromeTrace writes the recorder's spans as Chrome trace-event
-// JSON. Same recorder contents ⇒ byte-identical output.
+// JSON. Same recorder contents ⇒ byte-identical output. A counter with
+// a NaN or infinite value is an error, reported before anything is
+// written.
 func WriteChromeTrace(w io.Writer, r *Recorder) error {
-	var evs []chromeEvent
+	spans := r.Spans()
+	for i := range spans {
+		if sp := &spans[i]; sp.Kind == KindCounter && (math.IsNaN(sp.Value) || math.IsInf(sp.Value, 0)) {
+			return fmt.Errorf("obs: chrome trace: counter %q on track %q at t=%v has non-finite value %v",
+				sp.Name, sp.Track, sp.Start, sp.Value)
+		}
+	}
+
+	cw := chromeWriter{bw: bufio.NewWriterSize(w, 64<<10)}
+	cw.b = append(cw.b, `{"traceEvents":[`...)
 
 	// Metadata: name the processes and the per-slice threads.
-	meta := func(pid int, name string) {
-		evs = append(evs, chromeEvent{
-			Name: "process_name", Ph: "M", Pid: pid,
-			Args: map[string]any{"name": name},
-		})
-	}
-	meta(requestsPid, "requests")
-	meta(platformPid, "platform")
-	evs = append(evs, chromeEvent{
-		Name: "thread_name", Ph: "M", Pid: platformPid, Tid: 0,
-		Args: map[string]any{"name": "lifecycle"},
-	})
-	namedNodes := map[int]bool{}
-	// tid within a node process is the track's per-node index.
-	tids := make(map[string]int, len(r.Tracks()))
-	nodeNext := map[int]int{}
-	for _, tr := range r.Tracks() {
+	cw.meta("process_name", requestsPid, 0, "requests")
+	cw.meta("process_name", platformPid, 0, "platform")
+	cw.meta("thread_name", platformPid, 0, "lifecycle")
+	tracks := r.Tracks()
+	locs := make(map[string]trackLoc, len(tracks))
+	nodeNext := map[int]int{} // next tid per node; present once named
+	for _, tr := range tracks {
 		pid := nodePidBase + tr.Node
-		if !namedNodes[tr.Node] {
-			namedNodes[tr.Node] = true
-			meta(pid, fmt.Sprintf("node%d", tr.Node))
+		tid, named := nodeNext[tr.Node]
+		if !named {
+			cw.meta("process_name", pid, 0, "node"+strconv.Itoa(tr.Node))
 		}
-		tid := nodeNext[tr.Node]
-		nodeNext[tr.Node]++
-		tids[tr.Name] = tid
-		evs = append(evs, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
-			Args: map[string]any{"name": tr.Name},
-		})
-	}
-	nodeOf := make(map[string]int, len(r.Tracks()))
-	for _, tr := range r.Tracks() {
-		nodeOf[tr.Name] = tr.Node
+		nodeNext[tr.Node] = tid + 1
+		locs[tr.Name] = trackLoc{node: tr.Node, tid: tid}
+		cw.meta("thread_name", pid, tid, tr.Name)
 	}
 
-	for _, sp := range r.Spans() {
+	for i := range spans {
+		sp := &spans[i]
 		switch sp.Kind {
 		case KindSlice:
-			dur := usec(sp.End) - usec(sp.Start)
-			args := map[string]any{"func": sp.Func, "req": sp.Req}
+			loc := locs[sp.Track]
+			cw.open('X', sp.Cat, usec(sp.Start), sp.Name)
+			cw.b = append(cw.b, `,"dur":`...)
+			cw.b = strconv.AppendInt(cw.b, usec(sp.End)-usec(sp.Start), 10)
+			cw.place(nodePidBase+loc.node, loc.tid)
+			cw.b = append(cw.b, `,"args":{`...)
+			cw.funcReq(sp)
 			if sp.Stage >= 0 {
-				args["stage"] = sp.Stage
+				cw.b = append(cw.b, `,"stage":`...)
+				cw.b = strconv.AppendInt(cw.b, int64(sp.Stage), 10)
 			}
-			evs = append(evs, chromeEvent{
-				Name: sp.Name, Cat: sp.Cat, Ph: "X", Ts: usec(sp.Start), Dur: &dur,
-				Pid: nodePidBase + nodeOf[sp.Track], Tid: tids[sp.Track], Args: args,
-			})
+			cw.b = append(cw.b, '}')
+			cw.emit()
 		case KindAsync:
-			args := map[string]any{"func": sp.Func, "req": sp.Req}
+			cw.open('b', sp.Cat, usec(sp.Start), sp.Name)
+			cw.place(requestsPid, 0)
+			cw.asyncID(sp)
+			cw.b = append(cw.b, `,"args":{`...)
 			if sp.Detail != "" {
-				args["detail"] = sp.Detail
+				cw.detail(sp.Detail)
 			}
-			id := asyncID(sp.Func, sp.Req)
-			evs = append(evs, chromeEvent{
-				Name: sp.Name, Cat: sp.Cat, Ph: "b", Ts: usec(sp.Start),
-				Pid: requestsPid, Tid: 0, ID: id, Args: args,
-			})
-			evs = append(evs, chromeEvent{
-				Name: sp.Name, Cat: sp.Cat, Ph: "e", Ts: usec(sp.End),
-				Pid: requestsPid, Tid: 0, ID: id,
-			})
+			cw.funcReq(sp)
+			cw.b = append(cw.b, '}')
+			cw.emit()
+			cw.open('e', sp.Cat, usec(sp.End), sp.Name)
+			cw.place(requestsPid, 0)
+			cw.asyncID(sp)
+			cw.emit()
 		case KindAsyncMark:
-			evs = append(evs, chromeEvent{
-				Name: sp.Name, Cat: sp.Cat, Ph: "n", Ts: usec(sp.Start),
-				Pid: requestsPid, Tid: 0, ID: asyncID(sp.Func, sp.Req),
-				Args: map[string]any{"func": sp.Func, "req": sp.Req, "detail": sp.Detail},
-			})
+			cw.open('n', sp.Cat, usec(sp.Start), sp.Name)
+			cw.place(requestsPid, 0)
+			cw.asyncID(sp)
+			cw.b = append(cw.b, `,"args":{`...)
+			cw.detail(sp.Detail)
+			cw.funcReq(sp)
+			cw.b = append(cw.b, '}')
+			cw.emit()
 		case KindCounter:
 			// Counter timeline on the owning track's process (health
 			// scores per slice); unregistered tracks chart platform-wide.
-			pid, tid := platformPid, 0
-			if t, ok := tids[sp.Track]; ok {
-				pid, tid = nodePidBase+nodeOf[sp.Track], t
-			}
-			evs = append(evs, chromeEvent{
-				Name: sp.Name + " " + sp.Track, Cat: sp.Cat, Ph: "C",
-				Ts: usec(sp.Start), Pid: pid, Tid: tid,
-				Args: map[string]any{"value": sp.Value},
-			})
+			cw.open('C', sp.Cat, usec(sp.Start), sp.Name, " ", sp.Track)
+			cw.trackPlace(locs, sp.Track)
+			cw.b = append(cw.b, `,"args":{"value":`...)
+			cw.b = appendJSONFloat(cw.b, sp.Value)
+			cw.b = append(cw.b, '}')
+			cw.emit()
 		case KindMark:
-			pid, tid := platformPid, 0
-			if t, ok := tids[sp.Track]; ok {
-				pid, tid = nodePidBase+nodeOf[sp.Track], t
-			}
-			args := map[string]any{"subject": sp.Track}
+			cw.open('i', sp.Cat, usec(sp.Start), sp.Name)
+			cw.trackPlace(locs, sp.Track)
+			cw.b = append(cw.b, `,"s":"t","args":{`...)
 			if sp.Detail != "" {
-				args["detail"] = sp.Detail
+				cw.detail(sp.Detail)
 			}
-			evs = append(evs, chromeEvent{
-				Name: sp.Name, Cat: sp.Cat, Ph: "i", Ts: usec(sp.Start),
-				Pid: pid, Tid: tid, Scope: "t", Args: args,
-			})
+			cw.b = append(cw.b, `"subject":`...)
+			cw.b = appendJSONString(cw.b, sp.Track)
+			cw.b = append(cw.b, '}')
+			cw.emit()
 		}
 	}
 
-	enc := json.NewEncoder(w)
-	return enc.Encode(chromeTrace{TraceEvents: evs, DisplayTimeUnit: "ms"})
+	cw.b = append(cw.b, `],"displayTimeUnit":"ms"}`+"\n"...)
+	cw.write()
+	return cw.bw.Flush()
+}
+
+// chromeWriter renders one event at a time into b and writes it
+// through bw. Write errors are not checked per event: bufio.Writer
+// keeps the first one and Flush returns it.
+type chromeWriter struct {
+	bw *bufio.Writer
+	b  []byte
+	n  int // events emitted
+}
+
+// open starts an event in b with the fields before dur: the separator,
+// name (the concatenation of nameParts), cat when non-empty, ph and ts.
+func (cw *chromeWriter) open(ph byte, cat string, ts int64, nameParts ...string) {
+	if cw.n > 0 {
+		cw.b = append(cw.b, ',')
+	}
+	cw.n++
+	cw.b = append(cw.b, `{"name":`...)
+	cw.b = appendJSONString(cw.b, nameParts...)
+	if cat != "" {
+		cw.b = append(cw.b, `,"cat":`...)
+		cw.b = appendJSONString(cw.b, cat)
+	}
+	cw.b = append(cw.b, `,"ph":"`...)
+	cw.b = append(cw.b, ph, '"')
+	cw.b = append(cw.b, `,"ts":`...)
+	cw.b = strconv.AppendInt(cw.b, ts, 10)
+}
+
+// emit closes the event in b and writes it.
+func (cw *chromeWriter) emit() {
+	cw.b = append(cw.b, '}')
+	cw.write()
+}
+
+func (cw *chromeWriter) write() {
+	_, _ = cw.bw.Write(cw.b) // sticky in bw; Flush reports it
+	cw.b = cw.b[:0]
+}
+
+// meta emits a metadata event naming a process or thread.
+func (cw *chromeWriter) meta(name string, pid, tid int, value string) {
+	cw.open('M', "", 0, name)
+	cw.place(pid, tid)
+	cw.b = append(cw.b, `,"args":{"name":`...)
+	cw.b = appendJSONString(cw.b, value)
+	cw.b = append(cw.b, '}')
+	cw.emit()
+}
+
+func (cw *chromeWriter) place(pid, tid int) {
+	cw.b = append(cw.b, `,"pid":`...)
+	cw.b = strconv.AppendInt(cw.b, int64(pid), 10)
+	cw.b = append(cw.b, `,"tid":`...)
+	cw.b = strconv.AppendInt(cw.b, int64(tid), 10)
+}
+
+// trackPlace puts an instant or counter on its registered track, or on
+// the platform-wide track when the track is unregistered.
+func (cw *chromeWriter) trackPlace(locs map[string]trackLoc, track string) {
+	if loc, ok := locs[track]; ok {
+		cw.place(nodePidBase+loc.node, loc.tid)
+		return
+	}
+	cw.place(platformPid, 0)
+}
+
+// asyncID appends the request's async chain identity, "f<func>-r<req>".
+func (cw *chromeWriter) asyncID(sp *Span) {
+	cw.b = append(cw.b, `,"id":"f`...)
+	cw.b = strconv.AppendInt(cw.b, int64(sp.Func), 10)
+	cw.b = append(cw.b, "-r"...)
+	cw.b = strconv.AppendInt(cw.b, int64(sp.Req), 10)
+	cw.b = append(cw.b, '"')
+}
+
+// detail appends the args entry `"detail":<s>,`; detail sorts first,
+// so another key always follows.
+func (cw *chromeWriter) detail(s string) {
+	cw.b = append(cw.b, `"detail":`...)
+	cw.b = appendJSONString(cw.b, s)
+	cw.b = append(cw.b, ',')
+}
+
+func (cw *chromeWriter) funcReq(sp *Span) {
+	cw.b = append(cw.b, `"func":`...)
+	cw.b = strconv.AppendInt(cw.b, int64(sp.Func), 10)
+	cw.b = append(cw.b, `,"req":`...)
+	cw.b = strconv.AppendInt(cw.b, int64(sp.Req), 10)
+}
+
+// appendJSONString appends the concatenation of parts as encoding/json
+// renders a string (HTML escaping on). Plain printable ASCII without
+// `"\<>&` is copied as is; anything else goes through json.Marshal, so
+// escapes, U+2028/U+2029 and invalid UTF-8 render exactly as there.
+func appendJSONString(b []byte, parts ...string) []byte {
+	for _, s := range parts {
+		if !plainJSON(s) {
+			q, _ := json.Marshal(strings.Join(parts, "")) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	for _, s := range parts {
+		b = append(b, s...)
+	}
+	return append(b, '"')
+}
+
+// plainJSON reports whether s encodes as itself between quotes.
+func plainJSON(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20, c > 0x7e, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
+}
+
+// appendJSONFloat appends a finite f as encoding/json renders a
+// float64: 'f' format, or 'e' below 1e-6 and from 1e21 up, with a
+// two-digit negative exponent trimmed (e-07 -> e-7).
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
 }

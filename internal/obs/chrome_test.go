@@ -1,0 +1,306 @@
+package obs
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// refChromeEvent is one trace event for the reference exporter; field
+// order fixes the byte layout.
+type refChromeEvent struct {
+	Name  string         `json:"name"`
+	Cat   string         `json:"cat,omitempty"`
+	Ph    string         `json:"ph"`
+	Ts    int64          `json:"ts"`
+	Dur   *int64         `json:"dur,omitempty"`
+	Pid   int            `json:"pid"`
+	Tid   int            `json:"tid"`
+	ID    string         `json:"id,omitempty"`
+	Scope string         `json:"s,omitempty"`
+	Args  map[string]any `json:"args,omitempty"`
+}
+
+type refChromeTrace struct {
+	TraceEvents     []refChromeEvent `json:"traceEvents"`
+	DisplayTimeUnit string           `json:"displayTimeUnit"`
+}
+
+func refAsyncID(fn, req int) string { return fmt.Sprintf("f%d-r%d", fn, req) }
+
+// writeChromeTraceRef renders the trace by building every event with an
+// args map and encoding the whole document with encoding/json: the
+// oracle the streaming WriteChromeTrace must match byte for byte.
+func writeChromeTraceRef(w io.Writer, r *Recorder) error {
+	var evs []refChromeEvent
+
+	meta := func(pid int, name string) {
+		evs = append(evs, refChromeEvent{
+			Name: "process_name", Ph: "M", Pid: pid,
+			Args: map[string]any{"name": name},
+		})
+	}
+	meta(requestsPid, "requests")
+	meta(platformPid, "platform")
+	evs = append(evs, refChromeEvent{
+		Name: "thread_name", Ph: "M", Pid: platformPid, Tid: 0,
+		Args: map[string]any{"name": "lifecycle"},
+	})
+	namedNodes := map[int]bool{}
+	tids := make(map[string]int, len(r.Tracks()))
+	nodeNext := map[int]int{}
+	for _, tr := range r.Tracks() {
+		pid := nodePidBase + tr.Node
+		if !namedNodes[tr.Node] {
+			namedNodes[tr.Node] = true
+			meta(pid, fmt.Sprintf("node%d", tr.Node))
+		}
+		tid := nodeNext[tr.Node]
+		nodeNext[tr.Node]++
+		tids[tr.Name] = tid
+		evs = append(evs, refChromeEvent{
+			Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
+			Args: map[string]any{"name": tr.Name},
+		})
+	}
+	nodeOf := make(map[string]int, len(r.Tracks()))
+	for _, tr := range r.Tracks() {
+		nodeOf[tr.Name] = tr.Node
+	}
+
+	for _, sp := range r.Spans() {
+		switch sp.Kind {
+		case KindSlice:
+			dur := usec(sp.End) - usec(sp.Start)
+			args := map[string]any{"func": sp.Func, "req": sp.Req}
+			if sp.Stage >= 0 {
+				args["stage"] = sp.Stage
+			}
+			evs = append(evs, refChromeEvent{
+				Name: sp.Name, Cat: sp.Cat, Ph: "X", Ts: usec(sp.Start), Dur: &dur,
+				Pid: nodePidBase + nodeOf[sp.Track], Tid: tids[sp.Track], Args: args,
+			})
+		case KindAsync:
+			args := map[string]any{"func": sp.Func, "req": sp.Req}
+			if sp.Detail != "" {
+				args["detail"] = sp.Detail
+			}
+			id := refAsyncID(sp.Func, sp.Req)
+			evs = append(evs, refChromeEvent{
+				Name: sp.Name, Cat: sp.Cat, Ph: "b", Ts: usec(sp.Start),
+				Pid: requestsPid, Tid: 0, ID: id, Args: args,
+			})
+			evs = append(evs, refChromeEvent{
+				Name: sp.Name, Cat: sp.Cat, Ph: "e", Ts: usec(sp.End),
+				Pid: requestsPid, Tid: 0, ID: id,
+			})
+		case KindAsyncMark:
+			evs = append(evs, refChromeEvent{
+				Name: sp.Name, Cat: sp.Cat, Ph: "n", Ts: usec(sp.Start),
+				Pid: requestsPid, Tid: 0, ID: refAsyncID(sp.Func, sp.Req),
+				Args: map[string]any{"func": sp.Func, "req": sp.Req, "detail": sp.Detail},
+			})
+		case KindCounter:
+			pid, tid := platformPid, 0
+			if t, ok := tids[sp.Track]; ok {
+				pid, tid = nodePidBase+nodeOf[sp.Track], t
+			}
+			evs = append(evs, refChromeEvent{
+				Name: sp.Name + " " + sp.Track, Cat: sp.Cat, Ph: "C",
+				Ts: usec(sp.Start), Pid: pid, Tid: tid,
+				Args: map[string]any{"value": sp.Value},
+			})
+		case KindMark:
+			pid, tid := platformPid, 0
+			if t, ok := tids[sp.Track]; ok {
+				pid, tid = nodePidBase+nodeOf[sp.Track], t
+			}
+			args := map[string]any{"subject": sp.Track}
+			if sp.Detail != "" {
+				args["detail"] = sp.Detail
+			}
+			evs = append(evs, refChromeEvent{
+				Name: sp.Name, Cat: sp.Cat, Ph: "i", Ts: usec(sp.Start),
+				Pid: pid, Tid: tid, Scope: "t", Args: args,
+			})
+		}
+	}
+
+	enc := json.NewEncoder(w)
+	return enc.Encode(refChromeTrace{TraceEvents: evs, DisplayTimeUnit: "ms"})
+}
+
+// chromeStrings mixes plain names with everything the streaming
+// writer must hand to json.Marshal: HTML-escaped bytes, quotes and
+// backslashes, control bytes, line/paragraph separators, non-ASCII and
+// invalid UTF-8 (including a truncated sequence at the end).
+var chromeStrings = []string{
+	"", "app0", "exec app0", "gpu0/4g.40gb#0", "launch", "[4g]", "~ok 1.5 (a|b)",
+	"<script>", "a<b", "a>b", "x&y", "del\x7f", `say "hi"`, `C:\path`, "tab\tnl\nret\r",
+	"bell\x07\x00\x1f\x7f", "\u2028sep\u2029", "héllo ✓", "bad\xff\xfeutf8",
+	"cut\xe2\x82",
+}
+
+// chromeValues covers zero, negative zero, the 'e'-format boundaries on
+// both sides and the smallest subnormal.
+var chromeValues = []float64{0, math.Copysign(0, -1), 1e-7, 1e21, 123.456, -5e-324,
+	1e-6, 9.99e20, -2.5e-9, 0.85}
+
+// randomChromeRecorder fills a recorder with every span kind on
+// registered and unregistered tracks, with adversarial strings.
+func randomChromeRecorder(rng *rand.Rand, spans int) *Recorder {
+	pick := func() string { return chromeStrings[rng.Intn(len(chromeStrings))] }
+	r := NewRecorder()
+	var tracks []string
+	for i, n := 0, 1+rng.Intn(6); i < n; i++ {
+		name := pick()
+		if rng.Intn(2) == 0 {
+			name = fmt.Sprintf("gpu%d/%s#%d", i, pick(), i)
+		}
+		r.RegisterTrack(rng.Intn(3), name)
+		tracks = append(tracks, name)
+	}
+	track := func() string {
+		if rng.Intn(4) == 0 {
+			return pick() // possibly unregistered
+		}
+		return tracks[rng.Intn(len(tracks))]
+	}
+	for i := 0; i < spans; i++ {
+		t0 := rng.Float64() * 100
+		t1 := t0 + rng.Float64()*3
+		fn, req := rng.Intn(5)-1, rng.Intn(1000)-1
+		switch rng.Intn(8) {
+		case 0:
+			r.SliceSpan(pick(), pick(), track(), fn, req, rng.Intn(4)-1, t0, t1)
+		case 1:
+			r.StageSpan(pick(), track(), pick(), fn, req, rng.Intn(3), t0, t1, t1-t0)
+		case 2:
+			r.AsyncSpan(pick(), pick(), fn, req, t0, t1, "")
+		case 3:
+			r.AsyncSpan(pick(), pick(), fn, req, t0, t1, pick())
+		case 4:
+			r.AsyncMark(pick(), pick(), fn, req, t0, pick())
+		case 5:
+			v := chromeValues[rng.Intn(len(chromeValues))]
+			if rng.Intn(3) == 0 {
+				v = (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(50)-25))
+			}
+			r.Counter(pick(), pick(), track(), t0, v)
+		case 6:
+			r.MarkCat(pick(), pick(), track(), t0, "")
+		case 7:
+			r.MarkCat(pick(), pick(), track(), t0, pick())
+		}
+	}
+	return r
+}
+
+func assertChromeMatchesRef(t *testing.T, name string, r *Recorder) {
+	t.Helper()
+	var got, want bytes.Buffer
+	if err := writeChromeTraceRef(&want, r); err != nil {
+		t.Fatalf("%s: reference: %v", name, err)
+	}
+	if err := WriteChromeTrace(&got, r); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		g, w := got.Bytes(), want.Bytes()
+		i := 0
+		for i < len(g) && i < len(w) && g[i] == w[i] {
+			i++
+		}
+		lo := max(0, i-80)
+		t.Fatalf("%s: streaming export differs from reference at byte %d:\n got  …%q\n want …%q",
+			name, i, g[lo:min(len(g), i+80)], w[lo:min(len(w), i+80)])
+	}
+}
+
+// TestChromeTraceMatchesReference: the streaming writer is byte-identical
+// to the encoding/json exporter on seeded random recorders covering
+// every span kind, adversarial strings and float edge cases, and on the
+// empty and nil recorders.
+func TestChromeTraceMatchesReference(t *testing.T) {
+	assertChromeMatchesRef(t, "nil", nil)
+	assertChromeMatchesRef(t, "empty", NewRecorder())
+	assertChromeMatchesRef(t, "sample", sampleRecorder())
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		assertChromeMatchesRef(t, fmt.Sprintf("seed %d", seed), randomChromeRecorder(rng, rng.Intn(300)))
+	}
+	// Every pinned counter value on a registered and an unregistered track.
+	r := NewRecorder()
+	r.RegisterTrack(0, "gpu0/1g.10gb#0")
+	for i, v := range chromeValues {
+		r.Counter("health", "score", "gpu0/1g.10gb#0", float64(i), v)
+		r.Counter("health", "score", "nowhere", float64(i), v)
+	}
+	assertChromeMatchesRef(t, "counters", r)
+}
+
+// TestChromeTraceNonFinite: a NaN or infinite counter fails the export
+// before a single byte is written, as the encoding/json exporter did.
+func TestChromeTraceNonFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		r := sampleRecorder()
+		r.Counter("health", "score", "gpu0/4g.40gb#0", 3, v)
+		var ref, got bytes.Buffer
+		if err := writeChromeTraceRef(&ref, r); err == nil || ref.Len() != 0 {
+			t.Fatalf("value %v: reference err=%v wrote %d bytes", v, err, ref.Len())
+		}
+		if err := WriteChromeTrace(&got, r); err == nil {
+			t.Errorf("value %v: no error", v)
+		}
+		if got.Len() != 0 {
+			t.Errorf("value %v: wrote %d bytes before failing", v, got.Len())
+		}
+	}
+}
+
+// TestChromeTraceAllocs: the export allocates per track, not per span —
+// a 10k-span recorder costs no more allocations than a 100-span one
+// over the same tracks.
+func TestChromeTraceAllocs(t *testing.T) {
+	build := func(spans int) *Recorder {
+		r := NewRecorder()
+		tracks := []string{"gpu0/4g.40gb#0", "gpu0/2g.20gb#0", "gpu1/7g.80gb#0"}
+		for i, tr := range tracks {
+			r.RegisterTrack(i/2, tr)
+		}
+		for i := 0; i < spans; i++ {
+			t0 := float64(i) * 0.01
+			tr := tracks[i%len(tracks)]
+			switch i % 6 {
+			case 0:
+				r.SliceSpan("exec", "exec app0", tr, 0, i, i%3, t0, t0+0.005)
+			case 1:
+				r.AsyncSpan("request", "app0", 0, i, t0, t0+0.02, "served")
+			case 2:
+				r.AsyncMark("retry", "retry", 0, i, t0, "slice failed")
+			case 3:
+				r.Counter("health", "score", tr, t0, 1+float64(i)*1e-4)
+			case 4:
+				r.Mark("launch", "app0#1", t0, "[4g]")
+			case 5:
+				r.Mark("evict", tr, t0, "")
+			}
+		}
+		return r
+	}
+	measure := func(r *Recorder) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if err := WriteChromeTrace(io.Discard, r); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := measure(build(100)), measure(build(10000))
+	if large > small || large > 20 {
+		t.Errorf("allocs: %v for 10k spans vs %v for 100 spans; want O(tracks), independent of spans", large, small)
+	}
+}

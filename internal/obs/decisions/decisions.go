@@ -214,7 +214,9 @@ type Record struct {
 	// Outcome states what was decided, human-readable.
 	Outcome string `json:"outcome"`
 	// Inputs are the signals the decider saw (pressure, scores,
-	// estimates, cache signatures), in a fixed call-site order.
+	// estimates, cache signatures), in a fixed call-site order. The
+	// slice may be shared between records (plan-lookup records reuse
+	// one rendering per distinct lookup): treat it as read-only.
 	Inputs []KV `json:"inputs,omitempty"`
 	// Candidates are the alternatives considered and rejected, with
 	// per-candidate reasons, in consideration order.

@@ -64,7 +64,7 @@ func instCandReason(inst *Instance) string {
 	if inst.retiring {
 		return "retiring"
 	}
-	return fmt.Sprintf("at capacity (%d/%d)", inst.outstanding, inst.capacity)
+	return "at capacity (" + strconv.Itoa(inst.outstanding) + "/" + strconv.Itoa(inst.capacity) + ")"
 }
 
 // poolCandidates lists the invoker's other pool slices and why each was
@@ -89,36 +89,76 @@ func poolCandidates(inv *Invoker, fn *Function, chosen *sharedSlice) []decisions
 // signature and outcome the planner saw. Called from New only when
 // provenance is on; without it the planner's observer stays nil and the
 // lookup path is untouched.
+//
+// Lookups repeat the same few answers millions of times, so each
+// function memoizes the rendered record per distinct observation: the
+// key space is the planner's own (sig, slo) cache key times the answer,
+// and every later lookup with that key reuses the rendered Rule,
+// Outcome and Inputs. The Inputs slice is therefore shared between
+// records (decisions.Record documents it read-only).
 func (p *Platform) wirePlanObservers() {
 	for _, fn := range p.funcs {
-		if fn.planner == nil {
-			continue
+		if fn.planner != nil {
+			fn.planner.SetObserver(p.planObserver(fn.spec.Name))
 		}
-		fn := fn
-		fn.planner.SetObserver(func(o pipeline.PlanObservation) {
-			kind := decisions.KindPlanMiss
-			rule := "constructed and cached"
-			switch {
-			case !o.SigOK:
-				kind = decisions.KindPlanUncached
-				rule = "signature overflow"
-			case o.Cached:
-				kind = decisions.KindPlanHit
-				rule = "served from cache"
-			}
-			outcome := fmt.Sprintf("rank %d plan", o.Rank)
-			if o.Err != nil {
-				outcome = "no feasible plan: " + o.Err.Error()
-			}
-			p.decide(decisions.Record{
-				Kind: kind, Func: fn.spec.Name, Req: decisions.NoRequest,
-				Rule: rule, Outcome: outcome,
-				Inputs: []decisions.KV{
-					kv("sig", "0x"+strconv.FormatUint(o.Sig, 16)),
-					kvF("slo", o.SLO),
-				},
-			})
-		})
+	}
+}
+
+// planObserver returns one function's memoizing plan-lookup observer.
+func (p *Platform) planObserver(funcName string) func(pipeline.PlanObservation) {
+	memo := map[planMemoKey]decisions.Record{}
+	return func(o pipeline.PlanObservation) {
+		kind, _ := planKind(o)
+		key := planMemoKey{kind: kind, sig: o.Sig, slo: o.SLO, rank: o.Rank}
+		if o.Err != nil {
+			key.err = o.Err.Error()
+		}
+		rec, ok := memo[key]
+		if !ok {
+			rec = renderPlanRecord(funcName, o)
+			memo[key] = rec
+		}
+		p.decide(rec)
+	}
+}
+
+// planMemoKey identifies a plan-lookup record up to its time and
+// sequence number.
+type planMemoKey struct {
+	kind decisions.Kind
+	sig  uint64
+	slo  float64
+	rank int
+	err  string
+}
+
+// planKind classifies a lookup as hit, miss, or uncached (signature
+// overflow bypasses the cache) and names the rule behind it.
+func planKind(o pipeline.PlanObservation) (decisions.Kind, string) {
+	switch {
+	case !o.SigOK:
+		return decisions.KindPlanUncached, "signature overflow"
+	case o.Cached:
+		return decisions.KindPlanHit, "served from cache"
+	}
+	return decisions.KindPlanMiss, "constructed and cached"
+}
+
+// renderPlanRecord renders the provenance record of one plan lookup
+// (Time and Seq are stamped when it is recorded).
+func renderPlanRecord(funcName string, o pipeline.PlanObservation) decisions.Record {
+	kind, rule := planKind(o)
+	outcome := "rank " + strconv.Itoa(o.Rank) + " plan"
+	if o.Err != nil {
+		outcome = "no feasible plan: " + o.Err.Error()
+	}
+	return decisions.Record{
+		Kind: kind, Func: funcName, Req: decisions.NoRequest,
+		Rule: rule, Outcome: outcome,
+		Inputs: []decisions.KV{
+			kv("sig", "0x"+strconv.FormatUint(o.Sig, 16)),
+			kvF("slo", o.SLO),
+		},
 	}
 }
 

@@ -1,7 +1,10 @@
 package platform
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"fluidfaas/internal/cluster"
@@ -9,6 +12,7 @@ import (
 	"fluidfaas/internal/faults"
 	"fluidfaas/internal/obs/decisions"
 	"fluidfaas/internal/overload"
+	"fluidfaas/internal/pipeline"
 	"fluidfaas/internal/scheduler"
 )
 
@@ -168,5 +172,81 @@ func TestQuarantineFreezesRing(t *testing.T) {
 	}
 	if counts := dec.Counts(); counts["suspect"] == 0 || counts["quarantine"] != 1 {
 		t.Errorf("counts = %v, want suspect>0 and quarantine=1", counts)
+	}
+}
+
+// wantPlanRecord renders a plan-lookup record from scratch, with no
+// memo: the oracle for the platform's memoizing observer.
+func wantPlanRecord(funcName string, o pipeline.PlanObservation) decisions.Record {
+	kind := decisions.KindPlanMiss
+	rule := "constructed and cached"
+	switch {
+	case !o.SigOK:
+		kind = decisions.KindPlanUncached
+		rule = "signature overflow"
+	case o.Cached:
+		kind = decisions.KindPlanHit
+		rule = "served from cache"
+	}
+	outcome := fmt.Sprintf("rank %d plan", o.Rank)
+	if o.Err != nil {
+		outcome = "no feasible plan: " + o.Err.Error()
+	}
+	return decisions.Record{
+		Kind: kind, Func: funcName, Req: decisions.NoRequest,
+		Rule: rule, Outcome: outcome,
+		Inputs: []decisions.KV{
+			{K: "sig", V: "0x" + strconv.FormatUint(o.Sig, 16)},
+			{K: "slo", V: strconv.FormatFloat(o.SLO, 'g', -1, 64)},
+		},
+	}
+}
+
+// TestPlanProvenanceMemo: the memoizing plan-lookup observer records
+// exactly what a fresh rendering would, for every lookup kind, for
+// failed constructions that differ only in their error text, and for
+// two SLOs sharing one signature; repeated keys reuse one Inputs slice.
+func TestPlanProvenanceMemo(t *testing.T) {
+	dec := decisions.NewRecorder(0)
+	p := New(smallCluster(1), specsFor(t, dnn.Small)[:1], Options{
+		Policy: &scheduler.FluidFaaS{}, Seed: 1, Decisions: dec,
+	})
+	observe := p.planObserver("bert")
+	errA := errors.New("pipeline: no partition fits the available slices")
+	errB := errors.New("pipeline: stage 1 cannot run on 1g.10gb")
+	script := []pipeline.PlanObservation{
+		{SigOK: true, Sig: 0x1f3, SLO: 0.5, Rank: 2},               // miss
+		{Cached: true, SigOK: true, Sig: 0x1f3, SLO: 0.5, Rank: 2}, // hit
+		{Cached: true, SigOK: true, Sig: 0x1f3, SLO: 0.5, Rank: 2}, // hit, memoized
+		{SLO: 0.5, Rank: 0}, // uncached
+		{SLO: 0.5, Rank: 0}, // uncached, memoized
+		{SigOK: true, Sig: 0x2a, SLO: 0.5, Rank: -1, Err: errA},
+		{SigOK: true, Sig: 0x2a, SLO: 0.5, Rank: -1, Err: errB},
+		{Cached: true, SigOK: true, Sig: 0x2a, SLO: 0.5, Rank: -1, Err: errA},
+		{SigOK: true, Sig: 0x1f3, SLO: 1.25, Rank: 2}, // same signature and rank, other SLO
+		{Cached: true, SigOK: true, Sig: 0x1f3, SLO: 1.25, Rank: 2},
+		{Cached: true, SigOK: true, Sig: 0x1f3, SLO: 0.5, Rank: 2},
+		{SigOK: true, Sig: 0x3c, SLO: 0.5, Rank: 2}, // other signature, same answer
+	}
+	for _, o := range script {
+		observe(o)
+	}
+	got := dec.Snapshot()
+	if len(got) != len(script) {
+		t.Fatalf("%d records for %d lookups", len(got), len(script))
+	}
+	for i, o := range script {
+		want := wantPlanRecord("bert", o)
+		want.Seq, want.Time = got[i].Seq, got[i].Time
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("lookup %d: record\n %+v\nwant\n %+v", i, got[i], want)
+		}
+	}
+	shared := func(i, j int) bool { return &got[i].Inputs[0] == &got[j].Inputs[0] }
+	if !shared(1, 2) || !shared(1, 10) || !shared(3, 4) {
+		t.Error("repeated lookups did not reuse the memoized rendering")
+	}
+	if shared(0, 1) || shared(0, 11) || shared(5, 6) || shared(1, 9) || shared(5, 7) {
+		t.Error("distinct lookups share a rendering")
 	}
 }

@@ -159,7 +159,7 @@ var eventKindNames = map[string]EventKind{
 	"swap-in": EvSwapIn, "swap-out": EvSwapOut,
 	"degrade": EvDegrade, "slice-suspect": EvSliceSuspect,
 	"slice-quarantine": EvSliceQuarantine,
-	"hedge": EvHedge, "hedge-cancel": EvHedgeCancel,
+	"hedge":            EvHedge, "hedge-cancel": EvHedgeCancel,
 }
 
 // ParseEventKind resolves an event-kind name ("fault", "retry", ...)
