@@ -398,9 +398,10 @@ func BenchmarkPlannerConstruct(b *testing.B) {
 }
 
 // BenchmarkFluidFaaSPlaceBatch measures a FluidFaaS scheduling round at
-// realistic batch and cluster sizes, with and without planner-backed
-// requests. The placements are identical; only the work per probe
-// changes.
+// realistic batch and cluster sizes, with requests that carry no planner
+// (PlaceBatch builds a fresh one per call, so every multiset walks once
+// per round) and with planners that persist across rounds. The
+// placements are identical; only the work per probe changes.
 func BenchmarkFluidFaaSPlaceBatch(b *testing.B) {
 	mkReqs := func() []scheduler.Req {
 		var reqs []scheduler.Req
@@ -424,7 +425,7 @@ func BenchmarkFluidFaaSPlaceBatch(b *testing.B) {
 		nodes = append(nodes, scheduler.NodeFree{Node: n, Free: free})
 	}
 	pol := &scheduler.FluidFaaS{}
-	b.Run("uncached", func(b *testing.B) {
+	b.Run("per_call_planner", func(b *testing.B) {
 		reqs := mkReqs()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -450,25 +451,6 @@ func BenchmarkFluidFaaSPlaceBatch(b *testing.B) {
 		}
 		b.ReportMetric(st.HitRate()*100, "hit_rate_%")
 	})
-}
-
-// BenchmarkPlannerSystem is the planner fast-path study end to end: a
-// medium FluidFaaS run with the plan cache on vs off, reporting the
-// cache-on/off identity verdict, hit rate, walk reduction, and
-// simulator events per wall-clock second.
-func BenchmarkPlannerSystem(b *testing.B) {
-	var r experiments.PlannerResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.RunPlanner(benchCfg())
-	}
-	if !r.Identical {
-		b.Fatal("cache-on and cache-off runs diverged")
-	}
-	b.ReportMetric(r.HitRate*100, "hit_rate_%")
-	b.ReportMetric(r.WalkReduction, "walk_reduction_x")
-	b.ReportMetric(r.CachedEventsPerSec, "cached_events_per_s")
-	b.ReportMetric(r.UncachedEventsPerSec, "uncached_events_per_s")
-	b.ReportMetric(r.Speedup, "speedup_x")
 }
 
 // BenchmarkPlatformMediumFluidFaaS measures a whole platform run: wall

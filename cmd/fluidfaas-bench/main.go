@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -14,8 +15,16 @@ import (
 	"fluidfaas/internal/scheduler"
 )
 
+// experimentNames lists every valid -exp value.
+var experimentNames = []string{
+	"table2", "table5", "fig3", "fig4", "fig5", "fig9", "fig10", "fig11", "fig12",
+	"fig13", "fig14", "fig15", "fig16", "table6", "isolation", "reconfig", "slosweep",
+	"batching", "chaining", "resilience", "overload", "analytics", "swap", "gray", "all",
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment: table2|table5|fig3|fig4|fig5|fig9|fig10|fig11|fig12|fig13|fig14|fig15|fig16|table6|isolation|reconfig|slosweep|batching|chaining|resilience|overload|analytics|planner|swap|gray|all")
+	valid := strings.Join(experimentNames, "|")
+	exp := flag.String("exp", "all", "experiment: "+valid)
 	seed := flag.Int64("seed", 42, "random seed")
 	duration := flag.Float64("duration", 300, "trace duration (s)")
 	loads := flag.String("loads", "", "comma-separated load multipliers for -exp overload (default 1,2,4)")
@@ -24,6 +33,15 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "also run an instrumented fluidfaas/medium capture and write its Prometheus metrics here")
 	jsonOut := flag.String("json-out", "", "write a machine-readable BENCH_<exp>.json (end-to-end matrix + span analytics) into this directory")
 	flag.Parse()
+	// Reject bad invocations before any experiment runs.
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "unexpected arguments: %v\nvalid -exp values: %s\n", flag.Args(), valid)
+		os.Exit(2)
+	}
+	if !slices.Contains(experimentNames, *exp) {
+		fmt.Fprintf(os.Stderr, "unknown -exp %q\nvalid -exp values: %s\n", *exp, valid)
+		os.Exit(2)
+	}
 
 	cfg := experiments.DefaultConfig()
 	cfg.Seed = *seed
@@ -111,12 +129,6 @@ func main() {
 		}
 		fmt.Println(experiments.OverloadTable(experiments.RunOverload(cfg, mults)))
 	})
-	var plannerRes *experiments.PlannerResult
-	show("planner", func() {
-		r := experiments.RunPlanner(cfg)
-		plannerRes = &r
-		fmt.Println(experiments.PlannerTable(r))
-	})
 	var swapRes *experiments.SwapResult
 	show("swap", func() {
 		r := experiments.RunSwap(cfg)
@@ -192,7 +204,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if err := experiments.WriteBenchJSON(f, *exp, e2e, ar.Report, plannerRes, swapRes, grayRes, &uc); err != nil {
+		if err := experiments.WriteBenchJSON(f, *exp, e2e, ar.Report, swapRes, grayRes, &uc); err != nil {
 			f.Close()
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -202,10 +214,5 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-	}
-
-	if flag.NArg() > 0 {
-		fmt.Fprintln(os.Stderr, "unexpected arguments:", flag.Args())
-		os.Exit(2)
 	}
 }

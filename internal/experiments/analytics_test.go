@@ -70,8 +70,8 @@ func TestAnalyticsTablesRender(t *testing.T) {
 }
 
 // TestWriteBenchJSONDeterministic: the machine-readable bench document
-// is valid JSON, covers the full matrix in fixed order, and is
-// byte-stable across identical inputs.
+// is valid JSON, covers the full matrix in fixed order, carries the
+// engine self-telemetry, and is byte-stable across identical inputs.
 func TestWriteBenchJSONDeterministic(t *testing.T) {
 	cfg := shortCfg()
 	e2e := RunEndToEnd(cfg)
@@ -79,7 +79,7 @@ func TestWriteBenchJSONDeterministic(t *testing.T) {
 
 	var docs [2]bytes.Buffer
 	for i := 0; i < 2; i++ {
-		if err := WriteBenchJSON(&docs[i], "test", e2e, ar.Report, nil, nil, nil, nil); err != nil {
+		if err := WriteBenchJSON(&docs[i], "test", e2e, ar.Report, nil, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -108,5 +108,15 @@ func TestWriteBenchJSONDeterministic(t *testing.T) {
 		if r.Total <= 0 || r.LatencyP50 <= 0 {
 			t.Errorf("run %s/%s has empty metrics: %+v", r.Workload, r.System, r)
 		}
+	}
+
+	var raw struct {
+		Engine map[string]float64 `json:"engine"`
+	}
+	if err := json.Unmarshal(docs[0].Bytes(), &raw); err != nil {
+		t.Fatalf("engine section does not parse: %v", err)
+	}
+	if raw.Engine["events"] <= 0 || raw.Engine["events_per_sec"] <= 0 {
+		t.Errorf("engine self-telemetry missing or empty: %v", raw.Engine)
 	}
 }

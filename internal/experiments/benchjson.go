@@ -26,15 +26,11 @@ type BenchDoc struct {
 	// Analytics is the span-analytics report of the instrumented
 	// FluidFaaS/medium capture (blame, stragglers, drift, burn).
 	Analytics *analytics.Report `json:"analytics,omitempty"`
-	// Planner is the planner fast-path study (cache-on/off identity,
-	// hit rate, wall-clock), present when -exp planner ran.
-	Planner *PlannerResult `json:"planner,omitempty"`
-	// Swap is the swap-tier density study (models-per-GPU sweep,
-	// off-switch identity), present when -exp swap ran.
+	// Swap is the swap-tier density study (models-per-GPU sweep),
+	// present when -exp swap ran.
 	Swap *SwapResult `json:"swap,omitempty"`
 	// Gray is the gray-failure resilience study (rate × severity sweep
-	// across mitigation levels, off-switch identity), present when
-	// -exp gray ran.
+	// across mitigation levels), present when -exp gray ran.
 	Gray *GrayResult `json:"gray,omitempty"`
 	// Util is the GPU utilization ledger comparison (FluidFaaS vs ESG
 	// waste attribution on the medium workload): where every GPU-second
@@ -88,14 +84,13 @@ func benchRun(r SystemResult) BenchRun {
 }
 
 // WriteBenchJSON writes the bench document for an end-to-end matrix and
-// optional analytics / planner-study reports.
-func WriteBenchJSON(w io.Writer, exp string, e2e *EndToEnd, rp *analytics.Report, pl *PlannerResult, sw *SwapResult, gr *GrayResult, ut *UtilComparison) error {
+// optional analytics, swap, gray and utilization reports.
+func WriteBenchJSON(w io.Writer, exp string, e2e *EndToEnd, rp *analytics.Report, sw *SwapResult, gr *GrayResult, ut *UtilComparison) error {
 	doc := BenchDoc{
 		Experiment: exp,
 		Seed:       e2e.Cfg.Seed,
 		Duration:   e2e.Cfg.Duration,
 		Analytics:  rp,
-		Planner:    pl,
 		Swap:       sw,
 		Gray:       gr,
 		Util:       ut,

@@ -144,17 +144,10 @@ type Config struct {
 	// the run starts, seeing every event losslessly (the retained ring
 	// in SystemResult.Events is bounded). Subscribers must only observe.
 	OnEvent func(platform.Event)
-	// EventLogCap bounds the retained lifecycle-event ring (0 = the
-	// platform default, 4096).
-	EventLogCap int
 	// OnPlatform, when set, observes the finished platform after the run
 	// (before RunSystem returns), e.g. to take an introspection
 	// Snapshot. Observers must not mutate the platform.
 	OnPlatform func(*platform.Platform)
-	// DisablePlanCache turns off the memoized placement planner. The
-	// cache is behaviour-invariant, so this only exists for the planner
-	// benchmark and the CI cache-on/off determinism diff.
-	DisablePlanCache bool
 	// TransferScale multiplies every stage-boundary hop cost (0 = 1,
 	// the paper's cost model); the transfer-sensitivity ablation sweeps
 	// it. Applied per-run to the freshly built DAGs, never globally.
@@ -338,8 +331,6 @@ func RunSystem(pol scheduler.Policy, w Workload, cfg Config) SystemResult {
 		Policy: pol, Seed: cfg.Seed, MaxBatch: cfg.MaxBatch, Routing: cfg.Routing,
 		Faults: cfg.Faults, Overload: cfg.Overload, Swap: cfg.Swap, Gray: cfg.Gray,
 		Obs: cfg.Obs, Decisions: cfg.Decisions, Util: cfg.Util,
-		EventLogCap:      cfg.EventLogCap,
-		DisablePlanCache: cfg.DisablePlanCache,
 	})
 	if cfg.OnEvent != nil {
 		p.EventBus().Subscribe(cfg.OnEvent)

@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"reflect"
 
 	"fluidfaas/internal/faults"
-	"fluidfaas/internal/metrics"
 	"fluidfaas/internal/platform"
 	"fluidfaas/internal/scheduler"
 )
@@ -23,9 +21,6 @@ import (
 //	quarantine  — the health scorer detects and quarantines slow slices
 //	quar+hedge  — additionally, deadline-at-risk requests on suspect
 //	              slices get a hedged duplicate on clean hardware
-//
-// It also re-checks the off-switch: a run with Gray.Enabled=false must
-// be bit-identical to a run that never mentioned the subsystem.
 
 // grayRates and graySeverities are the sweep grid. Rates are
 // cluster-wide SliceDegraded events per second; with ~48 slices on the
@@ -85,12 +80,6 @@ type GrayResult struct {
 	HedgeBudget float64 `json:"hedgeBudget"`
 
 	Sweep []GrayPoint `json:"sweep"`
-
-	// DisabledIdentical is the off-switch verdict: Gray{Enabled:false}
-	// with non-zero sibling knobs versus a zero Options.Gray on the
-	// standard light run — request records, event sequences, utilisation
-	// timeline and counters all equal, and zero gray activity recorded.
-	DisabledIdentical bool `json:"disabledIdentical"`
 }
 
 // grayHedgeBudget is the per-function hedge budget of the study (the
@@ -147,39 +136,6 @@ func RunGray(cfg Config) GrayResult {
 		HedgeBudget: grayHedgeBudget,
 	}
 
-	// Off-switch identity: the standard light run with Options.Gray zero
-	// versus explicitly disabled with every sibling knob set (none may
-	// leak into behaviour while Enabled is false). Uses cfg.Duration, so
-	// the CI smoke run keeps it short.
-	type capture struct {
-		recs []metrics.RequestRecord
-		exec uint64
-		gray [3]int
-	}
-	run := func(g platform.GrayOptions) (SystemResult, capture) {
-		c := cfg
-		c.Gray = g
-		var cap capture
-		c.OnPlatform = func(p *platform.Platform) {
-			cap.recs = p.Collector().Records()
-			cap.exec = p.Engine().Executed()
-			cap.gray = [3]int{p.Suspects(), p.Quarantines(), p.Hedges()}
-		}
-		return RunSystem(&scheduler.FluidFaaS{}, Light, c), cap
-	}
-	zero, capZero := run(platform.GrayOptions{})
-	off, capOff := run(platform.GrayOptions{
-		Enabled: false, Hedge: true, Alpha: 0.9,
-		SuspectRatio: 1.01, QuarantineRatio: 1.02, MinSamples: 1, HedgeBudget: 99,
-	})
-	res.DisabledIdentical = reflect.DeepEqual(capZero.recs, capOff.recs) &&
-		capZero.exec == capOff.exec &&
-		capZero.gray == [3]int{} && capOff.gray == [3]int{} &&
-		zero.Launched == off.Launched &&
-		zero.Evictions == off.Evictions &&
-		reflect.DeepEqual(zero.Events, off.Events) &&
-		reflect.DeepEqual(zero.UtilGPCs, off.UtilGPCs)
-
 	// The sweep: every (rate, severity) under the three mitigation
 	// levels. Same cfg.Seed throughout, so within a point all three
 	// levels face the identical degradation schedule and arrivals.
@@ -201,10 +157,6 @@ func RunGray(cfg Config) GrayResult {
 
 // GrayTable renders the study.
 func GrayTable(r GrayResult) Table {
-	verdict := "IDENTICAL (bit-for-bit)"
-	if !r.DisabledIdentical {
-		verdict = "DIVERGED — disabled subsystem is not behaviour-invariant"
-	}
 	t := Table{
 		Title: fmt.Sprintf("Gray-failure resilience: SLO attainment under degraded slices (%s workload, hedge budget %.0f%%)",
 			r.Workload, 100*r.HedgeBudget),
@@ -224,8 +176,5 @@ func GrayTable(r GrayResult) Table {
 			budget,
 		})
 	}
-	t.Rows = append(t.Rows,
-		[]string{"disabled-path outcome", verdict, "", "", "", "", "", "", ""},
-	)
 	return t
 }

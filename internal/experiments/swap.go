@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"reflect"
 	"sort"
 
 	"fluidfaas/internal/cluster"
@@ -20,9 +19,7 @@ import (
 // phased rotation — model registrations far exceeding host memory, but
 // a working set per phase that fits — so the tier's LRU eviction and
 // parked-copy swap-ins are exactly what keeps late-registered models
-// warm. It also re-checks the tier's off-switch: a run with
-// Swap.Enabled=false must be bit-identical to a run that never
-// mentioned the tier at all.
+// warm.
 
 // Density-study testbed: one node with two default-partitioned GPUs and
 // host memory sized so the bulk of the census fits as pool copies but
@@ -114,12 +111,6 @@ type SwapResult struct {
 	DensityOn   float64 `json:"densityOn"`
 	DensityOff  float64 `json:"densityOff"`
 	DensityGain float64 `json:"densityGain"`
-
-	// DisabledIdentical is the off-switch verdict: Swap{Enabled:false}
-	// versus a zero Options.Swap on the standard medium run — request
-	// records, event sequences, utilisation timeline and counters all
-	// equal.
-	DisabledIdentical bool `json:"disabledIdentical"`
 }
 
 // swapSpecs replicates the first three medium applications into n
@@ -238,34 +229,6 @@ func RunSwap(cfg Config) SwapResult {
 		HostMemGB: swapHostMemGB,
 	}
 
-	// Off-switch identity: the standard medium run with Options.Swap
-	// zero versus explicitly disabled (non-zero PinRecent must not leak
-	// into behaviour while Enabled is false). Uses cfg.Duration, so the
-	// CI smoke run keeps it short.
-	type capture struct {
-		recs []metrics.RequestRecord
-		exec uint64
-	}
-	run := func(sw platform.SwapOptions) (SystemResult, capture) {
-		c := cfg
-		c.Swap = sw
-		var cap capture
-		c.OnPlatform = func(p *platform.Platform) {
-			cap.recs = p.Collector().Records()
-			cap.exec = p.Engine().Executed()
-		}
-		return RunSystem(&scheduler.FluidFaaS{}, Medium, c), cap
-	}
-	zero, capZero := run(platform.SwapOptions{})
-	off, capOff := run(platform.SwapOptions{Enabled: false, PinRecent: 7})
-	res.DisabledIdentical = reflect.DeepEqual(capZero.recs, capOff.recs) &&
-		capZero.exec == capOff.exec &&
-		zero.Launched == off.Launched &&
-		zero.Evictions == off.Evictions &&
-		zero.Migrations == off.Migrations &&
-		reflect.DeepEqual(zero.Events, off.Events) &&
-		reflect.DeepEqual(zero.UtilGPCs, off.UtilGPCs)
-
 	// Density sweep: each census on/off. The sweep uses its own phased
 	// trace and testbed (fixed duration), independent of cfg.Duration.
 	for _, n := range swapCensus {
@@ -296,10 +259,6 @@ func RunSwap(cfg Config) SwapResult {
 
 // SwapTable renders the density study.
 func SwapTable(r SwapResult) Table {
-	verdict := "IDENTICAL (bit-for-bit)"
-	if !r.DisabledIdentical {
-		verdict = "DIVERGED — disabled tier is not behaviour-invariant"
-	}
 	t := Table{
 		Title: fmt.Sprintf("Swap tier density: models per GPU, %d GPUs, %.0f GB host pool",
 			r.GPUs, r.HostMemGB),
@@ -316,7 +275,6 @@ func SwapTable(r SwapResult) Table {
 		[]string{"density on", f1(r.DensityOn) + " models/GPU", "", "", "", "", "", ""},
 		[]string{"density off", f1(r.DensityOff) + " models/GPU", "", "", "", "", "", ""},
 		[]string{"density gain", f2(r.DensityGain) + "x", "", "", "", "", "", ""},
-		[]string{"disabled-tier outcome", verdict, "", "", "", "", "", ""},
 	)
 	return t
 }

@@ -55,9 +55,9 @@ func ConstructRanked(d *dag.DAG, parts []dag.Partition, avail []mig.SliceType, s
 }
 
 // needOrder returns the stage indices of part in binding order: most
-// memory-hungry first, stable on ties. Both the direct assign path and
-// the planner's cached replay use this order, which is what makes the
-// cached slice-index binding reproduce the uncached one exactly.
+// memory-hungry first, stable on ties. Both assign and the planner's
+// cached replay (PlanResult.BindIndices) use this order, which is what
+// makes a cache hit's slice-index binding reproduce the walk's exactly.
 func needOrder(d *dag.DAG, part dag.Partition) []int {
 	type stageNeed struct {
 		stage int

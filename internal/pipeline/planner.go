@@ -1,8 +1,6 @@
 package pipeline
 
 import (
-	"sort"
-
 	"fluidfaas/internal/dag"
 	"fluidfaas/internal/mig"
 )
@@ -73,7 +71,7 @@ type PlanResult struct {
 	// Order is the binding order (stage indices, most memory-hungry
 	// first) the construction used. Replaying index binding in this
 	// order, taking per profile the first free index in view order,
-	// reproduces the uncached assignment exactly.
+	// reproduces ConstructRanked's assignment exactly.
 	Order []int
 }
 
@@ -87,9 +85,6 @@ type PlannerStats struct {
 	// Uncached ran the full walk without caching (signature
 	// overflow).
 	Uncached uint64
-	// QuickRejects counts partitions skipped by the O(1) feasibility
-	// pre-check before any assignment was attempted.
-	QuickRejects uint64
 }
 
 // Walks returns how many full partition-list walks ran.
@@ -111,31 +106,6 @@ func (s *PlannerStats) Add(o PlannerStats) {
 	s.Hits += o.Hits
 	s.Misses += o.Misses
 	s.Uncached += o.Uncached
-	s.QuickRejects += o.QuickRejects
-}
-
-// partPre is the per-partition precompute behind the O(1) infeasibility
-// check: per-stage memory needs, the binding order, and per-stage
-// minimum-feasible-profile ranks.
-type partPre struct {
-	order []int
-	mems  []float64
-	// feasible[stage][type] reports whether the stage can run on the
-	// profile at all: memory fits, an exec profile exists, and (for a
-	// whole-DAG stage) the monolithic GPC floor holds.
-	feasible [][mig.NumSliceTypes]bool
-	// minRank[stage] is the smallest compute-rank (see computeOrder)
-	// of any feasible profile for the stage.
-	minRank []int
-	// needGE[r] counts stages whose minRank is ≥ r. A stage with
-	// minRank ≥ r can only ever bind a profile of rank ≥ r, so
-	// needGE[r] > (free slices of rank ≥ r) proves no assignment
-	// exists — a sound O(1) rejection regardless of holes in the
-	// feasibility sets.
-	needGE [mig.NumSliceTypes + 1]int
-	// dead marks a partition with a stage that has no feasible
-	// profile at all; it can never be assigned.
-	dead bool
 }
 
 // Planner memoizes the §5.2.2 construction procedure for one function
@@ -144,13 +114,8 @@ type partPre struct {
 type Planner struct {
 	d     *dag.DAG
 	parts []dag.Partition
-	pre   []partPre
-	// computeOrder lists slice types smallest-compute first
-	// (mig.LessCompute); rankOf inverts it.
-	computeOrder []mig.SliceType
-	rankOf       [mig.NumSliceTypes]int
-	cache        map[planKey]*PlanResult
-	stats        PlannerStats
+	cache map[planKey]*PlanResult
+	stats PlannerStats
 	// observer, when set, sees every Result lookup (decision
 	// provenance). Nil costs nothing; the observer must not call back
 	// into the planner.
@@ -182,65 +147,14 @@ type planKey struct {
 	slo float64
 }
 
-// NewPlanner builds the per-partition feasibility precompute and an
-// empty cache for the DAG's ranked partition list.
+// NewPlanner returns an empty plan cache for the DAG's ranked
+// partition list.
 func NewPlanner(d *dag.DAG, parts []dag.Partition) *Planner {
-	p := &Planner{
-		d:     d,
-		parts: parts,
-		cache: make(map[planKey]*PlanResult),
-	}
-	p.computeOrder = append([]mig.SliceType(nil), mig.SliceTypes...)
-	sort.SliceStable(p.computeOrder, func(i, j int) bool {
-		return mig.LessCompute(p.computeOrder[i], p.computeOrder[j])
-	})
-	for r, t := range p.computeOrder {
-		p.rankOf[t] = r
-	}
-	p.pre = make([]partPre, len(parts))
-	for pi, part := range parts {
-		pre := partPre{
-			order:    needOrder(d, part),
-			mems:     make([]float64, len(part.Stages)),
-			feasible: make([][mig.NumSliceTypes]bool, len(part.Stages)),
-			minRank:  make([]int, len(part.Stages)),
-		}
-		for si, st := range part.Stages {
-			pre.mems[si] = st.MemGB(d)
-			mono := len(st.Nodes) == d.Len()
-			pre.minRank[si] = mig.NumSliceTypes
-			for _, t := range mig.SliceTypes {
-				if float64(t.MemGB()) < pre.mems[si] {
-					continue
-				}
-				if mono && t.GPCs() < d.MonoMinGPCs {
-					continue
-				}
-				if _, ok := st.ExecOn(d, t); !ok {
-					continue
-				}
-				pre.feasible[si][t] = true
-				if r := p.rankOf[t]; r < pre.minRank[si] {
-					pre.minRank[si] = r
-				}
-			}
-			if pre.minRank[si] == mig.NumSliceTypes {
-				pre.dead = true
-			}
-			for r := 0; r <= pre.minRank[si]; r++ {
-				pre.needGE[r]++
-			}
-		}
-		p.pre[pi] = pre
-	}
-	return p
+	return &Planner{d: d, parts: parts, cache: make(map[planKey]*PlanResult)}
 }
 
 // Stats returns a copy of the accumulated cache statistics.
 func (p *Planner) Stats() PlannerStats { return p.stats }
-
-// CacheLen returns the number of memoized (multiset, SLO) entries.
-func (p *Planner) CacheLen() int { return len(p.cache) }
 
 // Result returns the memoized construction outcome for the free-slice
 // multiset c under slo. avail materializes the concrete free-slice view
@@ -255,7 +169,7 @@ func (p *Planner) Result(c Counts, slo float64, avail func() []mig.SliceType) *P
 	sig, ok := c.Signature()
 	if !ok {
 		p.stats.Uncached++
-		res := p.walk(c, slo, avail())
+		res := p.walk(slo, avail())
 		if p.observer != nil {
 			p.observer(PlanObservation{SigOK: false, SLO: slo, Rank: res.Rank, Err: res.Err})
 		}
@@ -270,7 +184,7 @@ func (p *Planner) Result(c Counts, slo float64, avail func() []mig.SliceType) *P
 		return res
 	}
 	p.stats.Misses++
-	res := p.walk(c, slo, avail())
+	res := p.walk(slo, avail())
 	p.cache[key] = res
 	if p.observer != nil {
 		p.observer(PlanObservation{SigOK: true, Sig: sig, SLO: slo, Rank: res.Rank, Err: res.Err})
@@ -298,7 +212,7 @@ func (p *Planner) ConstructRanked(avail []mig.SliceType, slo float64) (Plan, []i
 // BindIndices replays the index binding of a successful result against
 // a concrete free-slice view with the result's multiset: stages bind in
 // the recorded order, each taking the first unused index of its profile
-// in view order — exactly the tie-break the uncached assignment uses.
+// in view order — exactly the tie-break ConstructRanked's assignment uses.
 // used, when non-nil, marks view entries already consumed by earlier
 // placements and is skipped, not mutated; within one call each index is
 // taken at most once via per-profile cursors.
@@ -320,52 +234,16 @@ func (res *PlanResult) BindIndices(avail []mig.SliceType, used []bool) []int {
 	return idx
 }
 
-// walk runs the real §5.2.2 walk (identical outcome to ConstructRanked)
-// with the O(1) per-partition infeasibility pre-check, and packages the
-// outcome for caching.
-func (p *Planner) walk(c Counts, slo float64, avail []mig.SliceType) *PlanResult {
-	// availGE[r] counts free slices of compute-rank ≥ r.
-	var availGE [mig.NumSliceTypes + 1]int
-	for r := mig.NumSliceTypes - 1; r >= 0; r-- {
-		availGE[r] = availGE[r+1] + c[p.computeOrder[r]]
+// walk runs the §5.2.2 walk (ConstructRanked) and packages the outcome
+// for caching.
+func (p *Planner) walk(slo float64, avail []mig.SliceType) *PlanResult {
+	plan, idx, rank, err := ConstructRanked(p.d, p.parts, avail, slo)
+	if err != nil {
+		return &PlanResult{Err: err, Rank: -1}
 	}
-	for rank, part := range p.parts {
-		pre := &p.pre[rank]
-		if pre.dead || p.quickReject(pre, availGE) {
-			p.stats.QuickRejects++
-			continue
-		}
-		idx, ok := assign(p.d, part, avail)
-		if !ok {
-			continue
-		}
-		types := make([]mig.SliceType, len(idx))
-		for i, ai := range idx {
-			types[i] = avail[ai]
-		}
-		plan, err := BuildPlan(p.d, part, types)
-		if err != nil {
-			continue
-		}
-		if slo > 0 && plan.Latency > slo {
-			continue
-		}
-		return &PlanResult{Rank: rank, Plan: plan, StageTypes: types, Order: pre.order}
+	types := make([]mig.SliceType, len(idx))
+	for i, ai := range idx {
+		types[i] = avail[ai]
 	}
-	return &PlanResult{Err: ErrNoFit, Rank: -1}
-}
-
-// quickReject reports whether the partition provably cannot be assigned
-// from the current free multiset: some rank threshold has more stages
-// that require at-least-that-rank profiles than free slices of such
-// profiles exist. The check is sound (never rejects an assignable
-// partition) because a stage's every feasible profile has rank ≥ its
-// minRank.
-func (p *Planner) quickReject(pre *partPre, availGE [mig.NumSliceTypes + 1]int) bool {
-	for r := 0; r < mig.NumSliceTypes; r++ {
-		if pre.needGE[r] > availGE[r] {
-			return true
-		}
-	}
-	return false
+	return &PlanResult{Rank: rank, Plan: plan, StageTypes: types, Order: needOrder(p.d, p.parts[rank])}
 }

@@ -14,7 +14,6 @@ import (
 // randomHoleyChain is randomChain with feasibility holes: some nodes
 // lose their exec profile on a mid-sized slice even though memory fits,
 // so per-stage feasibility sets are not upward-closed in compute order.
-// The planner's O(1) pre-reject must stay sound under such holes.
 func randomHoleyChain(raw []byte) *dag.DAG {
 	n := len(raw)/2 + 1
 	if n > 6 {
@@ -54,7 +53,7 @@ func randomHoleyChain(raw []byte) *dag.DAG {
 }
 
 // TestPlannerMatchesConstructProperty: the memoized planner is
-// extensionally equal to the uncached walk — same plan, same slice
+// extensionally equal to ConstructRanked — same plan, same slice
 // indices, same partition rank, same error — over random DAGs (with
 // non-monotone feasibility holes), random free-slice multisets and
 // SLOs, including after simulated alloc/release churn of the free pool.

@@ -98,9 +98,7 @@ func poolCandidates(inv *Invoker, fn *Function, chosen *sharedSlice) []decisions
 // records (decisions.Record documents it read-only).
 func (p *Platform) wirePlanObservers() {
 	for _, fn := range p.funcs {
-		if fn.planner != nil {
-			fn.planner.SetObserver(p.planObserver(fn.spec.Name))
-		}
+		fn.planner.SetObserver(p.planObserver(fn.spec.Name))
 	}
 }
 

@@ -171,8 +171,9 @@ func ParseEventKind(name string) (EventKind, error) {
 	return 0, fmt.Errorf("platform: unknown event kind %q", name)
 }
 
-// eventLogCap is the default bound on retained events
-// (Options.EventLogCap overrides it).
+// eventLogCap bounds the retained lifecycle-event ring. Subscribers on
+// the EventBus see every event regardless; the ring only limits
+// after-the-fact Events() inspection.
 const eventLogCap = obs.DefaultBusCapacity
 
 // logEvent publishes a lifecycle event: subscribers see it losslessly,
@@ -188,7 +189,7 @@ func (p *Platform) logEvent(kind EventKind, subject, detail string) {
 func (p *Platform) EventBus() *obs.Bus[Event] { return p.events }
 
 // Events returns the retained lifecycle events, oldest first (the ring
-// keeps the most recent Options.EventLogCap, default 4096; see
+// keeps the most recent eventLogCap, 4096; see
 // TotalEvents and DroppedEvents for what fell off).
 func (p *Platform) Events() []Event { return p.events.Snapshot() }
 

@@ -23,9 +23,7 @@ type Function struct {
 	pending []*request
 
 	// planner memoizes the §5.2.2 construction procedure for this
-	// function (plan cache + feasibility precompute); nil when
-	// Options.DisablePlanCache is set. All construction on the hot
-	// path goes through fn.construct so the cache is used uniformly.
+	// function; every construction goes through it.
 	planner *pipeline.Planner
 
 	// monoExec caches the monolithic service latency per slice type;
@@ -54,15 +52,13 @@ type Function struct {
 	rejectDemand int
 }
 
-func newFunction(spec FunctionSpec, planCache bool) *Function {
+func newFunction(spec FunctionSpec) *Function {
 	fn := &Function{
 		spec:        spec,
+		planner:     pipeline.NewPlanner(spec.DAG, spec.Parts),
 		monoExec:    make(map[mig.SliceType]float64),
 		memGB:       spec.DAG.TotalMemGB(),
 		lastNodeUse: make(map[int]float64),
-	}
-	if planCache {
-		fn.planner = pipeline.NewPlanner(spec.DAG, spec.Parts)
 	}
 	for _, t := range mig.SliceTypes {
 		if plan, err := pipeline.Monolithic(spec.DAG, t); err == nil {
@@ -70,16 +66,6 @@ func newFunction(spec FunctionSpec, planCache bool) *Function {
 		}
 	}
 	return fn
-}
-
-// construct runs the function's §5.2.2 construction over avail: through
-// the memoized planner when enabled, the direct walk otherwise. Results
-// are identical either way.
-func (fn *Function) construct(avail []mig.SliceType, slo float64) (pipeline.Plan, []int, error) {
-	if fn.planner != nil {
-		return fn.planner.Construct(avail, slo)
-	}
-	return pipeline.Construct(fn.spec.DAG, fn.spec.Parts, avail, slo)
 }
 
 // sortInstances keeps the routing order: lowest unloaded latency first,

@@ -355,13 +355,14 @@ func TestEventLogRing(t *testing.T) {
 	}
 }
 
-// TestEventLogCapConfigurable: a platform run with a tiny ring retains
+// TestEventLogRingWraparound: a platform run on a tiny ring retains
 // only that many events, counts the overflow, and a bus subscriber
 // still sees every event losslessly.
-func TestEventLogCapConfigurable(t *testing.T) {
+func TestEventLogRingWraparound(t *testing.T) {
 	specs := specsFor(t, dnn.Medium)
 	cl := smallCluster(8)
-	p := New(cl, specs, Options{Policy: &scheduler.FluidFaaS{}, Seed: 23, EventLogCap: 16})
+	p := New(cl, specs, Options{Policy: &scheduler.FluidFaaS{}, Seed: 23})
+	p.events = obs.NewBus[Event](16)
 	var streamed []Event
 	p.EventBus().Subscribe(func(e Event) { streamed = append(streamed, e) })
 	tr := flatTrace(specs, 8, 150, 23)

@@ -138,10 +138,6 @@ type Options struct {
 	// short-circuits every hook, keeping ledger-off runs bit-for-bit
 	// identical (enforced by test).
 	Util *util.Ledger
-	// EventLogCap bounds the retained lifecycle-event ring (default
-	// 4096). Subscribers on the EventBus see every event regardless;
-	// the ring only limits after-the-fact Events() inspection.
-	EventLogCap int
 	// OnSample, when set, is called every SamplePeriod with the current
 	// virtual time and the cluster, so experiments can record custom
 	// series (e.g. per-slice-type activity for Fig. 3b).
@@ -151,13 +147,6 @@ type Options struct {
 	// e.g. function-chaining workflows — use it to trigger downstream
 	// invocations.
 	OnComplete func(rec metrics.RequestRecord)
-	// DisablePlanCache turns off the per-function memoized placement
-	// planner, forcing every construction to re-walk the partition
-	// list. The cache is behaviour-invariant — same-seed runs with it
-	// on and off are bit-for-bit identical (enforced by test) — so
-	// this exists only for benchmarking the cache itself and for the
-	// determinism diff in CI.
-	DisablePlanCache bool
 }
 
 func (o *Options) fillDefaults() {
@@ -370,10 +359,7 @@ func New(cl *cluster.Cluster, specs []FunctionSpec, opts Options) *Platform {
 	p.HealthScores = make(map[string]*metrics.Timeline)
 	p.opts.Overload = p.opts.Overload.Defaulted()
 	p.ladder = overload.NewLadder(p.opts.Overload)
-	if p.opts.EventLogCap <= 0 {
-		p.opts.EventLogCap = eventLogCap
-	}
-	p.events = obs.NewBus[Event](p.opts.EventLogCap)
+	p.events = obs.NewBus[Event](eventLogCap)
 	if rec := p.opts.Obs; rec != nil {
 		// One trace track per MIG slice, in topology order, and a
 		// lossless mirror of the lifecycle stream into the recorder.
@@ -395,7 +381,7 @@ func New(cl *cluster.Cluster, specs []FunctionSpec, opts Options) *Platform {
 		if spec.Priority > p.maxPriority {
 			p.maxPriority = spec.Priority
 		}
-		fn := newFunction(spec, !opts.DisablePlanCache)
+		fn := newFunction(spec)
 		p.funcs = append(p.funcs, fn)
 		if _, dup := p.fnByName[spec.Name]; dup {
 			panic(fmt.Sprintf("platform: duplicate function name %q", spec.Name))
@@ -639,9 +625,7 @@ func (p *Platform) nodeFreeViews() ([]scheduler.NodeFree, [][]*mig.Slice) {
 func (p *Platform) PlannerStats() pipeline.PlannerStats {
 	var s pipeline.PlannerStats
 	for _, fn := range p.funcs {
-		if fn.planner != nil {
-			s.Add(fn.planner.Stats())
-		}
+		s.Add(fn.planner.Stats())
 	}
 	return s
 }

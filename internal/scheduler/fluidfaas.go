@@ -29,7 +29,7 @@ func (p *FluidFaaS) Migration() bool { return !p.DisableMigration }
 
 // freeView tracks which of a node's free slices earlier placements in
 // the same batch already consumed, plus the counting-multiset index the
-// planner fast path keys on — maintained incrementally so probing a
+// planner keys on — maintained incrementally so probing a
 // node never rebuilds the free list.
 type freeView struct {
 	types     []mig.SliceType
@@ -51,8 +51,7 @@ func newFreeViews(nodes []NodeFree) []freeView {
 	return out
 }
 
-// avail returns the unconsumed slice types and their original indices
-// (the uncached construction path).
+// avail returns the unconsumed slice types and their original indices.
 func (v *freeView) avail() ([]mig.SliceType, []int) {
 	types := make([]mig.SliceType, 0, v.remaining)
 	idx := make([]int, 0, v.remaining)
@@ -101,57 +100,43 @@ func (v *freeView) consume(origIdx []int) {
 // then by fewer GPCs, ties to the first node. Pipelines never span
 // nodes: stages communicate through host shared memory (§5.2.1).
 //
-// When a request carries a Planner, probing a node is a cache lookup
-// keyed on the node's free-slice multiset; the partition walk only runs
-// on a miss. The placements are identical either way.
+// Probing a node is a planner lookup keyed on the node's free-slice
+// multiset; the partition walk only runs on a miss. A request without a
+// Planner gets a fresh one for this call, so its answers are the same and
+// only the cache lifetime shrinks.
 func (p *FluidFaaS) PlaceBatch(reqs []Req, nodes []NodeFree) []Placement {
 	views := newFreeViews(nodes)
 	var out []Placement
 	for ri, req := range reqs {
+		planner := req.Planner
+		if planner == nil {
+			planner = pipeline.NewPlanner(req.DAG, req.Parts)
+		}
 		best := -1
 		var bestRes *pipeline.PlanResult
-		var bestIdx []int // pre-mapped indices (uncached path only)
 		var bestGPCs int
 		for ni := range views {
 			v := &views[ni]
 			if v.remaining == 0 {
 				continue
 			}
-			var res *pipeline.PlanResult
-			var mapped []int
-			if req.Planner != nil {
-				res = req.Planner.Result(v.counts, req.SLO, v.availTypes)
-				if res.Err != nil {
-					continue
-				}
-			} else {
-				types, orig := v.avail()
-				plan, idx, rank, err := pipeline.ConstructRanked(req.DAG, req.Parts, types, req.SLO)
-				if err != nil {
-					continue
-				}
-				mapped = make([]int, len(idx))
-				for i, ai := range idx {
-					mapped[i] = orig[ai]
-				}
-				res = &pipeline.PlanResult{Rank: rank, Plan: plan}
+			res := planner.Result(v.counts, req.SLO, v.availTypes)
+			if res.Err != nil {
+				continue
 			}
 			g := res.Plan.GPCs()
 			if best == -1 || res.Rank < bestRes.Rank ||
 				(res.Rank == bestRes.Rank && g < bestGPCs) {
-				best, bestRes, bestIdx, bestGPCs = ni, res, mapped, g
+				best, bestRes, bestGPCs = ni, res, g
 			}
 		}
 		if best == -1 {
 			continue
 		}
+		// Replay the index binding against the winning node's view;
+		// consume() guards double-booking.
 		v := &views[best]
-		idx := bestIdx
-		if idx == nil {
-			// Planner fast path: replay the index binding against the
-			// winning node's view; consume() guards double-booking.
-			idx = bestRes.BindIndices(v.types, v.used)
-		}
+		idx := bestRes.BindIndices(v.types, v.used)
 		v.consume(idx)
 		out = append(out, Placement{
 			Req: ri, Node: nodes[best].Node, Plan: bestRes.Plan, SliceIdx: idx,

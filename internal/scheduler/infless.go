@@ -32,7 +32,6 @@ func (*INFlessMIG) PlaceBatch(reqs []Req, nodes []NodeFree) []Placement {
 	views := newFreeViews(nodes)
 	var out []Placement
 	for ri, req := range reqs {
-		placed := false
 		for ni := range views {
 			types, orig := views[ni].avail()
 			best := -1
@@ -55,10 +54,8 @@ func (*INFlessMIG) PlaceBatch(reqs []Req, nodes []NodeFree) []Placement {
 				SliceIdx: []int{orig[best]},
 			})
 			views[ni].consume([]int{orig[best]})
-			placed = true
 			break
 		}
-		_ = placed
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -16,45 +17,122 @@ func withPlanner(req Req) Req {
 	return req
 }
 
-// TestPlaceBatchPlannerEquivalence: attaching planners to the requests
-// must not change a single placement decision — same nodes, same plans,
-// same slice indices — across a batch big enough to exercise repeated
-// lookups of the same free-slice multisets.
+// placeBatchReference is FluidFaaS.PlaceBatch without the planner: each
+// probe runs the §5.2.2 walk (pipeline.ConstructRanked) over the node's
+// unconsumed slices and maps the chosen indices back to the node's free
+// list. It is the oracle the planner-backed placement must reproduce.
+func placeBatchReference(reqs []Req, nodes []NodeFree) []Placement {
+	views := newFreeViews(nodes)
+	var out []Placement
+	for ri, req := range reqs {
+		best, bestRank, bestGPCs := -1, 0, 0
+		var bestPlan pipeline.Plan
+		var bestIdx []int
+		for ni := range views {
+			v := &views[ni]
+			if v.remaining == 0 {
+				continue
+			}
+			types, orig := v.avail()
+			plan, idx, rank, err := pipeline.ConstructRanked(req.DAG, req.Parts, types, req.SLO)
+			if err != nil {
+				continue
+			}
+			g := plan.GPCs()
+			if best == -1 || rank < bestRank || (rank == bestRank && g < bestGPCs) {
+				mapped := make([]int, len(idx))
+				for i, ai := range idx {
+					mapped[i] = orig[ai]
+				}
+				best, bestRank, bestGPCs, bestPlan, bestIdx = ni, rank, g, plan, mapped
+			}
+		}
+		if best == -1 {
+			continue
+		}
+		views[best].consume(bestIdx)
+		out = append(out, Placement{Req: ri, Node: nodes[best].Node, Plan: bestPlan, SliceIdx: bestIdx})
+	}
+	return out
+}
+
+// randomNodes draws 1-5 node free views: saturated (nothing free), empty
+// (every slice of a hybrid node free) or a random fragment of up to 8
+// slices.
+func randomNodes(rng *rand.Rand) []NodeFree {
+	var idle []mig.SliceType
+	for _, cfg := range mig.HybridNode() {
+		idle = append(idle, cfg...)
+	}
+	nodes := make([]NodeFree, 1+rng.Intn(5))
+	for i := range nodes {
+		nodes[i].Node = i
+		switch rng.Intn(4) {
+		case 0: // saturated
+		case 1: // empty
+			nodes[i].Free = append([]mig.SliceType(nil), idle...)
+		default:
+			for j := rng.Intn(9); j > 0; j-- {
+				nodes[i].Free = append(nodes[i].Free, mig.SliceTypes[rng.Intn(mig.NumSliceTypes)])
+			}
+		}
+	}
+	return nodes
+}
+
+// TestPlaceBatchPlannerEquivalence: over seeded random batches of dnn
+// apps x variants and random node free views, planners shared across
+// batches, nil planners and the ConstructRanked oracle must yield the
+// same placements — same nodes, same plans, same slice indices — and
+// the shared planners must actually serve repeated multisets from cache.
 func TestPlaceBatchPlannerEquivalence(t *testing.T) {
-	base := []Req{
-		reqFor(t, dnn.ImageClassification, dnn.Large),
-		reqFor(t, dnn.ImageClassification, dnn.Medium),
-		reqFor(t, dnn.DepthRecognition, dnn.Small),
-		reqFor(t, dnn.ImageClassification, dnn.Large),
-		reqFor(t, dnn.ExpandedClassification, dnn.Medium),
-		reqFor(t, dnn.ImageClassification, dnn.Medium),
+	var pool []Req
+	for _, id := range dnn.AppIDs {
+		for _, v := range dnn.Variants {
+			if !dnn.Get(id).Excluded(v) {
+				pool = append(pool, withPlanner(reqFor(t, id, v)))
+			}
+		}
 	}
-	nodes := append(defaultNode(2),
-		NodeFree{Node: 2, Free: []mig.SliceType{
-			mig.Slice2g, mig.Slice2g, mig.Slice1g, mig.Slice1g}},
-		NodeFree{Node: 3, Free: []mig.SliceType{mig.Slice7g}})
-
 	pol := &FluidFaaS{}
-	plain := pol.PlaceBatch(base, nodes)
+	rng := rand.New(rand.NewSource(42))
+	placed, pipelined := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		shared := make([]Req, 1+rng.Intn(8))
+		for i := range shared {
+			shared[i] = pool[rng.Intn(len(pool))]
+		}
+		bare := make([]Req, len(shared))
+		for i, r := range shared {
+			r.Planner = nil
+			bare[i] = r
+		}
+		nodes := randomNodes(rng)
 
-	cached := make([]Req, len(base))
-	for i, r := range base {
-		cached[i] = withPlanner(r)
+		want := placeBatchReference(bare, nodes)
+		for _, pl := range want {
+			placed++
+			if pl.Plan.Pipelined() {
+				pipelined++
+			}
+		}
+		if got := pol.PlaceBatch(shared, nodes); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: shared planners diverged from the oracle:\ngot:  %+v\nwant: %+v", trial, got, want)
+		}
+		if got := pol.PlaceBatch(bare, nodes); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: nil planners diverged from the oracle:\ngot:  %+v\nwant: %+v", trial, got, want)
+		}
 	}
-	fast := pol.PlaceBatch(cached, nodes)
 
-	if !reflect.DeepEqual(plain, fast) {
-		t.Errorf("planner changed placements:\nuncached: %+v\ncached:   %+v", plain, fast)
+	if placed == 0 || pipelined == 0 {
+		t.Fatalf("%d placements, %d pipelined: the draws never exercise construction", placed, pipelined)
 	}
-
-	// The shared-function requests probe overlapping multisets; the
-	// planner must actually have served some of them from cache.
 	hits := uint64(0)
-	for _, r := range cached {
+	for _, r := range pool {
 		hits += r.Planner.Stats().Hits
 	}
 	if hits == 0 {
-		t.Error("no cache hits across a 6-request batch; memoization is dead code")
+		t.Error("no cache hits across 300 batches; memoization is dead code")
 	}
 }
 

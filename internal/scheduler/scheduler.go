@@ -26,10 +26,10 @@ type Req struct {
 	// SLO is the function's latency budget; placements whose unloaded
 	// latency exceeds it are rejected.
 	SLO float64
-	// Planner, when non-nil, memoizes the construction procedure for
-	// this function (plan cache + feasibility precompute). Policies
-	// use it as a drop-in replacement for pipeline.Construct; the
-	// placement decisions must be identical with Planner nil.
+	// Planner memoizes the construction procedure for this function
+	// across calls. FluidFaaS probes nodes through it; when nil, each
+	// PlaceBatch call builds a fresh planner, so the placements are the
+	// same and only the cache is lost between calls.
 	Planner *pipeline.Planner
 }
 
