@@ -321,9 +321,14 @@ func BenchmarkPartitionEnumeration(b *testing.B) {
 	}
 }
 
-// BenchmarkESGPlaceBatch measures one A*-with-dual-blade-pruning
-// scheduling round at realistic batch and cluster sizes.
-func BenchmarkESGPlaceBatch(b *testing.B) {
+// baselineRound is one control-loop round for the baseline placement
+// benches: two medium requests for each of four apps, each carrying its
+// function's planner as the platform's requests do, over two 8-GPU
+// default-partition nodes. In the empty shape every slice is free and
+// everything places; in the saturated shape only the 1g slices are free
+// and no medium function fits one, the round the control loop re-offers
+// every tick on the paper workload.
+func baselineRound(saturated bool) ([]scheduler.Req, []scheduler.NodeFree) {
 	var reqs []scheduler.Req
 	for i, id := range []dnn.AppID{dnn.ImageClassification, dnn.DepthRecognition,
 		dnn.BackgroundElimination, dnn.ExpandedClassification} {
@@ -331,25 +336,58 @@ func BenchmarkESGPlaceBatch(b *testing.B) {
 		d := a.BuildDAG(dnn.Medium)
 		parts, _ := d.EnumeratePartitions(mig.Slice7g)
 		slo, _ := a.SLOLatency(dnn.Medium, 1.5)
-		reqs = append(reqs, scheduler.Req{Func: i, DAG: d, Parts: parts, SLO: slo})
-		reqs = append(reqs, scheduler.Req{Func: i, DAG: d, Parts: parts, SLO: slo})
+		req := scheduler.Req{Func: i, DAG: d, Parts: parts, SLO: slo,
+			Planner: pipeline.NewPlanner(d, parts)}
+		reqs = append(reqs, req, req)
 	}
 	var nodes []scheduler.NodeFree
 	for n := 0; n < 2; n++ {
 		var free []mig.SliceType
 		for g := 0; g < 8; g++ {
-			free = append(free, mig.Slice4g, mig.Slice2g, mig.Slice1g)
+			if saturated {
+				free = append(free, mig.Slice1g)
+			} else {
+				free = append(free, mig.Slice4g, mig.Slice2g, mig.Slice1g)
+			}
 		}
 		nodes = append(nodes, scheduler.NodeFree{Node: n, Free: free})
 	}
-	pol := &scheduler.ESG{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := pol.PlaceBatch(reqs, nodes); len(got) == 0 {
-			b.Fatal("nothing placed")
-		}
+	return reqs, nodes
+}
+
+// benchBaseline times pol's PlaceBatch on both baselineRound shapes.
+func benchBaseline(b *testing.B, pol scheduler.Policy) {
+	for _, shape := range []struct {
+		name      string
+		saturated bool
+	}{{"empty", false}, {"saturated", true}} {
+		b.Run(shape.name, func(b *testing.B) {
+			reqs, nodes := baselineRound(shape.saturated)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				got := pol.PlaceBatch(reqs, nodes)
+				if shape.saturated && len(got) != 0 {
+					b.Fatalf("placed %d medium requests on 1g slices", len(got))
+				}
+				if !shape.saturated && len(got) != len(reqs) {
+					b.Fatalf("placed %d of %d on empty nodes", len(got), len(reqs))
+				}
+			}
+		})
 	}
+}
+
+// BenchmarkESGPlaceBatch measures one A*-with-dual-blade-pruning
+// scheduling round at realistic batch and cluster sizes.
+func BenchmarkESGPlaceBatch(b *testing.B) {
+	benchBaseline(b, &scheduler.ESG{})
+}
+
+// BenchmarkINFlessPlaceBatch measures one first-fit INFless scheduling
+// round on the same shapes.
+func BenchmarkINFlessPlaceBatch(b *testing.B) {
+	benchBaseline(b, &scheduler.INFlessMIG{})
 }
 
 // BenchmarkFluidFaaSConstruct measures the invoker's pipeline

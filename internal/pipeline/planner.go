@@ -116,6 +116,8 @@ type Planner struct {
 	parts []dag.Partition
 	cache map[planKey]*PlanResult
 	stats PlannerStats
+	// mono is the function's monolithic table, built on first Mono().
+	mono *MonoTable
 	// observer, when set, sees every Result lookup (decision
 	// provenance). Nil costs nothing; the observer must not call back
 	// into the planner.
@@ -155,6 +157,15 @@ func NewPlanner(d *dag.DAG, parts []dag.Partition) *Planner {
 
 // Stats returns a copy of the accumulated cache statistics.
 func (p *Planner) Stats() PlannerStats { return p.stats }
+
+// Mono returns the function's monolithic table, building it on first
+// use. Every caller gets the same table.
+func (p *Planner) Mono() *MonoTable {
+	if p.mono == nil {
+		p.mono = NewMonoTable(p.d)
+	}
+	return p.mono
+}
 
 // Result returns the memoized construction outcome for the free-slice
 // multiset c under slo. avail materializes the concrete free-slice view

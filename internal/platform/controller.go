@@ -9,7 +9,6 @@ import (
 	"fluidfaas/internal/keepalive"
 	"fluidfaas/internal/mig"
 	"fluidfaas/internal/obs/decisions"
-	"fluidfaas/internal/pipeline"
 	"fluidfaas/internal/scheduler"
 )
 
@@ -343,16 +342,10 @@ func (p *Platform) scaleUp() {
 
 // bestCapacity estimates how many requests one new instance can absorb.
 func (fn *Function) bestCapacity(slack float64) int {
-	best := math.Inf(1)
-	for _, e := range fn.monoExec {
-		if e < best {
-			best = e
-		}
-	}
-	if math.IsInf(best, 1) {
+	if math.IsInf(fn.fastestMono, 1) {
 		return 1
 	}
-	return admissionCapacity(fn.spec.SLO, best, slack)
+	return admissionCapacity(fn.spec.SLO, fn.fastestMono, slack)
 }
 
 // manageKeepAlive applies the per-policy keep-alive rules: FluidFaaS
@@ -553,9 +546,4 @@ func (p *Platform) loadTimeFor(fn *Function, node *cluster.Node, now float64) fl
 		return keepalive.WarmLoadTime(fn.memGB)
 	}
 	return keepalive.ColdStartTime(fn.memGB)
-}
-
-// monoPlan builds the monolithic plan of fn on a slice type.
-func monoPlan(fn *Function, t mig.SliceType) (pipeline.Plan, error) {
-	return pipeline.Monolithic(fn.spec.DAG, t)
 }

@@ -76,7 +76,7 @@ func poolCandidates(inv *Invoker, fn *Function, chosen *sharedSlice) []decisions
 			continue
 		}
 		reason := fmt.Sprintf("queue %d", ss.qlen())
-		if _, ok := fn.monoExec[ss.slice.Type]; !ok {
+		if !fn.mono(ss.slice.Type).OK {
 			reason = "type cannot host function"
 		}
 		cands = append(cands, decisions.Candidate{ID: ss.slice.ID(), Reason: reason})

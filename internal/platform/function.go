@@ -23,12 +23,14 @@ type Function struct {
 	pending []*request
 
 	// planner memoizes the §5.2.2 construction procedure for this
-	// function; every construction goes through it.
+	// function; every construction goes through it, and its Mono() table
+	// answers every monolithic question (plan, latency, can-run) per
+	// slice type.
 	planner *pipeline.Planner
 
-	// monoExec caches the monolithic service latency per slice type;
-	// missing entries mean the function cannot run monolithically there.
-	monoExec map[mig.SliceType]float64
+	// fastestMono is the lowest monolithic latency over all slice types
+	// (+Inf when the function runs monolithically nowhere).
+	fastestMono float64
 	// memGB is the monolithic footprint (for loads and shared slices).
 	memGB float64
 
@@ -56,16 +58,16 @@ func newFunction(spec FunctionSpec) *Function {
 	fn := &Function{
 		spec:        spec,
 		planner:     pipeline.NewPlanner(spec.DAG, spec.Parts),
-		monoExec:    make(map[mig.SliceType]float64),
 		memGB:       spec.DAG.TotalMemGB(),
 		lastNodeUse: make(map[int]float64),
 	}
-	for _, t := range mig.SliceTypes {
-		if plan, err := pipeline.Monolithic(spec.DAG, t); err == nil {
-			fn.monoExec[t] = plan.Latency
-		}
-	}
+	fn.fastestMono = fn.planner.Mono().Fastest()
 	return fn
+}
+
+// mono returns the function's monolithic deployment on slice type t.
+func (fn *Function) mono(t mig.SliceType) *pipeline.MonoEntry {
+	return &fn.planner.Mono()[t]
 }
 
 // sortInstances keeps the routing order: lowest unloaded latency first,

@@ -189,7 +189,7 @@ func (inv *Invoker) sharedOwner() string {
 // execOn returns the binding's monolithic service time on its shared
 // slice.
 func (b *tsBinding) execOn() float64 {
-	return b.fn.monoExec[b.shared.slice.Type]
+	return b.fn.mono(b.shared.slice.Type).Plan.Latency
 }
 
 // estLoad estimates the load the next request would pay. A warm reload
@@ -319,7 +319,7 @@ func (inv *Invoker) adoptShared(sl *mig.Slice, fn *Function) *tsBinding {
 func (inv *Invoker) pickSharedSlice(fn *Function) *sharedSlice {
 	var best *sharedSlice
 	for _, ss := range inv.shared {
-		if _, ok := fn.monoExec[ss.slice.Type]; !ok {
+		if !fn.mono(ss.slice.Type).OK {
 			continue
 		}
 		if best == nil || ss.qlen() < best.qlen() {
@@ -339,7 +339,7 @@ func (inv *Invoker) growPool(fn *Function) *sharedSlice {
 	_, free := inv.freeView(now)
 	var pick *mig.Slice
 	for _, sl := range free {
-		if _, ok := fn.monoExec[sl.Type]; !ok {
+		if !fn.mono(sl.Type).OK {
 			continue
 		}
 		if pick == nil || sl.Type < pick.Type {
@@ -469,7 +469,7 @@ func (inv *Invoker) siblingSlice(not *sharedSlice, b *tsBinding) *sharedSlice {
 		if ss == not {
 			continue
 		}
-		if _, ok := b.fn.monoExec[ss.slice.Type]; ok {
+		if b.fn.mono(ss.slice.Type).OK {
 			return ss
 		}
 	}
@@ -798,11 +798,11 @@ func (p *Platform) tryMigration(freed *mig.Slice) {
 	var bestFn *Function
 	var bestInst *Instance
 	for _, fn := range p.funcs {
-		exec, ok := fn.monoExec[freed.Type]
-		if !ok || fn.memGB > float64(freed.Type.MemGB()) {
+		m := fn.mono(freed.Type)
+		if !m.OK || fn.memGB > float64(freed.Type.MemGB()) {
 			continue
 		}
-		if fn.spec.SLO > 0 && exec > fn.spec.SLO {
+		if fn.spec.SLO > 0 && m.Plan.Latency > fn.spec.SLO {
 			continue
 		}
 		if fn.spec.DAG.MonoMinGPCs > freed.Type.GPCs() {
@@ -828,13 +828,9 @@ func (p *Platform) tryMigration(freed *mig.Slice) {
 	if bestInst == nil {
 		return
 	}
-	plan, err := monoPlan(bestFn, freed.Type)
-	if err != nil {
-		return
-	}
 	node := p.nodeOf(freed)
 	load := p.loadTimeFor(bestFn, node, now)
-	newInst := p.launchInstance(bestFn, node, plan, []*mig.Slice{freed}, load)
+	newInst := p.launchInstance(bestFn, node, bestFn.mono(freed.Type).Plan, []*mig.Slice{freed}, load)
 	bestInst.migrating = true
 	bestInst.retiring = true
 	p.migrated++

@@ -186,16 +186,10 @@ func (p *Platform) completionEstimate(fn *Function) float64 {
 // bestExec is the function's fastest monolithic service time (its
 // cheapest plan latency when it cannot run monolithically anywhere).
 func (fn *Function) bestExec() float64 {
-	best := math.Inf(1)
-	for _, e := range fn.monoExec {
-		if e < best {
-			best = e
-		}
+	if math.IsInf(fn.fastestMono, 1) {
+		return fn.spec.SLO
 	}
-	if math.IsInf(best, 1) {
-		best = fn.spec.SLO
-	}
-	return best
+	return fn.fastestMono
 }
 
 // pressure is the node-pressure signal driving the brownout ladder:
@@ -308,22 +302,18 @@ func (p *Platform) contractPipelined() {
 		if sl.Type.GPCs() >= worst.plan.GPCs() {
 			continue // must shrink the footprint
 		}
-		exec, ok := fn.monoExec[sl.Type]
-		if !ok || fn.memGB > float64(sl.Type.MemGB()) ||
+		m := fn.mono(sl.Type)
+		if !m.OK || fn.memGB > float64(sl.Type.MemGB()) ||
 			fn.spec.DAG.MonoMinGPCs > sl.Type.GPCs() {
 			continue
 		}
-		if fn.spec.SLO > 0 && exec > fn.spec.SLO {
+		if fn.spec.SLO > 0 && m.Plan.Latency > fn.spec.SLO {
 			continue
 		}
 		if found && sl.Type >= slices[0].Type {
 			continue
 		}
-		pl, err := monoPlan(fn, sl.Type)
-		if err != nil {
-			continue
-		}
-		plan, slices, found = pl, []*mig.Slice{sl}, true
+		plan, slices, found = m.Plan, []*mig.Slice{sl}, true
 	}
 	if !found {
 		// Smaller pipeline over the free slices (the CV-ranked

@@ -199,8 +199,8 @@ func TestFairQueueInterleavesBurst(t *testing.T) {
 		// Equalise service times so the pop order depends only on the
 		// queueing discipline, not the models' relative exec costs.
 		st := b0.shared.slice.Type
-		p.funcs[0].monoExec[st] = 0.2
-		p.funcs[1].monoExec[st] = 0.2
+		p.funcs[0].mono(st).Plan.Latency = 0.2
+		p.funcs[1].mono(st).Plan.Latency = 0.2
 		b0.everLoaded, b1.everLoaded = true, true
 		return p, b0, b1, b0.shared
 	}
@@ -267,7 +267,7 @@ func TestDropStaleTSQueue(t *testing.T) {
 			ss := b0.shared
 			// Make the blocking job's service far outlast the client
 			// timeout, so the queued job is still waiting at sweep time.
-			p.funcs[0].monoExec[ss.slice.Type] = 50
+			p.funcs[0].mono(ss.slice.Type).Plan.Latency = 50
 
 			stale := &request{
 				id: 1, fn: b1.fn, arrival: 0, deadline: b1.fn.spec.SLO,

@@ -44,11 +44,11 @@ func TestRoundRobinAdvancesOnlyOnAdmit(t *testing.T) {
 
 	// Three real monolithic instances, one per default-partition slice.
 	for _, sl := range node.FreeSlices(0) {
-		pl, err := monoPlan(fn, sl.Type)
-		if err != nil {
-			t.Fatalf("small function should run monolithically on %v: %v", sl.Type, err)
+		m := fn.mono(sl.Type)
+		if !m.OK {
+			t.Fatalf("small function should run monolithically on %v", sl.Type)
 		}
-		p.launchInstance(fn, node, pl, []*mig.Slice{sl}, 0)
+		p.launchInstance(fn, node, m.Plan, []*mig.Slice{sl}, 0)
 	}
 	if len(fn.instances) != 3 {
 		t.Fatalf("launched %d instances, want 3", len(fn.instances))

@@ -77,8 +77,8 @@ func TestMigrationSkipsIdlePipeline(t *testing.T) {
 		if err != nil || !pl.Pipelined() {
 			continue
 		}
-		exec, ok := f.monoExec[mig.Slice4g]
-		if !ok || exec > f.spec.SLO || f.memGB > float64(mig.Slice4g.MemGB()) ||
+		m := f.mono(mig.Slice4g)
+		if !m.OK || m.Plan.Latency > f.spec.SLO || f.memGB > float64(mig.Slice4g.MemGB()) ||
 			f.spec.DAG.MonoMinGPCs > mig.Slice4g.GPCs() {
 			continue
 		}

@@ -29,8 +29,10 @@ func (p *Platform) utilOn() bool { return p.opts.Util != nil }
 // waste §4 attributes to coarse MIG allocation.
 func (p *Platform) computeUtilHostable() {
 	for _, fn := range p.funcs {
-		for t := range fn.monoExec {
-			p.utilHostable[t] = true
+		for _, t := range mig.SliceTypes {
+			if fn.mono(t).OK {
+				p.utilHostable[t] = true
+			}
 		}
 		if !p.opts.Policy.Pipelines() {
 			continue

@@ -53,7 +53,14 @@ type searchState struct {
 	g      float64 // accumulated cost
 	f      float64 // g + admissible remainder estimate
 	used   uint64  // bitmask over global slices (the batch view is small)
-	choice []int   // per-level option index taken
+	parent *searchState
+	opt    int // option index taken at level-1 (the edge from parent)
+}
+
+// seenState is a state the dominance blade has expanded at some level.
+type seenState struct {
+	used uint64
+	g    float64
 }
 
 type stateHeap []*searchState
@@ -91,24 +98,24 @@ func (e *ESG) PlaceBatch(reqs []Req, nodes []NodeFree) []Placement {
 		}
 	}
 
-	// Per-request feasible options, cheapest first; plus the defer
-	// option. hMin is the admissible per-request remainder bound.
+	// Per-request feasible options in slice order, plus the defer option,
+	// read from each request's monolithic table. hMin is the admissible
+	// per-request remainder bound.
 	opts := make([][]option, len(reqs))
+	tables := make([]*pipeline.MonoTable, len(reqs))
 	hMin := make([]float64, len(reqs))
 	for ri, req := range reqs {
+		mono := monoTable(req)
+		tables[ri] = mono
 		minCost := deferPenalty
 		for gi, gs := range slices {
-			t := nodes[gs.node].Free[gs.idx]
-			if !monoFits(req.DAG, t, req.SLO) {
+			m := &mono[nodes[gs.node].Free[gs.idx]]
+			if !m.Fits(req.SLO) {
 				continue
 			}
-			c, ok := monoCost(req.DAG, t)
-			if !ok {
-				continue
-			}
-			opts[ri] = append(opts[ri], option{slice: gi, cost: c})
-			if c < minCost {
-				minCost = c
+			opts[ri] = append(opts[ri], option{slice: gi, cost: m.Cost})
+			if m.Cost < minCost {
+				minCost = m.Cost
 			}
 		}
 		opts[ri] = append(opts[ri], option{slice: -1, cost: deferPenalty})
@@ -121,14 +128,10 @@ func (e *ESG) PlaceBatch(reqs []Req, nodes []NodeFree) []Placement {
 
 	// A* with the two pruning blades.
 	best := math.Inf(1)
-	var bestChoice []int
+	var bestLeaf *searchState
 	frontier := &stateHeap{{level: 0, f: hSuffix[0]}}
 	heap.Init(frontier)
-	type seenState struct {
-		used uint64
-		g    float64
-	}
-	seen := make(map[int][]seenState)
+	seen := make([][]seenState, len(reqs)+1)
 	e.Explored = 0
 	for frontier.Len() > 0 {
 		s := heap.Pop(frontier).(*searchState)
@@ -139,7 +142,7 @@ func (e *ESG) PlaceBatch(reqs []Req, nodes []NodeFree) []Placement {
 		if s.level == len(reqs) {
 			if s.g < best {
 				best = s.g
-				bestChoice = s.choice
+				bestLeaf = s
 			}
 			continue
 		}
@@ -171,29 +174,27 @@ func (e *ESG) PlaceBatch(reqs []Req, nodes []NodeFree) []Placement {
 			if !e.DisableBound && f >= best {
 				continue
 			}
-			choice := make([]int, len(s.choice)+1)
-			copy(choice, s.choice)
-			choice[len(s.choice)] = oi
 			heap.Push(frontier, &searchState{
-				level: s.level + 1, g: g, f: f, used: used, choice: choice,
+				level: s.level + 1, g: g, f: f, used: used, parent: s, opt: oi,
 			})
 		}
 	}
 
+	// Rebuild the winning choice vector from the leaf's parent chain.
+	choice := make([]int, len(reqs))
+	for s := bestLeaf; s.parent != nil; s = s.parent {
+		choice[s.level-1] = s.opt
+	}
 	var out []Placement
-	for ri, oi := range bestChoice {
+	for ri, oi := range choice {
 		opt := opts[ri][oi]
 		if opt.slice < 0 {
 			continue
 		}
 		gs := slices[opt.slice]
 		t := nodes[gs.node].Free[gs.idx]
-		plan, err := pipeline.Monolithic(reqs[ri].DAG, t)
-		if err != nil {
-			continue
-		}
 		out = append(out, Placement{
-			Req: ri, Node: nodes[gs.node].Node, Plan: plan,
+			Req: ri, Node: nodes[gs.node].Node, Plan: tables[ri][t].Plan,
 			SliceIdx: []int{gs.idx},
 		})
 	}

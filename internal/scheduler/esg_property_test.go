@@ -5,9 +5,23 @@ import (
 	"testing"
 	"testing/quick"
 
+	"fluidfaas/internal/dag"
 	"fluidfaas/internal/dnn"
 	"fluidfaas/internal/mig"
+	"fluidfaas/internal/pipeline"
 )
+
+// directMono builds the DAG's monolithic plan on t with
+// pipeline.Monolithic, bypassing the per-function table, and reports its
+// GPC-seconds cost and whether it exists and meets slo. The oracles use
+// it so they stay independent of the table they check.
+func directMono(d *dag.DAG, t mig.SliceType, slo float64) (cost float64, fits bool) {
+	plan, err := pipeline.Monolithic(d, t)
+	if err != nil {
+		return 0, false
+	}
+	return float64(t.GPCs()) * plan.Latency, slo <= 0 || plan.Latency <= slo
+}
 
 // bruteForceCost finds the optimal total assignment cost (GPC-seconds,
 // deferred requests charged the defer penalty) by exhaustive search —
@@ -37,12 +51,8 @@ func bruteForceCost(reqs []Req, nodes []NodeFree) float64 {
 			if used[gi] {
 				continue
 			}
-			t := nodes[gs.node].Free[gs.idx]
-			if !monoFits(reqs[i].DAG, t, reqs[i].SLO) {
-				continue
-			}
-			c, ok := monoCost(reqs[i].DAG, t)
-			if !ok {
+			c, fits := directMono(reqs[i].DAG, nodes[gs.node].Free[gs.idx], reqs[i].SLO)
+			if !fits {
 				continue
 			}
 			used[gi] = true
@@ -60,8 +70,7 @@ func esgCost(placements []Placement, reqs []Req, nodes []NodeFree) float64 {
 	cost := 0.0
 	for _, p := range placements {
 		placed[p.Req] = true
-		t := p.Plan.Stages[0].SliceType
-		c, _ := monoCost(reqs[p.Req].DAG, t)
+		c, _ := directMono(reqs[p.Req].DAG, p.Plan.Stages[0].SliceType, 0)
 		cost += c
 	}
 	for i := range reqs {

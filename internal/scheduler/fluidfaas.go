@@ -51,19 +51,6 @@ func newFreeViews(nodes []NodeFree) []freeView {
 	return out
 }
 
-// avail returns the unconsumed slice types and their original indices.
-func (v *freeView) avail() ([]mig.SliceType, []int) {
-	types := make([]mig.SliceType, 0, v.remaining)
-	idx := make([]int, 0, v.remaining)
-	for i, t := range v.types {
-		if !v.used[i] {
-			types = append(types, t)
-			idx = append(idx, i)
-		}
-	}
-	return types, idx
-}
-
 // availTypes returns just the unconsumed slice types; the planner calls
 // it only on a cache miss.
 func (v *freeView) availTypes() []mig.SliceType {

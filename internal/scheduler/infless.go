@@ -1,12 +1,8 @@
 package scheduler
 
-import (
-	"fluidfaas/internal/pipeline"
-)
-
 // INFlessMIG is the INFless baseline with MIG support bolted on (§6):
-// monolithic instances, greedy first-fit placement onto the smallest
-// free slice that fits the whole function, exclusive keep-alive, no
+// monolithic instances, first-fit placement onto the first free slice
+// in scan order that fits the whole function, exclusive keep-alive, no
 // pipelines and no time sharing.
 type INFlessMIG struct{}
 
@@ -32,28 +28,24 @@ func (*INFlessMIG) PlaceBatch(reqs []Req, nodes []NodeFree) []Placement {
 	views := newFreeViews(nodes)
 	var out []Placement
 	for ri, req := range reqs {
+		mono := monoTable(req)
 		for ni := range views {
-			types, orig := views[ni].avail()
+			v := &views[ni]
 			best := -1
-			for ai, t := range types {
-				if !monoFits(req.DAG, t, req.SLO) {
-					continue
+			for i, t := range v.types {
+				if !v.used[i] && mono[t].Fits(req.SLO) {
+					best = i
+					break
 				}
-				best = ai
-				break
 			}
 			if best == -1 {
 				continue
 			}
-			plan, err := pipeline.Monolithic(req.DAG, types[best])
-			if err != nil {
-				continue
-			}
+			idx := []int{best}
+			v.consume(idx)
 			out = append(out, Placement{
-				Req: ri, Node: nodes[ni].Node, Plan: plan,
-				SliceIdx: []int{orig[best]},
+				Req: ri, Node: nodes[ni].Node, Plan: mono[v.types[best]].Plan, SliceIdx: idx,
 			})
-			views[ni].consume([]int{orig[best]})
 			break
 		}
 	}

@@ -1,7 +1,7 @@
 // Package scheduler implements the instance-placement policies the
 // evaluation compares: FluidFaaS (CV-ranked pipeline construction over
 // fragmented slices), ESG (monolithic placement by A*-search with
-// dual-blade pruning), and INFless+MIG (monolithic greedy placement).
+// dual-blade pruning), and INFless+MIG (monolithic first-fit placement).
 //
 // Policies are pure decision procedures over free-slice views, so the
 // platform can replay them deterministically inside the simulation.
@@ -27,9 +27,10 @@ type Req struct {
 	// latency exceeds it are rejected.
 	SLO float64
 	// Planner memoizes the construction procedure for this function
-	// across calls. FluidFaaS probes nodes through it; when nil, each
-	// PlaceBatch call builds a fresh planner, so the placements are the
-	// same and only the cache is lost between calls.
+	// across calls. FluidFaaS probes nodes through it and the baselines
+	// read its monolithic table; when nil, each PlaceBatch call builds a
+	// fresh planner or table, so the placements are the same and only
+	// the cache is lost between calls.
 	Planner *pipeline.Planner
 }
 
@@ -71,23 +72,12 @@ type Policy interface {
 	PlaceBatch(reqs []Req, nodes []NodeFree) []Placement
 }
 
-// monoCost returns the resource cost of running the DAG monolithically
-// on a slice type: GPC-seconds per request. Used as the efficiency
-// objective for the baselines.
-func monoCost(d *dag.DAG, t mig.SliceType) (float64, bool) {
-	plan, err := pipeline.Monolithic(d, t)
-	if err != nil {
-		return 0, false
+// monoTable returns the request's per-slice-type monolithic table, which
+// the baselines read instead of building plans per free slice. A request
+// without a Planner gets a table for this call only.
+func monoTable(req Req) *pipeline.MonoTable {
+	if req.Planner != nil {
+		return req.Planner.Mono()
 	}
-	return float64(t.GPCs()) * plan.Latency, true
-}
-
-// monoFits reports whether the DAG can run monolithically on t within
-// the SLO.
-func monoFits(d *dag.DAG, t mig.SliceType, slo float64) bool {
-	plan, err := pipeline.Monolithic(d, t)
-	if err != nil {
-		return false
-	}
-	return slo <= 0 || plan.Latency <= slo
+	return pipeline.NewMonoTable(req.DAG)
 }
