@@ -337,7 +337,7 @@ func baselineRound(saturated bool) ([]scheduler.Req, []scheduler.NodeFree) {
 		parts, _ := d.EnumeratePartitions(mig.Slice7g)
 		slo, _ := a.SLOLatency(dnn.Medium, 1.5)
 		req := scheduler.Req{Func: i, DAG: d, Parts: parts, SLO: slo,
-			Planner: pipeline.NewPlanner(d, parts)}
+			Planner: pipeline.NewPlanner(d, parts, slo)}
 		reqs = append(reqs, req, req)
 	}
 	var nodes []scheduler.NodeFree
@@ -424,10 +424,10 @@ func BenchmarkPlannerConstruct(b *testing.B) {
 		}
 	})
 	b.Run("cached", func(b *testing.B) {
-		pl := pipeline.NewPlanner(d, parts)
+		pl := pipeline.NewPlanner(d, parts, slo)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := pl.Construct(free, slo); err != nil {
+			if _, _, err := pl.Construct(free); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -475,7 +475,7 @@ func BenchmarkFluidFaaSPlaceBatch(b *testing.B) {
 	b.Run("cached", func(b *testing.B) {
 		reqs := mkReqs()
 		for i := range reqs {
-			reqs[i].Planner = pipeline.NewPlanner(reqs[i].DAG, reqs[i].Parts)
+			reqs[i].Planner = pipeline.NewPlanner(reqs[i].DAG, reqs[i].Parts, reqs[i].SLO)
 		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -488,6 +488,33 @@ func BenchmarkFluidFaaSPlaceBatch(b *testing.B) {
 			st.Add(r.Planner.Stats())
 		}
 		b.ReportMetric(st.HitRate()*100, "hit_rate_%")
+	})
+	b.Run("unplaceable", func(b *testing.B) {
+		// The scale workload's common round: four instances of one heavy
+		// function, each request carrying its planner, over 16 nodes with
+		// only 1g slices free. Nothing places, and after the first round
+		// every probe is answered by the planner's last-answer memo.
+		a := dnn.Get(dnn.ImageClassification)
+		d := a.BuildDAG(dnn.Large)
+		parts, _ := d.EnumeratePartitions(mig.Slice7g)
+		slo, _ := a.SLOLatency(dnn.Large, 1.5)
+		req := scheduler.Req{DAG: d, Parts: parts, SLO: slo, Planner: pipeline.NewPlanner(d, parts, slo)}
+		reqs := []scheduler.Req{req, req, req, req}
+		var full []scheduler.NodeFree
+		for n := 0; n < 16; n++ {
+			free := make([]mig.SliceType, 8)
+			for g := range free {
+				free[g] = mig.Slice1g
+			}
+			full = append(full, scheduler.NodeFree{Node: n, Free: free, Counts: pipeline.CountsOf(free)})
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if got := pol.PlaceBatch(reqs, full); len(got) != 0 {
+				b.Fatalf("placed %d heavy requests on 1g slices", len(got))
+			}
+		}
 	})
 }
 

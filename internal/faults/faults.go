@@ -12,8 +12,9 @@
 package faults
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"fluidfaas/internal/sim"
 )
@@ -204,7 +205,7 @@ func Build(spec Spec, seed int64, horizon float64, topo Topology) Schedule {
 			panic("faults: " + err.Error())
 		}
 		evs := append([]Event(nil), spec.Script...)
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].Time < evs[j].Time })
+		slices.SortStableFunc(evs, byTime)
 		return Schedule{Events: evs}
 	}
 	if horizon <= 0 || len(topo.Nodes) == 0 {
@@ -267,9 +268,12 @@ func Build(spec Spec, seed int64, horizon float64, topo Topology) Schedule {
 			})
 		}
 	}
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Time < evs[j].Time })
+	slices.SortStableFunc(evs, byTime)
 	return Schedule{Events: evs}
 }
+
+// byTime orders events by time; stable sorts keep ties in input order.
+func byTime(a, b Event) int { return cmp.Compare(a.Time, b.Time) }
 
 // ValidateScript checks an explicit Script against the cluster shape:
 // every event must target an in-range victim for its kind, repairs must

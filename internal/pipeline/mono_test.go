@@ -55,7 +55,7 @@ func TestMonoTableMatchesMonolithic(t *testing.T) {
 // and hands every later caller the same one.
 func TestPlannerMonoBuiltOnce(t *testing.T) {
 	d := dnn.Get(dnn.ImageClassification).BuildDAG(dnn.Small)
-	p := NewPlanner(d, nil)
+	p := NewPlanner(d, nil, 0)
 	if first := p.Mono(); p.Mono() != first {
 		t.Error("Mono() rebuilt the table")
 	}

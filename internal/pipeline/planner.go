@@ -45,7 +45,7 @@ const sigBits = 12
 func (c Counts) Signature() (uint64, bool) {
 	var sig uint64
 	for i, v := range c {
-		if v < 0 || v >= 1<<sigBits {
+		if uint(v) >= 1<<sigBits { // also rejects v < 0
 			return 0, false
 		}
 		sig |= uint64(v) << (sigBits * i)
@@ -53,8 +53,8 @@ func (c Counts) Signature() (uint64, bool) {
 	return sig, true
 }
 
-// PlanResult is one memoized construction outcome for a
-// (multiset, SLO) key.
+// PlanResult is one memoized construction outcome for a multiset under
+// the planner's SLO.
 type PlanResult struct {
 	// Err is nil on success, ErrNoFit when no partition fit.
 	Err error
@@ -109,13 +109,19 @@ func (s *PlannerStats) Add(o PlannerStats) {
 }
 
 // Planner memoizes the §5.2.2 construction procedure for one function
-// (one DAG + ranked partition list). It is not safe for concurrent use;
-// the platform's event loop is single-threaded.
+// (one DAG + ranked partition list) under one latency budget. It is not
+// safe for concurrent use; the platform's event loop is single-threaded.
 type Planner struct {
 	d     *dag.DAG
 	parts []dag.Partition
-	cache map[planKey]*PlanResult
-	stats PlannerStats
+	slo   float64
+	cache map[uint64]*PlanResult
+	// last is the most recent signature's answer. A placement round
+	// probes every node, and unchanged nodes share one multiset, so
+	// nearly every lookup repeats the one before it and skips the map.
+	lastSig uint64
+	last    *PlanResult
+	stats   PlannerStats
 	// mono is the function's monolithic table, built on first Mono().
 	mono *MonoTable
 	// observer, when set, sees every Result lookup (decision
@@ -131,7 +137,7 @@ type PlanObservation struct {
 	// overflowed the signature and bypassed the cache entirely.
 	Cached bool
 	SigOK  bool
-	// Sig is the multiset signature (0 on overflow), SLO the lookup's
+	// Sig is the multiset signature (0 on overflow), SLO the planner's
 	// latency budget.
 	Sig uint64
 	SLO float64
@@ -144,16 +150,14 @@ type PlanObservation struct {
 // SetObserver installs fn as the lookup observer (nil removes it).
 func (p *Planner) SetObserver(fn func(PlanObservation)) { p.observer = fn }
 
-type planKey struct {
-	sig uint64
-	slo float64
+// NewPlanner returns an empty plan cache for the DAG's ranked
+// partition list under latency budget slo (slo ≤ 0 means unconstrained).
+func NewPlanner(d *dag.DAG, parts []dag.Partition, slo float64) *Planner {
+	return &Planner{d: d, parts: parts, slo: slo, cache: make(map[uint64]*PlanResult)}
 }
 
-// NewPlanner returns an empty plan cache for the DAG's ranked
-// partition list.
-func NewPlanner(d *dag.DAG, parts []dag.Partition) *Planner {
-	return &Planner{d: d, parts: parts, cache: make(map[planKey]*PlanResult)}
-}
+// SLO returns the latency budget every construction is made under.
+func (p *Planner) SLO() float64 { return p.slo }
 
 // Stats returns a copy of the accumulated cache statistics.
 func (p *Planner) Stats() PlannerStats { return p.stats }
@@ -168,52 +172,56 @@ func (p *Planner) Mono() *MonoTable {
 }
 
 // Result returns the memoized construction outcome for the free-slice
-// multiset c under slo. avail materializes the concrete free-slice view
-// and is only invoked on a cache miss (or signature overflow); the view
-// it returns must have exactly the multiset c.
+// multiset c. avail materializes the concrete free-slice view and is
+// only invoked on a cache miss (or signature overflow); the view it
+// returns must have exactly the multiset c.
 //
 // No explicit invalidation exists or is needed: the key is the free
 // state itself, so any allocation, release, or reconfiguration that
 // changes the free multiset selects a different cache line. Stale
 // entries for multisets that no longer occur are merely unused.
-func (p *Planner) Result(c Counts, slo float64, avail func() []mig.SliceType) *PlanResult {
+func (p *Planner) Result(c Counts, avail func() []mig.SliceType) *PlanResult {
 	sig, ok := c.Signature()
 	if !ok {
 		p.stats.Uncached++
-		res := p.walk(slo, avail())
-		if p.observer != nil {
-			p.observer(PlanObservation{SigOK: false, SLO: slo, Rank: res.Rank, Err: res.Err})
-		}
+		res := p.walk(avail())
+		p.observe(false, false, 0, res)
 		return res
 	}
-	key := planKey{sig: sig, slo: slo}
-	if res, ok := p.cache[key]; ok {
+	res, cached := p.last, p.last != nil && sig == p.lastSig
+	if !cached {
+		if res, cached = p.cache[sig]; !cached {
+			p.stats.Misses++
+			res = p.walk(avail())
+			p.cache[sig] = res
+		}
+		p.lastSig, p.last = sig, res
+	}
+	if cached {
 		p.stats.Hits++
-		if p.observer != nil {
-			p.observer(PlanObservation{Cached: true, SigOK: true, Sig: sig, SLO: slo, Rank: res.Rank, Err: res.Err})
-		}
-		return res
 	}
-	p.stats.Misses++
-	res := p.walk(slo, avail())
-	p.cache[key] = res
-	if p.observer != nil {
-		p.observer(PlanObservation{SigOK: true, Sig: sig, SLO: slo, Rank: res.Rank, Err: res.Err})
-	}
+	p.observe(cached, true, sig, res)
 	return res
 }
 
-// Construct is a drop-in cached replacement for the package-level
-// Construct: same inputs, same outputs, served from the plan cache when
+// observe reports one lookup to the observer, if any.
+func (p *Planner) observe(cached, sigOK bool, sig uint64, res *PlanResult) {
+	if p.observer != nil {
+		p.observer(PlanObservation{Cached: cached, SigOK: sigOK, Sig: sig, SLO: p.slo, Rank: res.Rank, Err: res.Err})
+	}
+}
+
+// Construct is a cached replacement for the package-level Construct
+// under the planner's SLO: same outputs, served from the plan cache when
 // the free multiset has been seen before.
-func (p *Planner) Construct(avail []mig.SliceType, slo float64) (Plan, []int, error) {
-	plan, idx, _, err := p.ConstructRanked(avail, slo)
+func (p *Planner) Construct(avail []mig.SliceType) (Plan, []int, error) {
+	plan, idx, _, err := p.ConstructRanked(avail)
 	return plan, idx, err
 }
 
 // ConstructRanked is Construct plus the chosen partition's rank.
-func (p *Planner) ConstructRanked(avail []mig.SliceType, slo float64) (Plan, []int, int, error) {
-	res := p.Result(CountsOf(avail), slo, func() []mig.SliceType { return avail })
+func (p *Planner) ConstructRanked(avail []mig.SliceType) (Plan, []int, int, error) {
+	res := p.Result(CountsOf(avail), func() []mig.SliceType { return avail })
 	if res.Err != nil {
 		return Plan{}, nil, -1, res.Err
 	}
@@ -247,8 +255,8 @@ func (res *PlanResult) BindIndices(avail []mig.SliceType, used []bool) []int {
 
 // walk runs the §5.2.2 walk (ConstructRanked) and packages the outcome
 // for caching.
-func (p *Planner) walk(slo float64, avail []mig.SliceType) *PlanResult {
-	plan, idx, rank, err := ConstructRanked(p.d, p.parts, avail, slo)
+func (p *Planner) walk(avail []mig.SliceType) *PlanResult {
+	plan, idx, rank, err := ConstructRanked(p.d, p.parts, avail, p.slo)
 	if err != nil {
 		return &PlanResult{Err: err, Rank: -1}
 	}

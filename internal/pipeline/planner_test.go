@@ -69,14 +69,14 @@ func TestPlannerMatchesConstructProperty(t *testing.T) {
 		if sloRaw%2 == 0 {
 			slo = float64(sloRaw)/64 + 0.05
 		}
-		pl := NewPlanner(d, parts)
+		pl := NewPlanner(d, parts, slo)
 		rng := rand.New(rand.NewSource(int64(len(raw))*131 + int64(len(freeRaw))))
 		free := make([]mig.SliceType, 0, 8)
 		for i := 0; i < len(freeRaw)%8; i++ {
 			free = append(free, menu[int(freeRaw[i])%len(menu)])
 		}
 		check := func(avail []mig.SliceType) bool {
-			ap, ai, ar, ae := pl.ConstructRanked(avail, slo)
+			ap, ai, ar, ae := pl.ConstructRanked(avail)
 			bp, bi, br, be := ConstructRanked(d, parts, avail, slo)
 			if (ae == nil) != (be == nil) || ae != be {
 				return false
@@ -184,10 +184,10 @@ func TestPlannerNegativeCaching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := NewPlanner(d, parts)
+	pl := NewPlanner(d, parts, 0)
 	avail := []mig.SliceType{mig.Slice1g, mig.Slice2g}
 	for i := 0; i < 3; i++ {
-		if _, _, err := pl.Construct(avail, 0); err != ErrNoFit {
+		if _, _, err := pl.Construct(avail); err != ErrNoFit {
 			t.Fatalf("query %d: err = %v, want ErrNoFit", i, err)
 		}
 	}
@@ -276,13 +276,13 @@ func TestPlannerObserver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := NewPlanner(d, parts)
+	pl := NewPlanner(d, parts, 0)
 	var obs []PlanObservation
 	pl.SetObserver(func(o PlanObservation) { obs = append(obs, o) })
 
 	avail := []mig.SliceType{mig.Slice2g, mig.Slice2g}
 	for i := 0; i < 3; i++ {
-		if _, _, err := pl.Construct(avail, 0); err != nil {
+		if _, _, err := pl.Construct(avail); err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
 	}
@@ -305,7 +305,7 @@ func TestPlannerObserver(t *testing.T) {
 	for i := range big {
 		big[i] = mig.Slice1g
 	}
-	pl.Result(CountsOf(big), 0, func() []mig.SliceType { return big })
+	pl.Result(CountsOf(big), func() []mig.SliceType { return big })
 	if len(obs) != 1 || obs[0].SigOK || obs[0].Cached {
 		t.Errorf("overflow lookup = %+v, want uncached SigOK=false", obs)
 	}
@@ -313,10 +313,58 @@ func TestPlannerObserver(t *testing.T) {
 	// Removing the observer stops delivery.
 	pl.SetObserver(nil)
 	obs = nil
-	if _, _, err := pl.Construct(avail, 0); err != nil {
+	if _, _, err := pl.Construct(avail); err != nil {
 		t.Fatal(err)
 	}
 	if len(obs) != 0 {
 		t.Error("removed observer still firing")
+	}
+}
+
+// TestPlannerLastAnswerMemo: the last-answer memo serves a repeated
+// multiset without the map, yet never answers a different multiset (or
+// an overflowing one) with the previous result, and counts and observes
+// each lookup exactly as the map would.
+func TestPlannerLastAnswerMemo(t *testing.T) {
+	d := dag.New()
+	d.AddNode(dag.Node{Name: "n", MemGB: 15,
+		Exec: map[mig.SliceType]float64{mig.Slice2g: 0.1, mig.Slice7g: 0.05}})
+	parts, err := d.EnumeratePartitions(mig.Slice7g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := NewPlanner(d, parts, 0)
+	var obs []PlanObservation
+	pl.SetObserver(func(o PlanObservation) { obs = append(obs, o) })
+	fit := []mig.SliceType{mig.Slice2g}
+	noFit := []mig.SliceType{mig.Slice1g, mig.Slice1g}
+	big := make([]mig.SliceType, 1<<sigBits)
+	for i := range big {
+		big[i] = mig.Slice2g
+	}
+	script := []struct {
+		avail      []mig.SliceType
+		ok, cached bool
+	}{
+		{fit, true, false},
+		{fit, true, true},
+		{noFit, false, false},
+		{fit, true, true},
+		{big, true, false}, // overflow: walks, leaves the memo alone
+		{fit, true, true},
+		{noFit, false, true},
+		{noFit, false, true},
+	}
+	for i, s := range script {
+		res := pl.Result(CountsOf(s.avail), func() []mig.SliceType { return s.avail })
+		if (res.Err == nil) != s.ok {
+			t.Fatalf("lookup %d: err = %v, want ok=%v", i, res.Err, s.ok)
+		}
+		if obs[i].Cached != s.cached {
+			t.Errorf("lookup %d: observed Cached=%v, want %v", i, obs[i].Cached, s.cached)
+		}
+	}
+	if st := pl.Stats(); st != (PlannerStats{Hits: 5, Misses: 2, Uncached: 1}) {
+		t.Errorf("stats = %+v, want 5 hits, 2 misses, 1 uncached", st)
 	}
 }

@@ -92,10 +92,12 @@ func poolCandidates(inv *Invoker, fn *Function, chosen *sharedSlice) []decisions
 //
 // Lookups repeat the same few answers millions of times, so each
 // function memoizes the rendered record per distinct observation: the
-// key space is the planner's own (sig, slo) cache key times the answer,
-// and every later lookup with that key reuses the rendered Rule,
-// Outcome and Inputs. The Inputs slice is therefore shared between
-// records (decisions.Record documents it read-only).
+// key space is the planner's own signature key times the answer, and
+// every later lookup with that key reuses the rendered Rule, Outcome
+// and Inputs. The Inputs slice is therefore shared between records
+// (decisions.Record documents it read-only). A placement round probes
+// node after node with the same multiset, so an observation equal to
+// the previous one reuses its record without touching the memo.
 func (p *Platform) wirePlanObservers() {
 	for _, fn := range p.funcs {
 		fn.planner.SetObserver(p.planObserver(fn.spec.Name))
@@ -105,7 +107,14 @@ func (p *Platform) wirePlanObservers() {
 // planObserver returns one function's memoizing plan-lookup observer.
 func (p *Platform) planObserver(funcName string) func(pipeline.PlanObservation) {
 	memo := map[planMemoKey]decisions.Record{}
+	var last pipeline.PlanObservation
+	var lastRec decisions.Record
+	seen := false
 	return func(o pipeline.PlanObservation) {
+		if seen && o == last {
+			p.decide(lastRec)
+			return
+		}
 		kind, _ := planKind(o)
 		key := planMemoKey{kind: kind, sig: o.Sig, slo: o.SLO, rank: o.Rank}
 		if o.Err != nil {
@@ -116,6 +125,7 @@ func (p *Platform) planObserver(funcName string) func(pipeline.PlanObservation) 
 			rec = renderPlanRecord(funcName, o)
 			memo[key] = rec
 		}
+		last, lastRec, seen = o, rec, true
 		p.decide(rec)
 	}
 }

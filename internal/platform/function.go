@@ -57,7 +57,7 @@ type Function struct {
 func newFunction(spec FunctionSpec) *Function {
 	fn := &Function{
 		spec:        spec,
-		planner:     pipeline.NewPlanner(spec.DAG, spec.Parts),
+		planner:     pipeline.NewPlanner(spec.DAG, spec.Parts, spec.SLO),
 		memGB:       spec.DAG.TotalMemGB(),
 		lastNodeUse: make(map[int]float64),
 	}

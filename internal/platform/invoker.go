@@ -10,6 +10,7 @@ import (
 	"fluidfaas/internal/obs/decisions"
 	"fluidfaas/internal/obs/util"
 	"fluidfaas/internal/overload"
+	"fluidfaas/internal/pipeline"
 )
 
 // Invoker is the per-node runtime: it owns the node's time-sharing slice
@@ -25,10 +26,11 @@ type Invoker struct {
 	// migration, fault injection and recovery — bumps the generation
 	// at the mig/cluster layer, so the cache can never serve a stale
 	// view.
-	freeGen   uint64
-	freeValid bool
-	freeTypes []mig.SliceType
-	freePhys  []*mig.Slice
+	freeGen    uint64
+	freeValid  bool
+	freeTypes  []mig.SliceType
+	freePhys   []*mig.Slice
+	freeCounts pipeline.Counts
 }
 
 func newInvoker(p *Platform, node *cluster.Node) *Invoker {
@@ -36,13 +38,14 @@ func newInvoker(p *Platform, node *cluster.Node) *Invoker {
 }
 
 // freeView returns the node's free slices (types and physical slices,
-// in FreeSlices order). Unchanged nodes are served from the cached
-// snapshot; a node with a GPU mid-reconfiguration is never cached, as
+// in FreeSlices order) and their multiset. Unchanged nodes are served
+// from the cached snapshot, so the multiset is tallied once per free-set
+// generation; a node with a GPU mid-reconfiguration is never cached, as
 // its free set changes with the passage of time alone.
-func (inv *Invoker) freeView(now float64) ([]mig.SliceType, []*mig.Slice) {
+func (inv *Invoker) freeView(now float64) ([]mig.SliceType, []*mig.Slice, pipeline.Counts) {
 	gen, stable := inv.node.FreeGen(now)
 	if inv.freeValid && stable && gen == inv.freeGen {
-		return inv.freeTypes, inv.freePhys
+		return inv.freeTypes, inv.freePhys, inv.freeCounts
 	}
 	free := inv.node.FreeSlices(now)
 	types := make([]mig.SliceType, len(free))
@@ -53,7 +56,8 @@ func (inv *Invoker) freeView(now float64) ([]mig.SliceType, []*mig.Slice) {
 	inv.freeValid = stable
 	inv.freeTypes = types
 	inv.freePhys = free
-	return types, free
+	inv.freeCounts = pipeline.CountsOf(types)
+	return types, free, inv.freeCounts
 }
 
 // tsBinding is a function's time-sharing deployment: the function is
@@ -336,7 +340,7 @@ func (inv *Invoker) growPool(fn *Function) *sharedSlice {
 	// The generation-validated snapshot spares the full node walk: an
 	// overloaded function retries growth every scale-up pass, and an
 	// unchanged free set answers from cache (same FreeSlices order).
-	_, free := inv.freeView(now)
+	_, free, _ := inv.freeView(now)
 	var pick *mig.Slice
 	for _, sl := range free {
 		if !fn.mono(sl.Type).OK {

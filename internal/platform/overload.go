@@ -322,7 +322,7 @@ func (p *Platform) contractPipelined() {
 		for i, sl := range free {
 			types[i] = sl.Type
 		}
-		pl, _, err := fn.planner.Construct(types, fn.spec.SLO)
+		pl, _, err := fn.planner.Construct(types)
 		if err == nil && pl.GPCs() < worst.plan.GPCs() {
 			slices = make([]*mig.Slice, len(pl.Stages))
 			ok := true

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"fluidfaas/internal/cluster"
 	"fluidfaas/internal/dag"
@@ -286,9 +285,12 @@ type Platform struct {
 
 	events *obs.Bus[Event]
 
-	// Scratch buffers reused across scaleUp passes (controller.go).
-	scratchReqs []scheduler.Req
-	scratchFns  []*Function
+	// Scratch buffers reused across scaleUp passes (controller.go)
+	// and by nodeFreeViews.
+	scratchReqs  []scheduler.Req
+	scratchFns   []*Function
+	scratchViews []scheduler.NodeFree
+	scratchPhys  [][]*mig.Slice
 
 	instSeq   int
 	launched  int  // instances launched, for diagnostics
@@ -451,10 +453,9 @@ func (p *Platform) Run(tr *trace.Trace, drain float64) {
 	// Arrivals feed the engine as one lazy stream. A hand-built trace not
 	// sorted by arrival replays a stable-sorted copy, which fires tied
 	// arrivals in trace order, as scheduling each one up front would.
-	byArrival := func(i, j int) bool { return reqs[i].Arrival < reqs[j].Arrival }
-	if !sort.SliceIsSorted(reqs, byArrival) {
+	if !slices.IsSortedFunc(reqs, trace.ByArrival) {
 		reqs = slices.Clone(reqs)
-		sort.SliceStable(reqs, byArrival)
+		slices.SortStableFunc(reqs, trace.ByArrival)
 	}
 	p.eng.Stream(len(reqs),
 		func(i int) sim.Time { return reqs[i].Arrival },
@@ -607,16 +608,18 @@ func (p *Platform) sampleUtilization() {
 // invoker revalidates its cached snapshot against the node's free-set
 // generation (bumped by every slice allocate/release, health flip and
 // reconfiguration at the mig/cluster layer), so an unchanged node costs
-// O(GPUs) instead of a full slice walk and re-sort.
+// O(GPUs) instead of a full slice walk, re-sort and tally. The returned
+// slices are scratch, valid until the next call; no policy retains them.
 func (p *Platform) nodeFreeViews() ([]scheduler.NodeFree, [][]*mig.Slice) {
 	now := p.eng.Now()
-	views := make([]scheduler.NodeFree, len(p.inv))
-	phys := make([][]*mig.Slice, len(p.inv))
-	for i, inv := range p.inv {
-		types, free := inv.freeView(now)
-		views[i] = scheduler.NodeFree{Node: inv.node.ID, Free: types}
-		phys[i] = free
+	views := p.scratchViews[:0]
+	phys := p.scratchPhys[:0]
+	for _, inv := range p.inv {
+		types, free, counts := inv.freeView(now)
+		views = append(views, scheduler.NodeFree{Node: inv.node.ID, Free: types, Counts: counts})
+		phys = append(phys, free)
 	}
+	p.scratchViews, p.scratchPhys = views, phys
 	return views, phys
 }
 

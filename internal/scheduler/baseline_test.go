@@ -12,9 +12,36 @@ import (
 	"fluidfaas/internal/pipeline"
 )
 
+// refView is the per-call free view the reference placements walk: the
+// unpooled freeView as it stood before views came from a pool, so the
+// oracles share no code with the views under test.
+type refView struct {
+	types     []mig.SliceType
+	used      []bool
+	remaining int
+}
+
+func newRefViews(nodes []NodeFree) []refView {
+	out := make([]refView, len(nodes))
+	for i, n := range nodes {
+		out[i] = refView{types: n.Free, used: make([]bool, len(n.Free)), remaining: len(n.Free)}
+	}
+	return out
+}
+
+func (v *refView) consume(idx []int) {
+	for _, i := range idx {
+		if v.used[i] {
+			panic("reference: free-slice index double-booked within a batch")
+		}
+		v.used[i] = true
+		v.remaining--
+	}
+}
+
 // avail returns the view's unconsumed slice types and their original
 // indices — the materialised free list the reference placements walk.
-func (v *freeView) avail() ([]mig.SliceType, []int) {
+func (v *refView) avail() ([]mig.SliceType, []int) {
 	types := make([]mig.SliceType, 0, v.remaining)
 	idx := make([]int, 0, v.remaining)
 	for i, t := range v.types {
@@ -169,7 +196,7 @@ func esgReference(e ESG, reqs []Req, nodes []NodeFree) ([]Placement, int) {
 // monolithic table: it materialises each node's free list per request
 // and builds plans with pipeline.Monolithic.
 func inflessReference(reqs []Req, nodes []NodeFree) []Placement {
-	views := newFreeViews(nodes)
+	views := newRefViews(nodes)
 	var out []Placement
 	for ri, req := range reqs {
 		for ni := range views {

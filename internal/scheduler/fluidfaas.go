@@ -1,6 +1,9 @@
 package scheduler
 
 import (
+	"slices"
+	"sync"
+
 	"fluidfaas/internal/mig"
 	"fluidfaas/internal/pipeline"
 )
@@ -38,17 +41,50 @@ type freeView struct {
 	remaining int
 }
 
-func newFreeViews(nodes []NodeFree) []freeView {
-	out := make([]freeView, len(nodes))
-	for i, n := range nodes {
-		out[i] = freeView{
-			types:     n.Free,
-			used:      make([]bool, len(n.Free)),
-			counts:    pipeline.CountsOf(n.Free),
-			remaining: len(n.Free),
-		}
+// freeViews is one PlaceBatch call's views. Every view's used mask is a
+// window of one shared backing array.
+type freeViews struct {
+	views []freeView
+	used  []bool
+}
+
+// viewPool recycles freeViews across calls, so a placement round
+// allocates no views or masks while the policies stay stateless and
+// safe to share between goroutines.
+var viewPool = sync.Pool{New: func() any { return new(freeViews) }}
+
+// newFreeViews returns a view per node, taken from viewPool; hand it
+// back with release once no view is in use. A node without Counts is
+// tallied here.
+func newFreeViews(nodes []NodeFree) *freeViews {
+	fv := viewPool.Get().(*freeViews)
+	total := 0
+	for _, n := range nodes {
+		total += len(n.Free)
 	}
-	return out
+	fv.used = slices.Grow(fv.used[:0], total)[:total]
+	clear(fv.used)
+	fv.views = slices.Grow(fv.views[:0], len(nodes))[:len(nodes)]
+	off := 0
+	for i := range nodes {
+		n, v := &nodes[i], &fv.views[i]
+		v.types = n.Free
+		v.used = fv.used[off : off+len(n.Free) : off+len(n.Free)]
+		v.counts = n.Counts
+		if v.counts == (pipeline.Counts{}) {
+			v.counts = pipeline.CountsOf(n.Free)
+		}
+		v.remaining = len(n.Free)
+		off += len(n.Free)
+	}
+	return fv
+}
+
+// release returns fv to viewPool, dropping its references to the
+// callers' free lists.
+func (fv *freeViews) release() {
+	clear(fv.views)
+	viewPool.Put(fv)
 }
 
 // availTypes returns just the unconsumed slice types; the planner calls
@@ -89,15 +125,17 @@ func (v *freeView) consume(origIdx []int) {
 //
 // Probing a node is a planner lookup keyed on the node's free-slice
 // multiset; the partition walk only runs on a miss. A request without a
-// Planner gets a fresh one for this call, so its answers are the same and
-// only the cache lifetime shrinks.
+// Planner (or one made for another SLO) gets a fresh one for this call,
+// so its answers are the same and only the cache lifetime shrinks.
 func (p *FluidFaaS) PlaceBatch(reqs []Req, nodes []NodeFree) []Placement {
-	views := newFreeViews(nodes)
+	fv := newFreeViews(nodes)
+	defer fv.release()
+	views := fv.views
 	var out []Placement
 	for ri, req := range reqs {
 		planner := req.Planner
-		if planner == nil {
-			planner = pipeline.NewPlanner(req.DAG, req.Parts)
+		if planner == nil || planner.SLO() != req.SLO {
+			planner = pipeline.NewPlanner(req.DAG, req.Parts, req.SLO)
 		}
 		best := -1
 		var bestRes *pipeline.PlanResult
@@ -107,7 +145,7 @@ func (p *FluidFaaS) PlaceBatch(reqs []Req, nodes []NodeFree) []Placement {
 			if v.remaining == 0 {
 				continue
 			}
-			res := planner.Result(v.counts, req.SLO, v.availTypes)
+			res := planner.Result(v.counts, v.availTypes)
 			if res.Err != nil {
 				continue
 			}

@@ -25,7 +25,9 @@ func (*INFlessMIG) Migration() bool { return false }
 // global search is what costs it against ESG (§7.1: ESG outperforms
 // INFless by 14% in light workloads).
 func (*INFlessMIG) PlaceBatch(reqs []Req, nodes []NodeFree) []Placement {
-	views := newFreeViews(nodes)
+	fv := newFreeViews(nodes)
+	defer fv.release()
+	views := fv.views
 	var out []Placement
 	for ri, req := range reqs {
 		mono := monoTable(req)

@@ -1,0 +1,5 @@
+//go:build race
+
+package scheduler
+
+const raceEnabled = true

@@ -30,7 +30,8 @@ type Req struct {
 	// across calls. FluidFaaS probes nodes through it and the baselines
 	// read its monolithic table; when nil, each PlaceBatch call builds a
 	// fresh planner or table, so the placements are the same and only
-	// the cache is lost between calls.
+	// the cache is lost between calls. FluidFaaS also builds a fresh
+	// planner when this one was made for another SLO.
 	Planner *pipeline.Planner
 }
 
@@ -38,6 +39,10 @@ type Req struct {
 type NodeFree struct {
 	Node int
 	Free []mig.SliceType
+	// Counts is Free's multiset, pipeline.CountsOf(Free), for a caller
+	// that already keeps it. The zero value means "tally Free": a
+	// non-empty Free never has zero counts.
+	Counts pipeline.Counts
 }
 
 // Placement deploys one request: the plan plus, per stage, the index

@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -81,16 +80,6 @@ func ReadAzureCSV(r io.Reader, seed int64, minutes int) (*Trace, error) {
 	}
 	sortAndNumber(t)
 	return t, nil
-}
-
-// sortAndNumber finalises request order and IDs.
-func sortAndNumber(t *Trace) {
-	sort.SliceStable(t.Requests, func(i, j int) bool {
-		return t.Requests[i].Arrival < t.Requests[j].Arrival
-	})
-	for i := range t.Requests {
-		t.Requests[i].ID = i
-	}
 }
 
 // Scale returns a copy of the trace with arrival density scaled: factor

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 )
 
@@ -70,11 +69,6 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 			t.NumFuncs = fn + 1
 		}
 	}
-	sort.SliceStable(t.Requests, func(i, j int) bool {
-		return t.Requests[i].Arrival < t.Requests[j].Arrival
-	})
-	for i := range t.Requests {
-		t.Requests[i].ID = i
-	}
+	sortAndNumber(t)
 	return t, nil
 }

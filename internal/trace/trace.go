@@ -7,9 +7,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"fluidfaas/internal/sim"
 )
@@ -83,11 +84,21 @@ func Generate(spec Spec) *Trace {
 		rng := sim.NewRNG(spec.Seed, fmt.Sprintf("trace/stream%d", si))
 		reqs = append(reqs, genStream(st, spec.Duration, bucket, rng)...)
 	}
-	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].Arrival < reqs[j].Arrival })
-	for i := range reqs {
-		reqs[i].ID = i
+	t := &Trace{Requests: reqs, Duration: spec.Duration, NumFuncs: maxFunc + 1}
+	sortAndNumber(t)
+	return t
+}
+
+// ByArrival orders requests by arrival time. Stable sorts with it keep
+// tied arrivals in trace order.
+func ByArrival(a, b Request) int { return cmp.Compare(a.Arrival, b.Arrival) }
+
+// sortAndNumber finalises request order and IDs.
+func sortAndNumber(t *Trace) {
+	slices.SortStableFunc(t.Requests, ByArrival)
+	for i := range t.Requests {
+		t.Requests[i].ID = i
 	}
-	return &Trace{Requests: reqs, Duration: spec.Duration, NumFuncs: maxFunc + 1}
 }
 
 func genStream(st StreamSpec, duration, bucket float64, rng *sim.RNG) []Request {

@@ -2,11 +2,16 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"fluidfaas/internal/sim"
 )
 
 func basicSpec() Spec {
@@ -254,5 +259,56 @@ func TestDiurnalModulation(t *testing.T) {
 	}}})
 	if len(flat.Requests) == len(tr.Requests) {
 		t.Log("note: modulated and flat traces coincidentally equal in size")
+	}
+}
+
+// generateSliceStable is Generate as it stood with the reflective
+// sort.SliceStable: the reference for the generic stable sort.
+func generateSliceStable(spec Spec) *Trace {
+	var reqs []Request
+	maxFunc := 0
+	for si, st := range spec.Streams {
+		maxFunc = max(maxFunc, st.Func)
+		rng := sim.NewRNG(spec.Seed, fmt.Sprintf("trace/stream%d", si))
+		reqs = append(reqs, genStream(st, spec.Duration, 10, rng)...)
+	}
+	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].Arrival < reqs[j].Arrival })
+	for i := range reqs {
+		reqs[i].ID = i
+	}
+	return &Trace{Requests: reqs, Duration: spec.Duration, NumFuncs: maxFunc + 1}
+}
+
+// TestSortMatchesSliceStable: Generate and sortAndNumber order requests
+// exactly as sort.SliceStable did, for several seeds and for a
+// hand-built trace whose arrivals tie in long runs (including -0 and
+// +0, which compare equal), so the stable order of ties shows.
+func TestSortMatchesSliceStable(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		spec := basicSpec()
+		spec.Seed = seed
+		if got, want := Generate(spec), generateSliceStable(spec); !reflect.DeepEqual(got, want) {
+			t.Errorf("seed %d: Generate differs from the sort.SliceStable order", seed)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	var reqs []Request
+	for i := 0; i < 500; i++ {
+		arrival := float64(rng.Intn(12))
+		if arrival == 0 && rng.Intn(2) == 0 {
+			arrival = math.Copysign(0, -1)
+		}
+		reqs = append(reqs, Request{Func: i, Arrival: arrival})
+	}
+	got := &Trace{Requests: append([]Request(nil), reqs...)}
+	sortAndNumber(got)
+	want := append([]Request(nil), reqs...)
+	sort.SliceStable(want, func(i, j int) bool { return want[i].Arrival < want[j].Arrival })
+	for i := range want {
+		want[i].ID = i
+	}
+	if !reflect.DeepEqual(got.Requests, want) {
+		t.Error("tied arrivals left in a different order than sort.SliceStable")
 	}
 }

@@ -13,6 +13,7 @@ package workflow
 
 import (
 	"fmt"
+	"slices"
 
 	"fluidfaas/internal/cluster"
 	"fluidfaas/internal/dag"
@@ -21,6 +22,7 @@ import (
 	"fluidfaas/internal/mig"
 	"fluidfaas/internal/platform"
 	"fluidfaas/internal/scheduler"
+	"fluidfaas/internal/sim"
 	"fluidfaas/internal/trace"
 )
 
@@ -157,13 +159,20 @@ func RunChained(app dnn.App, variant dnn.Variant, tr *trace.Trace,
 		},
 	})
 
-	for _, r := range tr.Requests {
-		req := r
-		p.Engine().At(req.Arrival, func() {
-			chains[req.ID] = &chainState{start: req.Arrival}
-			p.InjectRequest(0, req.ID)
-		})
+	// Chain arrivals feed the engine as one lazy stream, over a
+	// stable-sorted copy when the trace is not sorted by arrival; either
+	// way they fire in the order one At per request would give them.
+	reqs := tr.Requests
+	if !slices.IsSortedFunc(reqs, trace.ByArrival) {
+		reqs = slices.Clone(reqs)
+		slices.SortStableFunc(reqs, trace.ByArrival)
 	}
+	p.Engine().Stream(len(reqs),
+		func(i int) sim.Time { return reqs[i].Arrival },
+		func(i int) {
+			chains[reqs[i].ID] = &chainState{start: reqs[i].Arrival}
+			p.InjectRequest(0, reqs[i].ID)
+		})
 	empty := &trace.Trace{Duration: tr.Duration, NumFuncs: len(specs)}
 	p.Run(empty, 60)
 
