@@ -19,7 +19,8 @@
 // A nil *Recorder is the off switch: every method is nil-receiver safe
 // and call sites guard any argument construction behind a nil check, so
 // a run without a recorder is bit-identical to one built before this
-// package existed (enforced by TestDecisionsDisabledIdentity).
+// package existed (enforced by the platform's
+// TestObserversDisabledIdentity).
 package decisions
 
 import (
@@ -88,63 +89,34 @@ const (
 	numKinds
 )
 
-// String names the kind as it appears in JSON exports and filters.
-func (k Kind) String() string {
-	switch k {
-	case KindAdmit:
-		return "admit"
-	case KindReject:
-		return "reject"
-	case KindPlanHit:
-		return "plan-hit"
-	case KindPlanMiss:
-		return "plan-miss"
-	case KindPlanUncached:
-		return "plan-uncached"
-	case KindBind:
-		return "bind"
-	case KindDemote:
-		return "demote"
-	case KindSwapEvict:
-		return "swap-evict"
-	case KindSwapRelief:
-		return "swap-relief"
-	case KindBrownout:
-		return "brownout"
-	case KindSuspect:
-		return "suspect"
-	case KindQuarantine:
-		return "quarantine"
-	case KindHedgeSpawn:
-		return "hedge-spawn"
-	case KindHedgeSettle:
-		return "hedge-settle"
-	case KindRetry:
-		return "retry"
-	case KindDrop:
-		return "drop"
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
+// kindLabels is the one name table: String renders from it and
+// ParseKind scans it.
+var kindLabels = [numKinds]string{
+	KindAdmit: "admit", KindReject: "reject",
+	KindPlanHit: "plan-hit", KindPlanMiss: "plan-miss",
+	KindPlanUncached: "plan-uncached", KindBind: "bind", KindDemote: "demote",
+	KindSwapEvict: "swap-evict", KindSwapRelief: "swap-relief",
+	KindBrownout: "brownout", KindSuspect: "suspect",
+	KindQuarantine: "quarantine", KindHedgeSpawn: "hedge-spawn",
+	KindHedgeSettle: "hedge-settle", KindRetry: "retry",
+	KindDrop: "drop",
 }
 
-// kindNames maps parseable names back to kinds, for /decisions filters.
-// Kept in sync with String by TestKindNames.
-var kindNames = map[string]Kind{
-	"admit": KindAdmit, "reject": KindReject,
-	"plan-hit": KindPlanHit, "plan-miss": KindPlanMiss,
-	"plan-uncached": KindPlanUncached,
-	"bind":          KindBind, "demote": KindDemote,
-	"swap-evict": KindSwapEvict, "swap-relief": KindSwapRelief,
-	"brownout": KindBrownout, "suspect": KindSuspect,
-	"quarantine": KindQuarantine, "hedge-spawn": KindHedgeSpawn,
-	"hedge-settle": KindHedgeSettle, "retry": KindRetry,
-	"drop": KindDrop,
+// String names the kind as it appears in JSON exports and filters.
+func (k Kind) String() string {
+	if k < 0 || k >= numKinds {
+		return fmt.Sprintf("Kind(%d)", int(k))
+	}
+	return kindLabels[k]
 }
 
 // ParseKind resolves a kind name as rendered by Kind.String.
 func ParseKind(name string) (Kind, error) {
-	if k, ok := kindNames[strings.TrimSpace(name)]; ok {
-		return k, nil
+	name = strings.TrimSpace(name)
+	for k, n := range kindLabels {
+		if n == name {
+			return Kind(k), nil
+		}
 	}
 	return 0, fmt.Errorf("decisions: unknown kind %q", name)
 }

@@ -6,13 +6,9 @@ import (
 	"testing"
 )
 
-// TestKindNames: every kind round-trips String -> ParseKind, the name
-// table covers exactly the declared kinds, and JSON marshalling uses
-// names, not integers.
+// TestKindNames: every kind has a name and round-trips String ->
+// ParseKind, and JSON marshalling uses names, not integers.
 func TestKindNames(t *testing.T) {
-	if len(kindNames) != int(numKinds) {
-		t.Fatalf("kindNames has %d entries, want %d", len(kindNames), numKinds)
-	}
 	for k := Kind(0); k < numKinds; k++ {
 		name := k.String()
 		if name == "" {

@@ -76,26 +76,18 @@ type Track struct {
 }
 
 // Recorder accumulates spans, tracks, and request metrics for one run.
+// Apart from caller-set gauges it keeps raw logs only, the span log and
+// the request log: the aggregates the exports show (busy seconds, event
+// totals, latency histograms) are derived from them at export time.
 // The zero value is ready to use; a nil *Recorder is the disabled sink.
 type Recorder struct {
 	spans  []Span
 	tracks []Track
 	tidx   map[string]int
 
-	// busy accumulates per-track busy seconds (load + exec span
-	// durations), the utilisation counter of the metrics export.
-	busy map[string]float64
-
-	// hists holds per-(function, outcome) latency histograms and
-	// counts keyed by `func \xff outcome`.
-	hists map[string]*Histogram
-
 	// reqs is the finalised-request log, in completion order — the
 	// analytics layer's request feed.
 	reqs []RequestObs
-
-	// marks counts instants by name (lifecycle event totals).
-	marks map[string]int
 
 	// gauges holds driver-set scalar metrics (e.g. dropped events).
 	gauges map[string]float64
@@ -140,7 +132,7 @@ func (r *Recorder) Tracks() []Track {
 }
 
 // SliceSpan records a duration span on a hardware track. Load and exec
-// spans also accumulate the track's busy-seconds counter.
+// spans count as the track's busy time in the metrics export.
 func (r *Recorder) SliceSpan(cat, name, track string, fn, req, stage int, start, end float64) {
 	if r == nil {
 		return
@@ -149,19 +141,13 @@ func (r *Recorder) SliceSpan(cat, name, track string, fn, req, stage int, start,
 		Kind: KindSlice, Cat: cat, Name: name, Track: track,
 		Func: fn, Req: req, Stage: stage, Start: start, End: end,
 	})
-	if cat == "load" || cat == "exec" {
-		if r.busy == nil {
-			r.busy = make(map[string]float64)
-		}
-		r.busy[track] += end - start
-	}
 }
 
 // StageSpan records a stage execution on a hardware track together
 // with the declared profile duration the scheduler assumed and the
 // slice type it ran on (kept in Detail). It is the drift detector's
-// input: observed End-Start versus Declared. Busy-seconds accumulate
-// exactly as for an exec SliceSpan.
+// input: observed End-Start versus Declared. It counts as busy time
+// exactly as an exec SliceSpan does.
 func (r *Recorder) StageSpan(name, track, sliceType string, fn, req, stage int, start, end, declared float64) {
 	if r == nil {
 		return
@@ -171,21 +157,16 @@ func (r *Recorder) StageSpan(name, track, sliceType string, fn, req, stage int, 
 		Func: fn, Req: req, Stage: stage, Start: start, End: end,
 		Detail: sliceType, Declared: declared,
 	})
-	if r.busy == nil {
-		r.busy = make(map[string]float64)
-	}
-	r.busy[track] += end - start
 }
 
 // CancelSliceWork truncates the track's hardware work spans at `at`:
 // load/exec/transfer slice spans ending later are cut there (removed
-// entirely when they start at or after it), and the track's busy
-// counter gives the cut seconds back. Fault and quarantine teardowns
-// call this because work spans are recorded upfront with their future
-// end times — without the cut, the phantom tail of an execution that
-// died with its hardware stays on the books as busy time, overstating
-// BusySeconds and overlapping whatever the reallocated slice runs
-// next. Safe to call broadly: on the single-threaded engine, any work
+// entirely when they start at or after it). Fault and quarantine
+// teardowns call this because work spans are recorded upfront with
+// their future end times — without the cut, the phantom tail of an
+// execution that died with its hardware stays on the books as busy
+// time, overstating the exported busy seconds and overlapping whatever
+// the reallocated slice runs next. Safe to call broadly: on the single-threaded engine, any work
 // span still open on a track at teardown time belongs to the owner
 // being torn down. (A truncated exec span keeps its Declared profile
 // time; the drift analytics see cancelled work as a fast outlier,
@@ -199,13 +180,7 @@ func (r *Recorder) CancelSliceWork(track string, at float64) {
 		if sp.Kind == KindSlice && sp.Track == track && sp.End > at &&
 			(sp.Cat == "load" || sp.Cat == "exec" || sp.Cat == "transfer") {
 			if sp.Start >= at {
-				if sp.Cat != "transfer" {
-					r.busy[track] -= sp.End - sp.Start
-				}
 				continue
-			}
-			if sp.Cat != "transfer" {
-				r.busy[track] -= sp.End - at
 			}
 			sp.End = at
 		}
@@ -237,8 +212,8 @@ func (r *Recorder) AsyncMark(cat, name string, fn, req int, t float64, detail st
 	})
 }
 
-// Mark records an instant on a hardware or platform track and counts it
-// by name. The track may be unregistered (instance IDs, function
+// Mark records an instant on a hardware or platform track; the metrics
+// export counts instants by name. The track may be unregistered (instance IDs, function
 // names); the export puts those on the platform-wide track.
 func (r *Recorder) Mark(name, track string, t float64, detail string) {
 	r.MarkCat("event", name, track, t, detail)
@@ -255,10 +230,6 @@ func (r *Recorder) MarkCat(cat, name, track string, t float64, detail string) {
 		Kind: KindMark, Cat: cat, Name: name, Track: track,
 		Func: -1, Req: -1, Stage: -1, Start: t, End: t, Detail: detail,
 	})
-	if r.marks == nil {
-		r.marks = make(map[string]int)
-	}
-	r.marks[name]++
 }
 
 // Counter records a sampled numeric value on a hardware track at time t
@@ -274,27 +245,9 @@ func (r *Recorder) Counter(cat, name, track string, t, value float64) {
 	})
 }
 
-// histKeySep separates function and outcome in histogram keys; it
-// cannot appear in either.
+// histKeySep separates function and outcome in the metrics export's
+// histogram keys; it cannot appear in either.
 const histKeySep = "\xff"
-
-// Request observes a finalised request for the metrics export: one
-// latency-histogram sample per (function, outcome).
-func (r *Recorder) Request(fn, outcome string, latency float64) {
-	if r == nil {
-		return
-	}
-	if r.hists == nil {
-		r.hists = make(map[string]*Histogram)
-	}
-	key := fn + histKeySep + outcome
-	h, ok := r.hists[key]
-	if !ok {
-		h = NewLatencyHistogram()
-		r.hists[key] = h
-	}
-	h.Observe(latency)
-}
 
 // RequestObs is one finalised request as the analytics layer sees it:
 // identity, envelope, SLO and outcome. The recorder keeps them in
@@ -326,14 +279,13 @@ func (o RequestObs) SLOMiss() bool {
 	return o.Outcome != "served" || o.Latency() > o.SLO
 }
 
-// ObserveRequest logs a finalised request for analytics and feeds the
-// per-(function, outcome) latency histogram.
+// ObserveRequest logs a finalised request for analytics and for the
+// metrics export's per-(function, outcome) latency histograms.
 func (r *Recorder) ObserveRequest(o RequestObs) {
 	if r == nil {
 		return
 	}
 	r.reqs = append(r.reqs, o)
-	r.Request(o.Name, o.Outcome, o.Latency())
 }
 
 // RequestLog returns the finalised requests in record (completion)
@@ -419,22 +371,6 @@ func (r *Recorder) Spans() []Span {
 		return nil
 	}
 	return r.spans
-}
-
-// BusySeconds returns the accumulated busy time of a track.
-func (r *Recorder) BusySeconds(track string) float64 {
-	if r == nil {
-		return 0
-	}
-	return r.busy[track]
-}
-
-// MarkCount returns how many instants were recorded under name.
-func (r *Recorder) MarkCount(name string) int {
-	if r == nil {
-		return 0
-	}
-	return r.marks[name]
 }
 
 // sortedKeys returns map keys in sorted order, for deterministic

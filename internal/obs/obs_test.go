@@ -19,14 +19,15 @@ func TestNilRecorder(t *testing.T) {
 	r.AsyncSpan("request", "app0", 0, 1, 0, 2, "")
 	r.AsyncMark("retry", "retry", 0, 1, 1, "node died")
 	r.Mark("launch", "app0#1", 0, "")
-	r.Request("app0", "served", 0.5)
+	r.ObserveRequest(RequestObs{Name: "app0", Outcome: "served", Completion: 0.5})
+	r.CancelSliceWork("gpu0/1g.10gb#0", 0.5)
 	r.SetGauge("g", 1)
 	r.SetDuration(10)
-	if r.Spans() != nil || r.Tracks() != nil {
+	if r.Spans() != nil || r.Tracks() != nil || r.RequestLog() != nil {
 		t.Fatal("nil recorder returned data")
 	}
-	if r.BusySeconds("x") != 0 || r.MarkCount("launch") != 0 || r.Duration() != 0 {
-		t.Fatal("nil recorder returned nonzero counters")
+	if r.Duration() != 0 {
+		t.Fatal("nil recorder returned a duration")
 	}
 	// Exporters accept a nil recorder too.
 	var buf bytes.Buffer
@@ -51,23 +52,50 @@ func sampleRecorder() *Recorder {
 	r.AsyncMark("retry", "retry", 0, 7, 2.2, "slice failed")
 	r.Mark("launch", "app0#1", 0.1, "[4g]")
 	r.Mark("evict", "gpu0/2g.20gb#0", 1.5, "LRU")
-	r.Request("app0", "served", 2.5)
-	r.Request("app0", "dropped", 8.0)
-	r.Request("app1", "served", 0.001) // exactly on the first bound
+	r.ObserveRequest(RequestObs{Name: "app0", Req: 7, Completion: 2.5, Outcome: "served"})
+	r.ObserveRequest(RequestObs{Name: "app0", Req: 8, Arrival: 1, Completion: 9, Outcome: "dropped"})
+	// Exactly on the first bound.
+	r.ObserveRequest(RequestObs{Func: 1, Name: "app1", Req: 9, Completion: 0.001, Outcome: "served"})
 	r.SetGauge("fluidfaas_events_dropped", 3)
 	r.SetDuration(10)
 	return r
 }
 
-// TestRecorderAccounting: busy seconds accumulate from load+exec spans
-// only; marks count by name.
+// promLine returns the exposition line of one series, or "".
+func promLine(t *testing.T, r *Recorder, series string) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WritePrometheus(&buf, r); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, series+" ") {
+			return line
+		}
+	}
+	return ""
+}
+
+// TestRecorderAccounting: the export derives busy seconds from load+exec
+// spans only, counts marks by name, and sees the cut CancelSliceWork
+// makes to work spans.
 func TestRecorderAccounting(t *testing.T) {
 	r := sampleRecorder()
-	if got := r.BusySeconds("gpu0/4g.40gb#0"); got != 1.5 {
-		t.Errorf("busy = %v, want 1.5 (transfer must not count)", got)
+	busy := `fluidfaas_slice_busy_seconds_total{node="0",slice="gpu0/4g.40gb#0"}`
+	if got := promLine(t, r, busy); got != busy+" 1.5" {
+		t.Errorf("busy line = %q, want 1.5 (transfer must not count)", got)
 	}
-	if r.MarkCount("launch") != 1 || r.MarkCount("evict") != 1 {
-		t.Error("mark counts wrong")
+	for _, kind := range []string{"launch", "evict"} {
+		series := `fluidfaas_events_total{kind="` + kind + `"}`
+		if got := promLine(t, r, series); got != series+" 1" {
+			t.Errorf("events line = %q, want 1", got)
+		}
+	}
+	// Cutting the track at 1.5 truncates the exec span and removes the
+	// transfer: 0.5 s load + 0.5 s exec remain.
+	r.CancelSliceWork("gpu0/4g.40gb#0", 1.5)
+	if got := promLine(t, r, busy); got != busy+" 1" {
+		t.Errorf("busy line after cancel = %q, want 1", got)
 	}
 	if len(r.Tracks()) != 3 {
 		t.Fatalf("tracks = %d, want 3", len(r.Tracks()))

@@ -10,9 +10,12 @@ import (
 // Prometheus-style text exposition of the recorder's metrics:
 // per-(function, outcome) request counts and latency histograms,
 // per-slice busy-seconds and utilisation, lifecycle event totals, and
-// driver-set gauges. The output is deterministic: series are emitted in
-// sorted label order and floats use shortest-round-trip formatting, so
-// identical recorder contents produce byte-identical files.
+// caller-set gauges. The first three are derived here, each in one pass
+// over a raw log: histograms from the request log, busy seconds and
+// event totals from the span log. The output is deterministic: series
+// are emitted in sorted label order and floats use shortest-round-trip
+// formatting, so identical recorder contents produce byte-identical
+// files.
 
 func promFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
@@ -24,20 +27,31 @@ func WritePrometheus(w io.Writer, r *Recorder) error {
 	}
 	var b strings.Builder
 
-	// Request counts and latency histograms, keyed (function, outcome).
-	keys := sortedKeys(r.hists)
+	// Request counts and latency histograms, keyed (function, outcome),
+	// fed in completion order.
+	hists := map[string]*Histogram{}
+	for _, o := range r.reqs {
+		key := o.Name + histKeySep + o.Outcome
+		h := hists[key]
+		if h == nil {
+			h = NewLatencyHistogram()
+			hists[key] = h
+		}
+		h.Observe(o.Latency())
+	}
+	keys := sortedKeys(hists)
 	b.WriteString("# HELP fluidfaas_requests_total Finalised requests by function and outcome.\n")
 	b.WriteString("# TYPE fluidfaas_requests_total counter\n")
 	for _, k := range keys {
 		fn, outcome, _ := strings.Cut(k, histKeySep)
 		fmt.Fprintf(&b, "fluidfaas_requests_total{func=%q,outcome=%q} %d\n",
-			fn, outcome, r.hists[k].N)
+			fn, outcome, hists[k].N)
 	}
 	b.WriteString("# HELP fluidfaas_request_latency_seconds End-to-end request latency.\n")
 	b.WriteString("# TYPE fluidfaas_request_latency_seconds histogram\n")
 	for _, k := range keys {
 		fn, outcome, _ := strings.Cut(k, histKeySep)
-		h := r.hists[k]
+		h := hists[k]
 		cum := h.Cumulative()
 		for i, bound := range h.Bounds {
 			fmt.Fprintf(&b, "fluidfaas_request_latency_seconds_bucket{func=%q,outcome=%q,le=%q} %d\n",
@@ -52,12 +66,22 @@ func WritePrometheus(w io.Writer, r *Recorder) error {
 	}
 
 	// Per-slice busy/idle utilisation counters, in track registration
-	// order (stable and topology-meaningful). Busy seconds are computed
-	// once per track and feed both series.
+	// order (stable and topology-meaningful). Busy seconds sum the
+	// load and exec span durations per track in record order, and feed
+	// both series; lifecycle event totals count instants by name.
 	tracks := r.Tracks()
 	busy := make([]float64, len(tracks))
-	for i, tr := range tracks {
-		busy[i] = r.BusySeconds(tr.Name)
+	marks := map[string]int{}
+	for i := range r.spans {
+		sp := &r.spans[i]
+		switch {
+		case sp.Kind == KindSlice && (sp.Cat == "load" || sp.Cat == "exec"):
+			if t, ok := r.tidx[sp.Track]; ok {
+				busy[t] += sp.End - sp.Start
+			}
+		case sp.Kind == KindMark:
+			marks[sp.Name]++
+		}
 	}
 	b.WriteString("# HELP fluidfaas_slice_busy_seconds_total Busy (load+exec) seconds per MIG slice.\n")
 	b.WriteString("# TYPE fluidfaas_slice_busy_seconds_total counter\n")
@@ -77,8 +101,8 @@ func WritePrometheus(w io.Writer, r *Recorder) error {
 	// Lifecycle event totals by kind.
 	b.WriteString("# HELP fluidfaas_events_total Platform lifecycle events by kind.\n")
 	b.WriteString("# TYPE fluidfaas_events_total counter\n")
-	for _, k := range sortedKeys(r.marks) {
-		fmt.Fprintf(&b, "fluidfaas_events_total{kind=%q} %d\n", k, r.marks[k])
+	for _, k := range sortedKeys(marks) {
+		fmt.Fprintf(&b, "fluidfaas_events_total{kind=%q} %d\n", k, marks[k])
 	}
 
 	// Driver-set gauges (e.g. ring-dropped events, run duration).

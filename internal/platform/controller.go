@@ -530,7 +530,6 @@ func (p *Platform) loadTimeFor(fn *Function, node *cluster.Node, now float64) fl
 		name := fn.spec.Name
 		if pool.LoadedCopy(name) {
 			if pool.Parked(name) {
-				p.swapIns++
 				p.logEvent(EvSwapIn, name,
 					fmt.Sprintf("exclusive launch from parked copy on node%d", node.ID))
 			}

@@ -16,7 +16,7 @@ import (
 // record why they did what they did. Everything is gated on
 // Options.Decisions != nil — the nil path builds no arguments and
 // allocates nothing, keeping recorder-off runs bit-identical
-// (TestDecisionsDisabledIdentity, the PR-3 pattern).
+// (TestObserversDisabledIdentity).
 
 // decOn reports whether decision provenance is being recorded.
 func (p *Platform) decOn() bool { return p.opts.Decisions != nil }
@@ -202,11 +202,11 @@ func (p *Platform) exportRunCounters() {
 	if r == nil {
 		return
 	}
-	r.SetGauge("fluidfaas_hedges_total", float64(p.hedges))
+	r.SetGauge("fluidfaas_hedges_total", float64(p.Hedges()))
 	r.SetGauge("fluidfaas_hedge_wins_total", float64(p.hedgeWins))
 	r.SetGauge("fluidfaas_hedge_cancels_total", float64(p.hedgeCancels))
 	r.SetGauge("fluidfaas_hedge_wasted_seconds_total", p.hedgeWastedSec)
-	r.SetGauge("fluidfaas_swap_ins_total", float64(p.swapIns))
+	r.SetGauge("fluidfaas_swap_ins_total", float64(p.SwapIns()))
 	r.SetGauge("fluidfaas_swap_outs_total", float64(p.swapOuts))
 	r.SetGauge("fluidfaas_swap_reliefs_total", float64(p.swapReliefs))
 	for _, inv := range p.inv {

@@ -77,61 +77,31 @@ const (
 	// EvHedgeCancel: the losing copy of a hedged request was cancelled
 	// (or finished unrecorded; its work counts as hedge waste).
 	EvHedgeCancel
+
+	numEventKinds
 )
+
+// eventKindLabels is the one name table: String renders from it and
+// ParseEventKind scans it.
+var eventKindLabels = [numEventKinds]string{
+	EvLaunch: "launch", EvRelease: "release", EvDemote: "demote",
+	EvPromote: "promote", EvEvict: "evict", EvCold: "cold",
+	EvMigrate: "migrate", EvDrop: "drop", EvPoolGrow: "pool-grow",
+	EvPoolShrink: "pool-shrink", EvFault: "fault", EvRecover: "recover",
+	EvRetry: "retry", EvReject: "reject", EvShed: "shed",
+	EvBrownout: "brownout", EvContract: "contract",
+	EvSwapIn: "swap-in", EvSwapOut: "swap-out",
+	EvDegrade: "degrade", EvSliceSuspect: "slice-suspect",
+	EvSliceQuarantine: "slice-quarantine", EvHedge: "hedge",
+	EvHedgeCancel: "hedge-cancel",
+}
 
 // String names the event kind.
 func (k EventKind) String() string {
-	switch k {
-	case EvLaunch:
-		return "launch"
-	case EvRelease:
-		return "release"
-	case EvDemote:
-		return "demote"
-	case EvPromote:
-		return "promote"
-	case EvEvict:
-		return "evict"
-	case EvCold:
-		return "cold"
-	case EvMigrate:
-		return "migrate"
-	case EvDrop:
-		return "drop"
-	case EvPoolGrow:
-		return "pool-grow"
-	case EvPoolShrink:
-		return "pool-shrink"
-	case EvFault:
-		return "fault"
-	case EvRecover:
-		return "recover"
-	case EvRetry:
-		return "retry"
-	case EvReject:
-		return "reject"
-	case EvShed:
-		return "shed"
-	case EvBrownout:
-		return "brownout"
-	case EvContract:
-		return "contract"
-	case EvSwapIn:
-		return "swap-in"
-	case EvSwapOut:
-		return "swap-out"
-	case EvDegrade:
-		return "degrade"
-	case EvSliceSuspect:
-		return "slice-suspect"
-	case EvSliceQuarantine:
-		return "slice-quarantine"
-	case EvHedge:
-		return "hedge"
-	case EvHedgeCancel:
-		return "hedge-cancel"
+	if k < 0 || k >= numEventKinds {
+		return fmt.Sprintf("EventKind(%d)", int(k))
 	}
-	return fmt.Sprintf("EventKind(%d)", int(k))
+	return eventKindLabels[k]
 }
 
 // Event is one recorded platform lifecycle event.
@@ -147,26 +117,14 @@ func (e Event) String() string {
 	return fmt.Sprintf("%8.2fs %-11s %-30s %s", e.Time, e.Kind, e.Subject, e.Detail)
 }
 
-// eventKindNames maps parseable names to kinds, for -events-kind style
-// filters. Kept in sync with String by TestEventKindNames.
-var eventKindNames = map[string]EventKind{
-	"launch": EvLaunch, "release": EvRelease, "demote": EvDemote,
-	"promote": EvPromote, "evict": EvEvict, "cold": EvCold,
-	"migrate": EvMigrate, "drop": EvDrop, "pool-grow": EvPoolGrow,
-	"pool-shrink": EvPoolShrink, "fault": EvFault, "recover": EvRecover,
-	"retry": EvRetry, "reject": EvReject, "shed": EvShed,
-	"brownout": EvBrownout, "contract": EvContract,
-	"swap-in": EvSwapIn, "swap-out": EvSwapOut,
-	"degrade": EvDegrade, "slice-suspect": EvSliceSuspect,
-	"slice-quarantine": EvSliceQuarantine,
-	"hedge":            EvHedge, "hedge-cancel": EvHedgeCancel,
-}
-
 // ParseEventKind resolves an event-kind name ("fault", "retry", ...)
 // as rendered by EventKind.String.
 func ParseEventKind(name string) (EventKind, error) {
-	if k, ok := eventKindNames[strings.TrimSpace(name)]; ok {
-		return k, nil
+	name = strings.TrimSpace(name)
+	for k, n := range eventKindLabels {
+		if n == name {
+			return EventKind(k), nil
+		}
 	}
 	return 0, fmt.Errorf("platform: unknown event kind %q", name)
 }
@@ -176,9 +134,11 @@ func ParseEventKind(name string) (EventKind, error) {
 // after-the-fact Events() inspection.
 const eventLogCap = obs.DefaultBusCapacity
 
-// logEvent publishes a lifecycle event: subscribers see it losslessly,
-// the bounded ring retains it for Events().
+// logEvent publishes a lifecycle event: the per-kind tally counts it,
+// subscribers see it losslessly, the bounded ring retains it for
+// Events().
 func (p *Platform) logEvent(kind EventKind, subject, detail string) {
+	p.tally[kind]++
 	p.events.Publish(Event{Time: p.eng.Now(), Kind: kind, Subject: subject, Detail: detail})
 }
 
@@ -201,13 +161,15 @@ func (p *Platform) TotalEvents() int { return p.events.Total() }
 // overwrote (subscribers saw them; Events() no longer does).
 func (p *Platform) DroppedEvents() int { return p.events.Dropped() }
 
-// CountEvents tallies retained events by kind. When the ring has
-// wrapped (DroppedEvents() > 0) this undercounts; subscribe to the
-// EventBus for lossless tallies.
+// CountEvents returns how many events of each kind the run published
+// (kinds that never fired are absent). It reads the per-kind tally, so
+// it stays exact after the bounded ring wraps.
 func (p *Platform) CountEvents() map[EventKind]int {
 	out := map[EventKind]int{}
-	for _, e := range p.events.Snapshot() {
-		out[e.Kind]++
+	for k, n := range p.tally {
+		if n > 0 {
+			out[EventKind(k)] = n
+		}
 	}
 	return out
 }

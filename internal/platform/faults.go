@@ -60,7 +60,6 @@ func (p *Platform) injectFault(ev faults.Event) {
 			return
 		}
 		sl.SetHealthy(false)
-		p.faultsInjected++
 		p.logEvent(EvFault, sl.ID(), "slice ECC fault")
 		p.failSlice(sl)
 		p.utilTouch(sl)
@@ -70,7 +69,6 @@ func (p *Platform) injectFault(ev faults.Event) {
 			return
 		}
 		g.SetHealthy(false)
-		p.faultsInjected++
 		p.logEvent(EvFault, fmt.Sprintf("gpu%d", g.ID), "GPU failure")
 		for _, sl := range g.Slices {
 			p.failSlice(sl)
@@ -93,7 +91,6 @@ func (p *Platform) injectFault(ev faults.Event) {
 			sev = 1
 		}
 		p.degraded[sl] = sev
-		p.faultsInjected++
 		p.logEvent(EvDegrade, sl.ID(), fmt.Sprintf("gray degradation x%.1f", sev))
 		// Nothing freed, nothing to re-place: skip the scale-up kick.
 		return
@@ -103,7 +100,6 @@ func (p *Platform) injectFault(ev faults.Event) {
 			return
 		}
 		node.SetHealthy(false)
-		p.faultsInjected++
 		p.logEvent(EvFault, fmt.Sprintf("node%d", node.ID), "node crash")
 		for _, g := range node.GPUs {
 			for _, sl := range g.Slices {
@@ -220,12 +216,10 @@ func (p *Platform) failInstance(inst *Instance) {
 	inst.retiring = true
 	now := p.eng.Now()
 	for _, sl := range inst.slices {
-		// The upfront load/exec spans on this slice extend past the
-		// teardown instant; truncate them (and their busy-seconds) in both
-		// the trace and the ledger so recorded busy time matches work the
+		// The upfront work on this slice extends past the teardown
+		// instant; truncate it so recorded busy time matches work the
 		// hardware actually performed.
-		p.opts.Obs.CancelSliceWork(sl.ID(), now)
-		p.utilCancel(sl, now)
+		p.cancelSliceWork(sl, now)
 		if !sl.Free() {
 			sl.Release(now)
 		}
@@ -252,10 +246,9 @@ func (p *Platform) failShared(ss *sharedSlice) {
 	ss.failed = true
 	inv := ss.inv
 	now := p.eng.Now()
-	// Truncate the in-flight load/exec spans recorded upfront on the
-	// slice: the work died with the hardware.
-	p.opts.Obs.CancelSliceWork(ss.slice.ID(), now)
-	p.utilCancel(ss.slice, now)
+	// Truncate the in-flight work recorded upfront on the slice: it
+	// died with the hardware.
+	p.cancelSliceWork(ss.slice, now)
 	var rqs []*request
 	if ss.serving != nil {
 		rqs = append(rqs, ss.serving.rq)
@@ -382,7 +375,6 @@ func (p *Platform) retryAfterFault(rq *request, reason string) {
 		return
 	}
 	rq.rec.Retries++
-	p.retries++
 	p.logEvent(EvRetry, rq.fn.spec.Name, reason)
 	if p.decOn() {
 		p.decide(decisions.Record{

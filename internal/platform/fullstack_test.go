@@ -146,6 +146,109 @@ func TestFullStackRunRepeatable(t *testing.T) {
 	}
 }
 
+// TestObserversDisabledIdentity: the span recorder, the decision
+// recorder and the utilization ledger are pure observers. The richest
+// configuration (fail-stop and gray faults, quarantine with hedging,
+// the swap tier, overload control) run with all three attached is
+// bit-for-bit identical to the same run with none, and each observer
+// recorded something.
+func TestObserversDisabledIdentity(t *testing.T) {
+	a := runRichTrace(t, flatTrace(specsFor(t, dnn.Small), 6, 180, 7))
+	full := runFullStack(t)
+	b := full.p
+	if !reflect.DeepEqual(a.Collector().Records(), b.Collector().Records()) {
+		t.Error("request records diverged with the observers attached")
+	}
+	if a.Engine().Executed() != b.Engine().Executed() {
+		t.Errorf("event counts diverged: %d vs %d", a.Engine().Executed(), b.Engine().Executed())
+	}
+	if !reflect.DeepEqual(a.Events(), b.Events()) ||
+		!reflect.DeepEqual(a.CountEvents(), b.CountEvents()) {
+		t.Error("event logs diverged")
+	}
+	if !reflect.DeepEqual(a.UtilGPCs, b.UtilGPCs) {
+		t.Error("utilisation timelines diverged")
+	}
+	if ca, cb := a.Snapshot().Counters, b.Snapshot().Counters; ca != cb {
+		t.Errorf("snapshot counters diverged: %+v vs %+v", ca, cb)
+	}
+	for _, c := range []struct {
+		name   string
+		ga, gb float64
+	}{
+		{"Quarantines", float64(a.Quarantines()), float64(b.Quarantines())},
+		{"Suspects", float64(a.Suspects()), float64(b.Suspects())},
+		{"Hedges", float64(a.Hedges()), float64(b.Hedges())},
+		{"HedgeWins", float64(a.HedgeWins()), float64(b.HedgeWins())},
+		{"HedgeCancels", float64(a.HedgeCancels()), float64(b.HedgeCancels())},
+		{"HedgeWastedSeconds", a.HedgeWastedSeconds(), b.HedgeWastedSeconds()},
+	} {
+		if c.ga != c.gb {
+			t.Errorf("%s diverged: %v vs %v", c.name, c.ga, c.gb)
+		}
+	}
+	if !reflect.DeepEqual(a.RejectedByReason(), b.RejectedByReason()) {
+		t.Errorf("reject reasons diverged: %v vs %v", a.RejectedByReason(), b.RejectedByReason())
+	}
+	if a.FaultsInjected() == 0 || a.Hedges() == 0 || a.Rejected() == 0 {
+		t.Errorf("faults %d, hedges %d, rejects %d: the run must exercise the failure and overload paths",
+			a.FaultsInjected(), a.Hedges(), a.Rejected())
+	}
+	if len(full.rec.Spans()) == 0 || full.dec.Total() == 0 || len(full.util.Report().Slices) == 0 {
+		t.Error("an attached observer recorded nothing")
+	}
+}
+
+// TestCountEventsLossless: CountEvents reads the per-kind tally, so
+// after the bounded ring has wrapped it still counts every published
+// event: it sums to TotalEvents, matches a lossless bus subscriber, and
+// agrees with the run-counter accessors.
+func TestCountEventsLossless(t *testing.T) {
+	specs := specsFor(t, dnn.Small)
+	p := New(cluster.New(cluster.DefaultSpec()), specs, richOptions(nil))
+	var streamed [numEventKinds]int
+	p.EventBus().Subscribe(func(e Event) { streamed[e.Kind]++ })
+	p.Run(flatTrace(specs, 12, 1800, 7), 60)
+	if p.DroppedEvents() == 0 {
+		t.Fatalf("ring kept all %d events; the run must wrap it", p.TotalEvents())
+	}
+	counts := p.CountEvents()
+	sum := 0
+	for k := EventKind(0); k < numEventKinds; k++ {
+		sum += counts[k]
+		if counts[k] != streamed[k] {
+			t.Errorf("%s: counted %d, subscriber saw %d", k, counts[k], streamed[k])
+		}
+	}
+	if sum != p.TotalEvents() {
+		t.Errorf("counts sum to %d, want TotalEvents %d", sum, p.TotalEvents())
+	}
+	for _, c := range []struct {
+		name      string
+		got, want int
+	}{
+		{"Launched", p.Launched(), counts[EvLaunch]},
+		{"Evictions", p.Evictions(), counts[EvEvict]},
+		{"Migrations", p.Migrations(), counts[EvMigrate]},
+		{"FaultsInjected", p.FaultsInjected(), counts[EvFault] + counts[EvDegrade]},
+		{"Retries", p.Retries(), counts[EvRetry]},
+		{"Rejected", p.Rejected(), counts[EvReject] + counts[EvShed]},
+		{"ShedCount", p.ShedCount(), counts[EvShed]},
+		{"Contractions", p.Contractions(), counts[EvContract]},
+		{"SwapIns", p.SwapIns(), counts[EvSwapIn]},
+		{"Quarantines", p.Quarantines(), counts[EvSliceQuarantine]},
+		{"Hedges", p.Hedges(), counts[EvHedge]},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, events say %d", c.name, c.got, c.want)
+		}
+	}
+	if p.Launched() == 0 || p.Retries() == 0 || p.Rejected() == 0 {
+		t.Errorf("launched %d, retries %d, rejected %d: the run must exercise these paths",
+			p.Launched(), p.Retries(), p.Rejected())
+	}
+}
+
 // tiedTrace is the full-stack trace with arrivals floored to half
 // seconds: most arrivals tie with another, and every one of them ties
 // with a control tick or utilisation sample.

@@ -244,7 +244,6 @@ func (p *Platform) quarantineSlice(sl *mig.Slice, h *sliceHealth) {
 	h.state = sliceQuarantinedState
 	h.belowSince = -1
 	sl.SetQuarantined(true)
-	p.quarantines++
 	p.logEvent(EvSliceQuarantine, sl.ID(),
 		fmt.Sprintf("health score %.2f over %.2f", h.score, p.opts.Gray.QuarantineRatio))
 	if p.decOn() {
@@ -376,7 +375,7 @@ func healthStateName(state int) string {
 func (p *Platform) Suspects() int { return p.suspects }
 
 // Quarantines returns how many slices were quarantined.
-func (p *Platform) Quarantines() int { return p.quarantines }
+func (p *Platform) Quarantines() int { return p.tally[EvSliceQuarantine] }
 
 // DegradedActive returns how many slices are gray-degraded right now.
 func (p *Platform) DegradedActive() int { return len(p.degraded) }

@@ -246,7 +246,7 @@ func TestHedgeSingleRecord(t *testing.T) {
 		}
 	}
 	primary, clone := mk(), mk()
-	p.armHedge(primary, clone, 0)
+	p.armHedge(primary, clone, 0, "test")
 	if p.Hedges() != 1 || fn.hedges != 1 {
 		t.Fatal("hedge launch not accounted")
 	}
@@ -302,7 +302,7 @@ func TestRetryHedgeMutualExclusion(t *testing.T) {
 
 	// Case 1: one copy dies while the race is live -> abandoned, no retry.
 	primary, clone := mk(1), mk(2)
-	p.armHedge(primary, clone, 0)
+	p.armHedge(primary, clone, 0, "test")
 	p.retryAfterFault(primary, "slice failed")
 	if p.Retries() != 0 {
 		t.Error("live hedge copy spawned a fault retry")
@@ -321,7 +321,7 @@ func TestRetryHedgeMutualExclusion(t *testing.T) {
 
 	// Case 3: the loser of a settled race dies -> waste counted, no retry.
 	primary2, clone2 := mk(3), mk(4)
-	p.armHedge(primary2, clone2, 0)
+	p.armHedge(primary2, clone2, 0, "test")
 	primary2.rec.Exec = 1.5
 	p.complete(clone2) // clone wins and is recorded
 	base := p.Collector().Len()

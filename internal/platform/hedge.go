@@ -187,9 +187,7 @@ func (p *Platform) launchHedge(rq *request, avoidInst *Instance, avoidShared *sh
 		if !p.instanceSlicesClean(inst) {
 			continue
 		}
-		p.armHedge(rq, clone, now)
-		p.logEvent(EvHedge, fn.spec.Name,
-			fmt.Sprintf("request %d duplicated onto %s", rq.id, inst.id))
+		p.armHedge(rq, clone, now, inst.id)
 		if p.decOn() {
 			p.decide(decisions.Record{
 				Kind: decisions.KindHedgeSpawn, Func: fn.spec.Name,
@@ -207,9 +205,7 @@ func (p *Platform) launchHedge(rq *request, avoidInst *Instance, avoidShared *sh
 	}
 	if b := fn.ts; b != nil && b.shared != avoidShared && !b.shared.failed &&
 		b.outstanding < b.capacity && p.sliceClean(b.shared.slice) {
-		p.armHedge(rq, clone, now)
-		p.logEvent(EvHedge, fn.spec.Name,
-			fmt.Sprintf("request %d duplicated onto shared %s", rq.id, b.shared.slice.ID()))
+		p.armHedge(rq, clone, now, "shared "+b.shared.slice.ID())
 		if p.decOn() {
 			p.decide(decisions.Record{
 				Kind: decisions.KindHedgeSpawn, Func: fn.spec.Name,
@@ -231,13 +227,15 @@ func (p *Platform) launchHedge(rq *request, avoidInst *Instance, avoidShared *sh
 	}
 }
 
-// armHedge links the two copies and charges the function's budget.
-func (p *Platform) armHedge(rq, clone *request, now float64) {
+// armHedge links the two copies, charges the function's budget and
+// logs the hedge (the EvHedge tally is the platform's hedge count).
+func (p *Platform) armHedge(rq, clone *request, now float64, onto string) {
 	h := &hedgeState{primary: rq, clone: clone}
 	rq.hedge, clone.hedge = h, h
 	rq.fn.hedges++
-	p.hedges++
 	clone.waitStart = now
+	p.logEvent(EvHedge, rq.fn.spec.Name,
+		fmt.Sprintf("request %d duplicated onto %s", rq.id, onto))
 }
 
 // sliceClean reports whether a slice is a sound hedge target: usable
@@ -262,7 +260,7 @@ func (p *Platform) instanceSlicesClean(inst *Instance) bool {
 }
 
 // Hedges returns how many hedged duplicates launched.
-func (p *Platform) Hedges() int { return p.hedges }
+func (p *Platform) Hedges() int { return p.tally[EvHedge] }
 
 // HedgeWins returns how many hedged requests the duplicate won (the
 // clone completed before the primary).

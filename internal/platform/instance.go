@@ -153,23 +153,16 @@ func (p *Platform) launchInstance(fn *Function, node *cluster.Node, plan pipelin
 	} else {
 		resume()
 	}
-	if r := p.opts.Obs; r != nil && loadTime > 0 {
-		for si, sl := range slices {
-			r.SliceSpan("load", "load "+fn.spec.Name, sl.ID(),
-				fn.spec.ID, -1, si, now, now+loadTime)
-		}
-	}
 	p.utilTouch(slices...)
-	if p.utilOn() && loadTime > 0 {
-		for _, sl := range slices {
-			p.utilBusy(sl, util.BusyLoad, now, now+loadTime)
+	if loadTime > 0 {
+		for si, sl := range slices {
+			p.sliceWork(sl, util.BusyLoad, fn, -1, si, now, now+loadTime, 0)
 		}
 	}
 	inst.tracker.Touch(now)
 	fn.instances = append(fn.instances, inst)
 	fn.sortInstances()
 	fn.lastNodeUse[node.ID] = now
-	p.launched++
 	p.logEvent(EvLaunch, inst.id, plan.String())
 	if p.decOn() {
 		p.decide(decisions.Record{
@@ -284,13 +277,10 @@ func (sj *stageJob) Service() sim.Time {
 			r.AsyncSpan("load", "load-wait", rq.rec.Func, rq.rec.ID,
 				sj.enqueueAt, sj.enqueueAt+load, "")
 		}
-		// Declared stays the profile time; a degraded slice's
-		// stretch shows up as span drift.
-		r.StageSpan("exec "+inst.fn.spec.Name, sl.ID(),
-			sp.SliceType.String(), rq.rec.Func, rq.rec.ID, si,
-			now, now+exec, sp.ExecTime)
 	}
-	p.utilBusy(sl, util.BusyExec, now, now+exec)
+	// Declared stays the profile time; a degraded slice's stretch shows
+	// up as span drift.
+	p.sliceWork(sl, util.BusyExec, inst.fn, rq.rec.ID, si, now, now+exec, sp.ExecTime)
 	return exec
 }
 
@@ -319,9 +309,7 @@ func (sj *stageJob) Done() {
 	if si+1 < len(inst.stations) {
 		tr := sp.TransferOut * p.degradeFactor(sl)
 		rq.rec.Transfer += tr
-		p.opts.Obs.SliceSpan("transfer", "transfer", sl.ID(),
-			rq.rec.Func, rq.rec.ID, si, now, now+tr)
-		p.utilBusy(sl, util.BusyTransfer, now, now+tr)
+		p.sliceWork(sl, util.BusyTransfer, inst.fn, rq.rec.ID, si, now, now+tr, 0)
 		p.eng.After(tr, func() {
 			inst.enqueueStage(p, rq, si+1)
 		})
@@ -365,28 +353,21 @@ func (inst *Instance) enqueueStageBatched(p *Platform, rq *request, si int) {
 		declared := sp.ExecTime * math.Pow(float64(n), p.opts.BatchGamma)
 		dur := declared * p.degradeFactor(sl)
 		rq.rec.Exec += dur
-		if r := p.opts.Obs; r != nil {
-			// The batch callback fires at completion, so the exec span
-			// runs backwards from now over the batch duration.
-			now := p.eng.Now()
-			if si == 0 {
-				r.AsyncSpan("queue", "queue", rq.rec.Func, rq.rec.ID,
-					rq.waitStart, now-dur, "")
-			}
-			// Declared is the unbatched profile time; the batched span is
-			// longer by n^gamma, which is exactly the drift the analytics
-			// layer should surface.
-			r.StageSpan("exec "+inst.fn.spec.Name, sl.ID(),
-				sp.SliceType.String(), rq.rec.Func, rq.rec.ID, si,
-				now-dur, now, sp.ExecTime)
+		// The batch callback fires at completion, so the exec interval
+		// runs backwards from now over the batch duration.
+		now := p.eng.Now()
+		if si == 0 {
+			p.opts.Obs.AsyncSpan("queue", "queue", rq.rec.Func, rq.rec.ID,
+				rq.waitStart, now-dur, "")
 		}
-		p.utilBusy(sl, util.BusyExec, p.eng.Now()-dur, p.eng.Now())
+		// Declared is the unbatched profile time; the batched span is
+		// longer by n^gamma, which is exactly the drift the analytics
+		// layer should surface.
+		p.sliceWork(sl, util.BusyExec, inst.fn, rq.rec.ID, si, now-dur, now, sp.ExecTime)
 		if si+1 < len(inst.bstations) {
 			tr := sp.TransferOut * p.degradeFactor(sl)
 			rq.rec.Transfer += tr
-			p.opts.Obs.SliceSpan("transfer", "transfer", sl.ID(),
-				rq.rec.Func, rq.rec.ID, si, p.eng.Now(), p.eng.Now()+tr)
-			p.utilBusy(sl, util.BusyTransfer, p.eng.Now(), p.eng.Now()+tr)
+			p.sliceWork(sl, util.BusyTransfer, inst.fn, rq.rec.ID, si, now, now+tr, 0)
 			p.eng.After(tr, func() {
 				inst.enqueueStageBatched(p, rq, si+1)
 			})

@@ -391,10 +391,13 @@ func TestEventLogRingWraparound(t *testing.T) {
 	}
 }
 
-// TestEventKindNames: every EventKind round-trips through its String
-// form and ParseEventKind.
+// TestEventKindNames: every EventKind has a name and round-trips
+// through its String form and ParseEventKind.
 func TestEventKindNames(t *testing.T) {
-	for k := EvLaunch; k <= EvHedgeCancel; k++ {
+	for k := EventKind(0); k < numEventKinds; k++ {
+		if k.String() == "" {
+			t.Fatalf("event kind %d has no name", k)
+		}
 		got, err := ParseEventKind(k.String())
 		if err != nil {
 			t.Errorf("ParseEventKind(%q): %v", k.String(), err)

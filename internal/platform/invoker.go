@@ -573,19 +573,12 @@ func (ss *sharedSlice) kick(p *Platform) {
 	ss.servingWork = load + exec
 	ss.lru.Touch(b.fn.spec.Name)
 	ss.slice.SetActive(true, now)
-	if r := p.opts.Obs; r != nil {
-		rq := job.rq
-		r.AsyncSpan("queue", "queue", rq.rec.Func, rq.rec.ID, rq.waitStart, now, "")
-		if load > 0 {
-			r.SliceSpan("load", "load "+b.fn.spec.Name, ss.slice.ID(),
-				rq.rec.Func, rq.rec.ID, -1, now, now+load)
-		}
-		r.StageSpan("exec "+b.fn.spec.Name, ss.slice.ID(),
-			ss.slice.Type.String(), rq.rec.Func, rq.rec.ID, -1,
-			now+load, now+load+exec, declaredExec)
+	rq := job.rq
+	p.opts.Obs.AsyncSpan("queue", "queue", rq.rec.Func, rq.rec.ID, rq.waitStart, now, "")
+	if load > 0 {
+		p.sliceWork(ss.slice, util.BusyLoad, b.fn, rq.rec.ID, -1, now, now+load, 0)
 	}
-	p.utilBusy(ss.slice, util.BusyLoad, now, now+load)
-	p.utilBusy(ss.slice, util.BusyExec, now+load, now+load+exec)
+	p.sliceWork(ss.slice, util.BusyExec, b.fn, rq.rec.ID, -1, now+load, now+load+exec, declaredExec)
 	ss.inv.p.eng.After(load+exec, func() {
 		if ss.failed {
 			// The slice died mid-service; the fault handler already
@@ -660,7 +653,6 @@ func (ss *sharedSlice) evictResident(p *Platform) {
 		}
 	}
 	ss.resident = nil
-	p.evicted++
 	p.logEvent(EvEvict, old.fn.spec.Name, "LRU eviction from "+ss.slice.ID())
 }
 
@@ -837,7 +829,6 @@ func (p *Platform) tryMigration(freed *mig.Slice) {
 	newInst := p.launchInstance(bestFn, node, bestFn.mono(freed.Type).Plan, []*mig.Slice{freed}, load)
 	bestInst.migrating = true
 	bestInst.retiring = true
-	p.migrated++
 	p.logEvent(EvMigrate, bestInst.id, "replaced by monolithic on "+freed.ID())
 	// The fresh monolith absorbs the function's pending overflow right
 	// away — discarding it stranded those requests until the next

@@ -2,7 +2,6 @@ package platform
 
 import (
 	"bytes"
-	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -89,20 +88,27 @@ func TestObsSpansCoverRun(t *testing.T) {
 		t.Errorf("request spans = %d, want one per record (%d)",
 			kinds["request"], p.Collector().Len())
 	}
-	// Lifecycle marks mirror the event bus losslessly.
-	if got := rec.MarkCount(EvLaunch.String()); got != p.CountEvents()[EvLaunch] && p.DroppedEvents() == 0 {
-		t.Errorf("launch marks = %d, events = %d", got, p.CountEvents()[EvLaunch])
+	// Lifecycle marks mirror the event bus losslessly, and the recorder
+	// logged load/exec work on the slice tracks.
+	marks, busy := map[string]int{}, 0.0
+	for _, sp := range rec.Spans() {
+		switch {
+		case sp.Kind == obs.KindMark:
+			marks[sp.Name]++
+		case sp.Kind == obs.KindSlice && (sp.Cat == "load" || sp.Cat == "exec"):
+			busy += sp.End - sp.Start
+		}
+	}
+	for k, n := range p.CountEvents() {
+		if marks[k.String()] != n {
+			t.Errorf("%s marks = %d, events = %d", k, marks[k.String()], n)
+		}
 	}
 	if rec.Duration() <= 0 {
 		t.Error("run duration not recorded")
 	}
-	// Busy seconds accumulated on at least one slice track.
-	busy := 0.0
-	for name := range tracks {
-		busy += rec.BusySeconds(name)
-	}
 	if busy <= 0 {
-		t.Error("no busy time accumulated on any slice track")
+		t.Error("no busy time recorded on any slice track")
 	}
 }
 
@@ -157,14 +163,12 @@ func TestObsRetryMarks(t *testing.T) {
 	}
 }
 
-// TestBusySecondsSpanReconciliation: the per-track BusySeconds counter
-// and the span data must tell the same story even when hedged losers
-// are cancelled and quarantine tears work down mid-execution. Spans are
-// recorded upfront with future end times; CancelSliceWork truncates
-// both the span and the counter on teardown, so after any run the
-// counter must equal the sum of the surviving load+exec span durations
-// on that track — and those spans must never overlap (one slice runs
-// one thing at a time with MaxBatch=1).
+// TestBusySecondsSpanReconciliation: the exported busy seconds are the
+// surviving load+exec span durations of each track, so those spans must
+// never overlap (one slice runs one thing at a time with MaxBatch=1),
+// even when hedged losers are cancelled and quarantine tears work down
+// mid-execution. Spans are recorded upfront with future end times;
+// CancelSliceWork truncates them on teardown.
 func TestBusySecondsSpanReconciliation(t *testing.T) {
 	specs := specsFor(t, dnn.Medium)
 	cl := cluster.New(cluster.DefaultSpec())
@@ -194,14 +198,6 @@ func TestBusySecondsSpanReconciliation(t *testing.T) {
 	checked := 0
 	for _, trk := range rec.Tracks() {
 		ivs := work[trk.Name]
-		sum := 0.0
-		for _, v := range ivs {
-			sum += v.end - v.start
-		}
-		busy := rec.BusySeconds(trk.Name)
-		if math.Abs(busy-sum) > 1e-9*math.Max(1, sum) {
-			t.Errorf("%s: BusySeconds %v != span sum %v", trk.Name, busy, sum)
-		}
 		sort.Slice(ivs, func(i, j int) bool { return ivs[i].start < ivs[j].start })
 		for i := 1; i < len(ivs); i++ {
 			if ivs[i].start < ivs[i-1].end-1e-9 {
@@ -209,7 +205,7 @@ func TestBusySecondsSpanReconciliation(t *testing.T) {
 					trk.Name, ivs[i-1].start, ivs[i-1].end, ivs[i].start, ivs[i].end)
 			}
 		}
-		if sum > 0 {
+		if len(ivs) > 0 {
 			checked++
 		}
 	}

@@ -66,7 +66,6 @@ func (p *Platform) admissionReject(rq *request) bool {
 		// demotion frees capacity, and the request takes the normal
 		// routing path instead of a rejection.
 		if !p.trySwapRelief() {
-			p.shed++
 			var inputs []decisions.KV
 			if p.decOn() {
 				inputs = []decisions.KV{
@@ -114,7 +113,6 @@ func (p *Platform) reject(rq *request, why RejectReason, detail string, inputs [
 	rq.rec.Dropped = true
 	rq.rec.Rejected = true
 	rq.rec.Completion = p.eng.Now()
-	p.rejected++
 	p.rejectReasons[why]++
 	p.logEvent(why.eventKind(), rq.fn.spec.Name, detail)
 	if p.decOn() {
@@ -351,7 +349,6 @@ func (p *Platform) contractPipelined() {
 	load := p.loadTimeFor(fn, worst.node, now)
 	repl := p.launchInstance(fn, worst.node, plan, slices, load)
 	worst.retiring = true
-	p.contractions++
 	p.logEvent(EvContract, worst.id,
 		fmt.Sprintf("contracted %d->%d GPCs into %s", worst.plan.GPCs(), plan.GPCs(), repl.id))
 	for len(fn.pending) > 0 && repl.hasCapacity() {

@@ -114,7 +114,7 @@ type Options struct {
 	Gray GrayOptions
 	// Obs, when set, records per-request traces (typed spans on one
 	// track per MIG slice), lifecycle instants, and exportable metrics
-	// (latency histograms, per-slice busy counters). The recorder is a
+	// (latency histograms, per-slice busy seconds). The recorder is a
 	// pure observer: a run with Obs attached is bit-for-bit identical
 	// to one without (nil short-circuits every instrumentation point).
 	Obs *obs.Recorder
@@ -292,29 +292,28 @@ type Platform struct {
 	scratchViews []scheduler.NodeFree
 	scratchPhys  [][]*mig.Slice
 
+	// tally counts published lifecycle events by kind (logEvent). It is
+	// the single source of the run counters whose transitions emit
+	// exactly one event kind: launches, evictions, migrations, faults,
+	// retries, rejections, contractions, swap-ins, quarantines, hedges.
+	tally [numEventKinds]int
+
 	instSeq   int
-	launched  int  // instances launched, for diagnostics
-	evicted   int  // time-sharing evictions performed
-	migrated  int  // pipeline->monolithic migrations
 	scaleKick bool // an immediate scale-up pass is scheduled
 
-	// Fault subsystem state.
-	faultsInjected int // effective fault injections
-	recoveries     int // hardware repairs applied
-	retries        int // fault-triggered request re-routes
+	// Fault subsystem state. Recoveries stay a field: gray probation
+	// readmission also emits EvRecover.
+	recoveries int // hardware repairs applied
 
 	// Overload-control state (all inert when opts.Overload is zero).
 	ladder       *overload.Ladder
 	maxPriority  int     // highest FunctionSpec.Priority; shedding spares it
 	lastPressure float64 // most recent node-pressure sample
-	rejected     int     // admission fast-fails
-	shed         int     // brownout shed rejections (subset of rejected)
-	contractions int     // brownout pipeline contractions
 	// rejectReasons counts admission fast-fails by typed cause.
 	rejectReasons [numRejectReasons]int
 
-	// Swap-tier state (all inert when opts.Swap is zero).
-	swapIns       int  // loads served from a parked host-pool copy
+	// Swap-tier state (all inert when opts.Swap is zero). Swap-outs stay
+	// a field: relief swap-outs also emit EvSwapOut.
 	swapOuts      int  // host-pool copies evicted under pressure
 	swapReliefs   int  // brownout sheds converted to swap demotions
 	reliefPending bool // a swap-relief drain is in flight
@@ -322,12 +321,12 @@ type Platform struct {
 	// Gray-failure resilience state (gray.go, hedge.go; all inert when
 	// opts.Gray is zero except degraded, which degraded-slice fault
 	// events populate regardless — the slowdown is physics, the scorer
-	// is the optional response).
+	// is the optional response). Suspects and hedge cancels stay fields:
+	// probation readmission also emits EvSliceSuspect, and a hedge copy
+	// losing its hardware also emits EvHedgeCancel.
 	degraded       map[*mig.Slice]float64      // active severity per degraded slice
 	health         map[*mig.Slice]*sliceHealth // scorer state per observed slice
 	suspects       int                         // healthy->suspect transitions
-	quarantines    int                         // slices quarantined
-	hedges         int                         // hedged duplicates launched
 	hedgeWins      int                         // hedges whose clone won the race
 	hedgeCancels   int                         // losing copies cancelled/swallowed
 	hedgeWastedSec float64                     // exec+load seconds losers burned
@@ -407,32 +406,33 @@ func (p *Platform) Engine() *sim.Engine { return p.eng }
 func (p *Platform) Collector() *metrics.Collector { return p.col }
 
 // Launched returns how many instances were launched.
-func (p *Platform) Launched() int { return p.launched }
+func (p *Platform) Launched() int { return p.tally[EvLaunch] }
 
 // Evictions returns how many time-sharing evictions occurred.
-func (p *Platform) Evictions() int { return p.evicted }
+func (p *Platform) Evictions() int { return p.tally[EvEvict] }
 
 // Migrations returns how many pipeline->monolithic migrations occurred.
-func (p *Platform) Migrations() int { return p.migrated }
+func (p *Platform) Migrations() int { return p.tally[EvMigrate] }
 
-// FaultsInjected returns how many hardware faults took effect.
-func (p *Platform) FaultsInjected() int { return p.faultsInjected }
+// FaultsInjected returns how many hardware faults took effect: fail-stop
+// faults plus gray degradations.
+func (p *Platform) FaultsInjected() int { return p.tally[EvFault] + p.tally[EvDegrade] }
 
 // Recoveries returns how many hardware repairs were applied.
 func (p *Platform) Recoveries() int { return p.recoveries }
 
 // Retries returns how many fault-triggered request re-routes occurred.
-func (p *Platform) Retries() int { return p.retries }
+func (p *Platform) Retries() int { return p.tally[EvRetry] }
 
 // Rejected returns how many requests admission control fast-failed
 // (including brownout sheds).
-func (p *Platform) Rejected() int { return p.rejected }
+func (p *Platform) Rejected() int { return p.tally[EvReject] + p.tally[EvShed] }
 
 // ShedCount returns how many requests brownout shedding refused.
-func (p *Platform) ShedCount() int { return p.shed }
+func (p *Platform) ShedCount() int { return p.tally[EvShed] }
 
 // Contractions returns how many brownout pipeline contractions ran.
-func (p *Platform) Contractions() int { return p.contractions }
+func (p *Platform) Contractions() int { return p.tally[EvContract] }
 
 // BrownoutLevel returns the degradation ladder's current rung.
 func (p *Platform) BrownoutLevel() overload.Level { return p.ladder.Level() }

@@ -99,10 +99,10 @@ func (p *Platform) Snapshot() Snapshot {
 	s := Snapshot{
 		Time: p.eng.Now(),
 		Counters: Counters{
-			Launched: p.launched, Evicted: p.evicted, Migrated: p.migrated,
-			Faults: p.faultsInjected, Recoveries: p.recoveries, Retries: p.retries,
-			Rejected: p.rejected, Shed: p.shed, Contractions: p.contractions,
-			SwapIns: p.swapIns, SwapOuts: p.swapOuts, SwapReliefs: p.swapReliefs,
+			Launched: p.Launched(), Evicted: p.Evictions(), Migrated: p.Migrations(),
+			Faults: p.FaultsInjected(), Recoveries: p.recoveries, Retries: p.Retries(),
+			Rejected: p.Rejected(), Shed: p.ShedCount(), Contractions: p.Contractions(),
+			SwapIns: p.SwapIns(), SwapOuts: p.swapOuts, SwapReliefs: p.swapReliefs,
 		},
 		Brownout: p.ladder.Level().String(),
 		Pressure: p.lastPressure,

@@ -84,7 +84,7 @@ func (p *Platform) decayLoadChurn() {
 
 // SwapIns returns how many loads were served from a parked host-pool
 // copy instead of a remote refetch.
-func (p *Platform) SwapIns() int { return p.swapIns }
+func (p *Platform) SwapIns() int { return p.tally[EvSwapIn] }
 
 // SwapOuts returns how many host-pool copies were evicted under memory
 // pressure.
@@ -107,7 +107,6 @@ func (p *Platform) ensureHostCopy(node *cluster.Node, fn *Function) (gb float64,
 	if pool.Has(name) {
 		loaded := pool.LoadedCopy(name)
 		if loaded && pool.Parked(name) {
-			p.swapIns++
 			p.logEvent(EvSwapIn, name, fmt.Sprintf("reclaimed parked copy on node%d", node.ID))
 		}
 		pool.Reclaim(name)

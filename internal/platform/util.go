@@ -11,14 +11,11 @@ import (
 // observer that classifies every slice-second of the run into busy /
 // warm-idle / cold-idle / stranded / quarantined / reconfiguring, so the
 // run can answer "where did the GPU-seconds go" for hardware the way the
-// span trace answers it for requests. Every hook here is gated on
-// Options.Util (nil-receiver-safe on top), and none of them mutates
-// platform state or schedules engine work — a run with the ledger
-// attached is bit-for-bit identical to one without (enforced by
-// TestUtilDisabledIdentity).
-
-// utilOn reports whether the utilization ledger is attached.
-func (p *Platform) utilOn() bool { return p.opts.Util != nil }
+// span trace answers it for requests. Every hook here is a no-op when
+// Options.Util is nil (a gate, or the ledger's nil-receiver methods),
+// and none of them mutates platform state or schedules engine work — a
+// run with the ledger attached is bit-for-bit identical to one without
+// (enforced by TestObserversDisabledIdentity).
 
 // computeUtilHostable fills the per-slice-type placeability table: a
 // type is hostable when at least one registered deployable unit fits it
@@ -113,22 +110,33 @@ func (p *Platform) utilTouch(sls ...*mig.Slice) {
 	}
 }
 
-// utilBusy claims a busy interval on a slice, mirroring the span the
-// trace recorder gets (upfront, with the future end time; teardown
-// truncates via utilCancel).
-func (p *Platform) utilBusy(sl *mig.Slice, s util.State, start, end float64) {
-	if l := p.opts.Util; l != nil {
-		l.Busy(sl.ID(), s, start, end)
+// sliceWork records one load, exec or transfer interval of fn's work on
+// a slice in both sinks that track hardware work: a span on the slice's
+// trace track and a busy claim in the utilization ledger. Work is
+// recorded upfront with its future end; cancelSliceWork truncates it
+// on teardown. Exec spans also carry the slice type and the declared
+// profile time, the drift analytics' baseline.
+func (p *Platform) sliceWork(sl *mig.Slice, s util.State, fn *Function, req, stage int, start, end, declared float64) {
+	id := sl.ID()
+	if r := p.opts.Obs; r != nil {
+		switch s {
+		case util.BusyLoad:
+			r.SliceSpan("load", "load "+fn.spec.Name, id, fn.spec.ID, req, stage, start, end)
+		case util.BusyExec:
+			r.StageSpan("exec "+fn.spec.Name, id, sl.Type.String(), fn.spec.ID, req, stage, start, end, declared)
+		default:
+			r.SliceSpan("transfer", "transfer", id, fn.spec.ID, req, stage, start, end)
+		}
 	}
+	p.opts.Util.Busy(id, s, start, end)
 }
 
-// utilCancel truncates a slice's open busy claims at the current instant
-// — the ledger-side twin of obs.Recorder.CancelSliceWork, called from
-// the same fault/quarantine teardown sites.
-func (p *Platform) utilCancel(sl *mig.Slice, now float64) {
-	if l := p.opts.Util; l != nil {
-		l.CancelBusy(sl.ID(), now)
-	}
+// cancelSliceWork truncates the slice's recorded work at now in both
+// sinks. Fault and quarantine teardowns call it, so work that died with
+// its hardware is not counted as busy time past the teardown.
+func (p *Platform) cancelSliceWork(sl *mig.Slice, now float64) {
+	p.opts.Obs.CancelSliceWork(sl.ID(), now)
+	p.opts.Util.CancelBusy(sl.ID(), now)
 }
 
 // utilSample records one fragmentation-analytics sample: the scalar
@@ -159,7 +167,7 @@ func (p *Platform) utilSample(now, fi float64) {
 
 // utilClose resolves the ledger at the end of the run and exports it:
 // per-slice state Gantt segments on the chrome hardware tracks (cat
-// "state", which never touches the busy counters) and the cluster
+// "state", which the busy-seconds export ignores) and the cluster
 // state-seconds as a labeled Prometheus series.
 func (p *Platform) utilClose(end float64) {
 	l := p.opts.Util
