@@ -42,6 +42,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown -exp %q\nvalid -exp values: %s\n", *exp, valid)
 		os.Exit(2)
 	}
+	if err := experiments.CheckDuration(*duration); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	cfg := experiments.DefaultConfig()
 	cfg.Seed = *seed

@@ -36,6 +36,10 @@ func main() {
 	utilOut := flag.String("util-out", "", "record the GPU utilization ledger and write its report (per-slice state timelines, waste roll-ups, fragmentation analytics) to this JSON file")
 	engineStats := flag.Bool("engine-stats", false, "print the sim engine's self-telemetry (events, rate, heap depth) after the run")
 	flag.Parse()
+	if err := experiments.CheckDuration(*duration); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	var pol scheduler.Policy
 	switch *policy {

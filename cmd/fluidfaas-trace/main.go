@@ -18,6 +18,10 @@ func main() {
 	duration := flag.Float64("duration", 300, "trace duration (s)")
 	seed := flag.Int64("seed", 42, "random seed")
 	flag.Parse()
+	if err := experiments.CheckDuration(*duration); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	switch {
 	case *gen != "":

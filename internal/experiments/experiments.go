@@ -6,6 +6,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"fluidfaas/internal/cluster"
@@ -177,6 +178,17 @@ func (c Config) withDefaults() Config {
 		c.CPUMemGB = 1440
 	}
 	return c
+}
+
+// CheckDuration rejects a trace duration a command line must not run:
+// zero, negative, NaN or infinite. Config reads a non-positive Duration
+// as unset and runs the 300 s default, so a -duration flag is checked
+// before it reaches Config.
+func CheckDuration(d float64) error {
+	if !(d > 0) || math.IsInf(d, 1) {
+		return fmt.Errorf("invalid -duration %v: want a finite number of seconds above 0", d)
+	}
+	return nil
 }
 
 // DefaultConfig returns the paper's evaluation setup.

@@ -3,6 +3,7 @@ package platform
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"fluidfaas/internal/cluster"
@@ -301,7 +302,18 @@ func (p *Platform) scaleUp() {
 		return
 	}
 	views, phys := p.nodeFreeViews()
-	placements := p.opts.Policy.PlaceBatch(reqs, views)
+	var placements []scheduler.Placement
+	if p.lastEmpty.matches(reqFns, views) {
+		// The policy already answered these inputs with nothing; see
+		// emptyRound. Re-emit the plan lookups asking again would record.
+		for _, rec := range p.lastEmpty.recs {
+			p.decide(rec)
+		}
+	} else {
+		p.lastEmpty.start()
+		placements = p.opts.Policy.PlaceBatch(reqs, views)
+		p.lastEmpty.finish(len(placements) == 0, reqFns, views)
+	}
 	if len(placements) < len(reqs) && p.opts.Policy.TimeSharing() {
 		// Some demand went unplaced: reclaim idle pool slices so the
 		// next round has them (the time-sharing pool must shrink when
@@ -337,6 +349,63 @@ func (p *Platform) scaleUp() {
 			}
 			inst.admit(p, rq)
 		}
+	}
+}
+
+// emptyRound remembers the last scale-up round whose PlaceBatch placed
+// nothing: the round's requests and each node's free slice types, in
+// view order. A round with the same requests and free types gets the
+// same empty answer without asking the policy, because policies are
+// pure functions of (reqs, views). The key is the ordered types rather
+// than the multiset: FluidFaaS and INFless decide per slice type, but
+// ESG searches only the first 64 free slices, so past that its answer
+// depends on where each type sits (TestESGEmptyPastSliceCap).
+//
+// Plan-lookup provenance stays byte-identical: while the policy runs,
+// the planners' observers append to recs what asking again would
+// record (every lookup whose signature is cached becomes a hit), and a
+// skipped round re-emits recs in order. With provenance off no observer
+// is wired and recs stays empty.
+type emptyRound struct {
+	held      bool
+	capturing bool
+	fns       []*Function
+	free      [][]mig.SliceType
+	recs      []decisions.Record
+}
+
+// matches reports whether a round with these requests and views is the
+// remembered empty one.
+func (m *emptyRound) matches(fns []*Function, views []scheduler.NodeFree) bool {
+	if !m.held || !slices.Equal(fns, m.fns) || len(views) != len(m.free) {
+		return false
+	}
+	for i := range views {
+		if !slices.Equal(views[i].Free, m.free[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// start opens a policy call: the plan lookups it makes are captured.
+func (m *emptyRound) start() {
+	m.recs = m.recs[:0]
+	m.capturing = true
+}
+
+// finish closes a policy call and remembers its inputs if it placed
+// nothing; any other answer forgets the last empty round.
+func (m *emptyRound) finish(empty bool, fns []*Function, views []scheduler.NodeFree) {
+	m.capturing = false
+	m.held = empty
+	if !empty {
+		return
+	}
+	m.fns = append(m.fns[:0], fns...)
+	m.free = slices.Grow(m.free[:0], len(views))[:len(views)]
+	for i, v := range views {
+		m.free[i] = append(m.free[i][:0], v.Free...)
 	}
 }
 

@@ -105,15 +105,16 @@ func (p *Platform) wirePlanObservers() {
 }
 
 // planObserver returns one function's memoizing plan-lookup observer.
+// During a scale-up policy call it also hands each lookup's record, as
+// asking again would render it, to the empty-round memo (emptyRound).
 func (p *Platform) planObserver(funcName string) func(pipeline.PlanObservation) {
 	memo := map[planMemoKey]decisions.Record{}
 	var last pipeline.PlanObservation
 	var lastRec decisions.Record
 	seen := false
-	return func(o pipeline.PlanObservation) {
+	render := func(o pipeline.PlanObservation) decisions.Record {
 		if seen && o == last {
-			p.decide(lastRec)
-			return
+			return lastRec
 		}
 		kind, _ := planKind(o)
 		key := planMemoKey{kind: kind, sig: o.Sig, slo: o.SLO, rank: o.Rank}
@@ -126,7 +127,15 @@ func (p *Platform) planObserver(funcName string) func(pipeline.PlanObservation) 
 			memo[key] = rec
 		}
 		last, lastRec, seen = o, rec, true
-		p.decide(rec)
+		return rec
+	}
+	return func(o pipeline.PlanObservation) {
+		p.decide(render(o))
+		if m := &p.lastEmpty; m.capturing {
+			// Asking again finds every cacheable signature cached.
+			o.Cached = o.SigOK
+			m.recs = append(m.recs, render(o))
+		}
 	}
 }
 

@@ -291,6 +291,8 @@ type Platform struct {
 	scratchFns   []*Function
 	scratchViews []scheduler.NodeFree
 	scratchPhys  [][]*mig.Slice
+	// lastEmpty is the last scale-up round that placed nothing.
+	lastEmpty emptyRound
 
 	// tally counts published lifecycle events by kind (logEvent). It is
 	// the single source of the run counters whose transitions emit

@@ -272,6 +272,27 @@ func baselineNodes(rng *rand.Rand, shape int) []NodeFree {
 	return nodes
 }
 
+// sloPool is every app × variant request with its planner, each also
+// with a tight SLO, which rules out its slower slices, and with none
+// (SLO 0), sharing one planner.
+func sloPool(t *testing.T) []Req {
+	var pool []Req
+	for _, id := range dnn.AppIDs {
+		for _, v := range dnn.Variants {
+			if dnn.Get(id).Excluded(v) {
+				continue
+			}
+			req := withPlanner(reqFor(t, id, v))
+			for _, scale := range []float64{1, 0.6, 0} {
+				r := req
+				r.SLO *= scale
+				pool = append(pool, r)
+			}
+		}
+	}
+	return pool
+}
+
 // unprunedTree bounds the A* tree without pruning: the product over
 // requests of (feasible free slices + defer).
 func unprunedTree(reqs []Req, nodes []NodeFree) float64 {
@@ -297,22 +318,7 @@ func unprunedTree(reqs []Req, nodes []NodeFree) float64 {
 // slice indices and plans — and ESG pops the same number of A* states
 // under every blade setting where the unpruned search is affordable.
 func TestBaselinesMatchReference(t *testing.T) {
-	// Each function also appears with a tight SLO, which rules out its
-	// slower slices, and with none (SLO 0), sharing one planner.
-	var pool []Req
-	for _, id := range dnn.AppIDs {
-		for _, v := range dnn.Variants {
-			if dnn.Get(id).Excluded(v) {
-				continue
-			}
-			req := withPlanner(reqFor(t, id, v))
-			for _, scale := range []float64{1, 0.6, 0} {
-				r := req
-				r.SLO *= scale
-				pool = append(pool, r)
-			}
-		}
-	}
+	pool := sloPool(t)
 	blades := []ESG{
 		{},
 		{DisableBound: true},

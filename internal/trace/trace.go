@@ -75,18 +75,70 @@ func Generate(spec Spec) *Trace {
 	if bucket <= 0 {
 		bucket = 10
 	}
-	var reqs []Request
+	arrivals := make([][]float64, len(spec.Streams))
 	maxFunc := 0
 	for si, st := range spec.Streams {
 		if st.Func > maxFunc {
 			maxFunc = st.Func
 		}
 		rng := sim.NewRNG(spec.Seed, fmt.Sprintf("trace/stream%d", si))
-		reqs = append(reqs, genStream(st, spec.Duration, bucket, rng)...)
+		arrivals[si] = genStream(st, spec.Duration, bucket, rng)
 	}
-	t := &Trace{Requests: reqs, Duration: spec.Duration, NumFuncs: maxFunc + 1}
-	sortAndNumber(t)
-	return t
+	return &Trace{
+		Requests: mergeStreams(spec.Streams, arrivals),
+		Duration: spec.Duration,
+		NumFuncs: maxFunc + 1,
+	}
+}
+
+// mergeStreams merges the streams' sorted arrivals into numbered
+// requests in arrival order, ties to the earlier stream: the order a
+// stable sort of the streams' concatenation gives, at O(n log streams)
+// and with no request allocated twice.
+func mergeStreams(specs []StreamSpec, arrivals [][]float64) []Request {
+	total := 0
+	var h []int // stream indices, a min-heap on (head arrival, index)
+	for si, a := range arrivals {
+		total += len(a)
+		if len(a) > 0 {
+			h = append(h, si)
+		}
+	}
+	next := make([]int, len(arrivals))
+	less := func(i, j int) bool {
+		a, b := arrivals[i][next[i]], arrivals[j][next[j]]
+		return a < b || a == b && i < j
+	}
+	down := func(k int) {
+		for {
+			c := 2*k + 1
+			if c >= len(h) {
+				return
+			}
+			if c+1 < len(h) && less(h[c+1], h[c]) {
+				c++
+			}
+			if !less(h[c], h[k]) {
+				return
+			}
+			h[k], h[c] = h[c], h[k]
+			k = c
+		}
+	}
+	for k := len(h)/2 - 1; k >= 0; k-- {
+		down(k)
+	}
+	out := make([]Request, total)
+	for i := range out {
+		si := h[0]
+		out[i] = Request{ID: i, Func: specs[si].Func, Arrival: arrivals[si][next[si]]}
+		if next[si]++; next[si] == len(arrivals[si]) {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		down(0)
+	}
+	return out
 }
 
 // ByArrival orders requests by arrival time. Stable sorts with it keep
@@ -101,7 +153,9 @@ func sortAndNumber(t *Trace) {
 	}
 }
 
-func genStream(st StreamSpec, duration, bucket float64, rng *sim.RNG) []Request {
+// genStream draws one stream's arrival times, sorted. Draws that tie
+// are equal requests, so sorting them loses nothing.
+func genStream(st StreamSpec, duration, bucket float64, rng *sim.RNG) []float64 {
 	if st.MeanRPS <= 0 {
 		return nil
 	}
@@ -142,7 +196,7 @@ func genStream(st StreamSpec, duration, bucket float64, rng *sim.RNG) []Request 
 		mod /= 1 + st.BurstFraction*(st.BurstFactor-1)
 	}
 
-	var reqs []Request
+	var arrivals []float64
 	for b := 0.0; b < duration; b += bucket {
 		end := b + bucket
 		if end > duration {
@@ -167,13 +221,11 @@ func genStream(st StreamSpec, duration, bucket float64, rng *sim.RNG) []Request 
 		}
 		n := rng.Poisson(rate * (end - b))
 		for i := 0; i < n; i++ {
-			reqs = append(reqs, Request{
-				Func:    st.Func,
-				Arrival: b + rng.Float64()*(end-b),
-			})
+			arrivals = append(arrivals, b+rng.Float64()*(end-b))
 		}
 	}
-	return reqs
+	slices.Sort(arrivals)
+	return arrivals
 }
 
 // MeanRate returns the trace's overall requests per second.

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -270,7 +272,9 @@ func generateSliceStable(spec Spec) *Trace {
 	for si, st := range spec.Streams {
 		maxFunc = max(maxFunc, st.Func)
 		rng := sim.NewRNG(spec.Seed, fmt.Sprintf("trace/stream%d", si))
-		reqs = append(reqs, genStream(st, spec.Duration, 10, rng)...)
+		for _, a := range genStream(st, spec.Duration, 10, rng) {
+			reqs = append(reqs, Request{Func: st.Func, Arrival: a})
+		}
 	}
 	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].Arrival < reqs[j].Arrival })
 	for i := range reqs {
@@ -310,5 +314,50 @@ func TestSortMatchesSliceStable(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Requests, want) {
 		t.Error("tied arrivals left in a different order than sort.SliceStable")
+	}
+}
+
+// TestGeneratePinned pins Generate's output bit for bit on bursty,
+// modulated, diurnal streams that share function indices, against a
+// digest taken from the stable-sort implementation, so the merge-based
+// ordering cannot drift from it unnoticed.
+func TestGeneratePinned(t *testing.T) {
+	h := sha256.New()
+	var b [8]byte
+	put := func(x uint64) {
+		binary.LittleEndian.PutUint64(b[:], x)
+		h.Write(b[:])
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		spec := Spec{Duration: 900, Seed: seed}
+		for si := 0; si < 6; si++ {
+			spec.Streams = append(spec.Streams, StreamSpec{
+				Func: si % 4, MeanRPS: float64(3 + 7*si), RateSigma: 0.5,
+				BurstFactor: 3, BurstFraction: 0.1, DiurnalAmplitude: 0.3, DiurnalPeriod: 600,
+			})
+		}
+		for _, r := range Generate(spec).Requests {
+			put(uint64(r.ID))
+			put(uint64(r.Func))
+			put(math.Float64bits(r.Arrival))
+		}
+	}
+	const want = "288bea3b91ac3fe1ad4066d559ed45f44af32f276f6f496724e084485db56bc1"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Errorf("trace digest %s, want %s", got, want)
+	}
+}
+
+// BenchmarkGenerate builds a half-hour trace of about 480k requests
+// over ten streams, the size of the scale benchmark's trace.
+func BenchmarkGenerate(b *testing.B) {
+	spec := Spec{Duration: 1800, Seed: 1}
+	for si := 0; si < 10; si++ {
+		spec.Streams = append(spec.Streams, StreamSpec{
+			Func: si, MeanRPS: 27, RateSigma: 0.5, BurstFactor: 3, BurstFraction: 0.1,
+		})
+	}
+	for b.Loop() {
+		Generate(spec)
 	}
 }
