@@ -124,28 +124,7 @@ func Handler(o ServerOptions) http.Handler {
 		if limit > 0 && len(kept) > limit {
 			kept = kept[len(kept)-limit:]
 		}
-		if kept == nil {
-			kept = []decisions.Record{} // "records": [], as WriteJSON emits
-		}
-		doc := struct {
-			Total   int                `json:"total"`
-			Dropped int                `json:"dropped"`
-			Matched int                `json:"matched"`
-			Counts  map[string]int     `json:"counts"`
-			Records []decisions.Record `json:"records"`
-		}{
-			Total:   o.Decisions.Total(),
-			Dropped: o.Decisions.Dropped(),
-			Matched: len(kept),
-			Counts:  o.Decisions.Counts(),
-			Records: kept,
-		}
-		if doc.Counts == nil {
-			doc.Counts = map[string]int{}
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", " ")
-		_ = enc.Encode(doc)
+		_ = o.Decisions.WriteMatchJSON(w, kept)
 	})
 
 	mux.HandleFunc("/util", func(w http.ResponseWriter, _ *http.Request) {

@@ -1,6 +1,7 @@
 package analytics
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http/httptest"
@@ -23,6 +24,41 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
 		t.Fatalf("GET %s: read: %v", path, err)
 	}
 	return resp.StatusCode, string(body)
+}
+
+// refBody renders doc as the decision endpoints did with encoding/json:
+// the oracle their streamed bodies must match byte for byte.
+func refBody(t *testing.T, doc any) string {
+	t.Helper()
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetIndent("", " ")
+	if err := enc.Encode(doc); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// refMatch is the reference /decisions body for a filter: the ring
+// records keep selects, the newest limit of them (0 = all).
+func refMatch(t *testing.T, dr *decisions.Recorder, keep func(decisions.Record) bool, limit int) string {
+	t.Helper()
+	kept := []decisions.Record{}
+	for _, rec := range dr.Snapshot() {
+		if keep(rec) {
+			kept = append(kept, rec)
+		}
+	}
+	if limit > 0 && len(kept) > limit {
+		kept = kept[len(kept)-limit:]
+	}
+	counts := dr.Counts()
+	if counts == nil {
+		counts = map[string]int{}
+	}
+	return refBody(t, decisions.MatchExport{
+		Total: dr.Total(), Dropped: dr.Dropped(), Matched: len(kept), Counts: counts, Records: kept,
+	})
 }
 
 // TestServerEndpoints: the introspection handler serves Prometheus
@@ -117,12 +153,18 @@ func TestServerDecisions(t *testing.T) {
 	if code != 200 || json.Unmarshal([]byte(body), &filtered) != nil {
 		t.Fatalf("/decisions?kind=admit: code %d body %q", code, body)
 	}
+	if want := refMatch(t, dr, func(r decisions.Record) bool { return r.Kind == decisions.KindAdmit }, 0); body != want {
+		t.Errorf("/decisions?kind=admit body:\n%s\nwant:\n%s", body, want)
+	}
 	if filtered.Matched != 1 || filtered.Records[0].Kind != decisions.KindAdmit {
 		t.Errorf("kind filter: matched %d", filtered.Matched)
 	}
 	code, body = get(t, srv, "/decisions?func=bert&limit=1")
 	if code != 200 || json.Unmarshal([]byte(body), &filtered) != nil {
 		t.Fatalf("/decisions?func=bert&limit=1: code %d body %q", code, body)
+	}
+	if want := refMatch(t, dr, func(r decisions.Record) bool { return r.Func == "bert" }, 1); body != want {
+		t.Errorf("/decisions?func=bert&limit=1 body:\n%s\nwant:\n%s", body, want)
 	}
 	if filtered.Matched != 1 || filtered.Records[0].Kind != decisions.KindHedgeSpawn {
 		t.Errorf("func+limit filter: matched %d, want newest bert record", filtered.Matched)
@@ -131,6 +173,9 @@ func TestServerDecisions(t *testing.T) {
 	if code != 200 || json.Unmarshal([]byte(body), &filtered) != nil ||
 		filtered.Matched != 1 || filtered.Records[0].Req != 9 {
 		t.Errorf("req filter: code %d body %q", code, body)
+	}
+	if want := refMatch(t, dr, func(r decisions.Record) bool { return r.Req == 9 }, 0); body != want {
+		t.Errorf("/decisions?req=9 body:\n%s\nwant:\n%s", body, want)
 	}
 	if code, _ = get(t, srv, "/decisions?kind=bogus"); code != 400 {
 		t.Errorf("bad kind: code %d, want 400", code)
@@ -147,6 +192,9 @@ func TestServerDecisions(t *testing.T) {
 	if chain.Req != 7 || len(chain.Chain) != 2 ||
 		chain.Chain[0].Kind != decisions.KindAdmit || chain.Chain[1].Kind != decisions.KindHedgeSpawn {
 		t.Errorf("/why chain: %+v", chain)
+	}
+	if want := refBody(t, decisions.ChainExport{Req: 7, Chain: dr.Chain(7)}); body != want {
+		t.Errorf("/why?req=7 body:\n%s\nwant:\n%s", body, want)
 	}
 	if code, _ = get(t, srv, "/why"); code != 400 {
 		t.Errorf("/why without req: code %d, want 400", code)
@@ -166,6 +214,9 @@ func TestServerDecisions(t *testing.T) {
 		code, body = get(t, empty, path)
 		if code != 200 || !strings.Contains(body, `"records": []`) {
 			t.Errorf("nil %s: want empty records array, code %d body %q", path, code, body)
+		}
+		if want := refMatch(t, nil, func(decisions.Record) bool { return true }, 0); body != want {
+			t.Errorf("nil %s body:\n%s\nwant:\n%s", path, body, want)
 		}
 	}
 	code, body = get(t, empty, "/why?req=1")

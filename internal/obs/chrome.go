@@ -2,12 +2,12 @@ package obs
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
-	"strings"
+
+	"fluidfaas/internal/obs/jsonw"
 )
 
 // Chrome trace-event export: one process per node with one thread per
@@ -47,7 +47,7 @@ type trackLoc struct{ node, tid int }
 func WriteChromeTrace(w io.Writer, r *Recorder) error {
 	spans := r.Spans()
 	for i := range spans {
-		if sp := &spans[i]; sp.Kind == KindCounter && (math.IsNaN(sp.Value) || math.IsInf(sp.Value, 0)) {
+		if sp := &spans[i]; sp.Kind == KindCounter && !jsonw.Finite(sp.Value) {
 			return fmt.Errorf("obs: chrome trace: counter %q on track %q at t=%v has non-finite value %v",
 				sp.Name, sp.Track, sp.Start, sp.Value)
 		}
@@ -121,7 +121,7 @@ func WriteChromeTrace(w io.Writer, r *Recorder) error {
 			cw.open('C', sp.Cat, usec(sp.Start), sp.Name, " ", sp.Track)
 			cw.trackPlace(locs, sp.Track)
 			cw.b = append(cw.b, `,"args":{"value":`...)
-			cw.b = appendJSONFloat(cw.b, sp.Value)
+			cw.b = jsonw.AppendFloat(cw.b, sp.Value)
 			cw.b = append(cw.b, '}')
 			cw.emit()
 		case KindMark:
@@ -132,7 +132,7 @@ func WriteChromeTrace(w io.Writer, r *Recorder) error {
 				cw.detail(sp.Detail)
 			}
 			cw.b = append(cw.b, `"subject":`...)
-			cw.b = appendJSONString(cw.b, sp.Track)
+			cw.b = jsonw.AppendString(cw.b, sp.Track)
 			cw.b = append(cw.b, '}')
 			cw.emit()
 		}
@@ -160,10 +160,10 @@ func (cw *chromeWriter) open(ph byte, cat string, ts int64, nameParts ...string)
 	}
 	cw.n++
 	cw.b = append(cw.b, `{"name":`...)
-	cw.b = appendJSONString(cw.b, nameParts...)
+	cw.b = jsonw.AppendString(cw.b, nameParts...)
 	if cat != "" {
 		cw.b = append(cw.b, `,"cat":`...)
-		cw.b = appendJSONString(cw.b, cat)
+		cw.b = jsonw.AppendString(cw.b, cat)
 	}
 	cw.b = append(cw.b, `,"ph":"`...)
 	cw.b = append(cw.b, ph, '"')
@@ -187,7 +187,7 @@ func (cw *chromeWriter) meta(name string, pid, tid int, value string) {
 	cw.open('M', "", 0, name)
 	cw.place(pid, tid)
 	cw.b = append(cw.b, `,"args":{"name":`...)
-	cw.b = appendJSONString(cw.b, value)
+	cw.b = jsonw.AppendString(cw.b, value)
 	cw.b = append(cw.b, '}')
 	cw.emit()
 }
@@ -222,7 +222,7 @@ func (cw *chromeWriter) asyncID(sp *Span) {
 // so another key always follows.
 func (cw *chromeWriter) detail(s string) {
 	cw.b = append(cw.b, `"detail":`...)
-	cw.b = appendJSONString(cw.b, s)
+	cw.b = jsonw.AppendString(cw.b, s)
 	cw.b = append(cw.b, ',')
 }
 
@@ -231,51 +231,4 @@ func (cw *chromeWriter) funcReq(sp *Span) {
 	cw.b = strconv.AppendInt(cw.b, int64(sp.Func), 10)
 	cw.b = append(cw.b, `,"req":`...)
 	cw.b = strconv.AppendInt(cw.b, int64(sp.Req), 10)
-}
-
-// appendJSONString appends the concatenation of parts as encoding/json
-// renders a string (HTML escaping on). Plain printable ASCII without
-// `"\<>&` is copied as is; anything else goes through json.Marshal, so
-// escapes, U+2028/U+2029 and invalid UTF-8 render exactly as there.
-func appendJSONString(b []byte, parts ...string) []byte {
-	for _, s := range parts {
-		if !plainJSON(s) {
-			q, _ := json.Marshal(strings.Join(parts, "")) // a string always marshals
-			return append(b, q...)
-		}
-	}
-	b = append(b, '"')
-	for _, s := range parts {
-		b = append(b, s...)
-	}
-	return append(b, '"')
-}
-
-// plainJSON reports whether s encodes as itself between quotes.
-func plainJSON(s string) bool {
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c < 0x20, c > 0x7e, c == '"', c == '\\', c == '<', c == '>', c == '&':
-			return false
-		}
-	}
-	return true
-}
-
-// appendJSONFloat appends a finite f as encoding/json renders a
-// float64: 'f' format, or 'e' below 1e-6 and from 1e21 up, with a
-// two-digit negative exponent trimmed (e-07 -> e-7).
-func appendJSONFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
 }

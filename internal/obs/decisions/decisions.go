@@ -32,6 +32,7 @@ import (
 	"sync"
 
 	"fluidfaas/internal/obs"
+	"fluidfaas/internal/obs/jsonw"
 )
 
 // Kind classifies a scheduling decision.
@@ -351,15 +352,23 @@ func (r *Recorder) Counts() map[string]int {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := map[string]int{}
-	for k, n := range r.counts {
+	for k, n := range r.kindCounts() {
 		if n > 0 {
 			out[Kind(k).String()] = n
 		}
 	}
 	return out
+}
+
+// kindCounts returns the per-kind tallies (all zero for a nil r).
+func (r *Recorder) kindCounts() [numKinds]int {
+	if r == nil {
+		return [numKinds]int{}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.counts
 }
 
 // Dumps returns the retained anomaly dumps in freeze order.
@@ -395,44 +404,218 @@ type Export struct {
 	Dumps   []Dump         `json:"dumps,omitempty"`
 }
 
-// WriteJSON writes the recorder's state as one deterministic JSON
-// document: ring counters, per-kind tallies, the retained ring oldest
-// first, and any anomaly dumps. Same run, same bytes (encoding/json
-// sorts the Counts map).
-func (r *Recorder) WriteJSON(w io.Writer) error {
-	doc := Export{
-		Total:   r.Total(),
-		Dropped: r.Dropped(),
-		Counts:  r.Counts(),
-		Freezes: r.Freezes(),
-		Records: r.Snapshot(),
-		Dumps:   r.Dumps(),
-	}
-	if doc.Counts == nil {
-		doc.Counts = map[string]int{}
-	}
-	if doc.Records == nil {
-		doc.Records = []Record{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(doc)
-}
-
 // ChainExport is the JSON document WriteChainJSON emits.
 type ChainExport struct {
 	Req   int      `json:"req"`
 	Chain []Record `json:"chain"`
 }
 
+// MatchExport is the JSON document WriteMatchJSON emits.
+type MatchExport struct {
+	Total   int            `json:"total"`
+	Dropped int            `json:"dropped"`
+	Matched int            `json:"matched"`
+	Counts  map[string]int `json:"counts"`
+	Records []Record       `json:"records"`
+}
+
+// The exports below are streamed: every document is rendered through
+// one jsonw.Writer (indent one space) and one record renderer, with the
+// bytes encoding/json gives the document types above. A NaN or infinite
+// time fails the export before anything is written.
+
+// WriteJSON writes the recorder's state as one deterministic JSON
+// document (Export): ring counters, per-kind tallies, the retained ring
+// oldest first, and any anomaly dumps. Same run, same bytes.
+func (r *Recorder) WriteJSON(w io.Writer) error {
+	recs, dumps := r.Snapshot(), r.Dumps()
+	if err := checkFinite(recs); err != nil {
+		return err
+	}
+	for i := range dumps {
+		d := &dumps[i]
+		if !jsonw.Finite(d.Time) {
+			return fmt.Errorf("decisions: json export: dump %d (%q) has non-finite time %v", i, d.Reason, d.Time)
+		}
+		if err := checkFinite(d.Records); err != nil {
+			return err
+		}
+	}
+	jw := jsonw.NewWriter(w, " ")
+	jw.BeginObject()
+	jw.Key("total")
+	jw.Int(r.Total())
+	jw.Key("dropped")
+	jw.Int(r.Dropped())
+	jw.Key("counts")
+	r.writeCounts(jw)
+	if n := r.Freezes(); n != 0 {
+		jw.Key("freezes")
+		jw.Int(n)
+	}
+	jw.Key("records")
+	writeRecords(jw, nonNil(recs))
+	if len(dumps) > 0 {
+		jw.Key("dumps")
+		jsonw.Array(jw, dumps, (*Dump).write)
+	}
+	jw.EndObject()
+	return jw.Finish()
+}
+
 // WriteChainJSON writes one request's complete decision chain as JSON
-// (an empty chain for unknown requests).
+// (ChainExport; an empty chain for unknown requests).
 func (r *Recorder) WriteChainJSON(w io.Writer, req int) error {
 	chain := r.Chain(req)
-	if chain == nil {
-		chain = []Record{}
+	if err := checkFinite(chain); err != nil {
+		return err
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(ChainExport{Req: req, Chain: chain})
+	jw := jsonw.NewWriter(w, " ")
+	jw.BeginObject()
+	jw.Key("req")
+	jw.Int(req)
+	jw.Key("chain")
+	writeRecords(jw, nonNil(chain))
+	jw.EndObject()
+	return jw.Finish()
+}
+
+// WriteMatchJSON writes a filtered view of the ring as JSON
+// (MatchExport): the recorder's ring counters and per-kind tallies,
+// then matched — records the caller selected — and their count.
+func (r *Recorder) WriteMatchJSON(w io.Writer, matched []Record) error {
+	if err := checkFinite(matched); err != nil {
+		return err
+	}
+	jw := jsonw.NewWriter(w, " ")
+	jw.BeginObject()
+	jw.Key("total")
+	jw.Int(r.Total())
+	jw.Key("dropped")
+	jw.Int(r.Dropped())
+	jw.Key("matched")
+	jw.Int(len(matched))
+	jw.Key("counts")
+	r.writeCounts(jw)
+	jw.Key("records")
+	writeRecords(jw, nonNil(matched))
+	jw.EndObject()
+	return jw.Finish()
+}
+
+// nonNil turns a nil record list into an empty one, so documents carry
+// "records": [] rather than null.
+func nonNil(recs []Record) []Record {
+	if recs == nil {
+		return []Record{}
+	}
+	return recs
+}
+
+func checkFinite(recs []Record) error {
+	for i := range recs {
+		if rec := &recs[i]; !jsonw.Finite(rec.Time) {
+			return fmt.Errorf("decisions: json export: record %d (%s) has non-finite time %v", rec.Seq, rec.Kind, rec.Time)
+		}
+	}
+	return nil
+}
+
+// kindsByName lists the kinds in name order, the key order encoding/json
+// gives the Counts map.
+var kindsByName = func() [numKinds]Kind {
+	var ks [numKinds]Kind
+	for k := range ks {
+		ks[k] = Kind(k)
+	}
+	sort.Slice(ks[:], func(i, j int) bool { return kindLabels[ks[i]] < kindLabels[ks[j]] })
+	return ks
+}()
+
+// writeCounts writes Counts() as an object with sorted keys.
+func (r *Recorder) writeCounts(jw *jsonw.Writer) {
+	counts := r.kindCounts()
+	jw.BeginObject()
+	for _, k := range kindsByName {
+		if counts[k] > 0 {
+			jw.Key(kindLabels[k])
+			jw.Int(counts[k])
+		}
+	}
+	jw.EndObject()
+}
+
+// writeRecords is the one record renderer every document shares.
+func writeRecords(jw *jsonw.Writer, recs []Record) { jsonw.Array(jw, recs, (*Record).write) }
+
+func (rec *Record) write(jw *jsonw.Writer) {
+	jw.BeginObject()
+	jw.Key("seq")
+	jw.Int(rec.Seq)
+	jw.Key("time")
+	jw.Float(rec.Time)
+	jw.Key("kind")
+	jw.String(rec.Kind.String())
+	if rec.Func != "" {
+		jw.Key("func")
+		jw.String(rec.Func)
+	}
+	jw.Key("req")
+	jw.Int(rec.Req)
+	if rec.Attempt != 0 {
+		jw.Key("attempt")
+		jw.Int(rec.Attempt)
+	}
+	if rec.Subject != "" {
+		jw.Key("subject")
+		jw.String(rec.Subject)
+	}
+	if rec.Rule != "" {
+		jw.Key("rule")
+		jw.String(rec.Rule)
+	}
+	jw.Key("outcome")
+	jw.String(rec.Outcome)
+	if len(rec.Inputs) > 0 {
+		jw.Key("inputs")
+		jsonw.Array(jw, rec.Inputs, (*KV).write)
+	}
+	if len(rec.Candidates) > 0 {
+		jw.Key("candidates")
+		jsonw.Array(jw, rec.Candidates, (*Candidate).write)
+	}
+	jw.EndObject()
+}
+
+func (kv *KV) write(jw *jsonw.Writer) {
+	jw.BeginObject()
+	jw.Key("k")
+	jw.String(kv.K)
+	jw.Key("v")
+	jw.String(kv.V)
+	jw.EndObject()
+}
+
+func (c *Candidate) write(jw *jsonw.Writer) {
+	jw.BeginObject()
+	jw.Key("id")
+	jw.String(c.ID)
+	jw.Key("reason")
+	jw.String(c.Reason)
+	jw.EndObject()
+}
+
+func (d *Dump) write(jw *jsonw.Writer) {
+	jw.BeginObject()
+	jw.Key("time")
+	jw.Float(d.Time)
+	jw.Key("reason")
+	jw.String(d.Reason)
+	jw.Key("total")
+	jw.Int(d.Total)
+	jw.Key("dropped")
+	jw.Int(d.Dropped)
+	jw.Key("records")
+	writeRecords(jw, d.Records)
+	jw.EndObject()
 }

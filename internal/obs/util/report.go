@@ -1,10 +1,11 @@
 package util
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+
+	"fluidfaas/internal/obs/jsonw"
 )
 
 // Segment is one resolved run of a single state on a slice. Consecutive
@@ -243,11 +244,194 @@ func (l *Ledger) Check() error {
 	return nil
 }
 
-// WriteJSON writes the report as indented JSON. Deterministic: struct
-// field order plus registration-ordered slices ⇒ identical reports
-// produce byte-identical output.
+// WriteJSON writes the report as JSON indented by two spaces, the
+// bytes an encoding/json Encoder gives the struct (a nil report is
+// null). Deterministic: struct field order plus registration-ordered
+// slices ⇒ identical reports produce byte-identical output. The writer
+// streams through one reused buffer; a NaN or infinite value anywhere
+// is an error, reported before anything is written.
 func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	if err := r.checkFinite(); err != nil {
+		return err
+	}
+	jw := jsonw.NewWriter(w, "  ")
+	if r == nil {
+		jw.Null()
+		return jw.Finish()
+	}
+	jw.BeginObject()
+	jw.Key("duration")
+	jw.Float(r.Duration)
+	jw.Key("slice_seconds")
+	jw.Float(r.SliceSeconds)
+	jw.Key("gpc_seconds")
+	jw.Float(r.GPCSeconds)
+	jw.Key("cluster")
+	r.Cluster.write(jw)
+	jw.Key("cluster_gpc_seconds")
+	r.ClusterGPC.write(jw)
+	jw.Key("nodes")
+	jsonw.Array(jw, r.Nodes, (*NodeReport).write)
+	jw.Key("gpus")
+	jsonw.Array(jw, r.GPUs, (*GPUReport).write)
+	jw.Key("slices")
+	jsonw.Array(jw, r.Slices, (*SliceReport).write)
+	jw.Key("fragmentation")
+	jsonw.Array(jw, r.Fragmentation, (*FragSample).write)
+	jw.EndObject()
+	return jw.Finish()
+}
+
+// checkFinite rejects a report holding a NaN or infinity, which JSON
+// cannot carry.
+func (r *Report) checkFinite() error {
+	if r == nil {
+		return nil
+	}
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("util: json export: non-finite "+format, args...)
+	}
+	if !jsonw.Finite(r.Duration) || !jsonw.Finite(r.SliceSeconds) || !jsonw.Finite(r.GPCSeconds) {
+		return bad("capacity: duration %v, slice_seconds %v, gpc_seconds %v", r.Duration, r.SliceSeconds, r.GPCSeconds)
+	}
+	if !r.Cluster.finite() || !r.ClusterGPC.finite() {
+		return bad("cluster totals: %+v, gpc %+v", r.Cluster, r.ClusterGPC)
+	}
+	for i := range r.Nodes {
+		if n := &r.Nodes[i]; !n.Seconds.finite() || !n.GPCSeconds.finite() {
+			return bad("node %d totals: %+v, gpc %+v", n.Node, n.Seconds, n.GPCSeconds)
+		}
+	}
+	for i := range r.GPUs {
+		if g := &r.GPUs[i]; !g.Seconds.finite() || !g.GPCSeconds.finite() {
+			return bad("node %d gpu %d totals: %+v, gpc %+v", g.Node, g.GPU, g.Seconds, g.GPCSeconds)
+		}
+	}
+	for i := range r.Slices {
+		s := &r.Slices[i]
+		if !jsonw.Finite(s.MemGB) || !jsonw.Finite(s.Wall) || !s.Seconds.finite() {
+			return bad("slice %s: mem_gb %v, wall %v, totals %+v", s.ID, s.MemGB, s.Wall, s.Seconds)
+		}
+		for j, seg := range s.Segments {
+			if !jsonw.Finite(seg.Start) || !jsonw.Finite(seg.End) {
+				return bad("slice %s segment %d: [%v, %v)", s.ID, j, seg.Start, seg.End)
+			}
+		}
+	}
+	for i, fs := range r.Fragmentation {
+		if !jsonw.Finite(fs.Time) || !jsonw.Finite(fs.Index) || !jsonw.Finite(fs.StrandedGB) {
+			return bad("fragmentation sample %d: time %v, index %v, stranded_gb %v", i, fs.Time, fs.Index, fs.StrandedGB)
+		}
+	}
+	return nil
+}
+
+// finite reports whether every state's seconds are finite.
+func (t *Totals) finite() bool {
+	for _, s := range States {
+		if !jsonw.Finite(t.Get(s)) {
+			return false
+		}
+	}
+	return true
+}
+
+func (t *Totals) write(jw *jsonw.Writer) {
+	jw.BeginObject()
+	jw.Key("busy_exec")
+	jw.Float(t.BusyExec)
+	jw.Key("busy_load")
+	jw.Float(t.BusyLoad)
+	jw.Key("busy_transfer")
+	jw.Float(t.BusyTransfer)
+	jw.Key("warm_idle")
+	jw.Float(t.WarmIdle)
+	jw.Key("cold_idle")
+	jw.Float(t.ColdIdle)
+	jw.Key("stranded")
+	jw.Float(t.Stranded)
+	jw.Key("quarantined")
+	jw.Float(t.Quarantined)
+	jw.Key("reconfiguring")
+	jw.Float(t.Reconfiguring)
+	jw.EndObject()
+}
+
+func (n *NodeReport) write(jw *jsonw.Writer) {
+	jw.BeginObject()
+	jw.Key("node")
+	jw.Int(n.Node)
+	jw.Key("gpcs")
+	jw.Int(n.GPCs)
+	jw.Key("seconds")
+	n.Seconds.write(jw)
+	jw.Key("gpc_seconds")
+	n.GPCSeconds.write(jw)
+	jw.EndObject()
+}
+
+func (g *GPUReport) write(jw *jsonw.Writer) {
+	jw.BeginObject()
+	jw.Key("node")
+	jw.Int(g.Node)
+	jw.Key("gpu")
+	jw.Int(g.GPU)
+	jw.Key("gpcs")
+	jw.Int(g.GPCs)
+	jw.Key("seconds")
+	g.Seconds.write(jw)
+	jw.Key("gpc_seconds")
+	g.GPCSeconds.write(jw)
+	jw.EndObject()
+}
+
+func (s *SliceReport) write(jw *jsonw.Writer) {
+	jw.BeginObject()
+	jw.Key("id")
+	jw.String(s.ID)
+	jw.Key("node")
+	jw.Int(s.Node)
+	jw.Key("gpu")
+	jw.Int(s.GPU)
+	jw.Key("type")
+	jw.String(s.Type)
+	jw.Key("gpcs")
+	jw.Int(s.GPCs)
+	jw.Key("mem_gb")
+	jw.Float(s.MemGB)
+	jw.Key("wall")
+	jw.Float(s.Wall)
+	jw.Key("seconds")
+	s.Seconds.write(jw)
+	jw.Key("segments")
+	jsonw.Array(jw, s.Segments, (*Segment).write)
+	jw.EndObject()
+}
+
+func (s *Segment) write(jw *jsonw.Writer) {
+	jw.BeginObject()
+	jw.Key("state")
+	jw.String(s.State.String())
+	jw.Key("start")
+	jw.Float(s.Start)
+	jw.Key("end")
+	jw.Float(s.End)
+	jw.EndObject()
+}
+
+func (f *FragSample) write(jw *jsonw.Writer) {
+	jw.BeginObject()
+	jw.Key("time")
+	jw.Float(f.Time)
+	jw.Key("index")
+	jw.Float(f.Index)
+	jw.Key("free_gpcs")
+	jw.Int(f.FreeGPCs)
+	jw.Key("stranded_gpcs")
+	jw.Int(f.StrandedGPCs)
+	jw.Key("stranded_gb")
+	jw.Float(f.StrandedGB)
+	jw.Key("largest_placeable_gpcs")
+	jw.Int(f.LargestPlaceableGPCs)
+	jw.EndObject()
 }
