@@ -14,93 +14,56 @@ import "sync"
 // subscribing observers cannot reorder or lose events, and determinism
 // is preserved as long as subscribers only observe. Ring and
 // subscription state are additionally mutex-guarded so a live reader on
-// another goroutine — the introspection server's /decisions endpoint,
-// or a concurrent test — can Snapshot/Subscribe safely while the
-// simulation publishes. Subscribers run outside the lock; under
+// another goroutine — the introspection server, or a concurrent test —
+// can Snapshot/Subscribe safely while the simulation publishes. Subscribers run outside the lock; under
 // concurrent publishers their delivery order is the lock-acquisition
 // order of the ring update.
 type Bus[T any] struct {
-	mu       sync.Mutex
-	capacity int
-	buf      []T
-	next     int
-	total    int
-	subs     []func(T)
+	mu   sync.Mutex
+	ring Ring[T]
+	subs Subscribers[T]
 }
 
-// DefaultBusCapacity is the ring size when NewBus is given a
+// DefaultBusCapacity is the ring size when NewBus or NewRing is given a
 // non-positive capacity.
 const DefaultBusCapacity = 4096
 
 // NewBus returns a bus whose ring retains the newest capacity values
 // (DefaultBusCapacity when capacity <= 0).
 func NewBus[T any](capacity int) *Bus[T] {
-	if capacity <= 0 {
-		capacity = DefaultBusCapacity
-	}
-	return &Bus[T]{capacity: capacity}
+	return &Bus[T]{ring: NewRing[T](capacity)}
 }
 
 // Capacity returns the ring's bound.
-func (b *Bus[T]) Capacity() int { return b.capacity }
+func (b *Bus[T]) Capacity() int { return b.ring.capacity }
 
 // Subscribe registers fn to be called synchronously with every value
 // published after this point. The returned cancel function removes the
 // subscription (idempotent).
-func (b *Bus[T]) Subscribe(fn func(T)) (cancel func()) {
-	b.mu.Lock()
-	b.subs = append(b.subs, fn)
-	idx := len(b.subs) - 1
-	b.mu.Unlock()
-	return func() {
-		b.mu.Lock()
-		// Copy-on-write: an in-flight Publish may still be walking the
-		// old slice outside the lock, so never nil a slot in place.
-		if idx >= 0 && idx < len(b.subs) && b.subs[idx] != nil {
-			subs := make([]func(T), len(b.subs))
-			copy(subs, b.subs)
-			subs[idx] = nil
-			b.subs = subs
-		}
-		b.mu.Unlock()
-	}
-}
+func (b *Bus[T]) Subscribe(fn func(T)) (cancel func()) { return b.subs.Add(&b.mu, fn) }
 
 // Publish appends v to the ring (overwriting the oldest value when
 // full) and delivers it to every live subscriber in subscription order.
 func (b *Bus[T]) Publish(v T) {
 	b.mu.Lock()
-	if b.buf == nil {
-		b.buf = make([]T, 0, b.capacity)
-	}
-	if len(b.buf) < b.capacity {
-		b.buf = append(b.buf, v)
-	} else {
-		b.buf[b.next] = v
-	}
-	b.next = (b.next + 1) % b.capacity
-	b.total++
+	b.ring.Push(v)
 	subs := b.subs
 	b.mu.Unlock()
-	for _, fn := range subs {
-		if fn != nil {
-			fn(v)
-		}
-	}
+	subs.Deliver(v)
 }
 
 // Total returns how many values were ever published.
 func (b *Bus[T]) Total() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.total
+	return b.ring.Total()
 }
 
 // Retained returns how many values the ring currently holds.
 func (b *Bus[T]) Retained() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.buf)
+	return b.ring.Retained()
 }
 
 // Dropped returns how many published values the ring has overwritten —
@@ -108,20 +71,108 @@ func (b *Bus[T]) Retained() int {
 func (b *Bus[T]) Dropped() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.total - len(b.buf)
+	return b.ring.Dropped()
 }
 
 // Snapshot returns the retained values oldest-first.
 func (b *Bus[T]) Snapshot() []T {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if len(b.buf) < b.capacity {
-		out := make([]T, len(b.buf))
-		copy(out, b.buf)
+	return b.ring.Snapshot()
+}
+
+// Ring is a bounded buffer that retains the newest Capacity values and
+// counts the ones it overwrote. It takes no lock: a Bus guards its ring
+// with its own mutex, and an owner that already holds a lock of its own
+// (the decision recorder) keeps a Ring directly rather than pay for a
+// second one.
+type Ring[T any] struct {
+	capacity int
+	buf      []T
+	next     int
+	total    int
+}
+
+// NewRing returns a ring that retains the newest capacity values
+// (DefaultBusCapacity when capacity <= 0).
+func NewRing[T any](capacity int) Ring[T] {
+	if capacity <= 0 {
+		capacity = DefaultBusCapacity
+	}
+	return Ring[T]{capacity: capacity}
+}
+
+// Push appends v, overwriting the oldest value when the ring is full.
+func (r *Ring[T]) Push(v T) {
+	if r.buf == nil {
+		r.buf = make([]T, 0, r.capacity)
+	}
+	if len(r.buf) < r.capacity {
+		r.buf = append(r.buf, v)
+	} else {
+		r.buf[r.next] = v
+	}
+	r.next = (r.next + 1) % r.capacity
+	r.total++
+}
+
+// Total returns how many values were ever pushed.
+func (r *Ring[T]) Total() int { return r.total }
+
+// Retained returns how many values the ring currently holds.
+func (r *Ring[T]) Retained() int { return len(r.buf) }
+
+// Dropped returns how many pushed values the ring has overwritten.
+func (r *Ring[T]) Dropped() int { return r.total - len(r.buf) }
+
+// Snapshot returns the retained values oldest-first.
+func (r *Ring[T]) Snapshot() []T {
+	if len(r.buf) < r.capacity {
+		out := make([]T, len(r.buf))
+		copy(out, r.buf)
 		return out
 	}
-	out := make([]T, 0, b.capacity)
-	out = append(out, b.buf[b.next:]...)
-	out = append(out, b.buf[:b.next]...)
-	return out
+	out := make([]T, 0, r.capacity)
+	out = append(out, r.buf[r.next:]...)
+	return append(out, r.buf[:r.next]...)
+}
+
+// Subscribers is a subscriber list guarded by its owner's mutex: a
+// Bus's, or that of an owner that keeps a Ring under its own lock. The
+// owner copies the list under the lock and delivers from the copy after
+// releasing it.
+type Subscribers[T any] struct{ fns []func(T) }
+
+// Add registers fn, holding mu, and returns the cancel that removes it
+// (idempotent, also under mu).
+func (s *Subscribers[T]) Add(mu *sync.Mutex, fn func(T)) (cancel func()) {
+	mu.Lock()
+	s.fns = append(s.fns, fn)
+	idx := len(s.fns) - 1
+	mu.Unlock()
+	return func() {
+		mu.Lock()
+		defer mu.Unlock()
+		// Copy-on-write: an in-flight delivery may still be walking the
+		// old list outside the lock, so never nil a slot in place.
+		if s.fns[idx] != nil {
+			fns := make([]func(T), len(s.fns))
+			copy(fns, s.fns)
+			fns[idx] = nil
+			s.fns = fns
+		}
+	}
+}
+
+// Len returns how many subscriptions were ever added, cancelled ones
+// included.
+func (s Subscribers[T]) Len() int { return len(s.fns) }
+
+// Deliver calls every live subscriber with v, in subscription order.
+func (s Subscribers[T]) Deliver(v T) {
+	for _, fn := range s.fns {
+		if fn != nil {
+			fn(v)
+		}
+	}
 }

@@ -8,13 +8,17 @@
 // rejected and the rule that fired, causally linked to the request's
 // span chain by request ID and attempt.
 //
-// Records flow through an obs.Bus ring (bounded, counted, live
-// subscribable) for the /decisions stream, and additionally into
-// per-request chains kept lossless so /why?req=<id> can replay a
-// request's complete fate even after the ring has wrapped. An
-// anomaly-triggered Freeze snapshots the ring into a bounded dump list
-// for post-mortems (SLO burn-rate pages and quarantines freeze; see
-// DESIGN.md §15).
+// A record is kept as typed facts and rendered to text only when read:
+// a compact, pointer-free entry (sequence number, time, request,
+// attempt) that refers to a body registered once and shared by every
+// record of the same shape, to interned instance and slice IDs, and to
+// typed candidates in an append-only arena. Entries flow into a bounded
+// ring (counted, live subscribable) for the /decisions stream, and
+// additionally into per-request chains kept lossless so /why?req=<id>
+// can replay a request's complete fate even after the ring has wrapped.
+// An anomaly-triggered Freeze snapshots the ring into a bounded dump
+// list for post-mortems (SLO burn-rate pages and quarantines freeze;
+// see DESIGN.md §15).
 //
 // A nil *Recorder is the off switch: every method is nil-receiver safe
 // and call sites guard any argument construction behind a nil check, so
@@ -28,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -188,8 +193,8 @@ type Record struct {
 	Outcome string `json:"outcome"`
 	// Inputs are the signals the decider saw (pressure, scores,
 	// estimates, cache signatures), in a fixed call-site order. The
-	// slice may be shared between records (plan-lookup records reuse
-	// one rendering per distinct lookup): treat it as read-only.
+	// slice may be shared between records (records of one Body share
+	// it): treat it as read-only.
 	Inputs []KV `json:"inputs,omitempty"`
 	// Candidates are the alternatives considered and rejected, with
 	// per-candidate reasons, in consideration order.
@@ -214,22 +219,124 @@ type Dump struct {
 // not stored, so a quarantine storm cannot hoard memory.
 const maxDumps = 8
 
+// ID is an interned instance or slice ID: its index in the recorder's
+// ID table. Callers intern an ID once, when the instance launches or
+// the slice joins a pool, and keep it, so a record names its subject
+// and candidates without carrying strings.
+type ID int32
+
+// NoID is the zero ID. As a record's subject it selects the body's own
+// Subject; it renders as "".
+const NoID ID = 0
+
+// Reason is why a typed candidate lost. Its text renders only when the
+// record is read.
+type Reason uint8
+
+// Candidate reasons of the admission scan.
+const (
+	// ReasonRetiring: the instance is draining for teardown.
+	ReasonRetiring Reason = iota
+	// ReasonAtCapacity: the exclusive instance held N of its M
+	// admissible requests.
+	ReasonAtCapacity
+	// ReasonTSAtCapacity: the time-sharing binding held N of its M.
+	ReasonTSAtCapacity
+)
+
+// Cand is a passed-over candidate as a typed fact: the candidate's ID,
+// the reason code and the two counts the reason reads, captured when
+// the decision is made. It holds no pointer.
+type Cand struct {
+	ID     ID
+	Reason Reason
+	N, M   int32
+}
+
+// appendReason appends the text c's reason renders as.
+func (c Cand) appendReason(b []byte) []byte {
+	switch c.Reason {
+	case ReasonRetiring:
+		return append(b, "retiring"...)
+	case ReasonAtCapacity:
+		b = append(b, "at capacity ("...)
+	case ReasonTSAtCapacity:
+		b = append(b, "time-sharing at capacity ("...)
+	default:
+		b = append(b, "Reason("...)
+		b = strconv.AppendInt(b, int64(c.Reason), 10)
+		return append(b, ')')
+	}
+	b = strconv.AppendInt(b, int64(c.N), 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(c.M), 10)
+	return append(b, ')')
+}
+
+// Body is a handle to a record's shared part, registered once with the
+// recorder that records it (see Recorder.Body): everything but the
+// time, request, attempt, subject ID and typed candidates that Emit
+// supplies per record.
+type Body int32
+
+// body is a registered Body.
+type body struct {
+	kind                       Kind
+	fn, subject, rule, outcome string
+	inputs                     []KV
+	cands                      []Candidate
+}
+
+// entry is one record as the ring and the chain log hold it: the
+// per-record facts and references into the recorder's tables. It holds
+// no pointer, so neither the ring nor the log costs the GC a scan.
+type entry struct {
+	time    float64
+	seq     int
+	req     int
+	attempt int32
+	body    Body
+	subject ID    // NoID: the body's Subject
+	cand    int32 // first typed candidate in the arena
+	ncand   int32
+	next    int32 // in the log, the request's next entry (0: none)
+}
+
+// chain locates one request's entries in the log: a list threaded
+// through entry.next.
+type chain struct{ head, tail, n int32 }
+
+// dump is a retained Dump before rendering.
+type dump struct {
+	time           float64
+	reason         string
+	total, dropped int
+	entries        []entry
+}
+
 // Recorder collects decision records. It is nil-safe: every method on a
 // nil receiver is a no-op (or returns a zero value), so provenance can
 // be compiled in everywhere and switched off by not constructing one.
 //
-// The ring (an obs.Bus) bounds the global stream; per-request chains
-// are kept separately and losslessly so a request's complete fate
-// survives ring wraparound. A mutex guards the chain and dump state for
-// live readers; the bus has its own.
+// Records are stored as typed facts and rendered to Records (and JSON)
+// only when something reads them. A bounded ring holds the global
+// stream; per-request chains are kept separately and losslessly, in an
+// append-only log, so a request's complete fate survives ring
+// wraparound. One mutex guards everything. Bodies, IDs and typed
+// candidates live in append-only tables whose rows never change, so
+// readers render from them after releasing the lock.
 type Recorder struct {
-	bus *obs.Bus[Record]
-
 	mu     sync.Mutex
-	seq    int
-	byReq  map[int][]Record
+	ring   obs.Ring[entry]
+	subs   obs.Subscribers[Record]
+	bodies chunked[body]
+	ids    []string
+	idOf   map[string]ID
+	cands  chunked[Cand] // the typed-candidate arena
+	log    chunked[entry]
+	chains map[int]chain
 	counts [numKinds]int
-	dumps  []Dump
+	dumps  []dump
 	frozen int // freezes triggered, including those past maxDumps
 }
 
@@ -237,29 +344,116 @@ type Recorder struct {
 // records (obs.DefaultBusCapacity when ringCap <= 0).
 func NewRecorder(ringCap int) *Recorder {
 	return &Recorder{
-		bus:   obs.NewBus[Record](ringCap),
-		byReq: map[int][]Record{},
+		ring:   obs.NewRing[entry](ringCap),
+		ids:    []string{""},
+		idOf:   map[string]ID{"": NoID},
+		chains: map[int]chain{},
 	}
+}
+
+// Intern returns s's ID, adding s to the ID table on first sight. A nil
+// recorder returns NoID.
+func (r *Recorder) Intern(s string) ID {
+	if r == nil {
+		return NoID
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	id, ok := r.idOf[s]
+	if !ok {
+		id = ID(len(r.ids))
+		r.ids = append(r.ids, s)
+		r.idOf[s] = id
+	}
+	return id
+}
+
+// Body registers rec's shared part — Kind, Func, Subject, Rule,
+// Outcome, Inputs and Candidates; Seq, Time, Req and Attempt are not
+// part of it — and returns the handle Emit records it by. Inputs and
+// Candidates are kept, not copied: treat them as read-only. A nil
+// recorder returns 0.
+func (r *Recorder) Body(rec Record) Body {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.addBody(&rec)
+}
+
+func (r *Recorder) addBody(rec *Record) Body {
+	r.bodies.push(body{
+		kind: rec.Kind, fn: rec.Func, subject: rec.Subject,
+		rule: rec.Rule, outcome: rec.Outcome,
+		inputs: rec.Inputs, cands: rec.Candidates,
+	})
+	return Body(r.bodies.n - 1)
+}
+
+// Emit records one decision made at time t: body b (registered with
+// r) about request req (NoRequest for none) on its attempt, naming
+// subject (NoID for the body's own) and passing over cands, which are
+// copied. It takes the next sequence number.
+func (r *Recorder) Emit(t float64, b Body, req, attempt int, subject ID, cands []Cand) {
+	if r == nil {
+		return
+	}
+	r.emit(nil, entry{time: t, req: req, attempt: int32(attempt), body: b, subject: subject}, cands)
 }
 
 // Record stamps rec with the next sequence number and stores it: into
 // the ring always, and into the request's chain when rec.Req >=
-// 0. Callers set every other field, including Time.
+// 0. Callers set every other field, including Time. Each call registers
+// a body of its own; decisions that repeat one go through Body and
+// Emit.
 func (r *Recorder) Record(rec Record) {
 	if r == nil {
 		return
 	}
+	r.emit(&rec, entry{time: rec.Time, req: rec.Req, attempt: int32(rec.Attempt)}, nil)
+}
+
+// emit stores e, with rec registered as its body when non-nil, and
+// delivers it to the subscribers.
+func (r *Recorder) emit(rec *Record, e entry, cands []Cand) {
 	r.mu.Lock()
-	rec.Seq = r.seq
-	r.seq++
-	if rec.Kind >= 0 && rec.Kind < numKinds {
-		r.counts[rec.Kind]++
+	if rec != nil {
+		e.body = r.addBody(rec)
 	}
-	if rec.Req >= 0 {
-		r.byReq[rec.Req] = append(r.byReq[rec.Req], rec)
+	e.seq = r.ring.Total()
+	if len(cands) > 0 {
+		e.cand, e.ncand = int32(r.cands.n), int32(len(cands))
+		for _, c := range cands {
+			r.cands.push(c)
+		}
+	}
+	if k := r.bodies.at(int(e.body)).kind; k >= 0 && k < numKinds {
+		r.counts[k]++
+	}
+	r.ring.Push(e)
+	if e.req >= 0 {
+		i := int32(r.log.n)
+		c, ok := r.chains[e.req]
+		if ok {
+			r.log.at(int(c.tail)).next = i
+			c.tail = i
+		} else {
+			c.head, c.tail = i, i
+		}
+		c.n++
+		r.chains[e.req] = c
+		r.log.push(e)
+	}
+	subs := r.subs
+	var t tables
+	if subs.Len() > 0 {
+		t = r.tables()
 	}
 	r.mu.Unlock()
-	r.bus.Publish(rec)
+	if subs.Len() > 0 {
+		subs.Deliver(t.record(&e))
+	}
 }
 
 // Freeze snapshots the ring into the dump list, tagged with the anomaly
@@ -269,31 +463,126 @@ func (r *Recorder) Freeze(now float64, reason string) {
 	if r == nil {
 		return
 	}
-	snap := r.bus.Snapshot()
-	total, dropped := r.bus.Total(), r.bus.Dropped()
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.frozen++
 	if len(r.dumps) < maxDumps {
-		r.dumps = append(r.dumps, Dump{
-			Time: now, Reason: reason,
-			Total: total, Dropped: dropped, Records: snap,
+		r.dumps = append(r.dumps, dump{
+			time: now, reason: reason,
+			total: r.ring.Total(), dropped: r.ring.Dropped(),
+			entries: r.ring.Snapshot(),
 		})
 	}
-	r.mu.Unlock()
+}
+
+// chunkBits sizes the chunks of the recorder's append-only tables.
+const chunkBits = 10
+
+// chunked is an append-only table kept in fixed-size chunks: growing it
+// never copies a row, and appending writes only past the current
+// length, so a copy of the table (the chunks header and n) taken under
+// the lock stays readable after the lock is released.
+type chunked[T any] struct {
+	chunks [][]T
+	n      int
+}
+
+// at returns row i.
+func (c *chunked[T]) at(i int) *T { return &c.chunks[i>>chunkBits][i&(1<<chunkBits-1)] }
+
+func (c *chunked[T]) push(v T) {
+	if c.n == len(c.chunks)<<chunkBits {
+		c.chunks = append(c.chunks, make([]T, 1<<chunkBits))
+	}
+	*c.at(c.n) = v
+	c.n++
+}
+
+// tables are the recorder's append-only tables as one read found them.
+// Their rows never change once added, so a reader renders from them
+// after releasing the lock while recording appends past their ends.
+type tables struct {
+	bodies chunked[body]
+	ids    []string
+	cands  chunked[Cand]
+}
+
+// tables returns the current tables; r.mu must be held.
+func (r *Recorder) tables() tables { return tables{r.bodies, r.ids, r.cands} }
+
+// fields renders e's Record without its typed candidates.
+func (t *tables) fields(e *entry) Record {
+	b := t.bodies.at(int(e.body))
+	rec := Record{
+		Seq: e.seq, Time: e.time, Kind: b.kind, Func: b.fn,
+		Req: e.req, Attempt: int(e.attempt), Subject: b.subject,
+		Rule: b.rule, Outcome: b.outcome, Inputs: b.inputs, Candidates: b.cands,
+	}
+	if e.subject != NoID {
+		rec.Subject = t.ids[e.subject]
+	}
+	return rec
+}
+
+// typed returns e's typed candidates, in buf's storage when it has room.
+func (t *tables) typed(e *entry, buf []Cand) []Cand {
+	buf = buf[:0]
+	for i := e.cand; i < e.cand+e.ncand; i++ {
+		buf = append(buf, *t.cands.at(int(i)))
+	}
+	return buf
+}
+
+// record renders e as the Record it stands for: the body's candidates,
+// then the typed ones.
+func (t *tables) record(e *entry) Record {
+	rec := t.fields(e)
+	if typed := t.typed(e, nil); len(typed) > 0 {
+		cands := make([]Candidate, 0, len(rec.Candidates)+len(typed))
+		cands = append(cands, rec.Candidates...)
+		for _, c := range typed {
+			cands = append(cands, Candidate{ID: t.ids[c.ID], Reason: string(c.appendReason(nil))})
+		}
+		rec.Candidates = cands
+	}
+	return rec
+}
+
+func (t *tables) records(es []entry) []Record {
+	out := make([]Record, len(es))
+	for i := range es {
+		out[i] = t.record(&es[i])
+	}
+	return out
+}
+
+// chain returns req's entries in record order and the tables to render
+// them from.
+func (r *Recorder) chain(req int) ([]entry, tables) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	c, ok := r.chains[req]
+	if !ok {
+		return nil, r.tables()
+	}
+	es := make([]entry, 0, c.n)
+	for i := c.head; ; i = r.log.at(int(i)).next {
+		es = append(es, *r.log.at(int(i)))
+		if i == c.tail {
+			return es, r.tables()
+		}
+	}
 }
 
 // Chain returns the request's complete decision chain in decision
-// order, nil when the request made no recorded decision (or r is nil).
+// order, nil when r is nil and empty when the request made no recorded
+// decision.
 func (r *Recorder) Chain(req int) []Record {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	chain := r.byReq[req]
-	out := make([]Record, len(chain))
-	copy(out, chain)
-	return out
+	es, t := r.chain(req)
+	return t.records(es)
 }
 
 // Requests returns the IDs of all requests with a recorded chain,
@@ -304,8 +593,8 @@ func (r *Recorder) Requests() []int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]int, 0, len(r.byReq))
-	for id := range r.byReq {
+	out := make([]int, 0, len(r.chains))
+	for id := range r.chains {
 		out = append(out, id)
 	}
 	sort.Ints(out)
@@ -317,16 +606,21 @@ func (r *Recorder) Snapshot() []Record {
 	if r == nil {
 		return nil
 	}
-	return r.bus.Snapshot()
+	r.mu.Lock()
+	es, t := r.ring.Snapshot(), r.tables()
+	r.mu.Unlock()
+	return t.records(es)
 }
 
-// Subscribe registers a live observer of every record (see
-// obs.Bus.Subscribe). The cancel is a no-op on a nil recorder.
+// Subscribe registers fn to be called synchronously with every record
+// made after this point, rendered as Snapshot renders it. The returned
+// cancel removes the subscription (idempotent; a no-op on a nil
+// recorder).
 func (r *Recorder) Subscribe(fn func(Record)) (cancel func()) {
 	if r == nil {
 		return func() {}
 	}
-	return r.bus.Subscribe(fn)
+	return r.subs.Add(&r.mu, fn)
 }
 
 // Total returns how many decisions were ever recorded.
@@ -334,7 +628,9 @@ func (r *Recorder) Total() int {
 	if r == nil {
 		return 0
 	}
-	return r.bus.Total()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.ring.Total()
 }
 
 // Dropped returns how many records the bounded ring overwrote
@@ -343,7 +639,9 @@ func (r *Recorder) Dropped() int {
 	if r == nil {
 		return 0
 	}
-	return r.bus.Dropped()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.ring.Dropped()
 }
 
 // Counts tallies decisions ever recorded by kind name, omitting zero
@@ -352,23 +650,16 @@ func (r *Recorder) Counts() map[string]int {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
+	counts := r.counts
+	r.mu.Unlock()
 	out := map[string]int{}
-	for k, n := range r.kindCounts() {
+	for k, n := range counts {
 		if n > 0 {
 			out[Kind(k).String()] = n
 		}
 	}
 	return out
-}
-
-// kindCounts returns the per-kind tallies (all zero for a nil r).
-func (r *Recorder) kindCounts() [numKinds]int {
-	if r == nil {
-		return [numKinds]int{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.counts
 }
 
 // Dumps returns the retained anomaly dumps in freeze order.
@@ -377,9 +668,13 @@ func (r *Recorder) Dumps() []Dump {
 		return nil
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Dump, len(r.dumps))
-	copy(out, r.dumps)
+	dumps, t := r.dumps, r.tables()
+	r.mu.Unlock()
+	out := make([]Dump, len(dumps))
+	for i := range dumps {
+		d := &dumps[i]
+		out[i] = Dump{Time: d.time, Reason: d.reason, Total: d.total, Dropped: d.dropped, Records: t.records(d.entries)}
+	}
 	return out
 }
 
@@ -424,40 +719,65 @@ type MatchExport struct {
 // bytes encoding/json gives the document types above. A NaN or infinite
 // time fails the export before anything is written.
 
+// counters is one consistent read of the ring counters and tallies.
+type counters struct {
+	total, dropped, freezes int
+	kinds                   [numKinds]int
+}
+
+// countersLocked reads the counters; r.mu must be held.
+func (r *Recorder) countersLocked() counters {
+	return counters{r.ring.Total(), r.ring.Dropped(), r.frozen, r.counts}
+}
+
 // WriteJSON writes the recorder's state as one deterministic JSON
 // document (Export): ring counters, per-kind tallies, the retained ring
 // oldest first, and any anomaly dumps. Same run, same bytes.
 func (r *Recorder) WriteJSON(w io.Writer) error {
-	recs, dumps := r.Snapshot(), r.Dumps()
-	if err := checkFinite(recs); err != nil {
+	var (
+		c     counters
+		recs  []entry
+		dumps []dump
+		t     tables
+	)
+	if r != nil {
+		r.mu.Lock()
+		c, recs, dumps, t = r.countersLocked(), r.ring.Snapshot(), r.dumps, r.tables()
+		r.mu.Unlock()
+	}
+	if err := t.checkFinite(recs); err != nil {
 		return err
 	}
 	for i := range dumps {
 		d := &dumps[i]
-		if !jsonw.Finite(d.Time) {
-			return fmt.Errorf("decisions: json export: dump %d (%q) has non-finite time %v", i, d.Reason, d.Time)
+		if !jsonw.Finite(d.time) {
+			return fmt.Errorf("decisions: json export: dump %d (%q) has non-finite time %v", i, d.reason, d.time)
 		}
-		if err := checkFinite(d.Records); err != nil {
+		if err := t.checkFinite(d.entries); err != nil {
 			return err
 		}
 	}
 	jw := jsonw.NewWriter(w, " ")
 	jw.BeginObject()
 	jw.Key("total")
-	jw.Int(r.Total())
+	jw.Int(c.total)
 	jw.Key("dropped")
-	jw.Int(r.Dropped())
+	jw.Int(c.dropped)
 	jw.Key("counts")
-	r.writeCounts(jw)
-	if n := r.Freezes(); n != 0 {
+	writeCounts(jw, &c.kinds)
+	if c.freezes != 0 {
 		jw.Key("freezes")
-		jw.Int(n)
+		jw.Int(c.freezes)
 	}
 	jw.Key("records")
-	writeRecords(jw, nonNil(recs))
+	t.writeEntries(jw, recs)
 	if len(dumps) > 0 {
 		jw.Key("dumps")
-		jsonw.Array(jw, dumps, (*Dump).write)
+		jw.BeginArray()
+		for i := range dumps {
+			t.writeDump(jw, &dumps[i])
+		}
+		jw.EndArray()
 	}
 	jw.EndObject()
 	return jw.Finish()
@@ -466,8 +786,14 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 // WriteChainJSON writes one request's complete decision chain as JSON
 // (ChainExport; an empty chain for unknown requests).
 func (r *Recorder) WriteChainJSON(w io.Writer, req int) error {
-	chain := r.Chain(req)
-	if err := checkFinite(chain); err != nil {
+	var (
+		es []entry
+		t  tables
+	)
+	if r != nil {
+		es, t = r.chain(req)
+	}
+	if err := t.checkFinite(es); err != nil {
 		return err
 	}
 	jw := jsonw.NewWriter(w, " ")
@@ -475,7 +801,7 @@ func (r *Recorder) WriteChainJSON(w io.Writer, req int) error {
 	jw.Key("req")
 	jw.Int(req)
 	jw.Key("chain")
-	writeRecords(jw, nonNil(chain))
+	t.writeEntries(jw, es)
 	jw.EndObject()
 	return jw.Finish()
 }
@@ -484,38 +810,41 @@ func (r *Recorder) WriteChainJSON(w io.Writer, req int) error {
 // (MatchExport): the recorder's ring counters and per-kind tallies,
 // then matched — records the caller selected — and their count.
 func (r *Recorder) WriteMatchJSON(w io.Writer, matched []Record) error {
-	if err := checkFinite(matched); err != nil {
-		return err
+	for i := range matched {
+		if rec := &matched[i]; !jsonw.Finite(rec.Time) {
+			return fmt.Errorf("decisions: json export: record %d (%s) has non-finite time %v", rec.Seq, rec.Kind, rec.Time)
+		}
+	}
+	var c counters
+	if r != nil {
+		r.mu.Lock()
+		c = r.countersLocked()
+		r.mu.Unlock()
 	}
 	jw := jsonw.NewWriter(w, " ")
 	jw.BeginObject()
 	jw.Key("total")
-	jw.Int(r.Total())
+	jw.Int(c.total)
 	jw.Key("dropped")
-	jw.Int(r.Dropped())
+	jw.Int(c.dropped)
 	jw.Key("matched")
 	jw.Int(len(matched))
 	jw.Key("counts")
-	r.writeCounts(jw)
+	writeCounts(jw, &c.kinds)
 	jw.Key("records")
-	writeRecords(jw, nonNil(matched))
+	jw.BeginArray()
+	for i := range matched {
+		writeRecord(jw, &matched[i], nil, nil)
+	}
+	jw.EndArray()
 	jw.EndObject()
 	return jw.Finish()
 }
 
-// nonNil turns a nil record list into an empty one, so documents carry
-// "records": [] rather than null.
-func nonNil(recs []Record) []Record {
-	if recs == nil {
-		return []Record{}
-	}
-	return recs
-}
-
-func checkFinite(recs []Record) error {
-	for i := range recs {
-		if rec := &recs[i]; !jsonw.Finite(rec.Time) {
-			return fmt.Errorf("decisions: json export: record %d (%s) has non-finite time %v", rec.Seq, rec.Kind, rec.Time)
+func (t *tables) checkFinite(es []entry) error {
+	for i := range es {
+		if e := &es[i]; !jsonw.Finite(e.time) {
+			return fmt.Errorf("decisions: json export: record %d (%s) has non-finite time %v", e.seq, t.bodies.at(int(e.body)).kind, e.time)
 		}
 	}
 	return nil
@@ -532,9 +861,9 @@ var kindsByName = func() [numKinds]Kind {
 	return ks
 }()
 
-// writeCounts writes Counts() as an object with sorted keys.
-func (r *Recorder) writeCounts(jw *jsonw.Writer) {
-	counts := r.kindCounts()
+// writeCounts writes the per-kind tallies as Counts() marshals: an
+// object with sorted keys, zero kinds omitted.
+func writeCounts(jw *jsonw.Writer, counts *[numKinds]int) {
 	jw.BeginObject()
 	for _, k := range kindsByName {
 		if counts[k] > 0 {
@@ -545,10 +874,37 @@ func (r *Recorder) writeCounts(jw *jsonw.Writer) {
 	jw.EndObject()
 }
 
-// writeRecords is the one record renderer every document shares.
-func writeRecords(jw *jsonw.Writer, recs []Record) { jsonw.Array(jw, recs, (*Record).write) }
+// writeEntries writes es as an array of records.
+func (t *tables) writeEntries(jw *jsonw.Writer, es []entry) {
+	var typed []Cand
+	jw.BeginArray()
+	for i := range es {
+		e := &es[i]
+		rec := t.fields(e)
+		typed = t.typed(e, typed)
+		writeRecord(jw, &rec, typed, t.ids)
+	}
+	jw.EndArray()
+}
 
-func (rec *Record) write(jw *jsonw.Writer) {
+func (t *tables) writeDump(jw *jsonw.Writer, d *dump) {
+	jw.BeginObject()
+	jw.Key("time")
+	jw.Float(d.time)
+	jw.Key("reason")
+	jw.String(d.reason)
+	jw.Key("total")
+	jw.Int(d.total)
+	jw.Key("dropped")
+	jw.Int(d.dropped)
+	jw.Key("records")
+	t.writeEntries(jw, d.entries)
+	jw.EndObject()
+}
+
+// writeRecord is the one record renderer every document shares: rec,
+// with typed (named through ids) rendered after rec.Candidates.
+func writeRecord(jw *jsonw.Writer, rec *Record, typed []Cand, ids []string) {
 	jw.BeginObject()
 	jw.Key("seq")
 	jw.Int(rec.Seq)
@@ -580,9 +936,17 @@ func (rec *Record) write(jw *jsonw.Writer) {
 		jw.Key("inputs")
 		jsonw.Array(jw, rec.Inputs, (*KV).write)
 	}
-	if len(rec.Candidates) > 0 {
+	if len(rec.Candidates)+len(typed) > 0 {
 		jw.Key("candidates")
-		jsonw.Array(jw, rec.Candidates, (*Candidate).write)
+		jw.BeginArray()
+		for i := range rec.Candidates {
+			c := &rec.Candidates[i]
+			writeCandidate(jw, c.ID, c.Reason, nil)
+		}
+		for _, c := range typed {
+			writeCandidate(jw, ids[c.ID], "", c.appendReason)
+		}
+		jw.EndArray()
 	}
 	jw.EndObject()
 }
@@ -596,26 +960,17 @@ func (kv *KV) write(jw *jsonw.Writer) {
 	jw.EndObject()
 }
 
-func (c *Candidate) write(jw *jsonw.Writer) {
+// writeCandidate writes one candidate, its reason given as text or, for
+// a typed candidate, appended by appendReason.
+func writeCandidate(jw *jsonw.Writer, id, reason string, appendReason func([]byte) []byte) {
 	jw.BeginObject()
 	jw.Key("id")
-	jw.String(c.ID)
+	jw.String(id)
 	jw.Key("reason")
-	jw.String(c.Reason)
-	jw.EndObject()
-}
-
-func (d *Dump) write(jw *jsonw.Writer) {
-	jw.BeginObject()
-	jw.Key("time")
-	jw.Float(d.Time)
-	jw.Key("reason")
-	jw.String(d.Reason)
-	jw.Key("total")
-	jw.Int(d.Total)
-	jw.Key("dropped")
-	jw.Int(d.Dropped)
-	jw.Key("records")
-	writeRecords(jw, d.Records)
+	if appendReason != nil {
+		jw.StringFunc(appendReason)
+	} else {
+		jw.String(reason)
+	}
 	jw.EndObject()
 }

@@ -3,6 +3,7 @@ package decisions
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 )
 
@@ -129,6 +130,37 @@ func TestRecorderSubscribe(t *testing.T) {
 	r.Record(Record{Kind: KindDrop, Req: 3})
 	if len(seqs) != 2 || seqs[0] != 0 || seqs[1] != 1 {
 		t.Errorf("subscriber seqs = %v, want [0 1]", seqs)
+	}
+}
+
+// TestSubscribeMatchesSnapshot: a subscriber receives each record
+// exactly as Snapshot renders the same seq, typed candidates and
+// interned subjects included.
+func TestSubscribeMatchesSnapshot(t *testing.T) {
+	r := NewRecorder(16)
+	var got []Record
+	r.Subscribe(func(rec Record) { got = append(got, rec) })
+	inst, slice := r.Intern("bert#1"), r.Intern("gpu0/1g#2")
+	admit := r.Body(Record{Kind: KindAdmit, Func: "bert", Rule: "scan", Outcome: "pending"})
+	r.Record(Record{Time: 1, Kind: KindBind, Func: "bert", Req: NoRequest, Subject: "gpu0/1g#2",
+		Outcome: "bound", Inputs: []KV{{K: "queue", V: "0"}}, Candidates: []Candidate{{ID: "gpu0/2g#0", Reason: "queue 3"}}})
+	r.Emit(2, admit, 5, 1, inst, []Cand{
+		{ID: inst, Reason: ReasonAtCapacity, N: 4, M: 4},
+		{ID: slice, Reason: ReasonTSAtCapacity, N: 2, M: 2},
+		{ID: inst, Reason: ReasonRetiring},
+	})
+	r.Emit(3, admit, 6, 0, NoID, nil)
+	snap := r.Snapshot()
+	if !reflect.DeepEqual(got, snap) {
+		t.Fatalf("subscriber saw\n %+v\nSnapshot has\n %+v", got, snap)
+	}
+	want := []Candidate{
+		{ID: "bert#1", Reason: "at capacity (4/4)"},
+		{ID: "gpu0/1g#2", Reason: "time-sharing at capacity (2/2)"},
+		{ID: "bert#1", Reason: "retiring"},
+	}
+	if c := snap[1]; c.Subject != "bert#1" || c.Req != 5 || c.Attempt != 1 || !reflect.DeepEqual(c.Candidates, want) {
+		t.Errorf("typed admit renders as %+v", c)
 	}
 }
 

@@ -115,6 +115,7 @@ const (
 	shapeInputs                 // records carry inputs ...
 	shapeEmptyLists             // ... or, without shapeInputs, empty (not nil) input and candidate lists
 	shapeCandidates             // records carry candidates
+	shapeTyped                  // every other record goes through Body and Emit, with typed candidates
 )
 
 // fuzzRecorder builds a recorder from fuzz inputs: n records in a ring
@@ -142,6 +143,16 @@ func fuzzRecorder(s1, s2 string, x float64, ringCap, n, freezes uint8, shape uin
 		if shape&shapeCandidates != 0 {
 			rec.Candidates = []Candidate{{ID: s2, Reason: s1}}
 		}
+		if shape&shapeTyped != 0 && i%2 == 1 {
+			// Reason(3) is outside the reason table.
+			ids := []ID{r.Intern(s1), r.Intern(s2), NoID}
+			cands := []Cand{
+				{ID: ids[i%3], Reason: Reason(i % 4), N: int32(i), M: int32(n)},
+				{ID: ids[(i+1)%3], Reason: ReasonRetiring},
+			}
+			r.Emit(rec.Time, r.Body(rec), rec.Req, rec.Attempt, ids[(i+2)%3], cands[:i%3])
+			continue
+		}
 		r.Record(rec)
 	}
 	for i := 0; i < int(freezes%(maxDumps+4)); i++ {
@@ -163,6 +174,7 @@ func FuzzDecisionsJSON(f *testing.F) {
 	f.Add("", "", 0.0, uint8(0), uint8(5), uint8(2), uint(shapeNil))                            // nil recorder
 	for i, s := range strs {
 		f.Add(s, strs[(i+3)%len(strs)], floats[i%len(floats)], uint8(i), uint8(3*i+1), uint8(i%3), uint(i%8)&^shapeNil)
+		f.Add(s, strs[(i+5)%len(strs)], floats[i%len(floats)], uint8(i+2), uint8(3*i+7), uint8(i%2), uint(i%8)&^shapeNil|shapeTyped)
 	}
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		f.Add("f", "x", v, uint8(5), uint8(4), uint8(0), uint(shapeInputs))

@@ -47,12 +47,16 @@ func AppendString(b []byte, parts ...string) []byte {
 // isPlain reports whether s renders as itself between quotes.
 func isPlain(s string) bool {
 	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c < 0x20, c >= utf8.RuneSelf, c == '"', c == '\\', c == '<', c == '>', c == '&':
+		if !plainByte(s[i]) {
 			return false
 		}
 	}
 	return true
+}
+
+// plainByte reports whether c renders as itself inside a string.
+func plainByte(c byte) bool {
+	return c >= 0x20 && c < utf8.RuneSelf && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
 }
 
 func appendEscaped(b []byte, s string) []byte {
@@ -231,6 +235,23 @@ func (w *Writer) spill() {
 func (w *Writer) String(s string) {
 	w.elem()
 	w.b = AppendString(w.b, s)
+}
+
+// StringFunc writes a string value whose text appendText appends to a
+// buffer, rendered as String renders that text but without building it
+// as a string first.
+func (w *Writer) StringFunc(appendText func([]byte) []byte) {
+	w.elem()
+	start := len(w.b)
+	w.b = append(w.b, '"')
+	w.b = appendText(w.b)
+	for _, c := range w.b[start+1:] {
+		if !plainByte(c) {
+			w.b = appendEscaped(w.b[:start], string(w.b[start+1:]))
+			return
+		}
+	}
+	w.b = append(w.b, '"')
 }
 
 // Int writes an integer value.

@@ -19,6 +19,19 @@ func TestAppendMatchesMarshal(t *testing.T) {
 			t.Errorf("AppendString(%q) = %s, want %s", s, got, want)
 		}
 	}
+	// StringFunc renders the text it is handed as String would.
+	for _, s := range strs {
+		var got bytes.Buffer
+		w := NewWriter(&got, " ")
+		w.StringFunc(func(b []byte) []byte { return append(b, s...) })
+		if err := w.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		want, _ := json.Marshal(s)
+		if want = append(want, '\n'); !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("StringFunc(%q) = %s, want %s", s, got.Bytes(), want)
+		}
+	}
 	// Parts join before escaping: a UTF-8 sequence split across parts
 	// decodes as one rune.
 	want, _ := json.Marshal("€ <x>")

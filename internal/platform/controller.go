@@ -29,38 +29,43 @@ func (p *Platform) route(rq *request) {
 	// with the instances it passed over (and why) as candidates. The
 	// record is made before admit/enqueue so a request's chain reads
 	// admission first, then whatever the admission triggered.
+	// Passed-over candidates are typed facts gathered in a reused
+	// buffer; route is never re-entered before its record is made.
 	dec := p.decOn()
-	var cands []decisions.Candidate
+	cands := p.candBuf[:0]
 	for k, inst := range p.routedInstances(fn) {
 		if inst.hasCapacity() {
 			if dec {
-				p.decideAdmit(rq, "first exclusive instance with capacity",
-					inst.id, "admitted to exclusive instance", cands)
+				p.decideAdmit(rq, fn.admits.exclusive, inst.decID, cands)
 			}
 			inst.admit(p, rq)
 			p.advanceRoundRobin(fn, k)
 			return
 		}
 		if dec {
-			cands = append(cands, decisions.Candidate{ID: inst.id, Reason: instCandReason(inst)})
+			cands = append(cands, instCand(inst))
+			p.candBuf = cands
 		}
 	}
 	if fn.ts != nil && fn.ts.outstanding < fn.ts.capacity {
 		if dec {
-			p.decideAdmit(rq, "existing time-sharing binding",
-				fn.ts.shared.slice.ID(),
-				fmt.Sprintf("enqueued on shared slice (%d/%d outstanding)",
-					fn.ts.outstanding, fn.ts.capacity), cands)
+			b := p.opts.Decisions.Body(decisions.Record{
+				Kind: decisions.KindAdmit, Func: fn.spec.Name,
+				Rule: "existing time-sharing binding",
+				Outcome: fmt.Sprintf("enqueued on shared slice (%d/%d outstanding)",
+					fn.ts.outstanding, fn.ts.capacity),
+			})
+			p.decideAdmit(rq, b, fn.ts.shared.decID, cands)
 		}
 		fn.ts.shared.enqueue(p, fn.ts, rq)
 		return
 	}
 	if dec && fn.ts != nil {
-		cands = append(cands, decisions.Candidate{
-			ID: fn.ts.shared.slice.ID(),
-			Reason: fmt.Sprintf("time-sharing at capacity (%d/%d)",
-				fn.ts.outstanding, fn.ts.capacity),
+		cands = append(cands, decisions.Cand{
+			ID: fn.ts.shared.decID, Reason: decisions.ReasonTSAtCapacity,
+			N: int32(fn.ts.outstanding), M: int32(fn.ts.capacity),
 		})
+		p.candBuf = cands
 	}
 	// FluidFaaS: the first request creates a time-sharing instance
 	// (Fig. 8 transition 1).
@@ -68,8 +73,7 @@ func (p *Platform) route(rq *request) {
 		if inv := p.pickInvokerForTS(fn); inv != nil {
 			if b := inv.bindTS(fn); b != nil {
 				if dec {
-					p.decideAdmit(rq, "fresh time-sharing binding",
-						b.shared.slice.ID(), "bound and enqueued on shared slice", cands)
+					p.decideAdmit(rq, fn.admits.freshTS, b.shared.decID, cands)
 				}
 				b.shared.enqueue(p, b, rq)
 				return
@@ -77,8 +81,7 @@ func (p *Platform) route(rq *request) {
 		}
 	}
 	if dec {
-		p.decideAdmit(rq, "no capacity anywhere", "",
-			"pending overflow (scale-up kicked)", cands)
+		p.decideAdmit(rq, fn.admits.pending, decisions.NoID, cands)
 	}
 	fn.pushPending(rq)
 	p.kickScaleUp()
@@ -306,8 +309,8 @@ func (p *Platform) scaleUp() {
 	if p.lastEmpty.matches(reqFns, views) {
 		// The policy already answered these inputs with nothing; see
 		// emptyRound. Re-emit the plan lookups asking again would record.
-		for _, rec := range p.lastEmpty.recs {
-			p.decide(rec)
+		for _, b := range p.lastEmpty.bodies {
+			p.decideShared(b)
 		}
 	} else {
 		p.lastEmpty.start()
@@ -345,7 +348,7 @@ func (p *Platform) scaleUp() {
 		for len(fn.pending) > 0 && inst.hasCapacity() {
 			rq := fn.popPending()
 			if p.decOn() {
-				p.decideDrain(rq, inst.id, "admitted to freshly launched instance")
+				p.decideAdmit(rq, fn.admits.drainLaunch, inst.decID, nil)
 			}
 			inst.admit(p, rq)
 		}
@@ -362,16 +365,16 @@ func (p *Platform) scaleUp() {
 // depends on where each type sits (TestESGEmptyPastSliceCap).
 //
 // Plan-lookup provenance stays byte-identical: while the policy runs,
-// the planners' observers append to recs what asking again would
+// the planners' observers append to bodies what asking again would
 // record (every lookup whose signature is cached becomes a hit), and a
-// skipped round re-emits recs in order. With provenance off no observer
-// is wired and recs stays empty.
+// skipped round re-emits bodies in order. With provenance off no
+// observer is wired and bodies stays empty.
 type emptyRound struct {
 	held      bool
 	capturing bool
 	fns       []*Function
 	free      [][]mig.SliceType
-	recs      []decisions.Record
+	bodies    []decisions.Body
 }
 
 // matches reports whether a round with these requests and views is the
@@ -390,7 +393,7 @@ func (m *emptyRound) matches(fns []*Function, views []scheduler.NodeFree) bool {
 
 // start opens a policy call: the plan lookups it makes are captured.
 func (m *emptyRound) start() {
-	m.recs = m.recs[:0]
+	m.bodies = m.bodies[:0]
 	m.capturing = true
 }
 

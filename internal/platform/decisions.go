@@ -13,10 +13,13 @@ import (
 
 // This file is the platform side of decision provenance
 // (internal/obs/decisions): thin helpers the choice points call to
-// record why they did what they did. Everything is gated on
-// Options.Decisions != nil — the nil path builds no arguments and
-// allocates nothing, keeping recorder-off runs bit-identical
-// (TestObserversDisabledIdentity).
+// record why they did what they did. The two hot choice points,
+// admission routing and plan lookups, record typed facts against
+// bodies registered once (wireDecisions) and IDs interned when an
+// instance launches or a slice joins a pool; the rest build a Record.
+// Everything is gated on Options.Decisions != nil — the nil path builds
+// no arguments and allocates nothing, keeping recorder-off runs
+// bit-identical (TestObserversDisabledIdentity).
 
 // decOn reports whether decision provenance is being recorded.
 func (p *Platform) decOn() bool { return p.opts.Decisions != nil }
@@ -39,32 +42,33 @@ func kvI(k string, v int) decisions.KV {
 	return decisions.KV{K: k, V: strconv.Itoa(v)}
 }
 
+// admitBodies are one function's admission-record bodies: one per
+// routing outcome whose text is fixed, and one per way a pending
+// request is drained into new capacity (a drain record follows the
+// request's "pending overflow" admission in its chain).
+type admitBodies struct {
+	exclusive, pending, freshTS           decisions.Body
+	drainLaunch, drainSlack, drainTSSlack decisions.Body
+	drainMigrate, drainContract           decisions.Body
+}
+
 // decideAdmit records one admission-routing decision for rq: every
 // route() invocation (first attempt or retry re-route) produces exactly
 // one Admit record (or a Reject from admission control), so a request's
-// chain always opens with its admission fate per attempt.
-func (p *Platform) decideAdmit(rq *request, rule, subject, outcome string, cands []decisions.Candidate) {
-	p.decide(decisions.Record{
-		Kind: decisions.KindAdmit, Func: rq.fn.spec.Name,
-		Req: rq.id, Attempt: rq.attempts,
-		Subject: subject, Rule: rule, Outcome: outcome,
-		Candidates: cands,
-	})
+// chain always opens with its admission fate per attempt. The recorder
+// copies cands.
+func (p *Platform) decideAdmit(rq *request, b decisions.Body, subject decisions.ID, cands []decisions.Cand) {
+	p.opts.Decisions.Emit(p.eng.Now(), b, rq.id, rq.attempts, subject, cands)
 }
 
-// decideDrain records a pending-overflow request finally finding a
-// home: its chain already carries the "pending overflow" admission
-// verdict, this is the placement that resolved it.
-func (p *Platform) decideDrain(rq *request, subject, outcome string) {
-	p.decideAdmit(rq, "pending-overflow drain", subject, outcome, nil)
-}
-
-// instCandReason says why a scanned exclusive instance did not admit.
-func instCandReason(inst *Instance) string {
+// instCand is a scanned exclusive instance that did not admit, as the
+// typed candidate the admit record carries.
+func instCand(inst *Instance) decisions.Cand {
 	if inst.retiring {
-		return "retiring"
+		return decisions.Cand{ID: inst.decID, Reason: decisions.ReasonRetiring}
 	}
-	return "at capacity (" + strconv.Itoa(inst.outstanding) + "/" + strconv.Itoa(inst.capacity) + ")"
+	return decisions.Cand{ID: inst.decID, Reason: decisions.ReasonAtCapacity,
+		N: int32(inst.outstanding), M: int32(inst.capacity)}
 }
 
 // poolCandidates lists the invoker's other pool slices and why each was
@@ -84,59 +88,80 @@ func poolCandidates(inv *Invoker, fn *Function, chosen *sharedSlice) []decisions
 	return cands
 }
 
-// wirePlanObservers attaches a provenance observer to every function's
-// plan cache, so placement lookups record hit/miss/uncached with the
-// signature and outcome the planner saw. Called from New only when
-// provenance is on; without it the planner's observer stays nil and the
-// lookup path is untouched.
-//
-// Lookups repeat the same few answers millions of times, so each
-// function memoizes the rendered record per distinct observation: the
-// key space is the planner's own signature key times the answer, and
-// every later lookup with that key reuses the rendered Rule, Outcome
-// and Inputs. The Inputs slice is therefore shared between records
-// (decisions.Record documents it read-only). A placement round probes
-// node after node with the same multiset, so an observation equal to
-// the previous one reuses its record without touching the memo.
-func (p *Platform) wirePlanObservers() {
+// wireDecisions registers every function's admission bodies and
+// attaches a provenance observer to its plan cache, so placement
+// lookups record hit/miss/uncached with the signature and outcome the
+// planner saw. Called from New only when provenance is on; without it
+// the planner's observer stays nil and the lookup path is untouched.
+func (p *Platform) wireDecisions() {
+	dr := p.opts.Decisions
 	for _, fn := range p.funcs {
-		fn.planner.SetObserver(p.planObserver(fn.spec.Name))
+		name := fn.spec.Name
+		admit := func(rule, outcome string) decisions.Body {
+			return dr.Body(decisions.Record{Kind: decisions.KindAdmit, Func: name, Rule: rule, Outcome: outcome})
+		}
+		drain := func(outcome string) decisions.Body { return admit("pending-overflow drain", outcome) }
+		fn.admits = admitBodies{
+			exclusive:     admit("first exclusive instance with capacity", "admitted to exclusive instance"),
+			pending:       admit("no capacity anywhere", "pending overflow (scale-up kicked)"),
+			freshTS:       admit("fresh time-sharing binding", "bound and enqueued on shared slice"),
+			drainLaunch:   drain("admitted to freshly launched instance"),
+			drainSlack:    drain("admitted on completion slack"),
+			drainTSSlack:  drain("enqueued on shared slice with new slack"),
+			drainMigrate:  drain("admitted to migration monolith"),
+			drainContract: drain("admitted to contracted replacement instance"),
+		}
+		fn.planner.SetObserver(p.planObserver(name))
 	}
 }
 
-// planObserver returns one function's memoizing plan-lookup observer.
-// During a scale-up policy call it also hands each lookup's record, as
-// asking again would render it, to the empty-round memo (emptyRound).
+// planObserver returns one function's plan-lookup observer.
+//
+// Lookups repeat the same few answers millions of times, so the
+// observer memoizes one registered body per distinct observation: the
+// key space is the planner's own signature key times the answer, and
+// every later lookup with that key records the same body. A placement
+// round probes node after node with the same multiset, so an
+// observation equal to the previous one reuses its body without
+// touching the memo. During a scale-up policy call the observer also
+// hands each lookup's body, as asking again would record it, to the
+// empty-round memo (emptyRound).
 func (p *Platform) planObserver(funcName string) func(pipeline.PlanObservation) {
-	memo := map[planMemoKey]decisions.Record{}
+	memo := map[planMemoKey]decisions.Body{}
 	var last pipeline.PlanObservation
-	var lastRec decisions.Record
+	var lastBody decisions.Body
 	seen := false
-	render := func(o pipeline.PlanObservation) decisions.Record {
+	body := func(o pipeline.PlanObservation) decisions.Body {
 		if seen && o == last {
-			return lastRec
+			return lastBody
 		}
 		kind, _ := planKind(o)
 		key := planMemoKey{kind: kind, sig: o.Sig, slo: o.SLO, rank: o.Rank}
 		if o.Err != nil {
 			key.err = o.Err.Error()
 		}
-		rec, ok := memo[key]
+		b, ok := memo[key]
 		if !ok {
-			rec = renderPlanRecord(funcName, o)
-			memo[key] = rec
+			b = p.opts.Decisions.Body(renderPlanRecord(funcName, o))
+			memo[key] = b
 		}
-		last, lastRec, seen = o, rec, true
-		return rec
+		last, lastBody, seen = o, b, true
+		return b
 	}
 	return func(o pipeline.PlanObservation) {
-		p.decide(render(o))
+		p.decideShared(body(o))
 		if m := &p.lastEmpty; m.capturing {
 			// Asking again finds every cacheable signature cached.
 			o.Cached = o.SigOK
-			m.recs = append(m.recs, render(o))
+			m.bodies = append(m.bodies, body(o))
 		}
 	}
+}
+
+// decideShared records a platform-scoped decision whose every field
+// but the time is body b's.
+func (p *Platform) decideShared(b decisions.Body) {
+	p.opts.Decisions.Emit(p.eng.Now(), b, decisions.NoRequest, 0, decisions.NoID, nil)
 }
 
 // planMemoKey identifies a plan-lookup record up to its time and
@@ -161,8 +186,7 @@ func planKind(o pipeline.PlanObservation) (decisions.Kind, string) {
 	return decisions.KindPlanMiss, "constructed and cached"
 }
 
-// renderPlanRecord renders the provenance record of one plan lookup
-// (Time and Seq are stamped when it is recorded).
+// renderPlanRecord renders the body of one plan lookup's record.
 func renderPlanRecord(funcName string, o pipeline.PlanObservation) decisions.Record {
 	kind, rule := planKind(o)
 	outcome := "rank " + strconv.Itoa(o.Rank) + " plan"

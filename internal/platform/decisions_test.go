@@ -1,6 +1,8 @@
 package platform
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -249,4 +251,82 @@ func TestPlanProvenanceMemo(t *testing.T) {
 	if shared(0, 1) || shared(0, 11) || shared(5, 6) || shared(1, 9) || shared(5, 7) {
 		t.Error("distinct lookups share a rendering")
 	}
+}
+
+// skippingPlatform builds a one-function platform with decisions on and
+// n hand-built exclusive instances, each at capacity 2/2. Its policy
+// never time-shares, and the scale-up kick counts as already queued, so
+// a route() pass scans every instance and parks the request pending.
+func skippingPlatform(t *testing.T, n int) (*Platform, *decisions.Recorder) {
+	t.Helper()
+	dec := decisions.NewRecorder(0)
+	p := New(smallCluster(1), specsFor(t, dnn.Small)[:1], Options{
+		Policy: &scheduler.ESG{}, Seed: 1, Decisions: dec,
+	})
+	fn := p.funcs[0]
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("%s#x%d", fn.spec.Name, i)
+		fn.instances = append(fn.instances, &Instance{
+			id: id, decID: dec.Intern(id), fn: fn, capacity: 2, outstanding: 2,
+		})
+	}
+	p.scaleKick = true
+	return p, dec
+}
+
+// TestRouteAllocsIndependentOfSkipped: with decisions on, a route()
+// pass that passes over n at-capacity instances allocates nothing that
+// grows with n — each candidate is a typed fact in a reused buffer,
+// copied into the recorder's chunked arena.
+func TestRouteAllocsIndependentOfSkipped(t *testing.T) {
+	allocs := func(n int) float64 {
+		p, dec := skippingPlatform(t, n)
+		rq := &request{fn: p.funcs[0]}
+		got := testing.AllocsPerRun(200, func() {
+			rq.id++
+			p.route(rq)
+		})
+		if c := dec.Chain(rq.id); len(c) != 1 || len(c[0].Candidates) != n {
+			t.Fatalf("n=%d: chain %+v, want one admit with %d candidates", n, c, n)
+		}
+		return got
+	}
+	if few, many := allocs(4), allocs(64); many != few {
+		t.Errorf("route allocates %v times passing over 64 instances, %v passing over 4", many, few)
+	}
+}
+
+// TestAdmitCandidatesRenderAtDecisionTime: a candidate's counts are
+// captured when the admit is made, so an instance whose load changes
+// afterwards still reads as it was in the chain, the export and a
+// freeze taken later.
+func TestAdmitCandidatesRenderAtDecisionTime(t *testing.T) {
+	p, dec := skippingPlatform(t, 2)
+	fn := p.funcs[0]
+	fn.instances[1].retiring = true
+	p.route(&request{id: 7, fn: fn})
+	fn.instances[0].outstanding, fn.instances[1].retiring = 1, false
+	want := []decisions.Candidate{
+		{ID: fn.instances[0].id, Reason: "at capacity (2/2)"},
+		{ID: fn.instances[1].id, Reason: "retiring"},
+	}
+	check := func(where string, recs []decisions.Record) {
+		t.Helper()
+		if len(recs) == 0 || !reflect.DeepEqual(recs[len(recs)-1].Candidates, want) {
+			t.Errorf("%s: %+v, want candidates %+v", where, recs, want)
+		}
+	}
+	check("chain", dec.Chain(7))
+	dec.Freeze(1, "test")
+	check("dump", dec.Dumps()[0].Records)
+	var buf bytes.Buffer
+	if err := dec.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var exp decisions.Export
+	if err := json.Unmarshal(buf.Bytes(), &exp); err != nil {
+		t.Fatal(err)
+	}
+	check("export", exp.Records)
+	check("export dump", exp.Dumps[0].Records)
 }

@@ -40,6 +40,10 @@ type Function struct {
 
 	rrNext int // round-robin cursor for the routing ablation
 
+	// admits are the function's admission-record bodies (provenance
+	// on only).
+	admits admitBodies
+
 	// served counts completions that went through Platform.complete
 	// (one per hedged pair); hedges counts hedged duplicates launched.
 	// Their ratio is the per-function hedge rate GrayOptions.HedgeBudget

@@ -32,6 +32,8 @@ type Instance struct {
 
 	tracker  *keepalive.Tracker
 	retiring bool
+	// decID is id interned in the decision recorder (NoID without one).
+	decID decisions.ID
 	// loadEndsAt is when the initial model load finishes; stations stay
 	// paused until then.
 	loadEndsAt float64
@@ -78,6 +80,7 @@ func (p *Platform) launchInstance(fn *Function, node *cluster.Node, plan pipelin
 		slices:  slices,
 		tracker: keepalive.NewTracker(),
 	}
+	inst.decID = p.opts.Decisions.Intern(inst.id)
 	bottleneck := plan.Bottleneck
 	if p.opts.MaxBatch > 1 {
 		// With batching, the effective per-request service time at full
@@ -423,7 +426,7 @@ func (p *Platform) onInstanceSlack(inst *Instance) {
 	for len(fn.pending) > 0 && inst.hasCapacity() {
 		rq := fn.popPending()
 		if p.decOn() {
-			p.decideDrain(rq, inst.id, "admitted on completion slack")
+			p.decideAdmit(rq, fn.admits.drainSlack, inst.decID, nil)
 		}
 		inst.admit(p, rq)
 	}

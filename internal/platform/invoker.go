@@ -114,6 +114,9 @@ type sharedSlice struct {
 	queuedWork  float64
 	servingWork float64
 	busy        bool
+	// decID is the slice's ID interned in the decision recorder (NoID
+	// without one).
+	decID decisions.ID
 	// serving is the job in service while busy, so a fault can retry
 	// exactly the request that was running.
 	serving *tsJob
@@ -130,6 +133,7 @@ func newSharedSlice(inv *Invoker, sl *mig.Slice) *sharedSlice {
 		slice:    sl,
 		lru:      keepalive.NewLRU(),
 		bindings: make(map[string]*tsBinding),
+		decID:    inv.p.opts.Decisions.Intern(sl.ID()),
 	}
 	if inv.p.opts.Overload.FairQueue {
 		ss.fair = overload.NewFairQueue[*tsJob]()
@@ -777,7 +781,7 @@ func (p *Platform) onTSSlack(b *tsBinding) {
 	for len(fn.pending) > 0 && b.outstanding < b.capacity && fn.ts == b {
 		rq := fn.popPending()
 		if p.decOn() {
-			p.decideDrain(rq, b.shared.slice.ID(), "enqueued on shared slice with new slack")
+			p.decideAdmit(rq, fn.admits.drainTSSlack, b.shared.decID, nil)
 		}
 		b.shared.enqueue(p, b, rq)
 	}
@@ -836,7 +840,7 @@ func (p *Platform) tryMigration(freed *mig.Slice) {
 	for len(bestFn.pending) > 0 && newInst.hasCapacity() {
 		rq := bestFn.popPending()
 		if p.decOn() {
-			p.decideDrain(rq, newInst.id, "admitted to migration monolith")
+			p.decideAdmit(rq, bestFn.admits.drainMigrate, newInst.decID, nil)
 		}
 		newInst.admit(p, rq)
 	}

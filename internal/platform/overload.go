@@ -354,7 +354,7 @@ func (p *Platform) contractPipelined() {
 	for len(fn.pending) > 0 && repl.hasCapacity() {
 		rq := fn.popPending()
 		if p.decOn() {
-			p.decideDrain(rq, repl.id, "admitted to contracted replacement instance")
+			p.decideAdmit(rq, fn.admits.drainContract, repl.decID, nil)
 		}
 		repl.admit(p, rq)
 	}

@@ -293,6 +293,8 @@ type Platform struct {
 	scratchPhys  [][]*mig.Slice
 	// lastEmpty is the last scale-up round that placed nothing.
 	lastEmpty emptyRound
+	// candBuf is route's reused buffer of passed-over candidates.
+	candBuf []decisions.Cand
 
 	// tally counts published lifecycle events by kind (logEvent). It is
 	// the single source of the run counters whose transitions emit
@@ -396,7 +398,7 @@ func New(cl *cluster.Cluster, specs []FunctionSpec, opts Options) *Platform {
 	}
 	p.utilRegister()
 	if p.decOn() {
-		p.wirePlanObservers()
+		p.wireDecisions()
 	}
 	return p
 }

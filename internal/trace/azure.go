@@ -10,6 +10,18 @@ import (
 	"fluidfaas/internal/sim"
 )
 
+// Caps on what an Azure-format trace may ask for. Each count cell is
+// expanded into that many requests, so without them one short row
+// (",0000000000010000000" is 20 bytes) could demand 10^7 requests and
+// exhaust memory. ReadAzureCSV returns an error past either cap.
+const (
+	// MaxAzureCellCount is the most invocations one function may have in
+	// one minute (about 1,100 req/s).
+	MaxAzureCellCount = 1 << 16
+	// MaxAzureRequests is the most requests a whole trace may expand to.
+	MaxAzureRequests = 1 << 21
+)
+
 // ReadAzureCSV parses a trace in the Azure Functions 2019 dataset
 // format [47]: one row per function, with a hash column followed by
 // per-minute invocation counts:
@@ -25,6 +37,8 @@ import (
 // drive invocation frequencies and intervals from the dataset.
 //
 // minutes limits how much of the trace is replayed (0 = all columns).
+// A cell above MaxAzureCellCount, or a trace above MaxAzureRequests in
+// all, is an error.
 func ReadAzureCSV(r io.Reader, seed int64, minutes int) (*Trace, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
@@ -47,6 +61,7 @@ func ReadAzureCSV(r io.Reader, seed int64, minutes int) (*Trace, error) {
 	}
 
 	t := &Trace{}
+	var ns []int
 	for fi, row := range data {
 		if len(row) < 2 {
 			return nil, fmt.Errorf("trace: azure csv: row %d has no counts", fi+start)
@@ -55,7 +70,9 @@ func ReadAzureCSV(r io.Reader, seed int64, minutes int) (*Trace, error) {
 		if minutes > 0 && len(counts) > minutes {
 			counts = counts[:minutes]
 		}
-		rng := sim.NewRNG(seed, fmt.Sprintf("azure/%s", row[0]))
+		// Check the whole row against the caps before expanding any of it.
+		ns = ns[:0]
+		total := len(t.Requests)
 		for m, cell := range counts {
 			n, err := strconv.Atoi(cell)
 			if err != nil {
@@ -64,6 +81,18 @@ func ReadAzureCSV(r io.Reader, seed int64, minutes int) (*Trace, error) {
 			if n < 0 {
 				return nil, fmt.Errorf("trace: azure csv: row %d minute %d: negative count", fi+start, m+1)
 			}
+			if n > MaxAzureCellCount {
+				return nil, fmt.Errorf("trace: azure csv: row %d minute %d: count %d exceeds the per-minute cap %d",
+					fi+start, m+1, n, MaxAzureCellCount)
+			}
+			if total += n; total > MaxAzureRequests {
+				return nil, fmt.Errorf("trace: azure csv: row %d minute %d: trace exceeds the cap of %d requests",
+					fi+start, m+1, MaxAzureRequests)
+			}
+			ns = append(ns, n)
+		}
+		rng := sim.NewRNG(seed, fmt.Sprintf("azure/%s", row[0]))
+		for m, n := range ns {
 			for k := 0; k < n; k++ {
 				t.Requests = append(t.Requests, Request{
 					Func:    fi,

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -106,6 +107,10 @@ func TestReadAzureCSVErrors(t *testing.T) {
 		"badCount":   "f,1,x\n",
 		"negative":   "f,-3\n",
 		"noCounts":   "HashFunction,1\nf\n",
+		// 20 bytes asking for 10^7 requests in one cell.
+		"cellCap": ",0000000000010000000",
+		// Every cell under the per-minute cap, the trace over the total.
+		"totalCap": "f," + strings.Repeat(strconv.Itoa(MaxAzureCellCount)+",", MaxAzureRequests/MaxAzureCellCount) + "1\n",
 	} {
 		if _, err := ReadAzureCSV(strings.NewReader(in), 1, 0); err == nil {
 			t.Errorf("%s accepted", name)

@@ -27,8 +27,12 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
+// MaxFuncs bounds the function indices a trace file may name.
+const MaxFuncs = 1 << 20
+
 // ReadCSV parses a trace written by WriteCSV (or a real trace excerpt in
-// the same format). Rows are re-sorted by arrival and re-numbered.
+// the same format). Rows are re-sorted by arrival and re-numbered. A
+// function index must lie in [0, MaxFuncs).
 func ReadCSV(r io.Reader) (*Trace, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()
@@ -60,6 +64,9 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 		fn, err := strconv.Atoi(row[1])
 		if err != nil {
 			return nil, fmt.Errorf("trace: row %d func: %w", i+start, err)
+		}
+		if fn < 0 || fn >= MaxFuncs {
+			return nil, fmt.Errorf("trace: row %d func %d outside [0, %d)", i+start, fn, MaxFuncs)
 		}
 		t.Requests = append(t.Requests, Request{Func: fn, Arrival: arrival})
 		if arrival > t.Duration {

@@ -181,6 +181,9 @@ func TestReadCSVErrors(t *testing.T) {
 		"badFunc":    "arrival_s,func\n1.5,zz\n",
 		"negArrival": "arrival_s,func\n-2,0\n",
 		"shortRow":   "arrival_s,func\n1.5\n",
+		"negFunc":    "arrival_s,func\n1.5,-1\n",
+		// func+1 would overflow NumFuncs.
+		"hugeFunc": "arrival_s,func\n1.5,9223372036854775807\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
