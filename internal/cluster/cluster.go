@@ -182,8 +182,10 @@ func (c *Cluster) TotalGPCs() int {
 // ActiveGPCs returns compute currently processing across the cluster.
 func (c *Cluster) ActiveGPCs() int {
 	t := 0
-	for _, g := range c.AllGPUs() {
-		t += g.ActiveGPCs()
+	for _, n := range c.Nodes {
+		for _, g := range n.GPUs {
+			t += g.ActiveGPCs()
+		}
 	}
 	return t
 }
@@ -191,8 +193,10 @@ func (c *Cluster) ActiveGPCs() int {
 // OccupiedGPCs returns compute currently allocated across the cluster.
 func (c *Cluster) OccupiedGPCs() int {
 	t := 0
-	for _, g := range c.AllGPUs() {
-		t += g.OccupiedGPCs()
+	for _, n := range c.Nodes {
+		for _, g := range n.GPUs {
+			t += g.OccupiedGPCs()
+		}
 	}
 	return t
 }
@@ -200,8 +204,10 @@ func (c *Cluster) OccupiedGPCs() int {
 // GPUTime returns summed GPU time (union activity per GPU, §6) at now.
 func (c *Cluster) GPUTime(now float64) float64 {
 	t := 0.0
-	for _, g := range c.AllGPUs() {
-		t += g.ActiveTime(now)
+	for _, n := range c.Nodes {
+		for _, g := range n.GPUs {
+			t += g.ActiveTime(now)
+		}
 	}
 	return t
 }
@@ -209,8 +215,10 @@ func (c *Cluster) GPUTime(now float64) float64 {
 // MIGTime returns summed per-slice active time at now.
 func (c *Cluster) MIGTime(now float64) float64 {
 	t := 0.0
-	for _, g := range c.AllGPUs() {
-		t += g.MIGTime(now)
+	for _, n := range c.Nodes {
+		for _, g := range n.GPUs {
+			t += g.MIGTime(now)
+		}
 	}
 	return t
 }

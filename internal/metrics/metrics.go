@@ -52,16 +52,42 @@ func (r RequestRecord) SLOHit() bool {
 	return !r.Dropped && r.SLO > 0 && r.Latency() <= r.SLO
 }
 
-// Collector accumulates request records.
+// Collector accumulates request records. Record also keeps the tallies
+// and latency-breakdown sums the run summaries read, so those cost O(1)
+// instead of a scan over every record.
 type Collector struct {
 	records []RequestRecord
+
+	completed, rejected, timeoutDrops, sloHits int
+	// sum holds the breakdown components of completed requests, added
+	// in record order — the order a scan of records would add them, so
+	// MeanBreakdown is bit-identical to one.
+	sum Breakdown
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector { return &Collector{} }
 
 // Record adds one request outcome.
-func (c *Collector) Record(r RequestRecord) { c.records = append(c.records, r) }
+func (c *Collector) Record(r RequestRecord) {
+	c.records = append(c.records, r)
+	switch {
+	case !r.Dropped:
+		c.completed++
+		c.sum.Queue += r.Queue
+		c.sum.Load += r.Load
+		c.sum.Exec += r.Exec
+		c.sum.Transfer += r.Transfer
+	case !r.Rejected && !r.Failed:
+		c.timeoutDrops++
+	}
+	if r.Rejected {
+		c.rejected++
+	}
+	if r.SLOHit() {
+		c.sloHits++
+	}
+}
 
 // Reserve pre-sizes the store for n further records, so a run that
 // knows its request count up front (trace replay) avoids the append
@@ -81,40 +107,16 @@ func (c *Collector) Len() int { return len(c.records) }
 func (c *Collector) Records() []RequestRecord { return c.records }
 
 // Completed returns the number of served (non-dropped) requests.
-func (c *Collector) Completed() int {
-	n := 0
-	for _, r := range c.records {
-		if !r.Dropped {
-			n++
-		}
-	}
-	return n
-}
+func (c *Collector) Completed() int { return c.completed }
 
 // RejectedCount returns requests fast-failed by admission control or
 // brownout shedding.
-func (c *Collector) RejectedCount() int {
-	n := 0
-	for _, r := range c.records {
-		if r.Rejected {
-			n++
-		}
-	}
-	return n
-}
+func (c *Collector) RejectedCount() int { return c.rejected }
 
 // TimeoutDropCount returns requests dropped after waiting out a client
 // timeout — drops that are neither fast-fail rejections nor hardware-
 // fault casualties.
-func (c *Collector) TimeoutDropCount() int {
-	n := 0
-	for _, r := range c.records {
-		if r.Dropped && !r.Rejected && !r.Failed {
-			n++
-		}
-	}
-	return n
-}
+func (c *Collector) TimeoutDropCount() int { return c.timeoutDrops }
 
 // Goodput returns SLO-meeting completions per second over the
 // duration — the overload studies' headline metric: work that arrived
@@ -123,13 +125,7 @@ func (c *Collector) Goodput(duration float64) float64 {
 	if duration <= 0 {
 		return 0
 	}
-	hit := 0
-	for _, r := range c.records {
-		if r.SLOHit() {
-			hit++
-		}
-	}
-	return float64(hit) / duration
+	return float64(c.sloHits) / duration
 }
 
 // GoodputByFunc returns per-function SLO-meeting completions per
@@ -195,13 +191,7 @@ func (c *Collector) SLOHitRate() float64 {
 	if len(c.records) == 0 {
 		return 0
 	}
-	hit := 0
-	for _, r := range c.records {
-		if r.SLOHit() {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(c.records))
+	return float64(c.sloHits) / float64(len(c.records))
 }
 
 // SLOHitRateByFunc returns per-function SLO hit rates.
@@ -226,12 +216,15 @@ func (c *Collector) Throughput(duration float64) float64 {
 	if duration <= 0 {
 		return 0
 	}
-	return float64(c.Completed()) / duration
+	return float64(c.completed) / duration
 }
 
 // Latencies returns the sorted latencies of completed requests.
 func (c *Collector) Latencies() []float64 {
-	var out []float64
+	if c.completed == 0 {
+		return nil
+	}
+	out := make([]float64, 0, c.completed)
 	for _, r := range c.records {
 		if !r.Dropped {
 			out = append(out, r.Latency())
@@ -275,22 +268,11 @@ func (b Breakdown) String() string {
 // MeanBreakdown returns the average decomposition over completed
 // requests.
 func (c *Collector) MeanBreakdown() Breakdown {
-	var b Breakdown
-	n := 0
-	for _, r := range c.records {
-		if r.Dropped {
-			continue
-		}
-		b.Queue += r.Queue
-		b.Load += r.Load
-		b.Exec += r.Exec
-		b.Transfer += r.Transfer
-		n++
-	}
-	if n == 0 {
+	if c.completed == 0 {
 		return Breakdown{}
 	}
-	inv := 1 / float64(n)
+	b := c.sum
+	inv := 1 / float64(c.completed)
 	b.Queue *= inv
 	b.Load *= inv
 	b.Exec *= inv

@@ -2,6 +2,9 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -284,5 +287,102 @@ func TestJainIndex(t *testing.T) {
 	// 2:1 split over two flows: (3)^2 / (2*5) = 0.9.
 	if got := JainIndex([]float64{2, 1}); math.Abs(got-0.9) > 1e-12 {
 		t.Errorf("2:1 JainIndex = %v, want 0.9", got)
+	}
+}
+
+// TestCollectorTalliesMatchScan: the tallies Record keeps answer every
+// summary exactly as a scan of the records does — counts equal,
+// latencies equal, and the mean breakdown equal to the bit, over random
+// mixes of served, rejected, fault-failed and timeout-dropped requests.
+func TestCollectorTalliesMatchScan(t *testing.T) {
+	for seed := int64(1); seed <= 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := NewCollector()
+		n := rng.Intn(400)
+		if seed == 1 {
+			n = 0
+		}
+		for i := 0; i < n; i++ {
+			arrival := rng.Float64() * 100
+			r := RequestRecord{
+				ID: i, Func: rng.Intn(3), Arrival: arrival,
+				Completion: arrival + rng.ExpFloat64()*0.3,
+				Queue:      rng.ExpFloat64() * 0.1, Load: rng.Float64() * 0.05,
+				Exec: rng.ExpFloat64() * 0.07, Transfer: rng.Float64() * 0.01,
+			}
+			if rng.Intn(4) != 0 {
+				r.SLO = 0.1 + rng.Float64()*0.4
+			}
+			switch rng.Intn(6) {
+			case 0:
+				r.Dropped, r.Rejected = true, true
+			case 1:
+				r.Dropped, r.Failed, r.Retries = true, true, 1+rng.Intn(3)
+			case 2:
+				r.Dropped = true
+			}
+			c.Record(r)
+		}
+
+		var completed, rejected, timeouts, hits int
+		var lat []float64
+		var b Breakdown
+		for _, r := range c.Records() {
+			if r.Rejected {
+				rejected++
+			}
+			if r.Dropped && !r.Rejected && !r.Failed {
+				timeouts++
+			}
+			if r.SLOHit() {
+				hits++
+			}
+			if r.Dropped {
+				continue
+			}
+			completed++
+			lat = append(lat, r.Latency())
+			b.Queue += r.Queue
+			b.Load += r.Load
+			b.Exec += r.Exec
+			b.Transfer += r.Transfer
+		}
+		sort.Float64s(lat)
+		if completed > 0 {
+			inv := 1 / float64(completed)
+			b.Queue *= inv
+			b.Load *= inv
+			b.Exec *= inv
+			b.Transfer *= inv
+		}
+		hitRate := 0.0
+		if n > 0 {
+			hitRate = float64(hits) / float64(n)
+		}
+
+		if c.Completed() != completed || c.RejectedCount() != rejected ||
+			c.TimeoutDropCount() != timeouts {
+			t.Fatalf("seed %d: completed/rejected/timeouts = %d/%d/%d, scan says %d/%d/%d",
+				seed, c.Completed(), c.RejectedCount(), c.TimeoutDropCount(),
+				completed, rejected, timeouts)
+		}
+		if got := c.SLOHitRate(); got != hitRate {
+			t.Fatalf("seed %d: SLOHitRate = %v, scan says %v", seed, got, hitRate)
+		}
+		if got, want := c.Throughput(60), float64(completed)/60; got != want {
+			t.Fatalf("seed %d: Throughput = %v, scan says %v", seed, got, want)
+		}
+		if got := c.Latencies(); !reflect.DeepEqual(got, lat) {
+			t.Fatalf("seed %d: Latencies differ from the scan", seed)
+		}
+		got := c.MeanBreakdown()
+		for _, pair := range [][2]float64{
+			{got.Queue, b.Queue}, {got.Load, b.Load},
+			{got.Exec, b.Exec}, {got.Transfer, b.Transfer},
+		} {
+			if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+				t.Fatalf("seed %d: MeanBreakdown %+v, scan says %+v", seed, got, b)
+			}
+		}
 	}
 }

@@ -13,7 +13,10 @@ func FragmentationIndex(gpus []*GPU, now float64) float64 {
 	totalFree := 0
 	largest := 0
 	for _, g := range gpus {
-		for _, s := range g.FreeSlices(now) {
+		for _, s := range g.Slices {
+			if !s.Placeable(now) {
+				continue
+			}
 			totalFree += s.Type.GPCs()
 			if s.Type.GPCs() > largest {
 				largest = s.Type.GPCs()
@@ -33,7 +36,10 @@ func FragmentationIndex(gpus []*GPU, now float64) float64 {
 func StrandedGPCs(gpus []*GPU, now float64, needGPCs int) int {
 	total := 0
 	for _, g := range gpus {
-		for _, s := range g.FreeSlices(now) {
+		for _, s := range g.Slices {
+			if !s.Placeable(now) {
+				continue
+			}
 			if s.Type.GPCs() >= needGPCs {
 				return 0
 			}

@@ -93,6 +93,12 @@ func (s *Slice) Usable(now float64) bool {
 	return !s.unhealthy && !s.quarantined && s.GPU.Healthy() && s.GPU.Available(now)
 }
 
+// Placeable reports whether the slice is one its GPU's FreeSlices lists
+// at now: unallocated and usable. Callers that need only sums or maxima
+// over the free slices test each slice with it instead of building the
+// sorted list.
+func (s *Slice) Placeable(now float64) bool { return s.Free() && s.Usable(now) }
+
 // Allocate assigns the slice to owner at time now. Allocating a held
 // slice is a model bug and panics.
 func (s *Slice) Allocate(owner string, now float64) {
@@ -294,7 +300,7 @@ func (g *GPU) FreeSlices(now float64) []*Slice {
 	}
 	var out []*Slice
 	for _, s := range g.Slices {
-		if s.Free() && s.Healthy() && !s.quarantined {
+		if s.Placeable(now) {
 			out = append(out, s)
 		}
 	}
@@ -310,8 +316,10 @@ func (g *GPU) FreeSlices(now float64) []*Slice {
 // FreeGPCs returns the total compute of free slices.
 func (g *GPU) FreeGPCs(now float64) int {
 	n := 0
-	for _, s := range g.FreeSlices(now) {
-		n += s.Type.GPCs()
+	for _, s := range g.Slices {
+		if s.Placeable(now) {
+			n += s.Type.GPCs()
+		}
 	}
 	return n
 }

@@ -1,0 +1,84 @@
+package platform
+
+import (
+	"testing"
+
+	"fluidfaas/internal/dnn"
+	"fluidfaas/internal/mig"
+	"fluidfaas/internal/pipeline"
+	"fluidfaas/internal/scheduler"
+)
+
+// twoStagePlatform builds a one-function platform, no observers, with a
+// hand-built two-stage exclusive pipeline launched and already loaded.
+func twoStagePlatform(t *testing.T) (*Platform, *Instance) {
+	t.Helper()
+	p := New(smallCluster(1), specsFor(t, dnn.Small)[:1], Options{
+		Policy: &scheduler.ESG{}, Seed: 1,
+	})
+	fn := p.funcs[0]
+	node := p.cl.Nodes[0]
+	free := node.FreeSlices(0)
+	if len(free) < 2 {
+		t.Fatalf("%d free slices, want two", len(free))
+	}
+	slices := []*mig.Slice{free[0], free[1]}
+	plan := pipeline.Plan{
+		Stages: []pipeline.StagePlan{
+			{SliceType: slices[0].Type, ExecTime: 0.010, TransferOut: 0.002},
+			{SliceType: slices[1].Type, ExecTime: 0.008},
+		},
+		Latency: 0.020, Bottleneck: 0.010,
+	}
+	return p, p.launchInstance(fn, node, plan, slices, 0)
+}
+
+// TestPipelineAllocsPerRequest: carrying a request through a two-stage
+// exclusive pipeline allocates a constant per request, the same at 4
+// and at 64 requests in flight: its one stage job and the job's bound
+// hop callback. Stations, the hop event and the engine heap reuse their
+// storage, so nothing is allocated per stage or per event.
+func TestPipelineAllocsPerRequest(t *testing.T) {
+	perRequest := func(n int) float64 {
+		p, inst := twoStagePlatform(t)
+		p.col.Reserve(200 * n)
+		reqs := make([]request, n)
+		got := testing.AllocsPerRun(100, func() {
+			for i := range reqs {
+				reqs[i] = request{id: i, fn: inst.fn, arrival: p.eng.Now()}
+				inst.admit(p, &reqs[i])
+			}
+			p.eng.Run()
+		})
+		if c := p.col.Completed(); c != 101*n {
+			t.Fatalf("n=%d: %d requests completed, want %d", n, c, 101*n)
+		}
+		return got / float64(n)
+	}
+	few, many := perRequest(4), perRequest(64)
+	if few != many {
+		t.Errorf("a request costs %v allocations with 4 in flight, %v with 64", few, many)
+	}
+	if few != 2 {
+		t.Errorf("a request costs %v allocations, want 2 (its stage job and hop callback)", few)
+	}
+}
+
+// TestKickScaleUpAllocatesNothing: a scale-up kick reuses the platform's
+// one kick event and its callback bound at construction, so kicking and
+// running the (empty) pass it schedules allocates nothing.
+func TestKickScaleUpAllocatesNothing(t *testing.T) {
+	p, _ := twoStagePlatform(t)
+	kick := func() {
+		p.kickScaleUp()
+		p.kickScaleUp() // coalesced into the pending pass
+		p.eng.Run()
+	}
+	kick()
+	if got := testing.AllocsPerRun(100, kick); got != 0 {
+		t.Errorf("a scale-up kick allocates %v times, want 0", got)
+	}
+	if p.scaleKick {
+		t.Error("the kicked pass did not run")
+	}
+}

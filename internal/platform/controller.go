@@ -138,10 +138,13 @@ func (p *Platform) kickScaleUp() {
 		return
 	}
 	p.scaleKick = true
-	p.eng.After(0, func() {
-		p.scaleKick = false
-		p.scaleUp()
-	})
+	p.eng.Rearm(&p.kick, p.eng.Now(), p.kickFn)
+}
+
+// kicked runs the coalesced scale-up pass kickScaleUp scheduled.
+func (p *Platform) kicked() {
+	p.scaleKick = false
+	p.scaleUp()
 }
 
 // pickInvokerForTS picks the node for a new time-sharing binding: the

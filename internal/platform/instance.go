@@ -203,32 +203,29 @@ func (inst *Instance) admit(p *Platform, rq *request) {
 	inst.inflight = append(inst.inflight, rq)
 	rq.snapshot()
 	inst.tracker.Touch(p.eng.Now())
-	inst.enqueueStage(p, rq, 0)
+	switch {
+	case inst.failed:
+		// A torn-down instance takes no work; its requests were
+		// already retried elsewhere.
+	case len(inst.bstations) > 0:
+		inst.enqueueStageBatched(p, rq, 0)
+	default:
+		// One allocation per admission: the stageJob embeds the sim.Job
+		// and serves as its Runner, and the same job carries the request
+		// through every stage.
+		sj := &stageJob{p: p, inst: inst, rq: rq}
+		sj.job.Runner = sj
+		sj.enqueue()
+	}
 	// The request may be at deadline risk on a suspect slice: consider
 	// duplicating it onto healthy hardware (no-op unless hedging is on).
 	p.maybeHedgeInstance(inst, rq)
 }
 
-func (inst *Instance) enqueueStage(p *Platform, rq *request, si int) {
-	if inst.failed {
-		// The instance died while rq was between stages; the fault
-		// handler already retried it elsewhere.
-		return
-	}
-	if len(inst.bstations) > 0 {
-		inst.enqueueStageBatched(p, rq, si)
-		return
-	}
-	// One allocation per stage visit: the stageJob embeds the sim.Job
-	// and serves as its Runner, instead of a closure pair capturing a
-	// heap cell per variable.
-	sj := &stageJob{p: p, inst: inst, rq: rq, si: si, enqueueAt: p.eng.Now()}
-	sj.job.Runner = sj
-	inst.stations[si].Enqueue(&sj.job)
-}
-
-// stageJob is one request's passage through one exclusive-pipeline
-// stage: the sim.Job it rides plus the state its callbacks need.
+// stageJob is one request's passage through an exclusive instance's
+// stages: the sim.Job it rides plus the state its callbacks need. si is
+// the stage it is at; between stages it waits out the TransferOut hop
+// on its own hop event.
 type stageJob struct {
 	job       sim.Job
 	p         *Platform
@@ -240,6 +237,29 @@ type stageJob struct {
 	// any gray degradation); it stays 0 when the copy was cancelled
 	// before service, so Done can tell the two apart.
 	exec float64
+	// hop and hopFn carry the job to stage si+1 when its transfer ends;
+	// hopFn is bound on the first hop, so a monolithic instance's jobs
+	// never pay for it.
+	hop   sim.Event
+	hopFn func()
+}
+
+// enqueue queues the job at its current stage's station.
+func (sj *stageJob) enqueue() {
+	sj.enqueueAt = sj.p.eng.Now()
+	sj.exec = 0
+	sj.inst.stations[sj.si].Enqueue(&sj.job)
+}
+
+// next moves the job on to the following stage once its transfer lands.
+func (sj *stageJob) next() {
+	if sj.inst.failed {
+		// The instance died while the request was between stages; the
+		// fault handler already retried it elsewhere.
+		return
+	}
+	sj.si++
+	sj.enqueue()
 }
 
 // Service implements sim.Runner.
@@ -313,9 +333,10 @@ func (sj *stageJob) Done() {
 		tr := sp.TransferOut * p.degradeFactor(sl)
 		rq.rec.Transfer += tr
 		p.sliceWork(sl, util.BusyTransfer, inst.fn, rq.rec.ID, si, now, now+tr, 0)
-		p.eng.After(tr, func() {
-			inst.enqueueStage(p, rq, si+1)
-		})
+		if sj.hopFn == nil {
+			sj.hopFn = sj.next
+		}
+		p.eng.Rearm(&sj.hop, now+tr, sj.hopFn)
 		p.observeSliceExec(sl, sp.ExecTime, exec)
 		return
 	}

@@ -403,23 +403,23 @@ func (inv *Invoker) rebindToFreshSlice(fn *Function) bool {
 // idle shared capacity should never block a hot function (§5.3's
 // auto-scale-down of the time-sharing pool).
 func (inv *Invoker) reclaimIdle() int {
-	freed := 0
 	now := inv.p.eng.Now()
-	shared := append([]*sharedSlice(nil), inv.shared...)
+	first := -1
+	for i, ss := range inv.shared {
+		if reclaimable(ss, now) {
+			first = i
+			break
+		}
+	}
+	if first < 0 {
+		return 0
+	}
+	// Reclaiming edits inv.shared, so walk a snapshot of it; the slices
+	// before the first candidate were passed over untouched.
+	freed := 0
+	shared := append([]*sharedSlice(nil), inv.shared[first:]...)
 	for _, ss := range shared {
-		if ss.busy || ss.qlen() > 0 {
-			continue
-		}
-		idle := true
-		for _, b := range ss.bindings {
-			// Recently used bindings stay: dropping them would trade a
-			// guaranteed cold start for a speculative placement.
-			if b.outstanding > 0 || b.tracker.IdleFor(now) < 5 {
-				idle = false
-				break
-			}
-		}
-		if !idle {
+		if !reclaimable(ss, now) {
 			continue
 		}
 		names := make([]string, 0, len(ss.bindings))
@@ -469,6 +469,22 @@ func (inv *Invoker) reclaimIdle() int {
 		freed++
 	}
 	return freed
+}
+
+// reclaimable reports whether reclaimIdle may free ss: nothing in
+// service or queued, and every binding idle for a while.
+func reclaimable(ss *sharedSlice, now float64) bool {
+	if ss.busy || ss.qlen() > 0 {
+		return false
+	}
+	for _, b := range ss.bindings {
+		// Recently used bindings stay: dropping them would trade a
+		// guaranteed cold start for a speculative placement.
+		if b.outstanding > 0 || b.tracker.IdleFor(now) < 5 {
+			return false
+		}
+	}
+	return true
 }
 
 // siblingSlice finds another pool slice that can host b's function.

@@ -268,6 +268,10 @@ type Platform struct {
 	inv      []*Invoker
 	col      *metrics.Collector
 
+	// gpus is cl.AllGPUs(), taken once: the topology is fixed at
+	// construction, and the utilisation sampler walks it every period.
+	gpus []*mig.GPU
+
 	// Sampled series for Figs. 3a and 16.
 	UtilGPCs     metrics.Timeline // active GPCs / total GPCs
 	UtilGPUs     metrics.Timeline // GPUs with any active slice / total
@@ -304,6 +308,11 @@ type Platform struct {
 
 	instSeq   int
 	scaleKick bool // an immediate scale-up pass is scheduled
+	// kick is the scale-up pass's event and kickFn its callback, bound
+	// once in New: scaleKick keeps at most one pending, so one event
+	// serves every kick.
+	kick   sim.Event
+	kickFn func()
 
 	// Fault subsystem state. Recoveries stay a field: gray probation
 	// readmission also emits EvRecover.
@@ -354,6 +363,7 @@ func New(cl *cluster.Cluster, specs []FunctionSpec, opts Options) *Platform {
 	p := &Platform{
 		eng:      sim.NewEngine(),
 		cl:       cl,
+		gpus:     cl.AllGPUs(),
 		opts:     opts,
 		fnByName: make(map[string]*Function),
 		col:      metrics.NewCollector(),
@@ -361,6 +371,7 @@ func New(cl *cluster.Cluster, specs []FunctionSpec, opts Options) *Platform {
 		degraded: make(map[*mig.Slice]float64),
 		health:   make(map[*mig.Slice]*sliceHealth),
 	}
+	p.kickFn = p.kicked
 	p.HealthScores = make(map[string]*metrics.Timeline)
 	p.opts.Overload = p.opts.Overload.Defaulted()
 	p.ladder = overload.NewLadder(p.opts.Overload)
@@ -588,15 +599,14 @@ func (p *Platform) sampleUtilization() {
 	total := float64(p.cl.TotalGPCs())
 	p.UtilGPCs.Add(now, float64(p.cl.ActiveGPCs())/total)
 	p.OccupiedGPCs.Add(now, float64(p.cl.OccupiedGPCs())/total)
-	gpus := p.cl.AllGPUs()
 	active := 0
-	for _, g := range gpus {
+	for _, g := range p.gpus {
 		if g.ActiveGPCs() > 0 {
 			active++
 		}
 	}
-	p.UtilGPUs.Add(now, float64(active)/float64(len(gpus)))
-	fi := mig.FragmentationIndex(gpus, now)
+	p.UtilGPUs.Add(now, float64(active)/float64(len(p.gpus)))
+	fi := mig.FragmentationIndex(p.gpus, now)
 	p.Fragmentation.Add(now, fi)
 	p.utilSample(now, fi)
 	p.HostPoolOcc.Add(now, p.poolOccupancy())

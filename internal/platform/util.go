@@ -150,15 +150,20 @@ func (p *Platform) utilSample(now, fi float64) {
 		return
 	}
 	s := util.FragSample{Time: now, Index: fi}
-	for _, g := range p.cl.AllGPUs() {
-		for _, sl := range g.FreeSlices(now) {
-			gp := sl.Type.GPCs()
-			s.FreeGPCs += gp
-			if !p.utilHostable[sl.Type] {
-				s.StrandedGPCs += gp
-				s.StrandedGB += float64(sl.Type.MemGB())
-			} else if gp > s.LargestPlaceableGPCs {
-				s.LargestPlaceableGPCs = gp
+	for _, node := range p.cl.Nodes {
+		for _, g := range node.GPUs {
+			for _, sl := range g.Slices {
+				if !sl.Placeable(now) {
+					continue
+				}
+				gp := sl.Type.GPCs()
+				s.FreeGPCs += gp
+				if !p.utilHostable[sl.Type] {
+					s.StrandedGPCs += gp
+					s.StrandedGB += float64(sl.Type.MemGB())
+				} else if gp > s.LargestPlaceableGPCs {
+					s.LargestPlaceableGPCs = gp
+				}
 			}
 		}
 	}

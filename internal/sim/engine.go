@@ -18,8 +18,10 @@ type Time = float64
 // Forever is a time later than any event a simulation will schedule.
 const Forever Time = math.MaxFloat64
 
-// Event is a scheduled callback. The zero Event is invalid; events are
-// created through Engine.At or Engine.After.
+// Event is a scheduled callback, created through Engine.At or
+// Engine.After. A caller may also own an Event — embedded in its own
+// state, starting as the zero value — and schedule it with Engine.Rearm
+// as often as it likes, one pending firing at a time.
 type Event struct {
 	time      Time
 	seq       uint64
@@ -34,7 +36,7 @@ func (e *Event) Time() Time { return e.time }
 
 // Cancelled reports whether Cancel removed the event before it fired.
 // Cancelling after the event ran is a no-op, so Cancelled and Fired are
-// mutually exclusive.
+// mutually exclusive. Rearm clears both.
 func (e *Event) Cancelled() bool { return e.cancelled }
 
 // Fired reports whether the event's callback has run.
@@ -124,11 +126,34 @@ func (e *Engine) check(t Time) {
 // At schedules fn to run at absolute time t. Scheduling in the past
 // (t < Now) or at NaN panics.
 func (e *Engine) At(t Time, fn func()) *Event {
+	ev := new(Event)
+	e.Rearm(ev, t, fn)
+	return ev
+}
+
+// Rearm schedules the caller-owned event ev to run fn at absolute time
+// t. At is Rearm on a fresh Event, so a re-armed event takes the same
+// sequence number, and ties with other events in the same order, as an
+// At call in its place; it just reuses ev instead of allocating one. ev
+// may be the zero Event, one that fired or one that was cancelled, and
+// Rearm resets its Fired and Cancelled; re-arming an event that is
+// still pending panics, as does a time At would reject.
+func (e *Engine) Rearm(ev *Event, t Time, fn func()) {
+	if e.queued(ev) {
+		panic(fmt.Sprintf("sim: re-arming an event still pending at %v", ev.time))
+	}
 	e.check(t)
 	e.seq++
-	ev := &Event{time: t, seq: e.seq, fn: fn}
+	ev.time, ev.seq, ev.fn = t, e.seq, fn
+	ev.cancelled, ev.fired = false, false
 	e.push(ev)
-	return ev
+}
+
+// queued reports whether ev is in the heap. The zero Event's index is 0,
+// so the slot's occupant is the authority, not the index alone.
+func (e *Engine) queued(ev *Event) bool {
+	i := ev.index
+	return i >= 0 && i < len(e.heap) && e.heap[i] == ev
 }
 
 // After schedules fn to run d seconds from now. Negative delays panic.

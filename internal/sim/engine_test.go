@@ -670,3 +670,112 @@ func TestEngineStatsZero(t *testing.T) {
 		t.Errorf("fresh engine stats = %+v, want zero", s)
 	}
 }
+
+// firing is one event's (time, seq) as it fired, and which actor owned it.
+type firing struct {
+	t     Time
+	seq   uint64
+	actor int
+}
+
+// rearmWorkload runs a seeded schedule of actors. Each keeps one event
+// pending, reschedules itself when it fires (coarse delays: many exact
+// ties) and now and then cancels some actor's pending event and
+// schedules it again. With owned set every actor re-arms one Event of
+// its own; otherwise each scheduling is a fresh At.
+func rearmWorkload(seed int64, owned bool) ([]firing, Stats) {
+	const actors = 8
+	rng := NewRNG(seed, "rearm")
+	e := NewEngine()
+	evs := make([]*Event, actors) // each actor's latest event
+	own := make([]Event, actors)
+	left := make([]int, actors)
+	var log []firing
+	delay := func() Time { return Time(rng.Intn(4)) * 0.5 }
+	var arm func(a int, t Time)
+	arm = func(a int, t Time) {
+		fn := func() {
+			log = append(log, firing{e.Now(), evs[a].seq, a})
+			if left[a]--; left[a] > 0 {
+				arm(a, e.Now()+delay())
+			}
+			if rng.Intn(5) == 0 {
+				b := rng.Intn(actors)
+				if ev := evs[b]; !ev.Fired() && !ev.Cancelled() {
+					e.Cancel(ev)
+					arm(b, e.Now()+delay())
+				}
+			}
+		}
+		if owned {
+			e.Rearm(&own[a], t, fn)
+			evs[a] = &own[a]
+		} else {
+			evs[a] = e.At(t, fn)
+		}
+	}
+	for a := 0; a < actors; a++ {
+		left[a] = 20 + rng.Intn(20)
+		arm(a, Time(rng.Intn(3)))
+	}
+	e.Run()
+	s := e.Stats()
+	s.WallSeconds, s.EventsPerSec = 0, 0
+	return log, s
+}
+
+// TestRearmMatchesAt: a caller-owned event re-armed through Rearm fires
+// in exactly the (time, seq) order, and leaves exactly the Stats, that
+// the same schedule gets from one At per scheduling — Rearm only saves
+// the allocation. Re-arming a pending event panics; an event can be
+// re-armed after it fires and after Cancel, which clears both Fired and
+// Cancelled.
+func TestRearmMatchesAt(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		atLog, atStats := rearmWorkload(seed, false)
+		ownLog, ownStats := rearmWorkload(seed, true)
+		if !reflect.DeepEqual(ownLog, atLog) {
+			t.Fatalf("seed %d: re-armed events fired differently from At", seed)
+		}
+		if ownStats != atStats {
+			t.Fatalf("seed %d: stats %+v, want %+v", seed, ownStats, atStats)
+		}
+		if atStats.Cancellations == 0 {
+			t.Fatalf("seed %d: schedule cancelled nothing", seed)
+		}
+	}
+
+	e := NewEngine()
+	var ev Event
+	n := 0
+	e.Rearm(&ev, 1, func() { n++ })
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("re-arming a pending event did not panic")
+			}
+		}()
+		e.Rearm(&ev, 2, func() {})
+	}()
+	e.Run()
+	if !ev.Fired() || n != 1 {
+		t.Fatalf("fired=%v n=%d, want the first arming to fire once", ev.Fired(), n)
+	}
+	e.Rearm(&ev, 3, func() { n++ })
+	if ev.Fired() || ev.Time() != 3 {
+		t.Errorf("re-armed after firing: fired=%v time=%v, want false 3", ev.Fired(), ev.Time())
+	}
+	e.Cancel(&ev)
+	if !ev.Cancelled() {
+		t.Fatal("Cancel did not cancel the re-armed event")
+	}
+	e.Rearm(&ev, 4, func() { n += 10 })
+	if ev.Cancelled() || ev.Fired() {
+		t.Errorf("re-armed after Cancel: cancelled=%v fired=%v, want both false",
+			ev.Cancelled(), ev.Fired())
+	}
+	e.Run()
+	if n != 11 || e.Now() != 4 || !ev.Fired() {
+		t.Errorf("n=%d now=%v fired=%v, want 11 4 true", n, e.Now(), ev.Fired())
+	}
+}

@@ -9,11 +9,17 @@ type Station struct {
 	eng  *Engine
 	name string
 
+	// queue[head:] is the FIFO. Popping advances head and nils the slot;
+	// the buffer is reused rather than resliced, so a long-lived station
+	// stops allocating once it has seen its deepest backlog.
 	queue []*Job
+	head  int
 	busy  bool
-	// cur is the job in service; finishFn is the pre-bound completion
-	// callback shared by every job (allocated once in NewStation).
+	// cur is the job in service. finish is the station's completion
+	// event, re-armed for every job with finishFn: a single server has
+	// at most one job in service, so one event serves them all.
 	cur      *Job
+	finish   Event
 	finishFn func()
 
 	// Paused stations accept jobs but do not start service; used while a
@@ -74,7 +80,7 @@ func NewStation(eng *Engine, name string) *Station {
 	s := &Station{eng: eng, name: name}
 	// One completion callback per station, not per job: the station is a
 	// single server, so the job it belongs to is always s.cur.
-	s.finishFn = s.finish
+	s.finishFn = s.complete
 	return s
 }
 
@@ -83,7 +89,7 @@ func (s *Station) Name() string { return s.name }
 
 // QueueLen returns the number of jobs waiting (excluding the one in
 // service).
-func (s *Station) QueueLen() int { return len(s.queue) }
+func (s *Station) QueueLen() int { return len(s.queue) - s.head }
 
 // Busy reports whether a job is currently in service.
 func (s *Station) Busy() bool { return s.busy }
@@ -114,6 +120,14 @@ func (s *Station) Utilization() float64 {
 // and not paused.
 func (s *Station) Enqueue(j *Job) {
 	j.EnqueuedAt = s.eng.Now()
+	if n := len(s.queue); n == cap(s.queue) && s.head >= n/2 && s.head > 0 {
+		// Full, and at least half of it popped: slide the live jobs
+		// down instead of growing. Compacting only then keeps each
+		// move paid for by the pops before it.
+		live := copy(s.queue, s.queue[s.head:])
+		clear(s.queue[live:])
+		s.queue, s.head = s.queue[:live], 0
+	}
 	s.queue = append(s.queue, j)
 	s.maybeStart()
 }
@@ -135,11 +149,14 @@ func (s *Station) Resume() {
 func (s *Station) Paused() bool { return s.paused }
 
 func (s *Station) maybeStart() {
-	if s.busy || s.paused || len(s.queue) == 0 {
+	if s.busy || s.paused || s.head == len(s.queue) {
 		return
 	}
-	j := s.queue[0]
-	s.queue = s.queue[1:]
+	j := s.queue[s.head]
+	s.queue[s.head] = nil
+	if s.head++; s.head == len(s.queue) {
+		s.queue, s.head = s.queue[:0], 0
+	}
 	s.busy = true
 	s.cur = j
 	s.busySince = s.eng.Now()
@@ -148,10 +165,10 @@ func (s *Station) maybeStart() {
 	if d < 0 {
 		d = 0
 	}
-	s.eng.After(d, s.finishFn)
+	s.eng.Rearm(&s.finish, s.eng.Now()+d, s.finishFn)
 }
 
-func (s *Station) finish() {
+func (s *Station) complete() {
 	j := s.cur
 	s.cur = nil
 	s.busy = false

@@ -141,3 +141,149 @@ func TestStationTandemPipelineOverlap(t *testing.T) {
 		t.Errorf("pipeline makespan = %v, want 8 (overlapped)", finish)
 	}
 }
+
+// TestStationTandemLindley: a FIFO tandem of deterministic stations is
+// the Lindley recursion, exactly. Every job's departure from every stage
+// must equal, to the bit, start + service with start = max(arrival at
+// the stage, the previous job's departure from it), and a start that
+// falls inside a stage's pause window waits for the resume. Arrivals
+// come from the seeded generator with a share of zero gaps, so ties in
+// arrival and between arrival and departure occur throughout.
+func TestStationTandemLindley(t *testing.T) {
+	service := []Time{0.8, 1.0, 0.6}
+	const (
+		jobs  = 2000
+		stage = 1 // the stage paused over [pause, resume)
+	)
+	pause, resume := Time(200.3), Time(260.7)
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := NewRNG(seed, "lindley")
+		arrivals := make([]Time, jobs)
+		at := Time(0)
+		for i := range arrivals {
+			if rng.Intn(5) != 0 {
+				at += rng.Exp(1)
+			}
+			arrivals[i] = at
+		}
+
+		e := NewEngine()
+		stations := make([]*Station, len(service))
+		for k := range stations {
+			stations[k] = NewStation(e, "s")
+		}
+		dep := make([][]Time, len(service)) // dep[k][i]: job i leaves stage k
+		for k := range dep {
+			dep[k] = make([]Time, jobs)
+		}
+		served := 0
+		var enter func(k, i int)
+		enter = func(k, i int) {
+			stations[k].Enqueue(&Job{
+				Service: func() Time { return service[k] },
+				Done: func() {
+					dep[k][i] = e.Now()
+					served++
+					if k+1 < len(stations) {
+						enter(k+1, i)
+					}
+				},
+			})
+		}
+		for i, a := range arrivals {
+			e.At(a, func() { enter(0, i) })
+		}
+		e.At(pause, stations[stage].Pause)
+		e.At(resume, stations[stage].Resume)
+		e.Run()
+
+		if served != jobs*len(service) {
+			t.Fatalf("seed %d: %d stage departures, want %d", seed, served, jobs*len(service))
+		}
+		held := 0
+		in := arrivals
+		for k, s := range service {
+			prev := Time(0)
+			for i, a := range in {
+				start := max(a, prev)
+				if k == stage && start >= pause && start < resume {
+					start = resume
+					held++
+				}
+				want := start + s
+				if dep[k][i] != want {
+					t.Fatalf("seed %d stage %d job %d: departed %v, Lindley says %v",
+						seed, k, i, dep[k][i], want)
+				}
+				prev = want
+			}
+			in = dep[k]
+		}
+		if held == 0 {
+			t.Fatalf("seed %d: the pause window held no job", seed)
+		}
+	}
+}
+
+// TestStationQueueBufferBounded: under a backlog that never drains the
+// FIFO keeps reusing its buffer — popped slots are compacted away
+// instead of growing the buffer forever — and popped slots hold no
+// stale job.
+func TestStationQueueBufferBounded(t *testing.T) {
+	e := NewEngine()
+	st := NewStation(e, "s")
+	job := func() *Job { return &Job{Service: func() Time { return 1 }} }
+	const backlog = 50
+	for i := 0; i < backlog; i++ {
+		st.Enqueue(job())
+	}
+	maxLen, maxCap := 0, 0
+	for i := 1; i <= 20000; i++ {
+		e.At(Time(i), func() {
+			st.Enqueue(job())
+			maxLen = max(maxLen, st.QueueLen())
+			maxCap = max(maxCap, cap(st.queue))
+			for _, j := range st.queue[:st.head] {
+				if j != nil {
+					t.Fatal("a popped slot still holds its job")
+				}
+			}
+		})
+	}
+	e.RunUntil(20000)
+	if st.QueueLen() < backlog-2 {
+		t.Fatalf("backlog drained to %d; the test needs it persistent", st.QueueLen())
+	}
+	if maxCap > 4*maxLen {
+		t.Errorf("queue buffer reached capacity %d for at most %d waiting jobs", maxCap, maxLen)
+	}
+}
+
+// TestStationCycleAllocatesNothing: once a station and its engine have
+// seen their deepest backlog, an enqueue→serve→finish cycle allocates
+// nothing — no event, closure or queue growth per job.
+func TestStationCycleAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	st := NewStation(e, "s")
+	served := 0
+	jobs := make([]*Job, 3)
+	for i := range jobs {
+		jobs[i] = &Job{
+			Service: func() Time { return 0.5 },
+			Done:    func() { served++ },
+		}
+	}
+	cycle := func() {
+		for _, j := range jobs {
+			st.Enqueue(j)
+		}
+		e.Run()
+	}
+	cycle()
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Errorf("station cycle allocates %v times, want 0", got)
+	}
+	if served != 3*102 {
+		t.Errorf("served %d jobs, want %d", served, 3*102)
+	}
+}
