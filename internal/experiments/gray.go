@@ -82,10 +82,6 @@ type GrayResult struct {
 	Sweep []GrayPoint `json:"sweep"`
 }
 
-// grayHedgeBudget is the per-function hedge budget of the study (the
-// platform default: one duplicate per ten completions).
-const grayHedgeBudget = 0.1
-
 // runGrayCell executes one mitigation level of one sweep point on the
 // Light workload (SLOs tight enough that a 2.5x slowdown misses them,
 // capacity slack enough that clean hardware exists to hedge onto).
@@ -123,7 +119,7 @@ func runGrayCell(cfg Config, rate, severity float64, g platform.GrayOptions) Gra
 	// One launch of slack per registered function: the budget admits a
 	// function's first hedge before it has served ten requests.
 	funcs := len(SpecsFor(Light, 1.5))
-	out.BudgetOK = float64(out.Hedges) <= grayHedgeBudget*float64(res.Completed)+float64(funcs)
+	out.BudgetOK = float64(out.Hedges) <= platform.HedgeBudget*float64(res.Completed)+float64(funcs)
 	return out
 }
 
@@ -133,7 +129,7 @@ func RunGray(cfg Config) GrayResult {
 	res := GrayResult{
 		Workload:    Light.String(),
 		Seed:        cfg.Seed,
-		HedgeBudget: grayHedgeBudget,
+		HedgeBudget: platform.HedgeBudget,
 	}
 
 	// The sweep: every (rate, severity) under the three mitigation
@@ -147,7 +143,7 @@ func RunGray(cfg Config) GrayResult {
 				Enabled: true,
 			})
 			pt.QuarantineHedge = runGrayCell(cfg, rate, sev, platform.GrayOptions{
-				Enabled: true, Hedge: true, HedgeBudget: grayHedgeBudget,
+				Enabled: true, Hedge: true,
 			})
 			res.Sweep = append(res.Sweep, pt)
 		}

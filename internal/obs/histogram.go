@@ -26,7 +26,7 @@ func NewHistogram(bounds []float64) *Histogram {
 }
 
 // latencyBounds are the log-spaced (factor 2) latency buckets: 1 ms up
-// to ~131 s, covering sub-SLO service through PendingDrop timeouts.
+// to ~131 s, covering sub-SLO service through the platform's pending-drop timeouts.
 var latencyBounds = func() []float64 {
 	out := make([]float64, 18)
 	b := 0.001

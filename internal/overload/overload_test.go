@@ -5,7 +5,7 @@ import "testing"
 // TestLadderEscalatesImmediately: a pressure spike jumps straight to
 // the rung it calls for, no dwell.
 func TestLadderEscalatesImmediately(t *testing.T) {
-	l := NewLadder(Config{Brownout: true})
+	l := NewLadder()
 	if from, to, changed := l.Observe(0, 5.0); !changed || from != LevelNormal || to != LevelShed {
 		t.Errorf("Observe(5.0) = %v->%v changed=%v, want normal->shed", from, to, changed)
 	}
@@ -17,27 +17,26 @@ func TestLadderEscalatesImmediately(t *testing.T) {
 // TestLadderDeEscalationHysteresis: stepping down needs the pressure
 // below the exit band AND the dwell time served, one rung at a time.
 func TestLadderDeEscalationHysteresis(t *testing.T) {
-	cfg := Config{Brownout: true, Enter: [3]float64{1.0, 2.0, 3.0}, ExitMargin: 0.25, Dwell: 5}
-	l := NewLadder(cfg)
-	l.Observe(0, 2.5) // -> degrade
+	l := NewLadder()
+	l.Observe(0, (enter[1]+enter[2])/2) // -> degrade
 
-	// Inside the hysteresis band (>= 2.0-0.25): no step down ever.
-	if _, _, changed := l.Observe(10, 1.9); changed {
+	// Inside the hysteresis band (>= enter[1]-exitMargin): no step down ever.
+	if _, _, changed := l.Observe(2*dwell, enter[1]-exitMargin/2); changed {
 		t.Error("stepped down inside the hysteresis band")
 	}
 	// Below the band but before the dwell: hold.
-	if _, _, changed := l.Observe(3, 0.1); changed {
+	if _, _, changed := l.Observe(dwell/2, 0.1); changed {
 		t.Error("stepped down before the dwell expired")
 	}
 	// Below the band, dwell served: one rung only.
-	if from, to, changed := l.Observe(6, 0.1); !changed || from != LevelDegrade || to != LevelConserve {
+	if from, to, changed := l.Observe(dwell+1, 0.1); !changed || from != LevelDegrade || to != LevelConserve {
 		t.Errorf("Observe = %v->%v changed=%v, want degrade->conserve", from, to, changed)
 	}
 	// The next step down needs its own dwell.
-	if _, _, changed := l.Observe(7, 0.1); changed {
+	if _, _, changed := l.Observe(dwell+2, 0.1); changed {
 		t.Error("double-stepped down without a fresh dwell")
 	}
-	if from, to, _ := l.Observe(12, 0.1); from != LevelConserve || to != LevelNormal {
+	if from, to, _ := l.Observe(2*dwell+2, 0.1); from != LevelConserve || to != LevelNormal {
 		t.Errorf("final step = %v->%v, want conserve->normal", from, to)
 	}
 }
@@ -45,29 +44,11 @@ func TestLadderDeEscalationHysteresis(t *testing.T) {
 // TestLadderZeroPressureStaysNormal: the zero signal never leaves
 // normal — the gate for bit-for-bit identical no-pressure runs.
 func TestLadderZeroPressureStaysNormal(t *testing.T) {
-	l := NewLadder(Config{Brownout: true})
+	l := NewLadder()
 	for now := 0.0; now < 100; now++ {
 		if _, _, changed := l.Observe(now, 0); changed || l.Level() != LevelNormal {
 			t.Fatalf("ladder left normal on zero pressure at t=%v", now)
 		}
-	}
-}
-
-// TestConfigDefaulted fills only unset knobs.
-func TestConfigDefaulted(t *testing.T) {
-	c := Config{}.Defaulted()
-	if c.AdmissionSlack != 1 || c.StickyGrace != 0.5 || c.Dwell != 5 || c.ExitMargin != 0.25 {
-		t.Errorf("unexpected defaults: %+v", c)
-	}
-	if c.Enter != [3]float64{1.2, 2.0, 3.0} {
-		t.Errorf("unexpected default thresholds: %v", c.Enter)
-	}
-	if c.Enabled() {
-		t.Error("zero config reports enabled")
-	}
-	keep := Config{AdmissionSlack: 2, Enter: [3]float64{9, 10, 11}}.Defaulted()
-	if keep.AdmissionSlack != 2 || keep.Enter[0] != 9 {
-		t.Error("Defaulted overwrote explicit knobs")
 	}
 }
 
@@ -80,18 +61,14 @@ func TestPreferSwapRelief(t *testing.T) {
 			t.Errorf("relief preferred at %v, want shed-only", lvl)
 		}
 	}
-	if !c.PreferSwapRelief(LevelShed, 0.5) {
+	if !c.PreferSwapRelief(LevelShed, SwapHeadroom/2) {
 		t.Error("relief refused at shed with ample headroom")
 	}
-	if c.PreferSwapRelief(LevelShed, 0.95) {
-		t.Error("relief preferred at the default headroom ceiling")
+	if c.PreferSwapRelief(LevelShed, SwapHeadroom) {
+		t.Error("relief preferred at the headroom ceiling")
 	}
-	tight := Config{SwapHeadroom: 0.5}
-	if tight.PreferSwapRelief(LevelShed, 0.6) {
-		t.Error("relief ignored an explicit headroom ceiling")
-	}
-	if !tight.PreferSwapRelief(LevelShed, 0.4) {
-		t.Error("relief refused below the explicit ceiling")
+	if c.PreferSwapRelief(LevelShed, (SwapHeadroom+1)/2) {
+		t.Error("relief preferred above the headroom ceiling")
 	}
 }
 
@@ -109,9 +86,12 @@ func TestLevelString(t *testing.T) {
 }
 
 // TestHedgingAllowed: hedged retries are permitted through Conserve and
-// cut off at Degrade and Shed, regardless of tuning.
+// cut off at Degrade and Shed, whichever features are on.
 func TestHedgingAllowed(t *testing.T) {
-	c := Config{}.Defaulted()
+	c := Config{}
+	if c.Enabled() {
+		t.Error("zero config reports enabled")
+	}
 	want := map[Level]bool{
 		LevelNormal: true, LevelConserve: true,
 		LevelDegrade: false, LevelShed: false,

@@ -209,7 +209,7 @@ func (p *Platform) scaleUp() {
 		p.scratchFns = reqFns[:0]
 	}()
 	for _, fn := range p.funcs {
-		if len(fn.instances) >= p.opts.MaxInstancesPerFunc {
+		if len(fn.instances) >= maxInstancesPerFunc {
 			continue
 		}
 		want := 0
@@ -245,7 +245,7 @@ func (p *Platform) scaleUp() {
 					// exclusive scale-up.
 				}
 			}
-			want = int(math.Ceil(float64(demand) / float64(fn.bestCapacity(p.opts.QueueSlack))))
+			want = int(math.Ceil(float64(demand) / float64(fn.bestCapacity(queueSlack))))
 			if want > 4 {
 				want = 4
 			}
@@ -506,11 +506,11 @@ func (inv *Invoker) maintainPool() {
 			}
 			window := p.effKeepAlive()
 			if p.swapOn() && b.everLoaded && b.hostMemGB > 0 &&
-				p.opts.Swap.ParkAfter < window {
+				swapParkAfter < window {
 				// Swap-aware demotion: the materialised pool copy keeps
 				// the model warm on its own, so an idle binding need not
 				// ride out the keep-alive window pinning a shared slice.
-				window = p.opts.Swap.ParkAfter
+				window = swapParkAfter
 			}
 			if b.tracker.IdleFor(now) >= window {
 				if b.state.State() == keepalive.TimeSharing {
@@ -539,7 +539,7 @@ func (inv *Invoker) maintainPool() {
 	}
 }
 
-// dropStalePending abandons requests whose wait exceeds PendingDrop
+// dropStalePending abandons requests whose wait exceeds pendingDrop
 // SLOs; they are recorded as drops (SLO misses). Both waiting places
 // are swept: the per-function pending overflow and the time-sharing
 // slice queues — a request parked behind a busy shared slice times out
@@ -549,7 +549,7 @@ func (p *Platform) dropStalePending() {
 	for _, fn := range p.funcs {
 		keep := fn.pending[:0]
 		for _, rq := range fn.pending {
-			if fn.spec.SLO > 0 && now-rq.arrival > p.opts.PendingDrop*fn.spec.SLO {
+			if fn.spec.SLO > 0 && now-rq.arrival > pendingDrop*fn.spec.SLO {
 				rq.rec.Dropped = true
 				// The drop is when the request leaves the system; without
 				// this, Latency() on a dropped record goes negative.
@@ -563,7 +563,7 @@ func (p *Platform) dropStalePending() {
 						Outcome: "dropped from pending overflow",
 						Inputs: []decisions.KV{
 							kvF("waited", now-rq.arrival),
-							kvF("limit", p.opts.PendingDrop*fn.spec.SLO),
+							kvF("limit", pendingDrop*fn.spec.SLO),
 						},
 					})
 				}

@@ -22,24 +22,33 @@ import (
 // once: gray scoring with hedging, degraded faults with retries,
 // the swap tier, and full overload control.
 func richOptions(dec *decisions.Recorder) Options {
-	g := grayTestOptions()
-	g.Hedge = true
-	g.HedgeBudget = 0.1
 	return Options{
 		Policy: &scheduler.FluidFaaS{}, Seed: 7,
 		Faults:    &faults.Spec{DegradedRate: 0.05, DegradedMTTR: 60, SliceRate: 0.02, SliceMTTR: 30},
-		Gray:      g,
+		Gray:      GrayOptions{Enabled: true, Hedge: true},
 		Swap:      SwapOptions{Enabled: true},
 		Overload:  overload.Config{Admission: true, FairQueue: true, Brownout: true},
 		Decisions: dec,
 	}
 }
 
+// rigProbation is the quarantine probation the rich-run goldens were
+// recorded with; the product value is grayProbation.
+const rigProbation = 10
+
+// newRich builds a platform over the default cluster with opts (a
+// richOptions configuration) and sets its quarantine probation to
+// rigProbation.
+func newRich(specs []FunctionSpec, opts Options) *Platform {
+	p := New(cluster.New(cluster.DefaultSpec()), specs, opts)
+	p.probation = rigProbation
+	return p
+}
+
 func runRich(t *testing.T, dec *decisions.Recorder) *Platform {
 	t.Helper()
 	specs := specsFor(t, dnn.Small)
-	cl := cluster.New(cluster.DefaultSpec())
-	p := New(cl, specs, richOptions(dec))
+	p := newRich(specs, richOptions(dec))
 	p.Run(flatTrace(specs, 6, 180, 7), 60)
 	return p
 }
@@ -141,7 +150,7 @@ func TestQuarantineFreezesRing(t *testing.T) {
 	cl := smallCluster(1)
 	p := New(cl, specs, Options{
 		Policy: &scheduler.FluidFaaS{}, Seed: 1,
-		Gray: grayTestOptions(), Decisions: dec,
+		Gray: GrayOptions{Enabled: true}, Decisions: dec,
 	})
 	inv, fn := p.inv[0], p.funcs[0]
 	b := inv.bindTS(fn)

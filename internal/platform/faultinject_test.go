@@ -268,7 +268,7 @@ func TestRetryExhaustionFailsRequest(t *testing.T) {
 			fn: fn, arrival: 1, deadline: 1 + fn.spec.SLO,
 			rec: metrics.RequestRecord{Arrival: 1, SLO: fn.spec.SLO},
 		}
-		rq.attempts = p.opts.Retry.MaxAttempts // budget already spent
+		rq.attempts = retryMaxAttempts // budget already spent
 		p.retryAfterFault(rq, "test exhaustion")
 	})
 	p.eng.RunUntil(2)

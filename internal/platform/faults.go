@@ -345,15 +345,14 @@ func (p *Platform) retryAfterFault(rq *request, reason string) {
 	rq.rec.Load = rq.snapLoad
 	rq.rec.Transfer = rq.snapTransfer
 	rq.attempts++
-	pol := p.opts.Retry
-	backoff := retryBackoff(pol, rq.id, rq.attempts)
+	backoff := retryBackoff(rq.id, rq.attempts)
 	horizon := p.runEnd
 	if rq.fn.spec.SLO > 0 {
-		if h := rq.arrival + p.opts.PendingDrop*rq.fn.spec.SLO; h < horizon {
+		if h := rq.arrival + pendingDrop*rq.fn.spec.SLO; h < horizon {
 			horizon = h
 		}
 	}
-	if rq.attempts > pol.MaxAttempts || now+backoff >= horizon {
+	if rq.attempts > retryMaxAttempts || now+backoff >= horizon {
 		rq.rec.Dropped = true
 		rq.rec.Failed = true
 		rq.rec.Completion = now
@@ -365,7 +364,7 @@ func (p *Platform) retryAfterFault(rq *request, reason string) {
 				Rule: "retry-abandoned", Outcome: "abandoned: " + reason,
 				Inputs: []decisions.KV{
 					kvI("attempts", rq.attempts),
-					kvI("max_attempts", pol.MaxAttempts),
+					kvI("max_attempts", retryMaxAttempts),
 					kvF("backoff", backoff),
 					kvF("horizon", horizon),
 				},
@@ -389,17 +388,17 @@ func (p *Platform) retryAfterFault(rq *request, reason string) {
 }
 
 // retryBackoff is the deterministic backoff before retry attempt number
-// `attempt` (1-based) of request id: the policy's capped exponential,
+// `attempt` (1-based) of request id: a capped exponential,
 // multiplied by a jitter in [0.5, 1.5) derived from the request ID and
 // attempt number. Without jitter, every request a fault strands retries
 // at the exact same instant and the thundering herd re-collides; seeding
 // the jitter from the request identity (FNV-1a, no shared RNG stream)
 // keeps same-seed runs bit-reproducible. The jitter applies after the
-// cap, so the worst case is 1.5x BackoffCap.
-func retryBackoff(pol RetryPolicy, id, attempt int) float64 {
-	b := pol.Backoff * math.Pow(2, float64(attempt-1))
-	if b > pol.BackoffCap {
-		b = pol.BackoffCap
+// cap, so the worst case is 1.5x retryBackoffCap.
+func retryBackoff(id, attempt int) float64 {
+	b := retryBaseBackoff * math.Pow(2, float64(attempt-1))
+	if b > retryBackoffCap {
+		b = retryBackoffCap
 	}
 	return b * (0.5 + retryJitter(id, attempt))
 }

@@ -46,7 +46,7 @@ type Function struct {
 
 	// served counts completions that went through Platform.complete
 	// (one per hedged pair); hedges counts hedged duplicates launched.
-	// Their ratio is the per-function hedge rate GrayOptions.HedgeBudget
+	// Their ratio is the per-function hedge rate HedgeBudget
 	// bounds.
 	served int
 	hedges int

@@ -36,76 +36,45 @@ type GrayOptions struct {
 	// afflicted slice, which is exactly the no-mitigation baseline the
 	// gray experiment measures.
 	Enabled bool
-	// Alpha is the EWMA smoothing factor of the health score: score =
-	// (1-Alpha)*score + Alpha*(observed/declared exec) (default 0.35 —
-	// a handful of slow executions flags the slice, one outlier does
-	// not).
-	Alpha float64
-	// SuspectRatio is the score at which a healthy slice becomes
-	// suspect (default 1.3: executions run 30% over profile).
-	SuspectRatio float64
-	// QuarantineRatio is the score at which a suspect slice is
-	// quarantined (default 2.0).
-	QuarantineRatio float64
-	// RecoverRatio is the score a suspect slice must stay at or below
-	// for RecoverDwell seconds to be cleared back to healthy (default
-	// 1.15). The gap below SuspectRatio is the hysteresis band that
-	// stops flapping.
-	RecoverRatio float64
-	// MinSamples is how many observations a slice needs before it can
-	// be suspected — a single slow first execution is not evidence
-	// (default 3).
-	MinSamples int
-	// RecoverDwell is how long a suspect slice's score must stay at or
-	// below RecoverRatio before it is cleared (default 5 s).
-	RecoverDwell float64
-	// Probation is how long a quarantined slice sits out before being
-	// readmitted as suspect. Quarantined slices serve no traffic, so
-	// without a timed probation the score could never recover (default
-	// 30 s).
-	Probation float64
 	// Hedge enables hedged retries: a request at deadline risk on a
 	// suspect slice is duplicated onto healthy hardware, the first
 	// completion wins, and the loser is cancelled (hedge.go).
 	Hedge bool
-	// HedgeBudget bounds the per-function hedge rate: a function may
-	// hold at most HedgeBudget hedges per completed request (default
-	// 0.1, i.e. at most ~10% duplicate launches).
-	HedgeBudget float64
 }
 
-func (g *GrayOptions) fillDefaults() {
-	if g.Alpha <= 0 || g.Alpha > 1 {
-		g.Alpha = 0.35
-	}
-	if g.SuspectRatio <= 1 {
-		g.SuspectRatio = 1.3
-	}
-	if g.QuarantineRatio <= g.SuspectRatio {
-		g.QuarantineRatio = 2.0
-		if g.QuarantineRatio <= g.SuspectRatio {
-			g.QuarantineRatio = 2 * g.SuspectRatio
-		}
-	}
-	if g.RecoverRatio <= 0 || g.RecoverRatio >= g.SuspectRatio {
-		g.RecoverRatio = 1.15
-		if g.RecoverRatio >= g.SuspectRatio {
-			g.RecoverRatio = 0.9 * g.SuspectRatio
-		}
-	}
-	if g.MinSamples <= 0 {
-		g.MinSamples = 3
-	}
-	if g.RecoverDwell <= 0 {
-		g.RecoverDwell = 5
-	}
-	if g.Probation <= 0 {
-		g.Probation = 30
-	}
-	if g.HedgeBudget <= 0 {
-		g.HedgeBudget = 0.1
-	}
-}
+// Health-scorer tuning.
+const (
+	// grayAlpha is the EWMA smoothing factor of the health score: score
+	// = (1-grayAlpha)*score + grayAlpha*(observed/declared exec). A
+	// handful of slow executions flags the slice, one outlier does not.
+	grayAlpha float64 = 0.35
+	// suspectRatio is the score at which a healthy slice becomes
+	// suspect: executions run 30% over profile.
+	suspectRatio float64 = 1.3
+	// quarantineRatio is the score at which a suspect slice is
+	// quarantined.
+	quarantineRatio float64 = 2.0
+	// recoverRatio is the score a suspect slice must stay at or below
+	// for recoverDwell seconds to be cleared back to healthy. The gap
+	// below suspectRatio is the hysteresis band that stops flapping.
+	recoverRatio float64 = 1.15
+	// grayMinSamples is how many observations a slice needs before it
+	// can be suspected: a single slow first execution is not evidence.
+	grayMinSamples = 3
+	// recoverDwell is how long a suspect slice's score must stay at or
+	// below recoverRatio before it is cleared (s).
+	recoverDwell float64 = 5
+	// grayProbation is how long a quarantined slice sits out before
+	// being readmitted as suspect (s). Quarantined slices serve no
+	// traffic, so without a timed probation the score could never
+	// recover.
+	grayProbation float64 = 30
+)
+
+// HedgeBudget bounds the per-function hedge rate: a function may hold
+// at most HedgeBudget hedges per completed request, i.e. at most ~10%
+// duplicate launches.
+const HedgeBudget float64 = 0.1
 
 // grayOn reports whether the health scorer is active.
 func (p *Platform) grayOn() bool { return p.opts.Gray.Enabled }
@@ -125,7 +94,7 @@ type sliceHealth struct {
 	score   float64
 	samples int
 	state   int
-	// belowSince is when the score last dropped to RecoverRatio or
+	// belowSince is when the score last dropped to recoverRatio or
 	// below while suspect; -1 when not in a recovery streak.
 	belowSince float64
 }
@@ -166,7 +135,6 @@ func (p *Platform) observeSliceExec(sl *mig.Slice, declared, observed float64) {
 	if !p.grayOn() || declared <= 0 || observed <= 0 {
 		return
 	}
-	g := &p.opts.Gray
 	h := p.health[sl]
 	if h == nil {
 		h = &sliceHealth{belowSince: -1}
@@ -176,18 +144,18 @@ func (p *Platform) observeSliceExec(sl *mig.Slice, declared, observed float64) {
 	if h.samples == 0 {
 		h.score = ratio
 	} else {
-		h.score = (1-g.Alpha)*h.score + g.Alpha*ratio
+		h.score = (1-grayAlpha)*h.score + grayAlpha*ratio
 	}
 	h.samples++
 	now := p.eng.Now()
 	switch h.state {
 	case sliceHealthy:
-		if h.samples >= g.MinSamples && h.score >= g.SuspectRatio {
+		if h.samples >= grayMinSamples && h.score >= suspectRatio {
 			h.state = sliceSuspect
 			h.belowSince = -1
 			p.suspects++
 			p.logEvent(EvSliceSuspect, sl.ID(),
-				fmt.Sprintf("health score %.2f over %.2f", h.score, g.SuspectRatio))
+				fmt.Sprintf("health score %.2f over %.2f", h.score, suspectRatio))
 			if p.decOn() {
 				p.decide(decisions.Record{
 					Kind: decisions.KindSuspect, Req: decisions.NoRequest,
@@ -195,7 +163,7 @@ func (p *Platform) observeSliceExec(sl *mig.Slice, declared, observed float64) {
 					Outcome: "healthy -> suspect",
 					Inputs: []decisions.KV{
 						kvF("score", h.score),
-						kvF("threshold", g.SuspectRatio),
+						kvF("threshold", suspectRatio),
 						kvI("samples", h.samples),
 					},
 				})
@@ -203,17 +171,17 @@ func (p *Platform) observeSliceExec(sl *mig.Slice, declared, observed float64) {
 		}
 	case sliceSuspect:
 		switch {
-		case h.score >= g.QuarantineRatio:
+		case h.score >= quarantineRatio:
 			p.quarantineSlice(sl, h)
-		case h.score <= g.RecoverRatio:
+		case h.score <= recoverRatio:
 			if h.belowSince < 0 {
 				h.belowSince = now
 			}
-			if now-h.belowSince >= g.RecoverDwell {
+			if now-h.belowSince >= recoverDwell {
 				h.state = sliceHealthy
 				h.belowSince = -1
 				p.logEvent(EvRecover, sl.ID(),
-					fmt.Sprintf("health score %.2f back under %.2f", h.score, g.RecoverRatio))
+					fmt.Sprintf("health score %.2f back under %.2f", h.score, recoverRatio))
 				if p.decOn() {
 					p.decide(decisions.Record{
 						Kind: decisions.KindSuspect, Req: decisions.NoRequest,
@@ -221,8 +189,8 @@ func (p *Platform) observeSliceExec(sl *mig.Slice, declared, observed float64) {
 						Outcome: "suspect -> healthy",
 						Inputs: []decisions.KV{
 							kvF("score", h.score),
-							kvF("threshold", g.RecoverRatio),
-							kvF("dwell", g.RecoverDwell),
+							kvF("threshold", recoverRatio),
+							kvF("dwell", recoverDwell),
 						},
 					})
 				}
@@ -245,7 +213,7 @@ func (p *Platform) quarantineSlice(sl *mig.Slice, h *sliceHealth) {
 	h.belowSince = -1
 	sl.SetQuarantined(true)
 	p.logEvent(EvSliceQuarantine, sl.ID(),
-		fmt.Sprintf("health score %.2f over %.2f", h.score, p.opts.Gray.QuarantineRatio))
+		fmt.Sprintf("health score %.2f over %.2f", h.score, quarantineRatio))
 	if p.decOn() {
 		p.decide(decisions.Record{
 			Kind: decisions.KindQuarantine, Req: decisions.NoRequest,
@@ -253,8 +221,8 @@ func (p *Platform) quarantineSlice(sl *mig.Slice, h *sliceHealth) {
 			Outcome: "suspect -> quarantined; owner torn down",
 			Inputs: []decisions.KV{
 				kvF("score", h.score),
-				kvF("threshold", p.opts.Gray.QuarantineRatio),
-				kvF("probation", p.opts.Gray.Probation),
+				kvF("threshold", quarantineRatio),
+				kvF("probation", p.probation),
 			},
 		})
 	}
@@ -265,7 +233,7 @@ func (p *Platform) quarantineSlice(sl *mig.Slice, h *sliceHealth) {
 	if p.decOn() {
 		p.opts.Decisions.Freeze(p.eng.Now(), "quarantine "+sl.ID())
 	}
-	p.eng.After(p.opts.Gray.Probation, func() { p.liftQuarantine(sl) })
+	p.eng.After(p.probation, func() { p.liftQuarantine(sl) })
 	// Torn-down demand must re-place on healthy hardware now, not at
 	// the next control period.
 	p.kickScaleUp()
@@ -319,7 +287,7 @@ func (p *Platform) liftQuarantine(sl *mig.Slice) {
 	sl.SetQuarantined(false)
 	p.utilTouch(sl)
 	h.state = sliceSuspect
-	h.score = p.opts.Gray.SuspectRatio
+	h.score = suspectRatio
 	h.samples = 0
 	h.belowSince = -1
 	p.logEvent(EvSliceSuspect, sl.ID(), "probation over: readmitted for probing")

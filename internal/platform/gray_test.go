@@ -13,19 +13,9 @@ import (
 	"fluidfaas/internal/scheduler"
 )
 
-// grayTestOptions are explicit scorer knobs so the tests do not depend
-// on default drift.
-func grayTestOptions() GrayOptions {
-	return GrayOptions{
-		Enabled: true, Alpha: 0.35,
-		SuspectRatio: 1.3, QuarantineRatio: 2.0, RecoverRatio: 1.15,
-		MinSamples: 3, RecoverDwell: 5, Probation: 10,
-	}
-}
-
 // TestGrayDisabledIdentity: with Gray.Enabled false, the platform must
 // be bit-for-bit identical to one that never mentioned the subsystem —
-// non-zero sibling knobs must not leak into behaviour.
+// the Hedge sibling switch must not leak into behaviour.
 func TestGrayDisabledIdentity(t *testing.T) {
 	run := func(g GrayOptions) *Platform {
 		specs := specsFor(t, dnn.Medium)
@@ -35,8 +25,7 @@ func TestGrayDisabledIdentity(t *testing.T) {
 		return p
 	}
 	a := run(GrayOptions{})
-	b := run(GrayOptions{Enabled: false, Hedge: true, Alpha: 0.9,
-		SuspectRatio: 1.01, QuarantineRatio: 1.02, MinSamples: 1, HedgeBudget: 99})
+	b := run(GrayOptions{Enabled: false, Hedge: true})
 	if !reflect.DeepEqual(a.Collector().Records(), b.Collector().Records()) {
 		t.Error("request records diverged with the subsystem disabled")
 	}
@@ -129,23 +118,23 @@ func TestDegradedSliceSlowsExecution(t *testing.T) {
 }
 
 // TestHealthScoreSuspectThenRecovery: slow executions push a slice to
-// suspect; sustained on-profile timing (RecoverDwell) clears it without
+// suspect; sustained on-profile timing (recoverDwell) clears it without
 // ever quarantining.
 func TestHealthScoreSuspectThenRecovery(t *testing.T) {
 	specs := specsFor(t, dnn.Small)[:1]
 	cl := smallCluster(1)
-	p := New(cl, specs, Options{Policy: &scheduler.FluidFaaS{}, Seed: 1, Gray: grayTestOptions()})
+	p := New(cl, specs, Options{Policy: &scheduler.FluidFaaS{}, Seed: 1, Gray: GrayOptions{Enabled: true}})
 	sl := cl.Nodes[0].GPUs[0].Slices[0]
 	eng := p.Engine()
-	// Three 2x-slow executions at t=0: the third crosses MinSamples and
-	// SuspectRatio together.
+	// Three 2x-slow executions at t=0: the third crosses grayMinSamples
+	// and suspectRatio together.
 	eng.At(0, func() {
 		for i := 0; i < 3; i++ {
 			p.observeSliceExec(sl, 1, 2)
 		}
 	})
 	// On-profile observations once a second decay the score; it reaches
-	// RecoverRatio (1.15) at the 5th sample (t=5) and must then dwell 5
+	// recoverRatio (1.15) at the 5th sample (t=5) and must then dwell 5
 	// more seconds before clearing at t=10.
 	for i := 1; i <= 12; i++ {
 		ti := float64(i)
@@ -182,7 +171,7 @@ func TestHealthScoreSuspectThenRecovery(t *testing.T) {
 func TestQuarantineLifecycle(t *testing.T) {
 	specs := specsFor(t, dnn.Small)[:1]
 	cl := smallCluster(1)
-	p := New(cl, specs, Options{Policy: &scheduler.FluidFaaS{}, Seed: 1, Gray: grayTestOptions()})
+	p := New(cl, specs, Options{Policy: &scheduler.FluidFaaS{}, Seed: 1, Gray: GrayOptions{Enabled: true}})
 	inv, fn := p.inv[0], p.funcs[0]
 	b := inv.bindTS(fn)
 	if b == nil {
@@ -213,8 +202,8 @@ func TestQuarantineLifecycle(t *testing.T) {
 	if got := p.CountEvents()[EvSliceQuarantine]; got != 1 {
 		t.Errorf("EvSliceQuarantine count = %d, want 1", got)
 	}
-	// Probation (10 s) readmits the slice as suspect with a reset score.
-	p.Engine().RunUntil(11)
+	// Probation readmits the slice as suspect with a reset score.
+	p.Engine().RunUntil(grayProbation + 1)
 	if sl.Quarantined() {
 		t.Error("quarantine not lifted after probation")
 	}
@@ -235,9 +224,7 @@ func TestQuarantineLifecycle(t *testing.T) {
 func TestHedgeSingleRecord(t *testing.T) {
 	specs := specsFor(t, dnn.Small)[:1]
 	cl := smallCluster(1)
-	g := grayTestOptions()
-	g.Hedge = true
-	p := New(cl, specs, Options{Policy: &scheduler.FluidFaaS{}, Seed: 1, Gray: g})
+	p := New(cl, specs, Options{Policy: &scheduler.FluidFaaS{}, Seed: 1, Gray: GrayOptions{Enabled: true, Hedge: true}})
 	fn := p.funcs[0]
 	mk := func() *request {
 		return &request{
@@ -289,9 +276,7 @@ func TestHedgeSingleRecord(t *testing.T) {
 func TestRetryHedgeMutualExclusion(t *testing.T) {
 	specs := specsFor(t, dnn.Small)[:1]
 	cl := smallCluster(1)
-	g := grayTestOptions()
-	g.Hedge = true
-	p := New(cl, specs, Options{Policy: &scheduler.FluidFaaS{}, Seed: 1, Gray: g})
+	p := New(cl, specs, Options{Policy: &scheduler.FluidFaaS{}, Seed: 1, Gray: GrayOptions{Enabled: true, Hedge: true}})
 	fn := p.funcs[0]
 	mk := func(id int) *request {
 		return &request{
@@ -342,7 +327,6 @@ func TestRetryHedgeMutualExclusion(t *testing.T) {
 // request identity — reproducible, bounded, and de-synchronised across
 // requests.
 func TestRetryBackoffJitter(t *testing.T) {
-	pol := RetryPolicy{MaxAttempts: 3, Backoff: 0.05, BackoffCap: 1}
 	cases := []struct {
 		id, attempt int
 		base        float64
@@ -353,8 +337,8 @@ func TestRetryBackoffJitter(t *testing.T) {
 		{0, 1, 0.05},
 	}
 	for _, tc := range cases {
-		got := retryBackoff(pol, tc.id, tc.attempt)
-		if got != retryBackoff(pol, tc.id, tc.attempt) {
+		got := retryBackoff(tc.id, tc.attempt)
+		if got != retryBackoff(tc.id, tc.attempt) {
 			t.Fatalf("id %d attempt %d: backoff not deterministic", tc.id, tc.attempt)
 		}
 		if got < 0.5*tc.base || got >= 1.5*tc.base {
@@ -363,9 +347,9 @@ func TestRetryBackoffJitter(t *testing.T) {
 		}
 	}
 	// Different requests at the same attempt must not retry in lockstep.
-	a := retryBackoff(pol, 1, 1)
-	b := retryBackoff(pol, 2, 1)
-	c := retryBackoff(pol, 3, 1)
+	a := retryBackoff(1, 1)
+	b := retryBackoff(2, 1)
+	c := retryBackoff(3, 1)
 	if a == b && b == c {
 		t.Error("jitter identical across request IDs")
 	}
@@ -385,13 +369,10 @@ func TestGrayEndToEndDeterminism(t *testing.T) {
 	run := func() *Platform {
 		specs := specsFor(t, dnn.Small)
 		cl := cluster.New(cluster.DefaultSpec())
-		g := grayTestOptions()
-		g.Hedge = true
-		g.HedgeBudget = 0.1
 		p := New(cl, specs, Options{
 			Policy: &scheduler.FluidFaaS{}, Seed: 7,
 			Faults:   &faults.Spec{DegradedRate: 0.05, DegradedMTTR: 60},
-			Gray:     g,
+			Gray:     GrayOptions{Enabled: true, Hedge: true},
 			Overload: overload.Config{FairQueue: true},
 		})
 		tr := flatTrace(specs, 6, 180, 7)
@@ -416,7 +397,7 @@ func TestGrayEndToEndDeterminism(t *testing.T) {
 		t.Fatal("no degraded faults injected at a substantial rate")
 	}
 	for _, fn := range a.funcs {
-		if fn.served > 0 && float64(fn.hedges) > 0.1*float64(fn.served)+1 {
+		if fn.served > 0 && float64(fn.hedges) > HedgeBudget*float64(fn.served)+1 {
 			t.Errorf("%s: %d hedges over budget for %d served",
 				fn.spec.Name, fn.hedges, fn.served)
 		}

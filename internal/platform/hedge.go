@@ -15,7 +15,7 @@ import (
 // is cancelled wherever it is (skipped in queue, swallowed at
 // completion) and its spent execution/load lands in the wasted-work
 // counter, never in the metrics. Hedges are charged against a
-// per-function budget (GrayOptions.HedgeBudget) and are disabled
+// per-function budget (HedgeBudget) and are disabled
 // outright above the brownout conserve rung
 // (overload.Config.HedgingAllowed) — duplicate work is the wrong
 // medicine for an overloaded cluster.
@@ -116,7 +116,7 @@ func (p *Platform) shouldHedge(sl *mig.Slice, rq *request, estFinish float64) bo
 		return false
 	}
 	fn := rq.fn
-	return float64(fn.hedges) < p.opts.Gray.HedgeBudget*float64(fn.served+1)
+	return float64(fn.hedges) < HedgeBudget*float64(fn.served+1)
 }
 
 // maybeHedgeTS considers hedging the job that just started service on a

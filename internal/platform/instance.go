@@ -85,9 +85,9 @@ func (p *Platform) launchInstance(fn *Function, node *cluster.Node, plan pipelin
 	if p.opts.MaxBatch > 1 {
 		// With batching, the effective per-request service time at full
 		// batch is exec·n^gamma / n.
-		bottleneck *= math.Pow(float64(p.opts.MaxBatch), p.opts.BatchGamma-1)
+		bottleneck *= math.Pow(float64(p.opts.MaxBatch), batchGamma-1)
 	}
-	inst.capacity = admissionCapacity(fn.spec.SLO, bottleneck, p.opts.QueueSlack)
+	inst.capacity = admissionCapacity(fn.spec.SLO, bottleneck, queueSlack)
 	inst.loadEndsAt = now + loadTime
 	if p.swapOn() {
 		// The initial fetch materialises the pool copy when it lands;
@@ -111,11 +111,11 @@ func (p *Platform) launchInstance(fn *Function, node *cluster.Node, plan pipelin
 			exec := sp.ExecTime
 			slice := sl
 			bs := sim.NewBatchStation(p.eng, inst.id+"/"+sl.ID(),
-				p.opts.MaxBatch, p.opts.BatchWindow,
+				p.opts.MaxBatch, batchWindow,
 				func(n int) sim.Time {
 					// Gray degradation stretches the whole batch (x1.0
 					// exact when the slice is clean).
-					return exec * math.Pow(float64(n), p.opts.BatchGamma) *
+					return exec * math.Pow(float64(n), batchGamma) *
 						p.degradeFactor(slice)
 				})
 			bs.OnStart = func(int) {
@@ -374,7 +374,7 @@ func (inst *Instance) enqueueStageBatched(p *Platform, rq *request, si int) {
 			p.onInstanceSlack(inst)
 			return
 		}
-		declared := sp.ExecTime * math.Pow(float64(n), p.opts.BatchGamma)
+		declared := sp.ExecTime * math.Pow(float64(n), batchGamma)
 		dur := declared * p.degradeFactor(sl)
 		rq.rec.Exec += dur
 		// The batch callback fires at completion, so the exec interval

@@ -244,7 +244,7 @@ func TestBatchingMode(t *testing.T) {
 	specs := specsFor(t, dnn.Small)[:1]
 	cl := smallCluster(2)
 	p := New(cl, specs, Options{
-		Policy: &scheduler.ESG{}, Seed: 2, MaxBatch: 4, BatchWindow: 0.05,
+		Policy: &scheduler.ESG{}, Seed: 2, MaxBatch: 4,
 	})
 	tr := trace.Generate(trace.Spec{Duration: 120, Seed: 2, Streams: []trace.StreamSpec{
 		{Func: 0, MeanRPS: 10},

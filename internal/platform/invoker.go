@@ -159,7 +159,7 @@ func (ss *sharedSlice) pop() *tsJob {
 		if ss.resident != nil {
 			prefer = ss.resident.fn.spec.Name
 		}
-		j, ok := ss.fair.Dequeue(prefer, ss.inv.p.opts.Overload.StickyGrace)
+		j, ok := ss.fair.Dequeue(prefer, overload.StickyGrace)
 		if !ok {
 			return nil
 		}
@@ -269,7 +269,7 @@ func (inv *Invoker) bindTS(fn *Function) *tsBinding {
 	if err := b.state.To(keepalive.TimeSharing); err != nil {
 		panic(err)
 	}
-	b.capacity = admissionCapacity(fn.spec.SLO, b.execOn(), inv.p.opts.QueueSlack)
+	b.capacity = admissionCapacity(fn.spec.SLO, b.execOn(), queueSlack)
 	// Keep a host-memory copy for warm reloads.
 	inv.reserveWarmCopy(b)
 	b.tracker.Touch(inv.p.eng.Now())
@@ -312,7 +312,7 @@ func (inv *Invoker) adoptShared(sl *mig.Slice, fn *Function) *tsBinding {
 	if err := b.state.To(keepalive.TimeSharing); err != nil {
 		panic(err)
 	}
-	b.capacity = admissionCapacity(fn.spec.SLO, b.execOn(), inv.p.opts.QueueSlack)
+	b.capacity = admissionCapacity(fn.spec.SLO, b.execOn(), queueSlack)
 	inv.reserveWarmCopy(b)
 	b.tracker.Touch(now)
 	ss.bindings[fn.spec.Name] = b
@@ -386,7 +386,7 @@ func (inv *Invoker) rebindToFreshSlice(fn *Function) bool {
 		b.resident = false
 	}
 	b.shared = ns
-	b.capacity = admissionCapacity(fn.spec.SLO, b.execOn(), inv.p.opts.QueueSlack)
+	b.capacity = admissionCapacity(fn.spec.SLO, b.execOn(), queueSlack)
 	ns.bindings[fn.spec.Name] = b
 	ns.lru.Touch(fn.spec.Name)
 	// The fresh slice starts serving pending overflow immediately —
@@ -437,7 +437,7 @@ func (inv *Invoker) reclaimIdle() int {
 				}
 				b.resident = false
 				b.shared = dst
-				b.capacity = admissionCapacity(b.fn.spec.SLO, b.execOn(), inv.p.opts.QueueSlack)
+				b.capacity = admissionCapacity(b.fn.spec.SLO, b.execOn(), queueSlack)
 				dst.bindings[name] = b
 				dst.lru.Touch(name)
 				// Drain pending into the new home right away; a moved
@@ -735,7 +735,7 @@ func (ss *sharedSlice) dropStale(p *Platform, now float64) []*tsBinding {
 			return false
 		}
 		slo := job.rq.fn.spec.SLO
-		return slo > 0 && now-job.rq.arrival > p.opts.PendingDrop*slo
+		return slo > 0 && now-job.rq.arrival > pendingDrop*slo
 	}
 	var dropped []*tsJob
 	if ss.fair != nil {
@@ -771,7 +771,7 @@ func (ss *sharedSlice) dropStale(p *Platform, now float64) []*tsBinding {
 					Outcome: "dropped from time-sharing queue",
 					Inputs: []decisions.KV{
 						kvF("waited", now-j.rq.arrival),
-						kvF("limit", p.opts.PendingDrop*j.rq.fn.spec.SLO),
+						kvF("limit", pendingDrop*j.rq.fn.spec.SLO),
 					},
 				})
 			}

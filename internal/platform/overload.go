@@ -84,7 +84,7 @@ func (p *Platform) admissionReject(rq *request) bool {
 		return false
 	}
 	est := p.completionEstimate(fn)
-	if p.eng.Now()+est*oc.AdmissionSlack > rq.deadline {
+	if p.eng.Now()+est*overload.AdmissionSlack > rq.deadline {
 		// Rejections are still demand: autoscaling must see them, or a
 		// cold function whose whole first wave fast-fails never scales
 		// up and rejects forever.
@@ -94,7 +94,7 @@ func (p *Platform) admissionReject(rq *request) bool {
 		if p.decOn() {
 			inputs = []decisions.KV{
 				kvF("estimate", est),
-				kvF("slack", oc.AdmissionSlack),
+				kvF("slack", overload.AdmissionSlack),
 				kvF("deadline", rq.deadline),
 			}
 		}
@@ -176,7 +176,7 @@ func (p *Platform) completionEstimate(fn *Function) float64 {
 		}
 	}
 	ahead := len(fn.pending)
-	par := 4 * fn.bestCapacity(p.opts.QueueSlack)
+	par := 4 * fn.bestCapacity(queueSlack)
 	waves := float64(ahead / par)
 	return load + exec + waves*exec
 }

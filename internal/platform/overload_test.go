@@ -12,9 +12,9 @@ import (
 	"fluidfaas/internal/scheduler"
 )
 
-// TestOverloadOffBitForBit: setting overload tuning knobs without
-// enabling any feature must leave the simulation bit-for-bit identical
-// to a run with no overload config at all.
+// TestOverloadOffBitForBit: with every overload feature off, same-seed
+// runs are bit-for-bit identical, down to the event log and the
+// overload counters.
 func TestOverloadOffBitForBit(t *testing.T) {
 	run := func(oc overload.Config) *Platform {
 		specs := specsFor(t, dnn.Medium)
@@ -25,11 +25,7 @@ func TestOverloadOffBitForBit(t *testing.T) {
 		return p
 	}
 	a := run(overload.Config{})
-	b := run(overload.Config{
-		// Tuning knobs without the feature flags: all must be inert.
-		AdmissionSlack: 2, StickyGrace: 3,
-		Enter: [3]float64{0.1, 0.2, 0.3}, ExitMargin: 0.05, Dwell: 1,
-	})
+	b := run(overload.Config{})
 	ra, rb := a.Collector().Records(), b.Collector().Records()
 	if len(ra) != len(rb) {
 		t.Fatalf("record counts differ: %d vs %d", len(ra), len(rb))
@@ -279,9 +275,9 @@ func TestDropStaleTSQueue(t *testing.T) {
 				ss.enqueue(p, b0, &request{fn: b0.fn, deadline: 1000})
 				ss.enqueue(p, b1, stale)
 			})
-			// Well past PendingDrop*SLO, a control-loop sweep runs while
+			// Well past pendingDrop*SLO, a control-loop sweep runs while
 			// the job still sits in the queue.
-			cut := p.opts.PendingDrop*b1.fn.spec.SLO + 1
+			cut := pendingDrop*b1.fn.spec.SLO + 1
 			p.eng.At(cut, func() {
 				if ss.qlen() != 1 {
 					t.Fatalf("queue length = %d before sweep, want the stuck job", ss.qlen())

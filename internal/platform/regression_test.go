@@ -152,7 +152,7 @@ func TestDroppedPendingCompletionAtDropTime(t *testing.T) {
 	p := New(smallCluster(1), specs, Options{Policy: &scheduler.FluidFaaS{}, Seed: 7})
 	fn := p.funcs[0]
 
-	dropAt := 5 + p.opts.PendingDrop*fn.spec.SLO + 1
+	dropAt := 5 + pendingDrop*fn.spec.SLO + 1
 	p.eng.At(5, func() {
 		fn.pushPending(&request{
 			fn: fn, arrival: 5, deadline: 5 + fn.spec.SLO,

