@@ -14,6 +14,7 @@ package faults
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"fluidfaas/internal/sim"
@@ -276,9 +277,9 @@ func Build(spec Spec, seed int64, horizon float64, topo Topology) Schedule {
 func byTime(a, b Event) int { return cmp.Compare(a.Time, b.Time) }
 
 // ValidateScript checks an explicit Script against the cluster shape:
-// every event must target an in-range victim for its kind, repairs must
-// follow their faults, SliceDegraded events must carry a severity >= 1,
-// and two events of the same kind on the same victim must not have
+// every event must target an in-range victim for its kind, strike at a
+// finite time >= 0 and be repaired at a finite later time, SliceDegraded
+// events must carry a finite severity >= 1, and two events of the same kind on the same victim must not have
 // overlapping [Time, Recovery) windows — an overlapping pair would make
 // the first repair silently revive hardware the second fault still
 // holds down. Build panics on an invalid script; callers wanting an
@@ -300,8 +301,8 @@ func ValidateScript(script []Event, topo Topology) error {
 				return fmt.Errorf("script[%d] %s: slice %d out of range [0,%d) on node %d gpu %d",
 					i, e.Kind, e.Slice, gpus[e.GPU], e.Node, e.GPU)
 			}
-			if e.Kind == SliceDegraded && e.Severity < 1 {
-				return fmt.Errorf("script[%d] slice-degraded: severity %.2f < 1", i, e.Severity)
+			if e.Kind == SliceDegraded && !(finite(e.Severity) && e.Severity >= 1) {
+				return fmt.Errorf("script[%d] slice-degraded: severity %v not finite and >= 1", i, e.Severity)
 			}
 		case GPUFault:
 			if e.GPU < 0 || e.GPU >= len(gpus) {
@@ -313,8 +314,11 @@ func ValidateScript(script []Event, topo Topology) error {
 		default:
 			return fmt.Errorf("script[%d]: unknown fault kind %d", i, int(e.Kind))
 		}
-		if e.Recovery <= e.Time {
-			return fmt.Errorf("script[%d] %s: recovery %.2f not after fault time %.2f",
+		if !(finite(e.Time) && e.Time >= 0) {
+			return fmt.Errorf("script[%d] %s: fault time %v not finite and >= 0", i, e.Kind, e.Time)
+		}
+		if !(finite(e.Recovery) && e.Recovery > e.Time) {
+			return fmt.Errorf("script[%d] %s: recovery %v not finite and after fault time %v",
 				i, e.Kind, e.Recovery, e.Time)
 		}
 		// Overlap check against earlier events on the same victim: a
@@ -332,3 +336,6 @@ func ValidateScript(script []Event, topo Topology) error {
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }

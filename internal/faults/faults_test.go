@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"testing"
 )
 
@@ -206,6 +207,33 @@ func TestValidateScript(t *testing.T) {
 		}, false},
 		{"degraded severity below 1", []Event{
 			{Time: 1, Kind: SliceDegraded, Node: 0, GPU: 0, Slice: 0, Recovery: 5, Severity: 0.5},
+		}, false},
+		{"degraded severity NaN", []Event{
+			{Time: 1, Kind: SliceDegraded, Node: 0, GPU: 0, Slice: 0, Recovery: 5, Severity: math.NaN()},
+		}, false},
+		{"degraded severity +Inf", []Event{
+			{Time: 1, Kind: SliceDegraded, Node: 0, GPU: 0, Slice: 0, Recovery: 5, Severity: math.Inf(1)},
+		}, false},
+		{"fault time NaN", []Event{
+			{Time: math.NaN(), Kind: SliceFault, Node: 0, GPU: 0, Slice: 0, Recovery: 5},
+		}, false},
+		{"fault time negative", []Event{
+			{Time: -3, Kind: NodeCrash, Node: 0, GPU: -1, Slice: -1, Recovery: 5},
+		}, false},
+		{"fault time -Inf", []Event{
+			{Time: math.Inf(-1), Kind: GPUFault, Node: 0, GPU: 0, Slice: -1, Recovery: 5},
+		}, false},
+		{"fault time +Inf", []Event{
+			{Time: math.Inf(1), Kind: GPUFault, Node: 0, GPU: 0, Slice: -1, Recovery: math.Inf(1)},
+		}, false},
+		{"fault at time zero", []Event{
+			{Time: 0, Kind: SliceFault, Node: 0, GPU: 0, Slice: 0, Recovery: 5},
+		}, true},
+		{"recovery NaN", []Event{
+			{Time: 1, Kind: SliceFault, Node: 0, GPU: 0, Slice: 0, Recovery: math.NaN()},
+		}, false},
+		{"recovery +Inf", []Event{
+			{Time: 1, Kind: NodeCrash, Node: 0, GPU: -1, Slice: -1, Recovery: math.Inf(1)},
 		}, false},
 		{"overlapping same victim", []Event{
 			{Time: 10, Kind: SliceFault, Node: 0, GPU: 0, Slice: 0, Recovery: 40},
