@@ -20,13 +20,12 @@ type stageConfigJSON struct {
 }
 
 type configJSON struct {
-	Stages   []stageConfigJSON `json:"stages"`
-	QueueCap int               `json:"queue_cap,omitempty"`
+	Stages []stageConfigJSON `json:"stages"`
 }
 
 // MarshalJSON implements json.Marshaler.
 func (c Config) MarshalJSON() ([]byte, error) {
-	out := configJSON{QueueCap: c.QueueCap}
+	var out configJSON
 	for _, sc := range c.Stages {
 		nodes := make([]int, len(sc.Nodes))
 		for i, n := range sc.Nodes {
@@ -47,7 +46,7 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &in); err != nil {
 		return fmt.Errorf("ffaas: config: %w", err)
 	}
-	out := Config{QueueCap: in.QueueCap}
+	var out Config
 	for i, sc := range in.Stages {
 		t, err := mig.ParseSliceType(sc.Slice)
 		if err != nil {

@@ -31,7 +31,8 @@ func (twoStage) DefDAG(b *ffaas.Builder) {
 
 // Example walks the whole FluidFaaS function lifecycle: BUILDDAG-mode
 // profiling, the configuration layer written by the invoker, and
-// RUN-mode execution through the per-slice stage processes.
+// RUN-mode execution: the request passes the per-slice stage processes
+// in order, each costed exactly as the invoker's pipeline plan.
 func Example() {
 	fn := twoStage{}
 

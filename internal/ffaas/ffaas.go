@@ -6,11 +6,14 @@
 // and the MIG assignment the invoker wrote to the configuration layer,
 // then execute stages as communicating processes, Listing 1).
 //
-// The Run-mode runtime here is a real concurrent pipeline: one goroutine
-// per stage ("a separate process for each MIG"), channels standing in
-// for the shared-memory queues, and per-stage eviction flags. Model
-// execution advances virtual time (profiles drive durations) so examples
-// and tests run instantly while reproducing queueing behaviour exactly.
+// In Run mode each stage is the Listing 1 process of one MIG slice: a
+// FIFO server of its shared-memory input queue with an eviction flag,
+// costed by pipeline.BuildPlan exactly as the invoker costs it. Model
+// execution advances virtual time, so every Result is a pure function of
+// Invoke order. The instance therefore runs each request through the
+// stage tandem synchronously under one lock: a goroutine per stage buys
+// no concurrency in virtual time, and made Close racy and the effect of
+// an eviction depend on scheduling.
 package ffaas
 
 import (
@@ -179,9 +182,6 @@ type StageConfig struct {
 // the instance (§5.2.1), and RUN-mode initialisation imports it.
 type Config struct {
 	Stages []StageConfig
-	// QueueCap bounds each stage's job queue (the shared-memory queue
-	// depth); 0 means a reasonable default.
-	QueueCap int
 }
 
 // FromPlan converts an invoker pipeline plan plus physical slice IDs to
