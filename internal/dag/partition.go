@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
@@ -69,18 +70,26 @@ func CV(times []float64) float64 {
 	return std / mean
 }
 
+// MaxSegments caps the segments EnumeratePartitions accepts: m segments
+// yield 2^(m-1) partitions, so the cap bounds the enumeration at 32768.
+// The built-in applications have at most 4 segments.
+const MaxSegments = 16
+
 // EnumeratePartitions returns every consecutive grouping of the DAG's
 // segments into 1..len(segments) stages — the 2^(m-1) configurations of
 // §5.2.2 — ranked by ascending CV of stage times on the reference
 // profile ref (ties broken by fewer stages, then by first-cut position,
 // for determinism). This is the offline step the invoker's ranked list
-// comes from.
+// comes from. It fails when the DAG has more than MaxSegments segments.
 func (d *DAG) EnumeratePartitions(ref mig.SliceType) ([]Partition, error) {
 	segs, err := d.Linearize()
 	if err != nil {
 		return nil, err
 	}
 	m := len(segs)
+	if m > MaxSegments {
+		return nil, fmt.Errorf("dag: %d segments exceed the partition enumeration cap of %d", m, MaxSegments)
+	}
 	var out []Partition
 	// Each of the 2^(m-1) bitmasks chooses whether to cut after segment i.
 	for mask := 0; mask < 1<<(m-1); mask++ {
