@@ -814,14 +814,7 @@ func (p *Platform) tryMigration(freed *mig.Slice) {
 	var bestFn *Function
 	var bestInst *Instance
 	for _, fn := range p.funcs {
-		m := fn.mono(freed.Type)
-		if !m.OK || fn.memGB > float64(freed.Type.MemGB()) {
-			continue
-		}
-		if fn.spec.SLO > 0 && m.Plan.Latency > fn.spec.SLO {
-			continue
-		}
-		if fn.spec.DAG.MonoMinGPCs > freed.Type.GPCs() {
+		if !fn.mono(freed.Type).Fits(fn.spec.SLO) {
 			continue
 		}
 		for _, inst := range fn.instances {

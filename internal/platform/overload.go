@@ -301,11 +301,7 @@ func (p *Platform) contractPipelined() {
 			continue // must shrink the footprint
 		}
 		m := fn.mono(sl.Type)
-		if !m.OK || fn.memGB > float64(sl.Type.MemGB()) ||
-			fn.spec.DAG.MonoMinGPCs > sl.Type.GPCs() {
-			continue
-		}
-		if fn.spec.SLO > 0 && m.Plan.Latency > fn.spec.SLO {
+		if !m.Fits(fn.spec.SLO) {
 			continue
 		}
 		if found && sl.Type >= slices[0].Type {
