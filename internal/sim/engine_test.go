@@ -199,6 +199,27 @@ func TestEngineCancelAfterFire(t *testing.T) {
 	}
 }
 
+// TestEngineCancelNeverArmed: a caller-owned Event that was never armed
+// is the zero Event, whose heap index is 0. Cancelling it must leave the
+// event that does sit in slot 0 alone.
+func TestEngineCancelNeverArmed(t *testing.T) {
+	e := NewEngine()
+	fired := false
+	e.At(1, func() { fired = true })
+	var ev Event
+	e.Cancel(&ev)
+	if ev.Cancelled() {
+		t.Error("Cancel marked a never-armed event cancelled")
+	}
+	if got := e.Stats().Cancellations; got != 0 {
+		t.Errorf("Cancel of a never-armed event counted %d cancellations, want 0", got)
+	}
+	e.Run()
+	if !fired {
+		t.Error("cancelling a never-armed event removed the pending one")
+	}
+}
+
 func TestEngineCancelTwice(t *testing.T) {
 	e := NewEngine()
 	ev := e.After(1, func() {})
