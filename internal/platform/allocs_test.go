@@ -10,11 +10,12 @@ import (
 )
 
 // twoStagePlatform builds a one-function platform, no observers, with a
-// hand-built two-stage exclusive pipeline launched and already loaded.
-func twoStagePlatform(t *testing.T) (*Platform, *Instance) {
+// hand-built two-stage exclusive pipeline launched and already loaded,
+// its stages batching up to maxBatch requests.
+func twoStagePlatform(t *testing.T, maxBatch int) (*Platform, *Instance) {
 	t.Helper()
 	p := New(smallCluster(1), specsFor(t, dnn.Small)[:1], Options{
-		Policy: &scheduler.ESG{}, Seed: 1,
+		Policy: &scheduler.ESG{}, Seed: 1, MaxBatch: maxBatch,
 	})
 	fn := p.funcs[0]
 	node := p.cl.Nodes[0]
@@ -35,40 +36,49 @@ func twoStagePlatform(t *testing.T) (*Platform, *Instance) {
 
 // TestPipelineAllocsPerRequest: carrying a request through a two-stage
 // exclusive pipeline allocates a constant per request, the same at 4
-// and at 64 requests in flight: its one stage job and the job's bound
-// hop callback. Stations, the hop event and the engine heap reuse their
-// storage, so nothing is allocated per stage or per event.
+// and at 64 requests in flight, batched or not: its one stage job and
+// the job's bound hop callback. Stations, their batches, the hop event
+// and the engine heap reuse their storage, so nothing is allocated per
+// stage, batch or event.
 func TestPipelineAllocsPerRequest(t *testing.T) {
-	perRequest := func(n int) float64 {
-		p, inst := twoStagePlatform(t)
-		p.col.Reserve(200 * n)
-		reqs := make([]request, n)
-		got := testing.AllocsPerRun(100, func() {
-			for i := range reqs {
-				reqs[i] = request{id: i, fn: inst.fn, arrival: p.eng.Now()}
-				inst.admit(p, &reqs[i])
-			}
-			p.eng.Run()
-		})
-		if c := p.col.Completed(); c != 101*n {
-			t.Fatalf("n=%d: %d requests completed, want %d", n, c, 101*n)
+	for _, maxBatch := range []int{1, 4} {
+		few, many := pipelineAllocs(t, maxBatch, 4), pipelineAllocs(t, maxBatch, 64)
+		if few != many {
+			t.Errorf("MaxBatch %d: a request costs %v allocations with 4 in flight, %v with 64",
+				maxBatch, few, many)
 		}
-		return got / float64(n)
+		if few != 2 {
+			t.Errorf("MaxBatch %d: a request costs %v allocations, want 2 (its stage job and hop callback)",
+				maxBatch, few)
+		}
 	}
-	few, many := perRequest(4), perRequest(64)
-	if few != many {
-		t.Errorf("a request costs %v allocations with 4 in flight, %v with 64", few, many)
+}
+
+// pipelineAllocs returns the allocations per request of running rounds
+// of n requests through a two-stage pipeline batching up to maxBatch.
+func pipelineAllocs(t *testing.T, maxBatch, n int) float64 {
+	t.Helper()
+	p, inst := twoStagePlatform(t, maxBatch)
+	p.col.Reserve(200 * n)
+	reqs := make([]request, n)
+	got := testing.AllocsPerRun(100, func() {
+		for i := range reqs {
+			reqs[i] = request{id: i, fn: inst.fn, arrival: p.eng.Now()}
+			inst.admit(p, &reqs[i])
+		}
+		p.eng.Run()
+	})
+	if c := p.col.Completed(); c != 101*n {
+		t.Fatalf("MaxBatch %d, n=%d: %d requests completed, want %d", maxBatch, n, c, 101*n)
 	}
-	if few != 2 {
-		t.Errorf("a request costs %v allocations, want 2 (its stage job and hop callback)", few)
-	}
+	return got / float64(n)
 }
 
 // TestKickScaleUpAllocatesNothing: a scale-up kick reuses the platform's
 // one kick event and its callback bound at construction, so kicking and
 // running the (empty) pass it schedules allocates nothing.
 func TestKickScaleUpAllocatesNothing(t *testing.T) {
-	p, _ := twoStagePlatform(t)
+	p, _ := twoStagePlatform(t, 1)
 	kick := func() {
 		p.kickScaleUp()
 		p.kickScaleUp() // coalesced into the pending pass

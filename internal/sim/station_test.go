@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"slices"
 	"testing"
 )
 
@@ -261,29 +263,229 @@ func TestStationQueueBufferBounded(t *testing.T) {
 
 // TestStationCycleAllocatesNothing: once a station and its engine have
 // seen their deepest backlog, an enqueue→serve→finish cycle allocates
-// nothing — no event, closure or queue growth per job.
+// nothing — no event, closure or queue growth per job — batched or not.
 func TestStationCycleAllocatesNothing(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		max    int
+		window Time
+	}{
+		{"unbatched", 1, 0},
+		{"batched", 2, 0.25},
+	} {
+		e := NewEngine()
+		st := NewStation(e, "s")
+		st.SetBatching(c.max, c.window)
+		served := 0
+		jobs := make([]*Job, 3)
+		for i := range jobs {
+			jobs[i] = &Job{
+				Service: func() Time { return 0.5 },
+				Done:    func() { served++ },
+			}
+		}
+		cycle := func() {
+			for _, j := range jobs {
+				st.Enqueue(j)
+			}
+			e.Run()
+		}
+		cycle()
+		if got := testing.AllocsPerRun(100, cycle); got != 0 {
+			t.Errorf("%s: station cycle allocates %v times, want 0", c.name, got)
+		}
+		if served != 3*102 {
+			t.Errorf("%s: served %d jobs, want %d", c.name, served, 3*102)
+		}
+	}
+}
+
+// batchStation returns a station batching up to max jobs with the given
+// window.
+func batchStation(e *Engine, max int, window Time) *Station {
+	st := NewStation(e, "b")
+	st.SetBatching(max, window)
+	return st
+}
+
+// sizedJob returns a job that serves for d and, when done, appends the
+// size of the batch it was served in to sizes.
+func sizedJob(st *Station, d Time, sizes *[]int) *Job {
+	n := 0
+	return &Job{
+		Service: func() Time { n = st.InService(); return d },
+		Done:    func() { *sizes = append(*sizes, n) },
+	}
+}
+
+func TestStationBatchCoalesces(t *testing.T) {
 	e := NewEngine()
-	st := NewStation(e, "s")
-	served := 0
-	jobs := make([]*Job, 3)
-	for i := range jobs {
-		jobs[i] = &Job{
-			Service: func() Time { return 0.5 },
-			Done:    func() { served++ },
+	st := batchStation(e, 4, 0.5)
+	var sizes []int
+	for i := 0; i < 4; i++ {
+		st.Enqueue(sizedJob(st, 1, &sizes))
+	}
+	e.Run()
+	if len(sizes) != 4 {
+		t.Fatalf("completions = %d, want 4", len(sizes))
+	}
+	for _, n := range sizes {
+		if n != 4 {
+			t.Fatalf("batch sizes = %v, want all 4 (full batch fires immediately)", sizes)
 		}
 	}
-	cycle := func() {
-		for _, j := range jobs {
-			st.Enqueue(j)
+	if e.Now() != 1 {
+		t.Errorf("full batch served at %v, want immediately (1s service)", e.Now())
+	}
+	if st.Served() != 4 || st.BusyTime() != 1 {
+		t.Errorf("stats: served=%d busy=%v, want 4 and 1", st.Served(), st.BusyTime())
+	}
+}
+
+func TestStationBatchWindowExpiry(t *testing.T) {
+	e := NewEngine()
+	st := batchStation(e, 8, 0.5)
+	var sizes []int
+	st.Enqueue(sizedJob(st, 1, &sizes))
+	e.Run()
+	// Lone job waits out the 0.5s window then serves for 1s.
+	if len(sizes) != 1 || sizes[0] != 1 {
+		t.Errorf("batch sizes = %v, want [1]", sizes)
+	}
+	if math.Abs(e.Now()-1.5) > 1e-12 {
+		t.Errorf("done at %v, want 1.5", e.Now())
+	}
+}
+
+func TestStationBatchZeroWindowServesImmediately(t *testing.T) {
+	e := NewEngine()
+	st := batchStation(e, 8, 0)
+	var sizes []int
+	st.Enqueue(sizedJob(st, 1, &sizes))
+	e.Run()
+	if e.Now() != 1 || len(sizes) != 1 || sizes[0] != 1 {
+		t.Errorf("zero-window service: now=%v sizes=%v", e.Now(), sizes)
+	}
+}
+
+func TestStationBatchOverflowSplitsBatches(t *testing.T) {
+	e := NewEngine()
+	st := batchStation(e, 2, 0)
+	var sizes []int
+	for i := 0; i < 5; i++ {
+		st.Enqueue(sizedJob(st, 1, &sizes))
+	}
+	e.Run()
+	// 5 jobs, max 2, no window: the first serves alone as it arrives,
+	// the other four in pairs behind it.
+	if want := []int{1, 2, 2, 2, 2}; !slices.Equal(sizes, want) {
+		t.Errorf("batch sizes = %v, want %v", sizes, want)
+	}
+	if e.Now() != 3 || st.BusyTime() != 3 {
+		t.Errorf("makespan = %v, busy = %v, want 3 and 3", e.Now(), st.BusyTime())
+	}
+}
+
+func TestStationBatchTimerRearms(t *testing.T) {
+	e := NewEngine()
+	st := batchStation(e, 4, 0.5)
+	var firstDone, secondDone Time
+	st.Enqueue(&Job{Service: func() Time { return 1 }, Done: func() { firstDone = e.Now() }})
+	// Second job arrives long after the first batch completed: the
+	// window timer must re-arm.
+	e.At(5, func() {
+		st.Enqueue(&Job{Service: func() Time { return 1 }, Done: func() { secondDone = e.Now() }})
+	})
+	e.Run()
+	if math.Abs(firstDone-1.5) > 1e-12 {
+		t.Errorf("first done at %v, want 1.5", firstDone)
+	}
+	if math.Abs(secondDone-6.5) > 1e-12 {
+		t.Errorf("second done at %v, want 6.5 (window re-armed)", secondDone)
+	}
+}
+
+func TestStationBatchPauseResume(t *testing.T) {
+	e := NewEngine()
+	st := batchStation(e, 2, 0)
+	st.Pause()
+	var done Time = -1
+	st.Enqueue(&Job{Service: func() Time { return 1 }, Done: func() { done = e.Now() }})
+	e.At(3, func() { st.Resume() })
+	e.Run()
+	if done != 4 {
+		t.Errorf("done at %v, want 4 (paused until 3)", done)
+	}
+}
+
+// TestStationBatchLongestService: a batch holds the server for its
+// longest job's Service, and every job in it completes then.
+func TestStationBatchLongestService(t *testing.T) {
+	e := NewEngine()
+	// A short window lets the two back-to-back jobs coalesce.
+	st := batchStation(e, 2, 0.1)
+	var sizes []int
+	var doneAt []Time
+	for _, d := range []Time{1, 2} {
+		j := sizedJob(st, d, &sizes)
+		done := j.Done
+		j.Done = func() { done(); doneAt = append(doneAt, e.Now()) }
+		st.Enqueue(j)
+	}
+	e.Run()
+	if !slices.Equal(sizes, []int{2, 2}) || !slices.Equal(doneAt, []Time{2, 2}) {
+		t.Errorf("sizes=%v done at %v, want one batch of 2 done at 2", sizes, doneAt)
+	}
+	if st.BusyTime() != 2 {
+		t.Errorf("BusyTime = %v, want 2", st.BusyTime())
+	}
+}
+
+// TestStationBatchStartsFromDone: a Done callback that enqueues a full
+// batch starts it at once, and the rest of the completing batch still
+// completes, each job once.
+func TestStationBatchStartsFromDone(t *testing.T) {
+	e := NewEngine()
+	st := batchStation(e, 2, 1)
+	var order []string
+	job := func(name string) *Job {
+		return &Job{Service: func() Time { return 1 }, Done: func() { order = append(order, name) }}
+	}
+	a, b := job("a"), job("b")
+	a.Done = func() {
+		order = append(order, "a")
+		st.Enqueue(job("c"))
+		st.Enqueue(job("d"))
+		if st.InService() != 2 {
+			t.Errorf("batch of c and d did not start from a's Done")
 		}
-		e.Run()
 	}
-	cycle()
-	if got := testing.AllocsPerRun(100, cycle); got != 0 {
-		t.Errorf("station cycle allocates %v times, want 0", got)
+	st.Enqueue(a)
+	st.Enqueue(b)
+	e.Run()
+	if want := []string{"a", "b", "c", "d"}; !slices.Equal(order, want) {
+		t.Errorf("completion order = %v, want %v", order, want)
 	}
-	if served != 3*102 {
-		t.Errorf("served %d jobs, want %d", served, 3*102)
+	if e.Now() != 2 || st.Served() != 4 {
+		t.Errorf("now=%v served=%d, want 2 and 4", e.Now(), st.Served())
+	}
+}
+
+func TestStationBatchPanics(t *testing.T) {
+	e := NewEngine()
+	busy := NewStation(e, "busy")
+	busy.Enqueue(&Job{Service: func() Time { return 1 }})
+	for name, f := range map[string]func(){
+		"maxBatch": func() { NewStation(e, "x").SetBatching(0, 0) },
+		"busy":     func() { busy.SetBatching(2, 0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			f()
+		}()
 	}
 }
