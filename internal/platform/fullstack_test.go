@@ -333,10 +333,10 @@ func runBatched(t *testing.T) *Platform {
 // against a golden.
 func TestBatchedRunGolden(t *testing.T) {
 	p := runBatched(t)
-	if got, want := recordsSHA(t, p), "87bd7e1b50adb0bd493a84203374305ca4410d5ba0f99f29a0357478c475c1d8"; got != want {
+	if got, want := recordsSHA(t, p), "08708904e7dcd376e850e99e28f1d0156fa77daed31c6f4be151278369018469"; got != want {
 		t.Errorf("records sha256 = %s, want %s", got, want)
 	}
-	if got := p.Engine().Executed(); got != 23163 {
-		t.Errorf("%d events executed, want 23163", got)
+	if got := p.Engine().Executed(); got != 23246 {
+		t.Errorf("%d events executed, want 23246", got)
 	}
 }

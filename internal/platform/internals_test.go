@@ -9,6 +9,7 @@ import (
 	"fluidfaas/internal/keepalive"
 	"fluidfaas/internal/mig"
 	"fluidfaas/internal/obs"
+	"fluidfaas/internal/pipeline"
 	"fluidfaas/internal/scheduler"
 	"fluidfaas/internal/trace"
 )
@@ -265,6 +266,58 @@ func TestBatchingMode(t *testing.T) {
 	}
 	if col.Completed() < int(0.9*float64(col.Len())) {
 		t.Errorf("completed %d of %d under batching", col.Completed(), col.Len())
+	}
+}
+
+// batchedInstance builds a one-function platform batching up to four
+// requests per stage, with a hand-built monolithic instance of 0.5 s
+// exec launched to finish its initial load at loadTime.
+func batchedInstance(t *testing.T, loadTime float64) (*Platform, *Instance) {
+	t.Helper()
+	p := New(smallCluster(1), specsFor(t, dnn.Small)[:1], Options{
+		Policy: &scheduler.ESG{}, Seed: 1, MaxBatch: 4,
+	})
+	node := p.cl.Nodes[0]
+	sl := node.FreeSlices(0)[0]
+	plan := pipeline.Plan{
+		Stages:  []pipeline.StagePlan{{SliceType: sl.Type, ExecTime: 0.5}},
+		Latency: 0.5, Bottleneck: 0.5,
+	}
+	return p, p.launchInstance(p.funcs[0], node, plan, []*mig.Slice{sl}, loadTime)
+}
+
+// TestBatchedColdStartChargesLoad: a request that reaches a batching
+// instance before its initial load finishes has that wait charged to
+// Load, as an unbatched instance does; only the batching window after
+// the load lands in Queue.
+func TestBatchedColdStartChargesLoad(t *testing.T) {
+	p, inst := batchedInstance(t, 1)
+	inst.admit(p, &request{fn: inst.fn})
+	p.eng.Run()
+	r := p.col.Records()[0]
+	if r.Load != 1 || r.Exec != 0.5 || math.Abs(r.Queue-batchWindow) > 1e-12 {
+		t.Errorf("load=%v exec=%v queue=%v, want 1, 0.5 and the %v s window",
+			r.Load, r.Exec, r.Queue, batchWindow)
+	}
+}
+
+// TestBatchedExecIsServiceTime: a degradation that starts while a batch
+// runs does not stretch the batch the engine already timed, so each
+// request's Exec is the batch's service time and nothing is left over
+// for Queue.
+func TestBatchedExecIsServiceTime(t *testing.T) {
+	p, inst := batchedInstance(t, 0)
+	for i := range 4 {
+		inst.admit(p, &request{id: i, fn: inst.fn})
+	}
+	p.eng.At(0.1, func() { p.degraded[inst.slices[0]] = 4 })
+	p.eng.Run()
+	service := 0.5 * math.Pow(4, batchGamma)
+	for i, r := range p.col.Records() {
+		if r.Exec != service || r.Completion != service || r.Queue != 0 {
+			t.Errorf("request %d: exec=%v completion=%v queue=%v, want exec = completion = %v",
+				i, r.Exec, r.Completion, r.Queue, service)
+		}
 	}
 }
 
