@@ -20,10 +20,14 @@ type EndToEnd struct {
 func RunEndToEnd(cfg Config) *EndToEnd {
 	cfg = cfg.withDefaults()
 	e := &EndToEnd{Cfg: cfg, Results: map[Workload]map[string]SystemResult{}}
+	// Every inner map exists before any goroutine starts: the workers
+	// read the outer map, so writing it mid-sweep would race.
+	for _, w := range Workloads {
+		e.Results[w] = map[string]SystemResult{}
+	}
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for _, w := range Workloads {
-		e.Results[w] = map[string]SystemResult{}
 		for _, pol := range Systems() {
 			w, pol := w, pol
 			wg.Add(1)
