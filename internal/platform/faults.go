@@ -181,16 +181,21 @@ func (p *Platform) recoverFault(ev faults.Event) {
 // failSlice tears down whatever owns the slice: an exclusive instance
 // (all its slices free up, in-flight requests retry) or a time-sharing
 // pool slice (bindings go cold, queued requests retry). A free slice
-// needs no teardown — it just stops appearing in placement views.
-func (p *Platform) failSlice(sl *mig.Slice) {
+// needs no teardown — it just stops appearing in placement views. It
+// returns the functions whose deployment it tore down.
+func (p *Platform) failSlice(sl *mig.Slice) []*Function {
 	if sl.Free() {
-		return
+		return nil
 	}
 	inv := p.inv[sl.GPU.Node]
 	for _, ss := range inv.shared {
 		if ss.slice == sl {
+			fns := make([]*Function, 0, len(ss.bindings))
+			for _, b := range ss.bindings {
+				fns = append(fns, b.fn)
+			}
 			p.failShared(ss)
-			return
+			return fns
 		}
 	}
 	for _, fn := range p.funcs {
@@ -198,11 +203,12 @@ func (p *Platform) failSlice(sl *mig.Slice) {
 			for _, s := range inst.slices {
 				if s == sl {
 					p.failInstance(inst)
-					return
+					return []*Function{fn}
 				}
 			}
 		}
 	}
+	return nil
 }
 
 // failInstance tears down an exclusive instance whose hardware failed:

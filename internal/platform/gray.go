@@ -240,38 +240,14 @@ func (p *Platform) quarantineSlice(sl *mig.Slice, h *sliceHealth) {
 }
 
 // tearDownQuarantined evicts whatever owns the quarantined slice. The
-// teardown reuses the fail-stop paths (failShared/failInstance), then
-// additionally voids the affected functions' last-use stamps on the
-// node: that warmth was earned on hardware whose timing lied, and the
-// next launch must not trust it.
+// teardown is the fail-stop one (failSlice); it then additionally voids
+// the affected functions' last-use stamps on the node: that warmth was
+// earned on hardware whose timing lied, and the next launch must not
+// trust it.
 func (p *Platform) tearDownQuarantined(sl *mig.Slice) {
-	if sl.Free() {
-		return
-	}
-	inv := p.inv[sl.GPU.Node]
-	for _, ss := range inv.shared {
-		if ss.slice == sl {
-			fns := make([]*Function, 0, len(ss.bindings))
-			for _, b := range ss.bindings {
-				fns = append(fns, b.fn)
-			}
-			p.failShared(ss)
-			for _, fn := range fns {
-				delete(fn.lastNodeUse, inv.node.ID)
-			}
-			return
-		}
-	}
-	for _, fn := range p.funcs {
-		for _, inst := range fn.instances {
-			for _, s := range inst.slices {
-				if s == sl {
-					p.failInstance(inst)
-					delete(fn.lastNodeUse, inst.node.ID)
-					return
-				}
-			}
-		}
+	node := p.inv[sl.GPU.Node].node.ID
+	for _, fn := range p.failSlice(sl) {
+		delete(fn.lastNodeUse, node)
 	}
 }
 

@@ -316,27 +316,13 @@ func (p *Platform) contractPipelined() {
 		for i, sl := range free {
 			types[i] = sl.Type
 		}
-		pl, _, err := fn.planner.Construct(types)
+		pl, idx, err := fn.planner.Construct(types)
 		if err == nil && pl.GPCs() < worst.plan.GPCs() {
-			slices = make([]*mig.Slice, len(pl.Stages))
-			ok := true
-			used := map[*mig.Slice]bool{}
-			for i, sp := range pl.Stages {
-				slices[i] = nil
-				for _, sl := range free {
-					if sl.Type == sp.SliceType && !used[sl] {
-						slices[i], used[sl] = sl, true
-						break
-					}
-				}
-				if slices[i] == nil {
-					ok = false
-					break
-				}
+			slices = make([]*mig.Slice, len(idx))
+			for i, ai := range idx {
+				slices[i] = free[ai]
 			}
-			if ok {
-				plan, found = pl, true
-			}
+			plan, found = pl, true
 		}
 	}
 	if !found {

@@ -488,3 +488,61 @@ func TestMigrationDrainsPending(t *testing.T) {
 		t.Error("migrated pipeline not retiring")
 	}
 }
+
+// TestContractToSmallerPipeline: when no single smaller slice can host
+// the function, brownout contraction rebuilds it as a smaller pipeline
+// over the node's free slices, bound to the slices the planner's
+// construction chose, and retires the wide pipeline.
+func TestContractToSmallerPipeline(t *testing.T) {
+	specs := specsFor(t, dnn.Medium)[:1]
+	cl := cluster.New(cluster.Spec{
+		Nodes: 1, CPUMemGB: 400,
+		GPUConfigs: []mig.Config{mig.DefaultConfig, mig.ConfigFull1g},
+	})
+	p := New(cl, specs, Options{Policy: &scheduler.FluidFaaS{}, Seed: 1})
+	fn := p.funcs[0]
+	node := cl.Nodes[0]
+	// The wide pipeline holds the 4g and 2g slices, so only 1g slices
+	// stay free, and none of them fits the function alone.
+	var wide []*mig.Slice
+	for _, sl := range node.FreeSlices(0) {
+		if sl.Type == mig.Slice4g || sl.Type == mig.Slice2g {
+			wide = append(wide, sl)
+		}
+	}
+	if len(wide) != 2 || fn.mono(mig.Slice1g).Fits(fn.spec.SLO) {
+		t.Fatalf("setup: %d wide slices, 1g fits alone: %v", len(wide), fn.mono(mig.Slice1g).Fits(fn.spec.SLO))
+	}
+	stages := make([]pipeline.StagePlan, len(wide))
+	for i, sl := range wide {
+		stages[i] = pipeline.StagePlan{SliceType: sl.Type, ExecTime: 0.01}
+	}
+	worst := p.launchInstance(fn, node, pipeline.Plan{Stages: stages, Latency: 0.02, Bottleneck: 0.01}, wide, 0)
+
+	free := node.FreeSlices(0)
+	types := make([]mig.SliceType, len(free))
+	for i, sl := range free {
+		types[i] = sl.Type
+	}
+	plan, idx, err := fn.planner.Construct(types)
+	if err != nil || !plan.Pipelined() {
+		t.Fatalf("setup: no pipelined plan over the free 1g slices (%v)", err)
+	}
+
+	p.contractPipelined()
+	if p.Contractions() != 1 || !worst.retiring {
+		t.Fatalf("contractions = %d, wide pipeline retiring = %v; want 1 and true", p.Contractions(), worst.retiring)
+	}
+	repl := fn.instances[0]
+	if repl == worst {
+		repl = fn.instances[1]
+	}
+	if len(repl.slices) != len(idx) {
+		t.Fatalf("replacement has %d stages, want %d", len(repl.slices), len(idx))
+	}
+	for i, ai := range idx {
+		if repl.slices[i] != free[ai] {
+			t.Errorf("stage %d on %s, want the planner's %s", i, repl.slices[i].ID(), free[ai].ID())
+		}
+	}
+}
