@@ -38,20 +38,13 @@ func (n *Node) SetHealthy(h bool) {
 }
 
 // FreeGen returns a generation number for the node's free-slice set:
-// FreeSlices(now) returns the same view as long as FreeGen is unchanged
-// and stable is true. stable is false while any GPU is unavailable
-// (mid-reconfiguration): its free set then changes with the mere
-// passage of time, so cached views cannot be trusted across calls.
-func (n *Node) FreeGen(now float64) (gen uint64, stable bool) {
-	gen = n.gen
-	stable = true
+// FreeSlices returns the same view as long as FreeGen is unchanged.
+func (n *Node) FreeGen() uint64 {
+	gen := n.gen
 	for _, g := range n.GPUs {
 		gen += g.Gen()
-		if !g.Available(now) {
-			stable = false
-		}
 	}
-	return gen, stable
+	return gen
 }
 
 // Pool returns the node's host-memory pool, initialising it from
@@ -117,25 +110,25 @@ func New(spec Spec) *Cluster {
 // FreeSlices returns the node's free healthy slices across all GPUs,
 // largest first within each GPU, GPUs in ID order. A crashed node has
 // no free slices.
-func (n *Node) FreeSlices(now float64) []*mig.Slice {
+func (n *Node) FreeSlices() []*mig.Slice {
 	if n.down {
 		return nil
 	}
 	var out []*mig.Slice
 	for _, g := range n.GPUs {
-		out = append(out, g.FreeSlices(now)...)
+		out = append(out, g.FreeSlices()...)
 	}
 	return out
 }
 
 // FreeGPCs returns total free compute on the node.
-func (n *Node) FreeGPCs(now float64) int {
+func (n *Node) FreeGPCs() int {
 	if n.down {
 		return 0
 	}
 	t := 0
 	for _, g := range n.GPUs {
-		t += g.FreeGPCs(now)
+		t += g.FreeGPCs()
 	}
 	return t
 }

@@ -40,15 +40,15 @@ func TestDefaultSpecMatchesPaperTestbed(t *testing.T) {
 func TestNodeFreeSlicesAndGPCs(t *testing.T) {
 	c := New(Spec{Nodes: 1, GPUConfigs: mig.UniformNode(mig.DefaultConfig, 2), CPUMemGB: 100})
 	n := c.Nodes[0]
-	if got := len(n.FreeSlices(0)); got != 6 {
+	if got := len(n.FreeSlices()); got != 6 {
 		t.Fatalf("free slices = %d, want 6", got)
 	}
-	if n.FreeGPCs(0) != 14 {
-		t.Errorf("FreeGPCs = %d, want 14", n.FreeGPCs(0))
+	if n.FreeGPCs() != 14 {
+		t.Errorf("FreeGPCs = %d, want 14", n.FreeGPCs())
 	}
 	n.GPUs[0].Slices[0].Allocate("x", 0) // take the 4g
-	if n.FreeGPCs(0) != 10 {
-		t.Errorf("FreeGPCs after alloc = %d, want 10", n.FreeGPCs(0))
+	if n.FreeGPCs() != 10 {
+		t.Errorf("FreeGPCs after alloc = %d, want 10", n.FreeGPCs())
 	}
 	if c.OccupiedGPCs() != 4 {
 		t.Errorf("OccupiedGPCs = %d, want 4", c.OccupiedGPCs())

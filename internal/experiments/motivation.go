@@ -177,7 +177,7 @@ func RunFragmentation() []FragmentationCase {
 	gpu2 := mig.NewGPU(0, 2, mig.ConfigP2)
 	gpu2.Slices[0].Allocate("instance-C", 0) // the 3g
 
-	free := append(gpu1.FreeSlices(0), gpu2.FreeSlices(0)...)
+	free := append(gpu1.FreeSlices(), gpu2.FreeSlices()...)
 	var freeTypes []mig.SliceType
 	freeStr := ""
 	for i, sl := range free {

@@ -62,10 +62,6 @@ func RunReconfig(cfg Config) ReconfigResult {
 	// then a monolithic 3g instance serves FIFO.
 	{
 		eng := sim.NewEngine()
-		gpu := mig.NewGPU(0, 0, mig.Config2g3x1g)
-		if err := gpu.Reconfigure(mig.ConfigP2, shiftAt); err != nil {
-			panic(err)
-		}
 		res.OfflineSeconds = mig.ReconfigureDelay
 		plan, err := pipeline.Monolithic(largeDAG, mig.Slice3g)
 		if err != nil {

@@ -6,15 +6,15 @@ package mig
 // compute dwarfs g — the situation of Figs. 1 and 4.
 
 // FragmentationIndex returns 1 − (largest free slice's GPCs ÷ total
-// free GPCs) over the given GPUs at time now: 0 means all free compute
-// is reachable through one slice; values near 1 mean the free compute
-// is shattered into small slices. No free compute returns 0.
-func FragmentationIndex(gpus []*GPU, now float64) float64 {
+// free GPCs) over the given GPUs: 0 means all free compute is
+// reachable through one slice; values near 1 mean the free compute is
+// shattered into small slices. No free compute returns 0.
+func FragmentationIndex(gpus []*GPU) float64 {
 	totalFree := 0
 	largest := 0
 	for _, g := range gpus {
 		for _, s := range g.Slices {
-			if !s.Placeable(now) {
+			if !s.Placeable() {
 				continue
 			}
 			totalFree += s.Type.GPCs()
@@ -33,11 +33,11 @@ func FragmentationIndex(gpus []*GPU, now float64) float64 {
 // function needing needGPCs: the summed GPCs of free slices smaller
 // than needGPCs when no single free slice is big enough (0 otherwise —
 // the function can be placed, so nothing is stranded for it).
-func StrandedGPCs(gpus []*GPU, now float64, needGPCs int) int {
+func StrandedGPCs(gpus []*GPU, needGPCs int) int {
 	total := 0
 	for _, g := range gpus {
 		for _, s := range g.Slices {
-			if !s.Placeable(now) {
+			if !s.Placeable() {
 				continue
 			}
 			if s.Type.GPCs() >= needGPCs {

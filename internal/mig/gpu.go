@@ -7,10 +7,11 @@ import (
 
 // ReconfigureDelay is the time (seconds) a GPU is unavailable while its
 // MIG partition is changed. The paper reports several minutes for
-// checkpoint, re-partition and resume (§2.2); we use 5 minutes. The value
-// is exported so experiments can study sensitivity, but no scheduler in
-// this repo reconfigures on the request path — that is the point of the
-// paper.
+// checkpoint, re-partition and resume (§2.2); we use 5 minutes. Nothing
+// in the model repartitions: a GPU's layout is fixed when NewGPU builds
+// it, which is the premise FluidFaaS pipelines around. The constant
+// only costs the repartitioning alternative in the reconfiguration
+// study.
 const ReconfigureDelay = 300.0
 
 // Slice is one MIG instance on a GPU: the unit of allocation, strong
@@ -18,7 +19,7 @@ const ReconfigureDelay = 300.0
 type Slice struct {
 	Type SliceType
 	GPU  *GPU
-	// Index of the slice within its GPU (stable across frees).
+	// Index of the slice within its GPU.
 	Index int
 
 	// id caches ID(), rendered once when the GPU builds its slices.
@@ -87,17 +88,17 @@ func (s *Slice) SetQuarantined(q bool) {
 	s.bumpGen()
 }
 
-// Usable reports whether the slice and its GPU are both healthy, the
-// slice is not quarantined, and the GPU is not mid-reconfiguration.
-func (s *Slice) Usable(now float64) bool {
-	return !s.unhealthy && !s.quarantined && s.GPU.Healthy() && s.GPU.Available(now)
+// Usable reports whether the slice and its GPU are both healthy and the
+// slice is not quarantined.
+func (s *Slice) Usable() bool {
+	return !s.unhealthy && !s.quarantined && s.GPU.Healthy()
 }
 
-// Placeable reports whether the slice is one its GPU's FreeSlices lists
-// at now: unallocated and usable. Callers that need only sums or maxima
-// over the free slices test each slice with it instead of building the
-// sorted list.
-func (s *Slice) Placeable(now float64) bool { return s.Free() && s.Usable(now) }
+// Placeable reports whether the slice is one its GPU's FreeSlices lists:
+// unallocated and usable. Callers that need only sums or maxima over the
+// free slices test each slice with it instead of building the sorted
+// list.
+func (s *Slice) Placeable() bool { return s.Free() && s.Usable() }
 
 // Allocate assigns the slice to owner at time now. Allocating a held
 // slice is a model bug and panics.
@@ -165,7 +166,8 @@ func (s *Slice) OccupiedTime(now float64) float64 {
 	return t
 }
 
-// GPU is one physical accelerator partitioned into MIG slices.
+// GPU is one physical accelerator partitioned into MIG slices. The
+// partition is fixed at construction.
 type GPU struct {
 	ID     int
 	Node   int // owning node index
@@ -177,24 +179,18 @@ type GPU struct {
 	unionSince   float64
 	unionTotal   float64
 
-	// Reconfiguration: the GPU is unusable until availableAt.
-	availableAt float64
-
 	// unhealthy marks a failed GPU (driver wedge, XID error): none of
 	// its slices can be allocated until it recovers.
 	unhealthy bool
 
 	// gen counts free-set-changing events (slice allocate/release,
-	// health flips, reconfiguration), so callers can cache FreeSlices
+	// health and quarantine flips), so callers can cache FreeSlices
 	// views and revalidate in O(1) instead of re-walking slices.
 	gen uint64
 }
 
 // Gen returns the GPU's free-set generation: it changes whenever the
-// set of free slices may have changed for a state reason. It does NOT
-// advance when the GPU becomes available again after a reconfiguration
-// (a pure passage-of-time change); Available(now) must be checked
-// separately before trusting a cached view.
+// set of free slices may have changed.
 func (g *GPU) Gen() uint64 { return g.gen }
 
 // NewGPU creates a GPU partitioned per cfg. Invalid configs panic.
@@ -203,26 +199,17 @@ func NewGPU(node, id int, cfg Config) *GPU {
 		panic(fmt.Sprintf("mig: invalid config %v for gpu %d", cfg, id))
 	}
 	g := &GPU{ID: id, Node: node, config: cfg.Canonical()}
-	g.buildSlices()
-	return g
-}
-
-func (g *GPU) buildSlices() {
-	g.Slices = g.Slices[:0]
 	for i, t := range g.config {
 		g.Slices = append(g.Slices, &Slice{
 			Type: t, GPU: g, Index: i,
 			id: fmt.Sprintf("gpu%d/%s#%d", g.ID, t, i),
 		})
 	}
+	return g
 }
 
-// Config returns the GPU's current partition.
+// Config returns the GPU's partition.
 func (g *GPU) Config() Config { return g.config }
-
-// Available reports whether the GPU is usable at time now (i.e. not mid
-// reconfiguration).
-func (g *GPU) Available(now float64) bool { return now >= g.availableAt }
 
 // Healthy reports whether the GPU is fault-free.
 func (g *GPU) Healthy() bool { return !g.unhealthy }
@@ -233,26 +220,6 @@ func (g *GPU) Healthy() bool { return !g.unhealthy }
 func (g *GPU) SetHealthy(h bool) {
 	g.unhealthy = !h
 	g.gen++
-}
-
-// Reconfigure changes the partition at time now. All slices must be free.
-// The GPU becomes unavailable for ReconfigureDelay seconds — the rigid
-// constraint central to the paper.
-func (g *GPU) Reconfigure(cfg Config, now float64) error {
-	if !cfg.Valid() {
-		return fmt.Errorf("mig: invalid config %v", cfg)
-	}
-	for _, s := range g.Slices {
-		if !s.Free() {
-			return fmt.Errorf("mig: gpu %d slice %s still owned by %s", g.ID, s.ID(), s.Owner)
-		}
-	}
-	// Preserve accumulated accounting across the repartition.
-	g.config = cfg.Canonical()
-	g.buildSlices()
-	g.availableAt = now + ReconfigureDelay
-	g.gen++
-	return nil
 }
 
 func (g *GPU) sliceActivated(now float64) {
@@ -294,13 +261,13 @@ func (g *GPU) MIGTime(now float64) float64 {
 
 // FreeSlices returns the unallocated healthy slices, largest first.
 // Failed hardware never appears in placement views.
-func (g *GPU) FreeSlices(now float64) []*Slice {
-	if !g.Available(now) || g.unhealthy {
+func (g *GPU) FreeSlices() []*Slice {
+	if g.unhealthy {
 		return nil
 	}
 	var out []*Slice
 	for _, s := range g.Slices {
-		if s.Placeable(now) {
+		if s.Placeable() {
 			out = append(out, s)
 		}
 	}
@@ -314,10 +281,10 @@ func (g *GPU) FreeSlices(now float64) []*Slice {
 }
 
 // FreeGPCs returns the total compute of free slices.
-func (g *GPU) FreeGPCs(now float64) int {
+func (g *GPU) FreeGPCs() int {
 	n := 0
 	for _, s := range g.Slices {
-		if s.Placeable(now) {
+		if s.Placeable() {
 			n += s.Type.GPCs()
 		}
 	}

@@ -1,13 +1,10 @@
 package mig
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 func TestGPUAllocateRelease(t *testing.T) {
 	g := NewGPU(0, 0, DefaultConfig)
-	free := g.FreeSlices(0)
+	free := g.FreeSlices()
 	if len(free) != 3 {
 		t.Fatalf("free slices = %d, want 3", len(free))
 	}
@@ -20,7 +17,7 @@ func TestGPUAllocateRelease(t *testing.T) {
 	if s.Free() {
 		t.Error("slice still free after Allocate")
 	}
-	if got := len(g.FreeSlices(10)); got != 2 {
+	if got := len(g.FreeSlices()); got != 2 {
 		t.Errorf("free slices after alloc = %d, want 2", got)
 	}
 	if g.OccupiedGPCs() != 4 {
@@ -114,42 +111,6 @@ func TestReleaseWhileActiveClosesActivity(t *testing.T) {
 	}
 }
 
-func TestGPUReconfigure(t *testing.T) {
-	g := NewGPU(0, 0, DefaultConfig)
-	if err := g.Reconfigure(ConfigP2, 100); err != nil {
-		t.Fatal(err)
-	}
-	if g.Available(100) {
-		t.Error("GPU available immediately after reconfigure")
-	}
-	if g.Available(100 + ReconfigureDelay - 1) {
-		t.Error("GPU available before delay elapsed")
-	}
-	if !g.Available(100 + ReconfigureDelay) {
-		t.Error("GPU not available after delay")
-	}
-	if g.Config().String() != ConfigP2.String() {
-		t.Errorf("config = %v, want %v", g.Config(), ConfigP2)
-	}
-	if got := g.FreeSlices(100); got != nil {
-		t.Errorf("FreeSlices during reconfig = %v, want nil", got)
-	}
-	if g.FreeGPCs(100+ReconfigureDelay) != 7 {
-		t.Errorf("FreeGPCs after reconfig = %d, want 7", g.FreeGPCs(100+ReconfigureDelay))
-	}
-}
-
-func TestGPUReconfigureBusyFails(t *testing.T) {
-	g := NewGPU(0, 0, DefaultConfig)
-	g.Slices[0].Allocate("a", 0)
-	if err := g.Reconfigure(ConfigP2, 10); err == nil {
-		t.Error("reconfigure with owned slice should fail")
-	}
-	if err := g.Reconfigure(Config{Slice4g, Slice4g}, 10); err == nil {
-		t.Error("reconfigure to invalid config should fail")
-	}
-}
-
 func TestNewGPUInvalidConfigPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -166,47 +127,21 @@ func TestSliceIDStable(t *testing.T) {
 	}
 }
 
-// TestSliceIDAfterReconfigure: the cached ID follows the rebuilt
-// partition, gpu<g>/<type>#<i>, not the slices it replaced.
-func TestSliceIDAfterReconfigure(t *testing.T) {
-	g := NewGPU(0, 3, DefaultConfig)
-	if err := g.Reconfigure(ConfigFull1g, 0); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range g.Slices {
-		if want := fmt.Sprintf("gpu3/1g.10gb#%d", i); s.ID() != want {
-			t.Errorf("slice %d ID = %q, want %q", i, s.ID(), want)
-		}
-	}
-	if err := g.Reconfigure(ConfigP2, ReconfigureDelay); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"gpu3/3g.40gb#0", "gpu3/2g.20gb#1", "gpu3/2g.20gb#2"}
-	if len(g.Slices) != len(want) {
-		t.Fatalf("%d slices after reconfigure, want %d", len(g.Slices), len(want))
-	}
-	for i, s := range g.Slices {
-		if s.ID() != want[i] {
-			t.Errorf("slice %d ID = %q, want %q", i, s.ID(), want[i])
-		}
-	}
-}
-
 func TestFragmentationIndex(t *testing.T) {
 	g := NewGPU(0, 0, DefaultConfig)
 	// All free: largest is the 4g of 7 total -> 1 - 4/7.
-	if got, want := FragmentationIndex([]*GPU{g}, 0), 1-4.0/7.0; mathAbs(got-want) > 1e-12 {
+	if got, want := FragmentationIndex([]*GPU{g}), 1-4.0/7.0; mathAbs(got-want) > 1e-12 {
 		t.Errorf("index = %v, want %v", got, want)
 	}
 	// Occupy the 4g: free = 2g+1g, largest 2 of 3 -> 1/3.
 	g.Slices[0].Allocate("a", 0)
-	if got := FragmentationIndex([]*GPU{g}, 0); mathAbs(got-1.0/3.0) > 1e-12 {
+	if got := FragmentationIndex([]*GPU{g}); mathAbs(got-1.0/3.0) > 1e-12 {
 		t.Errorf("index = %v, want 1/3", got)
 	}
 	// Everything allocated: no free compute -> 0.
 	g.Slices[1].Allocate("b", 0)
 	g.Slices[2].Allocate("c", 0)
-	if got := FragmentationIndex([]*GPU{g}, 0); got != 0 {
+	if got := FragmentationIndex([]*GPU{g}); got != 0 {
 		t.Errorf("index with nothing free = %v, want 0", got)
 	}
 }
@@ -215,11 +150,11 @@ func TestStrandedGPCs(t *testing.T) {
 	g := NewGPU(0, 0, DefaultConfig)
 	g.Slices[0].Allocate("a", 0) // 4g busy; 2g+1g free
 	// A 4g-class function strands all 3 free GPCs.
-	if got := StrandedGPCs([]*GPU{g}, 0, 4); got != 3 {
+	if got := StrandedGPCs([]*GPU{g}, 4); got != 3 {
 		t.Errorf("stranded = %d, want 3", got)
 	}
 	// A 2g-class function can be placed: nothing stranded.
-	if got := StrandedGPCs([]*GPU{g}, 0, 2); got != 0 {
+	if got := StrandedGPCs([]*GPU{g}, 2); got != 0 {
 		t.Errorf("stranded for placeable = %d, want 0", got)
 	}
 }
@@ -273,15 +208,15 @@ func TestSliceQuarantine(t *testing.T) {
 	if !s.Healthy() {
 		t.Error("quarantine must not mark the slice unhealthy")
 	}
-	if s.Usable(0) {
+	if s.Usable() {
 		t.Error("quarantined slice reports usable")
 	}
-	for _, f := range g.FreeSlices(0) {
+	for _, f := range g.FreeSlices() {
 		if f == s {
 			t.Fatal("quarantined slice still in FreeSlices")
 		}
 	}
-	if got := len(g.FreeSlices(0)); got != 2 {
+	if got := len(g.FreeSlices()); got != 2 {
 		t.Errorf("free slices with one quarantined = %d, want 2", got)
 	}
 	gen = g.Gen()
@@ -289,7 +224,7 @@ func TestSliceQuarantine(t *testing.T) {
 	if g.Gen() == gen {
 		t.Error("probation did not bump the free-set generation")
 	}
-	if !s.Usable(0) || len(g.FreeSlices(0)) != 3 {
+	if !s.Usable() || len(g.FreeSlices()) != 3 {
 		t.Error("slice did not return to placement after probation")
 	}
 }

@@ -5,8 +5,8 @@
 //
 // The model encodes the properties FluidFaaS's scheduling depends on:
 // slices are hardware-isolated, only specific combinations can coexist on
-// one GPU, and repartitioning takes minutes, so it is never done on the
-// request path.
+// one GPU, and repartitioning takes minutes, so a GPU's partition is
+// fixed for the whole run.
 package mig
 
 import (

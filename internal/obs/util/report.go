@@ -84,7 +84,7 @@ type SliceReport struct {
 	Type  string  `json:"type"`
 	GPCs  int     `json:"gpcs"`
 	MemGB float64 `json:"mem_gb"`
-	// Wall is the slice's total existence time across its epochs.
+	// Wall is the slice's existence time: registration to run end.
 	Wall     float64   `json:"wall"`
 	Seconds  Totals    `json:"seconds"`
 	Segments []Segment `json:"segments"`
@@ -130,7 +130,7 @@ type Report struct {
 	Fragmentation []FragSample `json:"fragmentation"`
 }
 
-// build resolves every epoch and aggregates the roll-ups.
+// build resolves every slice and aggregates the roll-ups.
 func (l *Ledger) build(end float64) *Report {
 	rep := &Report{Duration: end, Fragmentation: l.frag}
 	type gpuKey struct{ node, gpu int }
@@ -142,18 +142,12 @@ func (l *Ledger) build(end float64) *Report {
 			ID: ss.id, Node: ss.node, GPU: ss.gpu,
 			Type: ss.typ, GPCs: ss.gpcs, MemGB: ss.memGB,
 		}
-		for _, e := range ss.epochs {
-			stop := end
-			if e.died >= 0 && e.died < stop {
-				stop = e.died
-			}
-			if stop > e.born {
-				sr.Wall += stop - e.born
-			}
-			for _, seg := range e.resolve(end) {
-				sr.Segments = append(sr.Segments, seg)
-				sr.Seconds.Add(seg.State, seg.End-seg.Start)
-			}
+		if end > ss.born {
+			sr.Wall = end - ss.born
+		}
+		sr.Segments = ss.resolve(end)
+		for _, seg := range sr.Segments {
+			sr.Seconds.Add(seg.State, seg.End-seg.Start)
 		}
 		rep.SliceSeconds += sr.Wall
 		rep.GPCSeconds += float64(sr.GPCs) * sr.Wall
@@ -192,46 +186,36 @@ func (l *Ledger) build(end float64) *Report {
 const conservationEps = 1e-6
 
 // Check verifies the conservation invariant on the resolved report:
-// every slice's segments tile its epochs exactly — first boundary at
-// birth, consecutive segments abutting with bitwise-equal floats, last
-// boundary at death (or run end) — and the per-state seconds sum back
+// every slice's segments tile its lifetime exactly — first boundary at
+// registration, consecutive segments abutting with bitwise-equal
+// floats, last boundary at run end — and the per-state seconds sum back
 // to the slice's wall time. An error here means the ledger lost or
-// double-counted slice-seconds.
+// double-counted slice-seconds. Like Report, it panics before Close.
 func (l *Ledger) Check() error {
 	if l == nil {
 		return nil
 	}
 	rep := l.Report()
-	end := l.end
 	for _, sr := range rep.Slices {
-		ss := l.slices[sr.ID]
-		si := 0
-		for _, e := range ss.epochs {
-			stop := end
-			if e.died >= 0 && e.died < stop {
-				stop = e.died
+		born := l.slices[sr.ID].born
+		if l.end <= born {
+			if len(sr.Segments) != 0 {
+				return fmt.Errorf("util: %s: %d segments outside its lifetime", sr.ID, len(sr.Segments))
 			}
-			if stop <= e.born {
-				continue
-			}
-			prev := e.born
-			for si < len(sr.Segments) && sr.Segments[si].Start < stop {
-				seg := sr.Segments[si]
-				if seg.Start != prev {
-					return fmt.Errorf("util: %s: segment gap [%v != %v)", sr.ID, prev, seg.Start)
-				}
-				if seg.End <= seg.Start {
-					return fmt.Errorf("util: %s: empty segment at %v", sr.ID, seg.Start)
-				}
-				prev = seg.End
-				si++
-			}
-			if prev != stop {
-				return fmt.Errorf("util: %s: epoch ends at %v, segments at %v", sr.ID, stop, prev)
-			}
+			continue
 		}
-		if si != len(sr.Segments) {
-			return fmt.Errorf("util: %s: %d segments outside any epoch", sr.ID, len(sr.Segments)-si)
+		prev := born
+		for _, seg := range sr.Segments {
+			if seg.Start != prev {
+				return fmt.Errorf("util: %s: segment gap [%v != %v)", sr.ID, prev, seg.Start)
+			}
+			if seg.End <= seg.Start {
+				return fmt.Errorf("util: %s: empty segment at %v", sr.ID, seg.Start)
+			}
+			prev = seg.End
+		}
+		if prev != l.end {
+			return fmt.Errorf("util: %s: run ends at %v, segments at %v", sr.ID, l.end, prev)
 		}
 		if d := math.Abs(sr.Seconds.Sum() - sr.Wall); d > conservationEps*math.Max(1, sr.Wall) {
 			return fmt.Errorf("util: %s: state seconds %v != wall %v (off by %v)",

@@ -149,7 +149,6 @@ func TestUtilJSONMatchesReference(t *testing.T) {
 	l.Busy("b", BusyTransfer, 2.5, 3.25)
 	l.SetBase("a", 6, WarmIdle)
 	l.SetBase("c<&>", 1e-7, Quarantined)
-	l.Retire("c<&>", 7)
 	l.AddFragSample(FragSample{Time: 5, Index: 0.25, FreeGPCs: 4, StrandedGPCs: 1, StrandedGB: 10, LargestPlaceableGPCs: 2})
 	l.Close(10)
 	assertUtilMatchesRef(t, "ledger", l.Report())

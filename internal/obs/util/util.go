@@ -16,8 +16,8 @@
 //
 // Model: each slice carries a piecewise-constant BASE timeline (what
 // the slice is when no work runs on it: warm-idle, cold-idle, stranded,
-// quarantined, reconfiguring) and a set of BUSY interval claims (exec,
-// load, transfer). At Close the two resolve into contiguous per-slice
+// quarantined) and a set of BUSY interval claims (exec, load,
+// transfer). At Close the two resolve into contiguous per-slice
 // segments by a priority sweep — exec over load over transfer over
 // base — so the state seconds of one slice tile its wall time exactly
 // (the conservation invariant Check enforces).
@@ -55,6 +55,8 @@ const (
 	// gray-failure quarantine).
 	Quarantined
 	// Reconfiguring: the slice's GPU is mid-repartition and unavailable.
+	// A run's partition is fixed, so the platform never produces it; it
+	// stays in the closed set so every export keeps its layout.
 	Reconfiguring
 	numStates
 )
@@ -111,32 +113,18 @@ type claim struct {
 	start, end float64
 }
 
-// epoch is one registration lifetime of a slice ID. Reconfigure retires
-// the old slices and registers fresh ones (possibly under the same ID),
-// so a slice ID maps to a sequence of non-overlapping epochs.
-type epoch struct {
-	born float64
-	died float64 // < 0 while the epoch is open
-	base []basePoint
-	busy []claim
-}
-
-// sliceSeries is the ledger's record of one slice ID.
+// sliceSeries is the ledger's record of one slice: its identity and
+// one timeline from registration to the end of the run.
 type sliceSeries struct {
-	id     string
-	node   int
-	gpu    int
-	typ    string
-	gpcs   int
-	memGB  float64
-	epochs []*epoch
-}
-
-func (ss *sliceSeries) open() *epoch {
-	if n := len(ss.epochs); n > 0 && ss.epochs[n-1].died < 0 {
-		return ss.epochs[n-1]
-	}
-	return nil
+	id    string
+	node  int
+	gpu   int
+	typ   string
+	gpcs  int
+	memGB float64
+	born  float64
+	base  []basePoint
+	busy  []claim
 }
 
 // FragSample is one fragmentation-analytics sample: the scalar
@@ -167,7 +155,6 @@ type Ledger struct {
 	order  []string // first-registration order, fixes every export
 	frag   []FragSample
 
-	maxT   float64
 	closed bool
 	end    float64
 	report *Report
@@ -181,12 +168,6 @@ func NewLedger() *Ledger {
 // Enabled reports whether the ledger collects anything.
 func (l *Ledger) Enabled() bool { return l != nil }
 
-func (l *Ledger) touchTime(t float64) {
-	if t > l.maxT {
-		l.maxT = t
-	}
-}
-
 func (l *Ledger) series(id string) *sliceSeries {
 	ss := l.slices[id]
 	if ss == nil {
@@ -195,10 +176,9 @@ func (l *Ledger) series(id string) *sliceSeries {
 	return ss
 }
 
-// Register opens an epoch for a slice: topology identity, capacity, and
-// the base state it starts in. Registering an ID again after Retire
-// models slice churn across a Reconfigure; registering while an epoch
-// is still open is a caller bug.
+// Register opens a slice's timeline: topology identity, capacity, and
+// the base state it starts in. The timeline runs until Close, since a
+// run's partition is fixed; registering an ID twice is a caller bug.
 func (l *Ledger) Register(id string, node, gpu int, sliceType string, gpcs int, memGB, now float64, base State) {
 	if l == nil {
 		return
@@ -206,40 +186,14 @@ func (l *Ledger) Register(id string, node, gpu int, sliceType string, gpcs int, 
 	if l.closed {
 		panic("util: Register after Close")
 	}
-	ss := l.slices[id]
-	if ss == nil {
-		ss = &sliceSeries{id: id, node: node, gpu: gpu, typ: sliceType, gpcs: gpcs, memGB: memGB}
-		l.slices[id] = ss
-		l.order = append(l.order, id)
-	} else if ss.open() != nil {
-		panic("util: Register of live slice " + id)
+	if l.slices[id] != nil {
+		panic("util: Register of registered slice " + id)
 	}
-	if n := len(ss.epochs); n > 0 && now < ss.epochs[n-1].died {
-		panic("util: epoch overlaps retired predecessor on " + id)
+	l.slices[id] = &sliceSeries{
+		id: id, node: node, gpu: gpu, typ: sliceType, gpcs: gpcs, memGB: memGB,
+		born: now, base: []basePoint{{t: now, s: base}},
 	}
-	ss.epochs = append(ss.epochs, &epoch{
-		born: now, died: -1,
-		base: []basePoint{{t: now, s: base}},
-	})
-	l.touchTime(now)
-}
-
-// Retire closes the slice's open epoch at now (the slice ceases to
-// exist, e.g. its GPU is being repartitioned into a different layout).
-func (l *Ledger) Retire(id string, now float64) {
-	if l == nil {
-		return
-	}
-	ss := l.series(id)
-	e := ss.open()
-	if e == nil {
-		panic("util: Retire of retired slice " + id)
-	}
-	if now < e.born {
-		panic("util: Retire before Register on " + id)
-	}
-	e.died = now
-	l.touchTime(now)
+	l.order = append(l.order, id)
 }
 
 // SetBase records the slice's base (no-work) state from now on. Calls
@@ -254,11 +208,8 @@ func (l *Ledger) SetBase(id string, now float64, s State) {
 	if s.Busy() {
 		panic("util: busy state " + s.String() + " is claimed via Busy, not SetBase")
 	}
-	e := l.series(id).open()
-	if e == nil {
-		panic("util: SetBase on retired slice " + id)
-	}
-	last := &e.base[len(e.base)-1]
+	ss := l.series(id)
+	last := &ss.base[len(ss.base)-1]
 	if now < last.t {
 		panic("util: SetBase time goes backwards on " + id)
 	}
@@ -268,13 +219,12 @@ func (l *Ledger) SetBase(id string, now float64, s State) {
 	if now == last.t {
 		last.s = s
 		// Collapsing may re-merge with the point before it.
-		if n := len(e.base); n >= 2 && e.base[n-2].s == s {
-			e.base = e.base[:n-1]
+		if n := len(ss.base); n >= 2 && ss.base[n-2].s == s {
+			ss.base = ss.base[:n-1]
 		}
 		return
 	}
-	e.base = append(e.base, basePoint{t: now, s: s})
-	l.touchTime(now)
+	ss.base = append(ss.base, basePoint{t: now, s: s})
 }
 
 // Busy claims a busy interval on the slice, mirroring the span the
@@ -291,12 +241,8 @@ func (l *Ledger) Busy(id string, s State, start, end float64) {
 	if end <= start {
 		return
 	}
-	e := l.series(id).open()
-	if e == nil {
-		panic("util: Busy on retired slice " + id)
-	}
-	e.busy = append(e.busy, claim{s: s, start: start, end: end})
-	l.touchTime(start)
+	ss := l.series(id)
+	ss.busy = append(ss.busy, claim{s: s, start: start, end: end})
 }
 
 // CancelBusy truncates the slice's busy claims at `at`: claims that
@@ -308,12 +254,9 @@ func (l *Ledger) CancelBusy(id string, at float64) {
 	if l == nil {
 		return
 	}
-	e := l.series(id).open()
-	if e == nil {
-		return
-	}
-	kept := e.busy[:0]
-	for _, c := range e.busy {
+	ss := l.series(id)
+	kept := ss.busy[:0]
+	for _, c := range ss.busy {
 		if c.end > at {
 			if c.start >= at {
 				continue
@@ -322,7 +265,7 @@ func (l *Ledger) CancelBusy(id string, at float64) {
 		}
 		kept = append(kept, c)
 	}
-	e.busy = kept
+	ss.busy = kept
 }
 
 // AddFragSample appends one fragmentation-analytics sample. Samples
@@ -336,20 +279,18 @@ func (l *Ledger) AddFragSample(s FragSample) {
 		panic("util: fragmentation samples out of order")
 	}
 	l.frag = append(l.frag, s)
-	l.touchTime(s.Time)
 }
 
-// Close ends the run at `end`: every open epoch is bounded there, busy
-// claims are clipped to their epochs, and the base/busy timelines
-// resolve into the contiguous per-slice segments Report exposes.
-// Idempotent; later calls are no-ops.
+// Close ends the run at `end`: every timeline is bounded there, busy
+// claims are clipped to it, and the base/busy timelines resolve into
+// the contiguous per-slice segments Report exposes. Idempotent; later
+// calls are no-ops.
 func (l *Ledger) Close(end float64) {
 	if l == nil || l.closed {
 		return
 	}
 	l.closed = true
 	l.end = end
-	l.touchTime(end)
 	l.report = l.build(end)
 }
 
@@ -357,47 +298,44 @@ func (l *Ledger) Close(end float64) {
 func (l *Ledger) Closed() bool { return l != nil && l.closed }
 
 // Report returns the resolved utilization report. Calling it before
-// Close resolves at the latest timestamp the ledger has seen.
+// Close is a caller bug and panics: the ledger cannot know where the
+// run ends.
 func (l *Ledger) Report() *Report {
 	if l == nil {
 		return nil
 	}
 	if !l.closed {
-		l.Close(l.maxT)
+		panic("util: Report before Close")
 	}
 	return l.report
 }
 
-// resolve turns one epoch's base timeline and busy claims into
-// contiguous segments over [born, min(died, end)] via a single sweep:
+// resolve turns the slice's base timeline and busy claims into
+// contiguous segments over [born, end] via a single sweep:
 // at every elementary interval the highest-priority active busy claim
 // wins, else the base state. Segment boundaries come from one shared
 // sorted slice, so consecutive segments abut exactly (bitwise-equal
 // floats), which is what makes the conservation check exact.
-func (e *epoch) resolve(end float64) []Segment {
-	stop := end
-	if e.died >= 0 && e.died < stop {
-		stop = e.died
-	}
-	if stop <= e.born {
+func (ss *sliceSeries) resolve(end float64) []Segment {
+	if end <= ss.born {
 		return nil
 	}
 
-	// Clip claims to the epoch window; build start/end events.
+	// Clip claims to the run window; build start/end events.
 	type ev struct {
 		t     float64
 		s     State
 		delta int
 	}
 	var evs []ev
-	bounds := []float64{e.born, stop}
-	for _, c := range e.busy {
+	bounds := []float64{ss.born, end}
+	for _, c := range ss.busy {
 		cs, ce := c.start, c.end
-		if cs < e.born {
-			cs = e.born
+		if cs < ss.born {
+			cs = ss.born
 		}
-		if ce > stop {
-			ce = stop
+		if ce > end {
+			ce = end
 		}
 		if cs >= ce {
 			continue
@@ -405,8 +343,8 @@ func (e *epoch) resolve(end float64) []Segment {
 		evs = append(evs, ev{t: cs, s: c.s, delta: 1}, ev{t: ce, s: c.s, delta: -1})
 		bounds = append(bounds, cs, ce)
 	}
-	for _, bp := range e.base {
-		if bp.t > e.born && bp.t < stop {
+	for _, bp := range ss.base {
+		if bp.t > ss.born && bp.t < end {
 			bounds = append(bounds, bp.t)
 		}
 	}
@@ -428,10 +366,10 @@ func (e *epoch) resolve(end float64) []Segment {
 			active[evs[ei].s] += evs[ei].delta
 			ei++
 		}
-		for bi+1 < len(e.base) && e.base[bi+1].t <= a {
+		for bi+1 < len(ss.base) && ss.base[bi+1].t <= a {
 			bi++
 		}
-		st := e.base[bi].s
+		st := ss.base[bi].s
 		for s := BusyExec; s <= BusyTransfer; s++ {
 			if active[s] > 0 {
 				st = s

@@ -35,7 +35,6 @@ func TestNilLedger(t *testing.T) {
 	l.SetBase("a", 1, WarmIdle)
 	l.Busy("a", BusyExec, 1, 2)
 	l.CancelBusy("a", 1.5)
-	l.Retire("a", 3)
 	l.AddFragSample(FragSample{Time: 1})
 	l.Close(10)
 	if l.Report() != nil {
@@ -102,7 +101,7 @@ func TestSameTimestampTransitions(t *testing.T) {
 
 // TestOpenAtEnd: a busy claim recorded upfront with an end time past the
 // run (the platform records spans with future ends) is clipped to the
-// close boundary, and an epoch that never retires runs to the end.
+// close boundary, and the base timeline runs to the end.
 func TestOpenAtEnd(t *testing.T) {
 	l := NewLedger()
 	reg(l, "a")
@@ -116,31 +115,6 @@ func TestOpenAtEnd(t *testing.T) {
 	if got := rep.Slices[0].Seconds.BusyExec; got != 2 {
 		t.Fatalf("clipped exec seconds = %v, want 2", got)
 	}
-	if err := l.Check(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSliceChurn: Retire + Register under the same ID models a
-// Reconfigure replacing a slice; the wall time skips the gap between
-// epochs and conservation holds per epoch.
-func TestSliceChurn(t *testing.T) {
-	l := NewLedger()
-	reg(l, "a")
-	l.SetBase("a", 1, Reconfiguring)
-	l.Retire("a", 2)
-	l.Register("a", 0, 0, "2g.20gb", 2, 20, 4, WarmIdle)
-	l.Busy("a", BusyExec, 5, 6)
-	l.Close(10)
-	rep := l.Report()
-	sr := rep.Slices[0]
-	if sr.Wall != 8 { // [0,2) + [4,10)
-		t.Fatalf("wall = %v, want 8", sr.Wall)
-	}
-	segEq(t, sr.Segments, []Segment{
-		{ColdIdle, 0, 1}, {Reconfiguring, 1, 2},
-		{WarmIdle, 4, 5}, {BusyExec, 5, 6}, {WarmIdle, 6, 10},
-	})
 	if err := l.Check(); err != nil {
 		t.Fatal(err)
 	}
@@ -262,12 +236,13 @@ func TestPanics(t *testing.T) {
 		{"setbase busy state", func(l *Ledger) { reg(l, "a"); l.SetBase("a", 1, BusyExec) }},
 		{"setbase backwards", func(l *Ledger) { reg(l, "a"); l.SetBase("a", 5, WarmIdle); l.SetBase("a", 3, ColdIdle) }},
 		{"unregistered", func(l *Ledger) { l.SetBase("ghost", 1, WarmIdle) }},
-		{"retire twice", func(l *Ledger) { reg(l, "a"); l.Retire("a", 1); l.Retire("a", 2) }},
 		{"frag out of order", func(l *Ledger) {
 			l.AddFragSample(FragSample{Time: 5})
 			l.AddFragSample(FragSample{Time: 4})
 		}},
 		{"register after close", func(l *Ledger) { l.Close(1); reg(l, "a") }},
+		{"report before close", func(l *Ledger) { reg(l, "a"); l.Busy("a", BusyExec, 1, 2); l.Report() }},
+		{"check before close", func(l *Ledger) { reg(l, "a"); l.Check() }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -177,7 +177,7 @@ func (p *Planner) Mono() *MonoTable {
 // returns must have exactly the multiset c.
 //
 // No explicit invalidation exists or is needed: the key is the free
-// state itself, so any allocation, release, or reconfiguration that
+// state itself, so any allocation, release, or health change that
 // changes the free multiset selects a different cache line. Stale
 // entries for multisets that no longer occur are merely unused.
 func (p *Planner) Result(c Counts, avail func() []mig.SliceType) *PlanResult {

@@ -19,7 +19,7 @@ func twoStagePlatform(t *testing.T, maxBatch int) (*Platform, *Instance) {
 	})
 	fn := p.funcs[0]
 	node := p.cl.Nodes[0]
-	free := node.FreeSlices(0)
+	free := node.FreeSlices()
 	if len(free) < 2 {
 		t.Fatalf("%d free slices, want two", len(free))
 	}

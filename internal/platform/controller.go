@@ -151,7 +151,6 @@ func (p *Platform) kicked() {
 // invoker whose pool already has a fitting slice with the shortest
 // queue, else the node with the most free compute.
 func (p *Platform) pickInvokerForTS(fn *Function) *Invoker {
-	now := p.eng.Now()
 	var best *Invoker
 	bestQ := math.MaxInt32
 	for _, inv := range p.inv {
@@ -170,7 +169,7 @@ func (p *Platform) pickInvokerForTS(fn *Function) *Invoker {
 		if !inv.node.Healthy() {
 			continue
 		}
-		if best == nil || inv.node.FreeGPCs(now) > best.node.FreeGPCs(now) {
+		if best == nil || inv.node.FreeGPCs() > best.node.FreeGPCs() {
 			best = inv
 		}
 	}

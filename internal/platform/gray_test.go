@@ -105,7 +105,7 @@ func TestDegradedSliceSlowsExecution(t *testing.T) {
 		t.Error("degradation not accounted")
 	}
 	// A degraded slice is NOT fail-stop: it stays in placement.
-	if !sl.Usable(0) {
+	if !sl.Usable() {
 		t.Error("degraded slice left placement; only quarantine may do that")
 	}
 	p.recoverFault(ev)
@@ -196,7 +196,7 @@ func TestQuarantineLifecycle(t *testing.T) {
 	if _, ok := fn.lastNodeUse[0]; ok {
 		t.Error("quarantine left the function's warmth stamp in place")
 	}
-	if got := len(cl.Nodes[0].FreeSlices(p.Engine().Now())); got != len(cl.Nodes[0].GPUs[0].Slices)-1 {
+	if got := len(cl.Nodes[0].FreeSlices()); got != len(cl.Nodes[0].GPUs[0].Slices)-1 {
 		t.Errorf("quarantined slice still placeable: %d free slices", got)
 	}
 	if got := p.CountEvents()[EvSliceQuarantine]; got != 1 {

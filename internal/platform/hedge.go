@@ -241,7 +241,7 @@ func (p *Platform) armHedge(rq, clone *request, now float64, onto string) {
 // sliceClean reports whether a slice is a sound hedge target: usable
 // hardware with no adverse health evidence.
 func (p *Platform) sliceClean(sl *mig.Slice) bool {
-	if !sl.Usable(p.eng.Now()) {
+	if !sl.Usable() {
 		return false
 	}
 	h := p.health[sl]

@@ -278,7 +278,7 @@ func batchedInstance(t *testing.T, loadTime float64) (*Platform, *Instance) {
 		Policy: &scheduler.ESG{}, Seed: 1, MaxBatch: 4,
 	})
 	node := p.cl.Nodes[0]
-	sl := node.FreeSlices(0)[0]
+	sl := node.FreeSlices()[0]
 	plan := pipeline.Plan{
 		Stages:  []pipeline.StagePlan{{SliceType: sl.Type, ExecTime: 0.5}},
 		Latency: 0.5, Bottleneck: 0.5,

@@ -40,20 +40,19 @@ func newInvoker(p *Platform, node *cluster.Node) *Invoker {
 // freeView returns the node's free slices (types and physical slices,
 // in FreeSlices order) and their multiset. Unchanged nodes are served
 // from the cached snapshot, so the multiset is tallied once per free-set
-// generation; a node with a GPU mid-reconfiguration is never cached, as
-// its free set changes with the passage of time alone.
-func (inv *Invoker) freeView(now float64) ([]mig.SliceType, []*mig.Slice, pipeline.Counts) {
-	gen, stable := inv.node.FreeGen(now)
-	if inv.freeValid && stable && gen == inv.freeGen {
+// generation.
+func (inv *Invoker) freeView() ([]mig.SliceType, []*mig.Slice, pipeline.Counts) {
+	gen := inv.node.FreeGen()
+	if inv.freeValid && gen == inv.freeGen {
 		return inv.freeTypes, inv.freePhys, inv.freeCounts
 	}
-	free := inv.node.FreeSlices(now)
+	free := inv.node.FreeSlices()
 	types := make([]mig.SliceType, len(free))
 	for i, s := range free {
 		types[i] = s.Type
 	}
 	inv.freeGen = gen
-	inv.freeValid = stable
+	inv.freeValid = true
 	inv.freeTypes = types
 	inv.freePhys = free
 	inv.freeCounts = pipeline.CountsOf(types)
@@ -344,7 +343,7 @@ func (inv *Invoker) growPool(fn *Function) *sharedSlice {
 	// The generation-validated snapshot spares the full node walk: an
 	// overloaded function retries growth every scale-up pass, and an
 	// unchanged free set answers from cache (same FreeSlices order).
-	_, free, _ := inv.freeView(now)
+	_, free, _ := inv.freeView()
 	var pick *mig.Slice
 	for _, sl := range free {
 		if !fn.mono(sl.Type).OK {
@@ -808,7 +807,7 @@ func (p *Platform) onTSSlack(b *tsBinding) {
 // monolithic instance on the freed slice.
 func (p *Platform) tryMigration(freed *mig.Slice) {
 	now := p.eng.Now()
-	if !freed.Free() || !freed.Usable(now) || !p.nodeOf(freed).Healthy() {
+	if !freed.Free() || !freed.Usable() || !p.nodeOf(freed).Healthy() {
 		return
 	}
 	var bestFn *Function

@@ -290,7 +290,7 @@ func (p *Platform) contractPipelined() {
 		return
 	}
 	fn := worst.fn
-	free := worst.node.FreeSlices(now)
+	free := worst.node.FreeSlices()
 
 	// Monolithic on the smallest free slice that fits under the SLO.
 	var plan pipeline.Plan

@@ -414,7 +414,7 @@ func TestMigrationDrainsPending(t *testing.T) {
 
 	// Build a pipelined instance on small slices, leaving a big slice
 	// free as the migration target.
-	free := node.FreeSlices(0)
+	free := node.FreeSlices()
 	var small []*mig.Slice
 	var target *mig.Slice
 	for _, sl := range free {
@@ -505,7 +505,7 @@ func TestContractToSmallerPipeline(t *testing.T) {
 	// The wide pipeline holds the 4g and 2g slices, so only 1g slices
 	// stay free, and none of them fits the function alone.
 	var wide []*mig.Slice
-	for _, sl := range node.FreeSlices(0) {
+	for _, sl := range node.FreeSlices() {
 		if sl.Type == mig.Slice4g || sl.Type == mig.Slice2g {
 			wide = append(wide, sl)
 		}
@@ -519,7 +519,7 @@ func TestContractToSmallerPipeline(t *testing.T) {
 	}
 	worst := p.launchInstance(fn, node, pipeline.Plan{Stages: stages, Latency: 0.02, Bottleneck: 0.01}, wide, 0)
 
-	free := node.FreeSlices(0)
+	free := node.FreeSlices()
 	types := make([]mig.SliceType, len(free))
 	for i, sl := range free {
 		types[i] = sl.Type

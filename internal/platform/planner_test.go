@@ -43,7 +43,7 @@ func TestRoundRobinAdvancesOnlyOnAdmit(t *testing.T) {
 	node := p.Cluster().Nodes[0]
 
 	// Three real monolithic instances, one per default-partition slice.
-	for _, sl := range node.FreeSlices(0) {
+	for _, sl := range node.FreeSlices() {
 		m := fn.mono(sl.Type)
 		if !m.OK {
 			t.Fatalf("small function should run monolithically on %v", sl.Type)

@@ -108,9 +108,8 @@ type Options struct {
 	// per-slice state integrator classifying every slice-second into
 	// busy-exec/load/transfer, warm-idle (bound keepalive), cold-idle
 	// (free, placeable), stranded (free but too small for any registered
-	// stage), quarantined, or reconfiguring, with GPU/node/cluster
-	// roll-ups, an exact conservation invariant, and fragmentation
-	// analytics. Like Obs and Decisions it is a pure observer: nil
+	// stage) or quarantined, with GPU/node/cluster roll-ups, an exact
+	// conservation invariant, and fragmentation analytics. Like Obs and Decisions it is a pure observer: nil
 	// short-circuits every hook, keeping ledger-off runs bit-for-bit
 	// identical (enforced by test).
 	Util *util.Ledger
@@ -574,7 +573,7 @@ func (p *Platform) sampleUtilization() {
 		}
 	}
 	p.UtilGPUs.Add(now, float64(active)/float64(len(p.gpus)))
-	fi := mig.FragmentationIndex(p.gpus, now)
+	fi := mig.FragmentationIndex(p.gpus)
 	p.Fragmentation.Add(now, fi)
 	p.utilSample(now, fi)
 	p.HostPoolOcc.Add(now, p.poolOccupancy())
@@ -589,15 +588,14 @@ func (p *Platform) sampleUtilization() {
 // nodeFreeViews snapshots free slices per node for the policy. Each
 // invoker revalidates its cached snapshot against the node's free-set
 // generation (bumped by every slice allocate/release, health flip and
-// reconfiguration at the mig/cluster layer), so an unchanged node costs
+// quarantine flip at the mig/cluster layer), so an unchanged node costs
 // O(GPUs) instead of a full slice walk, re-sort and tally. The returned
 // slices are scratch, valid until the next call; no policy retains them.
 func (p *Platform) nodeFreeViews() ([]scheduler.NodeFree, [][]*mig.Slice) {
-	now := p.eng.Now()
 	views := p.scratchViews[:0]
 	phys := p.scratchPhys[:0]
 	for _, inv := range p.inv {
-		types, free, counts := inv.freeView(now)
+		types, free, counts := inv.freeView()
 		views = append(views, scheduler.NodeFree{Node: inv.node.ID, Free: types, Counts: counts})
 		phys = append(phys, free)
 	}

@@ -93,7 +93,7 @@ func TestMigrationSkipsIdlePipeline(t *testing.T) {
 	p.eng.At(0, func() {
 		slices := make([]*mig.Slice, len(plan.Stages))
 		for i, sp := range plan.Stages {
-			for _, sl := range node.FreeSlices(0) {
+			for _, sl := range node.FreeSlices() {
 				if sl.Type == sp.SliceType && !containsSlice(slices, sl) {
 					slices[i] = sl
 					break
@@ -106,8 +106,8 @@ func TestMigrationSkipsIdlePipeline(t *testing.T) {
 		inst = p.launchInstance(fn, node, plan, slices, 0)
 	})
 
-	free4g := func(now float64) *mig.Slice {
-		for _, sl := range node.FreeSlices(now) {
+	free4g := func() *mig.Slice {
+		for _, sl := range node.FreeSlices() {
 			if sl.Type == mig.Slice4g {
 				return sl
 			}
@@ -117,13 +117,13 @@ func TestMigrationSkipsIdlePipeline(t *testing.T) {
 	}
 	p.eng.At(100, func() {
 		// 100 s idle, nothing outstanding: migration must skip it.
-		p.tryMigration(free4g(100))
+		p.tryMigration(free4g())
 		if p.Migrations() != 0 {
 			t.Fatal("migrated an idle pipeline with no outstanding work")
 		}
 		// With in-flight work the same instance is worth migrating.
 		inst.outstanding = 1
-		p.tryMigration(free4g(100))
+		p.tryMigration(free4g())
 		if p.Migrations() != 1 {
 			t.Error("did not migrate a pipeline with outstanding work")
 		}

@@ -48,7 +48,7 @@ func TestScaleUpSkipsRepeatedEmptyRound(t *testing.T) {
 		if big == nil || other == nil {
 			t.Fatal("no function fits 4g but not 1g")
 		}
-		free := cl.Nodes[0].GPUs[0].FreeSlices(0)
+		free := cl.Nodes[0].GPUs[0].FreeSlices()
 		var s1g, s4g *mig.Slice
 		for _, sl := range free {
 			sl.Allocate("test", 0)

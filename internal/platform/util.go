@@ -9,9 +9,9 @@ import (
 
 // This file feeds the GPU utilization ledger (internal/obs/util): a pure
 // observer that classifies every slice-second of the run into busy /
-// warm-idle / cold-idle / stranded / quarantined / reconfiguring, so the
-// run can answer "where did the GPU-seconds go" for hardware the way the
-// span trace answers it for requests. Every hook here is a no-op when
+// warm-idle / cold-idle / stranded / quarantined, so the run can answer
+// "where did the GPU-seconds go" for hardware the way the span trace
+// answers it for requests. Every hook here is a no-op when
 // Options.Util is nil (a gate, or the ledger's nil-receiver methods),
 // and none of them mutates platform state or schedules engine work — a
 // run with the ledger attached is bit-for-bit identical to one without
@@ -68,22 +68,20 @@ func (p *Platform) utilRegister() {
 		for _, g := range node.GPUs {
 			for _, sl := range g.Slices {
 				l.Register(sl.ID(), node.ID, g.ID, sl.Type.String(),
-					sl.Type.GPCs(), float64(sl.Type.MemGB()), 0, p.utilBase(sl, 0))
+					sl.Type.GPCs(), float64(sl.Type.MemGB()), 0, p.utilBase(sl))
 			}
 		}
 	}
 }
 
 // utilBase classifies a slice's current base (no-work-running) state.
-// Priority: a mid-reconfiguration GPU hides everything else; unusable
-// hardware (faulted or quarantined at any layer) is out of placement
-// regardless of ownership; an owned slice is warm keepalive; a free one
-// is placeable capacity or stranded fragmentation waste.
-func (p *Platform) utilBase(sl *mig.Slice, now float64) util.State {
+// Priority: unusable hardware (faulted or quarantined at any layer) is
+// out of placement regardless of ownership; an owned slice is warm
+// keepalive; a free one is placeable capacity or stranded fragmentation
+// waste. The partition is fixed, so a slice is never Reconfiguring.
+func (p *Platform) utilBase(sl *mig.Slice) util.State {
 	switch {
-	case !sl.GPU.Available(now):
-		return util.Reconfiguring
-	case sl.Quarantined() || !sl.Healthy() || !sl.GPU.Healthy() || !p.cl.Nodes[sl.GPU.Node].Healthy():
+	case !sl.Usable() || !p.cl.Nodes[sl.GPU.Node].Healthy():
 		return util.Quarantined
 	case !sl.Free():
 		return util.WarmIdle
@@ -106,7 +104,7 @@ func (p *Platform) utilTouch(sls ...*mig.Slice) {
 	}
 	now := p.eng.Now()
 	for _, sl := range sls {
-		l.SetBase(sl.ID(), now, p.utilBase(sl, now))
+		l.SetBase(sl.ID(), now, p.utilBase(sl))
 	}
 }
 
@@ -153,7 +151,7 @@ func (p *Platform) utilSample(now, fi float64) {
 	for _, node := range p.cl.Nodes {
 		for _, g := range node.GPUs {
 			for _, sl := range g.Slices {
-				if !sl.Placeable(now) {
+				if !sl.Placeable() {
 					continue
 				}
 				gp := sl.Type.GPCs()
