@@ -101,7 +101,7 @@ type blameAcc struct {
 	sumLat  float64
 	latHist *obs.Histogram
 	hists   map[string]*obs.Histogram // by component name
-	paths   []RequestPath
+	p99     float64                   // P99Latency, once the blame table is built
 }
 
 // blame builds the per-function blame tables and the straggler report.
@@ -127,7 +127,6 @@ func blame(paths []RequestPath, stragglerLimit int) ([]FuncBlame, []Straggler) {
 		for _, name := range ComponentNames {
 			a.hists[name].Observe(p.Comp.byName(name))
 		}
-		a.paths = append(a.paths, p)
 	}
 
 	fns := make([]string, 0, len(accs))
@@ -137,7 +136,6 @@ func blame(paths []RequestPath, stragglerLimit int) ([]FuncBlame, []Straggler) {
 	sort.Strings(fns)
 
 	blames := make([]FuncBlame, 0, len(fns))
-	var stragglers []Straggler
 	for _, fn := range fns {
 		a := accs[fn]
 		inv := 1 / float64(a.n)
@@ -166,15 +164,19 @@ func blame(paths []RequestPath, stragglerLimit int) ([]FuncBlame, []Straggler) {
 			fb.Share = fb.Mean.byName(fb.Dominant) / fb.MeanLatency
 		}
 		blames = append(blames, fb)
+		a.p99 = fb.P99Latency
+	}
 
-		for _, p := range a.paths {
-			if p.Latency() > fb.P99Latency {
-				stragglers = append(stragglers, Straggler{
-					Func: p.Name, Req: p.Req, Arrival: p.Arrival,
-					Latency: p.Latency(), Outcome: p.Outcome,
-					Comp: p.Comp, Top: p.Comp.Dominant(),
-				})
-			}
+	// Stragglers are the requests past their function's P99. The sort
+	// below is a total order, so the order they are found in is moot.
+	var stragglers []Straggler
+	for _, p := range paths {
+		if p.Latency() > accs[p.Name].p99 {
+			stragglers = append(stragglers, Straggler{
+				Func: p.Name, Req: p.Req, Arrival: p.Arrival,
+				Latency: p.Latency(), Outcome: p.Outcome,
+				Comp: p.Comp, Top: p.Comp.Dominant(),
+			})
 		}
 	}
 	// Worst first; ties in (func, req) order for determinism.
@@ -200,11 +202,11 @@ func drift(cfg Config, rec *obs.Recorder) ([]DriftEntry, []DriftEvent) {
 	// Function names for drift keys come from the request log; spans
 	// only carry the function index.
 	names := map[int]string{}
-	for _, o := range rec.RequestLog() {
+	for o := range rec.RequestLog() {
 		names[o.Func] = o.Name
 	}
 	var events []DriftEvent
-	for _, sp := range rec.Spans() {
+	for sp := range rec.Spans() {
 		if sp.Kind != obs.KindSlice || sp.Cat != "exec" || sp.Declared <= 0 {
 			continue
 		}
@@ -226,7 +228,7 @@ func drift(cfg Config, rec *obs.Recorder) ([]DriftEntry, []DriftEvent) {
 // are non-decreasing) through the burn monitor.
 func burn(cfg Config, rec *obs.Recorder) ([]BurnStatus, []BurnAlert) {
 	m := NewBurnMonitor(cfg.Burn)
-	for _, o := range rec.RequestLog() {
+	for o := range rec.RequestLog() {
 		m.Observe(o.Name, o.Completion, o.SLOMiss())
 	}
 	return m.Status(), m.Alerts()

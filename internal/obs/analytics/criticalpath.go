@@ -9,9 +9,11 @@
 package analytics
 
 import (
+	"iter"
 	"sort"
 
 	"fluidfaas/internal/obs"
+	"fluidfaas/internal/obs/chunk"
 )
 
 // Component names, in the fixed taxonomy (and trim-precedence) order.
@@ -108,7 +110,10 @@ type pathKey struct{ fn, req int }
 // end-to-end budget; queue is the residual. That construction makes
 // "components sum exactly to end-to-end latency" an invariant rather
 // than a hope.
-func Reconstruct(spans []obs.Span) []RequestPath {
+//
+// spans is iterated twice; obs.Recorder.Spans yields the span log in
+// record order on every iteration.
+func Reconstruct(spans iter.Seq[*obs.Span]) []RequestPath {
 	type acc struct {
 		path      RequestPath
 		hasReq    bool
@@ -118,20 +123,23 @@ func Reconstruct(spans []obs.Span) []RequestPath {
 		load      float64
 		transfer  float64
 	}
-	chains := map[pathKey]*acc{}
+	// The accumulators live in one table, indexed by chain.
+	var accs chunk.Table[acc]
+	chains := map[pathKey]int{}
 	get := func(fn, req int) *acc {
 		k := pathKey{fn, req}
-		a, ok := chains[k]
+		i, ok := chains[k]
 		if !ok {
-			a = &acc{lastRetry: -1}
-			chains[k] = a
+			i = accs.Len()
+			accs.Push(acc{lastRetry: -1})
+			chains[k] = i
 		}
-		return a
+		return accs.At(i)
 	}
 
 	// Pass 1: envelopes and retry marks fix each chain's window and the
 	// start of its surviving attempt.
-	for _, sp := range spans {
+	for sp := range spans {
 		if sp.Req < 0 {
 			continue
 		}
@@ -156,7 +164,7 @@ func Reconstruct(spans []obs.Span) []RequestPath {
 	// envelope. Spans that start before the last retry mark belong to a
 	// torn-down attempt (their recorded durations cover time that never
 	// completed) and are excluded.
-	for _, sp := range spans {
+	for sp := range spans {
 		if sp.Req < 0 {
 			continue
 		}
@@ -165,8 +173,12 @@ func Reconstruct(spans []obs.Span) []RequestPath {
 		default:
 			continue
 		}
-		a, ok := chains[pathKey{sp.Func, sp.Req}]
-		if !ok || !a.hasReq {
+		i, ok := chains[pathKey{sp.Func, sp.Req}]
+		if !ok {
+			continue
+		}
+		a := accs.At(i)
+		if !a.hasReq {
 			continue
 		}
 		if a.lastRetry >= 0 && sp.Start < a.lastRetry {
@@ -192,8 +204,8 @@ func Reconstruct(spans []obs.Span) []RequestPath {
 		}
 	}
 
-	out := make([]RequestPath, 0, len(chains))
-	for _, a := range chains {
+	out := make([]RequestPath, 0, accs.Len())
+	for a := range accs.All() {
 		if !a.hasReq {
 			continue // orphan slice spans (run ended mid-service)
 		}

@@ -45,9 +45,8 @@ type trackLoc struct{ node, tid int }
 // a NaN or infinite value is an error, reported before anything is
 // written.
 func WriteChromeTrace(w io.Writer, r *Recorder) error {
-	spans := r.Spans()
-	for i := range spans {
-		if sp := &spans[i]; sp.Kind == KindCounter && !jsonw.Finite(sp.Value) {
+	for sp := range r.Spans() {
+		if sp.Kind == KindCounter && !jsonw.Finite(sp.Value) {
 			return fmt.Errorf("obs: chrome trace: counter %q on track %q at t=%v has non-finite value %v",
 				sp.Name, sp.Track, sp.Start, sp.Value)
 		}
@@ -74,8 +73,7 @@ func WriteChromeTrace(w io.Writer, r *Recorder) error {
 		cw.meta("thread_name", pid, tid, tr.Name)
 	}
 
-	for i := range spans {
-		sp := &spans[i]
+	for sp := range r.Spans() {
 		switch sp.Kind {
 		case KindSlice:
 			loc := locs[sp.Track]

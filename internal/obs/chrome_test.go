@@ -72,7 +72,7 @@ func writeChromeTraceRef(w io.Writer, r *Recorder) error {
 		nodeOf[tr.Name] = tr.Node
 	}
 
-	for _, sp := range r.Spans() {
+	for sp := range r.Spans() {
 		switch sp.Kind {
 		case KindSlice:
 			dur := usec(sp.End) - usec(sp.Start)

@@ -37,6 +37,7 @@ import (
 	"sync"
 
 	"fluidfaas/internal/obs"
+	"fluidfaas/internal/obs/chunk"
 	"fluidfaas/internal/obs/jsonw"
 )
 
@@ -329,11 +330,11 @@ type Recorder struct {
 	mu     sync.Mutex
 	ring   obs.Ring[entry]
 	subs   obs.Subscribers[Record]
-	bodies chunked[body]
+	bodies chunk.Table[body]
 	ids    []string
 	idOf   map[string]ID
-	cands  chunked[Cand] // the typed-candidate arena
-	log    chunked[entry]
+	cands  chunk.Table[Cand] // the typed-candidate arena
+	log    chunk.Table[entry]
 	chains map[int]chain
 	counts [numKinds]int
 	dumps  []dump
@@ -383,12 +384,12 @@ func (r *Recorder) Body(rec Record) Body {
 }
 
 func (r *Recorder) addBody(rec *Record) Body {
-	r.bodies.push(body{
+	r.bodies.Push(body{
 		kind: rec.Kind, fn: rec.Func, subject: rec.Subject,
 		rule: rec.Rule, outcome: rec.Outcome,
 		inputs: rec.Inputs, cands: rec.Candidates,
 	})
-	return Body(r.bodies.n - 1)
+	return Body(r.bodies.Len() - 1)
 }
 
 // Emit records one decision made at time t: body b (registered with
@@ -423,27 +424,27 @@ func (r *Recorder) emit(rec *Record, e entry, cands []Cand) {
 	}
 	e.seq = r.ring.Total()
 	if len(cands) > 0 {
-		e.cand, e.ncand = int32(r.cands.n), int32(len(cands))
+		e.cand, e.ncand = int32(r.cands.Len()), int32(len(cands))
 		for _, c := range cands {
-			r.cands.push(c)
+			r.cands.Push(c)
 		}
 	}
-	if k := r.bodies.at(int(e.body)).kind; k >= 0 && k < numKinds {
+	if k := r.bodies.At(int(e.body)).kind; k >= 0 && k < numKinds {
 		r.counts[k]++
 	}
 	r.ring.Push(e)
 	if e.req >= 0 {
-		i := int32(r.log.n)
+		i := int32(r.log.Len())
 		c, ok := r.chains[e.req]
 		if ok {
-			r.log.at(int(c.tail)).next = i
+			r.log.At(int(c.tail)).next = i
 			c.tail = i
 		} else {
 			c.head, c.tail = i, i
 		}
 		c.n++
 		r.chains[e.req] = c
-		r.log.push(e)
+		r.log.Push(e)
 	}
 	subs := r.subs
 	var t tables
@@ -475,36 +476,13 @@ func (r *Recorder) Freeze(now float64, reason string) {
 	}
 }
 
-// chunkBits sizes the chunks of the recorder's append-only tables.
-const chunkBits = 10
-
-// chunked is an append-only table kept in fixed-size chunks: growing it
-// never copies a row, and appending writes only past the current
-// length, so a copy of the table (the chunks header and n) taken under
-// the lock stays readable after the lock is released.
-type chunked[T any] struct {
-	chunks [][]T
-	n      int
-}
-
-// at returns row i.
-func (c *chunked[T]) at(i int) *T { return &c.chunks[i>>chunkBits][i&(1<<chunkBits-1)] }
-
-func (c *chunked[T]) push(v T) {
-	if c.n == len(c.chunks)<<chunkBits {
-		c.chunks = append(c.chunks, make([]T, 1<<chunkBits))
-	}
-	*c.at(c.n) = v
-	c.n++
-}
-
 // tables are the recorder's append-only tables as one read found them.
 // Their rows never change once added, so a reader renders from them
 // after releasing the lock while recording appends past their ends.
 type tables struct {
-	bodies chunked[body]
+	bodies chunk.Table[body]
 	ids    []string
-	cands  chunked[Cand]
+	cands  chunk.Table[Cand]
 }
 
 // tables returns the current tables; r.mu must be held.
@@ -512,7 +490,7 @@ func (r *Recorder) tables() tables { return tables{r.bodies, r.ids, r.cands} }
 
 // fields renders e's Record without its typed candidates.
 func (t *tables) fields(e *entry) Record {
-	b := t.bodies.at(int(e.body))
+	b := t.bodies.At(int(e.body))
 	rec := Record{
 		Seq: e.seq, Time: e.time, Kind: b.kind, Func: b.fn,
 		Req: e.req, Attempt: int(e.attempt), Subject: b.subject,
@@ -528,7 +506,7 @@ func (t *tables) fields(e *entry) Record {
 func (t *tables) typed(e *entry, buf []Cand) []Cand {
 	buf = buf[:0]
 	for i := e.cand; i < e.cand+e.ncand; i++ {
-		buf = append(buf, *t.cands.at(int(i)))
+		buf = append(buf, *t.cands.At(int(i)))
 	}
 	return buf
 }
@@ -566,8 +544,8 @@ func (r *Recorder) chain(req int) ([]entry, tables) {
 		return nil, r.tables()
 	}
 	es := make([]entry, 0, c.n)
-	for i := c.head; ; i = r.log.at(int(i)).next {
-		es = append(es, *r.log.at(int(i)))
+	for i := c.head; ; i = r.log.At(int(i)).next {
+		es = append(es, *r.log.At(int(i)))
 		if i == c.tail {
 			return es, r.tables()
 		}
@@ -844,7 +822,7 @@ func (r *Recorder) WriteMatchJSON(w io.Writer, matched []Record) error {
 func (t *tables) checkFinite(es []entry) error {
 	for i := range es {
 		if e := &es[i]; !jsonw.Finite(e.time) {
-			return fmt.Errorf("decisions: json export: record %d (%s) has non-finite time %v", e.seq, t.bodies.at(int(e.body)).kind, e.time)
+			return fmt.Errorf("decisions: json export: record %d (%s) has non-finite time %v", e.seq, t.bodies.At(int(e.body)).kind, e.time)
 		}
 	}
 	return nil

@@ -3,8 +3,11 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
+
+	"fluidfaas/internal/obs/chunk"
 )
 
 // TestNilRecorder: every method of a nil recorder is a safe no-op —
@@ -23,8 +26,14 @@ func TestNilRecorder(t *testing.T) {
 	r.CancelSliceWork("gpu0/1g.10gb#0", 0.5)
 	r.SetGauge("g", 1)
 	r.SetDuration(10)
-	if r.Spans() != nil || r.Tracks() != nil || r.RequestLog() != nil {
-		t.Fatal("nil recorder returned data")
+	if r.Tracks() != nil {
+		t.Fatal("nil recorder returned tracks")
+	}
+	for range r.Spans() {
+		t.Fatal("nil recorder yielded a span")
+	}
+	for range r.RequestLog() {
+		t.Fatal("nil recorder yielded a request")
 	}
 	if r.Duration() != 0 {
 		t.Fatal("nil recorder returned a duration")
@@ -36,6 +45,57 @@ func TestNilRecorder(t *testing.T) {
 	}
 	if err := WritePrometheus(&buf, r); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCancelSliceWorkAcrossChunks: cutting a track whose spans sit in
+// the first and the last of more than two chunks removes and truncates
+// exactly those spans, keeps every other span in record order, and
+// later spans land right after the compacted end.
+func TestCancelSliceWorkAcrossChunks(t *testing.T) {
+	const (
+		track = "gpu0/1g.10gb#0"
+		at    = 1e6
+	)
+	n := 3*chunk.Size + 17
+	// Spans on the cut track at these record positions start after the
+	// cut (removed) or run across it (truncated).
+	removed := map[int]bool{3: true, chunk.Size - 1: true, n - 5: true, n - 1: true}
+	truncated := map[int]bool{4: true, n - 2: true}
+	r := NewRecorder()
+	r.RegisterTrack(0, track)
+	r.RegisterTrack(0, "other")
+	var want []int // the Req of every span the cut keeps, in record order
+	for i := range n {
+		switch {
+		case removed[i]:
+			r.SliceSpan("exec", "f", track, 0, i, 0, at+1, at+2)
+		case truncated[i]:
+			r.SliceSpan("load", "f", track, 0, i, 0, at-1, at+1)
+		case i%3 == 0:
+			r.SliceSpan("exec", "f", track, 0, i, 0, float64(i), float64(i)+0.5)
+		case i%3 == 1:
+			r.SliceSpan("exec", "f", "other", 0, i, 0, at+1, at+2) // another track
+		default:
+			r.AsyncMark("retry", "retry", 0, i, at+1, "") // not work
+		}
+		if !removed[i] {
+			want = append(want, i)
+		}
+	}
+	r.CancelSliceWork(track, at)
+	r.SliceSpan("exec", "f", track, 0, n, 0, at, at+1)
+	want = append(want, n)
+
+	var got []int
+	for sp := range r.Spans() {
+		if truncated[sp.Req] && sp.End != at {
+			t.Errorf("span %d ends at %v, want the cut at %v", sp.Req, sp.End, at)
+		}
+		got = append(got, sp.Req)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%d spans after the cut, want %d in record order, the new span last", len(got), len(want))
 	}
 }
 

@@ -24,8 +24,9 @@
 package util
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // State classifies one slice-second. The declaration order is the
@@ -315,7 +316,9 @@ func (l *Ledger) Report() *Report {
 // at every elementary interval the highest-priority active busy claim
 // wins, else the base state. Segment boundaries come from one shared
 // sorted slice, so consecutive segments abut exactly (bitwise-equal
-// floats), which is what makes the conservation check exact.
+// floats), which is what makes the conservation check exact. Every
+// buffer is sized up front from the claim and base counts, so closing
+// a slice allocates the same number of times whatever its claim count.
 func (ss *sliceSeries) resolve(end float64) []Segment {
 	if end <= ss.born {
 		return nil
@@ -327,8 +330,9 @@ func (ss *sliceSeries) resolve(end float64) []Segment {
 		s     State
 		delta int
 	}
-	var evs []ev
-	bounds := []float64{ss.born, end}
+	evs := make([]ev, 0, 2*len(ss.busy))
+	bounds := make([]float64, 0, 2+2*len(ss.busy)+len(ss.base))
+	bounds = append(bounds, ss.born, end)
 	for _, c := range ss.busy {
 		cs, ce := c.start, c.end
 		if cs < ss.born {
@@ -348,16 +352,18 @@ func (ss *sliceSeries) resolve(end float64) []Segment {
 			bounds = append(bounds, bp.t)
 		}
 	}
-	sort.Float64s(bounds)
+	slices.Sort(bounds)
 	uniq := bounds[:1]
 	for _, t := range bounds[1:] {
 		if t != uniq[len(uniq)-1] {
 			uniq = append(uniq, t)
 		}
 	}
-	sort.Slice(evs, func(i, j int) bool { return evs[i].t < evs[j].t })
+	// The sweep sums the deltas of all events at one t before reading
+	// them, so the order among tied events does not matter.
+	slices.SortFunc(evs, func(a, b ev) int { return cmp.Compare(a.t, b.t) })
 
-	var segs []Segment
+	segs := make([]Segment, 0, len(uniq)-1)
 	var active [BusyTransfer + 1]int
 	ei, bi := 0, 0
 	for i := 0; i+1 < len(uniq); i++ {

@@ -255,3 +255,36 @@ func TestPanics(t *testing.T) {
 		})
 	}
 }
+
+// TestCloseAllocsIndependentOfClaims: Close sizes its sweep buffers up
+// front, so closing a slice with 1000 claims allocates as many times as
+// closing one with 10.
+func TestCloseAllocsIndependentOfClaims(t *testing.T) {
+	const runs = 20
+	closeAllocs := func(claims int) float64 {
+		ledgers := make([]*Ledger, runs+1) // AllocsPerRun adds a warm-up call
+		for i := range ledgers {
+			l := NewLedger()
+			reg(l, "a")
+			for c := range claims {
+				t0 := float64(c)
+				l.Busy("a", States[c%3], t0, t0+1.5) // overlapping, tied ends
+				if c%4 == 0 {
+					l.SetBase("a", t0+0.25, WarmIdle)
+				} else if c%4 == 2 {
+					l.SetBase("a", t0+0.25, ColdIdle)
+				}
+			}
+			ledgers[i] = l
+		}
+		next := 0
+		return testing.AllocsPerRun(runs, func() {
+			ledgers[next].Close(float64(claims + 1))
+			next++
+		})
+	}
+	few, many := closeAllocs(10), closeAllocs(1000)
+	if few != many {
+		t.Errorf("closing a slice allocates %v times with 10 claims, %v with 1000", few, many)
+	}
+}

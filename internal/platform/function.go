@@ -56,6 +56,10 @@ type Function struct {
 	// demand — without this, a cold function whose whole first wave
 	// fast-fails would never trigger scale-up and reject forever.
 	rejectDemand int
+
+	// loadSpan and execSpan name the function's load and exec spans in
+	// the trace, built once rather than per span.
+	loadSpan, execSpan string
 }
 
 func newFunction(spec FunctionSpec) *Function {
@@ -64,6 +68,8 @@ func newFunction(spec FunctionSpec) *Function {
 		planner:     pipeline.NewPlanner(spec.DAG, spec.Parts, spec.SLO),
 		memGB:       spec.DAG.TotalMemGB(),
 		lastNodeUse: make(map[int]float64),
+		loadSpan:    "load " + spec.Name,
+		execSpan:    "exec " + spec.Name,
 	}
 	fn.fastestMono = fn.planner.Mono().Fastest()
 	return fn

@@ -69,7 +69,7 @@ func TestObsSpansCoverRun(t *testing.T) {
 	}
 
 	kinds := map[string]int{}
-	for _, sp := range rec.Spans() {
+	for sp := range rec.Spans() {
 		kinds[sp.Cat]++
 		if sp.End < sp.Start {
 			t.Fatalf("span %+v runs backwards", sp)
@@ -91,7 +91,7 @@ func TestObsSpansCoverRun(t *testing.T) {
 	// Lifecycle marks mirror the event bus losslessly, and the recorder
 	// logged load/exec work on the slice tracks.
 	marks, busy := map[string]int{}, 0.0
-	for _, sp := range rec.Spans() {
+	for sp := range rec.Spans() {
 		switch {
 		case sp.Kind == obs.KindMark:
 			marks[sp.Name]++
@@ -150,7 +150,7 @@ func TestObsRetryMarks(t *testing.T) {
 		t.Skip("fault schedule produced no retries at this seed")
 	}
 	marks := 0
-	for _, sp := range rec.Spans() {
+	for sp := range rec.Spans() {
 		if sp.Kind == obs.KindAsyncMark && sp.Cat == "retry" {
 			marks++
 			if sp.Req < 0 || sp.Detail == "" {
@@ -190,7 +190,7 @@ func TestBusySecondsSpanReconciliation(t *testing.T) {
 
 	type iv struct{ start, end float64 }
 	work := map[string][]iv{}
-	for _, sp := range rec.Spans() {
+	for sp := range rec.Spans() {
 		if sp.Kind == obs.KindSlice && (sp.Cat == "load" || sp.Cat == "exec") {
 			work[sp.Track] = append(work[sp.Track], iv{sp.Start, sp.End})
 		}

@@ -119,9 +119,9 @@ func (p *Platform) sliceWork(sl *mig.Slice, s util.State, fn *Function, req, sta
 	if r := p.opts.Obs; r != nil {
 		switch s {
 		case util.BusyLoad:
-			r.SliceSpan("load", "load "+fn.spec.Name, id, fn.spec.ID, req, stage, start, end)
+			r.SliceSpan("load", fn.loadSpan, id, fn.spec.ID, req, stage, start, end)
 		case util.BusyExec:
-			r.StageSpan("exec "+fn.spec.Name, id, sl.Type.String(), fn.spec.ID, req, stage, start, end, declared)
+			r.StageSpan(fn.execSpan, id, sl.Type.String(), fn.spec.ID, req, stage, start, end, declared)
 		default:
 			r.SliceSpan("transfer", "transfer", id, fn.spec.ID, req, stage, start, end)
 		}
