@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"testing"
 
 	"fluidfaas/internal/scheduler"
@@ -24,6 +27,21 @@ func TestSwapDensityGain(t *testing.T) {
 	if r := RunSwap(cliConfig()); r.DensityGain < 1.5 {
 		t.Errorf("density gain %.2f below 1.5x (on %.2f, off %.2f models/GPU)",
 			r.DensityGain, r.DensityOn, r.DensityOff)
+	}
+}
+
+// TestSwapStudyGolden pins the whole swap study: a sha256 over the JSON
+// encoding of RunSwap's result. The density-gain check above only
+// bounds one ratio; every SLO hit, swap count and pool occupancy of the
+// sweep must also stay put when the time-sharing code is refactored.
+func TestSwapStudyGolden(t *testing.T) {
+	const want = "9fc405631438ad8eb497d275e75c23bebec183143ca34b87f1165f447c082998"
+	b, err := json.Marshal(RunSwap(cliConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != want {
+		t.Errorf("swap study digest %s, want %s\n%s", got, want, b)
 	}
 }
 
