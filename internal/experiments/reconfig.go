@@ -67,7 +67,7 @@ func RunReconfig(cfg Config) ReconfigResult {
 		if err != nil {
 			panic(err)
 		}
-		st := sim.NewStation(eng, "reconfig")
+		st := sim.NewStation(eng)
 		served := 0
 		for _, at := range arrivals {
 			arrival := at
@@ -101,7 +101,7 @@ func RunReconfig(cfg Config) ReconfigResult {
 		// Tandem stations per stage.
 		sts := make([]*sim.Station, len(plan.Stages))
 		for i := range plan.Stages {
-			sts[i] = sim.NewStation(eng, "ffs")
+			sts[i] = sim.NewStation(eng)
 		}
 		served := 0
 		var enqueue func(arrival float64, si int)

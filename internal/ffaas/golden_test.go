@@ -177,7 +177,7 @@ func stationTandem(plan pipeline.Plan, steps []goldenStep, preloaded bool) []Res
 	stations := make([]*sim.Station, n)
 	loaded := make([]bool, n)
 	for k := range stations {
-		stations[k] = sim.NewStation(e, "stage")
+		stations[k] = sim.NewStation(e)
 		loaded[k] = preloaded
 	}
 	res := make([]Result, len(steps))

@@ -1,7 +1,8 @@
 // Package keepalive implements FluidFaaS's hotness-aware eviction-based
 // time sharing (§5.3): the multi-level keep-alive states of Fig. 8,
 // their legal transitions, the utilisation tracking that drives them,
-// LRU eviction ordering, and the model (re)load cost model.
+// and the model (re)load cost model. A time-sharing slice holds one
+// resident model at a time, so a kick simply evicts that resident.
 package keepalive
 
 import (
@@ -75,8 +76,6 @@ func CanTransition(from, to State) bool {
 // Machine tracks one instance's keep-alive state and enforces Fig. 8.
 type Machine struct {
 	state State
-	// history counts transitions, for diagnostics.
-	transitions int
 }
 
 // NewMachine returns a machine in the Cold state.
@@ -85,16 +84,11 @@ func NewMachine() *Machine { return &Machine{state: Cold} }
 // State returns the current state.
 func (m *Machine) State() State { return m.state }
 
-// Transitions returns how many transitions have occurred.
-func (m *Machine) Transitions() int { return m.transitions }
-
-// To moves the machine to the target state, or reports an error for an
-// illegal transition.
-func (m *Machine) To(to State) error {
+// To moves the machine to the target state. An illegal transition is a
+// bug in the caller, so it panics and leaves the state unchanged.
+func (m *Machine) To(to State) {
 	if !CanTransition(m.state, to) {
-		return fmt.Errorf("keepalive: illegal transition %v -> %v", m.state, to)
+		panic(fmt.Sprintf("keepalive: illegal transition %v -> %v", m.state, to))
 	}
 	m.state = to
-	m.transitions++
-	return nil
 }

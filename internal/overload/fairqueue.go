@@ -58,9 +58,6 @@ func (fq *FairQueue[T]) FlowLen(key string) int {
 	return 0
 }
 
-// VirtualTime returns the global virtual clock (diagnostics).
-func (fq *FairQueue[T]) VirtualTime() float64 { return fq.vt }
-
 // Enqueue adds an item to a flow. weight scales the flow's share
 // (<=0 is treated as 1); service is the item's estimated service time,
 // the currency of fairness.

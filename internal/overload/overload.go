@@ -124,9 +124,6 @@ func NewLadder() *Ladder { return &Ladder{} }
 // Level returns the current rung.
 func (l *Ladder) Level() Level { return l.level }
 
-// Since returns when the current rung was entered.
-func (l *Ladder) Since() float64 { return l.since }
-
 // target maps a pressure value to the rung it calls for.
 func (l *Ladder) target(pressure float64) Level {
 	t := LevelNormal

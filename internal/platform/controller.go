@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"fluidfaas/internal/cluster"
 	"fluidfaas/internal/keepalive"
@@ -493,13 +492,7 @@ func (inv *Invoker) maintainPool() {
 	now := p.eng.Now()
 	shared := append([]*sharedSlice(nil), inv.shared...)
 	for _, ss := range shared {
-		names := make([]string, 0, len(ss.bindings))
-		for name := range ss.bindings {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			b := ss.bindings[name]
+		for _, b := range slices.Clone(ss.bindings) {
 			if b.outstanding > 0 {
 				continue
 			}
@@ -512,28 +505,12 @@ func (inv *Invoker) maintainPool() {
 				window = swapParkAfter
 			}
 			if b.tracker.IdleFor(now) >= window {
-				if b.state.State() == keepalive.TimeSharing {
-					if err := b.state.To(keepalive.Warm); err != nil {
-						panic(err)
-					}
-				}
-				if b.state.State() == keepalive.Warm {
-					if err := b.state.To(keepalive.Cold); err != nil {
-						panic(err)
-					}
-				}
 				p.logEvent(EvCold, b.fn.spec.Name, "idle past the keep-alive window")
 				inv.unbind(b)
 			}
 		}
-		if len(ss.bindings) == 0 && !ss.busy && ss.qlen() == 0 {
-			// unbind may already have released it; check membership.
-			for _, cur := range inv.shared {
-				if cur == ss {
-					inv.releaseShared(ss)
-					break
-				}
-			}
+		if len(ss.bindings) == 0 && ss.serving == nil && ss.qlen() == 0 {
+			inv.releaseShared(ss)
 		}
 	}
 }

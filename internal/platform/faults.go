@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
 
 	"fluidfaas/internal/faults"
-	"fluidfaas/internal/keepalive"
 	"fluidfaas/internal/mig"
 	"fluidfaas/internal/obs/decisions"
 )
@@ -263,40 +261,22 @@ func (p *Platform) failShared(ss *sharedSlice) {
 	for _, job := range ss.drainJobs() {
 		rqs = append(rqs, job.rq)
 	}
-	ss.busy = false
 	ss.servingWork = 0
 
-	names := make([]string, 0, len(ss.bindings))
-	for name := range ss.bindings {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		b := ss.bindings[name]
+	for _, b := range ss.bindings {
 		b.outstanding = 0
 		b.resident = false
-		if b.state.State() == keepalive.TimeSharing {
-			if err := b.state.To(keepalive.Warm); err != nil {
-				panic(err)
-			}
-		}
-		if b.state.State() == keepalive.Warm {
-			if err := b.state.To(keepalive.Cold); err != nil {
-				panic(err)
-			}
-		}
 		if b.hostMemGB > 0 {
 			if p.swapOn() {
-				inv.node.Pool().ReleaseModel(name)
+				inv.node.Pool().ReleaseModel(b.fn.spec.Name)
 			} else {
 				inv.node.ReleaseWarm(b.hostMemGB)
 			}
 			b.hostMemGB = 0
 		}
 		b.fn.ts = nil
-		delete(ss.bindings, name)
-		ss.lru.Remove(name)
 	}
+	ss.bindings = nil
 	ss.resident = nil
 
 	for i, x := range inv.shared {

@@ -107,7 +107,7 @@ func (p *Platform) launchInstance(fn *Function, node *cluster.Node, plan pipelin
 				sl.ID(), sl.Type, sp.SliceType))
 		}
 		sl.Allocate(inst.id, now)
-		st := sim.NewStation(p.eng, inst.id+"/"+sl.ID())
+		st := sim.NewStation(p.eng)
 		st.SetBatching(p.opts.MaxBatch, batchWindow)
 		st.Pause()
 		inst.stations = append(inst.stations, st)

@@ -103,8 +103,8 @@ func TestRebindToFreshSlice(t *testing.T) {
 	if len(old.bindings) != 0 {
 		t.Error("old slice still holds the binding")
 	}
-	if !b.shared.lru.Contains(fn.spec.Name) {
-		t.Error("new slice LRU missing the binding")
+	if len(b.shared.bindings) != 1 || b.shared.bindings[0] != b {
+		t.Error("new slice does not hold the binding")
 	}
 	// Rebind for a foreign invoker is refused.
 	other := &Invoker{p: p, node: cl.Nodes[0]}

@@ -2,7 +2,9 @@ package platform
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"fluidfaas/internal/cluster"
 	"fluidfaas/internal/keepalive"
@@ -63,8 +65,14 @@ func (inv *Invoker) freeView() ([]mig.SliceType, []*mig.Slice, pipeline.Counts) 
 // bound to one shared slice; its model is either resident on the slice
 // or evicted to host memory (warm).
 type tsBinding struct {
-	fn       *Function
-	shared   *sharedSlice
+	fn     *Function
+	shared *sharedSlice
+	// resident is set when a slice loads the model and cleared when a
+	// slice evicts it. It is not always shared.resident == b: a binding
+	// moved off a slice while its old queue drains is made resident
+	// again by the old slice's kick, and estLoad then charges its jobs on
+	// the new slice no load. Deriving it from shared.resident changes the
+	// swap study, so that fix is left to a change of its own.
 	resident bool
 	// everLoaded distinguishes the first load (cold start from remote
 	// storage) from warm reloads out of host memory.
@@ -101,8 +109,9 @@ type sharedSlice struct {
 	inv      *Invoker
 	slice    *mig.Slice
 	resident *tsBinding
-	lru      *keepalive.LRU
-	bindings map[string]*tsBinding // keyed by function name
+	// bindings lists the slice's bindings in function-name order, so
+	// every walk over them is deterministic.
+	bindings []*tsBinding
 	queue    []*tsJob
 	// fair replaces queue when overload fair queueing is enabled:
 	// per-function virtual-time flows so one bursty function cannot
@@ -112,12 +121,11 @@ type sharedSlice struct {
 	// execution seconds, feeding the admission estimator.
 	queuedWork  float64
 	servingWork float64
-	busy        bool
 	// decID is the slice's ID interned in the decision recorder (NoID
 	// without one).
 	decID decisions.ID
-	// serving is the job in service while busy, so a fault can retry
-	// exactly the request that was running.
+	// serving is the job in service, nil while the slice is idle; a
+	// fault retries exactly the request that was running.
 	serving *tsJob
 	// failed marks a pool slice torn down by a hardware fault: stale
 	// engine events referencing it become no-ops.
@@ -128,16 +136,39 @@ type sharedSlice struct {
 // overload subsystem asks for one.
 func newSharedSlice(inv *Invoker, sl *mig.Slice) *sharedSlice {
 	ss := &sharedSlice{
-		inv:      inv,
-		slice:    sl,
-		lru:      keepalive.NewLRU(),
-		bindings: make(map[string]*tsBinding),
-		decID:    inv.p.opts.Decisions.Intern(sl.ID()),
+		inv:   inv,
+		slice: sl,
+		decID: inv.p.opts.Decisions.Intern(sl.ID()),
 	}
 	if inv.p.opts.Overload.FairQueue {
 		ss.fair = overload.NewFairQueue[*tsJob]()
 	}
 	return ss
+}
+
+// addBinding files b on the slice in function-name order.
+func (ss *sharedSlice) addBinding(b *tsBinding) {
+	i, _ := slices.BinarySearchFunc(ss.bindings, b.fn.spec.Name, func(x *tsBinding, name string) int {
+		return strings.Compare(x.fn.spec.Name, name)
+	})
+	ss.bindings = slices.Insert(ss.bindings, i, b)
+}
+
+// detach removes b from the slice. If b is resident there, the slice
+// is left empty without logging an eviction.
+func (ss *sharedSlice) detach(b *tsBinding) {
+	ss.bindings = slices.DeleteFunc(ss.bindings, func(x *tsBinding) bool { return x == b })
+	if ss.resident == b {
+		ss.resident = nil
+		b.resident = false
+	}
+}
+
+// place homes b on ss, sizing its admission capacity for ss's slice.
+func (b *tsBinding) place(ss *sharedSlice) {
+	b.shared = ss
+	b.capacity = admissionCapacity(b.fn.spec.SLO, b.execOn(), queueSlack)
+	ss.addBinding(b)
 }
 
 // qlen is the queued-job count, whichever discipline holds them.
@@ -257,24 +288,7 @@ func (inv *Invoker) bindTS(fn *Function) *tsBinding {
 	if ss == nil {
 		return nil
 	}
-	b := &tsBinding{
-		fn:      fn,
-		shared:  ss,
-		tracker: keepalive.NewTracker(),
-		state:   keepalive.NewMachine(),
-	}
-	// Fig. 8 transition 1: first request creates a time-sharing
-	// instance.
-	if err := b.state.To(keepalive.TimeSharing); err != nil {
-		panic(err)
-	}
-	b.capacity = admissionCapacity(fn.spec.SLO, b.execOn(), queueSlack)
-	// Keep a host-memory copy for warm reloads.
-	inv.reserveWarmCopy(b)
-	b.tracker.Touch(inv.p.eng.Now())
-	ss.bindings[fn.spec.Name] = b
-	ss.lru.Touch(fn.spec.Name)
-	fn.ts = b
+	b := inv.attach(ss, fn, false)
 	if inv.p.decOn() {
 		inv.p.decide(decisions.Record{
 			Kind: decisions.KindBind, Func: fn.spec.Name,
@@ -300,23 +314,28 @@ func (inv *Invoker) adoptShared(sl *mig.Slice, fn *Function) *tsBinding {
 	sl.Allocate(inv.sharedOwner(), now)
 	ss := newSharedSlice(inv, sl)
 	inv.shared = append(inv.shared, ss)
+	return inv.attach(ss, fn, true)
+}
+
+// attach creates fn's binding on ss (Fig. 8 transition 1: the first
+// request creates a time-sharing instance) with a host-memory copy for
+// warm reloads. A resident binding's model is already on the slice, so
+// it counts as loaded.
+func (inv *Invoker) attach(ss *sharedSlice, fn *Function, resident bool) *tsBinding {
 	b := &tsBinding{
 		fn:         fn,
-		shared:     ss,
-		resident:   true,
-		everLoaded: true,
+		resident:   resident,
+		everLoaded: resident,
 		tracker:    keepalive.NewTracker(),
 		state:      keepalive.NewMachine(),
 	}
-	if err := b.state.To(keepalive.TimeSharing); err != nil {
-		panic(err)
-	}
-	b.capacity = admissionCapacity(fn.spec.SLO, b.execOn(), queueSlack)
+	b.state.To(keepalive.TimeSharing)
+	b.place(ss)
 	inv.reserveWarmCopy(b)
-	b.tracker.Touch(now)
-	ss.bindings[fn.spec.Name] = b
-	ss.lru.Touch(fn.spec.Name)
-	ss.resident = b
+	b.tracker.Touch(inv.p.eng.Now())
+	if resident {
+		ss.resident = b
+	}
 	fn.ts = b
 	return b
 }
@@ -377,22 +396,18 @@ func (inv *Invoker) rebindToFreshSlice(fn *Function) bool {
 	if ns == nil {
 		return false
 	}
-	old := b.shared
-	delete(old.bindings, fn.spec.Name)
-	old.lru.Remove(fn.spec.Name)
-	if old.resident == b {
-		old.resident = nil
-		b.resident = false
-	}
-	b.shared = ns
-	b.capacity = admissionCapacity(fn.spec.SLO, b.execOn(), queueSlack)
-	ns.bindings[fn.spec.Name] = b
-	ns.lru.Touch(fn.spec.Name)
-	// The fresh slice starts serving pending overflow immediately —
-	// without this, pending requests sit until the next completion or
-	// control tick.
-	inv.p.onTSSlack(b)
+	inv.moveBinding(b, ns)
 	return true
+}
+
+// moveBinding rehomes b on dst. Requests already queued on the old
+// slice drain there. New requests go to dst, and the function's pending
+// overflow moves there at once rather than at the next completion or
+// control tick.
+func (inv *Invoker) moveBinding(b *tsBinding, dst *sharedSlice) {
+	b.shared.detach(b)
+	b.place(dst)
+	inv.p.onTSSlack(b)
 }
 
 // reclaimIdle releases completely idle pool slices so exclusive
@@ -421,50 +436,14 @@ func (inv *Invoker) reclaimIdle() int {
 		if !reclaimable(ss, now) {
 			continue
 		}
-		names := make([]string, 0, len(ss.bindings))
-		for name := range ss.bindings {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			b := ss.bindings[name]
+		for _, b := range slices.Clone(ss.bindings) {
 			if dst := inv.siblingSlice(ss, b); dst != nil {
-				delete(ss.bindings, name)
-				ss.lru.Remove(name)
-				if ss.resident == b {
-					ss.resident = nil
-				}
-				b.resident = false
-				b.shared = dst
-				b.capacity = admissionCapacity(b.fn.spec.SLO, b.execOn(), queueSlack)
-				dst.bindings[name] = b
-				dst.lru.Touch(name)
-				// Drain pending into the new home right away; a moved
-				// binding must not strand its function's overflow until
-				// the next completion or control tick.
-				inv.p.onTSSlack(b)
-				continue
-			}
-			// No sibling fits: the binding goes cold.
-			if b.state.State() == keepalive.TimeSharing {
-				if err := b.state.To(keepalive.Warm); err != nil {
-					panic(err)
-				}
-			}
-			if b.state.State() == keepalive.Warm {
-				if err := b.state.To(keepalive.Cold); err != nil {
-					panic(err)
-				}
-			}
-			inv.unbind(b)
-		}
-		// unbind may have released the slice already.
-		for _, cur := range inv.shared {
-			if cur == ss {
-				inv.releaseShared(ss)
-				break
+				inv.moveBinding(b, dst)
+			} else {
+				inv.unbind(b) // no sibling fits: the binding goes cold
 			}
 		}
+		inv.releaseShared(ss)
 		freed++
 	}
 	return freed
@@ -473,7 +452,7 @@ func (inv *Invoker) reclaimIdle() int {
 // reclaimable reports whether reclaimIdle may free ss: nothing in
 // service or queued, and every binding idle for a while.
 func reclaimable(ss *sharedSlice, now float64) bool {
-	if ss.busy || ss.qlen() > 0 {
+	if ss.serving != nil || ss.qlen() > 0 {
 		return false
 	}
 	for _, b := range ss.bindings {
@@ -536,7 +515,7 @@ func (ss *sharedSlice) enqueue(p *Platform, b *tsBinding, rq *request) {
 // completed); a gray-degraded slice stretches both the load and the
 // execution by its severity factor.
 func (ss *sharedSlice) kick(p *Platform) {
-	if ss.failed || ss.busy || ss.qlen() == 0 {
+	if ss.failed || ss.serving != nil || ss.qlen() == 0 {
 		return
 	}
 	job := ss.pop()
@@ -557,7 +536,6 @@ func (ss *sharedSlice) kick(p *Platform) {
 		}
 		return
 	}
-	ss.busy = true
 	ss.serving = job
 	b := job.b
 	now := p.eng.Now()
@@ -565,8 +543,8 @@ func (ss *sharedSlice) kick(p *Platform) {
 	f := p.degradeFactor(ss.slice)
 	load := 0.0
 	if ss.resident != b {
-		// Evict the LRU resident and load the pertinent instance
-		// (§5.3). Loading happens as part of this request's service.
+		// Evict the resident and load the pertinent instance (§5.3).
+		// Loading happens as part of this request's service.
 		if ss.resident != nil {
 			ss.evictResident(p)
 		}
@@ -580,9 +558,7 @@ func (ss *sharedSlice) kick(p *Platform) {
 		// TimeSharing (Fig. 8 transition 1) when the copy was lost and the
 		// load above is a full cold start.
 		if s := b.state.State(); s == keepalive.Warm || s == keepalive.Cold {
-			if err := b.state.To(keepalive.TimeSharing); err != nil {
-				panic(err)
-			}
+			b.state.To(keepalive.TimeSharing)
 		}
 	}
 	declaredExec := b.execOn()
@@ -590,7 +566,6 @@ func (ss *sharedSlice) kick(p *Platform) {
 	job.rq.rec.Load += load
 	job.rq.rec.Exec += exec
 	ss.servingWork = load + exec
-	ss.lru.Touch(b.fn.spec.Name)
 	ss.slice.SetActive(true, now)
 	rq := job.rq
 	p.opts.Obs.AsyncSpan("queue", "queue", rq.rec.Func, rq.rec.ID, rq.waitStart, now, "")
@@ -630,7 +605,6 @@ func (ss *sharedSlice) kick(p *Platform) {
 		b.tracker.Begin(end - exec)
 		b.tracker.End(end)
 		b.outstanding--
-		ss.busy = false
 		p.complete(job.rq)
 		// Health observation may quarantine this slice and tear it down
 		// (failShared); the kick below then no-ops on ss.failed.
@@ -657,17 +631,13 @@ func (ss *sharedSlice) evictResident(p *Platform) {
 	}
 	old.resident = false
 	if old.state.State() == keepalive.TimeSharing {
-		if err := old.state.To(keepalive.Warm); err != nil {
-			panic(err)
-		}
+		old.state.To(keepalive.Warm)
 		if old.hostMemGB <= 0 {
 			// No host copy backs this binding (the reservation failed, or
 			// the pool evicted the copy): claiming Warm would charge the
 			// next reload a phantom WarmLoadTime. Fall through to Cold —
 			// the next load is a genuine remote refetch.
-			if err := old.state.To(keepalive.Cold); err != nil {
-				panic(err)
-			}
+			old.state.To(keepalive.Cold)
 			old.everLoaded = false
 		}
 	}
@@ -675,15 +645,10 @@ func (ss *sharedSlice) evictResident(p *Platform) {
 	p.logEvent(EvEvict, old.fn.spec.Name, "LRU eviction from "+ss.slice.ID())
 }
 
-// unbind removes a binding entirely (warm -> cold, Fig. 8 transition 5,
-// or promotion cleanup).
+// unbind removes a binding entirely (warm -> cold, Fig. 8 transition
+// 5). The slice stays in the pool: callers release it once empty.
 func (inv *Invoker) unbind(b *tsBinding) {
-	ss := b.shared
-	delete(ss.bindings, b.fn.spec.Name)
-	ss.lru.Remove(b.fn.spec.Name)
-	if ss.resident == b {
-		ss.resident = nil
-	}
+	b.shared.detach(b)
 	if b.hostMemGB > 0 {
 		if inv.p.swapOn() {
 			// The copy stays in the pool, parked: a later rebind or
@@ -695,10 +660,6 @@ func (inv *Invoker) unbind(b *tsBinding) {
 		}
 	}
 	b.fn.ts = nil
-	// Release empty pool slices so exclusive instances can use them.
-	if len(ss.bindings) == 0 && !ss.busy && ss.qlen() == 0 {
-		inv.releaseShared(ss)
-	}
 }
 
 // releaseShared returns a pool slice to the free pool.

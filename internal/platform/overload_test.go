@@ -202,13 +202,13 @@ func TestFairQueueInterleavesBurst(t *testing.T) {
 	}
 	popOrder := func(p *Platform, b0, b1 *tsBinding, ss *sharedSlice) []int {
 		// Hold the slice busy so all six jobs queue, then drain by hand.
-		ss.busy = true
+		ss.serving = &tsJob{}
 		for i := 0; i < 4; i++ {
 			ss.enqueue(p, b0, &request{fn: b0.fn, deadline: 10 + float64(i)})
 		}
 		ss.enqueue(p, b1, &request{fn: b1.fn, deadline: 1000})
 		ss.enqueue(p, b1, &request{fn: b1.fn, deadline: 1001})
-		ss.busy = false
+		ss.serving = nil
 		var order []int
 		for ss.qlen() > 0 {
 			job := ss.pop()

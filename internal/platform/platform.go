@@ -419,10 +419,6 @@ func (p *Platform) Contractions() int { return p.tally[EvContract] }
 // BrownoutLevel returns the degradation ladder's current rung.
 func (p *Platform) BrownoutLevel() overload.Level { return p.ladder.Level() }
 
-// Pressure returns the most recent node-pressure sample (only updated
-// while brownout is enabled).
-func (p *Platform) Pressure() float64 { return p.lastPressure }
-
 // Cluster returns the underlying cluster for post-run inspection.
 func (p *Platform) Cluster() *cluster.Cluster { return p.cl }
 

@@ -1,7 +1,5 @@
 package platform
 
-import "sort"
-
 // Snapshot is a deterministic, JSON-marshalable view of the platform's
 // live state: per-slice occupancy, per-function deployment and
 // keep-alive state, and the run counters. It backs the introspection
@@ -112,14 +110,13 @@ func (p *Platform) Snapshot() Snapshot {
 	pools := map[string]*PoolState{}
 	for _, inv := range p.inv {
 		for _, ss := range inv.shared {
-			ps := &PoolState{Queued: ss.qlen(), Busy: ss.busy}
+			ps := &PoolState{Queued: ss.qlen(), Busy: ss.serving != nil}
 			if ss.resident != nil {
 				ps.Resident = ss.resident.fn.spec.Name
 			}
-			for name := range ss.bindings {
-				ps.Bindings = append(ps.Bindings, name)
+			for _, b := range ss.bindings {
+				ps.Bindings = append(ps.Bindings, b.fn.spec.Name)
 			}
-			sort.Strings(ps.Bindings)
 			pools[ss.slice.ID()] = ps
 		}
 	}

@@ -1,9 +1,11 @@
 package platform
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"fluidfaas/internal/cluster"
 	"fluidfaas/internal/dnn"
 	"fluidfaas/internal/keepalive"
 	"fluidfaas/internal/scheduler"
@@ -186,5 +188,86 @@ func TestEvictThenLoad(t *testing.T) {
 	}
 	if want := keepalive.WarmLoadTime(b0.fn.memGB); math.Abs(rq0.rec.Load-want) > 1e-9 {
 		t.Errorf("b0 request load = %v, want its own warm load %v", rq0.rec.Load, want)
+	}
+}
+
+// TestTimeSharingBookkeeping: under faults, gray quarantine, hedging,
+// overload control and, in one case, swapping, every time-sharing
+// binding is recorded in exactly one place at every sample tick. Each
+// binding is listed once, on a pool slice of its own invoker, which its
+// shared field names and whose function points back at it; each slice
+// lists its bindings in strictly ascending function-name order; and
+// every pool slice is owned by its invoker's pool. The census is eight
+// renamed copies of the small apps at a low rate, so most functions stay
+// time-shared: with the swap tier off, bindings share slices and kicks
+// evict; with it on, bindings come and go on their own slices.
+func TestTimeSharingBookkeeping(t *testing.T) {
+	var specs []FunctionSpec
+	for k := 0; k < 8; k++ {
+		for _, sp := range specsFor(t, dnn.Small) {
+			sp.ID = len(specs)
+			sp.Name = fmt.Sprintf("%s#%d", sp.Name, k)
+			specs = append(specs, sp)
+		}
+	}
+	tr := flatTrace(specs, 0.2, 300, 7)
+	for _, swap := range []bool{false, true} {
+		opts := richOptions(nil)
+		opts.Swap.Enabled = swap
+		var p *Platform
+		shared := 0
+		opts.OnSample = func(now float64, _ *cluster.Cluster) {
+			listed := map[*tsBinding]int{}
+			for _, inv := range p.inv {
+				for _, ss := range inv.shared {
+					if ss.slice.Owner != inv.sharedOwner() {
+						t.Fatalf("swap %v, t=%v: pool slice %s owned by %q, want %q",
+							swap, now, ss.slice.ID(), ss.slice.Owner, inv.sharedOwner())
+					}
+					if len(ss.bindings) > 1 {
+						shared++
+					}
+					for i, b := range ss.bindings {
+						listed[b]++
+						name := b.fn.spec.Name
+						if i > 0 && ss.bindings[i-1].fn.spec.Name >= name {
+							t.Fatalf("swap %v, t=%v: slice %s lists %q after %q",
+								swap, now, ss.slice.ID(), name, ss.bindings[i-1].fn.spec.Name)
+						}
+						if b.shared != ss {
+							t.Fatalf("swap %v, t=%v: %s listed on %s but homed on %s",
+								swap, now, name, ss.slice.ID(), b.shared.slice.ID())
+						}
+						if b.fn.ts != b {
+							t.Fatalf("swap %v, t=%v: %s listed on %s is not its function's binding",
+								swap, now, name, ss.slice.ID())
+						}
+					}
+				}
+			}
+			for b, n := range listed {
+				if n != 1 {
+					t.Fatalf("swap %v, t=%v: %s listed %d times", swap, now, b.fn.spec.Name, n)
+				}
+			}
+			for _, fn := range p.funcs {
+				if fn.ts != nil && listed[fn.ts] != 1 {
+					t.Fatalf("swap %v, t=%v: %s's binding is on no pool slice", swap, now, fn.spec.Name)
+				}
+			}
+		}
+		p = newRich(specs, opts)
+		p.Run(tr, 60)
+		c := p.CountEvents()
+		if shared == 0 || c[EvPoolShrink] == 0 || p.FaultsInjected() == 0 {
+			t.Errorf("swap %v: %d shared-slice samples, %d pool shrinks, %d faults: the run must exercise all three",
+				swap, shared, c[EvPoolShrink], p.FaultsInjected())
+		}
+		if !swap && c[EvEvict] == 0 {
+			t.Error("swap off: no kick evicted a resident")
+		}
+		if swap && (c[EvCold] == 0 || p.SwapIns() == 0) {
+			t.Errorf("swap on: %d unbinds, %d swap-ins: the run must exercise both", c[EvCold], p.SwapIns())
+		}
 	}
 }

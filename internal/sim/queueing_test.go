@@ -24,7 +24,7 @@ func TestStationMD1MeanWait(t *testing.T) {
 	want := rho * float64(service) / (2 * (1 - rho))
 
 	e := NewEngine()
-	st := NewStation(e, "md1")
+	st := NewStation(e)
 	rng := NewRNG(1, "md1")
 	svc := func() Time { return service }
 	var waited float64
@@ -61,7 +61,7 @@ func TestStationTandemBottleneck(t *testing.T) {
 	const jobs = 10_000
 	for _, service := range [][2]Time{{0.5, 0.8}, {0.8, 0.5}} {
 		e := NewEngine()
-		first, second := NewStation(e, "a"), NewStation(e, "b")
+		first, second := NewStation(e), NewStation(e)
 		var firstOut, lastOut Time
 		out := 0
 		svc0 := func() Time { return service[0] }

@@ -59,19 +59,11 @@ func (g *RNG) Poisson(mean float64) int {
 	return int(n + 0.5)
 }
 
-// Norm returns a normal draw with the given mean and standard deviation.
-func (g *RNG) Norm(mean, stddev float64) float64 {
-	return g.r.NormFloat64()*stddev + mean
-}
-
 // LogNorm returns a log-normal draw where the underlying normal has the
 // given mu and sigma.
 func (g *RNG) LogNorm(mu, sigma float64) float64 {
 	return math.Exp(g.r.NormFloat64()*sigma + mu)
 }
-
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
 // Shuffle randomises the order of n elements using swap.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }

@@ -14,8 +14,7 @@ package sim
 // serving systems (e.g. INFless) trade a small queueing delay for
 // throughput.
 type Station struct {
-	eng  *Engine
-	name string
+	eng *Engine
 
 	// queue[head:] is the FIFO. Popping advances head and nils the slot;
 	// the buffer is reused rather than resliced, so a long-lived station
@@ -100,8 +99,8 @@ func (j *Job) done() {
 }
 
 // NewStation returns an idle station bound to eng.
-func NewStation(eng *Engine, name string) *Station {
-	s := &Station{eng: eng, name: name}
+func NewStation(eng *Engine) *Station {
+	s := &Station{eng: eng}
 	// One completion callback per station, not per job: the station is a
 	// single server, so the job it belongs to is always s.cur.
 	s.finishFn = s.complete
@@ -128,9 +127,6 @@ func (s *Station) SetBatching(max int, window Time) {
 	b.timerFn = func() { s.start(true) }
 	s.batch = b
 }
-
-// Name returns the station's diagnostic name.
-func (s *Station) Name() string { return s.name }
 
 // QueueLen returns the number of jobs waiting (excluding the one in
 // service).
@@ -202,9 +198,6 @@ func (s *Station) Resume() {
 	s.paused = false
 	s.start(false)
 }
-
-// Paused reports whether the station is paused.
-func (s *Station) Paused() bool { return s.paused }
 
 // start begins service if the server is free and jobs wait. A batched
 // station starts a batch only once it is full, expired says its window

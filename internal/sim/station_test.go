@@ -8,7 +8,7 @@ import (
 
 func TestStationServesFIFO(t *testing.T) {
 	e := NewEngine()
-	st := NewStation(e, "s")
+	st := NewStation(e)
 	var done []int
 	for i := 0; i < 3; i++ {
 		i := i
@@ -31,7 +31,7 @@ func TestStationServesFIFO(t *testing.T) {
 
 func TestStationBusyTime(t *testing.T) {
 	e := NewEngine()
-	st := NewStation(e, "s")
+	st := NewStation(e)
 	e.At(0, func() {
 		st.Enqueue(&Job{Service: func() Time { return 3 }})
 	})
@@ -49,7 +49,7 @@ func TestStationBusyTime(t *testing.T) {
 
 func TestStationBusyTimeMidService(t *testing.T) {
 	e := NewEngine()
-	st := NewStation(e, "s")
+	st := NewStation(e)
 	st.Enqueue(&Job{Service: func() Time { return 10 }})
 	var mid Time
 	e.At(4, func() { mid = st.BusyTime() })
@@ -61,7 +61,7 @@ func TestStationBusyTimeMidService(t *testing.T) {
 
 func TestStationPauseResume(t *testing.T) {
 	e := NewEngine()
-	st := NewStation(e, "s")
+	st := NewStation(e)
 	st.Pause()
 	finished := Time(-1)
 	st.Enqueue(&Job{
@@ -77,7 +77,7 @@ func TestStationPauseResume(t *testing.T) {
 
 func TestStationPauseDoesNotAbortInService(t *testing.T) {
 	e := NewEngine()
-	st := NewStation(e, "s")
+	st := NewStation(e)
 	var done1, done2 Time
 	st.Enqueue(&Job{Service: func() Time { return 4 }, Done: func() { done1 = e.Now() }})
 	st.Enqueue(&Job{Service: func() Time { return 4 }, Done: func() { done2 = e.Now() }})
@@ -94,7 +94,7 @@ func TestStationPauseDoesNotAbortInService(t *testing.T) {
 
 func TestStationQueueLen(t *testing.T) {
 	e := NewEngine()
-	st := NewStation(e, "s")
+	st := NewStation(e)
 	for i := 0; i < 5; i++ {
 		st.Enqueue(&Job{Service: func() Time { return 1 }})
 	}
@@ -112,7 +112,7 @@ func TestStationQueueLen(t *testing.T) {
 
 func TestStationNegativeServiceClamped(t *testing.T) {
 	e := NewEngine()
-	st := NewStation(e, "s")
+	st := NewStation(e)
 	ok := false
 	st.Enqueue(&Job{Service: func() Time { return -5 }, Done: func() { ok = true }})
 	e.Run()
@@ -128,8 +128,8 @@ func TestStationNegativeServiceClamped(t *testing.T) {
 // pipelining overlap: 3 jobs, each stage 2s -> makespan 2*(2)+2*(3-1)=8.
 func TestStationTandemPipelineOverlap(t *testing.T) {
 	e := NewEngine()
-	s1 := NewStation(e, "s1")
-	s2 := NewStation(e, "s2")
+	s1 := NewStation(e)
+	s2 := NewStation(e)
 	var finish Time
 	for i := 0; i < 3; i++ {
 		j2 := &Job{Service: func() Time { return 2 }, Done: func() { finish = e.Now() }}
@@ -172,7 +172,7 @@ func TestStationTandemLindley(t *testing.T) {
 		e := NewEngine()
 		stations := make([]*Station, len(service))
 		for k := range stations {
-			stations[k] = NewStation(e, "s")
+			stations[k] = NewStation(e)
 		}
 		dep := make([][]Time, len(service)) // dep[k][i]: job i leaves stage k
 		for k := range dep {
@@ -233,7 +233,7 @@ func TestStationTandemLindley(t *testing.T) {
 // stale job.
 func TestStationQueueBufferBounded(t *testing.T) {
 	e := NewEngine()
-	st := NewStation(e, "s")
+	st := NewStation(e)
 	job := func() *Job { return &Job{Service: func() Time { return 1 }} }
 	const backlog = 50
 	for i := 0; i < backlog; i++ {
@@ -274,7 +274,7 @@ func TestStationCycleAllocatesNothing(t *testing.T) {
 		{"batched", 2, 0.25},
 	} {
 		e := NewEngine()
-		st := NewStation(e, "s")
+		st := NewStation(e)
 		st.SetBatching(c.max, c.window)
 		served := 0
 		jobs := make([]*Job, 3)
@@ -303,7 +303,7 @@ func TestStationCycleAllocatesNothing(t *testing.T) {
 // batchStation returns a station batching up to max jobs with the given
 // window.
 func batchStation(e *Engine, max int, window Time) *Station {
-	st := NewStation(e, "b")
+	st := NewStation(e)
 	st.SetBatching(max, window)
 	return st
 }
@@ -473,10 +473,10 @@ func TestStationBatchStartsFromDone(t *testing.T) {
 
 func TestStationBatchPanics(t *testing.T) {
 	e := NewEngine()
-	busy := NewStation(e, "busy")
+	busy := NewStation(e)
 	busy.Enqueue(&Job{Service: func() Time { return 1 }})
 	for name, f := range map[string]func(){
-		"maxBatch": func() { NewStation(e, "x").SetBatching(0, 0) },
+		"maxBatch": func() { NewStation(e).SetBatching(0, 0) },
 		"busy":     func() { busy.SetBatching(2, 0) },
 	} {
 		func() {
