@@ -65,7 +65,7 @@ func TestTraceForDeterministicPerWorkload(t *testing.T) {
 func TestEndToEndShape(t *testing.T) {
 	// ESG's queues need time to build up; the short config understates
 	// the medium-workload gap, so this test runs the full duration.
-	e := RunEndToEnd(DefaultConfig())
+	e := paperMatrix()
 	light := e.Results[Light]
 	if d := light["fluidfaas"].SLOHit - light["esg"].SLOHit; d < -0.10 {
 		t.Errorf("light: fluidfaas %.2f far below esg %.2f", light["fluidfaas"].SLOHit, light["esg"].SLOHit)
