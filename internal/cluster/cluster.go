@@ -56,10 +56,6 @@ func (n *Node) Pool() *MemPool {
 	return n.pool
 }
 
-// DropWarm discards all warm host-memory reservations (a node crash
-// loses the models parked in CPU memory).
-func (n *Node) DropWarm() { n.Pool().DropAll() }
-
 // Cluster is a set of invoker nodes.
 type Cluster struct {
 	Nodes []*Node
@@ -121,6 +117,15 @@ func (n *Node) FreeSlices() []*mig.Slice {
 	return out
 }
 
+// Slices returns every slice of the node, GPUs in ID order.
+func (n *Node) Slices() []*mig.Slice {
+	var out []*mig.Slice
+	for _, g := range n.GPUs {
+		out = append(out, g.Slices...)
+	}
+	return out
+}
+
 // FreeGPCs returns total free compute on the node.
 func (n *Node) FreeGPCs() int {
 	if n.down {
@@ -141,18 +146,6 @@ func (n *Node) TotalGPCs() int {
 	}
 	return t
 }
-
-// ReserveWarm reserves host memory for a warm (evicted) model. It
-// reports false when host memory is exhausted. This is the anonymous
-// (unkeyed) reservation style; the swap tier uses the pool's keyed API
-// directly.
-func (n *Node) ReserveWarm(memGB float64) bool { return n.Pool().Reserve(memGB) }
-
-// ReleaseWarm returns host memory reserved by ReserveWarm.
-func (n *Node) ReleaseWarm(memGB float64) { n.Pool().Release(memGB) }
-
-// WarmMemGB returns host memory currently holding warm models.
-func (n *Node) WarmMemGB() float64 { return n.Pool().UsedGB() }
 
 // AllGPUs returns every GPU in the cluster in ID order.
 func (c *Cluster) AllGPUs() []*mig.GPU {

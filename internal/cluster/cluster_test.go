@@ -57,75 +57,82 @@ func TestNodeFreeSlicesAndGPCs(t *testing.T) {
 
 func TestWarmMemoryAccounting(t *testing.T) {
 	c := New(Spec{Nodes: 1, GPUConfigs: mig.UniformNode(mig.DefaultConfig, 1), CPUMemGB: 50})
-	n := c.Nodes[0]
-	if !n.ReserveWarm(30) {
-		t.Fatal("ReserveWarm(30) failed with 50 free")
+	pool := c.Nodes[0].Pool()
+	if pool.CapacityGB() != 50 {
+		t.Fatalf("pool capacity = %v, want the node's 50 GB", pool.CapacityGB())
 	}
-	if n.ReserveWarm(30) {
-		t.Fatal("ReserveWarm(30) succeeded with only 20 free")
+	if !pool.ReserveModel("a", 30) {
+		t.Fatal("ReserveModel(a, 30) failed with 50 free")
 	}
-	if !n.ReserveWarm(20) {
-		t.Fatal("ReserveWarm(20) failed with exactly 20 free")
+	if pool.ReserveModel("b", 30) {
+		t.Fatal("ReserveModel(b, 30) succeeded with only 20 free")
 	}
-	n.ReleaseWarm(30)
-	if n.WarmMemGB() != 20 {
-		t.Errorf("WarmMemGB = %v, want 20", n.WarmMemGB())
+	if !pool.ReserveModel("b", 20) {
+		t.Fatal("ReserveModel(b, 20) failed with exactly 20 free")
 	}
-	n.ReleaseWarm(20)
-	if n.WarmMemGB() != 0 {
-		t.Errorf("WarmMemGB = %v, want 0", n.WarmMemGB())
+	pool.ReleaseModel("a")
+	if pool.UsedGB() != 20 {
+		t.Errorf("UsedGB = %v, want 20", pool.UsedGB())
+	}
+	pool.ReleaseModel("b")
+	if pool.UsedGB() != 0 {
+		t.Errorf("UsedGB = %v, want 0", pool.UsedGB())
 	}
 }
 
-func TestReleaseWarmNegativePanics(t *testing.T) {
+// TestReleaseWarmTwiceIsNoop: releasing a copy the pool no longer holds
+// changes nothing, so a teardown can never drive host memory negative.
+func TestReleaseWarmTwiceIsNoop(t *testing.T) {
 	c := New(Spec{Nodes: 1, GPUConfigs: mig.UniformNode(mig.DefaultConfig, 1), CPUMemGB: 50})
-	defer func() {
-		if recover() == nil {
-			t.Error("over-release did not panic")
-		}
-	}()
-	c.Nodes[0].ReleaseWarm(10)
+	pool := c.Nodes[0].Pool()
+	pool.ReleaseModel("never-reserved")
+	pool.ReserveModel("a", 10)
+	pool.ReserveModel("b", 15)
+	pool.ReleaseModel("a")
+	pool.ReleaseModel("a")
+	if pool.UsedGB() != 15 {
+		t.Errorf("UsedGB = %v after a double release, want 15", pool.UsedGB())
+	}
 }
 
 func TestReleaseWarmFloatNoiseClamps(t *testing.T) {
 	c := New(Spec{Nodes: 1, GPUConfigs: mig.UniformNode(mig.DefaultConfig, 1), CPUMemGB: 50})
-	n := c.Nodes[0]
-	if !n.ReserveWarm(10) {
-		t.Fatal("ReserveWarm(10) failed")
+	pool := c.Nodes[0].Pool()
+	// 0.7 + 0.1 - 0.7 - 0.1 is about -2.8e-17 in float64: releasing
+	// every copy leaves float noise, which clamps to zero instead of
+	// going negative.
+	pool.ReserveModel("a", 0.7)
+	pool.ReserveModel("b", 0.1)
+	pool.ReleaseModel("a")
+	pool.ReleaseModel("b")
+	if pool.UsedGB() != 0 {
+		t.Errorf("UsedGB = %v, want 0 after noise-clamped release", pool.UsedGB())
 	}
-	// Releasing a hair more than was reserved is float noise, not a
-	// bookkeeping bug: it clamps to zero instead of panicking.
-	n.ReleaseWarm(10 + 1e-12)
-	if n.WarmMemGB() != 0 {
-		t.Errorf("WarmMemGB = %v, want 0 after noise-clamped release", n.WarmMemGB())
-	}
-	if !n.ReserveWarm(50) {
+	if !pool.ReserveModel("c", 50) {
 		t.Error("full-capacity reservation failed after clamp")
 	}
 }
 
 func TestDropWarmThenReReserve(t *testing.T) {
 	c := New(Spec{Nodes: 1, GPUConfigs: mig.UniformNode(mig.DefaultConfig, 1), CPUMemGB: 50})
-	n := c.Nodes[0]
-	if !n.ReserveWarm(30) {
-		t.Fatal("ReserveWarm(30) failed")
+	pool := c.Nodes[0].Pool()
+	pool.ReserveModel("a", 30)
+	pool.ReserveModel("m", 20)
+	pool.DropAll() // a node crash loses CPU memory
+	if pool.UsedGB() != 0 {
+		t.Fatalf("UsedGB = %v after DropAll, want 0", pool.UsedGB())
 	}
-	n.Pool().ReserveModel("m", 20)
-	n.DropWarm()
-	if n.WarmMemGB() != 0 {
-		t.Fatalf("WarmMemGB = %v after DropWarm, want 0", n.WarmMemGB())
-	}
-	if n.Pool().Has("m") {
-		t.Error("keyed copy survived DropWarm")
+	if pool.Has("a") || pool.Has("m") {
+		t.Error("a copy survived DropAll")
 	}
 	// The crash wiped the reservations; the full capacity is reusable
-	// and releasing the wiped reservation must not be double-counted.
-	if !n.ReserveWarm(50) {
-		t.Error("ReserveWarm(50) failed after DropWarm emptied the pool")
+	// and releasing a wiped copy must not be double-counted.
+	if !pool.ReserveModel("b", 50) {
+		t.Error("ReserveModel(b, 50) failed after DropAll emptied the pool")
 	}
-	n.ReleaseWarm(50)
-	if n.WarmMemGB() != 0 {
-		t.Errorf("WarmMemGB = %v, want 0", n.WarmMemGB())
+	pool.ReleaseModel("a")
+	if pool.UsedGB() != 50 {
+		t.Errorf("UsedGB = %v after releasing a wiped copy, want 50", pool.UsedGB())
 	}
 }
 

@@ -2,30 +2,21 @@ package cluster
 
 import (
 	"container/list"
-	"fmt"
 	"sort"
 )
 
 // MemPool is a node's host-memory pool. It backs the warm keep-alive
-// tier: every model copy parked in CPU memory holds a reservation here.
-// Two reservation styles coexist:
-//
-//   - Keyed, per-model reservations (ReserveModel/ReleaseModel), the
-//     swap tier's currency: each key is one model copy, tracked in LRU
-//     order so the pool can evict the least-recently-used copy under
-//     pressure. A copy may be "parked" — still resident, but with no
-//     live binding — which makes it the preferred eviction victim and
-//     lets a later binding reclaim it instead of refetching remotely.
-//   - Anonymous reservations (Reserve/Release), the legacy warm
-//     accounting: a bare byte count with no identity. The platform's
-//     swap-disabled path uses these, preserving the pre-swap-tier
-//     accept/reject semantics exactly.
-//
-// Both styles draw from the same capacity.
+// tier: every model copy held in CPU memory is one keyed reservation
+// (ReserveModel/ReleaseModel), tracked in LRU order so the swap tier
+// can evict the least-recently-used copy under pressure. A copy may be
+// "parked" — still resident, but with no live binding — which makes it
+// the preferred eviction victim and lets a later binding reclaim it
+// instead of refetching remotely. With the swap tier off the platform
+// only reserves and releases: one copy per bound function, never
+// evicted or parked.
 type MemPool struct {
 	capGB  float64
 	usedGB float64
-	anonGB float64
 
 	entries map[string]*poolEntry
 	lru     *list.List // front = most recently used; back = LRU victim
@@ -55,7 +46,7 @@ func NewMemPool(capGB float64) *MemPool {
 // CapacityGB returns the pool capacity.
 func (m *MemPool) CapacityGB() float64 { return m.capGB }
 
-// UsedGB returns reserved memory (keyed plus anonymous).
+// UsedGB returns reserved memory, the sum of the held copies.
 func (m *MemPool) UsedGB() float64 { return m.usedGB }
 
 // FreeGB returns unreserved capacity.
@@ -68,34 +59,6 @@ func (m *MemPool) Occupancy() float64 {
 		return 0
 	}
 	return m.usedGB / m.capGB
-}
-
-// Reserve makes an anonymous reservation. It reports false when the
-// pool cannot fit it (exact fit is allowed).
-func (m *MemPool) Reserve(gb float64) bool {
-	if m.usedGB+gb > m.capGB {
-		return false
-	}
-	m.anonGB += gb
-	m.usedGB += gb
-	return true
-}
-
-// Release returns anonymously reserved memory. Releasing more than was
-// reserved panics (beyond a float-noise tolerance, which is clamped).
-func (m *MemPool) Release(gb float64) {
-	m.anonGB -= gb
-	m.usedGB -= gb
-	if m.anonGB < -1e-9 {
-		panic(fmt.Sprintf("cluster: warm memory went negative (%v)", m.anonGB))
-	}
-	if m.anonGB < 0 {
-		m.usedGB -= m.anonGB
-		m.anonGB = 0
-	}
-	if m.usedGB < 0 {
-		m.usedGB = 0
-	}
 }
 
 // Has reports whether the pool holds a copy for key.
@@ -114,7 +77,8 @@ func (m *MemPool) Parked(key string) bool {
 // ReserveModel reserves gb for the model copy key, marking it most
 // recently used. An already-present key is refreshed in place (and
 // un-parked) regardless of gb. Reports false when the pool cannot fit
-// the reservation; the caller decides whether to evict and retry.
+// the reservation (exact fit is allowed); the caller decides whether to
+// evict and retry.
 func (m *MemPool) ReserveModel(key string, gb float64) bool {
 	if e, ok := m.entries[key]; ok {
 		e.parked = false
@@ -233,7 +197,6 @@ func (m *MemPool) ParkedCount() int {
 // DropAll empties the pool (a node crash loses CPU memory).
 func (m *MemPool) DropAll() {
 	m.usedGB = 0
-	m.anonGB = 0
 	m.entries = make(map[string]*poolEntry)
 	m.lru.Init()
 }

@@ -125,20 +125,18 @@ func TestMemPoolLoadedCopy(t *testing.T) {
 	}
 }
 
-func TestMemPoolOccupancyAndAnonymousMix(t *testing.T) {
+func TestMemPoolOccupancy(t *testing.T) {
 	m := NewMemPool(200)
 	if m.Occupancy() != 0 {
 		t.Errorf("empty occupancy = %v", m.Occupancy())
 	}
 	m.ReserveModel("a", 50)
-	if !m.Reserve(50) {
-		t.Fatal("anonymous reserve failed with room")
-	}
+	m.ReserveModel("b", 50)
 	if m.Occupancy() != 0.5 {
-		t.Errorf("occupancy = %v, want 0.5 (keyed+anonymous share capacity)", m.Occupancy())
+		t.Errorf("occupancy = %v, want 0.5", m.Occupancy())
 	}
-	if m.ReserveModel("b", 150) {
-		t.Error("keyed reservation ignored anonymous usage")
+	if m.ReserveModel("c", 150) {
+		t.Error("reservation ignored the held copies")
 	}
 	if NewMemPool(0).Occupancy() != 0 {
 		t.Error("zero-capacity pool occupancy not 0")
@@ -149,9 +147,10 @@ func TestMemPoolDropAll(t *testing.T) {
 	m := NewMemPool(100)
 	m.ReserveModel("a", 30)
 	m.MarkLoaded("a")
-	m.Reserve(20)
+	m.ReserveModel("b", 20)
+	m.Park("b")
 	m.DropAll()
-	if m.UsedGB() != 0 || m.Has("a") || m.LoadedCopy("a") || len(m.Models()) != 0 {
+	if m.UsedGB() != 0 || m.Has("a") || m.LoadedCopy("a") || len(m.Models()) != 0 || m.ParkedCount() != 0 {
 		t.Errorf("DropAll left state: used=%v has=%v", m.UsedGB(), m.Has("a"))
 	}
 	// The pool is fully usable again afterwards.

@@ -15,7 +15,7 @@ import (
 // This file is the model-density study for the swap tier (ROADMAP §3):
 // how many distinct models a small testbed can serve per GPU at
 // acceptable SLO attainment, with the host-memory pool managed by the
-// swap tier versus the legacy anonymous accounting. The workload is a
+// swap tier versus the legacy per-binding accounting. The workload is a
 // phased rotation — model registrations far exceeding host memory, but
 // a working set per phase that fits — so the tier's LRU eviction and
 // parked-copy swap-ins are exactly what keeps late-registered models

@@ -346,13 +346,7 @@ func (p *Platform) scaleUp() {
 		load := p.loadTimeFor(fn, inv.node, now)
 		inst := p.launchInstance(fn, inv.node, pl.Plan, slices, load)
 		// Drain pending into the new (still loading) instance.
-		for len(fn.pending) > 0 && inst.hasCapacity() {
-			rq := fn.popPending()
-			if p.decOn() {
-				p.decideAdmit(rq, fn.admits.drainLaunch, inst.decID, nil)
-			}
-			inst.admit(p, rq)
-		}
+		p.drainPending(inst, fn.admits.drainLaunch)
 	}
 }
 
@@ -510,7 +504,7 @@ func (inv *Invoker) maintainPool() {
 			}
 		}
 		if len(ss.bindings) == 0 && ss.serving == nil && ss.qlen() == 0 {
-			inv.releaseShared(ss)
+			inv.releaseShared(ss, "")
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"fluidfaas/internal/mig"
 	"fluidfaas/internal/obs"
 )
 
@@ -136,10 +137,13 @@ const eventLogCap = obs.DefaultBusCapacity
 
 // logEvent publishes a lifecycle event: the per-kind tally counts it,
 // subscribers see it losslessly, the bounded ring retains it for
-// Events().
-func (p *Platform) logEvent(kind EventKind, subject, detail string) {
+// Events(). touched are the slices whose state the transition changed;
+// the util ledger re-derives their base state at this instant, so every
+// transition reaches the ledger through its event.
+func (p *Platform) logEvent(kind EventKind, subject, detail string, touched ...*mig.Slice) {
 	p.tally[kind]++
 	p.events.Publish(Event{Time: p.eng.Now(), Kind: kind, Subject: subject, Detail: detail})
+	p.utilTouch(touched...)
 }
 
 // EventBus exposes the lifecycle event stream. Subscribe before Run to

@@ -58,20 +58,18 @@ func (p *Platform) injectFault(ev faults.Event) {
 			return
 		}
 		sl.SetHealthy(false)
-		p.logEvent(EvFault, sl.ID(), "slice ECC fault")
+		p.logEvent(EvFault, sl.ID(), "slice ECC fault", sl)
 		p.failSlice(sl)
-		p.utilTouch(sl)
 	case faults.GPUFault:
 		g := p.cl.Nodes[ev.Node].GPUs[ev.GPU]
 		if !g.Healthy() {
 			return
 		}
 		g.SetHealthy(false)
-		p.logEvent(EvFault, fmt.Sprintf("gpu%d", g.ID), "GPU failure")
+		p.logEvent(EvFault, fmt.Sprintf("gpu%d", g.ID), "GPU failure", g.Slices...)
 		for _, sl := range g.Slices {
 			p.failSlice(sl)
 		}
-		p.utilTouch(g.Slices...)
 	case faults.SliceDegraded:
 		// Gray failure: the slice keeps serving, but every execution,
 		// load and transfer on it stretches by the severity factor. No
@@ -98,20 +96,16 @@ func (p *Platform) injectFault(ev faults.Event) {
 			return
 		}
 		node.SetHealthy(false)
-		p.logEvent(EvFault, fmt.Sprintf("node%d", node.ID), "node crash")
-		for _, g := range node.GPUs {
-			for _, sl := range g.Slices {
-				p.failSlice(sl)
-			}
-			p.utilTouch(g.Slices...)
+		sls := node.Slices()
+		p.logEvent(EvFault, fmt.Sprintf("node%d", node.ID), "node crash", sls...)
+		for _, sl := range sls {
+			p.failSlice(sl)
 		}
 		// The crash loses the host memory holding warm copies, and the
 		// node's image/weight cache: future loads there are cold. Every
-		// surviving binding on the node must also forget its reservation
-		// — a binding that kept hostMemGB past DropWarm would release
-		// memory the pool no longer tracks and trip the negative-memory
-		// panic on unbind.
-		node.DropWarm()
+		// surviving binding on the node also forgets its copy, so its
+		// next load is a cold start, not a phantom warm one.
+		node.Pool().DropAll()
 		for _, fn := range p.funcs {
 			if b := fn.ts; b != nil && b.shared.inv.node == node {
 				b.hostMemGB = 0
@@ -137,8 +131,7 @@ func (p *Platform) recoverFault(ev faults.Event) {
 		}
 		sl.SetHealthy(true)
 		p.recoveries++
-		p.logEvent(EvRecover, sl.ID(), "slice repaired")
-		p.utilTouch(sl)
+		p.logEvent(EvRecover, sl.ID(), "slice repaired", sl)
 	case faults.GPUFault:
 		g := p.cl.Nodes[ev.Node].GPUs[ev.GPU]
 		if g.Healthy() {
@@ -146,8 +139,7 @@ func (p *Platform) recoverFault(ev faults.Event) {
 		}
 		g.SetHealthy(true)
 		p.recoveries++
-		p.logEvent(EvRecover, fmt.Sprintf("gpu%d", g.ID), "GPU recovered")
-		p.utilTouch(g.Slices...)
+		p.logEvent(EvRecover, fmt.Sprintf("gpu%d", g.ID), "GPU recovered", g.Slices...)
 	case faults.NodeCrash:
 		node := p.cl.Nodes[ev.Node]
 		if node.Healthy() {
@@ -155,10 +147,7 @@ func (p *Platform) recoverFault(ev faults.Event) {
 		}
 		node.SetHealthy(true)
 		p.recoveries++
-		p.logEvent(EvRecover, fmt.Sprintf("node%d", node.ID), "node recovered")
-		for _, g := range node.GPUs {
-			p.utilTouch(g.Slices...)
-		}
+		p.logEvent(EvRecover, fmt.Sprintf("node%d", node.ID), "node recovered", node.Slices()...)
 	case faults.SliceDegraded:
 		sl := p.cl.Nodes[ev.Node].GPUs[ev.GPU].Slices[ev.Slice]
 		if _, ok := p.degraded[sl]; !ok {
@@ -228,9 +217,8 @@ func (p *Platform) failInstance(inst *Instance) {
 			sl.Release(now)
 		}
 	}
-	p.utilTouch(inst.slices...)
 	inst.fn.removeInstance(inst)
-	p.logEvent(EvRelease, inst.id, "torn down by fault")
+	p.logEvent(EvRelease, inst.id, "torn down by fault", inst.slices...)
 	rqs := inst.inflight
 	inst.inflight = nil
 	inst.outstanding = 0
@@ -249,10 +237,9 @@ func (p *Platform) failShared(ss *sharedSlice) {
 	}
 	ss.failed = true
 	inv := ss.inv
-	now := p.eng.Now()
 	// Truncate the in-flight work recorded upfront on the slice: it
 	// died with the hardware.
-	p.cancelSliceWork(ss.slice, now)
+	p.cancelSliceWork(ss.slice, p.eng.Now())
 	var rqs []*request
 	if ss.serving != nil {
 		rqs = append(rqs, ss.serving.rq)
@@ -267,30 +254,14 @@ func (p *Platform) failShared(ss *sharedSlice) {
 		b.outstanding = 0
 		b.resident = false
 		if b.hostMemGB > 0 {
-			if p.swapOn() {
-				inv.node.Pool().ReleaseModel(b.fn.spec.Name)
-			} else {
-				inv.node.ReleaseWarm(b.hostMemGB)
-			}
+			inv.node.Pool().ReleaseModel(b.fn.spec.Name)
 			b.hostMemGB = 0
 		}
 		b.fn.ts = nil
 	}
 	ss.bindings = nil
 	ss.resident = nil
-
-	for i, x := range inv.shared {
-		if x == ss {
-			inv.shared = append(inv.shared[:i], inv.shared[i+1:]...)
-			break
-		}
-	}
-	if ss.slice.Active() {
-		ss.slice.SetActive(false, now)
-	}
-	ss.slice.Release(now)
-	p.utilTouch(ss.slice)
-	p.logEvent(EvPoolShrink, ss.slice.ID(), "torn down by fault")
+	inv.releaseShared(ss, "torn down by fault")
 	for _, rq := range rqs {
 		p.retryAfterFault(rq, "shared slice "+ss.slice.ID()+" failed")
 	}

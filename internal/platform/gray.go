@@ -213,7 +213,7 @@ func (p *Platform) quarantineSlice(sl *mig.Slice, h *sliceHealth) {
 	h.belowSince = -1
 	sl.SetQuarantined(true)
 	p.logEvent(EvSliceQuarantine, sl.ID(),
-		fmt.Sprintf("health score %.2f over %.2f", h.score, quarantineRatio))
+		fmt.Sprintf("health score %.2f over %.2f", h.score, quarantineRatio), sl)
 	if p.decOn() {
 		p.decide(decisions.Record{
 			Kind: decisions.KindQuarantine, Req: decisions.NoRequest,
@@ -227,7 +227,6 @@ func (p *Platform) quarantineSlice(sl *mig.Slice, h *sliceHealth) {
 		})
 	}
 	p.tearDownQuarantined(sl)
-	p.utilTouch(sl)
 	// A quarantine is an anomaly: freeze the provenance ring after the
 	// teardown so the dump carries the retries it caused.
 	if p.decOn() {
@@ -261,12 +260,11 @@ func (p *Platform) liftQuarantine(sl *mig.Slice) {
 		return
 	}
 	sl.SetQuarantined(false)
-	p.utilTouch(sl)
 	h.state = sliceSuspect
 	h.score = suspectRatio
 	h.samples = 0
 	h.belowSince = -1
-	p.logEvent(EvSliceSuspect, sl.ID(), "probation over: readmitted for probing")
+	p.logEvent(EvSliceSuspect, sl.ID(), "probation over: readmitted for probing", sl)
 	if p.decOn() {
 		p.decide(decisions.Record{
 			Kind: decisions.KindSuspect, Req: decisions.NoRequest,

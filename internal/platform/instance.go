@@ -125,7 +125,6 @@ func (p *Platform) launchInstance(fn *Function, node *cluster.Node, plan pipelin
 	} else {
 		resume()
 	}
-	p.utilTouch(slices...)
 	if loadTime > 0 {
 		for si, sl := range slices {
 			p.sliceWork(sl, util.BusyLoad, fn, -1, si, now, now+loadTime, 0)
@@ -135,7 +134,7 @@ func (p *Platform) launchInstance(fn *Function, node *cluster.Node, plan pipelin
 	fn.instances = append(fn.instances, inst)
 	fn.sortInstances()
 	fn.lastNodeUse[node.ID] = now
-	p.logEvent(EvLaunch, inst.id, plan.String())
+	p.logEvent(EvLaunch, inst.id, plan.String(), slices...)
 	if p.decOn() {
 		p.decide(decisions.Record{
 			Kind: decisions.KindBind, Func: fn.spec.Name,
@@ -345,37 +344,41 @@ func (p *Platform) releaseInstance(inst *Instance) {
 		panic("platform: releasing instance with outstanding requests")
 	}
 	now := p.eng.Now()
-	var freed []*mig.Slice
 	for _, sl := range inst.slices {
 		sl.Release(now)
-		freed = append(freed, sl)
 	}
 	inst.fn.removeInstance(inst)
 	inst.fn.lastNodeUse[inst.node.ID] = now
-	p.utilTouch(freed...)
 	if p.swapOn() {
 		p.parkIfUnused(inst.fn, inst.node)
 	}
-	p.logEvent(EvRelease, inst.id, "")
+	p.logEvent(EvRelease, inst.id, "", inst.slices...)
 	// Freed large slices may enable pipeline migration (§5.3).
 	if p.opts.Policy.Migration() {
-		for _, sl := range freed {
+		for _, sl := range inst.slices {
 			p.tryMigration(sl)
 		}
+	}
+}
+
+// drainPending admits the function's pending overflow into inst while
+// it has capacity; body is the admission record each drained request
+// gets (which new capacity took it).
+func (p *Platform) drainPending(inst *Instance, body decisions.Body) {
+	fn := inst.fn
+	for len(fn.pending) > 0 && inst.hasCapacity() {
+		rq := fn.popPending()
+		if p.decOn() {
+			p.decideAdmit(rq, body, inst.decID, nil)
+		}
+		inst.admit(p, rq)
 	}
 }
 
 // onInstanceSlack runs after a completion frees capacity: drain pending
 // requests, and finish retirement when a draining instance empties.
 func (p *Platform) onInstanceSlack(inst *Instance) {
-	fn := inst.fn
-	for len(fn.pending) > 0 && inst.hasCapacity() {
-		rq := fn.popPending()
-		if p.decOn() {
-			p.decideAdmit(rq, fn.admits.drainSlack, inst.decID, nil)
-		}
-		inst.admit(p, rq)
-	}
+	p.drainPending(inst, inst.fn.admits.drainSlack)
 	// A fault-failed instance already released its slices in
 	// failInstance; releasing again would double-release and panic.
 	if inst.retiring && !inst.failed && inst.outstanding == 0 {

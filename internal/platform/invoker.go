@@ -244,11 +244,11 @@ func (b *tsBinding) estLoad() float64 {
 	return keepalive.ColdStartTime(b.fn.memGB)
 }
 
-// reserveWarmCopy backs b with a host-memory copy. With the swap tier
-// on, the copy is a keyed pool reservation that may evict LRU victims
-// or reclaim a parked copy of the same model (making the next load a
-// swap-in instead of a remote fetch); off, it is the legacy anonymous
-// reservation, and failure simply leaves the binding copyless.
+// reserveWarmCopy backs b with a keyed host-pool copy of its model.
+// With the swap tier on, the reservation may evict LRU victims or
+// reclaim a parked copy of the same model (making the next load a
+// swap-in instead of a remote fetch); off, a full pool simply leaves
+// the binding copyless.
 func (inv *Invoker) reserveWarmCopy(b *tsBinding) {
 	fn := b.fn
 	if inv.p.swapOn() {
@@ -259,7 +259,7 @@ func (inv *Invoker) reserveWarmCopy(b *tsBinding) {
 		}
 		return
 	}
-	if inv.node.ReserveWarm(fn.memGB) {
+	if inv.node.Pool().ReserveModel(fn.spec.Name, fn.memGB) {
 		b.hostMemGB = fn.memGB
 	}
 }
@@ -376,10 +376,9 @@ func (inv *Invoker) growPool(fn *Function) *sharedSlice {
 		return nil
 	}
 	pick.Allocate(inv.sharedOwner(), now)
-	inv.p.utilTouch(pick)
 	ss := newSharedSlice(inv, pick)
 	inv.shared = append(inv.shared, ss)
-	inv.p.logEvent(EvPoolGrow, pick.ID(), "")
+	inv.p.logEvent(EvPoolGrow, pick.ID(), "", pick)
 	return ss
 }
 
@@ -443,7 +442,7 @@ func (inv *Invoker) reclaimIdle() int {
 				inv.unbind(b) // no sibling fits: the binding goes cold
 			}
 		}
-		inv.releaseShared(ss)
+		inv.releaseShared(ss, "")
 		freed++
 	}
 	return freed
@@ -656,24 +655,19 @@ func (inv *Invoker) unbind(b *tsBinding) {
 			// pressure evicts it first.
 			inv.node.Pool().Park(b.fn.spec.Name)
 		} else {
-			inv.node.ReleaseWarm(b.hostMemGB)
+			inv.node.Pool().ReleaseModel(b.fn.spec.Name)
 		}
 	}
 	b.fn.ts = nil
 }
 
-// releaseShared returns a pool slice to the free pool.
-func (inv *Invoker) releaseShared(ss *sharedSlice) {
-	now := inv.p.eng.Now()
-	for i, x := range inv.shared {
-		if x == ss {
-			inv.shared = append(inv.shared[:i], inv.shared[i+1:]...)
-			break
-		}
-	}
-	ss.slice.Release(now)
-	inv.p.utilTouch(ss.slice)
-	inv.p.logEvent(EvPoolShrink, ss.slice.ID(), "")
+// releaseShared returns a pool slice to the free pool; detail annotates
+// the pool-shrink event. A slice released by a fault teardown is not
+// usable, so tryMigration passes it over.
+func (inv *Invoker) releaseShared(ss *sharedSlice, detail string) {
+	inv.shared = slices.DeleteFunc(inv.shared, func(x *sharedSlice) bool { return x == ss })
+	ss.slice.Release(inv.p.eng.Now())
+	inv.p.logEvent(EvPoolShrink, ss.slice.ID(), detail, ss.slice)
 	if inv.p.opts.Policy.Migration() {
 		inv.p.tryMigration(ss.slice)
 	}
@@ -806,13 +800,7 @@ func (p *Platform) tryMigration(freed *mig.Slice) {
 	// The fresh monolith absorbs the function's pending overflow right
 	// away — discarding it stranded those requests until the next
 	// completion or control tick.
-	for len(bestFn.pending) > 0 && newInst.hasCapacity() {
-		rq := bestFn.popPending()
-		if p.decOn() {
-			p.decideAdmit(rq, bestFn.admits.drainMigrate, newInst.decID, nil)
-		}
-		newInst.admit(p, rq)
-	}
+	p.drainPending(newInst, bestFn.admits.drainMigrate)
 	if bestInst.outstanding == 0 {
 		p.releaseInstance(bestInst)
 	}

@@ -333,13 +333,7 @@ func (p *Platform) contractPipelined() {
 	worst.retiring = true
 	p.logEvent(EvContract, worst.id,
 		fmt.Sprintf("contracted %d->%d GPCs into %s", worst.plan.GPCs(), plan.GPCs(), repl.id))
-	for len(fn.pending) > 0 && repl.hasCapacity() {
-		rq := fn.popPending()
-		if p.decOn() {
-			p.decideAdmit(rq, fn.admits.drainContract, repl.decID, nil)
-		}
-		repl.admit(p, rq)
-	}
+	p.drainPending(repl, fn.admits.drainContract)
 	if worst.outstanding == 0 {
 		p.releaseInstance(worst)
 	}

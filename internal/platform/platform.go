@@ -79,8 +79,9 @@ type Options struct {
 	// Swap enables the model-swapping memory tier (swap.go): per-model
 	// host-pool reservations with LRU eviction, parked copies that make
 	// rebinds a swap-in instead of a remote refetch, and brownout swap
-	// relief. The zero value keeps the legacy anonymous warm accounting,
-	// leaving runs bit-for-bit identical.
+	// relief. The zero value keeps the legacy warm accounting (a copy
+	// lives exactly as long as its binding), leaving runs bit-for-bit
+	// identical.
 	Swap SwapOptions
 	// Gray enables the gray-failure resilience subsystem (gray.go,
 	// hedge.go): per-slice health scoring over observed-vs-declared

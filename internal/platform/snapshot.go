@@ -22,8 +22,8 @@ type HostPoolState struct {
 	CapacityGB float64 `json:"capacityGB"`
 	UsedGB     float64 `json:"usedGB"`
 	Occupancy  float64 `json:"occupancy"`
-	// Models lists resident model copies, sorted (empty under the
-	// legacy anonymous accounting).
+	// Models lists the held model copies, sorted. With the swap tier off
+	// these are the copies backing live time-sharing bindings.
 	Models []string `json:"models,omitempty"`
 	Parked int      `json:"parked,omitempty"`
 }

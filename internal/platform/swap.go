@@ -25,14 +25,15 @@ import (
 //     device-to-host drain) instead of shedding traffic, when the pool
 //     has headroom (overload.Config.PreferSwapRelief).
 //
-// Everything is gated on Options.Swap.Enabled: disabled, the platform
-// uses the legacy anonymous warm accounting and is bit-for-bit
-// identical to pre-tier behaviour (enforced by TestSwapDisabledIdentity).
+// Everything is gated on Options.Swap.Enabled: disabled, a binding
+// reserves its copy when it binds and releases it when it unbinds, with
+// no eviction, parking or reclaim, and the run is bit-for-bit identical
+// to pre-tier behaviour (enforced by TestSwapDisabledIdentity).
 
 // SwapOptions configure the model-swapping memory tier.
 type SwapOptions struct {
-	// Enabled turns the tier on. Off (the zero value), warm host copies
-	// use the legacy anonymous accounting and nothing here applies.
+	// Enabled turns the tier on. Off (the zero value), a warm host copy
+	// lives exactly as long as its binding and nothing here applies.
 	Enabled bool
 }
 

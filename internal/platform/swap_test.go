@@ -36,8 +36,8 @@ func TestWarmReloadNeedsReservation(t *testing.T) {
 	}
 	// The copyless unbind must not release memory it never reserved.
 	inv.unbind(b)
-	if got := cl.Nodes[0].WarmMemGB(); got != 0 {
-		t.Errorf("WarmMemGB = %v after unbind, want 0", got)
+	if got := cl.Nodes[0].Pool().UsedGB(); got != 0 {
+		t.Errorf("pool UsedGB = %v after unbind, want 0", got)
 	}
 
 	// Control: with room, the reservation sticks and the reload is warm.
@@ -55,9 +55,9 @@ func TestWarmReloadNeedsReservation(t *testing.T) {
 
 // TestNodeCrashZeroesSurvivingBindings: a node crash drops the host
 // pool wholesale, so any binding that outlives the per-slice teardown
-// (e.g. its shared slice already failed) must forget its reservation —
-// its later unbind would otherwise release memory the pool no longer
-// tracks and trip the negative-memory panic.
+// (e.g. its shared slice already failed) must forget its copy — its
+// next load would otherwise be a phantom warm start — and its later
+// unbind must leave the emptied pool at zero.
 func TestNodeCrashZeroesSurvivingBindings(t *testing.T) {
 	specs := specsFor(t, dnn.Small)[:1]
 	cl := smallCluster(1)
@@ -73,20 +73,19 @@ func TestNodeCrashZeroesSurvivingBindings(t *testing.T) {
 	b.shared.failed = true
 	p.injectFault(faults.Event{Kind: faults.NodeCrash, Node: 0, GPU: -1, Slice: -1})
 	if b.hostMemGB != 0 {
-		t.Fatal("binding kept its reservation past DropWarm")
+		t.Fatal("binding kept its reservation past the crash")
 	}
 	if b.everLoaded {
 		t.Error("binding still believes its copy survived the crash")
 	}
-	if got := cl.Nodes[0].WarmMemGB(); got != 0 {
-		t.Fatalf("WarmMemGB = %v after crash, want 0", got)
+	if got := cl.Nodes[0].Pool().UsedGB(); got != 0 {
+		t.Fatalf("pool UsedGB = %v after crash, want 0", got)
 	}
-	// The unbind that used to go negative.
 	if fn.ts != nil {
 		inv.unbind(fn.ts)
 	}
-	if got := cl.Nodes[0].WarmMemGB(); got != 0 {
-		t.Errorf("WarmMemGB = %v after unbind, want 0", got)
+	if got := cl.Nodes[0].Pool().UsedGB(); got != 0 {
+		t.Errorf("pool UsedGB = %v after unbind, want 0", got)
 	}
 }
 

@@ -93,10 +93,12 @@ func (p *Platform) utilBase(sl *mig.Slice) util.State {
 }
 
 // utilTouch re-derives and records the base state of the given slices at
-// the current instant. Called after every transition that can change a
-// slice's classification (allocate/release, pool grow/shrink, health
-// flips, quarantine/probation); unchanged states are no-ops in the
-// ledger, so touching broadly is safe and cheap.
+// the current instant. logEvent calls it with the slices of every
+// transition that can change a slice's classification (launch/release,
+// pool grow/shrink, health flips, quarantine/probation). The ledger
+// keeps only the last base written at an instant and ignores unchanged
+// states, so touching a slice that a later event of the same teardown
+// touches again is safe and cheap.
 func (p *Platform) utilTouch(sls ...*mig.Slice) {
 	l := p.opts.Util
 	if l == nil {
