@@ -95,9 +95,6 @@ func (d *DAG) Node(id NodeID) *Node { return &d.nodes[id] }
 // Succ returns the successors of id.
 func (d *DAG) Succ(id NodeID) []NodeID { return d.succ[id] }
 
-// Pred returns the predecessors of id.
-func (d *DAG) Pred(id NodeID) []NodeID { return d.pred[id] }
-
 // Validate checks that the graph is non-empty and acyclic. Multiple
 // entries (components consuming the raw event) and multiple exits are
 // allowed, matching the Fig. 7 programming example where two models both

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -195,15 +194,4 @@ func (e *EndToEnd) Fig16Utilization() Table {
 func (e *EndToEnd) Fig16Timeline(w Workload, system string) ([]float64, []float64) {
 	tl := e.Results[w][system].UtilGPCs
 	return tl.Times, tl.Values
-}
-
-// SortedApps returns the app names of a workload in ID order (helper
-// for reports).
-func SortedApps(w Workload) []string {
-	var names []string
-	for _, a := range appsFor(w) {
-		names = append(names, a.Name)
-	}
-	sort.Strings(names)
-	return names
 }

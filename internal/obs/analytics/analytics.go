@@ -9,18 +9,13 @@ import (
 	"fluidfaas/internal/obs"
 )
 
-// Config parameterises one analysis pass; zero fields take defaults.
-type Config struct {
-	// DriftAlpha, DriftThreshold, DriftMinSamples parameterise the
-	// profile-drift EWMA (defaults 0.2, 0.25, 8 — see NewDriftTracker).
-	DriftAlpha      float64
-	DriftThreshold  float64
-	DriftMinSamples int
-	// Burn parameterises the SLO burn-rate monitor.
-	Burn BurnConfig
-	// StragglerLimit caps the straggler report (default 10).
-	StragglerLimit int
-}
+// Config is the analysis pass's option set. It has no fields: the
+// drift, burn and straggler tunings are constants (drift.go, burn.go,
+// stragglerLimit), and Config stays so Analyze's callers need not change.
+type Config struct{}
+
+// stragglerLimit caps the straggler report.
+const stragglerLimit int = 10
 
 // FuncBlame is one function's latency blame table: per-component mean
 // and quantiles over every finalised request, plus the dominant
@@ -82,15 +77,12 @@ func (rp *Report) WriteJSON(w io.Writer) error {
 // Analyze runs the full pass — critical-path reconstruction, blame
 // aggregation, straggler extraction, drift detection, burn-rate replay —
 // over a finished recorder. The recorder is read, never mutated.
-func Analyze(cfg Config, rec *obs.Recorder) *Report {
-	if cfg.StragglerLimit <= 0 {
-		cfg.StragglerLimit = 10
-	}
+func Analyze(_ Config, rec *obs.Recorder) *Report {
 	paths := Reconstruct(rec.Spans())
 	rp := &Report{Requests: len(paths)}
-	rp.Blame, rp.Stragglers = blame(paths, cfg.StragglerLimit)
-	rp.Drift, rp.DriftEvents = drift(cfg, rec)
-	rp.Burn, rp.BurnAlerts = burn(cfg, rec)
+	rp.Blame, rp.Stragglers = blame(paths, stragglerLimit)
+	rp.Drift, rp.DriftEvents = drift(rec)
+	rp.Burn, rp.BurnAlerts = burn(rec)
 	return rp
 }
 
@@ -197,8 +189,8 @@ func blame(paths []RequestPath, stragglerLimit int) ([]FuncBlame, []Straggler) {
 
 // drift replays exec spans carrying a declared profile through the EWMA
 // tracker, in record order (the simulation's causal order).
-func drift(cfg Config, rec *obs.Recorder) ([]DriftEntry, []DriftEvent) {
-	tr := NewDriftTracker(cfg.DriftAlpha, cfg.DriftThreshold, cfg.DriftMinSamples)
+func drift(rec *obs.Recorder) ([]DriftEntry, []DriftEvent) {
+	tr := NewDriftTracker()
 	// Function names for drift keys come from the request log; spans
 	// only carry the function index.
 	names := map[int]string{}
@@ -226,8 +218,8 @@ func drift(cfg Config, rec *obs.Recorder) ([]DriftEntry, []DriftEvent) {
 
 // burn replays the finalised-request log (completion order, so times
 // are non-decreasing) through the burn monitor.
-func burn(cfg Config, rec *obs.Recorder) ([]BurnStatus, []BurnAlert) {
-	m := NewBurnMonitor(cfg.Burn)
+func burn(rec *obs.Recorder) ([]BurnStatus, []BurnAlert) {
+	m := NewBurnMonitor()
 	for o := range rec.RequestLog() {
 		m.Observe(o.Name, o.Completion, o.SLOMiss())
 	}

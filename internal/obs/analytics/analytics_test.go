@@ -121,7 +121,7 @@ func TestAnalyzeDeterministic(t *testing.T) {
 // TestDriftTrackerRecovery: a flagged key emits a recovery event when
 // its EWMA returns inside the threshold.
 func TestDriftTrackerRecovery(t *testing.T) {
-	tr := NewDriftTracker(0.5, 0.25, 2)
+	tr := NewDriftTracker()
 	k := DriftKey{Func: "app0", Stage: 0, Slice: "2g.20gb"}
 	var events []DriftEvent
 	feed := func(obsDur float64, n int) {
@@ -131,8 +131,8 @@ func TestDriftTrackerRecovery(t *testing.T) {
 			}
 		}
 	}
-	feed(2, 6) // drives EWMA well past 1.25 -> flag
-	feed(1, 8) // back toward 1 -> recover
+	feed(2, driftMinSamples) // EWMA 2, past 1.25 -> flag at minSamples
+	feed(1, 10)              // EWMA 1+0.8^k, inside 1.25 from k=7 -> recover
 	if len(events) != 2 {
 		t.Fatalf("events = %+v, want flag then recover", events)
 	}
@@ -144,40 +144,41 @@ func TestDriftTrackerRecovery(t *testing.T) {
 	}
 }
 
-// TestDriftTrackerMinSamples: no event before minSamples observations,
-// however extreme the ratio.
+// TestDriftTrackerMinSamples: no event before driftMinSamples
+// observations, however extreme the ratio.
 func TestDriftTrackerMinSamples(t *testing.T) {
-	tr := NewDriftTracker(0.2, 0.25, 8)
+	tr := NewDriftTracker()
 	k := DriftKey{Func: "app0", Stage: -1, Slice: "7g.80gb"}
-	for i := 0; i < 7; i++ {
+	for i := 0; i < driftMinSamples-1; i++ {
 		if ev := tr.Observe(float64(i), k, 10, 1); ev != nil {
 			t.Fatalf("event before minSamples: %+v", ev)
 		}
 	}
-	if ev := tr.Observe(7, k, 10, 1); ev == nil {
+	if ev := tr.Observe(float64(driftMinSamples-1), k, 10, 1); ev == nil {
 		t.Error("no event at minSamples with a 10x ratio")
 	}
 }
 
-// TestBurnMonitorWindows: a burst of misses pages while both windows
+// TestBurnMonitorWindows: a burst of misses warns while both windows
 // burn, then resolves once the short window slides past the burst.
 func TestBurnMonitorWindows(t *testing.T) {
-	m := NewBurnMonitor(BurnConfig{Budget: 0.1, ShortWindow: 10, LongWindow: 100})
-	// 20 misses in 0..10 burn both windows at 10x budget -> page
-	// (threshold 14.4 needs budget 0.1: burn = 1/0.1 = 10... not enough
-	// for page, but past warn 6).
+	m := NewBurnMonitor()
+	// 90 successes then 10 misses in 0..50 s: both windows hold all 100,
+	// so the miss rate climbs to 10% — a burn of 10 against the 1%
+	// budget, past warn (6) but short of page (14.4).
 	var fired []BurnAlert
-	for i := 0; i < 20; i++ {
-		if a := m.Observe("app0", float64(i)/2, true); a != nil {
+	for i := 0; i < 100; i++ {
+		if a := m.Observe("app0", float64(i)/2, i >= 90); a != nil {
 			fired = append(fired, *a)
 		}
 	}
 	if len(fired) != 1 || fired[0].Severity != "warn" || fired[0].Resolved {
 		t.Fatalf("burst alerts = %+v, want one warn", fired)
 	}
-	// Successes push the short window's miss rate to zero -> resolve.
+	// Successes after the short window has slid past the burst leave it
+	// burning nothing -> resolve.
 	for i := 0; i < 30; i++ {
-		if a := m.Observe("app0", 11+float64(i), false); a != nil {
+		if a := m.Observe("app0", burnShortWindow+100+float64(i), false); a != nil {
 			fired = append(fired, *a)
 		}
 	}
@@ -193,7 +194,7 @@ func TestBurnMonitorWindows(t *testing.T) {
 // TestBurnMonitorPage: misses at full budget-burn in both windows
 // escalate straight to page.
 func TestBurnMonitorPage(t *testing.T) {
-	m := NewBurnMonitor(BurnConfig{Budget: 0.01, ShortWindow: 10, LongWindow: 100})
+	m := NewBurnMonitor()
 	var page *BurnAlert
 	for i := 0; i < 10; i++ {
 		if a := m.Observe("app0", float64(i), true); a != nil && page == nil {

@@ -99,13 +99,13 @@ func (w *burnWindow) observe(t float64, miss bool) {
 	}
 }
 
-// burn returns the window's burn rate: miss-rate divided by budget.
-// An empty window burns nothing.
-func (w *burnWindow) burn(budget float64) float64 {
-	if w.total == 0 || budget <= 0 {
+// burn returns the window's burn rate: miss-rate divided by
+// burnBudget. An empty window burns nothing.
+func (w *burnWindow) burn() float64 {
+	if w.total == 0 {
 		return 0
 	}
-	return float64(w.misses) / float64(w.total) / budget
+	return float64(w.misses) / float64(w.total) / burnBudget
 }
 
 // funcBurn is one function's monitor state.
@@ -118,52 +118,29 @@ type funcBurn struct {
 	warns       int
 }
 
-// BurnConfig parameterises the monitor; zero fields take defaults.
-type BurnConfig struct {
-	// Budget is the allowed SLO-miss fraction (default 0.01 — a 99%
-	// objective).
-	Budget float64
-	// ShortWindow and LongWindow are the two burn windows in seconds
-	// (defaults 300 and 3600).
-	ShortWindow float64
-	LongWindow  float64
-	// PageBurn and WarnBurn are the burn-rate thresholds (defaults 14.4
-	// and 6 — the canonical 1h/6h budget-exhaustion rates).
-	PageBurn float64
-	WarnBurn float64
-}
-
-// withDefaults fills zero fields.
-func (c BurnConfig) withDefaults() BurnConfig {
-	if c.Budget <= 0 {
-		c.Budget = 0.01
-	}
-	if c.ShortWindow <= 0 {
-		c.ShortWindow = 300
-	}
-	if c.LongWindow <= 0 {
-		c.LongWindow = 3600
-	}
-	if c.PageBurn <= 0 {
-		c.PageBurn = 14.4
-	}
-	if c.WarnBurn <= 0 {
-		c.WarnBurn = 6
-	}
-	return c
-}
+// Burn-monitor tuning.
+const (
+	// burnBudget is the allowed SLO-miss fraction: a 99% objective.
+	burnBudget float64 = 0.01
+	// burnShortWindow and burnLongWindow are the two burn windows (s).
+	burnShortWindow float64 = 300
+	burnLongWindow  float64 = 3600
+	// burnPage and burnWarn are the burn-rate thresholds: the canonical
+	// 1h and 6h budget-exhaustion rates.
+	burnPage float64 = 14.4
+	burnWarn float64 = 6
+)
 
 // BurnMonitor tracks per-function SLO burn rates over two sliding
 // virtual-time windows and raises threshold alerts.
 type BurnMonitor struct {
-	cfg    BurnConfig
 	funcs  map[string]*funcBurn
 	alerts []BurnAlert
 }
 
-// NewBurnMonitor returns a monitor with cfg's zero fields defaulted.
-func NewBurnMonitor(cfg BurnConfig) *BurnMonitor {
-	return &BurnMonitor{cfg: cfg.withDefaults(), funcs: map[string]*funcBurn{}}
+// NewBurnMonitor returns an empty monitor.
+func NewBurnMonitor() *BurnMonitor {
+	return &BurnMonitor{funcs: map[string]*funcBurn{}}
 }
 
 // Observe feeds one finalised request (times must be non-decreasing,
@@ -173,8 +150,8 @@ func (m *BurnMonitor) Observe(fn string, t float64, miss bool) *BurnAlert {
 	fb, ok := m.funcs[fn]
 	if !ok {
 		fb = &funcBurn{
-			short: burnWindow{width: m.cfg.ShortWindow},
-			long:  burnWindow{width: m.cfg.LongWindow},
+			short: burnWindow{width: burnShortWindow},
+			long:  burnWindow{width: burnLongWindow},
 		}
 		m.funcs[fn] = fb
 	}
@@ -185,13 +162,13 @@ func (m *BurnMonitor) Observe(fn string, t float64, miss bool) *BurnAlert {
 	fb.short.observe(t, miss)
 	fb.long.observe(t, miss)
 
-	sb := fb.short.burn(m.cfg.Budget)
-	lb := fb.long.burn(m.cfg.Budget)
+	sb := fb.short.burn()
+	lb := fb.long.burn()
 	level := BurnNone
 	switch {
-	case sb >= m.cfg.PageBurn && lb >= m.cfg.PageBurn:
+	case sb >= burnPage && lb >= burnPage:
 		level = BurnPage
-	case sb >= m.cfg.WarnBurn && lb >= m.cfg.WarnBurn:
+	case sb >= burnWarn && lb >= burnWarn:
 		level = BurnWarn
 	}
 	if level == fb.active {
@@ -225,9 +202,9 @@ func (m *BurnMonitor) Status() []BurnStatus {
 	out := make([]BurnStatus, 0, len(m.funcs))
 	for fn, fb := range m.funcs {
 		out = append(out, BurnStatus{
-			Func: fn, Budget: m.cfg.Budget,
-			ShortBurn: fb.short.burn(m.cfg.Budget),
-			LongBurn:  fb.long.burn(m.cfg.Budget),
+			Func: fn, Budget: burnBudget,
+			ShortBurn: fb.short.burn(),
+			LongBurn:  fb.long.burn(),
 			Misses:    fb.misses, Total: fb.total,
 			Active: fb.active.String(),
 			Pages:  fb.pages, Warns: fb.warns,

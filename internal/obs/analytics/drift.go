@@ -58,32 +58,24 @@ type DriftEvent struct {
 	Recovered bool `json:"recovered"`
 }
 
+// Drift-tracker tuning: the EWMA smoothing weight, the divergence
+// threshold on |EWMA-1|, and the observations a key needs before it can
+// flag (a fresh EWMA is noise).
+const (
+	driftAlpha      float64 = 0.2
+	driftThreshold  float64 = 0.25
+	driftMinSamples int     = 8
+)
+
 // DriftTracker maintains EWMA drift ratios per key. The zero value is
 // unusable; build with NewDriftTracker.
 type DriftTracker struct {
-	alpha      float64
-	threshold  float64
-	minSamples int
-	states     map[DriftKey]*DriftEntry
+	states map[DriftKey]*DriftEntry
 }
 
-// NewDriftTracker returns a tracker smoothing with alpha (default 0.2),
-// flagging when |EWMA-1| > threshold (default 0.25) after at least
-// minSamples observations (default 8 — a fresh EWMA is noise).
-func NewDriftTracker(alpha, threshold float64, minSamples int) *DriftTracker {
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.2
-	}
-	if threshold <= 0 {
-		threshold = 0.25
-	}
-	if minSamples <= 0 {
-		minSamples = 8
-	}
-	return &DriftTracker{
-		alpha: alpha, threshold: threshold, minSamples: minSamples,
-		states: map[DriftKey]*DriftEntry{},
-	}
+// NewDriftTracker returns an empty tracker.
+func NewDriftTracker() *DriftTracker {
+	return &DriftTracker{states: map[DriftKey]*DriftEntry{}}
 }
 
 // Observe folds one stage execution into the key's EWMA. It returns a
@@ -99,15 +91,15 @@ func (d *DriftTracker) Observe(t float64, k DriftKey, observed, declared float64
 		st = &DriftEntry{Key: k, Ratio: ratio}
 		d.states[k] = st
 	} else {
-		st.Ratio = d.alpha*ratio + (1-d.alpha)*st.Ratio
+		st.Ratio = driftAlpha*ratio + (1-driftAlpha)*st.Ratio
 	}
 	st.LastObserved = observed
 	st.Declared = declared
 	st.Samples++
-	if st.Samples < d.minSamples {
+	if st.Samples < driftMinSamples {
 		return nil
 	}
-	diverged := st.Ratio > 1+d.threshold || st.Ratio < 1-d.threshold
+	diverged := st.Ratio > 1+driftThreshold || st.Ratio < 1-driftThreshold
 	if diverged == st.Flagged {
 		return nil
 	}

@@ -34,9 +34,6 @@ func NewBus[T any](capacity int) *Bus[T] {
 	return &Bus[T]{ring: NewRing[T](capacity)}
 }
 
-// Capacity returns the ring's bound.
-func (b *Bus[T]) Capacity() int { return b.ring.capacity }
-
 // Subscribe registers fn to be called synchronously with every value
 // published after this point. The returned cancel function removes the
 // subscription (idempotent).
@@ -57,13 +54,6 @@ func (b *Bus[T]) Total() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.ring.Total()
-}
-
-// Retained returns how many values the ring currently holds.
-func (b *Bus[T]) Retained() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.ring.Retained()
 }
 
 // Dropped returns how many published values the ring has overwritten —
@@ -118,9 +108,6 @@ func (r *Ring[T]) Push(v T) {
 
 // Total returns how many values were ever pushed.
 func (r *Ring[T]) Total() int { return r.total }
-
-// Retained returns how many values the ring currently holds.
-func (r *Ring[T]) Retained() int { return len(r.buf) }
 
 // Dropped returns how many pushed values the ring has overwritten.
 func (r *Ring[T]) Dropped() int { return r.total - len(r.buf) }

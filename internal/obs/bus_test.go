@@ -17,8 +17,8 @@ func TestBusRingWraparound(t *testing.T) {
 	if b.Total() != 20 {
 		t.Errorf("Total = %d, want 20", b.Total())
 	}
-	if b.Retained() != 8 {
-		t.Errorf("Retained = %d, want 8", b.Retained())
+	if n := len(b.Snapshot()); n != 8 {
+		t.Errorf("retained = %d, want 8", n)
 	}
 	if b.Dropped() != 12 {
 		t.Errorf("Dropped = %d, want 12", b.Dropped())
@@ -103,13 +103,16 @@ func TestBusSubscribers(t *testing.T) {
 }
 
 // TestBusDefaultCapacity: non-positive capacities fall back to the
-// default.
+// default: the ring keeps the newest DefaultBusCapacity values.
 func TestBusDefaultCapacity(t *testing.T) {
-	if got := NewBus[int](0).Capacity(); got != DefaultBusCapacity {
-		t.Errorf("Capacity = %d, want %d", got, DefaultBusCapacity)
-	}
-	if got := NewBus[int](-5).Capacity(); got != DefaultBusCapacity {
-		t.Errorf("Capacity = %d, want %d", got, DefaultBusCapacity)
+	for _, capacity := range []int{0, -5} {
+		b := NewBus[int](capacity)
+		for i := 0; i <= DefaultBusCapacity; i++ {
+			b.Publish(i)
+		}
+		if n, d := len(b.Snapshot()), b.Dropped(); n != DefaultBusCapacity || d != 1 {
+			t.Errorf("NewBus(%d): retained %d, dropped %d, want %d and 1", capacity, n, d, DefaultBusCapacity)
+		}
 	}
 }
 
@@ -122,7 +125,7 @@ func TestBusSubscriberChurnDropAccounting(t *testing.T) {
 	for i := 0; i < 11; i++ {
 		b.Publish(i)
 	}
-	droppedAtJoin, retainedAtJoin := b.Dropped(), b.Retained()
+	droppedAtJoin, retainedAtJoin := b.Dropped(), len(b.Snapshot())
 	if droppedAtJoin != 7 {
 		t.Fatalf("Dropped before join = %d, want 7", droppedAtJoin)
 	}
@@ -179,9 +182,9 @@ func TestBusConcurrentPublishSubscribe(t *testing.T) {
 	if b.Total() != publishers*perPub {
 		t.Errorf("Total = %d, want %d", b.Total(), publishers*perPub)
 	}
-	if b.Dropped()+b.Retained() != b.Total() {
-		t.Errorf("Dropped %d + Retained %d != Total %d",
-			b.Dropped(), b.Retained(), b.Total())
+	if retained := len(b.Snapshot()); b.Dropped()+retained != b.Total() {
+		t.Errorf("Dropped %d + retained %d != Total %d",
+			b.Dropped(), retained, b.Total())
 	}
 	if got := len(b.Snapshot()); got != 16 {
 		t.Errorf("snapshot len = %d, want 16", got)

@@ -285,9 +285,9 @@ func TestChromeTraceAllocs(t *testing.T) {
 			case 3:
 				r.Counter("health", "score", tr, t0, 1+float64(i)*1e-4)
 			case 4:
-				r.Mark("launch", "app0#1", t0, "[4g]")
+				r.MarkCat("event", "launch", "app0#1", t0, "[4g]")
 			case 5:
-				r.Mark("evict", tr, t0, "")
+				r.MarkCat("event", "evict", tr, t0, "")
 			}
 		}
 		return r

@@ -108,9 +108,6 @@ type Recorder struct {
 // NewRecorder returns an empty, enabled recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// Enabled reports whether the recorder collects anything.
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // RegisterTrack declares a hardware track (a MIG slice) on a node.
 // Registration order fixes the export's thread ordering; registering a
 // name twice is a no-op.
@@ -220,16 +217,12 @@ func (r *Recorder) AsyncMark(cat, name string, fn, req int, t float64, detail st
 	})
 }
 
-// Mark records an instant on a hardware or platform track; the metrics
-// export counts instants by name. The track may be unregistered (instance IDs, function
-// names); the export puts those on the platform-wide track.
-func (r *Recorder) Mark(name, track string, t float64, detail string) {
-	r.MarkCat("event", name, track, t, detail)
-}
-
-// MarkCat is Mark with an explicit category ("health" for gray
+// MarkCat records an instant on a hardware or platform track under a
+// category ("event" for lifecycle events, "health" for gray
 // transitions, "swap" for tier traffic, ...), so trace viewers can
-// group and filter lifecycle instants by subsystem.
+// group and filter instants by subsystem; the metrics export counts
+// instants by name. The track may be unregistered (instance IDs,
+// function names); the export puts those on the platform-wide track.
 func (r *Recorder) MarkCat(cat, name, track string, t float64, detail string) {
 	if r == nil {
 		return

@@ -14,14 +14,11 @@ import (
 // the disabled sink must cost nothing and never panic.
 func TestNilRecorder(t *testing.T) {
 	var r *Recorder
-	if r.Enabled() {
-		t.Fatal("nil recorder reports enabled")
-	}
 	r.RegisterTrack(0, "gpu0/1g.10gb#0")
 	r.SliceSpan("exec", "app0", "gpu0/1g.10gb#0", 0, 1, 0, 0, 1)
 	r.AsyncSpan("request", "app0", 0, 1, 0, 2, "")
 	r.AsyncMark("retry", "retry", 0, 1, 1, "node died")
-	r.Mark("launch", "app0#1", 0, "")
+	r.MarkCat("event", "launch", "app0#1", 0, "")
 	r.ObserveRequest(RequestObs{Name: "app0", Outcome: "served", Completion: 0.5})
 	r.CancelSliceWork("gpu0/1g.10gb#0", 0.5)
 	r.SetGauge("g", 1)
@@ -110,8 +107,8 @@ func sampleRecorder() *Recorder {
 	r.SliceSpan("exec", "exec app0", "gpu0/4g.40gb#0", 0, 7, 0, 1.0, 2.0)
 	r.SliceSpan("transfer", "transfer", "gpu0/4g.40gb#0", 0, 7, 0, 2.0, 2.1)
 	r.AsyncMark("retry", "retry", 0, 7, 2.2, "slice failed")
-	r.Mark("launch", "app0#1", 0.1, "[4g]")
-	r.Mark("evict", "gpu0/2g.20gb#0", 1.5, "LRU")
+	r.MarkCat("event", "launch", "app0#1", 0.1, "[4g]")
+	r.MarkCat("event", "evict", "gpu0/2g.20gb#0", 1.5, "LRU")
 	r.ObserveRequest(RequestObs{Name: "app0", Req: 7, Completion: 2.5, Outcome: "served"})
 	r.ObserveRequest(RequestObs{Name: "app0", Req: 8, Arrival: 1, Completion: 9, Outcome: "dropped"})
 	// Exactly on the first bound.

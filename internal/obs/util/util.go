@@ -166,9 +166,6 @@ func NewLedger() *Ledger {
 	return &Ledger{slices: make(map[string]*sliceSeries)}
 }
 
-// Enabled reports whether the ledger collects anything.
-func (l *Ledger) Enabled() bool { return l != nil }
-
 func (l *Ledger) series(id string) *sliceSeries {
 	ss := l.slices[id]
 	if ss == nil {
@@ -294,9 +291,6 @@ func (l *Ledger) Close(end float64) {
 	l.end = end
 	l.report = l.build(end)
 }
-
-// Closed reports whether the ledger has been resolved.
-func (l *Ledger) Closed() bool { return l != nil && l.closed }
 
 // Report returns the resolved utilization report. Calling it before
 // Close is a caller bug and panics: the ledger cannot know where the

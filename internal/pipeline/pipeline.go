@@ -50,15 +50,6 @@ func (p Plan) Throughput() float64 {
 	return 1 / p.Bottleneck
 }
 
-// TotalMemGB returns the summed stage memory.
-func (p Plan) TotalMemGB() float64 {
-	t := 0.0
-	for _, s := range p.Stages {
-		t += s.MemGB
-	}
-	return t
-}
-
 // GPCs returns the total compute the plan occupies.
 func (p Plan) GPCs() int {
 	t := 0

@@ -22,15 +22,6 @@ func CountsOf(avail []mig.SliceType) Counts {
 	return c
 }
 
-// Total returns the number of slices in the multiset.
-func (c Counts) Total() int {
-	n := 0
-	for _, v := range c {
-		n += v
-	}
-	return n
-}
-
 // sigBits is the width of each per-type count in a Signature; counts at
 // or above 1<<sigBits cannot be canonicalized and fall back to the
 // uncached path.
