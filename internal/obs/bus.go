@@ -21,7 +21,9 @@ import "sync"
 type Bus[T any] struct {
 	mu   sync.Mutex
 	ring Ring[T]
-	subs Subscribers[T]
+	// subs is copy-on-write: Publish delivers from the list it read
+	// under the lock, so cancel never changes a slot in place.
+	subs []func(T)
 }
 
 // DefaultBusCapacity is the ring size when NewBus or NewRing is given a
@@ -37,7 +39,22 @@ func NewBus[T any](capacity int) *Bus[T] {
 // Subscribe registers fn to be called synchronously with every value
 // published after this point. The returned cancel function removes the
 // subscription (idempotent).
-func (b *Bus[T]) Subscribe(fn func(T)) (cancel func()) { return b.subs.Add(&b.mu, fn) }
+func (b *Bus[T]) Subscribe(fn func(T)) (cancel func()) {
+	b.mu.Lock()
+	b.subs = append(b.subs, fn)
+	idx := len(b.subs) - 1
+	b.mu.Unlock()
+	return func() {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		if b.subs[idx] != nil {
+			subs := make([]func(T), len(b.subs))
+			copy(subs, b.subs)
+			subs[idx] = nil
+			b.subs = subs
+		}
+	}
+}
 
 // Publish appends v to the ring (overwriting the oldest value when
 // full) and delivers it to every live subscriber in subscription order.
@@ -46,7 +63,11 @@ func (b *Bus[T]) Publish(v T) {
 	b.ring.Push(v)
 	subs := b.subs
 	b.mu.Unlock()
-	subs.Deliver(v)
+	for _, fn := range subs {
+		if fn != nil {
+			fn(v)
+		}
+	}
 }
 
 // Total returns how many values were ever published.
@@ -122,44 +143,4 @@ func (r *Ring[T]) Snapshot() []T {
 	out := make([]T, 0, r.capacity)
 	out = append(out, r.buf[r.next:]...)
 	return append(out, r.buf[:r.next]...)
-}
-
-// Subscribers is a subscriber list guarded by its owner's mutex: a
-// Bus's, or that of an owner that keeps a Ring under its own lock. The
-// owner copies the list under the lock and delivers from the copy after
-// releasing it.
-type Subscribers[T any] struct{ fns []func(T) }
-
-// Add registers fn, holding mu, and returns the cancel that removes it
-// (idempotent, also under mu).
-func (s *Subscribers[T]) Add(mu *sync.Mutex, fn func(T)) (cancel func()) {
-	mu.Lock()
-	s.fns = append(s.fns, fn)
-	idx := len(s.fns) - 1
-	mu.Unlock()
-	return func() {
-		mu.Lock()
-		defer mu.Unlock()
-		// Copy-on-write: an in-flight delivery may still be walking the
-		// old list outside the lock, so never nil a slot in place.
-		if s.fns[idx] != nil {
-			fns := make([]func(T), len(s.fns))
-			copy(fns, s.fns)
-			fns[idx] = nil
-			s.fns = fns
-		}
-	}
-}
-
-// Len returns how many subscriptions were ever added, cancelled ones
-// included.
-func (s Subscribers[T]) Len() int { return len(s.fns) }
-
-// Deliver calls every live subscriber with v, in subscription order.
-func (s Subscribers[T]) Deliver(v T) {
-	for _, fn := range s.fns {
-		if fn != nil {
-			fn(v)
-		}
-	}
 }

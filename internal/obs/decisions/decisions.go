@@ -13,7 +13,7 @@
 // attempt) that refers to a body registered once and shared by every
 // record of the same shape, to interned instance and slice IDs, and to
 // typed candidates in an append-only arena. Entries flow into a bounded
-// ring (counted, live subscribable) for the /decisions stream, and
+// ring (counted) for the /decisions stream, and
 // additionally into per-request chains kept lossless so /why?req=<id>
 // can replay a request's complete fate even after the ring has wrapped.
 // An anomaly-triggered Freeze snapshots the ring into a bounded dump
@@ -329,7 +329,6 @@ type dump struct {
 type Recorder struct {
 	mu     sync.Mutex
 	ring   obs.Ring[entry]
-	subs   obs.Subscribers[Record]
 	bodies chunk.Table[body]
 	ids    []string
 	idOf   map[string]ID
@@ -415,8 +414,7 @@ func (r *Recorder) Record(rec Record) {
 	r.emit(&rec, entry{time: rec.Time, req: rec.Req, attempt: int32(rec.Attempt)}, nil)
 }
 
-// emit stores e, with rec registered as its body when non-nil, and
-// delivers it to the subscribers.
+// emit stores e, with rec registered as its body when non-nil.
 func (r *Recorder) emit(rec *Record, e entry, cands []Cand) {
 	r.mu.Lock()
 	if rec != nil {
@@ -446,15 +444,7 @@ func (r *Recorder) emit(rec *Record, e entry, cands []Cand) {
 		r.chains[e.req] = c
 		r.log.Push(e)
 	}
-	subs := r.subs
-	var t tables
-	if subs.Len() > 0 {
-		t = r.tables()
-	}
 	r.mu.Unlock()
-	if subs.Len() > 0 {
-		subs.Deliver(t.record(&e))
-	}
 }
 
 // Freeze snapshots the ring into the dump list, tagged with the anomaly
@@ -588,17 +578,6 @@ func (r *Recorder) Snapshot() []Record {
 	es, t := r.ring.Snapshot(), r.tables()
 	r.mu.Unlock()
 	return t.records(es)
-}
-
-// Subscribe registers fn to be called synchronously with every record
-// made after this point, rendered as Snapshot renders it. The returned
-// cancel removes the subscription (idempotent; a no-op on a nil
-// recorder).
-func (r *Recorder) Subscribe(fn func(Record)) (cancel func()) {
-	if r == nil {
-		return func() {}
-	}
-	return r.subs.Add(&r.mu, fn)
 }
 
 // Total returns how many decisions were ever recorded.

@@ -46,9 +46,6 @@ func TestNilRecorder(t *testing.T) {
 		r.Dumps() != nil || r.Requests() != nil {
 		t.Error("nil recorder returns non-nil collections")
 	}
-	if cancel := r.Subscribe(func(Record) {}); cancel == nil {
-		t.Error("nil recorder Subscribe returned nil cancel")
-	}
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Errorf("nil WriteJSON: %v", err)
@@ -118,28 +115,11 @@ func TestRecorderFreeze(t *testing.T) {
 	}
 }
 
-// TestRecorderSubscribe: a subscriber sees records as they are made,
-// already stamped with their sequence number.
-func TestRecorderSubscribe(t *testing.T) {
-	r := NewRecorder(2)
-	var seqs []int
-	cancel := r.Subscribe(func(rec Record) { seqs = append(seqs, rec.Seq) })
-	r.Record(Record{Kind: KindAdmit, Req: 1})
-	r.Record(Record{Kind: KindReject, Req: 2})
-	cancel()
-	r.Record(Record{Kind: KindDrop, Req: 3})
-	if len(seqs) != 2 || seqs[0] != 0 || seqs[1] != 1 {
-		t.Errorf("subscriber seqs = %v, want [0 1]", seqs)
-	}
-}
-
-// TestSubscribeMatchesSnapshot: a subscriber receives each record
-// exactly as Snapshot renders the same seq, typed candidates and
-// interned subjects included.
-func TestSubscribeMatchesSnapshot(t *testing.T) {
+// TestTypedCandidatesRender: an emitted record renders its interned
+// subject and typed candidates, each reason as text, after the body's
+// own fields.
+func TestTypedCandidatesRender(t *testing.T) {
 	r := NewRecorder(16)
-	var got []Record
-	r.Subscribe(func(rec Record) { got = append(got, rec) })
 	inst, slice := r.Intern("bert#1"), r.Intern("gpu0/1g#2")
 	admit := r.Body(Record{Kind: KindAdmit, Func: "bert", Rule: "scan", Outcome: "pending"})
 	r.Record(Record{Time: 1, Kind: KindBind, Func: "bert", Req: NoRequest, Subject: "gpu0/1g#2",
@@ -151,8 +131,8 @@ func TestSubscribeMatchesSnapshot(t *testing.T) {
 	})
 	r.Emit(3, admit, 6, 0, NoID, nil)
 	snap := r.Snapshot()
-	if !reflect.DeepEqual(got, snap) {
-		t.Fatalf("subscriber saw\n %+v\nSnapshot has\n %+v", got, snap)
+	if len(snap) != 3 || snap[2].Subject != "" || len(snap[2].Candidates) != 0 {
+		t.Fatalf("Snapshot = %+v, want the bind and two admits, the last bare", snap)
 	}
 	want := []Candidate{
 		{ID: "bert#1", Reason: "at capacity (4/4)"},

@@ -244,10 +244,11 @@ func (l *Ledger) Busy(id string, s State, start, end float64) {
 }
 
 // CancelBusy truncates the slice's busy claims at `at`: claims that
-// start later vanish, claims spanning it end there. Fault and
-// quarantine teardowns call this so upfront-recorded work that died
-// with its owner does not masquerade as busy time after the teardown —
-// the ledger-side twin of obs.Recorder.CancelSliceWork.
+// start later vanish, claims spanning it end there. The platform calls
+// it, beside obs.Recorder.CancelSliceWork, for every slice a fault or
+// quarantine teardown transition touches, so upfront-recorded work
+// that died with its owner does not masquerade as busy time after the
+// teardown.
 func (l *Ledger) CancelBusy(id string, at float64) {
 	if l == nil {
 		return

@@ -5,6 +5,7 @@ import (
 
 	"fluidfaas/internal/dnn"
 	"fluidfaas/internal/mig"
+	"fluidfaas/internal/obs/decisions"
 	"fluidfaas/internal/pipeline"
 	"fluidfaas/internal/scheduler"
 )
@@ -90,5 +91,38 @@ func TestKickScaleUpAllocatesNothing(t *testing.T) {
 	}
 	if p.scaleKick {
 		t.Error("the kicked pass did not run")
+	}
+}
+
+// TestTransitionAllocatesNothingWithoutObservers: with no observer
+// attached, logging a teardown transition that carries touched slices,
+// a request and a decision builder allocates nothing. The builder never
+// runs, and neither it, the touched list nor what the builder captures
+// leaves the stack. The builder nests another closure made per call, as
+// a rejection's does: each chaos-workload run logs about 83k rejections
+// with provenance off.
+func TestTransitionAllocatesNothingWithoutObservers(t *testing.T) {
+	p, inst := twoStagePlatform(t, 1)
+	rq := &request{id: 1, fn: inst.fn}
+	built := 0
+	got := testing.AllocsPerRun(100, func() {
+		est := p.eng.Now() + 1
+		inputs := func() []decisions.KV { return []decisions.KV{kvF("estimate", est)} }
+		p.logEvent(EvRelease, inst.id, "torn down", transition{
+			touched: []*mig.Slice{inst.slices[0], inst.slices[1]}, teardown: true, rq: rq,
+			decision: func() decisions.Record {
+				built++
+				return decisions.Record{Kind: decisions.KindDrop, Subject: inst.id, Inputs: inputs()}
+			},
+		})
+	})
+	if got != 0 {
+		t.Errorf("a transition with observers off allocates %v times, want 0", got)
+	}
+	if built != 0 {
+		t.Errorf("the decision builder ran %d times with provenance off", built)
+	}
+	if n := p.CountEvents()[EvRelease]; n < 100 {
+		t.Errorf("%d release events logged, want at least 100", n)
 	}
 }

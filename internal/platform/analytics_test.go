@@ -193,7 +193,7 @@ func TestServerReadsDecisionsDuringRun(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		runRich(t, dec)
+		runRich(t, Options{Decisions: dec})
 	}()
 	get := func(url string) []byte {
 		w := httptest.NewRecorder()

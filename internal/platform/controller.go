@@ -275,21 +275,21 @@ func (p *Platform) scaleUp() {
 				}
 				if ok {
 					fn.ts.loadChurn = 0
-					p.logEvent(EvPromote, fn.spec.Name, "reload churn: spread to own pool slice")
+					p.logEvent(EvPromote, fn.spec.Name, "reload churn: spread to own pool slice", transition{})
 				}
 				// Otherwise: no slice to spread to; keep the churn and
 				// retry next tick.
 			} else {
 				fn.ts.loadChurn = 0
 				want = 1
-				p.logEvent(EvPromote, fn.spec.Name, "reload churn on shared slice")
+				p.logEvent(EvPromote, fn.spec.Name, "reload churn on shared slice", transition{})
 			}
 		} else if p.opts.Policy.TimeSharing() && fn.ts != nil &&
 			len(fn.instances) == 0 && fn.ts.tracker.IsHot(now) {
 			// Fig. 8 transition 2: hot time-sharing function gets an
 			// exclusive instance.
 			want = 1
-			p.logEvent(EvPromote, fn.spec.Name, "time-sharing binding is hot")
+			p.logEvent(EvPromote, fn.spec.Name, "time-sharing binding is hot", transition{})
 		}
 		for i := 0; i < want; i++ {
 			reqs = append(reqs, scheduler.Req{
@@ -448,24 +448,24 @@ func (p *Platform) manageKeepAlive() {
 func (p *Platform) demote(inst *Instance) {
 	fn := inst.fn
 	inv := p.invokerOf(inst.node)
-	p.logEvent(EvDemote, inst.id, "idle below hotness threshold")
-	if p.decOn() {
-		now := p.eng.Now()
-		outcome := "slices released, warm binding kept"
-		if fn.ts == nil && !inst.Pipelined() {
-			outcome = "slice adopted into pool, model resident"
-		}
-		p.decide(decisions.Record{
-			Kind: decisions.KindDemote, Func: fn.spec.Name,
-			Req: decisions.NoRequest, Subject: inst.id,
-			Rule: "idle below hotness threshold", Outcome: outcome,
-			Inputs: []decisions.KV{
-				kvF("idle", inst.tracker.IdleFor(now)),
-				kvF("threshold", p.effIdleDemote()),
-			},
-		})
-	}
-	if fn.ts == nil && !inst.Pipelined() {
+	adopt := fn.ts == nil && !inst.Pipelined()
+	p.logEvent(EvDemote, inst.id, "idle below hotness threshold", transition{
+		decision: func() decisions.Record {
+			outcome := "slices released, warm binding kept"
+			if adopt {
+				outcome = "slice adopted into pool, model resident"
+			}
+			return decisions.Record{
+				Kind: decisions.KindDemote, Func: fn.spec.Name, Subject: inst.id,
+				Rule: "idle below hotness threshold", Outcome: outcome,
+				Inputs: []decisions.KV{
+					kvF("idle", inst.tracker.IdleFor(p.eng.Now())),
+					kvF("threshold", p.effIdleDemote()),
+				},
+			}
+		},
+	})
+	if adopt {
 		fn.removeInstance(inst)
 		inv.adoptShared(inst.slices[0], fn)
 		return
@@ -499,7 +499,7 @@ func (inv *Invoker) maintainPool() {
 				window = swapParkAfter
 			}
 			if b.tracker.IdleFor(now) >= window {
-				p.logEvent(EvCold, b.fn.spec.Name, "idle past the keep-alive window")
+				p.logEvent(EvCold, b.fn.spec.Name, "idle past the keep-alive window", transition{})
 				inv.unbind(b)
 			}
 		}
@@ -520,24 +520,19 @@ func (p *Platform) dropStalePending() {
 		keep := fn.pending[:0]
 		for _, rq := range fn.pending {
 			if fn.spec.SLO > 0 && now-rq.arrival > pendingDrop*fn.spec.SLO {
-				rq.rec.Dropped = true
-				// The drop is when the request leaves the system; without
-				// this, Latency() on a dropped record goes negative.
-				rq.rec.Completion = now
-				p.logEvent(EvDrop, fn.spec.Name, "pending past the client timeout")
-				if p.decOn() {
-					p.decide(decisions.Record{
-						Kind: decisions.KindDrop, Func: fn.spec.Name,
-						Req: rq.id, Attempt: rq.attempts,
-						Rule:    "client-timeout",
-						Outcome: "dropped from pending overflow",
-						Inputs: []decisions.KV{
-							kvF("waited", now-rq.arrival),
-							kvF("limit", pendingDrop*fn.spec.SLO),
-						},
-					})
-				}
-				p.record(rq.rec)
+				p.finishUnserved(EvDrop, "pending past the client timeout", transition{
+					rq: rq,
+					decision: func() decisions.Record {
+						return decisions.Record{
+							Kind: decisions.KindDrop, Rule: "client-timeout",
+							Outcome: "dropped from pending overflow",
+							Inputs: []decisions.KV{
+								kvF("waited", now-rq.arrival),
+								kvF("limit", pendingDrop*rq.fn.spec.SLO),
+							},
+						}
+					},
+				})
 				continue
 			}
 			keep = append(keep, rq)
@@ -576,7 +571,7 @@ func (p *Platform) loadTimeFor(fn *Function, node *cluster.Node, now float64) fl
 		if pool.LoadedCopy(name) {
 			if pool.Parked(name) {
 				p.logEvent(EvSwapIn, name,
-					fmt.Sprintf("exclusive launch from parked copy on node%d", node.ID))
+					fmt.Sprintf("exclusive launch from parked copy on node%d", node.ID), transition{})
 			}
 			pool.Reclaim(name)
 			return keepalive.SwapInTime(fn.memGB)

@@ -17,15 +17,19 @@ import (
 // admission routing and plan lookups, record typed facts against
 // bodies registered once (wireDecisions) and IDs interned when an
 // instance launches or a slice joins a pool; the rest build a Record.
-// Everything is gated on Options.Decisions != nil — the nil path builds
-// no arguments and allocates nothing, keeping recorder-off runs
-// bit-identical (TestObserversDisabledIdentity).
+// A lifecycle transition's record rides its event: logEvent runs the
+// transition's decision builder. Everything is gated on
+// Options.Decisions != nil — the nil path builds no arguments and
+// allocates nothing, keeping recorder-off runs bit-identical
+// (TestObserversDisabledIdentity).
 
 // decOn reports whether decision provenance is being recorded.
 func (p *Platform) decOn() bool { return p.opts.Decisions != nil }
 
-// decide stamps rec with the current virtual time and records it.
-// Call sites guard argument construction behind decOn themselves.
+// decide stamps rec with the current virtual time and records it, for
+// the choice points no lifecycle event accompanies (hedge settlement,
+// the time-sharing bind, the run-end drop). Call sites guard argument
+// construction behind decOn themselves.
 func (p *Platform) decide(rec decisions.Record) {
 	rec.Time = p.eng.Now()
 	p.opts.Decisions.Record(rec)

@@ -45,47 +45,13 @@ func newRich(specs []FunctionSpec, opts Options) *Platform {
 	return p
 }
 
-func runRich(t *testing.T, dec *decisions.Recorder) *Platform {
-	t.Helper()
-	specs := specsFor(t, dnn.Small)
-	p := newRich(specs, richOptions(dec))
-	p.Run(flatTrace(specs, 6, 180, 7), 60)
-	return p
-}
-
-// TestDecisionsDisabledIdentity: the provenance recorder is a pure
-// observer — a same-seed run with it attached must be bit-for-bit
-// identical to one without it, across every subsystem at once.
-func TestDecisionsDisabledIdentity(t *testing.T) {
-	a := runRich(t, nil)
-	b := runRich(t, decisions.NewRecorder(0))
-	if !reflect.DeepEqual(a.Collector().Records(), b.Collector().Records()) {
-		t.Error("request records diverged with the recorder attached")
-	}
-	if a.Engine().Executed() != b.Engine().Executed() {
-		t.Errorf("event counts diverged: %d vs %d",
-			a.Engine().Executed(), b.Engine().Executed())
-	}
-	if !reflect.DeepEqual(a.Events(), b.Events()) {
-		t.Error("event logs diverged")
-	}
-	if !reflect.DeepEqual(a.UtilGPCs, b.UtilGPCs) {
-		t.Error("utilisation timelines diverged")
-	}
-	if a.Launched() != b.Launched() || a.Evictions() != b.Evictions() ||
-		a.Hedges() != b.Hedges() || a.SwapIns() != b.SwapIns() ||
-		a.Rejected() != b.Rejected() {
-		t.Error("platform counters diverged")
-	}
-}
-
 // TestDecisionChains: every request in a full multi-subsystem run has a
 // decision chain; each chain opens with the admission verdict (admit or
 // reject), is strictly seq-ordered, and hedge spawns are eventually
 // settled within the same chain.
 func TestDecisionChains(t *testing.T) {
 	dec := decisions.NewRecorder(0)
-	p := runRich(t, dec)
+	p := runRich(t, Options{Decisions: dec})
 
 	total := p.Collector().Len()
 	if total == 0 || dec.Total() == 0 {

@@ -6,6 +6,7 @@ import (
 
 	"fluidfaas/internal/mig"
 	"fluidfaas/internal/obs"
+	"fluidfaas/internal/obs/decisions"
 )
 
 // EventKind classifies platform lifecycle events.
@@ -135,15 +136,54 @@ func ParseEventKind(name string) (EventKind, error) {
 // after-the-fact Events() inspection.
 const eventLogCap = obs.DefaultBusCapacity
 
-// logEvent publishes a lifecycle event: the per-kind tally counts it,
-// subscribers see it losslessly, the bounded ring retains it for
-// Events(). touched are the slices whose state the transition changed;
-// the util ledger re-derives their base state at this instant, so every
-// transition reaches the ledger through its event.
-func (p *Platform) logEvent(kind EventKind, subject, detail string, touched ...*mig.Slice) {
+// transition is what one lifecycle transition carries besides its
+// event's kind, subject and detail: the state it changed, what it acted
+// on and why. logEvent delivers all of it to every observer.
+type transition struct {
+	// touched are the slices whose state the transition changed; the
+	// util ledger re-derives their base state at this instant.
+	touched []*mig.Slice
+	// teardown marks the touched slices' recorded work as dead now:
+	// the span trace and the util ledger truncate it before the event
+	// publishes.
+	teardown bool
+	// rq is the request the transition acted on, if any. It stamps the
+	// decision's Func, Req and Attempt.
+	rq *request
+	// decision builds the record of why the transition happened, less
+	// the stamped fields. It runs only while provenance is on.
+	decision func() decisions.Record
+}
+
+// logEvent is the one call a lifecycle transition makes: a teardown
+// truncates the touched slices' recorded work, the per-kind tally counts
+// the event, subscribers see it losslessly and the bounded ring retains
+// it for Events(), the util ledger re-derives the touched slices' base
+// state, and the decision behind the transition is recorded, stamped
+// with the current time and t's request. The event's strings stay out
+// of t: the bus retains them, and Go's escape analysis does not tell a
+// struct's fields apart, so a decision builder beside them would be
+// heap-allocated on every call, provenance on or off.
+func (p *Platform) logEvent(kind EventKind, subject, detail string, t transition) {
+	now := p.eng.Now()
+	if t.teardown {
+		for _, sl := range t.touched {
+			p.opts.Obs.CancelSliceWork(sl.ID(), now)
+			p.opts.Util.CancelBusy(sl.ID(), now)
+		}
+	}
 	p.tally[kind]++
-	p.events.Publish(Event{Time: p.eng.Now(), Kind: kind, Subject: subject, Detail: detail})
-	p.utilTouch(touched...)
+	p.events.Publish(Event{Time: now, Kind: kind, Subject: subject, Detail: detail})
+	p.utilTouch(t.touched...)
+	if t.decision == nil || !p.decOn() {
+		return
+	}
+	rec := t.decision()
+	rec.Time, rec.Req = now, decisions.NoRequest
+	if rq := t.rq; rq != nil {
+		rec.Func, rec.Req, rec.Attempt = rq.fn.spec.Name, rq.id, rq.attempts
+	}
+	p.opts.Decisions.Record(rec)
 }
 
 // EventBus exposes the lifecycle event stream. Subscribe before Run to

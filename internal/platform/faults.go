@@ -58,7 +58,7 @@ func (p *Platform) injectFault(ev faults.Event) {
 			return
 		}
 		sl.SetHealthy(false)
-		p.logEvent(EvFault, sl.ID(), "slice ECC fault", sl)
+		p.logEvent(EvFault, sl.ID(), "slice ECC fault", transition{touched: []*mig.Slice{sl}})
 		p.failSlice(sl)
 	case faults.GPUFault:
 		g := p.cl.Nodes[ev.Node].GPUs[ev.GPU]
@@ -66,7 +66,7 @@ func (p *Platform) injectFault(ev faults.Event) {
 			return
 		}
 		g.SetHealthy(false)
-		p.logEvent(EvFault, fmt.Sprintf("gpu%d", g.ID), "GPU failure", g.Slices...)
+		p.logEvent(EvFault, fmt.Sprintf("gpu%d", g.ID), "GPU failure", transition{touched: g.Slices})
 		for _, sl := range g.Slices {
 			p.failSlice(sl)
 		}
@@ -87,7 +87,7 @@ func (p *Platform) injectFault(ev faults.Event) {
 			sev = 1
 		}
 		p.degraded[sl] = sev
-		p.logEvent(EvDegrade, sl.ID(), fmt.Sprintf("gray degradation x%.1f", sev))
+		p.logEvent(EvDegrade, sl.ID(), fmt.Sprintf("gray degradation x%.1f", sev), transition{})
 		// Nothing freed, nothing to re-place: skip the scale-up kick.
 		return
 	case faults.NodeCrash:
@@ -97,7 +97,7 @@ func (p *Platform) injectFault(ev faults.Event) {
 		}
 		node.SetHealthy(false)
 		sls := node.Slices()
-		p.logEvent(EvFault, fmt.Sprintf("node%d", node.ID), "node crash", sls...)
+		p.logEvent(EvFault, fmt.Sprintf("node%d", node.ID), "node crash", transition{touched: sls})
 		for _, sl := range sls {
 			p.failSlice(sl)
 		}
@@ -131,7 +131,7 @@ func (p *Platform) recoverFault(ev faults.Event) {
 		}
 		sl.SetHealthy(true)
 		p.recoveries++
-		p.logEvent(EvRecover, sl.ID(), "slice repaired", sl)
+		p.logEvent(EvRecover, sl.ID(), "slice repaired", transition{touched: []*mig.Slice{sl}})
 	case faults.GPUFault:
 		g := p.cl.Nodes[ev.Node].GPUs[ev.GPU]
 		if g.Healthy() {
@@ -139,7 +139,7 @@ func (p *Platform) recoverFault(ev faults.Event) {
 		}
 		g.SetHealthy(true)
 		p.recoveries++
-		p.logEvent(EvRecover, fmt.Sprintf("gpu%d", g.ID), "GPU recovered", g.Slices...)
+		p.logEvent(EvRecover, fmt.Sprintf("gpu%d", g.ID), "GPU recovered", transition{touched: g.Slices})
 	case faults.NodeCrash:
 		node := p.cl.Nodes[ev.Node]
 		if node.Healthy() {
@@ -147,7 +147,7 @@ func (p *Platform) recoverFault(ev faults.Event) {
 		}
 		node.SetHealthy(true)
 		p.recoveries++
-		p.logEvent(EvRecover, fmt.Sprintf("node%d", node.ID), "node recovered", node.Slices()...)
+		p.logEvent(EvRecover, fmt.Sprintf("node%d", node.ID), "node recovered", transition{touched: node.Slices()})
 	case faults.SliceDegraded:
 		sl := p.cl.Nodes[ev.Node].GPUs[ev.GPU].Slices[ev.Slice]
 		if _, ok := p.degraded[sl]; !ok {
@@ -155,7 +155,7 @@ func (p *Platform) recoverFault(ev faults.Event) {
 		}
 		delete(p.degraded, sl)
 		p.recoveries++
-		p.logEvent(EvRecover, sl.ID(), "gray degradation cleared")
+		p.logEvent(EvRecover, sl.ID(), "gray degradation cleared", transition{})
 		// The slice was never out of placement; no capacity appeared.
 		// (The health scorer still has to observe its way back to
 		// healthy — the platform has no oracle for the recovery.)
@@ -209,16 +209,15 @@ func (p *Platform) failInstance(inst *Instance) {
 	inst.retiring = true
 	now := p.eng.Now()
 	for _, sl := range inst.slices {
-		// The upfront work on this slice extends past the teardown
-		// instant; truncate it so recorded busy time matches work the
-		// hardware actually performed.
-		p.cancelSliceWork(sl, now)
 		if !sl.Free() {
 			sl.Release(now)
 		}
 	}
 	inst.fn.removeInstance(inst)
-	p.logEvent(EvRelease, inst.id, "torn down by fault", inst.slices...)
+	// The upfront work on these slices extends past the teardown
+	// instant; the teardown truncates it so recorded busy time matches
+	// work the hardware actually performed.
+	p.logEvent(EvRelease, inst.id, "torn down by fault", transition{touched: inst.slices, teardown: true})
 	rqs := inst.inflight
 	inst.inflight = nil
 	inst.outstanding = 0
@@ -230,16 +229,14 @@ func (p *Platform) failInstance(inst *Instance) {
 // failShared tears down a time-sharing pool slice whose hardware
 // failed: the serving and queued requests retry elsewhere, and every
 // binding goes cold (its GPU-resident and host-warm copies are gone
-// with the hardware; rebinding happens on the next request).
+// with the hardware; rebinding happens on the next request). The
+// slice's pool-shrink is the teardown transition (releaseShared).
 func (p *Platform) failShared(ss *sharedSlice) {
 	if ss.failed {
 		return
 	}
 	ss.failed = true
 	inv := ss.inv
-	// Truncate the in-flight work recorded upfront on the slice: it
-	// died with the hardware.
-	p.cancelSliceWork(ss.slice, p.eng.Now())
 	var rqs []*request
 	if ss.serving != nil {
 		rqs = append(rqs, ss.serving.rq)
@@ -288,7 +285,7 @@ func (p *Platform) retryAfterFault(rq *request, reason string) {
 			h.dead++
 			if h.dead < 2 {
 				p.logEvent(EvHedgeCancel, rq.fn.spec.Name,
-					"hedge copy lost its hardware; partner races on")
+					"hedge copy lost its hardware; partner races on", transition{})
 				return
 			}
 			rq.hedge = nil
@@ -310,36 +307,34 @@ func (p *Platform) retryAfterFault(rq *request, reason string) {
 		}
 	}
 	if rq.attempts > retryMaxAttempts || now+backoff >= horizon {
-		rq.rec.Dropped = true
 		rq.rec.Failed = true
-		rq.rec.Completion = now
-		p.logEvent(EvDrop, rq.fn.spec.Name, "abandoned: "+reason)
-		if p.decOn() {
-			p.decide(decisions.Record{
-				Kind: decisions.KindDrop, Func: rq.fn.spec.Name,
-				Req: rq.id, Attempt: rq.attempts,
-				Rule: "retry-abandoned", Outcome: "abandoned: " + reason,
-				Inputs: []decisions.KV{
-					kvI("attempts", rq.attempts),
-					kvI("max_attempts", retryMaxAttempts),
-					kvF("backoff", backoff),
-					kvF("horizon", horizon),
-				},
-			})
-		}
-		p.record(rq.rec)
+		detail := "abandoned: " + reason
+		p.finishUnserved(EvDrop, detail, transition{
+			rq: rq,
+			decision: func() decisions.Record {
+				return decisions.Record{
+					Kind: decisions.KindDrop, Rule: "retry-abandoned", Outcome: detail,
+					Inputs: []decisions.KV{
+						kvI("attempts", rq.attempts),
+						kvI("max_attempts", retryMaxAttempts),
+						kvF("backoff", backoff),
+						kvF("horizon", horizon),
+					},
+				}
+			},
+		})
 		return
 	}
 	rq.rec.Retries++
-	p.logEvent(EvRetry, rq.fn.spec.Name, reason)
-	if p.decOn() {
-		p.decide(decisions.Record{
-			Kind: decisions.KindRetry, Func: rq.fn.spec.Name,
-			Req: rq.id, Attempt: rq.attempts,
-			Rule: "fault-retry", Outcome: reason,
-			Inputs: []decisions.KV{kvF("backoff", backoff)},
-		})
-	}
+	p.logEvent(EvRetry, rq.fn.spec.Name, reason, transition{
+		rq: rq,
+		decision: func() decisions.Record {
+			return decisions.Record{
+				Kind: decisions.KindRetry, Rule: "fault-retry", Outcome: reason,
+				Inputs: []decisions.KV{kvF("backoff", backoff)},
+			}
+		},
+	})
 	p.opts.Obs.AsyncMark("retry", "retry", rq.rec.Func, rq.rec.ID, now, reason)
 	p.eng.After(backoff, func() { p.route(rq) })
 }

@@ -31,25 +31,35 @@ type fullStackRun struct {
 	util *util.Ledger
 }
 
-// runFullStack exercises every subsystem at once — degraded and slice
-// faults, gray scoring with hedging, the swap tier, full overload
-// control, decision provenance, the utilization ledger, and the obs
-// recorder.
-func runFullStack(t *testing.T) fullStackRun {
+// runRich runs the rich Small configuration, richOptions with opts'
+// observers attached: degraded and slice faults, gray scoring with
+// hedging, the swap tier and full overload control.
+func runRich(t *testing.T, opts Options) *Platform {
+	t.Helper()
+	specs := specsFor(t, dnn.Small)
+	rich := richOptions(opts.Decisions)
+	rich.Obs, rich.Util = opts.Obs, opts.Util
+	p := newRich(specs, rich)
+	p.Run(flatTrace(specs, 6, 180, 7), 60)
+	return p
+}
+
+// observed runs run with all three observers attached: the span
+// recorder, the decision recorder and the utilization ledger.
+func observed(t *testing.T, run func(*testing.T, Options) *Platform) fullStackRun {
 	t.Helper()
 	r := fullStackRun{
 		rec:  obs.NewRecorder(),
 		dec:  decisions.NewRecorder(0),
 		util: util.NewLedger(),
 	}
-	opts := richOptions(r.dec)
-	opts.Obs = r.rec
-	opts.Util = r.util
-	specs := specsFor(t, dnn.Small)
-	r.p = newRich(specs, opts)
-	r.p.Run(flatTrace(specs, 6, 180, 7), 60)
+	r.p = run(t, Options{Obs: r.rec, Decisions: r.dec, Util: r.util})
 	return r
 }
+
+// runFullStack exercises every subsystem at once, every observer
+// included.
+func runFullStack(t *testing.T) fullStackRun { return observed(t, runRich) }
 
 // exports renders every exporter into bytes: Chrome trace, Prometheus
 // text, the decision-provenance JSON, and the utilization report JSON.
@@ -148,59 +158,83 @@ func TestFullStackRunRepeatable(t *testing.T) {
 }
 
 // TestObserversDisabledIdentity: the span recorder, the decision
-// recorder and the utilization ledger are pure observers. The richest
-// configuration (fail-stop and gray faults, quarantine with hedging,
-// the swap tier, overload control) run with all three attached is
-// bit-for-bit identical to the same run with none, and each observer
-// recorded something.
+// recorder and the utilization ledger are pure observers. Each run, bare
+// and with all three attached, is bit-for-bit identical in records,
+// events, counters and utilisation, and each observer recorded
+// something. The runs are the richest configuration (fail-stop and gray
+// faults, quarantine with hedging, the swap tier, overload control) and
+// two plain FluidFaaS medium runs.
 func TestObserversDisabledIdentity(t *testing.T) {
-	a := runRichTrace(t, flatTrace(specsFor(t, dnn.Small), 6, 180, 7))
-	full := runFullStack(t)
-	b := full.p
-	if !reflect.DeepEqual(a.Collector().Records(), b.Collector().Records()) {
-		t.Error("request records diverged with the observers attached")
-	}
-	if a.Engine().Executed() != b.Engine().Executed() {
-		t.Errorf("event counts diverged: %d vs %d", a.Engine().Executed(), b.Engine().Executed())
-	}
-	if !reflect.DeepEqual(a.Events(), b.Events()) ||
-		!reflect.DeepEqual(a.CountEvents(), b.CountEvents()) {
-		t.Error("event logs diverged")
-	}
-	if !reflect.DeepEqual(a.UtilGPCs, b.UtilGPCs) {
-		t.Error("utilisation timelines diverged")
-	}
-	if ca, cb := a.Snapshot().Counters, b.Snapshot().Counters; ca != cb {
-		t.Errorf("snapshot counters diverged: %+v vs %+v", ca, cb)
-	}
-	for _, c := range []struct {
-		name   string
-		ga, gb float64
-	}{
-		{"Quarantines", float64(a.Quarantines()), float64(b.Quarantines())},
-		{"Suspects", float64(a.Suspects()), float64(b.Suspects())},
-		{"Hedges", float64(a.Hedges()), float64(b.Hedges())},
-		{"HedgeWins", float64(a.HedgeWins()), float64(b.HedgeWins())},
-		{"HedgeCancels", float64(a.HedgeCancels()), float64(b.HedgeCancels())},
-		{"HedgeWastedSeconds", a.HedgeWastedSeconds(), b.HedgeWastedSeconds()},
-	} {
-		if c.ga != c.gb {
-			t.Errorf("%s diverged: %v vs %v", c.name, c.ga, c.gb)
+	medium := func(seed int64) func(*testing.T, Options) *Platform {
+		return func(t *testing.T, opts Options) *Platform {
+			opts.Policy = &scheduler.FluidFaaS{}
+			return runMedium(t, opts, seed)
 		}
 	}
-	if !reflect.DeepEqual(a.RejectedByReason(), b.RejectedByReason()) {
-		t.Errorf("reject reasons diverged: %v vs %v", a.RejectedByReason(), b.RejectedByReason())
-	}
-	if a.FaultsInjected() == 0 || a.Hedges() == 0 || a.Rejected() == 0 {
-		t.Errorf("faults %d, hedges %d, rejects %d: the run must exercise the failure and overload paths",
-			a.FaultsInjected(), a.Hedges(), a.Rejected())
-	}
-	spans := 0
-	for range full.rec.Spans() {
-		spans++
-	}
-	if spans == 0 || full.dec.Total() == 0 || len(full.util.Report().Slices) == 0 {
-		t.Error("an attached observer recorded nothing")
+	for _, c := range []struct {
+		name string
+		run  func(*testing.T, Options) *Platform
+		rich bool
+	}{
+		{"rich", runRich, true},
+		{"medium-seed77", medium(77), false},
+		{"medium-seed311", medium(311), false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			a := c.run(t, Options{})
+			full := observed(t, c.run)
+			b := full.p
+			if !reflect.DeepEqual(a.Collector().Records(), b.Collector().Records()) {
+				t.Error("request records diverged with the observers attached")
+			}
+			if a.Engine().Executed() != b.Engine().Executed() {
+				t.Errorf("event counts diverged: %d vs %d", a.Engine().Executed(), b.Engine().Executed())
+			}
+			if !reflect.DeepEqual(a.Events(), b.Events()) || a.TotalEvents() != b.TotalEvents() ||
+				!reflect.DeepEqual(a.CountEvents(), b.CountEvents()) {
+				t.Error("event logs diverged")
+			}
+			if !reflect.DeepEqual(a.UtilGPCs, b.UtilGPCs) {
+				t.Error("utilisation timelines diverged")
+			}
+			if ca, cb := a.Snapshot().Counters, b.Snapshot().Counters; ca != cb {
+				t.Errorf("snapshot counters diverged: %+v vs %+v", ca, cb)
+			}
+			for _, c := range []struct {
+				name   string
+				ga, gb float64
+			}{
+				{"Launched", float64(a.Launched()), float64(b.Launched())},
+				{"Evictions", float64(a.Evictions()), float64(b.Evictions())},
+				{"Migrations", float64(a.Migrations()), float64(b.Migrations())},
+				{"SwapIns", float64(a.SwapIns()), float64(b.SwapIns())},
+				{"Rejected", float64(a.Rejected()), float64(b.Rejected())},
+				{"Quarantines", float64(a.Quarantines()), float64(b.Quarantines())},
+				{"Suspects", float64(a.Suspects()), float64(b.Suspects())},
+				{"Hedges", float64(a.Hedges()), float64(b.Hedges())},
+				{"HedgeWins", float64(a.HedgeWins()), float64(b.HedgeWins())},
+				{"HedgeCancels", float64(a.HedgeCancels()), float64(b.HedgeCancels())},
+				{"HedgeWastedSeconds", a.HedgeWastedSeconds(), b.HedgeWastedSeconds()},
+			} {
+				if c.ga != c.gb {
+					t.Errorf("%s diverged: %v vs %v", c.name, c.ga, c.gb)
+				}
+			}
+			if !reflect.DeepEqual(a.RejectedByReason(), b.RejectedByReason()) {
+				t.Errorf("reject reasons diverged: %v vs %v", a.RejectedByReason(), b.RejectedByReason())
+			}
+			if c.rich && (a.FaultsInjected() == 0 || a.Hedges() == 0 || a.Rejected() == 0) {
+				t.Errorf("faults %d, hedges %d, rejects %d: the run must exercise the failure and overload paths",
+					a.FaultsInjected(), a.Hedges(), a.Rejected())
+			}
+			spans := 0
+			for range full.rec.Spans() {
+				spans++
+			}
+			if spans == 0 || full.dec.Total() == 0 || len(full.util.Report().Slices) == 0 {
+				t.Error("an attached observer recorded nothing")
+			}
+		})
 	}
 }
 

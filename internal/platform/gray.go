@@ -155,19 +155,19 @@ func (p *Platform) observeSliceExec(sl *mig.Slice, declared, observed float64) {
 			h.belowSince = -1
 			p.suspects++
 			p.logEvent(EvSliceSuspect, sl.ID(),
-				fmt.Sprintf("health score %.2f over %.2f", h.score, suspectRatio))
-			if p.decOn() {
-				p.decide(decisions.Record{
-					Kind: decisions.KindSuspect, Req: decisions.NoRequest,
-					Subject: sl.ID(), Rule: "EWMA score over suspect threshold",
-					Outcome: "healthy -> suspect",
-					Inputs: []decisions.KV{
-						kvF("score", h.score),
-						kvF("threshold", suspectRatio),
-						kvI("samples", h.samples),
+				fmt.Sprintf("health score %.2f over %.2f", h.score, suspectRatio), transition{
+					decision: func() decisions.Record {
+						return decisions.Record{
+							Kind: decisions.KindSuspect, Subject: sl.ID(),
+							Rule: "EWMA score over suspect threshold", Outcome: "healthy -> suspect",
+							Inputs: []decisions.KV{
+								kvF("score", h.score),
+								kvF("threshold", suspectRatio),
+								kvI("samples", h.samples),
+							},
+						}
 					},
 				})
-			}
 		}
 	case sliceSuspect:
 		switch {
@@ -181,19 +181,19 @@ func (p *Platform) observeSliceExec(sl *mig.Slice, declared, observed float64) {
 				h.state = sliceHealthy
 				h.belowSince = -1
 				p.logEvent(EvRecover, sl.ID(),
-					fmt.Sprintf("health score %.2f back under %.2f", h.score, recoverRatio))
-				if p.decOn() {
-					p.decide(decisions.Record{
-						Kind: decisions.KindSuspect, Req: decisions.NoRequest,
-						Subject: sl.ID(), Rule: "recovery dwell satisfied",
-						Outcome: "suspect -> healthy",
-						Inputs: []decisions.KV{
-							kvF("score", h.score),
-							kvF("threshold", recoverRatio),
-							kvF("dwell", recoverDwell),
+					fmt.Sprintf("health score %.2f back under %.2f", h.score, recoverRatio), transition{
+						decision: func() decisions.Record {
+							return decisions.Record{
+								Kind: decisions.KindSuspect, Subject: sl.ID(),
+								Rule: "recovery dwell satisfied", Outcome: "suspect -> healthy",
+								Inputs: []decisions.KV{
+									kvF("score", h.score),
+									kvF("threshold", recoverRatio),
+									kvF("dwell", recoverDwell),
+								},
+							}
 						},
 					})
-				}
 			}
 		default:
 			// Score in the hysteresis band: the recovery streak breaks.
@@ -213,19 +213,21 @@ func (p *Platform) quarantineSlice(sl *mig.Slice, h *sliceHealth) {
 	h.belowSince = -1
 	sl.SetQuarantined(true)
 	p.logEvent(EvSliceQuarantine, sl.ID(),
-		fmt.Sprintf("health score %.2f over %.2f", h.score, quarantineRatio), sl)
-	if p.decOn() {
-		p.decide(decisions.Record{
-			Kind: decisions.KindQuarantine, Req: decisions.NoRequest,
-			Subject: sl.ID(), Rule: "EWMA score over quarantine threshold",
-			Outcome: "suspect -> quarantined; owner torn down",
-			Inputs: []decisions.KV{
-				kvF("score", h.score),
-				kvF("threshold", quarantineRatio),
-				kvF("probation", p.probation),
+		fmt.Sprintf("health score %.2f over %.2f", h.score, quarantineRatio), transition{
+			touched: []*mig.Slice{sl},
+			decision: func() decisions.Record {
+				return decisions.Record{
+					Kind: decisions.KindQuarantine, Subject: sl.ID(),
+					Rule:    "EWMA score over quarantine threshold",
+					Outcome: "suspect -> quarantined; owner torn down",
+					Inputs: []decisions.KV{
+						kvF("score", h.score),
+						kvF("threshold", quarantineRatio),
+						kvF("probation", p.probation),
+					},
+				}
 			},
 		})
-	}
 	p.tearDownQuarantined(sl)
 	// A quarantine is an anomaly: freeze the provenance ring after the
 	// teardown so the dump carries the retries it caused.
@@ -264,15 +266,16 @@ func (p *Platform) liftQuarantine(sl *mig.Slice) {
 	h.score = suspectRatio
 	h.samples = 0
 	h.belowSince = -1
-	p.logEvent(EvSliceSuspect, sl.ID(), "probation over: readmitted for probing", sl)
-	if p.decOn() {
-		p.decide(decisions.Record{
-			Kind: decisions.KindSuspect, Req: decisions.NoRequest,
-			Subject: sl.ID(), Rule: "probation expired",
-			Outcome: "quarantined -> suspect (must re-earn healthy)",
-			Inputs:  []decisions.KV{kvF("score", h.score)},
-		})
-	}
+	p.logEvent(EvSliceSuspect, sl.ID(), "probation over: readmitted for probing", transition{
+		touched: []*mig.Slice{sl},
+		decision: func() decisions.Record {
+			return decisions.Record{
+				Kind: decisions.KindSuspect, Subject: sl.ID(), Rule: "probation expired",
+				Outcome: "quarantined -> suspect (must re-earn healthy)",
+				Inputs:  []decisions.KV{kvF("score", h.score)},
+			}
+		},
+	})
 	p.kickScaleUp()
 }
 

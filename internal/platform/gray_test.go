@@ -233,7 +233,7 @@ func TestHedgeSingleRecord(t *testing.T) {
 		}
 	}
 	primary, clone := mk(), mk()
-	p.armHedge(primary, clone, 0, "test")
+	p.armHedge(primary, clone, "test", false)
 	if p.Hedges() != 1 || fn.hedges != 1 {
 		t.Fatal("hedge launch not accounted")
 	}
@@ -287,7 +287,7 @@ func TestRetryHedgeMutualExclusion(t *testing.T) {
 
 	// Case 1: one copy dies while the race is live -> abandoned, no retry.
 	primary, clone := mk(1), mk(2)
-	p.armHedge(primary, clone, 0, "test")
+	p.armHedge(primary, clone, "test", false)
 	p.retryAfterFault(primary, "slice failed")
 	if p.Retries() != 0 {
 		t.Error("live hedge copy spawned a fault retry")
@@ -306,7 +306,7 @@ func TestRetryHedgeMutualExclusion(t *testing.T) {
 
 	// Case 3: the loser of a settled race dies -> waste counted, no retry.
 	primary2, clone2 := mk(3), mk(4)
-	p.armHedge(primary2, clone2, 0, "test")
+	p.armHedge(primary2, clone2, "test", false)
 	primary2.rec.Exec = 1.5
 	p.complete(clone2) // clone wins and is recorded
 	base := p.Collector().Len()

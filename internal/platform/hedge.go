@@ -83,15 +83,15 @@ func (p *Platform) chargeHedgeWaste(rq *request, detail string) {
 	p.hedgeWastedSec += wasted
 	p.hedgeCancels++
 	p.logEvent(EvHedgeCancel, rq.fn.spec.Name,
-		fmt.Sprintf("%s, %.3fs wasted", detail, wasted))
-	if p.decOn() {
-		p.decide(decisions.Record{
-			Kind: decisions.KindHedgeSettle, Func: rq.fn.spec.Name,
-			Req: rq.id, Attempt: rq.attempts,
-			Rule: "loser-cancelled", Outcome: detail,
-			Inputs: []decisions.KV{kvF("wasted", wasted)},
+		fmt.Sprintf("%s, %.3fs wasted", detail, wasted), transition{
+			rq: rq,
+			decision: func() decisions.Record {
+				return decisions.Record{
+					Kind: decisions.KindHedgeSettle, Rule: "loser-cancelled", Outcome: detail,
+					Inputs: []decisions.KV{kvF("wasted", wasted)},
+				}
+			},
 		})
-	}
 }
 
 // shouldHedge gates a hedge launch for rq currently placed on sl with
@@ -167,7 +167,6 @@ func (p *Platform) maybeHedgeInstance(inst *Instance, rq *request) {
 // suspect hardware buys nothing.
 func (p *Platform) launchHedge(rq *request, avoidInst *Instance, avoidShared *sharedSlice) {
 	fn := rq.fn
-	now := p.eng.Now()
 	clone := &request{
 		id:       rq.id,
 		fn:       fn,
@@ -187,37 +186,13 @@ func (p *Platform) launchHedge(rq *request, avoidInst *Instance, avoidShared *sh
 		if !p.instanceSlicesClean(inst) {
 			continue
 		}
-		p.armHedge(rq, clone, now, inst.id)
-		if p.decOn() {
-			p.decide(decisions.Record{
-				Kind: decisions.KindHedgeSpawn, Func: fn.spec.Name,
-				Req: rq.id, Attempt: rq.attempts, Subject: inst.id,
-				Rule:    "deadline at risk on suspect slice",
-				Outcome: "duplicated onto clean exclusive instance",
-				Inputs: []decisions.KV{
-					kvI("budget_used", fn.hedges),
-					kvI("served", fn.served),
-				},
-			})
-		}
+		p.armHedge(rq, clone, inst.id, false)
 		inst.admit(p, clone)
 		return
 	}
 	if b := fn.ts; b != nil && b.shared != avoidShared && !b.shared.failed &&
 		b.outstanding < b.capacity && p.sliceClean(b.shared.slice) {
-		p.armHedge(rq, clone, now, "shared "+b.shared.slice.ID())
-		if p.decOn() {
-			p.decide(decisions.Record{
-				Kind: decisions.KindHedgeSpawn, Func: fn.spec.Name,
-				Req: rq.id, Attempt: rq.attempts, Subject: b.shared.slice.ID(),
-				Rule:    "deadline at risk on suspect slice",
-				Outcome: "duplicated onto clean shared slice",
-				Inputs: []decisions.KV{
-					kvI("budget_used", fn.hedges),
-					kvI("served", fn.served),
-				},
-			})
-		}
+		p.armHedge(rq, clone, b.shared.slice.ID(), true)
 		// The clone enqueues under the function's own fair-queue flow,
 		// so its service charges the function's virtual time like any
 		// other request — hedging cannot steal fairness from
@@ -228,14 +203,33 @@ func (p *Platform) launchHedge(rq *request, avoidInst *Instance, avoidShared *sh
 }
 
 // armHedge links the two copies, charges the function's budget and
-// logs the hedge (the EvHedge tally is the platform's hedge count).
-func (p *Platform) armHedge(rq, clone *request, now float64, onto string) {
+// logs the hedge onto target, an exclusive instance's ID or, when
+// shared, a pool slice's (the EvHedge tally is the platform's hedge
+// count).
+func (p *Platform) armHedge(rq, clone *request, target string, shared bool) {
 	h := &hedgeState{primary: rq, clone: clone}
 	rq.hedge, clone.hedge = h, h
-	rq.fn.hedges++
-	clone.waitStart = now
-	p.logEvent(EvHedge, rq.fn.spec.Name,
-		fmt.Sprintf("request %d duplicated onto %s", rq.id, onto))
+	fn := rq.fn
+	fn.hedges++
+	clone.waitStart = p.eng.Now()
+	onto, outcome := target, "duplicated onto clean exclusive instance"
+	if shared {
+		onto, outcome = "shared "+target, "duplicated onto clean shared slice"
+	}
+	p.logEvent(EvHedge, fn.spec.Name,
+		fmt.Sprintf("request %d duplicated onto %s", rq.id, onto), transition{
+			rq: rq,
+			decision: func() decisions.Record {
+				return decisions.Record{
+					Kind: decisions.KindHedgeSpawn, Subject: target,
+					Rule: "deadline at risk on suspect slice", Outcome: outcome,
+					Inputs: []decisions.KV{
+						kvI("budget_used", fn.hedges),
+						kvI("served", fn.served),
+					},
+				}
+			},
+		})
 }
 
 // sliceClean reports whether a slice is a sound hedge target: usable

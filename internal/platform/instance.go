@@ -134,20 +134,21 @@ func (p *Platform) launchInstance(fn *Function, node *cluster.Node, plan pipelin
 	fn.instances = append(fn.instances, inst)
 	fn.sortInstances()
 	fn.lastNodeUse[node.ID] = now
-	p.logEvent(EvLaunch, inst.id, plan.String(), slices...)
-	if p.decOn() {
-		p.decide(decisions.Record{
-			Kind: decisions.KindBind, Func: fn.spec.Name,
-			Req: decisions.NoRequest, Subject: inst.id,
-			Rule:    "policy placement",
-			Outcome: "launched " + plan.String(),
-			Inputs: []decisions.KV{
-				kv("slices", sliceIDs(slices)),
-				kvF("load", loadTime),
-				kvI("capacity", inst.capacity),
-			},
-		})
-	}
+	detail := plan.String()
+	p.logEvent(EvLaunch, inst.id, detail, transition{
+		touched: slices,
+		decision: func() decisions.Record {
+			return decisions.Record{
+				Kind: decisions.KindBind, Func: fn.spec.Name, Subject: inst.id,
+				Rule: "policy placement", Outcome: "launched " + detail,
+				Inputs: []decisions.KV{
+					kv("slices", sliceIDs(slices)),
+					kvF("load", loadTime),
+					kvI("capacity", inst.capacity),
+				},
+			}
+		},
+	})
 	return inst
 }
 
@@ -352,7 +353,7 @@ func (p *Platform) releaseInstance(inst *Instance) {
 	if p.swapOn() {
 		p.parkIfUnused(inst.fn, inst.node)
 	}
-	p.logEvent(EvRelease, inst.id, "", inst.slices...)
+	p.logEvent(EvRelease, inst.id, "", transition{touched: inst.slices})
 	// Freed large slices may enable pipeline migration (§5.3).
 	if p.opts.Policy.Migration() {
 		for _, sl := range inst.slices {

@@ -378,7 +378,7 @@ func (inv *Invoker) growPool(fn *Function) *sharedSlice {
 	pick.Allocate(inv.sharedOwner(), now)
 	ss := newSharedSlice(inv, pick)
 	inv.shared = append(inv.shared, ss)
-	inv.p.logEvent(EvPoolGrow, pick.ID(), "", pick)
+	inv.p.logEvent(EvPoolGrow, pick.ID(), "", transition{touched: []*mig.Slice{pick}})
 	return ss
 }
 
@@ -641,7 +641,7 @@ func (ss *sharedSlice) evictResident(p *Platform) {
 		}
 	}
 	ss.resident = nil
-	p.logEvent(EvEvict, old.fn.spec.Name, "LRU eviction from "+ss.slice.ID())
+	p.logEvent(EvEvict, old.fn.spec.Name, "LRU eviction from "+ss.slice.ID(), transition{})
 }
 
 // unbind removes a binding entirely (warm -> cold, Fig. 8 transition
@@ -663,11 +663,14 @@ func (inv *Invoker) unbind(b *tsBinding) {
 
 // releaseShared returns a pool slice to the free pool; detail annotates
 // the pool-shrink event. A slice released by a fault teardown is not
-// usable, so tryMigration passes it over.
+// usable, so tryMigration passes it over; its pool-shrink is the
+// teardown transition, since the work recorded upfront on the slice
+// died with the hardware.
 func (inv *Invoker) releaseShared(ss *sharedSlice, detail string) {
 	inv.shared = slices.DeleteFunc(inv.shared, func(x *sharedSlice) bool { return x == ss })
 	ss.slice.Release(inv.p.eng.Now())
-	inv.p.logEvent(EvPoolShrink, ss.slice.ID(), detail, ss.slice)
+	inv.p.logEvent(EvPoolShrink, ss.slice.ID(), detail,
+		transition{touched: []*mig.Slice{ss.slice}, teardown: ss.failed})
 	if inv.p.opts.Policy.Migration() {
 		inv.p.tryMigration(ss.slice)
 	}
@@ -714,22 +717,20 @@ func (ss *sharedSlice) dropStale(p *Platform, now float64) []*tsBinding {
 			// queued copy just disappears (complete() swallows it).
 			p.complete(j.rq)
 		} else {
-			j.rq.rec.Dropped = true
-			j.rq.rec.Completion = now
-			p.logEvent(EvDrop, j.rq.fn.spec.Name, "time-sharing queue past the client timeout")
-			if p.decOn() {
-				p.decide(decisions.Record{
-					Kind: decisions.KindDrop, Func: j.rq.fn.spec.Name,
-					Req: j.rq.id, Attempt: j.rq.attempts,
-					Subject: ss.slice.ID(), Rule: "client-timeout",
-					Outcome: "dropped from time-sharing queue",
-					Inputs: []decisions.KV{
-						kvF("waited", now-j.rq.arrival),
-						kvF("limit", pendingDrop*j.rq.fn.spec.SLO),
-					},
-				})
-			}
-			p.record(j.rq.rec)
+			rq := j.rq
+			p.finishUnserved(EvDrop, "time-sharing queue past the client timeout", transition{
+				rq: rq,
+				decision: func() decisions.Record {
+					return decisions.Record{
+						Kind: decisions.KindDrop, Subject: ss.slice.ID(),
+						Rule: "client-timeout", Outcome: "dropped from time-sharing queue",
+						Inputs: []decisions.KV{
+							kvF("waited", now-rq.arrival),
+							kvF("limit", pendingDrop*rq.fn.spec.SLO),
+						},
+					}
+				},
+			})
 		}
 		seen := false
 		for _, b := range freed {
@@ -796,7 +797,7 @@ func (p *Platform) tryMigration(freed *mig.Slice) {
 	newInst := p.launchInstance(bestFn, node, bestFn.mono(freed.Type).Plan, []*mig.Slice{freed}, load)
 	bestInst.migrating = true
 	bestInst.retiring = true
-	p.logEvent(EvMigrate, bestInst.id, "replaced by monolithic on "+freed.ID())
+	p.logEvent(EvMigrate, bestInst.id, "replaced by monolithic on "+freed.ID(), transition{})
 	// The fresh monolith absorbs the function's pending overflow right
 	// away — discarding it stranded those requests until the next
 	// completion or control tick.

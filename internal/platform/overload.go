@@ -66,17 +66,15 @@ func (p *Platform) admissionReject(rq *request) bool {
 		// demotion frees capacity, and the request takes the normal
 		// routing path instead of a rejection.
 		if !p.trySwapRelief() {
-			var inputs []decisions.KV
-			if p.decOn() {
-				inputs = []decisions.KV{
+			p.reject(rq, RejectShed, fmt.Sprintf("brownout %s: priority %d below %d",
+				p.ladder.Level(), fn.spec.Priority, p.maxPriority), func() []decisions.KV {
+				return []decisions.KV{
 					kv("brownout", p.ladder.Level().String()),
 					kvI("priority", fn.spec.Priority),
 					kvI("floor", p.maxPriority),
 					kvF("pressure", p.lastPressure),
 				}
-			}
-			p.reject(rq, RejectShed, fmt.Sprintf("brownout %s: priority %d below %d",
-				p.ladder.Level(), fn.spec.Priority, p.maxPriority), inputs)
+			})
 			return true
 		}
 	}
@@ -90,16 +88,14 @@ func (p *Platform) admissionReject(rq *request) bool {
 		// up and rejects forever.
 		fn.rejectDemand++
 		p.kickScaleUp()
-		var inputs []decisions.KV
-		if p.decOn() {
-			inputs = []decisions.KV{
-				kvF("estimate", est),
-				kvF("slack", overload.AdmissionSlack),
-				kvF("deadline", rq.deadline),
-			}
-		}
 		p.reject(rq, RejectDeadline,
-			fmt.Sprintf("estimated completion %.3fs past deadline", est), inputs)
+			fmt.Sprintf("estimated completion %.3fs past deadline", est), func() []decisions.KV {
+				return []decisions.KV{
+					kvF("estimate", est),
+					kvF("slack", overload.AdmissionSlack),
+					kvF("deadline", rq.deadline),
+				}
+			})
 		return true
 	}
 	return false
@@ -107,22 +103,19 @@ func (p *Platform) admissionReject(rq *request) bool {
 
 // reject fast-fails a request at arrival: the record carries the
 // rejection instant as its completion, so fast-fail latency is bounded
-// (zero wait) and distinct from a timeout drop. inputs (nil unless
-// provenance is on) become the Reject decision's inputs.
-func (p *Platform) reject(rq *request, why RejectReason, detail string, inputs []decisions.KV) {
-	rq.rec.Dropped = true
-	rq.rec.Rejected = true
-	rq.rec.Completion = p.eng.Now()
+// (zero wait) and distinct from a timeout drop. inputs builds the Reject
+// decision's inputs; it runs only while provenance is on.
+func (p *Platform) reject(rq *request, why RejectReason, detail string, inputs func() []decisions.KV) {
 	p.rejectReasons[why]++
-	p.logEvent(why.eventKind(), rq.fn.spec.Name, detail)
-	if p.decOn() {
-		p.decide(decisions.Record{
-			Kind: decisions.KindReject, Func: rq.fn.spec.Name,
-			Req: rq.id, Attempt: rq.attempts,
-			Rule: why.String(), Outcome: detail, Inputs: inputs,
-		})
-	}
-	p.record(rq.rec)
+	p.finishUnserved(why.eventKind(), detail, transition{
+		rq: rq,
+		decision: func() decisions.Record {
+			return decisions.Record{
+				Kind: decisions.KindReject, Rule: why.String(), Outcome: detail,
+				Inputs: inputs(),
+			}
+		},
+	})
 }
 
 // RejectedByReason returns admission rejections keyed by typed reason.
@@ -227,16 +220,16 @@ func (p *Platform) brownoutTick() {
 	now := p.eng.Now()
 	p.lastPressure = p.pressure()
 	if from, to, changed := p.ladder.Observe(now, p.lastPressure); changed {
-		p.logEvent(EvBrownout, fmt.Sprintf("%s -> %s", from, to),
-			fmt.Sprintf("pressure %.2f", p.lastPressure))
-		if p.decOn() {
-			p.decide(decisions.Record{
-				Kind: decisions.KindBrownout, Req: decisions.NoRequest,
-				Subject: to.String(), Rule: "pressure ladder",
-				Outcome: fmt.Sprintf("%s -> %s", from, to),
-				Inputs:  []decisions.KV{kvF("pressure", p.lastPressure)},
-			})
-		}
+		change := fmt.Sprintf("%s -> %s", from, to)
+		p.logEvent(EvBrownout, change, fmt.Sprintf("pressure %.2f", p.lastPressure), transition{
+			decision: func() decisions.Record {
+				return decisions.Record{
+					Kind: decisions.KindBrownout, Subject: to.String(),
+					Rule: "pressure ladder", Outcome: change,
+					Inputs: []decisions.KV{kvF("pressure", p.lastPressure)},
+				}
+			},
+		})
 	}
 	if p.ladder.Level() >= overload.LevelDegrade {
 		p.contractPipelined()
@@ -332,7 +325,7 @@ func (p *Platform) contractPipelined() {
 	repl := p.launchInstance(fn, worst.node, plan, slices, load)
 	worst.retiring = true
 	p.logEvent(EvContract, worst.id,
-		fmt.Sprintf("contracted %d->%d GPCs into %s", worst.plan.GPCs(), plan.GPCs(), repl.id))
+		fmt.Sprintf("contracted %d->%d GPCs into %s", worst.plan.GPCs(), plan.GPCs(), repl.id), transition{})
 	p.drainPending(repl, fn.admits.drainContract)
 	if worst.outstanding == 0 {
 		p.releaseInstance(worst)

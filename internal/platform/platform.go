@@ -527,6 +527,21 @@ func (p *Platform) complete(rq *request) {
 	p.record(rq.rec)
 }
 
+// finishUnserved is the one exit of a request that leaves without
+// service: a client-timeout drop, an abandoned retry, a rejection or a
+// shed. Its record completes now as dropped, and as rejected for a
+// reject or shed kind. The drop is when the request leaves the system;
+// without it, Latency() on a dropped record goes negative. The
+// transition on t.rq is logged, then the record is kept.
+func (p *Platform) finishUnserved(kind EventKind, detail string, t transition) {
+	rec := &t.rq.rec
+	rec.Dropped = true
+	rec.Rejected = kind != EvDrop
+	rec.Completion = p.eng.Now()
+	p.logEvent(kind, t.rq.fn.spec.Name, detail, t)
+	p.record(*rec)
+}
+
 // record finalises a request record and notifies the OnComplete hook.
 func (p *Platform) record(rec metrics.RequestRecord) {
 	p.col.Record(rec)

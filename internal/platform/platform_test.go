@@ -55,6 +55,17 @@ func runOne(t *testing.T, pol scheduler.Policy, v dnn.Variant, rps, duration flo
 	return p
 }
 
+// runMedium runs the medium functions at 8 req/s each for 120 s, with a
+// 40 s drain, under opts at seed.
+func runMedium(t *testing.T, opts Options, seed int64) *Platform {
+	t.Helper()
+	specs := specsFor(t, dnn.Medium)
+	opts.Seed = seed
+	p := New(cluster.New(cluster.DefaultSpec()), specs, opts)
+	p.Run(flatTrace(specs, 8, 120, seed), 40)
+	return p
+}
+
 func TestLightWorkloadAllPoliciesMeetSLO(t *testing.T) {
 	for _, pol := range []scheduler.Policy{&scheduler.FluidFaaS{}, &scheduler.ESG{}, &scheduler.INFlessMIG{}} {
 		p := runOne(t, pol, dnn.Small, 5, 240, 11)

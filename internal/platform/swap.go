@@ -103,7 +103,7 @@ func (p *Platform) ensureHostCopy(node *cluster.Node, fn *Function) (gb float64,
 	if pool.Has(name) {
 		loaded := pool.LoadedCopy(name)
 		if loaded && pool.Parked(name) {
-			p.logEvent(EvSwapIn, name, fmt.Sprintf("reclaimed parked copy on node%d", node.ID))
+			p.logEvent(EvSwapIn, name, fmt.Sprintf("reclaimed parked copy on node%d", node.ID), transition{})
 		}
 		pool.Reclaim(name)
 		return fn.memGB, loaded
@@ -157,19 +157,20 @@ func (p *Platform) dropHostCopy(node *cluster.Node, key string, gb float64) {
 		}
 	}
 	p.swapOuts++
-	p.logEvent(EvSwapOut, key, fmt.Sprintf("pool eviction on node%d (%.1f GB)", node.ID, gb))
-	if p.decOn() {
-		p.decide(decisions.Record{
-			Kind: decisions.KindSwapEvict, Func: key, Req: decisions.NoRequest,
-			Subject: fmt.Sprintf("node%d", node.ID),
-			Rule:    "LRU host-pool eviction under memory pressure",
-			Outcome: "host copy dropped; next load is a cold start",
-			Inputs: []decisions.KV{
-				kvF("gb", gb),
-				kvF("occupancy", node.Pool().Occupancy()),
-			},
-		})
-	}
+	p.logEvent(EvSwapOut, key, fmt.Sprintf("pool eviction on node%d (%.1f GB)", node.ID, gb), transition{
+		decision: func() decisions.Record {
+			return decisions.Record{
+				Kind: decisions.KindSwapEvict, Func: key,
+				Subject: fmt.Sprintf("node%d", node.ID),
+				Rule:    "LRU host-pool eviction under memory pressure",
+				Outcome: "host copy dropped; next load is a cold start",
+				Inputs: []decisions.KV{
+					kvF("gb", gb),
+					kvF("occupancy", node.Pool().Occupancy()),
+				},
+			}
+		},
+	})
 }
 
 // parkIfUnused parks fn's host copy on node when nothing there still
@@ -238,20 +239,20 @@ func (p *Platform) trySwapRelief() bool {
 	p.swapReliefs++
 	drain := keepalive.SwapOutTime(victim.fn.memGB)
 	p.logEvent(EvSwapOut, victim.id,
-		fmt.Sprintf("brownout swap relief: draining to host pool (%.2fs)", drain))
-	if p.decOn() {
-		p.decide(decisions.Record{
-			Kind: decisions.KindSwapRelief, Func: victim.fn.spec.Name,
-			Req: decisions.NoRequest, Subject: victim.id,
-			Rule:    "most-idle cold instance swapped out instead of shedding",
-			Outcome: "draining to host pool, then demote",
-			Inputs: []decisions.KV{
-				kvF("drain", drain),
-				kvF("idle", victim.tracker.IdleFor(now)),
-				kvF("occupancy", p.poolOccupancy()),
+		fmt.Sprintf("brownout swap relief: draining to host pool (%.2fs)", drain), transition{
+			decision: func() decisions.Record {
+				return decisions.Record{
+					Kind: decisions.KindSwapRelief, Func: victim.fn.spec.Name, Subject: victim.id,
+					Rule:    "most-idle cold instance swapped out instead of shedding",
+					Outcome: "draining to host pool, then demote",
+					Inputs: []decisions.KV{
+						kvF("drain", drain),
+						kvF("idle", victim.tracker.IdleFor(now)),
+						kvF("occupancy", p.poolOccupancy()),
+					},
+				}
 			},
 		})
-	}
 	p.eng.After(drain, func() {
 		p.reliefPending = false
 		if victim.failed {

@@ -113,9 +113,10 @@ func (p *Platform) utilTouch(sls ...*mig.Slice) {
 // sliceWork records one load, exec or transfer interval of fn's work on
 // a slice in both sinks that track hardware work: a span on the slice's
 // trace track and a busy claim in the utilization ledger. Work is
-// recorded upfront with its future end; cancelSliceWork truncates it
-// on teardown. Exec spans also carry the slice type and the declared
-// profile time, the drift analytics' baseline.
+// recorded upfront with its future end; a teardown transition
+// (logEvent) truncates it in both sinks. Exec spans also carry the
+// slice type and the declared profile time, the drift analytics'
+// baseline.
 func (p *Platform) sliceWork(sl *mig.Slice, s util.State, fn *Function, req, stage int, start, end, declared float64) {
 	id := sl.ID()
 	if r := p.opts.Obs; r != nil {
@@ -129,14 +130,6 @@ func (p *Platform) sliceWork(sl *mig.Slice, s util.State, fn *Function, req, sta
 		}
 	}
 	p.opts.Util.Busy(id, s, start, end)
-}
-
-// cancelSliceWork truncates the slice's recorded work at now in both
-// sinks. Fault and quarantine teardowns call it, so work that died with
-// its hardware is not counted as busy time past the teardown.
-func (p *Platform) cancelSliceWork(sl *mig.Slice, now float64) {
-	p.opts.Obs.CancelSliceWork(sl.ID(), now)
-	p.opts.Util.CancelBusy(sl.ID(), now)
 }
 
 // utilSample records one fragmentation-analytics sample: the scalar

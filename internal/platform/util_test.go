@@ -2,7 +2,6 @@ package platform
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"fluidfaas/internal/cluster"
@@ -13,47 +12,6 @@ import (
 	"fluidfaas/internal/overload"
 	"fluidfaas/internal/scheduler"
 )
-
-// runWithUtil runs one simulation with the given options template,
-// attaching led as the utilization ledger (nil = disabled path).
-func runWithUtil(t *testing.T, opts Options, led *util.Ledger, seed int64) *Platform {
-	t.Helper()
-	specs := specsFor(t, dnn.Medium)
-	cl := cluster.New(cluster.DefaultSpec())
-	opts.Seed = seed
-	opts.Util = led
-	p := New(cl, specs, opts)
-	tr := flatTrace(specs, 8, 120, seed)
-	p.Run(tr, 40)
-	return p
-}
-
-// TestUtilDisabledIdentity: attaching the utilization ledger must not
-// change a single request outcome or platform counter — it is a pure
-// observer, like the span recorder and the decision recorder before it.
-func TestUtilDisabledIdentity(t *testing.T) {
-	base := Options{Policy: &scheduler.FluidFaaS{}}
-	plain := runWithUtil(t, base, nil, 311)
-	led := util.NewLedger()
-	tracked := runWithUtil(t, base, led, 311)
-
-	a, b := plain.Collector().Records(), tracked.Collector().Records()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("request records diverge with the ledger attached: %d vs %d records", len(a), len(b))
-	}
-	if plain.Launched() != tracked.Launched() ||
-		plain.Evictions() != tracked.Evictions() ||
-		plain.Migrations() != tracked.Migrations() ||
-		plain.TotalEvents() != tracked.TotalEvents() {
-		t.Fatal("platform counters diverge with the ledger attached")
-	}
-	if !reflect.DeepEqual(plain.UtilGPCs, tracked.UtilGPCs) {
-		t.Fatal("utilisation timeline diverges with the ledger attached")
-	}
-	if len(led.Report().Slices) == 0 {
-		t.Fatal("ledger recorded nothing")
-	}
-}
 
 // TestUtilConservation: the conservation invariant — every slice's state
 // seconds tile its wall time exactly — must hold with every subsystem
@@ -116,7 +74,7 @@ func TestUtilConservation(t *testing.T) {
 func TestUtilStrandedESG(t *testing.T) {
 	run := func(pol scheduler.Policy) *util.Report {
 		led := util.NewLedger()
-		runWithUtil(t, Options{Policy: pol}, led, 42)
+		runMedium(t, Options{Policy: pol, Util: led}, 42)
 		if err := led.Check(); err != nil {
 			t.Fatal(err)
 		}
