@@ -79,3 +79,25 @@ func TestESGStrandsCapacity(t *testing.T) {
 		t.Errorf("light/infless: mean fragmentation %v, want > 0", f)
 	}
 }
+
+// TestOverloadStudyGolden pins the overload study: a sha256 over the
+// JSON encoding of RunOverload's points, with the engine's wall-clock
+// telemetry zeroed. TestOverloadStudy only bounds goodput and
+// rejections; every counter of every system at every load multiplier
+// must also stay put when the shared-slice queue is refactored.
+func TestOverloadStudyGolden(t *testing.T) {
+	const want = "745fa5ec37173eadc24e8c459968a1048c8397ada277c5e16ce90f6e43fdd3e3"
+	pts := RunOverload(cliConfig(), nil)
+	for _, pt := range pts {
+		for i := range pt.Systems {
+			pt.Systems[i].Engine.WallSeconds, pt.Systems[i].Engine.EventsPerSec = 0, 0
+		}
+	}
+	b, err := json.Marshal(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != want {
+		t.Errorf("overload study digest %s, want %s", got, want)
+	}
+}
