@@ -124,7 +124,7 @@ func main() {
 		if *loads != "" {
 			for _, s := range strings.Split(*loads, ",") {
 				m, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-				if err != nil || m <= 0 {
+				if err != nil || !experiments.FinitePositive(m) {
 					fmt.Fprintf(os.Stderr, "bad -loads entry %q\n", s)
 					os.Exit(2)
 				}

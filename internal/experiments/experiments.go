@@ -180,12 +180,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// FinitePositive reports whether v is a finite number above 0, the
+// rule every numeric CLI argument that scales a run must pass: NaN
+// fails every comparison and would otherwise slip past a v <= 0 check.
+func FinitePositive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
+
 // CheckDuration rejects a trace duration a command line must not run:
 // zero, negative, NaN or infinite. Config reads a non-positive Duration
 // as unset and runs the 300 s default, so a -duration flag is checked
 // before it reaches Config.
 func CheckDuration(d float64) error {
-	if !(d > 0) || math.IsInf(d, 1) {
+	if !FinitePositive(d) {
 		return fmt.Errorf("invalid -duration %v: want a finite number of seconds above 0", d)
 	}
 	return nil

@@ -10,7 +10,7 @@ import (
 // stops at workloads the testbed can serve; this sweep multiplies the
 // medium workload's request rates past saturation and compares plain
 // FluidFaaS and the baselines against FluidFaaS with the overload
-// controller (SLO-aware admission, fair queueing, brownout) enabled.
+// controller (SLO-aware admission and brownout) enabled.
 // The controller's promise is graceful degradation: goodput holds near
 // its peak while the lost traffic fails fast at arrival instead of
 // timing out after queueing.
@@ -21,9 +21,9 @@ import (
 var OverloadMultipliers = []float64{1, 2, 4}
 
 // OverloadControlConfig is the controller configuration the study
-// enables on FluidFaaS: all three features at their defaults.
+// enables on FluidFaaS: admission and brownout at their defaults.
 func OverloadControlConfig() overload.Config {
-	return overload.Config{Admission: true, FairQueue: true, Brownout: true}
+	return overload.Config{Admission: true, Brownout: true}
 }
 
 // OverloadPoint is one load multiplier's results: the three plain

@@ -1,10 +1,9 @@
 // Package overload implements the platform's overload-control
-// primitives: the configuration of SLO-aware admission control, an
-// MQFQ-style start-time fair queue for functions sharing a MIG slice
-// (fairqueue.go), and a brownout ladder that maps a node-pressure
-// signal onto progressively stronger degradation levels with
-// hysteresis. The package holds the pure decision logic; the platform
-// owns the queue/instance state and applies the decisions.
+// primitives: the configuration of SLO-aware admission control and a
+// brownout ladder that maps a node-pressure signal onto progressively
+// stronger degradation levels with hysteresis. The package holds the
+// pure decision logic; the platform owns the queue/instance state and
+// applies the decisions.
 package overload
 
 // Config enables the overload-control features. The zero value
@@ -16,9 +15,12 @@ type Config struct {
 	// (fast-fail) instead of queued to die of a client timeout.
 	Admission bool
 
-	// FairQueue replaces the deadline-sorted queue of a shared slice
-	// with per-function virtual-time fair queues, so one bursty
-	// function cannot starve co-resident bindings.
+	// FairQueue once replaced a shared slice's deadline-ordered queue
+	// with per-function fair queues. With admission on it never chose
+	// between two backlogged flows, so it was removed; a shared slice
+	// always serves in deadline order.
+	//
+	// Deprecated: ignored; deleted when bench/ next changes (ROADMAP item 3).
 	FairQueue bool
 
 	// Brownout enables the degradation ladder driven by the platform's
@@ -30,12 +32,6 @@ type Config struct {
 // is compared with the deadline: >1 would reject more aggressively, <1
 // would give the estimate the benefit of the doubt.
 const AdmissionSlack float64 = 1
-
-// StickyGrace is the virtual-time lead (seconds of virtual service) a
-// shared slice's resident function may hold over the globally fairest
-// flow before it must yield: MQFQ's stickiness, trading a bounded
-// unfairness for fewer model swaps.
-const StickyGrace float64 = 0.5
 
 // SwapHeadroom is the host-pool occupancy ceiling below which a
 // brownout at LevelShed prefers swapping an idle model out of GPU
@@ -57,8 +53,9 @@ const (
 // capacity.
 var enter = [3]float64{1.2, 2.0, 3.0}
 
-// Enabled reports whether any overload-control feature is on.
-func (c Config) Enabled() bool { return c.Admission || c.FairQueue || c.Brownout }
+// Enabled reports whether admission or brownout is on; the deprecated
+// fair-queue field does not count.
+func (c Config) Enabled() bool { return c.Admission || c.Brownout }
 
 // HedgingAllowed reports whether hedged retries may launch at ladder
 // level l. Hedging spends duplicate work to buy tail latency, which is

@@ -85,13 +85,28 @@ func TestLevelString(t *testing.T) {
 	}
 }
 
+// TestEnabled: admission and brownout each turn the subsystem on; the
+// zero config and the deprecated fair-queue field do not.
+func TestEnabled(t *testing.T) {
+	for _, tc := range []struct {
+		c    Config
+		want bool
+	}{
+		{Config{}, false},
+		{Config{FairQueue: true}, false},
+		{Config{Admission: true}, true},
+		{Config{Brownout: true}, true},
+	} {
+		if got := tc.c.Enabled(); got != tc.want {
+			t.Errorf("%+v.Enabled() = %v, want %v", tc.c, got, tc.want)
+		}
+	}
+}
+
 // TestHedgingAllowed: hedged retries are permitted through Conserve and
 // cut off at Degrade and Shed, whichever features are on.
 func TestHedgingAllowed(t *testing.T) {
 	c := Config{}
-	if c.Enabled() {
-		t.Error("zero config reports enabled")
-	}
 	want := map[Level]bool{
 		LevelNormal: true, LevelConserve: true,
 		LevelDegrade: false, LevelShed: false,

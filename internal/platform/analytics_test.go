@@ -22,7 +22,7 @@ import (
 
 // runMixed runs an instrumented simulation through the adversarial mix:
 // hardware faults (retried and failed requests), overload control
-// (rejections, fair queueing, brownout), pipeline migration, and heavy
+// (rejections, brownout), pipeline migration, and heavy
 // load (drops). This is the span-chain torture chamber the critical-
 // path reconstruction has to survive.
 func runMixed(t *testing.T, rec *obs.Recorder, seed int64) *Platform {
@@ -32,7 +32,7 @@ func runMixed(t *testing.T, rec *obs.Recorder, seed int64) *Platform {
 	p := New(cl, specs, Options{
 		Policy: &scheduler.FluidFaaS{}, Seed: seed, Obs: rec,
 		Faults:   &faults.Spec{SliceRate: 0.08, SliceMTTR: 30},
-		Overload: overload.Config{Admission: true, FairQueue: true, Brownout: true},
+		Overload: overload.Config{Admission: true, Brownout: true},
 	})
 	tr := flatTrace(specs, 12, 150, seed)
 	p.Run(tr, 40)

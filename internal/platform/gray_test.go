@@ -9,7 +9,6 @@ import (
 	"fluidfaas/internal/dnn"
 	"fluidfaas/internal/faults"
 	"fluidfaas/internal/metrics"
-	"fluidfaas/internal/overload"
 	"fluidfaas/internal/scheduler"
 )
 
@@ -371,9 +370,8 @@ func TestGrayEndToEndDeterminism(t *testing.T) {
 		cl := cluster.New(cluster.DefaultSpec())
 		p := New(cl, specs, Options{
 			Policy: &scheduler.FluidFaaS{}, Seed: 7,
-			Faults:   &faults.Spec{DegradedRate: 0.05, DegradedMTTR: 60},
-			Gray:     GrayOptions{Enabled: true, Hedge: true},
-			Overload: overload.Config{FairQueue: true},
+			Faults: &faults.Spec{DegradedRate: 0.05, DegradedMTTR: 60},
+			Gray:   GrayOptions{Enabled: true, Hedge: true},
 		})
 		tr := flatTrace(specs, 6, 180, 7)
 		p.Run(tr, 60)

@@ -193,10 +193,8 @@ func (p *Platform) launchHedge(rq *request, avoidInst *Instance, avoidShared *sh
 	if b := fn.ts; b != nil && b.shared != avoidShared && !b.shared.failed &&
 		b.outstanding < b.capacity && p.sliceClean(b.shared.slice) {
 		p.armHedge(rq, clone, b.shared.slice.ID(), true)
-		// The clone enqueues under the function's own fair-queue flow,
-		// so its service charges the function's virtual time like any
-		// other request — hedging cannot steal fairness from
-		// co-resident flows (MQFQ accounting is automatic).
+		// The clone queues in deadline order like any other request of
+		// the function.
 		b.shared.enqueue(p, b, clone)
 		return
 	}

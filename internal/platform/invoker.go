@@ -11,7 +11,6 @@ import (
 	"fluidfaas/internal/mig"
 	"fluidfaas/internal/obs/decisions"
 	"fluidfaas/internal/obs/util"
-	"fluidfaas/internal/overload"
 	"fluidfaas/internal/pipeline"
 )
 
@@ -96,10 +95,9 @@ type tsJob struct {
 	b  *tsBinding
 	// priority = deadline - estimated execution - estimated load (§5.3).
 	priority float64
-	// service is the job's estimated execution time, the fair queue's
-	// currency and the admission estimator's backlog unit.
-	service    float64
-	enqueuedAt float64
+	// service is the job's estimated execution time, the admission
+	// estimator's backlog unit.
+	service float64
 }
 
 // sharedSlice is one MIG slice in the invoker's time-sharing pool.
@@ -112,11 +110,8 @@ type sharedSlice struct {
 	// bindings lists the slice's bindings in function-name order, so
 	// every walk over them is deterministic.
 	bindings []*tsBinding
-	queue    []*tsJob
-	// fair replaces queue when overload fair queueing is enabled:
-	// per-function virtual-time flows so one bursty function cannot
-	// starve co-resident bindings (MQFQ-style).
-	fair *overload.FairQueue[*tsJob]
+	// queue holds the waiting jobs in priority order (§5.3).
+	queue []*tsJob
 	// queuedWork and servingWork track the backlog in estimated
 	// execution seconds, feeding the admission estimator.
 	queuedWork  float64
@@ -132,18 +127,13 @@ type sharedSlice struct {
 	failed bool
 }
 
-// newSharedSlice builds a pool slice, with a fair queue when the
-// overload subsystem asks for one.
+// newSharedSlice builds a pool slice.
 func newSharedSlice(inv *Invoker, sl *mig.Slice) *sharedSlice {
-	ss := &sharedSlice{
+	return &sharedSlice{
 		inv:   inv,
 		slice: sl,
 		decID: inv.p.opts.Decisions.Intern(sl.ID()),
 	}
-	if inv.p.opts.Overload.FairQueue {
-		ss.fair = overload.NewFairQueue[*tsJob]()
-	}
-	return ss
 }
 
 // addBinding files b on the slice in function-name order.
@@ -171,50 +161,25 @@ func (b *tsBinding) place(ss *sharedSlice) {
 	ss.addBinding(b)
 }
 
-// qlen is the queued-job count, whichever discipline holds them.
-func (ss *sharedSlice) qlen() int {
-	if ss.fair != nil {
-		return ss.fair.Len()
-	}
-	return len(ss.queue)
-}
+// qlen is the queued-job count.
+func (ss *sharedSlice) qlen() int { return len(ss.queue) }
 
-// pop removes the next job to serve: the fair queue's pick (sticky to
-// the resident function, avoiding swap thrash) or the deadline-ordered
-// head. Nil when empty.
+// pop removes the deadline-ordered head, the next job to serve. Nil
+// when empty.
 func (ss *sharedSlice) pop() *tsJob {
-	var job *tsJob
-	if ss.fair != nil {
-		prefer := ""
-		if ss.resident != nil {
-			prefer = ss.resident.fn.spec.Name
-		}
-		j, ok := ss.fair.Dequeue(prefer, overload.StickyGrace)
-		if !ok {
-			return nil
-		}
-		job = j
-	} else {
-		if len(ss.queue) == 0 {
-			return nil
-		}
-		job = ss.queue[0]
-		ss.queue = ss.queue[1:]
+	if len(ss.queue) == 0 {
+		return nil
 	}
+	job := ss.queue[0]
+	ss.queue = ss.queue[1:]
 	ss.queuedWork -= job.service
 	return job
 }
 
-// drainJobs empties the queue for teardown, deterministic order.
+// drainJobs empties the queue for teardown, in queue order.
 func (ss *sharedSlice) drainJobs() []*tsJob {
-	var jobs []*tsJob
-	if ss.fair != nil {
-		jobs = ss.fair.Items()
-		ss.fair.Clear()
-	} else {
-		jobs = ss.queue
-		ss.queue = nil
-	}
+	jobs := ss.queue
+	ss.queue = nil
 	ss.queuedWork = 0
 	return jobs
 }
@@ -477,35 +442,29 @@ func (inv *Invoker) siblingSlice(not *sharedSlice, b *tsBinding) *sharedSlice {
 	return nil
 }
 
-// enqueue admits a request to the binding's shared slice: into the
-// per-function fair queue when overload fair queueing is on, else the
-// single queue ordered by deadline minus estimated execution and load
-// times (§5.3). The ordered insert is a binary search — re-sorting the
-// whole queue on every arrival was O(n log n) per request.
+// enqueue admits a request to the binding's shared slice, into the
+// queue ordered by deadline minus estimated execution and load times
+// (§5.3). The ordered insert is a binary search — re-sorting the whole
+// queue on every arrival was O(n log n) per request.
 func (ss *sharedSlice) enqueue(p *Platform, b *tsBinding, rq *request) {
 	b.outstanding++
 	rq.snapshot()
 	b.tracker.Touch(p.eng.Now())
 	job := &tsJob{
-		rq:         rq,
-		b:          b,
-		priority:   rq.deadline - b.execOn() - b.estLoad(),
-		service:    b.execOn(),
-		enqueuedAt: p.eng.Now(),
+		rq:       rq,
+		b:        b,
+		priority: rq.deadline - b.execOn() - b.estLoad(),
+		service:  b.execOn(),
 	}
 	ss.queuedWork += job.service
-	if ss.fair != nil {
-		ss.fair.Enqueue(b.fn.spec.Name, 1, job.service, job)
-	} else {
-		// Upper bound keeps equal-priority jobs in arrival order, the
-		// exact order the stable sort produced.
-		i := sort.Search(len(ss.queue), func(i int) bool {
-			return ss.queue[i].priority > job.priority
-		})
-		ss.queue = append(ss.queue, nil)
-		copy(ss.queue[i+1:], ss.queue[i:])
-		ss.queue[i] = job
-	}
+	// Upper bound keeps equal-priority jobs in arrival order, the exact
+	// order the stable sort produced.
+	i := sort.Search(len(ss.queue), func(i int) bool {
+		return ss.queue[i].priority > job.priority
+	})
+	ss.queue = append(ss.queue, nil)
+	copy(ss.queue[i+1:], ss.queue[i:])
+	ss.queue[i] = job
 	ss.kick(p)
 }
 
@@ -695,19 +654,15 @@ func (ss *sharedSlice) dropStale(p *Platform, now float64) []*tsBinding {
 		return slo > 0 && now-job.rq.arrival > pendingDrop*slo
 	}
 	var dropped []*tsJob
-	if ss.fair != nil {
-		dropped = ss.fair.Filter(func(j *tsJob) bool { return !stale(j) })
-	} else {
-		keep := ss.queue[:0]
-		for _, j := range ss.queue {
-			if stale(j) {
-				dropped = append(dropped, j)
-			} else {
-				keep = append(keep, j)
-			}
+	keep := ss.queue[:0]
+	for _, j := range ss.queue {
+		if stale(j) {
+			dropped = append(dropped, j)
+		} else {
+			keep = append(keep, j)
 		}
-		ss.queue = keep
 	}
+	ss.queue = keep
 	var freed []*tsBinding
 	for _, j := range dropped {
 		ss.queuedWork -= j.service

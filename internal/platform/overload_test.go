@@ -12,9 +12,10 @@ import (
 	"fluidfaas/internal/scheduler"
 )
 
-// TestOverloadOffBitForBit: with every overload feature off, same-seed
-// runs are bit-for-bit identical, down to the event log and the
-// overload counters.
+// TestOverloadOffBitForBit: the deprecated FairQueue field is inert. A
+// run that sets it is bit-for-bit identical to a same-seed run with
+// every overload feature off, down to the records and the overload
+// counters, and takes no overload action.
 func TestOverloadOffBitForBit(t *testing.T) {
 	run := func(oc overload.Config) *Platform {
 		specs := specsFor(t, dnn.Medium)
@@ -25,7 +26,7 @@ func TestOverloadOffBitForBit(t *testing.T) {
 		return p
 	}
 	a := run(overload.Config{})
-	b := run(overload.Config{})
+	b := run(overload.Config{FairQueue: true})
 	ra, rb := a.Collector().Records(), b.Collector().Records()
 	if len(ra) != len(rb) {
 		t.Fatalf("record counts differ: %d vs %d", len(ra), len(rb))
@@ -173,65 +174,39 @@ func TestBrownoutLadderEngages(t *testing.T) {
 	}
 }
 
-// TestFairQueueInterleavesBurst: with fair queueing, a burst from one
-// function cannot starve a co-resident binding; with the deadline
-// queue, the tight-deadline burst runs first.
-func TestFairQueueInterleavesBurst(t *testing.T) {
-	setup := func(fair bool) (*Platform, *tsBinding, *tsBinding, *sharedSlice) {
-		specs := specsFor(t, dnn.Small)[:2]
-		oc := overload.Config{}
-		if fair {
-			oc.FairQueue = true
-		}
-		p := New(smallCluster(1), specs, Options{
-			Policy: &scheduler.FluidFaaS{}, Seed: 3, Overload: oc,
-		})
-		inv := p.inv[0]
-		b0 := inv.bindTS(p.funcs[0])
-		b1 := inv.bindTS(p.funcs[1])
-		if b0 == nil || b1 == nil || b0.shared != b1.shared {
-			t.Fatalf("bindings not sharing a slice")
-		}
-		// Equalise service times so the pop order depends only on the
-		// queueing discipline, not the models' relative exec costs.
-		st := b0.shared.slice.Type
-		p.funcs[0].mono(st).Plan.Latency = 0.2
-		p.funcs[1].mono(st).Plan.Latency = 0.2
-		b0.everLoaded, b1.everLoaded = true, true
-		return p, b0, b1, b0.shared
+// TestDeadlineQueueOrder: a shared slice serves its queue by deadline
+// minus estimated exec and load (§5.3), so a tight-deadline burst from
+// one function runs ahead of a co-resident function's loose-deadline
+// jobs.
+func TestDeadlineQueueOrder(t *testing.T) {
+	specs := specsFor(t, dnn.Small)[:2]
+	p := New(smallCluster(1), specs, Options{Policy: &scheduler.FluidFaaS{}, Seed: 3})
+	inv := p.inv[0]
+	b0 := inv.bindTS(p.funcs[0])
+	b1 := inv.bindTS(p.funcs[1])
+	if b0 == nil || b1 == nil || b0.shared != b1.shared {
+		t.Fatalf("bindings not sharing a slice")
 	}
-	popOrder := func(p *Platform, b0, b1 *tsBinding, ss *sharedSlice) []int {
-		// Hold the slice busy so all six jobs queue, then drain by hand.
-		ss.serving = &tsJob{}
-		for i := 0; i < 4; i++ {
-			ss.enqueue(p, b0, &request{fn: b0.fn, deadline: 10 + float64(i)})
-		}
-		ss.enqueue(p, b1, &request{fn: b1.fn, deadline: 1000})
-		ss.enqueue(p, b1, &request{fn: b1.fn, deadline: 1001})
-		ss.serving = nil
-		var order []int
-		for ss.qlen() > 0 {
-			job := ss.pop()
-			order = append(order, job.b.fn.spec.ID)
-		}
-		return order
-	}
+	// Equalise service times so the pop order depends only on the
+	// deadlines, not the models' relative exec costs.
+	ss := b0.shared
+	p.funcs[0].mono(ss.slice.Type).Plan.Latency = 0.2
+	p.funcs[1].mono(ss.slice.Type).Plan.Latency = 0.2
+	b0.everLoaded, b1.everLoaded = true, true
 
-	p, b0, b1, ss := setup(true)
-	order := popOrder(p, b0, b1, ss)
-	lastB1 := -1
-	for i, id := range order {
-		if id == 1 {
-			lastB1 = i
-		}
+	// Hold the slice busy so all six jobs queue, then drain by hand.
+	ss.serving = &tsJob{}
+	for i := 0; i < 4; i++ {
+		ss.enqueue(p, b0, &request{fn: b0.fn, deadline: 10 + float64(i)})
 	}
-	if lastB1 > 3 {
-		t.Errorf("fair queue starved the sibling: order %v", order)
+	ss.enqueue(p, b1, &request{fn: b1.fn, deadline: 1000})
+	ss.enqueue(p, b1, &request{fn: b1.fn, deadline: 1001})
+	ss.serving = nil
+	var order []int
+	for ss.qlen() > 0 {
+		order = append(order, ss.pop().b.fn.spec.ID)
 	}
-
-	p, b0, b1, ss = setup(false)
-	order = popOrder(p, b0, b1, ss)
-	if order[4] != 1 || order[5] != 1 {
+	if len(order) != 6 || order[4] != 1 || order[5] != 1 {
 		t.Errorf("deadline queue order %v, want the loose-deadline jobs last", order)
 	}
 }
@@ -240,73 +215,62 @@ func TestFairQueueInterleavesBurst(t *testing.T) {
 // a request stuck in a shared-slice queue past the client timeout must
 // be dropped by dropStalePending (it previously only swept fn.pending,
 // so such requests were served long after the client had gone, wasting
-// GPU time). Covered for both queue disciplines.
+// GPU time).
 func TestDropStaleTSQueue(t *testing.T) {
-	for _, fair := range []bool{false, true} {
-		name := "deadline-queue"
-		if fair {
-			name = "fair-queue"
-		}
-		t.Run(name, func(t *testing.T) {
-			specs := specsFor(t, dnn.Small)[:2]
-			oc := overload.Config{FairQueue: fair}
-			p := New(smallCluster(1), specs, Options{
-				Policy: &scheduler.FluidFaaS{}, Seed: 3, Overload: oc,
-			})
-			inv := p.inv[0]
-			b0 := inv.bindTS(p.funcs[0])
-			b1 := inv.bindTS(p.funcs[1])
-			if b0 == nil || b1 == nil || b0.shared != b1.shared {
-				t.Fatal("bindings not sharing a slice")
-			}
-			b0.everLoaded, b1.everLoaded = true, true
-			ss := b0.shared
-			// Make the blocking job's service far outlast the client
-			// timeout, so the queued job is still waiting at sweep time.
-			p.funcs[0].mono(ss.slice.Type).Plan.Latency = 50
+	specs := specsFor(t, dnn.Small)[:2]
+	p := New(smallCluster(1), specs, Options{Policy: &scheduler.FluidFaaS{}, Seed: 3})
+	inv := p.inv[0]
+	b0 := inv.bindTS(p.funcs[0])
+	b1 := inv.bindTS(p.funcs[1])
+	if b0 == nil || b1 == nil || b0.shared != b1.shared {
+		t.Fatal("bindings not sharing a slice")
+	}
+	b0.everLoaded, b1.everLoaded = true, true
+	ss := b0.shared
+	// Make the blocking job's service far outlast the client
+	// timeout, so the queued job is still waiting at sweep time.
+	p.funcs[0].mono(ss.slice.Type).Plan.Latency = 50
 
-			stale := &request{
-				id: 1, fn: b1.fn, arrival: 0, deadline: b1.fn.spec.SLO,
-				rec: metrics.RequestRecord{ID: 1, Func: 1, SLO: b1.fn.spec.SLO},
-			}
-			p.eng.At(0, func() {
-				// A long-deadline job occupies the slice; the b1 job
-				// queues behind it.
-				ss.enqueue(p, b0, &request{fn: b0.fn, deadline: 1000})
-				ss.enqueue(p, b1, stale)
-			})
-			// Well past pendingDrop*SLO, a control-loop sweep runs while
-			// the job still sits in the queue.
-			cut := pendingDrop*b1.fn.spec.SLO + 1
-			p.eng.At(cut, func() {
-				if ss.qlen() != 1 {
-					t.Fatalf("queue length = %d before sweep, want the stuck job", ss.qlen())
-				}
-				p.dropStalePending()
-				if ss.qlen() != 0 {
-					t.Error("stale job survived the sweep")
-				}
-				if b1.outstanding != 0 {
-					t.Errorf("binding outstanding = %d after drop, want 0", b1.outstanding)
-				}
-			})
-			p.eng.RunUntil(cut + 0.001)
-			if !stale.rec.Dropped || stale.rec.Rejected {
-				t.Errorf("stale record = %+v, want a timeout drop", stale.rec)
-			}
-			if stale.rec.Completion != cut {
-				t.Errorf("drop time = %v, want sweep time %v", stale.rec.Completion, cut)
-			}
-			found := false
-			for _, r := range p.Collector().Records() {
-				if r.ID == 1 && r.Dropped {
-					found = true
-				}
-			}
-			if !found {
-				t.Error("dropped request not recorded")
-			}
-		})
+	stale := &request{
+		id: 1, fn: b1.fn, arrival: 0, deadline: b1.fn.spec.SLO,
+		rec: metrics.RequestRecord{ID: 1, Func: 1, SLO: b1.fn.spec.SLO},
+	}
+	p.eng.At(0, func() {
+		// A long-deadline job occupies the slice; the b1 job
+		// queues behind it.
+		ss.enqueue(p, b0, &request{fn: b0.fn, deadline: 1000})
+		ss.enqueue(p, b1, stale)
+	})
+	// Well past pendingDrop*SLO, a control-loop sweep runs while
+	// the job still sits in the queue.
+	cut := pendingDrop*b1.fn.spec.SLO + 1
+	p.eng.At(cut, func() {
+		if ss.qlen() != 1 {
+			t.Fatalf("queue length = %d before sweep, want the stuck job", ss.qlen())
+		}
+		p.dropStalePending()
+		if ss.qlen() != 0 {
+			t.Error("stale job survived the sweep")
+		}
+		if b1.outstanding != 0 {
+			t.Errorf("binding outstanding = %d after drop, want 0", b1.outstanding)
+		}
+	})
+	p.eng.RunUntil(cut + 0.001)
+	if !stale.rec.Dropped || stale.rec.Rejected {
+		t.Errorf("stale record = %+v, want a timeout drop", stale.rec)
+	}
+	if stale.rec.Completion != cut {
+		t.Errorf("drop time = %v, want sweep time %v", stale.rec.Completion, cut)
+	}
+	found := false
+	for _, r := range p.Collector().Records() {
+		if r.ID == 1 && r.Dropped {
+			found = true
+		}
+	}
+	if !found {
+		t.Error("dropped request not recorded")
 	}
 }
 

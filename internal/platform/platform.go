@@ -72,9 +72,8 @@ type Options struct {
 	// The alternatives exist for the routing ablation.
 	Routing RoutingOrder
 	// Overload enables the overload-control subsystem: SLO-aware
-	// admission at route, fair queueing across functions on shared
-	// slices, and the brownout degradation ladder. The zero value
-	// turns all three off, leaving runs bit-for-bit identical.
+	// admission at route and the brownout degradation ladder. The zero
+	// value turns both off, leaving runs bit-for-bit identical.
 	Overload overload.Config
 	// Swap enables the model-swapping memory tier (swap.go): per-model
 	// host-pool reservations with LRU eviction, parked copies that make
