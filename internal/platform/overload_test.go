@@ -217,61 +217,63 @@ func TestDeadlineQueueOrder(t *testing.T) {
 // so such requests were served long after the client had gone, wasting
 // GPU time).
 func TestDropStaleTSQueue(t *testing.T) {
-	specs := specsFor(t, dnn.Small)[:2]
-	p := New(smallCluster(1), specs, Options{Policy: &scheduler.FluidFaaS{}, Seed: 3})
-	inv := p.inv[0]
-	b0 := inv.bindTS(p.funcs[0])
-	b1 := inv.bindTS(p.funcs[1])
-	if b0 == nil || b1 == nil || b0.shared != b1.shared {
-		t.Fatal("bindings not sharing a slice")
-	}
-	b0.everLoaded, b1.everLoaded = true, true
-	ss := b0.shared
-	// Make the blocking job's service far outlast the client
-	// timeout, so the queued job is still waiting at sweep time.
-	p.funcs[0].mono(ss.slice.Type).Plan.Latency = 50
+	t.Run("deadline-queue", func(t *testing.T) {
+		specs := specsFor(t, dnn.Small)[:2]
+		p := New(smallCluster(1), specs, Options{Policy: &scheduler.FluidFaaS{}, Seed: 3})
+		inv := p.inv[0]
+		b0 := inv.bindTS(p.funcs[0])
+		b1 := inv.bindTS(p.funcs[1])
+		if b0 == nil || b1 == nil || b0.shared != b1.shared {
+			t.Fatal("bindings not sharing a slice")
+		}
+		b0.everLoaded, b1.everLoaded = true, true
+		ss := b0.shared
+		// Make the blocking job's service far outlast the client
+		// timeout, so the queued job is still waiting at sweep time.
+		p.funcs[0].mono(ss.slice.Type).Plan.Latency = 50
 
-	stale := &request{
-		id: 1, fn: b1.fn, arrival: 0, deadline: b1.fn.spec.SLO,
-		rec: metrics.RequestRecord{ID: 1, Func: 1, SLO: b1.fn.spec.SLO},
-	}
-	p.eng.At(0, func() {
-		// A long-deadline job occupies the slice; the b1 job
-		// queues behind it.
-		ss.enqueue(p, b0, &request{fn: b0.fn, deadline: 1000})
-		ss.enqueue(p, b1, stale)
+		stale := &request{
+			id: 1, fn: b1.fn, arrival: 0, deadline: b1.fn.spec.SLO,
+			rec: metrics.RequestRecord{ID: 1, Func: 1, SLO: b1.fn.spec.SLO},
+		}
+		p.eng.At(0, func() {
+			// A long-deadline job occupies the slice; the b1 job
+			// queues behind it.
+			ss.enqueue(p, b0, &request{fn: b0.fn, deadline: 1000})
+			ss.enqueue(p, b1, stale)
+		})
+		// Well past pendingDrop*SLO, a control-loop sweep runs while
+		// the job still sits in the queue.
+		cut := pendingDrop*b1.fn.spec.SLO + 1
+		p.eng.At(cut, func() {
+			if ss.qlen() != 1 {
+				t.Fatalf("queue length = %d before sweep, want the stuck job", ss.qlen())
+			}
+			p.dropStalePending()
+			if ss.qlen() != 0 {
+				t.Error("stale job survived the sweep")
+			}
+			if b1.outstanding != 0 {
+				t.Errorf("binding outstanding = %d after drop, want 0", b1.outstanding)
+			}
+		})
+		p.eng.RunUntil(cut + 0.001)
+		if !stale.rec.Dropped || stale.rec.Rejected {
+			t.Errorf("stale record = %+v, want a timeout drop", stale.rec)
+		}
+		if stale.rec.Completion != cut {
+			t.Errorf("drop time = %v, want sweep time %v", stale.rec.Completion, cut)
+		}
+		found := false
+		for _, r := range p.Collector().Records() {
+			if r.ID == 1 && r.Dropped {
+				found = true
+			}
+		}
+		if !found {
+			t.Error("dropped request not recorded")
+		}
 	})
-	// Well past pendingDrop*SLO, a control-loop sweep runs while
-	// the job still sits in the queue.
-	cut := pendingDrop*b1.fn.spec.SLO + 1
-	p.eng.At(cut, func() {
-		if ss.qlen() != 1 {
-			t.Fatalf("queue length = %d before sweep, want the stuck job", ss.qlen())
-		}
-		p.dropStalePending()
-		if ss.qlen() != 0 {
-			t.Error("stale job survived the sweep")
-		}
-		if b1.outstanding != 0 {
-			t.Errorf("binding outstanding = %d after drop, want 0", b1.outstanding)
-		}
-	})
-	p.eng.RunUntil(cut + 0.001)
-	if !stale.rec.Dropped || stale.rec.Rejected {
-		t.Errorf("stale record = %+v, want a timeout drop", stale.rec)
-	}
-	if stale.rec.Completion != cut {
-		t.Errorf("drop time = %v, want sweep time %v", stale.rec.Completion, cut)
-	}
-	found := false
-	for _, r := range p.Collector().Records() {
-		if r.ID == 1 && r.Dropped {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("dropped request not recorded")
-	}
 }
 
 // TestRoutedInstanceOrders covers the three routing orders over a
