@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"reflect"
 	"testing"
 
 	"fluidfaas/internal/cluster"
@@ -12,39 +13,62 @@ import (
 	"fluidfaas/internal/scheduler"
 )
 
-// TestOverloadOffBitForBit: the deprecated FairQueue field is inert. A
-// run that sets it is bit-for-bit identical to a same-seed run with
-// every overload feature off, down to the records and the overload
-// counters, and takes no overload action.
+// TestOverloadOffBitForBit: the deprecated FairQueue and Brownout
+// fields are inert. Each row runs one rig twice, once with the base
+// config and once with the inert fields added, and the two runs must be
+// bit-for-bit identical down to the records, the lifecycle-event tally
+// and the typed reject counters.
 func TestOverloadOffBitForBit(t *testing.T) {
-	run := func(oc overload.Config) *Platform {
+	// medium: the full medium catalog on the default cluster at a
+	// serviceable rate.
+	medium := func(oc overload.Config) *Platform {
 		specs := specsFor(t, dnn.Medium)
 		cl := cluster.New(cluster.DefaultSpec())
 		p := New(cl, specs, Options{Policy: &scheduler.FluidFaaS{}, Seed: 42, Overload: oc})
-		tr := flatTrace(specs, 8, 120, 42)
-		p.Run(tr, 60)
+		p.Run(flatTrace(specs, 8, 120, 42), 60)
 		return p
 	}
-	a := run(overload.Config{})
-	b := run(overload.Config{FairQueue: true})
-	ra, rb := a.Collector().Records(), b.Collector().Records()
-	if len(ra) != len(rb) {
-		t.Fatalf("record counts differ: %d vs %d", len(ra), len(rb))
+	// saturated: TestAdmissionFastFail's rig, 25 rps per small function
+	// on one GPU, where admission fast-fails requests.
+	saturated := func(oc overload.Config) *Platform {
+		specs := specsFor(t, dnn.Small)
+		p := New(smallCluster(1), specs, Options{Policy: &scheduler.FluidFaaS{}, Seed: 7, Overload: oc})
+		p.Run(flatTrace(specs, 25, 90, 7), 60)
+		return p
 	}
-	for i := range ra {
-		if ra[i] != rb[i] {
-			t.Fatalf("record %d differs:\n%+v\n%+v", i, ra[i], rb[i])
-		}
-	}
-	if a.Launched() != b.Launched() || a.Evictions() != b.Evictions() ||
-		a.Migrations() != b.Migrations() {
-		t.Error("platform counters differ with inert overload knobs")
-	}
-	if b.Rejected() != 0 || b.ShedCount() != 0 || b.Contractions() != 0 {
-		t.Error("overload actions fired with all features disabled")
-	}
-	if b.BrownoutLevel() != overload.LevelNormal {
-		t.Errorf("brownout level = %v with brownout disabled", b.BrownoutLevel())
+	for _, tc := range []struct {
+		name         string
+		rig          func(overload.Config) *Platform
+		base, inert  overload.Config
+		wantRejected bool
+	}{
+		{"fair-queue", medium, overload.Config{}, overload.Config{FairQueue: true}, false},
+		{"brownout-under-admission", saturated,
+			overload.Config{Admission: true}, overload.Config{Admission: true, Brownout: true}, true},
+		{"fair-queue-and-brownout", medium,
+			overload.Config{}, overload.Config{FairQueue: true, Brownout: true}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := tc.rig(tc.base), tc.rig(tc.inert)
+			ra, rb := a.Collector().Records(), b.Collector().Records()
+			if len(ra) != len(rb) {
+				t.Fatalf("record counts differ: %d vs %d", len(ra), len(rb))
+			}
+			for i := range ra {
+				if ra[i] != rb[i] {
+					t.Fatalf("record %d differs:\n%+v\n%+v", i, ra[i], rb[i])
+				}
+			}
+			if ea, eb := a.CountEvents(), b.CountEvents(); !reflect.DeepEqual(ea, eb) {
+				t.Errorf("event tallies differ:\n%v\n%v", ea, eb)
+			}
+			if ca, cb := a.RejectedByReason(), b.RejectedByReason(); !reflect.DeepEqual(ca, cb) {
+				t.Errorf("reject reasons differ:\n%v\n%v", ca, cb)
+			}
+			if got := b.Rejected() > 0; got != tc.wantRejected {
+				t.Errorf("rejected = %d, want rejections: %v", b.Rejected(), tc.wantRejected)
+			}
+		})
 	}
 }
 
