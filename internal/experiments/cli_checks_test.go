@@ -86,7 +86,7 @@ func TestESGStrandsCapacity(t *testing.T) {
 // rejections; every counter of every system at every load multiplier
 // must also stay put when the shared-slice queue is refactored.
 func TestOverloadStudyGolden(t *testing.T) {
-	const want = "745fa5ec37173eadc24e8c459968a1048c8397ada277c5e16ce90f6e43fdd3e3"
+	const want = "6ce071619d147ab555cd272cdd32ec21b4bf1abdff9dc07ddb744ca0ccd6771f"
 	pts := RunOverload(cliConfig(), nil)
 	for _, pt := range pts {
 		for i := range pt.Systems {

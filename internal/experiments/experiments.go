@@ -293,14 +293,12 @@ type SystemResult struct {
 	Launched   int
 
 	// Overload-study outcome: SLO-meeting completions per second, the
-	// fast-fail/timeout/shed split of the lost requests, Jain fairness
-	// over per-app SLO hit rates, and brownout activity.
+	// fast-fail/timeout split of the lost requests, and Jain fairness
+	// over per-app SLO hit rates.
 	Goodput      float64
 	Fairness     float64
 	Rejected     int
 	TimeoutDrops int
-	Shed         int
-	Contractions int
 
 	// Fault-run outcome: the fraction of requests that did not fail on
 	// faulted hardware, and the retry/teardown activity behind it.
@@ -383,8 +381,6 @@ func RunSystem(pol scheduler.Policy, w Workload, cfg Config) SystemResult {
 		Goodput:       col.Goodput(cfg.Duration),
 		Rejected:      col.RejectedCount(),
 		TimeoutDrops:  col.TimeoutDropCount(),
-		Shed:          p.ShedCount(),
-		Contractions:  p.Contractions(),
 		Availability:  col.Availability(),
 		FailedCount:   col.FailedCount(),
 		RetriedCount:  col.RetriedCount(),

@@ -29,19 +29,19 @@ func paperMatrix() *EndToEnd {
 func TestPaperMatrixGolden(t *testing.T) {
 	want := map[Workload]map[string]string{
 		Light: {
-			"fluidfaas": "ee056874c899a93a483b90ac7ca0c941eb41140b19c0af0cadd3a99e79704e82",
-			"esg":       "49b8a721d5282579c78a3ef6bc13946fdd1c9ac79c13bda7377f05ff25b236fe",
-			"infless":   "75953213554a63bb1f80f6496d1659adeeb67ec39b710be85f57f7f97dec54ba",
+			"fluidfaas": "7c24aa2ebfda6ce1c0a90b4f53f2fd4f29a372ce90cd99a1202edb7c16e0a2b2",
+			"esg":       "2eb5919edad35b3ea152e7de9f1cf693ed9e030002519f3288991dae7ba149af",
+			"infless":   "d10fd1a19d612db21818f25a1074128b528900aea6f9a3706b372a90b20783f6",
 		},
 		Medium: {
-			"fluidfaas": "2c39f2c6835b69e08ae5983f0399feafa0ee8d80f47e308e03c5cb9468f81dc7",
-			"esg":       "b57272256253af44ffa0b2b328b050cb344b0511e94908365d2659e49f411497",
-			"infless":   "28234db055d31d1c48428a9d174406f5b6227ed17a9da9b60cdf1add2a2dd469",
+			"fluidfaas": "cab780996e64b8d389e64da0836b64576b74ac10ce5c932915c41905a253f3d7",
+			"esg":       "970c87263ff6de288c213e5a2e485b890ac4c957ea3fa49dcb269f484d4045ae",
+			"infless":   "be5d3087bba2823302e86c6d874ca1e0121b8b3d43317c3d5b5e66cad245e517",
 		},
 		Heavy: {
-			"fluidfaas": "983f88c8f51287dcb00989df86871bd80538d9b2b3182728696c3e9f8fa44254",
-			"esg":       "5955268b1c240343335728739325faa2f5600244d24869455373f1a795c8d26e",
-			"infless":   "f472b8ef47c97f2dea9db7fe702844deac6fd653c101a7e0aa94ef3b64cb5804",
+			"fluidfaas": "21f7d0075e9a495055d3dddbf1883aa48d8b44f0c42660d20da39fa28d65d2a9",
+			"esg":       "cc209406b85989386759af10c2b9cf25398d9140f9bf3d5bed006c5f0e5559aa",
+			"infless":   "de0855d86b2e6693624d4013dc5a4773be2e7db2511dbe01b52f5fc030a701c4",
 		},
 	}
 	e := paperMatrix()

@@ -72,14 +72,13 @@ func OverloadTable(points []OverloadPoint) Table {
 	t := Table{
 		Title: "Extension: goodput and degradation under offered overload (medium workload)",
 		Header: []string{"xload", "system", "goodput", "slo hit", "fast-fail",
-			"timeout-drop", "shed", "fairness", "contractions"},
+			"timeout-drop", "fairness"},
 	}
 	for _, pt := range points {
 		for _, s := range pt.Systems {
 			t.Rows = append(t.Rows, []string{
 				f1(pt.Multiplier), s.System, f1(s.Goodput), pct(s.SLOHit),
-				itoa(s.Rejected), itoa(s.TimeoutDrops), itoa(s.Shed),
-				f3(s.Fairness), itoa(s.Contractions),
+				itoa(s.Rejected), itoa(s.TimeoutDrops), f3(s.Fairness),
 			})
 		}
 	}
