@@ -123,10 +123,6 @@ type Config struct {
 	// CPUMemGB is the host memory per node (default 1440, paper Table 3;
 	// the density study constrains it to put the pool under pressure).
 	CPUMemGB float64
-	// Priorities assigns per-app priority classes (index = app order;
-	// missing entries default to 0). Brownout shedding spares the
-	// highest class.
-	Priorities []int
 	// Obs attaches an observability recorder to the run (nil = off, the
 	// zero-cost default). The recorder fills with request traces, slice
 	// spans and metrics for the Chrome-trace / Prometheus exporters.
@@ -330,9 +326,6 @@ func RunSystem(pol scheduler.Policy, w Workload, cfg Config) SystemResult {
 	cfg = cfg.withDefaults()
 	specs := SpecsFor(w, cfg.SLOScale)
 	for i := range specs {
-		if i < len(cfg.Priorities) {
-			specs[i].Priority = cfg.Priorities[i]
-		}
 		if cfg.TransferScale > 0 {
 			specs[i].DAG.TransferScale = cfg.TransferScale
 		}

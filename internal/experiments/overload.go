@@ -9,8 +9,8 @@ import (
 // behave when offered load exceeds capacity. The paper's evaluation
 // stops at workloads the testbed can serve; this sweep multiplies the
 // medium workload's request rates past saturation and compares plain
-// FluidFaaS and the baselines against FluidFaaS with the overload
-// controller (SLO-aware admission and brownout) enabled.
+// FluidFaaS and the baselines against FluidFaaS with SLO-aware
+// admission enabled.
 // The controller's promise is graceful degradation: goodput holds near
 // its peak while the lost traffic fails fast at arrival instead of
 // timing out after queueing.
@@ -21,9 +21,9 @@ import (
 var OverloadMultipliers = []float64{1, 2, 4}
 
 // OverloadControlConfig is the controller configuration the study
-// enables on FluidFaaS: admission and brownout at their defaults.
+// enables on FluidFaaS: SLO-aware admission.
 func OverloadControlConfig() overload.Config {
-	return overload.Config{Admission: true, Brownout: true}
+	return overload.Config{Admission: true}
 }
 
 // OverloadPoint is one load multiplier's results: the three plain
@@ -42,12 +42,6 @@ func RunOverload(cfg Config, mults []float64) []OverloadPoint {
 	if mults == nil {
 		mults = OverloadMultipliers
 	}
-	// Priority classes for shedding: apps are ranked by index, the last
-	// one highest (uniform priorities would shed nothing).
-	prios := make([]int, len(appsFor(Medium)))
-	for i := range prios {
-		prios[i] = i
-	}
 	var out []OverloadPoint
 	for _, m := range mults {
 		c := cfg
@@ -58,7 +52,6 @@ func RunOverload(cfg Config, mults []float64) []OverloadPoint {
 		}
 		oc := c
 		oc.Overload = OverloadControlConfig()
-		oc.Priorities = prios
 		res := RunSystem(&scheduler.FluidFaaS{}, Medium, oc)
 		res.System += "+overload"
 		pt.Systems = append(pt.Systems, res)

@@ -135,8 +135,7 @@ func TestSimExportsAndIntrospection(t *testing.T) {
 	want := platform.Counters{
 		Launched: p.Launched(), Evicted: p.Evictions(), Migrated: p.Migrations(),
 		Faults: p.FaultsInjected(), Recoveries: p.Recoveries(), Retries: p.Retries(),
-		Rejected: p.Rejected(), Shed: p.ShedCount(), Contractions: p.Contractions(),
-		SwapIns: p.SwapIns(), SwapOuts: p.SwapOuts(), SwapReliefs: p.SwapReliefs(),
+		Rejected: p.Rejected(), SwapIns: p.SwapIns(), SwapOuts: p.SwapOuts(),
 	}
 	if st.Counters != want || want.Launched == 0 {
 		t.Errorf("/state counters %+v, accessors %+v", st.Counters, want)

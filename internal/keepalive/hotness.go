@@ -134,11 +134,6 @@ const (
 	// RemoteFetchGBps is the effective remote-storage fetch bandwidth
 	// (registry or cached object store over the datacenter network).
 	RemoteFetchGBps = 5.0
-	// DtoHBandwidthGBps is the effective device-to-host writeback
-	// bandwidth for swapping a model out of GPU memory. Writeback
-	// contends with ongoing host-to-device traffic, so it is modelled
-	// slightly below the HtoD figure.
-	DtoHBandwidthGBps = 10.0
 )
 
 // WarmLoadTime returns the host-to-device reload time for memGB of model
@@ -163,13 +158,3 @@ func ColdStartTime(memGB float64) float64 {
 // device memory: a pure PCIe host-to-device copy, identical in cost to
 // a warm reload (the pool copy is exactly the warm copy, managed).
 func SwapInTime(memGB float64) float64 { return WarmLoadTime(memGB) }
-
-// SwapOutTime returns the time to write a model's device state back to
-// the host pool over PCIe, paid when a swap demotion must drain GPU
-// memory before its slices are reusable.
-func SwapOutTime(memGB float64) float64 {
-	if memGB < 0 {
-		memGB = 0
-	}
-	return memGB / DtoHBandwidthGBps
-}

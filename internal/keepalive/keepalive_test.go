@@ -286,18 +286,11 @@ func TestSwapTimes(t *testing.T) {
 	if got := SwapInTime(24); got != WarmLoadTime(24) {
 		t.Errorf("SwapInTime(24) = %v, want WarmLoadTime %v", got, WarmLoadTime(24))
 	}
-	if got := SwapOutTime(20); math.Abs(got-20.0/DtoHBandwidthGBps) > 1e-12 {
-		t.Errorf("SwapOutTime(20) = %v", got)
+	// A swap-in must stay far below a cold start for the tier to pay off.
+	if SwapInTime(20) >= ColdStartTime(20) {
+		t.Error("swap-in should undercut a cold start")
 	}
-	// Device-to-host is the slower direction, and both swap directions
-	// must stay far below a cold start for the tier to pay off.
-	if SwapOutTime(20) <= SwapInTime(20) {
-		t.Error("swap-out should cost more than swap-in (DtoH < HtoD bandwidth)")
-	}
-	if SwapInTime(20)+SwapOutTime(20) >= ColdStartTime(20) {
-		t.Error("full swap round-trip should undercut a cold start")
-	}
-	if SwapInTime(-3) != 0 || SwapOutTime(-3) != 0 {
+	if SwapInTime(-3) != 0 {
 		t.Error("negative sizes should clamp to 0")
 	}
 }

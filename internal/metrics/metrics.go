@@ -32,9 +32,9 @@ type RequestRecord struct {
 	// time the request spent waiting before being abandoned.
 	Dropped bool
 	// Rejected marks requests the admission controller fast-failed at
-	// arrival (or brownout shedding refused): the client got an
-	// immediate rejection instead of a late timeout. Rejected implies
-	// Dropped; it is a distinct outcome from a timeout drop.
+	// arrival: the client got an immediate rejection instead of a late
+	// timeout. Rejected implies Dropped; it is a distinct outcome from a
+	// timeout drop.
 	Rejected bool
 	// Retries counts fault-triggered re-routes this request survived.
 	Retries int
@@ -109,8 +109,7 @@ func (c *Collector) Records() []RequestRecord { return c.records }
 // Completed returns the number of served (non-dropped) requests.
 func (c *Collector) Completed() int { return c.completed }
 
-// RejectedCount returns requests fast-failed by admission control or
-// brownout shedding.
+// RejectedCount returns requests fast-failed by admission control.
 func (c *Collector) RejectedCount() int { return c.rejected }
 
 // TimeoutDropCount returns requests dropped after waiting out a client

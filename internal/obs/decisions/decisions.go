@@ -1,8 +1,8 @@
 // Package decisions records *why* the scheduler did what it did: a
 // typed, deterministic provenance trail of every choice point in the
 // platform — admission and rejection, plan-cache lookups, slice binds,
-// demotions and swap evictions, brownout transitions, quarantines,
-// hedge spawns and settlements, fault retries and drops. Where the obs
+// demotions and swap evictions, quarantines, hedge spawns and
+// settlements, fault retries and drops. Where the obs
 // recorder captures what happened (spans, marks, counters), a decision
 // record captures the inputs the decider saw, the candidates it
 // rejected and the rule that fired, causally linked to the request's
@@ -69,11 +69,6 @@ const (
 	// KindSwapEvict: a model's host-pool copy was evicted under memory
 	// pressure.
 	KindSwapEvict
-	// KindSwapRelief: brownout pressure swapped an idle model out of
-	// GPU memory.
-	KindSwapRelief
-	// KindBrownout: the degradation ladder changed level.
-	KindBrownout
 	// KindSuspect: a slice's health score crossed the suspect
 	// threshold, or recovered back to healthy, or was readmitted on
 	// probation (see Outcome).
@@ -102,8 +97,7 @@ var kindLabels = [numKinds]string{
 	KindAdmit: "admit", KindReject: "reject",
 	KindPlanHit: "plan-hit", KindPlanMiss: "plan-miss",
 	KindPlanUncached: "plan-uncached", KindBind: "bind", KindDemote: "demote",
-	KindSwapEvict: "swap-evict", KindSwapRelief: "swap-relief",
-	KindBrownout: "brownout", KindSuspect: "suspect",
+	KindSwapEvict: "swap-evict", KindSuspect: "suspect",
 	KindQuarantine: "quarantine", KindHedgeSpawn: "hedge-spawn",
 	KindHedgeSettle: "hedge-settle", KindRetry: "retry",
 	KindDrop: "drop",
@@ -161,7 +155,7 @@ type Candidate struct {
 }
 
 // NoRequest is the Req value of platform-scoped decisions (binds,
-// brownout transitions, quarantines, evictions) that are not tied to a
+// quarantines, evictions) that are not tied to a
 // single request.
 const NoRequest = -1
 
@@ -175,7 +169,7 @@ type Record struct {
 	// Kind classifies the decision.
 	Kind Kind `json:"kind"`
 	// Func names the deciding function ("" for platform-wide decisions
-	// such as brownout transitions).
+	// such as quarantines).
 	Func string `json:"func,omitempty"`
 	// Req is the request the decision is about, NoRequest (-1) for
 	// platform-scoped decisions. Request-scoped records form the /why
@@ -185,14 +179,14 @@ type Record struct {
 	// first try), linking the record to the matching obs span chain.
 	Attempt int `json:"attempt,omitempty"`
 	// Subject is the object decided about or chosen: an instance ID,
-	// slice ID, model key or ladder level.
+	// slice ID or model key.
 	Subject string `json:"subject,omitempty"`
 	// Rule names the policy clause that fired (e.g. "route-exclusive",
 	// "deadline-estimate", "retry-abandoned").
 	Rule string `json:"rule,omitempty"`
 	// Outcome states what was decided, human-readable.
 	Outcome string `json:"outcome"`
-	// Inputs are the signals the decider saw (pressure, scores,
+	// Inputs are the signals the decider saw (scores, occupancy,
 	// estimates, cache signatures), in a fixed call-site order. The
 	// slice may be shared between records (records of one Body share
 	// it): treat it as read-only.

@@ -68,7 +68,7 @@ func TestRecorderChains(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.Record(Record{Kind: KindAdmit, Req: i % 2, Outcome: "ok"})
 	}
-	r.Record(Record{Kind: KindBrownout, Req: NoRequest})
+	r.Record(Record{Kind: KindSuspect, Req: NoRequest})
 	if r.Total() != 11 || r.Dropped() != 7 {
 		t.Errorf("total %d dropped %d, want 11/7", r.Total(), r.Dropped())
 	}
@@ -85,7 +85,7 @@ func TestRecorderChains(t *testing.T) {
 		t.Errorf("Requests() = %v, want [0 1]", got)
 	}
 	counts := r.Counts()
-	if counts["admit"] != 10 || counts["brownout"] != 1 || len(counts) != 2 {
+	if counts["admit"] != 10 || counts["suspect"] != 1 || len(counts) != 2 {
 		t.Errorf("Counts() = %v", counts)
 	}
 	if len(r.Snapshot()) != 4 {

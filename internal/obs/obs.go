@@ -34,7 +34,7 @@ const (
 	// request identity nest in Perfetto.
 	KindAsync
 	// KindMark is an instant on a hardware or platform track
-	// (lifecycle events: launch, evict, fault, brownout, ...).
+	// (lifecycle events: launch, evict, fault, reject, ...).
 	KindMark
 	// KindAsyncMark is an instant on a request's causal chain (retry
 	// and migration hops).

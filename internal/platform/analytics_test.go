@@ -32,7 +32,7 @@ func runMixed(t *testing.T, rec *obs.Recorder, seed int64) *Platform {
 	p := New(cl, specs, Options{
 		Policy: &scheduler.FluidFaaS{}, Seed: seed, Obs: rec,
 		Faults:   &faults.Spec{SliceRate: 0.08, SliceMTTR: 30},
-		Overload: overload.Config{Admission: true, Brownout: true},
+		Overload: overload.Config{Admission: true},
 	})
 	tr := flatTrace(specs, 12, 150, seed)
 	p.Run(tr, 40)

@@ -21,7 +21,7 @@ func (p *Platform) route(rq *request) {
 	// Tracing: the attempt's queue span starts here (arrival, or the
 	// retry re-route instant). Pure bookkeeping, no behaviour.
 	rq.waitStart = p.eng.Now()
-	if p.opts.Overload.Enabled() && p.admissionReject(rq) {
+	if p.admissionReject(rq) {
 		return
 	}
 	// Decision provenance: each route() pass records exactly one Admit
@@ -175,11 +175,9 @@ func (p *Platform) pickInvokerForTS(fn *Function) *Invoker {
 	return best
 }
 
-// controlTick is the controller loop: sample pressure and advance the
-// brownout ladder, autoscale up, manage keep-alive states, maintain
-// the time-sharing pools, drop hopeless requests.
+// controlTick is the controller loop: autoscale up, manage keep-alive
+// states, maintain the time-sharing pools, drop hopeless requests.
 func (p *Platform) controlTick() {
-	p.brownoutTick()
 	p.scaleUp()
 	if p.swapOn() {
 		p.decayLoadChurn()
@@ -428,12 +426,12 @@ func (p *Platform) manageKeepAlive() {
 				continue
 			}
 			if p.opts.Policy.TimeSharing() {
-				if inst.tracker.IdleFor(now) >= p.effIdleDemote() &&
+				if inst.tracker.IdleFor(now) >= p.opts.IdleDemote &&
 					!inst.tracker.IsHot(now) {
 					p.demote(inst)
 				}
 			} else {
-				if inst.tracker.IdleFor(now) >= p.effKeepAlive() {
+				if inst.tracker.IdleFor(now) >= p.opts.KeepAlive {
 					p.releaseInstance(inst)
 				}
 			}
@@ -460,7 +458,7 @@ func (p *Platform) demote(inst *Instance) {
 				Rule: "idle below hotness threshold", Outcome: outcome,
 				Inputs: []decisions.KV{
 					kvF("idle", inst.tracker.IdleFor(p.eng.Now())),
-					kvF("threshold", p.effIdleDemote()),
+					kvF("threshold", p.opts.IdleDemote),
 				},
 			}
 		},
@@ -490,7 +488,7 @@ func (inv *Invoker) maintainPool() {
 			if b.outstanding > 0 {
 				continue
 			}
-			window := p.effKeepAlive()
+			window := p.opts.KeepAlive
 			if p.swapOn() && b.everLoaded && b.hostMemGB > 0 &&
 				swapParkAfter < window {
 				// Swap-aware demotion: the materialised pool copy keeps

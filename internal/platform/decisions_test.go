@@ -27,7 +27,7 @@ func richOptions(dec *decisions.Recorder) Options {
 		Faults:    &faults.Spec{DegradedRate: 0.05, DegradedMTTR: 60, SliceRate: 0.02, SliceMTTR: 30},
 		Gray:      GrayOptions{Enabled: true, Hedge: true},
 		Swap:      SwapOptions{Enabled: true},
-		Overload:  overload.Config{Admission: true, Brownout: true},
+		Overload:  overload.Config{Admission: true},
 		Decisions: dec,
 	}
 }

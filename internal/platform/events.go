@@ -48,19 +48,11 @@ const (
 	// EvReject: admission control fast-failed a request at arrival (its
 	// estimated completion could not meet the deadline).
 	EvReject
-	// EvShed: brownout shedding refused a low-priority request.
-	EvShed
-	// EvBrownout: the degradation ladder changed level.
-	EvBrownout
-	// EvContract: a pipelined instance was contracted to a smaller
-	// footprint under brownout.
-	EvContract
 	// EvSwapIn: a load was served from a parked host-pool copy instead
 	// of a remote refetch (swap tier).
 	EvSwapIn
 	// EvSwapOut: a model's host-pool copy was evicted under memory
-	// pressure, or an idle model was swapped out of GPU memory to
-	// relieve a brownout (swap tier).
+	// pressure (swap tier).
 	EvSwapOut
 	// EvDegrade: a slice entered gray degradation — it keeps serving,
 	// but exec/load/transfer times stretch by the event's severity.
@@ -90,10 +82,8 @@ var eventKindLabels = [numEventKinds]string{
 	EvPromote: "promote", EvEvict: "evict", EvCold: "cold",
 	EvMigrate: "migrate", EvDrop: "drop", EvPoolGrow: "pool-grow",
 	EvPoolShrink: "pool-shrink", EvFault: "fault", EvRecover: "recover",
-	EvRetry: "retry", EvReject: "reject", EvShed: "shed",
-	EvBrownout: "brownout", EvContract: "contract",
-	EvSwapIn: "swap-in", EvSwapOut: "swap-out",
-	EvDegrade: "degrade", EvSliceSuspect: "slice-suspect",
+	EvRetry: "retry", EvReject: "reject",
+	EvSwapIn: "swap-in", EvSwapOut: "swap-out", EvDegrade: "degrade", EvSliceSuspect: "slice-suspect",
 	EvSliceQuarantine: "slice-quarantine", EvHedge: "hedge",
 	EvHedgeCancel: "hedge-cancel",
 }

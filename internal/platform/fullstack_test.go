@@ -115,7 +115,7 @@ func TestFullStackGoldenExports(t *testing.T) {
 	want := map[string]string{
 		"records":   "3aa05ecf13bf9212ae00c07429f3a17c6b4c505a6103daa369949f1caf726aae",
 		"trace":     "68131eedfb99c8b879dd687ff74e8f174f93a16e978767c1d9296fe6a1e7c552",
-		"prom":      "9614799bb63c922f564108dbf71c93825f23adaaa516671c457822ac194d1d32",
+		"prom":      "39a0e8c7ca2b303436912fa17cc1acc007f93246059d1f82cde8623091382890",
 		"decisions": "7115441a28cf2186b8948855b6716dd44b2c1b0e4f280c9389cb78735c707f0f",
 		"util":      "3b8d6e77af8ccd45eece975d830f04f7e82aefe569d2c485d960ea90f901c65e",
 	}
@@ -271,10 +271,9 @@ func TestCountEventsLossless(t *testing.T) {
 		{"Migrations", p.Migrations(), counts[EvMigrate]},
 		{"FaultsInjected", p.FaultsInjected(), counts[EvFault] + counts[EvDegrade]},
 		{"Retries", p.Retries(), counts[EvRetry]},
-		{"Rejected", p.Rejected(), counts[EvReject] + counts[EvShed]},
-		{"ShedCount", p.ShedCount(), counts[EvShed]},
-		{"Contractions", p.Contractions(), counts[EvContract]},
+		{"Rejected", p.Rejected(), counts[EvReject]},
 		{"SwapIns", p.SwapIns(), counts[EvSwapIn]},
+		{"SwapOuts", p.SwapOuts(), counts[EvSwapOut]},
 		{"Quarantines", p.Quarantines(), counts[EvSliceQuarantine]},
 		{"Hedges", p.Hedges(), counts[EvHedge]},
 	} {

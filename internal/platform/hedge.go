@@ -15,10 +15,7 @@ import (
 // is cancelled wherever it is (skipped in queue, swallowed at
 // completion) and its spent execution/load lands in the wasted-work
 // counter, never in the metrics. Hedges are charged against a
-// per-function budget (HedgeBudget) and are disabled
-// outright above the brownout conserve rung
-// (overload.Config.HedgingAllowed) — duplicate work is the wrong
-// medicine for an overloaded cluster.
+// per-function budget (HedgeBudget).
 
 // hedgeState links the two copies of a hedged request. Exactly one of
 // them wins (first through Platform.complete); the other's completion,
@@ -99,16 +96,12 @@ func (p *Platform) chargeHedgeWaste(rq *request, detail string) {
 // needs no hedge, quarantined hardware is already torn down), the
 // request must be at genuine deadline risk and on its first attempt
 // (fault retries already re-route; a retry's duplicate would double
-// the retry), the brownout ladder must allow duplicate work, and the
-// function must have hedge budget left.
+// the retry), and the function must have hedge budget left.
 func (p *Platform) shouldHedge(sl *mig.Slice, rq *request, estFinish float64) bool {
 	if !p.hedgeOn() || rq.hedge != nil || rq.attempts > 0 {
 		return false
 	}
 	if rq.fn.spec.SLO <= 0 || estFinish <= rq.deadline {
-		return false
-	}
-	if !p.opts.Overload.HedgingAllowed(p.ladder.Level()) {
 		return false
 	}
 	h := p.health[sl]

@@ -112,92 +112,6 @@ func TestAdmissionFastFail(t *testing.T) {
 	}
 }
 
-// TestBrownoutShedPriority: at the Shed rung only sub-maximum-priority
-// traffic is refused; the highest class always passes.
-func TestBrownoutShedPriority(t *testing.T) {
-	specs := specsFor(t, dnn.Small)[:2]
-	specs[0].Priority = 0
-	specs[1].Priority = 1
-	p := New(smallCluster(1), specs, Options{
-		Policy: &scheduler.FluidFaaS{}, Seed: 3,
-		Overload: overload.Config{Brownout: true},
-	})
-	// Force the ladder straight to Shed.
-	p.ladder.Observe(0, 100)
-	if p.BrownoutLevel() != overload.LevelShed {
-		t.Fatalf("ladder at %v after pressure 100", p.BrownoutLevel())
-	}
-	mkReq := func(id int, fn *Function) *request {
-		return &request{
-			id: id, fn: fn, deadline: fn.spec.SLO,
-			rec: metrics.RequestRecord{ID: id, Func: fn.spec.ID, SLO: fn.spec.SLO},
-		}
-	}
-	p.route(mkReq(0, p.funcs[0]))
-	p.route(mkReq(1, p.funcs[1]))
-	if p.ShedCount() != 1 {
-		t.Fatalf("shed = %d, want exactly the low-priority request", p.ShedCount())
-	}
-	recs := p.Collector().Records()
-	if len(recs) != 1 || !recs[0].Rejected || recs[0].Func != 0 {
-		t.Errorf("shed records = %+v, want one rejection of function 0", recs)
-	}
-	if p.funcs[1].ts == nil && len(p.funcs[1].pending) == 0 {
-		t.Error("high-priority request vanished instead of being served")
-	}
-	if p.CountEvents()[EvShed] != 1 {
-		t.Error("shed event not logged")
-	}
-}
-
-// TestBrownoutEffectiveWindows: keep-alive and demotion windows shrink
-// as the ladder escalates, and revert exactly when brownout is off.
-func TestBrownoutEffectiveWindows(t *testing.T) {
-	specs := specsFor(t, dnn.Small)[:1]
-	on := New(smallCluster(1), specs, Options{
-		Policy: &scheduler.FluidFaaS{}, Seed: 3,
-		Overload: overload.Config{Brownout: true},
-	})
-	off := New(smallCluster(1), specs, Options{Policy: &scheduler.FluidFaaS{}, Seed: 3})
-	if on.effKeepAlive() != on.opts.KeepAlive || on.effIdleDemote() != on.opts.IdleDemote {
-		t.Error("windows scaled at LevelNormal")
-	}
-	prevKA, prevID := on.effKeepAlive(), on.effIdleDemote()
-	for _, pr := range []float64{1.3, 2.1, 3.5} {
-		on.ladder.Observe(0, pr)
-		ka, id := on.effKeepAlive(), on.effIdleDemote()
-		if ka >= prevKA || id >= prevID {
-			t.Errorf("windows did not shrink entering %v: keepalive %v->%v demote %v->%v",
-				on.BrownoutLevel(), prevKA, ka, prevID, id)
-		}
-		prevKA, prevID = ka, id
-	}
-	// Even at a forced high rung, a brownout-disabled platform never
-	// scales its windows.
-	off.ladder.Observe(0, 100)
-	if off.effKeepAlive() != off.opts.KeepAlive || off.effIdleDemote() != off.opts.IdleDemote {
-		t.Error("windows scaled with brownout disabled")
-	}
-}
-
-// TestBrownoutLadderEngages: a heavy burst drives pressure up; the
-// ladder must leave Normal and log its transitions.
-func TestBrownoutLadderEngages(t *testing.T) {
-	specs := specsFor(t, dnn.Small)
-	for i := range specs {
-		specs[i].Priority = i
-	}
-	p := New(smallCluster(1), specs, Options{
-		Policy: &scheduler.FluidFaaS{}, Seed: 11,
-		Overload: overload.Config{Brownout: true},
-	})
-	tr := flatTrace(specs, 30, 60, 11)
-	p.Run(tr, 60)
-	if p.CountEvents()[EvBrownout] == 0 {
-		t.Error("ladder never moved under 30 rps/function on one GPU")
-	}
-}
-
 // TestDeadlineQueueOrder: a shared slice serves its queue by deadline
 // minus estimated exec and load (§5.3), so a tight-deadline burst from
 // one function runs ahead of a co-resident function's loose-deadline
@@ -476,63 +390,5 @@ func TestMigrationDrainsPending(t *testing.T) {
 	}
 	if !inst.retiring {
 		t.Error("migrated pipeline not retiring")
-	}
-}
-
-// TestContractToSmallerPipeline: when no single smaller slice can host
-// the function, brownout contraction rebuilds it as a smaller pipeline
-// over the node's free slices, bound to the slices the planner's
-// construction chose, and retires the wide pipeline.
-func TestContractToSmallerPipeline(t *testing.T) {
-	specs := specsFor(t, dnn.Medium)[:1]
-	cl := cluster.New(cluster.Spec{
-		Nodes: 1, CPUMemGB: 400,
-		GPUConfigs: []mig.Config{mig.DefaultConfig, mig.ConfigFull1g},
-	})
-	p := New(cl, specs, Options{Policy: &scheduler.FluidFaaS{}, Seed: 1})
-	fn := p.funcs[0]
-	node := cl.Nodes[0]
-	// The wide pipeline holds the 4g and 2g slices, so only 1g slices
-	// stay free, and none of them fits the function alone.
-	var wide []*mig.Slice
-	for _, sl := range node.FreeSlices() {
-		if sl.Type == mig.Slice4g || sl.Type == mig.Slice2g {
-			wide = append(wide, sl)
-		}
-	}
-	if len(wide) != 2 || fn.mono(mig.Slice1g).Fits(fn.spec.SLO) {
-		t.Fatalf("setup: %d wide slices, 1g fits alone: %v", len(wide), fn.mono(mig.Slice1g).Fits(fn.spec.SLO))
-	}
-	stages := make([]pipeline.StagePlan, len(wide))
-	for i, sl := range wide {
-		stages[i] = pipeline.StagePlan{SliceType: sl.Type, ExecTime: 0.01}
-	}
-	worst := p.launchInstance(fn, node, pipeline.Plan{Stages: stages, Latency: 0.02, Bottleneck: 0.01}, wide, 0)
-
-	free := node.FreeSlices()
-	types := make([]mig.SliceType, len(free))
-	for i, sl := range free {
-		types[i] = sl.Type
-	}
-	plan, idx, err := fn.planner.Construct(types)
-	if err != nil || !plan.Pipelined() {
-		t.Fatalf("setup: no pipelined plan over the free 1g slices (%v)", err)
-	}
-
-	p.contractPipelined()
-	if p.Contractions() != 1 || !worst.retiring {
-		t.Fatalf("contractions = %d, wide pipeline retiring = %v; want 1 and true", p.Contractions(), worst.retiring)
-	}
-	repl := fn.instances[0]
-	if repl == worst {
-		repl = fn.instances[1]
-	}
-	if len(repl.slices) != len(idx) {
-		t.Fatalf("replacement has %d stages, want %d", len(repl.slices), len(idx))
-	}
-	for i, ai := range idx {
-		if repl.slices[i] != free[ai] {
-			t.Errorf("stage %d on %s, want the planner's %s", i, repl.slices[i].ID(), free[ai].ID())
-		}
 	}
 }

@@ -39,11 +39,6 @@ type FunctionSpec struct {
 	Parts []dag.Partition
 	// SLO is the function's latency budget in seconds.
 	SLO float64
-	// Priority ranks the function for brownout shedding: under extreme
-	// pressure the platform rejects traffic of the lowest priority
-	// class first. Higher is more important; default 0. With uniform
-	// priorities nothing is ever shed.
-	Priority int
 }
 
 // Options configure a platform run.
@@ -71,14 +66,12 @@ type Options struct {
 	// is the paper's heterogeneity-aware lowest-latency-first (§5.3).
 	// The alternatives exist for the routing ablation.
 	Routing RoutingOrder
-	// Overload enables the overload-control subsystem: SLO-aware
-	// admission at route and the brownout degradation ladder. The zero
-	// value turns both off, leaving runs bit-for-bit identical.
+	// Overload enables SLO-aware admission at route. The zero value
+	// turns it off, leaving runs bit-for-bit identical.
 	Overload overload.Config
 	// Swap enables the model-swapping memory tier (swap.go): per-model
 	// host-pool reservations with LRU eviction, parked copies that make
-	// rebinds a swap-in instead of a remote refetch, and brownout swap
-	// relief. The zero value keeps the legacy warm accounting (a copy
+	// rebinds a swap-in instead of a remote refetch. The zero value keeps the legacy warm accounting (a copy
 	// lives exactly as long as its binding), leaving runs bit-for-bit
 	// identical.
 	Swap SwapOptions
@@ -97,7 +90,7 @@ type Options struct {
 	Obs *obs.Recorder
 	// Decisions, when set, records decision provenance: every scheduling
 	// choice point (admission, rejection, plan-cache lookups, binds,
-	// demotions, swap evictions, brownout transitions, quarantines,
+	// demotions, swap evictions, quarantines,
 	// hedges, fault retries, drops) logs a typed record of the inputs it
 	// saw and the outcome it chose, causally linked to the request's
 	// trace by request ID and attempt. Like Obs, it is a pure observer:
@@ -267,7 +260,7 @@ type Platform struct {
 	// tally counts published lifecycle events by kind (logEvent). It is
 	// the single source of the run counters whose transitions emit
 	// exactly one event kind: launches, evictions, migrations, faults,
-	// retries, rejections, contractions, swap-ins, quarantines, hedges.
+	// retries, rejections, swap-ins, quarantines, hedges.
 	tally [numEventKinds]int
 
 	instSeq   int
@@ -282,18 +275,8 @@ type Platform struct {
 	// readmission also emits EvRecover.
 	recoveries int // hardware repairs applied
 
-	// Overload-control state (all inert when opts.Overload is zero).
-	ladder       *overload.Ladder
-	maxPriority  int     // highest FunctionSpec.Priority; shedding spares it
-	lastPressure float64 // most recent node-pressure sample
 	// rejectReasons counts admission fast-fails by typed cause.
 	rejectReasons [numRejectReasons]int
-
-	// Swap-tier state (all inert when opts.Swap is zero). Swap-outs stay
-	// a field: relief swap-outs also emit EvSwapOut.
-	swapOuts      int  // host-pool copies evicted under pressure
-	swapReliefs   int  // brownout sheds converted to swap demotions
-	reliefPending bool // a swap-relief drain is in flight
 
 	// Gray-failure resilience state (gray.go, hedge.go; all inert when
 	// opts.Gray is zero except degraded, which degraded-slice fault
@@ -341,7 +324,6 @@ func New(cl *cluster.Cluster, specs []FunctionSpec, opts Options) *Platform {
 	}
 	p.kickFn = p.kicked
 	p.HealthScores = make(map[string]*metrics.Timeline)
-	p.ladder = overload.NewLadder()
 	p.events = obs.NewBus[Event](eventLogCap)
 	if rec := p.opts.Obs; rec != nil {
 		// One trace track per MIG slice, in topology order, and a
@@ -360,9 +342,6 @@ func New(cl *cluster.Cluster, specs []FunctionSpec, opts Options) *Platform {
 	for i, spec := range specs {
 		if spec.ID != i {
 			panic(fmt.Sprintf("platform: spec %d has ID %d; IDs must be dense", i, spec.ID))
-		}
-		if spec.Priority > p.maxPriority {
-			p.maxPriority = spec.Priority
 		}
 		fn := newFunction(spec)
 		p.funcs = append(p.funcs, fn)
@@ -406,18 +385,8 @@ func (p *Platform) Recoveries() int { return p.recoveries }
 // Retries returns how many fault-triggered request re-routes occurred.
 func (p *Platform) Retries() int { return p.tally[EvRetry] }
 
-// Rejected returns how many requests admission control fast-failed
-// (including brownout sheds).
-func (p *Platform) Rejected() int { return p.tally[EvReject] + p.tally[EvShed] }
-
-// ShedCount returns how many requests brownout shedding refused.
-func (p *Platform) ShedCount() int { return p.tally[EvShed] }
-
-// Contractions returns how many brownout pipeline contractions ran.
-func (p *Platform) Contractions() int { return p.tally[EvContract] }
-
-// BrownoutLevel returns the degradation ladder's current rung.
-func (p *Platform) BrownoutLevel() overload.Level { return p.ladder.Level() }
+// Rejected returns how many requests admission control fast-failed.
+func (p *Platform) Rejected() int { return p.tally[EvReject] }
 
 // Cluster returns the underlying cluster for post-run inspection.
 func (p *Platform) Cluster() *cluster.Cluster { return p.cl }
@@ -527,9 +496,9 @@ func (p *Platform) complete(rq *request) {
 }
 
 // finishUnserved is the one exit of a request that leaves without
-// service: a client-timeout drop, an abandoned retry, a rejection or a
-// shed. Its record completes now as dropped, and as rejected for a
-// reject or shed kind. The drop is when the request leaves the system;
+// service: a client-timeout drop, an abandoned retry or a rejection.
+// Its record completes now as dropped, and as rejected for a reject.
+// The drop is when the request leaves the system;
 // without it, Latency() on a dropped record goes negative. The
 // transition on t.rq is logged, then the record is kept.
 func (p *Platform) finishUnserved(kind EventKind, detail string, t transition) {

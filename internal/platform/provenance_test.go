@@ -28,8 +28,7 @@ var transitionSites = []struct {
 	{decisions.KindDrop, "client-timeout", "dropped from time-sharing queue"},
 	{decisions.KindDrop, "retry-abandoned", ""},
 	{decisions.KindRetry, "fault-retry", ""},
-	{decisions.KindReject, "shed-priority", ""},
-	{decisions.KindBrownout, "pressure ladder", ""},
+	{decisions.KindReject, "deadline-estimate", ""},
 	{decisions.KindSuspect, "EWMA score over suspect threshold", ""},
 	{decisions.KindSuspect, "recovery dwell satisfied", ""},
 	{decisions.KindSuspect, "probation expired", ""},
@@ -38,7 +37,6 @@ var transitionSites = []struct {
 	{decisions.KindHedgeSpawn, "deadline at risk on suspect slice", "duplicated onto clean shared slice"},
 	{decisions.KindHedgeSettle, "loser-cancelled", ""},
 	{decisions.KindSwapEvict, "LRU host-pool eviction under memory pressure", ""},
-	{decisions.KindSwapRelief, "most-idle cold instance swapped out instead of shedding", ""},
 }
 
 // hashTo returns the sha256 of what write streams.
@@ -54,9 +52,12 @@ func hashTo(t *testing.T, write func(io.Writer) error) string {
 // TestTransitionProvenanceGolden pins the decisions, Chrome trace and
 // util exports of a run in which every lifecycle transition that
 // records a decision fires at least once. The rich configuration runs
-// under brownout alone, with ranked priorities (so the shed rung and
-// swap relief fire) and a 30 GB host pool per node (so host copies are
-// evicted). Faults and quarantines tear down exclusive instances and a
+// with admission on, so the deadline estimate rejects requests, and a
+// 30 GB host pool per node, so host copies are evicted. Every SLO is
+// three times its catalog value: admission then lets requests into the
+// pending overflow and the time-sharing queues on estimates that
+// faults and degraded slices later break, so client timeouts still
+// fire. Faults and quarantines tear down exclusive instances and a
 // time-sharing pool slice with work in flight, so the trace and the
 // ledger both carry the truncation of work that died with its
 // hardware. The decision ring holds the whole run, so the coverage
@@ -64,7 +65,7 @@ func hashTo(t *testing.T, write func(io.Writer) error) string {
 func TestTransitionProvenanceGolden(t *testing.T) {
 	specs := specsFor(t, dnn.Small)
 	for i := range specs {
-		specs[i].Priority = i
+		specs[i].SLO *= 3
 	}
 	cs := cluster.DefaultSpec()
 	cs.CPUMemGB = 30
@@ -72,11 +73,11 @@ func TestTransitionProvenanceGolden(t *testing.T) {
 	rec, led := obs.NewRecorder(), util.NewLedger()
 	opts := richOptions(dec)
 	opts.Seed = 11
-	opts.Overload = overload.Config{Brownout: true}
+	opts.Overload = overload.Config{Admission: true}
 	opts.Obs, opts.Util = rec, led
 	p := New(cluster.New(cs), specs, opts)
 	p.probation = rigProbation
-	p.Run(flatTrace(specs, 24, 90, 11), 60)
+	p.Run(flatTrace(specs, 32, 90, 11), 60)
 
 	if dec.Dropped() != 0 {
 		t.Fatalf("the ring dropped %d of %d records; coverage needs them all", dec.Dropped(), dec.Total())
@@ -100,9 +101,9 @@ func TestTransitionProvenanceGolden(t *testing.T) {
 	}
 
 	want := map[string]string{
-		"decisions": "10e3f680d05e945c1602f2c5e3c3052669e8f961802979c8e46065da57293fcf",
-		"trace":     "8f6eaa5eb1b1534d25bd042e34f43d3ee5c6b8276e9947220a63faca9170c0e7",
-		"util":      "ca274ec542c41392a14268d5bb449068811ce83c4fb18976ec5822caffd96839",
+		"decisions": "b70a61263d44e078abc8b796955a6ddf940fe5915cd6c2b76efb9e2cd42e57e3",
+		"trace":     "e05ffaad194cfba8bc62cbcd2704dd8d9adca7e89a51ded8ee1c87079c62eb54",
+		"util":      "4852f815710765cbef87e23100aa08ff2a4697c3a488b9ee194e958846af24ba",
 	}
 	got := map[string]string{
 		"decisions": hashTo(t, dec.WriteJSON),

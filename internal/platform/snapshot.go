@@ -12,8 +12,6 @@ type Snapshot struct {
 	Functions []FunctionState `json:"functions"`
 	HostPools []HostPoolState `json:"hostPools"`
 	Counters  Counters        `json:"counters"`
-	Brownout  string          `json:"brownout"`
-	Pressure  float64         `json:"pressure"`
 }
 
 // HostPoolState is one node's host-memory pool occupancy.
@@ -52,9 +50,8 @@ type PoolState struct {
 
 // FunctionState is one registered function's deployment state.
 type FunctionState struct {
-	Name     string  `json:"name"`
-	SLO      float64 `json:"slo"`
-	Priority int     `json:"priority,omitempty"`
+	Name string  `json:"name"`
+	SLO  float64 `json:"slo"`
 	// KeepAlive is the function's time-sharing keep-alive state
 	// ("cold" when it has no binding at all).
 	KeepAlive string `json:"keepAlive"`
@@ -78,18 +75,15 @@ type InstanceState struct {
 // Counters are the run-level totals the accessor methods expose,
 // gathered for one JSON document.
 type Counters struct {
-	Launched     int `json:"launched"`
-	Evicted      int `json:"evicted"`
-	Migrated     int `json:"migrated"`
-	Faults       int `json:"faults"`
-	Recoveries   int `json:"recoveries"`
-	Retries      int `json:"retries"`
-	Rejected     int `json:"rejected"`
-	Shed         int `json:"shed"`
-	Contractions int `json:"contractions"`
-	SwapIns      int `json:"swapIns,omitempty"`
-	SwapOuts     int `json:"swapOuts,omitempty"`
-	SwapReliefs  int `json:"swapReliefs,omitempty"`
+	Launched   int `json:"launched"`
+	Evicted    int `json:"evicted"`
+	Migrated   int `json:"migrated"`
+	Faults     int `json:"faults"`
+	Recoveries int `json:"recoveries"`
+	Retries    int `json:"retries"`
+	Rejected   int `json:"rejected"`
+	SwapIns    int `json:"swapIns,omitempty"`
+	SwapOuts   int `json:"swapOuts,omitempty"`
 }
 
 // Snapshot captures the platform's current state.
@@ -99,11 +93,8 @@ func (p *Platform) Snapshot() Snapshot {
 		Counters: Counters{
 			Launched: p.Launched(), Evicted: p.Evictions(), Migrated: p.Migrations(),
 			Faults: p.FaultsInjected(), Recoveries: p.recoveries, Retries: p.Retries(),
-			Rejected: p.Rejected(), Shed: p.ShedCount(), Contractions: p.Contractions(),
-			SwapIns: p.SwapIns(), SwapOuts: p.swapOuts, SwapReliefs: p.swapReliefs,
+			Rejected: p.Rejected(), SwapIns: p.SwapIns(), SwapOuts: p.SwapOuts(),
 		},
-		Brownout: p.ladder.Level().String(),
-		Pressure: p.lastPressure,
 	}
 
 	// Pool views, keyed by slice ID.
@@ -143,7 +134,7 @@ func (p *Platform) Snapshot() Snapshot {
 
 	for _, fn := range p.funcs {
 		fs := FunctionState{
-			Name: fn.spec.Name, SLO: fn.spec.SLO, Priority: fn.spec.Priority,
+			Name: fn.spec.Name, SLO: fn.spec.SLO,
 			KeepAlive: "cold", Pending: len(fn.pending),
 			Instances: []InstanceState{},
 		}

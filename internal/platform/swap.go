@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"fluidfaas/internal/cluster"
-	"fluidfaas/internal/keepalive"
 	"fluidfaas/internal/obs/decisions"
 )
 
@@ -20,10 +19,6 @@ import (
 //   - When a binding unbinds (keep-alive ageing, pool reclaim), its
 //     copy is parked rather than freed: a later rebind or exclusive
 //     launch reclaims it and pays SwapInTime, not a remote refetch.
-//   - A brownout at LevelShed first tries to swap an idle exclusive
-//     instance out of GPU memory (paying SwapOutTime for the
-//     device-to-host drain) instead of shedding traffic, when the pool
-//     has headroom (overload.Config.PreferSwapRelief).
 //
 // Everything is gated on Options.Swap.Enabled: disabled, a binding
 // reserves its copy when it binds and releases it when it unbinds, with
@@ -84,11 +79,7 @@ func (p *Platform) SwapIns() int { return p.tally[EvSwapIn] }
 
 // SwapOuts returns how many host-pool copies were evicted under memory
 // pressure.
-func (p *Platform) SwapOuts() int { return p.swapOuts }
-
-// SwapReliefs returns how many brownout sheds were converted into swap
-// demotions of idle exclusive instances.
-func (p *Platform) SwapReliefs() int { return p.swapReliefs }
+func (p *Platform) SwapOuts() int { return p.tally[EvSwapOut] }
 
 // ensureHostCopy reserves pool space for fn's model on node, evicting
 // LRU victims as needed. It returns the reserved size (0 when the pool
@@ -156,7 +147,6 @@ func (p *Platform) dropHostCopy(node *cluster.Node, key string, gb float64) {
 			b.everLoaded = false
 		}
 	}
-	p.swapOuts++
 	p.logEvent(EvSwapOut, key, fmt.Sprintf("pool eviction on node%d (%.1f GB)", node.ID, gb), transition{
 		decision: func() decisions.Record {
 			return decisions.Record{
@@ -189,8 +179,8 @@ func (p *Platform) parkIfUnused(fn *Function, node *cluster.Node) {
 	node.Pool().Park(fn.spec.Name)
 }
 
-// poolOccupancy is the mean host-pool occupancy across nodes, the
-// pressure signal PreferSwapRelief consults.
+// poolOccupancy is the mean host-pool occupancy across nodes, sampled
+// into HostPoolOcc.
 func (p *Platform) poolOccupancy() float64 {
 	if len(p.cl.Nodes) == 0 {
 		return 0
@@ -200,69 +190,4 @@ func (p *Platform) poolOccupancy() float64 {
 		sum += n.Pool().Occupancy()
 	}
 	return sum / float64(len(p.cl.Nodes))
-}
-
-// trySwapRelief converts a brownout shed into a swap demotion: the most
-// idle exclusive instance with no in-flight work drains its model to
-// the host pool (SwapOutTime) and then demotes, freeing GPU capacity
-// for the overloaded function; the triggering request is admitted into
-// the normal routing path instead of being rejected. One relief may be
-// in flight at a time; while it drains, further sheds proceed as usual.
-func (p *Platform) trySwapRelief() bool {
-	if !p.swapOn() || p.reliefPending {
-		return false
-	}
-	if !p.opts.Overload.PreferSwapRelief(p.ladder.Level(), p.poolOccupancy()) {
-		return false
-	}
-	now := p.eng.Now()
-	var victim *Instance
-	for _, fn := range p.funcs {
-		for _, inst := range fn.instances {
-			if inst.retiring || inst.failed || inst.migrating || inst.outstanding > 0 {
-				continue
-			}
-			if inst.tracker.IsHot(now) {
-				continue
-			}
-			if victim == nil || inst.tracker.IdleFor(now) > victim.tracker.IdleFor(now) ||
-				(inst.tracker.IdleFor(now) == victim.tracker.IdleFor(now) && inst.id < victim.id) {
-				victim = inst
-			}
-		}
-	}
-	if victim == nil {
-		return false
-	}
-	victim.retiring = true
-	p.reliefPending = true
-	p.swapReliefs++
-	drain := keepalive.SwapOutTime(victim.fn.memGB)
-	p.logEvent(EvSwapOut, victim.id,
-		fmt.Sprintf("brownout swap relief: draining to host pool (%.2fs)", drain), transition{
-			decision: func() decisions.Record {
-				return decisions.Record{
-					Kind: decisions.KindSwapRelief, Func: victim.fn.spec.Name, Subject: victim.id,
-					Rule:    "most-idle cold instance swapped out instead of shedding",
-					Outcome: "draining to host pool, then demote",
-					Inputs: []decisions.KV{
-						kvF("drain", drain),
-						kvF("idle", victim.tracker.IdleFor(now)),
-						kvF("occupancy", p.poolOccupancy()),
-					},
-				}
-			},
-		})
-	p.eng.After(drain, func() {
-		p.reliefPending = false
-		if victim.failed {
-			return
-		}
-		if victim.outstanding == 0 {
-			p.demote(victim)
-		} else {
-			victim.retiring = false
-		}
-	})
-	return true
 }

@@ -238,7 +238,7 @@ func TestSwapDisabledIdentity(t *testing.T) {
 	if !reflect.DeepEqual(a.UtilGPCs, b.UtilGPCs) {
 		t.Error("utilisation timelines diverged")
 	}
-	if a.SwapIns() != 0 || a.SwapOuts() != 0 || a.SwapReliefs() != 0 {
+	if a.SwapIns() != 0 || a.SwapOuts() != 0 {
 		t.Error("disabled tier recorded swap activity")
 	}
 }

@@ -32,7 +32,7 @@ func TestUtilConservation(t *testing.T) {
 		},
 		Gray:     GrayOptions{Enabled: true, Hedge: true},
 		Swap:     SwapOptions{Enabled: true},
-		Overload: overload.Config{Admission: true, Brownout: true},
+		Overload: overload.Config{Admission: true},
 	})
 	tr := flatTrace(specs, 12, 150, 17)
 	p.Run(tr, 40)
