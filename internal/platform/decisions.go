@@ -2,7 +2,6 @@ package platform
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -254,13 +253,7 @@ func (p *Platform) exportRunCounters() {
 			inv.node.Pool().Occupancy(),
 			[2]string{"node", strconv.Itoa(inv.node.ID)})
 	}
-	ids := make([]string, 0, len(p.health))
-	byID := make(map[string]*sliceHealth, len(p.health))
-	for sl, h := range p.health {
-		ids = append(ids, sl.ID())
-		byID[sl.ID()] = h
-	}
-	sort.Strings(ids)
+	ids, byID := p.healthByID()
 	for _, id := range ids {
 		h := byID[id]
 		r.SetSeries("fluidfaas_slice_health_score",

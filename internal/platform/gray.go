@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"sort"
 
-	"fluidfaas/internal/metrics"
 	"fluidfaas/internal/mig"
+	"fluidfaas/internal/obs"
 	"fluidfaas/internal/obs/decisions"
 )
 
@@ -279,11 +279,9 @@ func (p *Platform) liftQuarantine(sl *mig.Slice) {
 	p.kickScaleUp()
 }
 
-// sampleHealth appends every scored slice's current health score to its
-// timeline (called from sampleUtilization while the scorer is on). The
-// walk is sorted by slice ID so the trace recorder's counter timeline
-// (one "health" counter per slice hardware track) is deterministic.
-func (p *Platform) sampleHealth(now float64) {
+// healthByID returns the scored slices' IDs in sorted order and their
+// scorer state by ID, so walks over the scorer are deterministic.
+func (p *Platform) healthByID() ([]string, map[string]*sliceHealth) {
 	ids := make([]string, 0, len(p.health))
 	byID := make(map[string]*sliceHealth, len(p.health))
 	for sl, h := range p.health {
@@ -291,17 +289,17 @@ func (p *Platform) sampleHealth(now float64) {
 		byID[sl.ID()] = h
 	}
 	sort.Strings(ids)
+	return ids, byID
+}
+
+// sampleHealth writes every scored slice's current health score to the
+// trace recorder's "health" counter on the slice's hardware track
+// (called from sampleUtilization while the scorer is on and a recorder
+// is attached).
+func (p *Platform) sampleHealth(r *obs.Recorder, now float64) {
+	ids, byID := p.healthByID()
 	for _, id := range ids {
-		h := byID[id]
-		tl := p.HealthScores[id]
-		if tl == nil {
-			tl = &metrics.Timeline{}
-			p.HealthScores[id] = tl
-		}
-		tl.Add(now, h.score)
-		if r := p.opts.Obs; r != nil {
-			r.Counter("health", "health", id, now, h.score)
-		}
+		r.Counter("health", "health", id, now, byID[id].score)
 	}
 }
 

@@ -46,8 +46,8 @@ func TestGrayDisabledIdentity(t *testing.T) {
 			p.HedgeWins() != 0 || p.HedgeCancels() != 0 || p.HedgeWastedSeconds() != 0 {
 			t.Error("disabled subsystem recorded gray activity")
 		}
-		if len(p.HealthScores) != 0 {
-			t.Error("disabled subsystem sampled health timelines")
+		if len(p.health) != 0 {
+			t.Error("disabled subsystem scored slices")
 		}
 	}
 }

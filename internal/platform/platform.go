@@ -240,9 +240,6 @@ type Platform struct {
 	// nodes (the swap tier's pressure signal; sampled regardless of
 	// whether the tier is enabled).
 	HostPoolOcc metrics.Timeline
-	// HealthScores samples each scored slice's health score over time,
-	// keyed by slice ID (only populated while Options.Gray is enabled).
-	HealthScores map[string]*metrics.Timeline
 
 	events *obs.Bus[Event]
 
@@ -323,7 +320,6 @@ func New(cl *cluster.Cluster, specs []FunctionSpec, opts Options) *Platform {
 		probation: grayProbation,
 	}
 	p.kickFn = p.kicked
-	p.HealthScores = make(map[string]*metrics.Timeline)
 	p.events = obs.NewBus[Event](eventLogCap)
 	if rec := p.opts.Obs; rec != nil {
 		// One trace track per MIG slice, in topology order, and a
@@ -557,8 +553,8 @@ func (p *Platform) sampleUtilization() {
 	p.Fragmentation.Add(now, fi)
 	p.utilSample(now, fi)
 	p.HostPoolOcc.Add(now, p.poolOccupancy())
-	if p.grayOn() {
-		p.sampleHealth(now)
+	if r := p.opts.Obs; r != nil && p.grayOn() {
+		p.sampleHealth(r, now)
 	}
 	if p.opts.OnSample != nil {
 		p.opts.OnSample(now, p.cl)
