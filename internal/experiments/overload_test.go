@@ -5,9 +5,9 @@ import (
 )
 
 func TestOverloadStudy(t *testing.T) {
-	pts := RunOverload(shortCfg(), []float64{1, 3})
-	if len(pts) != 2 {
-		t.Fatalf("points = %d, want 2", len(pts))
+	pts := RunOverload(shortCfg(), []float64{1, 3, 32})
+	if len(pts) != 3 {
+		t.Fatalf("points = %d, want 3", len(pts))
 	}
 	for _, pt := range pts {
 		if len(pt.Systems) != 4 {
@@ -48,6 +48,16 @@ func TestOverloadStudy(t *testing.T) {
 	if high.Goodput <= plain.Goodput {
 		t.Errorf("overload control did not improve goodput: %.1f vs plain %.1f",
 			high.Goodput, plain.Goodput)
+	}
+	// Graceful degradation rests on admission alone: at 32x offered
+	// load nothing times out, and goodput holds at or above the 1x
+	// point's.
+	x32 := pts[2].Systems[3]
+	if x32.TimeoutDrops != 0 {
+		t.Errorf("x32: %d timeout drops, want 0 with admission on", x32.TimeoutDrops)
+	}
+	if x32.Goodput < low.Goodput {
+		t.Errorf("goodput collapsed at x32: %.1f vs %.1f at x1", x32.Goodput, low.Goodput)
 	}
 }
 
