@@ -243,9 +243,9 @@ func (p *Platform) exportRunCounters() {
 	r.SetGauge("fluidfaas_hedge_wasted_seconds_total", p.hedgeWastedSec)
 	r.SetGauge("fluidfaas_swap_ins_total", float64(p.SwapIns()))
 	r.SetGauge("fluidfaas_swap_outs_total", float64(p.SwapOuts()))
-	// Brownout swap relief is gone; the gauge stays a constant 0 because
-	// bench/golden/seed42.json pins this export. Deleted when bench/
-	// next changes (ROADMAP item 3).
+	// Nothing swaps for relief any more. The gauge stays, a constant 0,
+	// because bench/golden/seed42.json pins this export; delete it when
+	// bench/ next changes (ROADMAP item 3).
 	r.SetGauge("fluidfaas_swap_reliefs_total", 0)
 	for _, inv := range p.inv {
 		r.SetSeries("fluidfaas_host_pool_occupancy",

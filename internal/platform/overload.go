@@ -9,9 +9,8 @@ import (
 	"fluidfaas/internal/overload"
 )
 
-// RejectReason is the typed cause of an admission-time rejection,
-// replacing the bare strings reject used to take: the reason selects
-// the event kind, the per-reason counter, and the provenance label; the
+// RejectReason is the typed cause of an admission-time rejection: the
+// reason selects the per-reason counter and the provenance label; the
 // human-readable detail rides alongside.
 type RejectReason int
 
