@@ -2,11 +2,11 @@
 // typed, deterministic provenance trail of every choice point in the
 // platform — admission and rejection, plan-cache lookups, slice binds,
 // demotions and swap evictions, quarantines, hedge spawns and
-// settlements, fault retries and drops. Where the obs
-// recorder captures what happened (spans, marks, counters), a decision
-// record captures the inputs the decider saw, the candidates it
-// rejected and the rule that fired, causally linked to the request's
-// span chain by request ID and attempt.
+// settlements, fault retries and drops. Where the obs recorder
+// captures what happened (spans, marks, counters), a decision record
+// captures the inputs the decider saw, the candidates it rejected and
+// the rule that fired, causally linked to the request's span chain by
+// request ID and attempt.
 //
 // A record is kept as typed facts and rendered to text only when read:
 // a compact, pointer-free entry (sequence number, time, request,
@@ -155,8 +155,7 @@ type Candidate struct {
 }
 
 // NoRequest is the Req value of platform-scoped decisions (binds,
-// quarantines, evictions) that are not tied to a
-// single request.
+// quarantines, evictions) that are not tied to a single request.
 const NoRequest = -1
 
 // Record is one scheduling decision.

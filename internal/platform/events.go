@@ -82,10 +82,10 @@ var eventKindLabels = [numEventKinds]string{
 	EvPromote: "promote", EvEvict: "evict", EvCold: "cold",
 	EvMigrate: "migrate", EvDrop: "drop", EvPoolGrow: "pool-grow",
 	EvPoolShrink: "pool-shrink", EvFault: "fault", EvRecover: "recover",
-	EvRetry: "retry", EvReject: "reject",
-	EvSwapIn: "swap-in", EvSwapOut: "swap-out", EvDegrade: "degrade", EvSliceSuspect: "slice-suspect",
-	EvSliceQuarantine: "slice-quarantine", EvHedge: "hedge",
-	EvHedgeCancel: "hedge-cancel",
+	EvRetry: "retry", EvReject: "reject", EvSwapIn: "swap-in",
+	EvSwapOut: "swap-out", EvDegrade: "degrade",
+	EvSliceSuspect: "slice-suspect", EvSliceQuarantine: "slice-quarantine",
+	EvHedge: "hedge", EvHedgeCancel: "hedge-cancel",
 }
 
 // String names the event kind.

@@ -71,9 +71,9 @@ type Options struct {
 	Overload overload.Config
 	// Swap enables the model-swapping memory tier (swap.go): per-model
 	// host-pool reservations with LRU eviction, parked copies that make
-	// rebinds a swap-in instead of a remote refetch. The zero value keeps the legacy warm accounting (a copy
-	// lives exactly as long as its binding), leaving runs bit-for-bit
-	// identical.
+	// rebinds a swap-in instead of a remote refetch. The zero value
+	// keeps the legacy warm accounting (a copy lives exactly as long as
+	// its binding), leaving runs bit-for-bit identical.
 	Swap SwapOptions
 	// Gray enables the gray-failure resilience subsystem (gray.go,
 	// hedge.go): per-slice health scoring over observed-vs-declared
@@ -90,12 +90,12 @@ type Options struct {
 	Obs *obs.Recorder
 	// Decisions, when set, records decision provenance: every scheduling
 	// choice point (admission, rejection, plan-cache lookups, binds,
-	// demotions, swap evictions, quarantines,
-	// hedges, fault retries, drops) logs a typed record of the inputs it
-	// saw and the outcome it chose, causally linked to the request's
-	// trace by request ID and attempt. Like Obs, it is a pure observer:
-	// nil short-circuits every recording point, keeping recorder-off runs
-	// bit-for-bit identical (enforced by test).
+	// demotions, swap evictions, quarantines, hedges, fault retries,
+	// drops) logs a typed record of the inputs it saw and the outcome it
+	// chose, causally linked to the request's trace by request ID and
+	// attempt. Like Obs, it is a pure observer: nil short-circuits every
+	// recording point, keeping recorder-off runs bit-for-bit identical
+	// (enforced by test).
 	Decisions *decisions.Recorder
 	// Util, when set, feeds the GPU utilization ledger: a time-weighted
 	// per-slice state integrator classifying every slice-second into
@@ -257,7 +257,7 @@ type Platform struct {
 	// tally counts published lifecycle events by kind (logEvent). It is
 	// the single source of the run counters whose transitions emit
 	// exactly one event kind: launches, evictions, migrations, faults,
-	// retries, rejections, swap-ins, quarantines, hedges.
+	// retries, rejections, swap-ins, swap-outs, quarantines, hedges.
 	tally [numEventKinds]int
 
 	instSeq   int
@@ -494,9 +494,9 @@ func (p *Platform) complete(rq *request) {
 // finishUnserved is the one exit of a request that leaves without
 // service: a client-timeout drop, an abandoned retry or a rejection.
 // Its record completes now as dropped, and as rejected for a reject.
-// The drop is when the request leaves the system;
-// without it, Latency() on a dropped record goes negative. The
-// transition on t.rq is logged, then the record is kept.
+// The drop is when the request leaves the system; without it,
+// Latency() on a dropped record goes negative. The transition on t.rq
+// is logged, then the record is kept.
 func (p *Platform) finishUnserved(kind EventKind, detail string, t transition) {
 	rec := &t.rq.rec
 	rec.Dropped = true
