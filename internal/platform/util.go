@@ -75,10 +75,11 @@ func (p *Platform) utilRegister() {
 }
 
 // utilBase classifies a slice's current base (no-work-running) state.
-// Priority: unusable hardware (faulted or quarantined at any layer) is
-// out of placement regardless of ownership; an owned slice is warm
-// keepalive; a free one is placeable capacity or stranded fragmentation
-// waste. The partition is fixed, so a slice is never Reconfiguring.
+// In order of precedence: unusable hardware (faulted or quarantined at
+// any layer) is out of placement regardless of ownership; an owned
+// slice is warm keepalive; a free one is placeable capacity or
+// stranded fragmentation waste. The partition is fixed, so a slice is
+// never Reconfiguring.
 func (p *Platform) utilBase(sl *mig.Slice) util.State {
 	switch {
 	case !sl.Usable() || !p.cl.Nodes[sl.GPU.Node].Healthy():
