@@ -29,19 +29,19 @@ func paperMatrix() *EndToEnd {
 func TestPaperMatrixGolden(t *testing.T) {
 	want := map[Workload]map[string]string{
 		Light: {
-			"fluidfaas": "7c24aa2ebfda6ce1c0a90b4f53f2fd4f29a372ce90cd99a1202edb7c16e0a2b2",
-			"esg":       "2eb5919edad35b3ea152e7de9f1cf693ed9e030002519f3288991dae7ba149af",
-			"infless":   "d10fd1a19d612db21818f25a1074128b528900aea6f9a3706b372a90b20783f6",
+			"fluidfaas": "04ff08db5bf59a2e2b0e08e91e15afa535f38e61763221e217bb44d3e24eded6",
+			"esg":       "da37e018d6638fef86d7f1ce100a12993736b68dfec18d381fe2894a3036d514",
+			"infless":   "459531c7fb4dab2f333ccab9c232863108def8921d3f41c678cee654f3e69885",
 		},
 		Medium: {
-			"fluidfaas": "cab780996e64b8d389e64da0836b64576b74ac10ce5c932915c41905a253f3d7",
-			"esg":       "970c87263ff6de288c213e5a2e485b890ac4c957ea3fa49dcb269f484d4045ae",
-			"infless":   "be5d3087bba2823302e86c6d874ca1e0121b8b3d43317c3d5b5e66cad245e517",
+			"fluidfaas": "001c4218eb0a0d73533a8e3b7a8119709f225f575c0843c64e7ccb8781664c0c",
+			"esg":       "f5fa6859801cce3e2c1df12968e8e2a493e96674a565141052cf17ed2c512db9",
+			"infless":   "5a9a55af197aef7d703b75c3092fe96b6da39793fed8982bcbd1da720f2b9161",
 		},
 		Heavy: {
-			"fluidfaas": "21f7d0075e9a495055d3dddbf1883aa48d8b44f0c42660d20da39fa28d65d2a9",
-			"esg":       "cc209406b85989386759af10c2b9cf25398d9140f9bf3d5bed006c5f0e5559aa",
-			"infless":   "de0855d86b2e6693624d4013dc5a4773be2e7db2511dbe01b52f5fc030a701c4",
+			"fluidfaas": "621eb9f9858bc0f9996d549a02fd2c3ae5f168da6295f4ff7a90a4657fa058a7",
+			"esg":       "003b43b9dbed8590c6ae7a356d7ba046d64020dbcb114a8d07e59608dc388b50",
+			"infless":   "7ee97f5d3cc51d0e730cd3d72aee9623ceec6edfccf5e33c5607ba4887969721",
 		},
 	}
 	e := paperMatrix()

@@ -47,8 +47,8 @@ func TestResilienceZeroRateMatchesBaseline(t *testing.T) {
 	if base.Launched != faulted.Launched {
 		t.Errorf("launch counts differ: %d vs %d", base.Launched, faulted.Launched)
 	}
-	if len(base.Events) != len(faulted.Events) {
-		t.Errorf("event counts differ: %d vs %d", len(base.Events), len(faulted.Events))
+	if base.EventsTotal != faulted.EventsTotal {
+		t.Errorf("event counts differ: %d vs %d", base.EventsTotal, faulted.EventsTotal)
 	}
 	if faulted.Faults != 0 || faulted.Retries != 0 || faulted.FailedCount != 0 {
 		t.Errorf("zero-rate run shows fault activity: %d faults, %d retries, %d failed",
