@@ -4,6 +4,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -11,8 +12,6 @@ import (
 	"strings"
 
 	"fluidfaas/internal/experiments"
-	"fluidfaas/internal/obs"
-	"fluidfaas/internal/scheduler"
 )
 
 // experimentNames lists every valid -exp value.
@@ -29,9 +28,6 @@ func main() {
 	duration := flag.Float64("duration", 300, "trace duration (s)")
 	loads := flag.String("loads", "", "comma-separated load multipliers for -exp overload (default 1,2,4)")
 	csvDir := flag.String("csv", "", "also write plot series (Fig. 3a, Fig. 16 timelines, CDFs) as CSV files into this directory")
-	traceOut := flag.String("trace-out", "", "also run an instrumented fluidfaas/medium capture and write its Chrome trace-event JSON here")
-	metricsOut := flag.String("metrics-out", "", "also run an instrumented fluidfaas/medium capture and write its Prometheus metrics here")
-	jsonOut := flag.String("json-out", "", "write a machine-readable BENCH_<exp>.json (end-to-end matrix + span analytics) into this directory")
 	flag.Parse()
 	// Reject bad invocations before any experiment runs.
 	if flag.NArg() > 0 {
@@ -56,7 +52,7 @@ func main() {
 		"fig13": true, "fig14": true, "fig16": true, "table6": true, "all": true,
 	}
 	var e2e *experiments.EndToEnd
-	if needE2E[*exp] || *jsonOut != "" {
+	if needE2E[*exp] {
 		e2e = experiments.RunEndToEnd(cfg)
 	}
 
@@ -96,9 +92,22 @@ func main() {
 	show("fig5", func() { fmt.Println(experiments.Fig5Table(experiments.RunKeepAlive(cfg))) })
 	show("fig9", func() { fmt.Println(e2e.Fig9SLOHitRates()) })
 	show("fig10", func() { fmt.Println(e2e.Fig10Throughput()) })
-	show("fig11", func() { fmt.Println(e2e.FigCDF(experiments.Heavy)) })
-	show("fig12", func() { fmt.Println(e2e.FigCDF(experiments.Medium)) })
-	show("fig13", func() { fmt.Println(e2e.FigCDF(experiments.Light)) })
+	// Figs. 11-13 print CDF quantiles; -csv writes every CDF, one file
+	// per system and app.
+	figCDF := func(fig string, w experiments.Workload) {
+		fmt.Println(e2e.FigCDF(w))
+		for _, sys := range []string{"infless", "esg", "fluidfaas"} {
+			cdfs := e2e.Results[w][sys].CDFByApp
+			for _, app := range slices.Sorted(maps.Keys(cdfs)) {
+				writeCSV(fmt.Sprintf("%s_%s_%s_app%d.csv", fig, w, sys, app), func(f *os.File) error {
+					return experiments.WriteCDFCSV(f, cdfs[app])
+				})
+			}
+		}
+	}
+	show("fig11", func() { figCDF("fig11", experiments.Heavy) })
+	show("fig12", func() { figCDF("fig12", experiments.Medium) })
+	show("fig13", func() { figCDF("fig13", experiments.Light) })
 	show("fig14", func() { fmt.Println(e2e.Fig14Breakdown()) })
 	show("fig15", func() { fmt.Println(experiments.Fig15Table(experiments.RunPartitions(cfg))) })
 	show("fig16", func() {
@@ -133,18 +142,8 @@ func main() {
 		}
 		fmt.Println(experiments.OverloadTable(experiments.RunOverload(cfg, mults)))
 	})
-	var swapRes *experiments.SwapResult
-	show("swap", func() {
-		r := experiments.RunSwap(cfg)
-		swapRes = &r
-		fmt.Println(experiments.SwapTable(r))
-	})
-	var grayRes *experiments.GrayResult
-	show("gray", func() {
-		r := experiments.RunGray(cfg)
-		grayRes = &r
-		fmt.Println(experiments.GrayTable(r))
-	})
+	show("swap", func() { fmt.Println(experiments.SwapTable(experiments.RunSwap(cfg))) })
+	show("gray", func() { fmt.Println(experiments.GrayTable(experiments.RunGray(cfg))) })
 	show("analytics", func() {
 		ar := experiments.RunAnalytics(cfg)
 		fmt.Println(experiments.AnalyticsBlameTable(ar.Report))
@@ -158,65 +157,4 @@ func main() {
 		fmt.Println("-- with dynamic batching (MaxBatch=4), where profiles genuinely drift --")
 		fmt.Println(experiments.AnalyticsDriftTable(experiments.RunAnalytics(bcfg).Report))
 	})
-
-	// Observability capture: one extra instrumented run of the paper's
-	// default system and workload, exported for Perfetto / Prometheus.
-	// The tables above stay on the zero-cost uninstrumented path.
-	if *traceOut != "" || *metricsOut != "" {
-		ocfg := cfg
-		ocfg.Obs = obs.NewRecorder()
-		r := experiments.RunSystem(&scheduler.FluidFaaS{}, experiments.Medium, ocfg)
-		ocfg.Obs.SetGauge("fluidfaas_events_dropped", float64(r.EventsDropped))
-		ocfg.Obs.SetGauge("fluidfaas_events_published_total", float64(r.EventsTotal))
-		writeExport := func(path string, write func(*os.File) error) {
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if err := write(f); err != nil {
-				f.Close()
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-		}
-		if *traceOut != "" {
-			writeExport(*traceOut, func(f *os.File) error { return obs.WriteChromeTrace(f, ocfg.Obs) })
-		}
-		if *metricsOut != "" {
-			writeExport(*metricsOut, func(f *os.File) error { return obs.WritePrometheus(f, ocfg.Obs) })
-		}
-	}
-
-	// Machine-readable bench document: end-to-end matrix plus the span
-	// analytics of an instrumented fluidfaas/medium capture.
-	if *jsonOut != "" {
-		if err := os.MkdirAll(*jsonOut, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		ar := experiments.RunAnalytics(cfg)
-		uc := experiments.RunUtilComparison(cfg)
-		path := filepath.Join(*jsonOut, fmt.Sprintf("BENCH_%s.json", *exp))
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := experiments.WriteBenchJSON(f, *exp, e2e, ar.Report, swapRes, grayRes, &uc); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-	}
 }

@@ -76,7 +76,9 @@ func main() {
 		fmt.Printf("mean rate  %.2f req/s\n", tr.MeanRate())
 		fmt.Printf("peak rate  %.2f req/s (10 s buckets)\n", tr.PeakRate(10))
 		for fn, n := range tr.CountByFunc() {
-			fmt.Printf("  func %d   %d requests\n", fn, n)
+			if n > 0 {
+				fmt.Printf("  func %d   %d requests\n", fn, n)
+			}
 		}
 
 	default:

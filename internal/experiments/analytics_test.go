@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"fluidfaas/internal/scheduler"
 )
 
 // TestRunAnalyticsDeterministic: the span-analytics study regenerates
@@ -69,54 +71,12 @@ func TestAnalyticsTablesRender(t *testing.T) {
 	}
 }
 
-// TestWriteBenchJSONDeterministic: the machine-readable bench document
-// is valid JSON, covers the full matrix in fixed order, carries the
-// engine self-telemetry, and is byte-stable across identical inputs.
-func TestWriteBenchJSONDeterministic(t *testing.T) {
-	cfg := shortCfg()
-	e2e := RunEndToEnd(cfg)
-	ar := RunAnalytics(cfg)
-
-	var docs [2]bytes.Buffer
-	for i := 0; i < 2; i++ {
-		if err := WriteBenchJSON(&docs[i], "test", e2e, ar.Report, nil, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(docs[0].Bytes(), docs[1].Bytes()) {
-		t.Error("bench JSON differs across identical inputs")
-	}
-
-	var doc BenchDoc
-	if err := json.Unmarshal(docs[0].Bytes(), &doc); err != nil {
-		t.Fatalf("bench JSON does not parse: %v", err)
-	}
-	if want := len(Workloads) * len(systemsOrder()); len(doc.Runs) != want {
-		t.Fatalf("runs = %d, want %d", len(doc.Runs), want)
-	}
-	if doc.Runs[0].Workload != "light" || doc.Runs[0].System != "infless" {
-		t.Errorf("first run = %s/%s, want light/infless", doc.Runs[0].Workload, doc.Runs[0].System)
-	}
-	last := doc.Runs[len(doc.Runs)-1]
-	if last.Workload != "heavy" || last.System != "fluidfaas" {
-		t.Errorf("last run = %s/%s, want heavy/fluidfaas", last.Workload, last.System)
-	}
-	if doc.Analytics == nil || len(doc.Analytics.Blame) == 0 {
-		t.Error("bench JSON has no analytics section")
-	}
-	for _, r := range doc.Runs {
-		if r.Total <= 0 || r.LatencyP50 <= 0 {
-			t.Errorf("run %s/%s has empty metrics: %+v", r.Workload, r.System, r)
-		}
-	}
-
-	var raw struct {
-		Engine map[string]float64 `json:"engine"`
-	}
-	if err := json.Unmarshal(docs[0].Bytes(), &raw); err != nil {
-		t.Fatalf("engine section does not parse: %v", err)
-	}
-	if raw.Engine["events"] <= 0 || raw.Engine["events_per_sec"] <= 0 {
-		t.Errorf("engine self-telemetry missing or empty: %v", raw.Engine)
+// TestRunSystemEngineTelemetry: every run result carries the sim
+// engine's self-telemetry, the numbers fluidfaas-sim -engine-stats
+// prints.
+func TestRunSystemEngineTelemetry(t *testing.T) {
+	r := RunSystem(&scheduler.FluidFaaS{}, Medium, shortCfg())
+	if r.Engine.Executed == 0 || r.Engine.EventsPerSec <= 0 {
+		t.Errorf("engine self-telemetry missing or empty: %+v", r.Engine)
 	}
 }

@@ -53,9 +53,9 @@ func checkAllocRatio(t *testing.T, limit float64, attach func(*Config)) {
 	}
 }
 
-// TestSpanRecorderAllocRatio: the span and request logs are chunked
-// tables, so the span recorder allocates about what it keeps. A
-// regrowing slice log measured 4.6x.
+// TestSpanRecorderAllocRatio: the span log is a chunked table, so the
+// span recorder allocates about what it keeps. A regrowing slice log
+// measured 4.6x.
 func TestSpanRecorderAllocRatio(t *testing.T) {
 	checkAllocRatio(t, 1.5, func(c *Config) { c.Obs = obs.NewRecorder() })
 }

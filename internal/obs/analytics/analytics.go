@@ -81,7 +81,7 @@ func Analyze(_ Config, rec *obs.Recorder) *Report {
 	paths := Reconstruct(rec.Spans())
 	rp := &Report{Requests: len(paths)}
 	rp.Blame, rp.Stragglers = blame(paths, stragglerLimit)
-	rp.Drift, rp.DriftEvents = drift(rec)
+	rp.Drift, rp.DriftEvents = drift(rec, paths)
 	rp.Burn, rp.BurnAlerts = burn(rec)
 	return rp
 }
@@ -189,13 +189,13 @@ func blame(paths []RequestPath, stragglerLimit int) ([]FuncBlame, []Straggler) {
 
 // drift replays exec spans carrying a declared profile through the EWMA
 // tracker, in record order (the simulation's causal order).
-func drift(rec *obs.Recorder) ([]DriftEntry, []DriftEvent) {
+func drift(rec *obs.Recorder, paths []RequestPath) ([]DriftEntry, []DriftEvent) {
 	tr := NewDriftTracker()
-	// Function names for drift keys come from the request log; spans
-	// only carry the function index.
+	// Function names for drift keys come from the request envelopes;
+	// exec spans only carry the function index.
 	names := map[int]string{}
-	for o := range rec.RequestLog() {
-		names[o.Func] = o.Name
+	for _, p := range paths {
+		names[p.Func] = p.Name
 	}
 	var events []DriftEvent
 	for sp := range rec.Spans() {
@@ -216,12 +216,14 @@ func drift(rec *obs.Recorder) ([]DriftEntry, []DriftEvent) {
 	return tr.Entries(), events
 }
 
-// burn replays the finalised-request log (completion order, so times
-// are non-decreasing) through the burn monitor.
+// burn replays the request envelopes (recorded in completion order, so
+// times are non-decreasing) through the burn monitor.
 func burn(rec *obs.Recorder) ([]BurnStatus, []BurnAlert) {
 	m := NewBurnMonitor()
-	for o := range rec.RequestLog() {
-		m.Observe(o.Name, o.Completion, o.SLOMiss())
+	for sp := range rec.Spans() {
+		if sp.IsRequest() {
+			m.Observe(sp.Name, sp.End, sp.SLOMiss())
+		}
 	}
 	return m.Status(), m.Alerts()
 }

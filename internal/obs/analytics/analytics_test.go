@@ -14,20 +14,12 @@ func synthRecorder() *obs.Recorder {
 	for i := 0; i < 40; i++ {
 		t0 := float64(i * 10)
 		// app0: healthy, exec matches its declared 1s profile.
-		r.AsyncSpan("request", "app0", 0, i, t0, t0+2, "served")
 		r.StageSpan("exec app0", "gpu0/2g.20gb#0", "2g.20gb", 0, i, -1, t0+1, t0+2, 1)
-		r.ObserveRequest(obs.RequestObs{
-			Func: 0, Name: "app0", Req: i,
-			Arrival: t0, Completion: t0 + 2, SLO: 5, Outcome: "served",
-		})
+		r.RequestSpan("app0", 0, i, t0, t0+2, 5, "served")
 		// app1: observed exec is 1.6x the declared profile and misses
 		// its SLO every time.
-		r.AsyncSpan("request", "app1", 1, i, t0, t0+4, "served")
 		r.StageSpan("exec app1", "gpu0/3g.40gb#0", "3g.40gb", 1, i, -1, t0+0.8, t0+4, 2)
-		r.ObserveRequest(obs.RequestObs{
-			Func: 1, Name: "app1", Req: i,
-			Arrival: t0, Completion: t0 + 4, SLO: 1, Outcome: "served",
-		})
+		r.RequestSpan("app1", 1, i, t0, t0+4, 1, "served")
 	}
 	r.SetDuration(400)
 	return r

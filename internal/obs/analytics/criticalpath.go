@@ -144,7 +144,7 @@ func Reconstruct(spans iter.Seq[*obs.Span]) []RequestPath {
 			continue
 		}
 		switch {
-		case sp.Kind == obs.KindAsync && sp.Cat == "request":
+		case sp.IsRequest():
 			a := get(sp.Func, sp.Req)
 			a.hasReq = true
 			a.path = RequestPath{
@@ -233,7 +233,7 @@ func Reconstruct(spans iter.Seq[*obs.Span]) []RequestPath {
 		out = append(out, a.path)
 	}
 	// Completion order (ties by function then request) mirrors the
-	// recorder's request log and keeps downstream aggregation and JSON
+	// envelopes' record order and keeps downstream aggregation and JSON
 	// byte-deterministic.
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].End != out[j].End {

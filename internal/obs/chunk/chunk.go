@@ -1,6 +1,6 @@
 // Package chunk holds the append-only table every observer log is kept
 // in: the decision recorder's bodies, candidates and chain log, and the
-// span recorder's span and request logs.
+// span recorder's span log.
 //
 // A growing slice copies every row each time it regrows, by 1.25× past
 // 256 elements, so a log of n rows ends up allocating several times

@@ -65,8 +65,8 @@ type Span struct {
 	// exec spans recorded via StageSpan, the slice type).
 	Detail string
 	// Declared is the profiled duration the scheduler assumed for this
-	// span (exec spans only; 0 = no declared baseline). Drift analysis
-	// compares End-Start against it.
+	// span (exec spans; 0 = no declared baseline), which drift analysis
+	// compares End-Start against, or a request envelope's SLO (0 = none).
 	Declared float64
 	// Value is the sample of a KindCounter span.
 	Value float64
@@ -79,20 +79,16 @@ type Track struct {
 }
 
 // Recorder accumulates spans, tracks, and request metrics for one run.
-// Apart from caller-set gauges it keeps raw logs only, the span log and
-// the request log: the aggregates the exports show (busy seconds, event
-// totals, latency histograms) are derived from them at export time.
-// Both logs are chunked tables, so recording a row never copies the
-// rows before it. The zero value is ready to use; a nil *Recorder is
-// the disabled sink.
+// Apart from caller-set gauges it keeps one raw log, the span log, with
+// each finalised request's envelope in it: the aggregates the exports
+// show (busy seconds, event totals, latency histograms) are derived
+// from it at export time. The log is a chunked table, so recording a
+// span never copies the spans before it. The zero value is ready to
+// use; a nil *Recorder is the disabled sink.
 type Recorder struct {
 	spans  chunk.Table[Span]
 	tracks []Track
 	tidx   map[string]int
-
-	// reqs is the finalised-request log, in completion order — the
-	// analytics layer's request feed.
-	reqs chunk.Table[RequestObs]
 
 	// gauges holds driver-set scalar metrics (e.g. dropped events).
 	gauges map[string]float64
@@ -250,53 +246,36 @@ func (r *Recorder) Counter(cat, name, track string, t, value float64) {
 // histogram keys; it cannot appear in either.
 const histKeySep = "\xff"
 
-// RequestObs is one finalised request as the analytics layer sees it:
-// identity, envelope, SLO and outcome. The recorder keeps them in
-// record order, which is completion order (requests are finalised at
-// their completion instants on the single-threaded engine).
-type RequestObs struct {
-	Func    int
-	Name    string
-	Req     int
-	Arrival float64
-	// Completion is the finalisation time (the drop/reject instant for
-	// requests the platform abandoned).
-	Completion float64
-	SLO        float64
-	Outcome    string // served | dropped | rejected | failed
-	Retries    int
-}
-
-// Latency is the request's end-to-end latency.
-func (o RequestObs) Latency() float64 { return o.Completion - o.Arrival }
-
-// SLOMiss reports whether the request counts against its function's
-// violation budget: any non-served outcome, or a served response later
-// than the SLO. Requests without an SLO never miss.
-func (o RequestObs) SLOMiss() bool {
-	if o.SLO <= 0 {
-		return false
-	}
-	return o.Outcome != "served" || o.Latency() > o.SLO
-}
-
-// ObserveRequest logs a finalised request for analytics and for the
-// metrics export's per-(function, outcome) latency histograms.
-func (r *Recorder) ObserveRequest(o RequestObs) {
+// RequestSpan records a finalised request's envelope on its causal
+// chain: the span from arrival to completion (the drop or reject
+// instant for requests the platform abandoned), with the outcome
+// (served, dropped, rejected or failed) in Detail and the request's
+// SLO in Declared. It is the recorder's one request record: critical-
+// path analysis, the burn monitor and the metrics export's latency
+// histograms all read it.
+func (r *Recorder) RequestSpan(name string, fn, req int, arrival, completion, slo float64, outcome string) {
 	if r == nil {
 		return
 	}
-	r.reqs.Push(o)
+	r.spans.Push(Span{
+		Kind: KindAsync, Cat: "request", Name: name,
+		Func: fn, Req: req, Stage: -1, Start: arrival, End: completion,
+		Detail: outcome, Declared: slo,
+	})
 }
 
-// RequestLog yields the finalised requests in record (completion)
-// order; a nil recorder yields none. The rows are the recorder's own:
-// do not mutate them.
-func (r *Recorder) RequestLog() iter.Seq[*RequestObs] {
-	if r == nil {
-		return func(func(*RequestObs) bool) {}
+// IsRequest reports whether the span is a request envelope, as
+// RequestSpan records it.
+func (s *Span) IsRequest() bool { return s.Kind == KindAsync && s.Cat == "request" }
+
+// SLOMiss reports whether a request envelope counts against its
+// function's violation budget: any non-served outcome, or a served
+// response later than the SLO. Requests without an SLO never miss.
+func (s *Span) SLOMiss() bool {
+	if s.Declared <= 0 {
+		return false
 	}
-	return r.reqs.All()
+	return s.Detail != "served" || s.End-s.Start > s.Declared
 }
 
 // SetGauge records a driver-supplied scalar metric.

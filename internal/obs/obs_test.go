@@ -16,10 +16,9 @@ func TestNilRecorder(t *testing.T) {
 	var r *Recorder
 	r.RegisterTrack(0, "gpu0/1g.10gb#0")
 	r.SliceSpan("exec", "app0", "gpu0/1g.10gb#0", 0, 1, 0, 0, 1)
-	r.AsyncSpan("request", "app0", 0, 1, 0, 2, "")
+	r.RequestSpan("app0", 0, 1, 0, 0.5, 1, "served")
 	r.AsyncMark("retry", "retry", 0, 1, 1, "node died")
 	r.MarkCat("event", "launch", "app0#1", 0, "")
-	r.ObserveRequest(RequestObs{Name: "app0", Outcome: "served", Completion: 0.5})
 	r.CancelSliceWork("gpu0/1g.10gb#0", 0.5)
 	r.SetGauge("g", 1)
 	r.SetDuration(10)
@@ -28,9 +27,6 @@ func TestNilRecorder(t *testing.T) {
 	}
 	for range r.Spans() {
 		t.Fatal("nil recorder yielded a span")
-	}
-	for range r.RequestLog() {
-		t.Fatal("nil recorder yielded a request")
 	}
 	if r.Duration() != 0 {
 		t.Fatal("nil recorder returned a duration")
@@ -101,7 +97,7 @@ func sampleRecorder() *Recorder {
 	r.RegisterTrack(0, "gpu0/4g.40gb#0")
 	r.RegisterTrack(0, "gpu0/2g.20gb#0")
 	r.RegisterTrack(1, "gpu8/4g.40gb#0")
-	r.AsyncSpan("request", "app0", 0, 7, 0, 2.5, "served")
+	r.RequestSpan("app0", 0, 7, 0, 2.5, 0, "served")
 	r.AsyncSpan("queue", "queue", 0, 7, 0, 0.5, "")
 	r.SliceSpan("load", "load app0", "gpu0/4g.40gb#0", 0, 7, -1, 0.5, 1.0)
 	r.SliceSpan("exec", "exec app0", "gpu0/4g.40gb#0", 0, 7, 0, 1.0, 2.0)
@@ -109,10 +105,9 @@ func sampleRecorder() *Recorder {
 	r.AsyncMark("retry", "retry", 0, 7, 2.2, "slice failed")
 	r.MarkCat("event", "launch", "app0#1", 0.1, "[4g]")
 	r.MarkCat("event", "evict", "gpu0/2g.20gb#0", 1.5, "LRU")
-	r.ObserveRequest(RequestObs{Name: "app0", Req: 7, Completion: 2.5, Outcome: "served"})
-	r.ObserveRequest(RequestObs{Name: "app0", Req: 8, Arrival: 1, Completion: 9, Outcome: "dropped"})
+	r.RequestSpan("app0", 0, 8, 1, 9, 0, "dropped")
 	// Exactly on the first bound.
-	r.ObserveRequest(RequestObs{Func: 1, Name: "app1", Req: 9, Completion: 0.001, Outcome: "served"})
+	r.RequestSpan("app1", 1, 9, 0, 0.001, 0, "served")
 	r.SetGauge("fluidfaas_events_dropped", 3)
 	r.SetDuration(10)
 	return r

@@ -11,12 +11,12 @@ import (
 // Prometheus-style text exposition of the recorder's metrics:
 // per-(function, outcome) request counts and latency histograms,
 // per-slice busy-seconds and utilisation, lifecycle event totals, and
-// caller-set gauges. The first three are derived here, each in one pass
-// over a raw log: histograms from the request log, busy seconds and
-// event totals from the span log. The output is deterministic: series
-// are emitted in sorted label order and floats use shortest-round-trip
-// formatting, so identical recorder contents produce byte-identical
-// files.
+// caller-set gauges. The first three are derived here, in one pass over
+// the span log: histograms from the request envelopes, busy seconds
+// from load and exec spans, event totals from instants. The output is
+// deterministic: series are emitted in sorted label order and floats
+// use shortest-round-trip formatting, so identical recorder contents
+// produce byte-identical files.
 
 func promFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
@@ -28,9 +28,11 @@ func WritePrometheus(w io.Writer, r *Recorder) error {
 	}
 	var b strings.Builder
 
-	// Request counts and latency histograms, one family per (function,
-	// outcome), fed in completion order. Families sort by
-	// function+histKeySep+outcome, a key built once per family.
+	// One pass over the span log derives all three: request envelopes
+	// feed the latency histograms, one family per (function, outcome),
+	// in completion order; load and exec spans sum into per-track busy
+	// seconds; instants count lifecycle events by name. Families sort
+	// by function+histKeySep+outcome, a key built once per family.
 	type famKey struct{ fn, outcome string }
 	type family struct {
 		famKey
@@ -39,15 +41,27 @@ func WritePrometheus(w io.Writer, r *Recorder) error {
 	}
 	idx := map[famKey]int{}
 	var fams []family
-	for o := range r.RequestLog() {
-		k := famKey{o.Name, o.Outcome}
-		i, ok := idx[k]
-		if !ok {
-			i = len(fams)
-			idx[k] = i
-			fams = append(fams, family{k, o.Name + histKeySep + o.Outcome, NewLatencyHistogram()})
+	tracks := r.Tracks()
+	busy := make([]float64, len(tracks))
+	marks := map[string]int{}
+	for sp := range r.Spans() {
+		switch {
+		case sp.IsRequest():
+			k := famKey{sp.Name, sp.Detail}
+			i, ok := idx[k]
+			if !ok {
+				i = len(fams)
+				idx[k] = i
+				fams = append(fams, family{k, sp.Name + histKeySep + sp.Detail, NewLatencyHistogram()})
+			}
+			fams[i].h.Observe(sp.End - sp.Start)
+		case sp.Kind == KindSlice && (sp.Cat == "load" || sp.Cat == "exec"):
+			if t, ok := r.tidx[sp.Track]; ok {
+				busy[t] += sp.End - sp.Start
+			}
+		case sp.Kind == KindMark:
+			marks[sp.Name]++
 		}
-		fams[i].h.Observe(o.Latency())
 	}
 	sort.Slice(fams, func(i, j int) bool { return fams[i].sortKey < fams[j].sortKey })
 	b.WriteString("# HELP fluidfaas_requests_total Finalised requests by function and outcome.\n")
@@ -74,22 +88,7 @@ func WritePrometheus(w io.Writer, r *Recorder) error {
 	}
 
 	// Per-slice busy/idle utilisation counters, in track registration
-	// order (stable and topology-meaningful). Busy seconds sum the
-	// load and exec span durations per track in record order, and feed
-	// both series; lifecycle event totals count instants by name.
-	tracks := r.Tracks()
-	busy := make([]float64, len(tracks))
-	marks := map[string]int{}
-	for sp := range r.Spans() {
-		switch {
-		case sp.Kind == KindSlice && (sp.Cat == "load" || sp.Cat == "exec"):
-			if t, ok := r.tidx[sp.Track]; ok {
-				busy[t] += sp.End - sp.Start
-			}
-		case sp.Kind == KindMark:
-			marks[sp.Name]++
-		}
-	}
+	// order (stable and topology-meaningful).
 	b.WriteString("# HELP fluidfaas_slice_busy_seconds_total Busy (load+exec) seconds per MIG slice.\n")
 	b.WriteString("# TYPE fluidfaas_slice_busy_seconds_total counter\n")
 	for i, tr := range tracks {

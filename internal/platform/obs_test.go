@@ -202,3 +202,45 @@ func TestBusySecondsSpanReconciliation(t *testing.T) {
 	}
 	t.Logf("%d busy slices reconciled", busy)
 }
+
+// TestRequestSpanIsTheRecord: the request envelope span is the
+// recorder's one request record. Every collector record has exactly
+// one, in record order, with the record's function, request, arrival,
+// completion, SLO and outcome; a hedge's losing copy, which the
+// collector never records, has none. The rig drops requests on client
+// timeouts, rejects them at admission, retries them after faults and
+// hedges them off suspect slices.
+func TestRequestSpanIsTheRecord(t *testing.T) {
+	rec := obs.NewRecorder()
+	p := runTransitionRig(t, nil, rec, nil)
+	col := p.Collector()
+	if col.TimeoutDropCount() == 0 || col.RejectedCount() == 0 || p.Retries() == 0 || p.HedgeCancels() == 0 {
+		t.Fatalf("timeout drops %d, rejects %d, retries %d, cancelled hedge losers %d: the rig must exercise all four",
+			col.TimeoutDropCount(), col.RejectedCount(), p.Retries(), p.HedgeCancels())
+	}
+	var envs []obs.Span
+	for sp := range rec.Spans() {
+		if sp.IsRequest() {
+			envs = append(envs, *sp)
+		}
+	}
+	recs := col.Records()
+	if len(envs) != len(recs) {
+		t.Fatalf("%d request spans for %d records", len(envs), len(recs))
+	}
+	seen := map[[2]int]bool{}
+	for i, r := range recs {
+		sp := envs[i]
+		if sp.Func != r.Func || sp.Req != r.ID || sp.Start != r.Arrival || sp.End != r.Completion ||
+			sp.Declared != r.SLO || sp.Detail != recordOutcome(r) {
+			t.Fatalf("record %d: span func %d req %d [%v, %v] slo %v %s, record func %d req %d [%v, %v] slo %v %s",
+				i, sp.Func, sp.Req, sp.Start, sp.End, sp.Declared, sp.Detail,
+				r.Func, r.ID, r.Arrival, r.Completion, r.SLO, recordOutcome(r))
+		}
+		k := [2]int{sp.Func, sp.Req}
+		if seen[k] {
+			t.Fatalf("func %d req %d has two request spans", sp.Func, sp.Req)
+		}
+		seen[k] = true
+	}
+}

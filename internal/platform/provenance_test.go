@@ -49,6 +49,27 @@ func hashTo(t *testing.T, write func(io.Writer) error) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// runTransitionRig runs the rich configuration tuned so that every
+// transition in transitionSites fires (see TestTransitionProvenanceGolden)
+// with the given observers attached; nil leaves an observer off.
+func runTransitionRig(t *testing.T, dec *decisions.Recorder, rec *obs.Recorder, led *util.Ledger) *Platform {
+	t.Helper()
+	specs := specsFor(t, dnn.Small)
+	for i := range specs {
+		specs[i].SLO *= 3
+	}
+	cs := cluster.DefaultSpec()
+	cs.CPUMemGB = 30
+	opts := richOptions(dec)
+	opts.Seed = 11
+	opts.Overload = overload.Config{Admission: true}
+	opts.Obs, opts.Util = rec, led
+	p := New(cluster.New(cs), specs, opts)
+	p.probation = rigProbation
+	p.Run(flatTrace(specs, 32, 90, 11), 60)
+	return p
+}
+
 // TestTransitionProvenanceGolden pins the decisions, Chrome trace and
 // util exports of a run in which every lifecycle transition that
 // records a decision fires at least once. The rich configuration runs
@@ -63,21 +84,9 @@ func hashTo(t *testing.T, write func(io.Writer) error) string {
 // hardware. The decision ring holds the whole run, so the coverage
 // check sees every record.
 func TestTransitionProvenanceGolden(t *testing.T) {
-	specs := specsFor(t, dnn.Small)
-	for i := range specs {
-		specs[i].SLO *= 3
-	}
-	cs := cluster.DefaultSpec()
-	cs.CPUMemGB = 30
 	dec := decisions.NewRecorder(1 << 14)
 	rec, led := obs.NewRecorder(), util.NewLedger()
-	opts := richOptions(dec)
-	opts.Seed = 11
-	opts.Overload = overload.Config{Admission: true}
-	opts.Obs, opts.Util = rec, led
-	p := New(cluster.New(cs), specs, opts)
-	p.probation = rigProbation
-	p.Run(flatTrace(specs, 32, 90, 11), 60)
+	p := runTransitionRig(t, dec, rec, led)
 
 	if dec.Dropped() != 0 {
 		t.Fatalf("the ring dropped %d of %d records; coverage needs them all", dec.Dropped(), dec.Total())

@@ -271,9 +271,10 @@ func (t *Trace) PeakRate(bucket float64) float64 {
 	return peak
 }
 
-// CountByFunc returns the request count per function index.
-func (t *Trace) CountByFunc() map[int]int {
-	out := make(map[int]int)
+// CountByFunc returns the request count per function, indexed by
+// function, so ranging over it lists functions in index order.
+func (t *Trace) CountByFunc() []int {
+	out := make([]int, t.NumFuncs)
 	for _, r := range t.Requests {
 		out[r.Func]++
 	}

@@ -101,6 +101,35 @@ func TestMeanRPSHonoured(t *testing.T) {
 	}
 }
 
+// TestCountByFuncIndexOrder: ranging over CountByFunc lists every
+// function in index order with its count, so fluidfaas-trace -inspect
+// prints the same lines in the same order on every run.
+func TestCountByFuncIndexOrder(t *testing.T) {
+	const funcs = 8
+	var streams []StreamSpec
+	for f := 0; f < funcs; f++ {
+		streams = append(streams, StreamSpec{Func: f, MeanRPS: 2})
+	}
+	tr := Generate(Spec{Duration: 60, Seed: 3, Streams: streams})
+	want := make([]int, funcs)
+	for _, r := range tr.Requests {
+		want[r.Func]++
+	}
+	for rep := 0; rep < 10; rep++ {
+		next := 0
+		for fn, n := range tr.CountByFunc() {
+			if fn != next || n != want[fn] {
+				t.Fatalf("pass %d: entry %d is func %d with %d requests, want func %d with %d",
+					rep, next, fn, n, next, want[next])
+			}
+			next++
+		}
+		if next != funcs {
+			t.Fatalf("pass %d: %d functions listed, want %d", rep, next, funcs)
+		}
+	}
+}
+
 func TestBurstsRaisePeakRate(t *testing.T) {
 	flat := Generate(Spec{Duration: 2000, Seed: 1,
 		Streams: []StreamSpec{{Func: 0, MeanRPS: 10}}})
