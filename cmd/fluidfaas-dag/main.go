@@ -22,6 +22,10 @@ func main() {
 	freeStr := flag.String("free", "", "comma-separated free slices to construct against, e.g. 2g.20gb,1g.10gb")
 	topN := flag.Int("top", 5, "how many ranked partitions to print")
 	flag.Parse()
+	if *topN < 0 {
+		fmt.Fprintf(os.Stderr, "invalid -top %d: want a count of 0 or more\n", *topN)
+		os.Exit(2)
+	}
 
 	var app dnn.App
 	found := false

@@ -40,6 +40,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	if *events < 0 {
+		fmt.Fprintf(os.Stderr, "invalid -events %d: want a count of 0 or more\n", *events)
+		os.Exit(2)
+	}
 
 	var pol scheduler.Policy
 	switch *policy {

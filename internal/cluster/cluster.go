@@ -25,6 +25,9 @@ type Node struct {
 	// gen counts node-level free-set changes (health flips); GPUs carry
 	// their own generations.
 	gen uint64
+	// clusterGen is the owning cluster's free-set generation, advanced
+	// with gen.
+	clusterGen *uint64
 }
 
 // Healthy reports whether the node is up.
@@ -35,6 +38,9 @@ func (n *Node) Healthy() bool { return !n.down }
 func (n *Node) SetHealthy(h bool) {
 	n.down = !h
 	n.gen++
+	if n.clusterGen != nil {
+		*n.clusterGen++
+	}
 }
 
 // FreeGen returns a generation number for the node's free-slice set:
@@ -59,7 +65,16 @@ func (n *Node) Pool() *MemPool {
 // Cluster is a set of invoker nodes.
 type Cluster struct {
 	Nodes []*Node
+
+	// gen is the cluster's free-set generation: every node health flip
+	// and every GPU's slice allocate, release, health and quarantine
+	// flip advances it (New wires them).
+	gen uint64
 }
+
+// FreeGen returns the cluster's free-set generation: every node's
+// FreeSlices returns the same view as long as FreeGen is unchanged.
+func (c *Cluster) FreeGen() uint64 { return c.gen }
 
 // Spec describes a cluster to construct.
 type Spec struct {
@@ -93,9 +108,11 @@ func New(spec Spec) *Cluster {
 	c := &Cluster{}
 	gpuID := 0
 	for n := 0; n < spec.Nodes; n++ {
-		node := &Node{ID: n, CPUMemGB: spec.CPUMemGB}
+		node := &Node{ID: n, CPUMemGB: spec.CPUMemGB, clusterGen: &c.gen}
 		for _, cfg := range spec.GPUConfigs {
-			node.GPUs = append(node.GPUs, mig.NewGPU(n, gpuID, cfg))
+			g := mig.NewGPU(n, gpuID, cfg)
+			g.ShareGen(&c.gen)
+			node.GPUs = append(node.GPUs, g)
 			gpuID++
 		}
 		c.Nodes = append(c.Nodes, node)

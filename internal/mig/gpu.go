@@ -53,7 +53,7 @@ type Slice struct {
 // bumpGen invalidates cached free-slice views of the owning GPU.
 func (s *Slice) bumpGen() {
 	if s.GPU != nil {
-		s.GPU.gen++
+		s.GPU.bumpGen()
 	}
 }
 
@@ -187,7 +187,22 @@ type GPU struct {
 	// health and quarantine flips), so callers can cache FreeSlices
 	// views and revalidate in O(1) instead of re-walking slices.
 	gen uint64
+	// shared, when set, is a counter the GPU advances with gen; every
+	// GPU of a cluster shares one (see ShareGen).
+	shared *uint64
 }
+
+// bumpGen records a possible free-set change.
+func (g *GPU) bumpGen() {
+	g.gen++
+	if g.shared != nil {
+		*g.shared++
+	}
+}
+
+// ShareGen makes the GPU advance c on every change that advances its
+// own generation, so one counter covers the free sets of many GPUs.
+func (g *GPU) ShareGen(c *uint64) { g.shared = c }
 
 // Gen returns the GPU's free-set generation: it changes whenever the
 // set of free slices may have changed.
@@ -219,7 +234,7 @@ func (g *GPU) Healthy() bool { return !g.unhealthy }
 // stays down when its GPU recovers.
 func (g *GPU) SetHealthy(h bool) {
 	g.unhealthy = !h
-	g.gen++
+	g.bumpGen()
 }
 
 func (g *GPU) sliceActivated(now float64) {

@@ -77,10 +77,19 @@ func pipelineAllocs(t *testing.T, maxBatch, n int) float64 {
 
 // TestKickScaleUpAllocatesNothing: a scale-up kick reuses the platform's
 // one kick event and its callback bound at construction, so kicking and
-// running the (empty) pass it schedules allocates nothing.
+// running the pass it schedules allocates nothing. The pass has demand
+// that no free slice can take: the first one asks the policy, and every
+// later one repeats that empty round at the same free-set generation,
+// so it hits the empty-round memo without building free views.
 func TestKickScaleUpAllocatesNothing(t *testing.T) {
-	p, _ := twoStagePlatform(t, 1)
+	p, inst := twoStagePlatform(t, 1)
+	for _, sl := range p.cl.Nodes[0].FreeSlices() {
+		sl.Allocate("test", 0)
+	}
+	pol := &countingPolicy{Policy: p.opts.Policy}
+	p.opts.Policy = pol
 	kick := func() {
+		inst.fn.rejectDemand = 1
 		p.kickScaleUp()
 		p.kickScaleUp() // coalesced into the pending pass
 		p.eng.Run()
@@ -91,6 +100,9 @@ func TestKickScaleUpAllocatesNothing(t *testing.T) {
 	}
 	if p.scaleKick {
 		t.Error("the kicked pass did not run")
+	}
+	if pol.calls != 1 {
+		t.Errorf("%d policy calls over 102 kicked passes, want 1 (the rest hit the memo)", pol.calls)
 	}
 }
 

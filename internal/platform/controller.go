@@ -303,18 +303,21 @@ func (p *Platform) scaleUp() {
 	if len(reqs) == 0 {
 		return
 	}
-	views, phys := p.nodeFreeViews()
+	gen := p.cl.FreeGen()
 	var placements []scheduler.Placement
-	if p.lastEmpty.matches(reqFns, views) {
+	var phys [][]*mig.Slice
+	if p.lastEmpty.matches(reqFns, gen) {
 		// The policy already answered these inputs with nothing; see
 		// emptyRound. Re-emit the plan lookups asking again would record.
 		for _, b := range p.lastEmpty.bodies {
 			p.decideShared(b)
 		}
 	} else {
+		var views []scheduler.NodeFree
+		views, phys = p.nodeFreeViews()
 		p.lastEmpty.start()
 		placements = p.opts.Policy.PlaceBatch(reqs, views)
-		p.lastEmpty.finish(len(placements) == 0, reqFns, views)
+		p.lastEmpty.finish(len(placements) == 0, reqFns, gen)
 	}
 	if len(placements) < len(reqs) && p.opts.Policy.TimeSharing() {
 		// Some demand went unplaced: reclaim idle pool slices so the
@@ -349,13 +352,13 @@ func (p *Platform) scaleUp() {
 }
 
 // emptyRound remembers the last scale-up round whose PlaceBatch placed
-// nothing: the round's requests and each node's free slice types, in
-// view order. A round with the same requests and free types gets the
-// same empty answer without asking the policy, because policies are
-// pure functions of (reqs, views). The key is the ordered types rather
-// than the multiset: FluidFaaS and INFless decide per slice type, but
-// ESG searches only the first 64 free slices, so past that its answer
-// depends on where each type sits (TestESGEmptyPastSliceCap).
+// nothing: the round's requests and the cluster's free-set generation
+// (cluster.Cluster.FreeGen). Every change that can alter a node's free
+// slices advances the generation, so an equal generation means every
+// node view is the one the policy saw. A round with the same requests
+// and generation gets the same empty answer without building the views
+// or asking the policy, because policies are pure functions of (reqs,
+// views).
 //
 // Plan-lookup provenance stays byte-identical: while the policy runs,
 // the planners' observers append to bodies what asking again would
@@ -366,22 +369,14 @@ type emptyRound struct {
 	held      bool
 	capturing bool
 	fns       []*Function
-	free      [][]mig.SliceType
+	gen       uint64
 	bodies    []decisions.Body
 }
 
-// matches reports whether a round with these requests and views is the
-// remembered empty one.
-func (m *emptyRound) matches(fns []*Function, views []scheduler.NodeFree) bool {
-	if !m.held || !slices.Equal(fns, m.fns) || len(views) != len(m.free) {
-		return false
-	}
-	for i := range views {
-		if !slices.Equal(views[i].Free, m.free[i]) {
-			return false
-		}
-	}
-	return true
+// matches reports whether a round with these requests at free-set
+// generation gen is the remembered empty one.
+func (m *emptyRound) matches(fns []*Function, gen uint64) bool {
+	return m.held && gen == m.gen && slices.Equal(fns, m.fns)
 }
 
 // start opens a policy call: the plan lookups it makes are captured.
@@ -392,17 +387,14 @@ func (m *emptyRound) start() {
 
 // finish closes a policy call and remembers its inputs if it placed
 // nothing; any other answer forgets the last empty round.
-func (m *emptyRound) finish(empty bool, fns []*Function, views []scheduler.NodeFree) {
+func (m *emptyRound) finish(empty bool, fns []*Function, gen uint64) {
 	m.capturing = false
 	m.held = empty
 	if !empty {
 		return
 	}
 	m.fns = append(m.fns[:0], fns...)
-	m.free = slices.Grow(m.free[:0], len(views))[:len(views)]
-	for i, v := range views {
-		m.free[i] = append(m.free[i][:0], v.Free...)
-	}
+	m.gen = gen
 }
 
 // bestCapacity estimates how many requests one new instance can absorb.

@@ -25,9 +25,11 @@ func (c *countingPolicy) PlaceBatch(reqs []scheduler.Req, nodes []scheduler.Node
 
 // TestScaleUpSkipsRepeatedEmptyRound drives scaleUp by hand on one GPU
 // whose slices the test occupies and frees. A round whose requests and
-// free slices equal the last round's, which placed nothing, does not
-// ask the policy; a change to the requests or to a node's free slices
-// asks again, and so does any round after one that placed something.
+// cluster free-set generation equal the last round's, which placed
+// nothing, does not ask the policy. A change to the requests asks
+// again, and so does any change that advances the generation, even one
+// that leaves the same free slices (a slice taken and freed again, a
+// node down and back up), and any round after one that placed something.
 // Provenance on or off, the policy sees the same calls, and a skipped
 // round records exactly the plan lookups asking again records.
 func TestScaleUpSkipsRepeatedEmptyRound(t *testing.T) {
@@ -96,6 +98,18 @@ func TestScaleUpSkipsRepeatedEmptyRound(t *testing.T) {
 		// remembered empty round again, but the last round placed.
 		step("round after a placement", 5, big)
 		step("repeated round", 5, big)
+		// Taking the free 1g slice and freeing it again leaves the free
+		// slices of the remembered round but advances the free-set
+		// generation, which is the memo's key, so the policy is asked
+		// again.
+		s1g.Allocate("test", 0)
+		s1g.Release(0)
+		step("1g slice taken and freed again", 6, big)
+		step("repeated round", 6, big)
+		cl.Nodes[0].SetHealthy(false)
+		cl.Nodes[0].SetHealthy(true)
+		step("node down and back up", 7, big)
+		step("repeated round", 7, big)
 
 		if dec == nil {
 			continue

@@ -39,8 +39,7 @@ func freeSlices(nodes []NodeFree) int {
 // permuting each node's Free list never turns an empty answer into a
 // non-empty one or back. ESG searches only the first 64 free slices,
 // so its draws stay within that window (TestESGEmptyPastSliceCap shows
-// why). The platform relies on the empty direction to skip scale-up
-// rounds that repeat one which placed nothing.
+// why).
 func TestEmptyAnswerDependsOnCounts(t *testing.T) {
 	pool := sloPool(t)
 	policies := []Policy{&FluidFaaS{}, &ESG{}, &INFlessMIG{}}
@@ -87,8 +86,9 @@ func TestEmptyAnswerDependsOnCounts(t *testing.T) {
 // TestESGEmptyPastSliceCap: past 64 free slices ESG's answer depends on
 // order, not just counts. A function that needs more than a 1g slice
 // finds nothing among the first 64 free slices when the one 4g slice
-// sits 65th, and places once it moves forward. This is why the platform
-// keys its empty-round memo on each node's ordered free types.
+// sits 65th, and places once it moves forward. So a memo of empty
+// answers keyed on free-slice counts would be unsound for ESG; the
+// platform's keys on the cluster's free-set generation.
 func TestESGEmptyPastSliceCap(t *testing.T) {
 	var req Req
 	found := false

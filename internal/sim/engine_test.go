@@ -800,3 +800,32 @@ func TestRearmMatchesAt(t *testing.T) {
 		t.Errorf("n=%d now=%v fired=%v, want 11 4 true", n, e.Now(), ev.Fired())
 	}
 }
+
+// BenchmarkEngineHold times the kernel in the hold model: the heap
+// holds a fixed number of events, and each firing re-arms its own event
+// an exponential delay later, so one op is one pop and one push at a
+// constant depth. Depths 40 and 317 are the peak heap depths of the
+// bench paper and scale workloads.
+func BenchmarkEngineHold(b *testing.B) {
+	for _, depth := range []int{40, 317} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			e := NewEngine()
+			rng := NewRNG(1, "hold")
+			evs := make([]Event, depth)
+			for i := range evs {
+				ev := &evs[i]
+				var fire func()
+				fire = func() { e.Rearm(ev, e.Now()+rng.Exp(1), fire) }
+				e.Rearm(ev, rng.Exp(1), fire)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
+			if e.Pending() != depth {
+				b.Fatalf("%d events pending, want %d", e.Pending(), depth)
+			}
+		})
+	}
+}
