@@ -19,6 +19,9 @@ import (
 	"fluidfaas/internal/dnn"
 	"fluidfaas/internal/experiments"
 	"fluidfaas/internal/mig"
+	"fluidfaas/internal/obs"
+	"fluidfaas/internal/obs/decisions"
+	"fluidfaas/internal/obs/util"
 	"fluidfaas/internal/pipeline"
 	"fluidfaas/internal/platform"
 	"fluidfaas/internal/scheduler"
@@ -523,6 +526,38 @@ func BenchmarkFluidFaaSPlaceBatch(b *testing.B) {
 func BenchmarkPlatformMediumFluidFaaS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		experiments.RunSystem(&scheduler.FluidFaaS{}, experiments.Medium, benchCfg())
+	}
+}
+
+// BenchmarkObservedCell measures the observers' host cost on the
+// observed cell: FluidFaaS on the heavy workload, 4 nodes at twice the
+// paper's rate for 600 s, seed 42, bare and with each recorder attached
+// (fresh ones per iteration). B/op and allocs/op repeat run to run, so
+// they give an observer target that holds still.
+func BenchmarkObservedCell(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		attach func(*experiments.Config)
+	}{
+		{"bare", func(*experiments.Config) {}},
+		{"spans", func(c *experiments.Config) { c.Obs = obs.NewRecorder() }},
+		{"decisions", func(c *experiments.Config) { c.Decisions = decisions.NewRecorder(0) }},
+		{"util", func(c *experiments.Config) { c.Util = util.NewLedger() }},
+		{"all", func(c *experiments.Config) {
+			c.Obs, c.Decisions, c.Util = obs.NewRecorder(), decisions.NewRecorder(0), util.NewLedger()
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cfg := experiments.DefaultConfig()
+				cfg.Nodes = 4
+				cfg.RateScale = 2
+				cfg.Duration = 600
+				bc.attach(&cfg)
+				experiments.RunSystem(&scheduler.FluidFaaS{}, experiments.Heavy, cfg)
+			}
+		})
 	}
 }
 

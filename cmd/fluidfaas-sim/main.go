@@ -31,7 +31,7 @@ func main() {
 	eventsKind := flag.String("events-kind", "", "only print lifecycle events of these kinds (comma-separated, e.g. fault,retry); collected losslessly off the event bus")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON file (load in Perfetto / chrome://tracing)")
 	metricsOut := flag.String("metrics-out", "", "write Prometheus text-exposition metrics to this file")
-	serve := flag.String("serve", "", "after the run, serve live introspection on this address (e.g. 127.0.0.1:8080): /metrics, /analytics, /state, /decisions, /why, /debug/pprof; blocks until killed")
+	serve := flag.String("serve", "", "after the run, serve introspection of it on this address (e.g. 127.0.0.1:8080): /metrics, /analytics, /state, /decisions, /why, /debug/pprof; blocks until killed")
 	decisionsOut := flag.String("decisions-out", "", "record decision provenance and write the full export (records, counts, anomaly dumps) to this JSON file")
 	utilOut := flag.String("util-out", "", "record the GPU utilization ledger and write its report (per-slice state timelines, waste roll-ups, fragmentation analytics) to this JSON file")
 	engineStats := flag.Bool("engine-stats", false, "print the sim engine's self-telemetry (events, rate, heap depth) after the run")
@@ -233,8 +233,9 @@ func main() {
 		}
 	}
 
-	// Live introspection: analyse the finished run and serve it. The
-	// recorder is no longer written to, so serving is race-free; the
+	// Introspection after the run: analyse the finished run and serve
+	// it. The recorders take no lock and are no longer written to, so
+	// the server's concurrent requests only read them; the
 	// listener comes up before the address is announced so scripts can
 	// curl as soon as they see the line.
 	if *serve != "" {

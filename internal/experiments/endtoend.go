@@ -16,7 +16,24 @@ type EndToEnd struct {
 // RunEndToEnd executes the full end-to-end matrix (§7.1). The nine
 // (system, workload) simulations are independent deterministic runs, so
 // they execute in parallel; results are identical to a serial sweep.
+// Observers are written on one run's engine goroutine only, so cfg must
+// set none of Obs, Decisions, Util, OnEvent and OnPlatform: the nine
+// runs would share it. RunEndToEnd panics naming the first one set.
 func RunEndToEnd(cfg Config) *EndToEnd {
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"Obs", cfg.Obs != nil},
+		{"Decisions", cfg.Decisions != nil},
+		{"Util", cfg.Util != nil},
+		{"OnEvent", cfg.OnEvent != nil},
+		{"OnPlatform", cfg.OnPlatform != nil},
+	} {
+		if f.set {
+			panic("experiments: RunEndToEnd would share " + f.name + " across its parallel runs")
+		}
+	}
 	cfg = cfg.withDefaults()
 	e := &EndToEnd{Cfg: cfg, Results: map[Workload]map[string]SystemResult{}}
 	// Every inner map exists before any goroutine starts: the workers

@@ -4,6 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"fluidfaas/internal/obs"
+	"fluidfaas/internal/obs/decisions"
+	"fluidfaas/internal/obs/util"
+	"fluidfaas/internal/platform"
 	"fluidfaas/internal/scheduler"
 )
 
@@ -131,6 +135,34 @@ func TestEndToEndShape(t *testing.T) {
 	ts, vs := e.Fig16Timeline(Heavy, "fluidfaas")
 	if len(ts) == 0 || len(ts) != len(vs) {
 		t.Error("Fig16Timeline empty or ragged")
+	}
+}
+
+// TestEndToEndRejectsSharedObservers: RunEndToEnd's nine parallel runs
+// would all write an observer or callback set in its config, so it
+// panics naming the field before any run starts.
+func TestEndToEndRejectsSharedObservers(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"Obs", func(c *Config) { c.Obs = obs.NewRecorder() }},
+		{"Decisions", func(c *Config) { c.Decisions = decisions.NewRecorder(0) }},
+		{"Util", func(c *Config) { c.Util = util.NewLedger() }},
+		{"OnEvent", func(c *Config) { c.OnEvent = func(platform.Event) {} }},
+		{"OnPlatform", func(c *Config) { c.OnPlatform = func(*platform.Platform) {} }},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			cfg := shortCfg()
+			tc.set(&cfg)
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.field) {
+					t.Errorf("panic %q does not name %s", msg, tc.field)
+				}
+			}()
+			RunEndToEnd(cfg)
+		})
 	}
 }
 

@@ -7,7 +7,9 @@ import (
 	"io"
 	"math"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"fluidfaas/internal/mig"
@@ -79,7 +81,8 @@ func (c simCell) exports(t *testing.T) map[string][]byte {
 
 // TestSimExportsAndIntrospection: the CLI's default cell writes
 // byte-identical exports twice, and its introspection server answers
-// every endpoint with a populated document.
+// every endpoint with a populated document, the same one to concurrent
+// readers.
 func TestSimExportsAndIntrospection(t *testing.T) {
 	c := runSimCell(t)
 	first, second := c.exports(t), runSimCell(t).exports(t)
@@ -100,16 +103,23 @@ func TestSimExportsAndIntrospection(t *testing.T) {
 		Util:      c.util,
 	}))
 	defer srv.Close()
-	get := func(path string) []byte {
-		t.Helper()
+	fetch := func(path string) ([]byte, error) {
 		resp, err := srv.Client().Get(srv.URL + path)
 		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
+			return nil, err
 		}
 		defer resp.Body.Close()
 		body, err := io.ReadAll(resp.Body)
-		if err != nil || resp.StatusCode != 200 {
-			t.Fatalf("GET %s: status %d, %v", path, resp.StatusCode, err)
+		if err == nil && resp.StatusCode != 200 {
+			err = fmt.Errorf("status %d", resp.StatusCode)
+		}
+		return body, err
+	}
+	get := func(path string) []byte {
+		t.Helper()
+		body, err := fetch(path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
 		}
 		return body
 	}
@@ -185,4 +195,35 @@ func TestSimExportsAndIntrospection(t *testing.T) {
 			t.Errorf("/metrics: no %s series", series)
 		}
 	}
+
+	var chain0 decisions.ChainExport
+	getJSON("/why?req=0", &chain0)
+	if len(chain0.Chain) == 0 || !reflect.DeepEqual(chain0.Chain, c.cfg.Decisions.Chain(0)) {
+		t.Errorf("/why?req=0 disagrees with Chain(0)")
+	}
+
+	// The server answers each request on a goroutine of its own: with
+	// the run finished, eight readers at once read what one reader did.
+	paths := []string{
+		"/metrics", "/analytics", "/state", "/decisions", "/decisions?kind=admit&limit=8",
+		fmt.Sprintf("/why?req=%d", admits.Records[0].Req), "/why?req=0", "/util", "/heatmap",
+	}
+	sequential := map[string][]byte{}
+	for _, path := range paths {
+		sequential[path] = get(path)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, path := range paths {
+				body, err := fetch(path)
+				if err != nil || !bytes.Equal(body, sequential[path]) {
+					t.Errorf("concurrent GET %s: %v, body differs from the sequential read", path, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -1,8 +1,8 @@
 // Package analytics interprets the raw telemetry the obs layer
 // collects: critical-path attribution of end-to-end latency, drift
 // detection between observed stage executions and the declared FFS-DAG
-// profiles the scheduler plans with, SLO burn-rate monitoring, and a
-// live introspection HTTP handler. Like the collection layer beneath
+// profiles the scheduler plans with, SLO burn-rate monitoring, and an
+// introspection HTTP handler for a finished run. Like the collection layer beneath
 // it, everything here is a pure observer — analysis reads recorder
 // state and never feeds back into scheduling — and deterministic: the
 // same recorder contents produce byte-identical reports.

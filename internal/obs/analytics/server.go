@@ -11,8 +11,8 @@ import (
 	"fluidfaas/internal/obs/util"
 )
 
-// Live introspection: an opt-in HTTP handler that exposes a finished
-// (or running) recorder. Endpoints:
+// Introspection after the run: an opt-in HTTP handler that exposes
+// finished recorders. Endpoints:
 //
 //	/metrics      — Prometheus text exposition (scrape-compatible)
 //	/analytics    — the full analytics Report as JSON
@@ -21,9 +21,10 @@ import (
 //	/why?req=<id> — one request's complete decision chain (JSON)
 //	/debug/pprof/ — the standard Go profiler endpoints
 //
-// The handler holds references, not copies: serving after the run is
-// finished (the simulator's model — run to completion, then serve) is
-// race-free because nothing mutates the recorder any more.
+// The handler holds references, not copies, and the recorders take no
+// lock: other goroutines may read them only after the run ends. So
+// serve a finished run (the simulator's model — run to completion, then
+// serve), whose concurrent requests only read.
 
 // ServerOptions wires the handler's data sources. Nil/zero fields are
 // served as empty documents rather than errors, so a partially wired

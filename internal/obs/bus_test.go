@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"sync"
-	"sync/atomic"
-	"testing"
-)
+import "testing"
 
 // TestBusRingWraparound: the ring retains only the newest Capacity
 // values, snapshots come out oldest-first, and the dropped counter
@@ -70,12 +66,12 @@ func TestBusExactCapacity(t *testing.T) {
 }
 
 // TestBusSubscribers: subscribers see every value losslessly — even
-// ones the ring overwrote — in publish order; cancelling stops
-// delivery; a subscriber added mid-stream sees only later values.
+// ones the ring overwrote — in publish order; a subscriber added
+// mid-stream sees only later values.
 func TestBusSubscribers(t *testing.T) {
 	b := NewBus[int](2)
 	var all, late []int
-	cancel := b.Subscribe(func(v int) { all = append(all, v) })
+	b.Subscribe(func(v int) { all = append(all, v) })
 	for i := 0; i < 5; i++ {
 		if i == 3 {
 			b.Subscribe(func(v int) { late = append(late, v) })
@@ -93,12 +89,6 @@ func TestBusSubscribers(t *testing.T) {
 	}
 	if len(late) != 2 || late[0] != 3 {
 		t.Errorf("late subscriber saw %v, want [3 4]", late)
-	}
-	cancel()
-	cancel() // idempotent
-	b.Publish(99)
-	if len(all) != 5 {
-		t.Error("cancelled subscriber still receiving")
 	}
 }
 
@@ -130,17 +120,15 @@ func TestBusSubscriberChurnDropAccounting(t *testing.T) {
 		t.Fatalf("Dropped before join = %d, want 7", droppedAtJoin)
 	}
 	var seen []int
-	cancel := b.Subscribe(func(v int) { seen = append(seen, v) })
+	b.Subscribe(func(v int) { seen = append(seen, v) })
 	for i := 11; i < 25; i++ {
 		b.Publish(i)
 	}
-	cancel()
-	b.Publish(25) // after cancel: not seen, still counted by the ring
 	// Everything published before the join was either dropped or still
-	// retained; everything while subscribed was seen; one publish came
-	// after the cancel. Those partitions must tile the bus total.
+	// retained; everything after it was seen. Those partitions must tile
+	// the bus total.
 	if len(seen) != 14 ||
-		droppedAtJoin+retainedAtJoin+len(seen)+1 != b.Total() {
+		droppedAtJoin+retainedAtJoin+len(seen) != b.Total() {
 		t.Errorf("churn accounting: seen %d, droppedAtJoin %d, retainedAtJoin %d, total %d",
 			len(seen), droppedAtJoin, retainedAtJoin, b.Total())
 	}
@@ -148,48 +136,5 @@ func TestBusSubscriberChurnDropAccounting(t *testing.T) {
 		if v != 11+i {
 			t.Fatalf("mid-run subscriber order wrong: %v", seen)
 		}
-	}
-}
-
-// TestBusConcurrentPublishSubscribe: ring wraparound under concurrent
-// publishers with subscribers joining and cancelling mid-stream must be
-// race-clean (run under -race) and must not lose counts: Total equals
-// the number of publishes and Dropped+Retained equals Total.
-func TestBusConcurrentPublishSubscribe(t *testing.T) {
-	const (
-		publishers = 4
-		perPub     = 500
-	)
-	b := NewBus[int](16)
-	var wg sync.WaitGroup
-	var received atomic.Int64
-	for p := 0; p < publishers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < perPub; i++ {
-				if i%50 == 0 {
-					cancel := b.Subscribe(func(int) { received.Add(1) })
-					b.Publish(p*perPub + i)
-					cancel()
-					continue
-				}
-				b.Publish(p*perPub + i)
-			}
-		}(p)
-	}
-	wg.Wait()
-	if b.Total() != publishers*perPub {
-		t.Errorf("Total = %d, want %d", b.Total(), publishers*perPub)
-	}
-	if retained := len(b.Snapshot()); b.Dropped()+retained != b.Total() {
-		t.Errorf("Dropped %d + retained %d != Total %d",
-			b.Dropped(), retained, b.Total())
-	}
-	if got := len(b.Snapshot()); got != 16 {
-		t.Errorf("snapshot len = %d, want 16", got)
-	}
-	if received.Load() == 0 {
-		t.Error("transient subscribers received nothing")
 	}
 }

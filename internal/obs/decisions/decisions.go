@@ -34,7 +34,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"fluidfaas/internal/obs"
 	"fluidfaas/internal/obs/chunk"
@@ -316,11 +315,11 @@ type dump struct {
 // only when something reads them. A bounded ring holds the global
 // stream; per-request chains are kept separately and losslessly, in an
 // append-only log, so a request's complete fate survives ring
-// wraparound. One mutex guards everything. Bodies, IDs and typed
-// candidates live in append-only tables whose rows never change, so
-// readers render from them after releasing the lock.
+// wraparound.
+//
+// A Recorder takes no lock. It is written and read on the engine
+// goroutine; other goroutines may read it only after the run ends.
 type Recorder struct {
-	mu     sync.Mutex
 	ring   obs.Ring[entry]
 	bodies chunk.Table[body]
 	ids    []string
@@ -350,8 +349,6 @@ func (r *Recorder) Intern(s string) ID {
 	if r == nil {
 		return NoID
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	id, ok := r.idOf[s]
 	if !ok {
 		id = ID(len(r.ids))
@@ -370,8 +367,6 @@ func (r *Recorder) Body(rec Record) Body {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.addBody(&rec)
 }
 
@@ -409,7 +404,6 @@ func (r *Recorder) Record(rec Record) {
 
 // emit stores e, with rec registered as its body when non-nil.
 func (r *Recorder) emit(rec *Record, e entry, cands []Cand) {
-	r.mu.Lock()
 	if rec != nil {
 		e.body = r.addBody(rec)
 	}
@@ -437,7 +431,6 @@ func (r *Recorder) emit(rec *Record, e entry, cands []Cand) {
 		r.chains[e.req] = c
 		r.log.Push(e)
 	}
-	r.mu.Unlock()
 }
 
 // Freeze snapshots the ring into the dump list, tagged with the anomaly
@@ -447,8 +440,6 @@ func (r *Recorder) Freeze(now float64, reason string) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.frozen++
 	if len(r.dumps) < maxDumps {
 		r.dumps = append(r.dumps, dump{
@@ -459,78 +450,63 @@ func (r *Recorder) Freeze(now float64, reason string) {
 	}
 }
 
-// tables are the recorder's append-only tables as one read found them.
-// Their rows never change once added, so a reader renders from them
-// after releasing the lock while recording appends past their ends.
-type tables struct {
-	bodies chunk.Table[body]
-	ids    []string
-	cands  chunk.Table[Cand]
-}
-
-// tables returns the current tables; r.mu must be held.
-func (r *Recorder) tables() tables { return tables{r.bodies, r.ids, r.cands} }
-
 // fields renders e's Record without its typed candidates.
-func (t *tables) fields(e *entry) Record {
-	b := t.bodies.At(int(e.body))
+func (r *Recorder) fields(e *entry) Record {
+	b := r.bodies.At(int(e.body))
 	rec := Record{
 		Seq: e.seq, Time: e.time, Kind: b.kind, Func: b.fn,
 		Req: e.req, Attempt: int(e.attempt), Subject: b.subject,
 		Rule: b.rule, Outcome: b.outcome, Inputs: b.inputs, Candidates: b.cands,
 	}
 	if e.subject != NoID {
-		rec.Subject = t.ids[e.subject]
+		rec.Subject = r.ids[e.subject]
 	}
 	return rec
 }
 
 // typed returns e's typed candidates, in buf's storage when it has room.
-func (t *tables) typed(e *entry, buf []Cand) []Cand {
+func (r *Recorder) typed(e *entry, buf []Cand) []Cand {
 	buf = buf[:0]
 	for i := e.cand; i < e.cand+e.ncand; i++ {
-		buf = append(buf, *t.cands.At(int(i)))
+		buf = append(buf, *r.cands.At(int(i)))
 	}
 	return buf
 }
 
 // record renders e as the Record it stands for: the body's candidates,
 // then the typed ones.
-func (t *tables) record(e *entry) Record {
-	rec := t.fields(e)
-	if typed := t.typed(e, nil); len(typed) > 0 {
+func (r *Recorder) record(e *entry) Record {
+	rec := r.fields(e)
+	if typed := r.typed(e, nil); len(typed) > 0 {
 		cands := make([]Candidate, 0, len(rec.Candidates)+len(typed))
 		cands = append(cands, rec.Candidates...)
 		for _, c := range typed {
-			cands = append(cands, Candidate{ID: t.ids[c.ID], Reason: string(c.appendReason(nil))})
+			cands = append(cands, Candidate{ID: r.ids[c.ID], Reason: string(c.appendReason(nil))})
 		}
 		rec.Candidates = cands
 	}
 	return rec
 }
 
-func (t *tables) records(es []entry) []Record {
+func (r *Recorder) records(es []entry) []Record {
 	out := make([]Record, len(es))
 	for i := range es {
-		out[i] = t.record(&es[i])
+		out[i] = r.record(&es[i])
 	}
 	return out
 }
 
-// chain returns req's entries in record order and the tables to render
-// them from.
-func (r *Recorder) chain(req int) ([]entry, tables) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// chain returns req's entries in record order.
+func (r *Recorder) chain(req int) []entry {
 	c, ok := r.chains[req]
 	if !ok {
-		return nil, r.tables()
+		return nil
 	}
 	es := make([]entry, 0, c.n)
 	for i := c.head; ; i = r.log.At(int(i)).next {
 		es = append(es, *r.log.At(int(i)))
 		if i == c.tail {
-			return es, r.tables()
+			return es
 		}
 	}
 }
@@ -542,8 +518,7 @@ func (r *Recorder) Chain(req int) []Record {
 	if r == nil {
 		return nil
 	}
-	es, t := r.chain(req)
-	return t.records(es)
+	return r.records(r.chain(req))
 }
 
 // Requests returns the IDs of all requests with a recorded chain,
@@ -552,8 +527,6 @@ func (r *Recorder) Requests() []int {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make([]int, 0, len(r.chains))
 	for id := range r.chains {
 		out = append(out, id)
@@ -567,10 +540,7 @@ func (r *Recorder) Snapshot() []Record {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	es, t := r.ring.Snapshot(), r.tables()
-	r.mu.Unlock()
-	return t.records(es)
+	return r.records(r.ring.Snapshot())
 }
 
 // Total returns how many decisions were ever recorded.
@@ -578,8 +548,6 @@ func (r *Recorder) Total() int {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.ring.Total()
 }
 
@@ -589,8 +557,6 @@ func (r *Recorder) Dropped() int {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.ring.Dropped()
 }
 
@@ -600,11 +566,8 @@ func (r *Recorder) Counts() map[string]int {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	counts := r.counts
-	r.mu.Unlock()
 	out := map[string]int{}
-	for k, n := range counts {
+	for k, n := range r.counts {
 		if n > 0 {
 			out[Kind(k).String()] = n
 		}
@@ -617,13 +580,10 @@ func (r *Recorder) Dumps() []Dump {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	dumps, t := r.dumps, r.tables()
-	r.mu.Unlock()
-	out := make([]Dump, len(dumps))
-	for i := range dumps {
-		d := &dumps[i]
-		out[i] = Dump{Time: d.time, Reason: d.reason, Total: d.total, Dropped: d.dropped, Records: t.records(d.entries)}
+	out := make([]Dump, len(r.dumps))
+	for i := range r.dumps {
+		d := &r.dumps[i]
+		out[i] = Dump{Time: d.time, Reason: d.reason, Total: d.total, Dropped: d.dropped, Records: r.records(d.entries)}
 	}
 	return out
 }
@@ -634,8 +594,6 @@ func (r *Recorder) Freezes() int {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.frozen
 }
 
@@ -667,65 +625,48 @@ type MatchExport struct {
 // The exports below are streamed: every document is rendered through
 // one jsonw.Writer (indent one space) and one record renderer, with the
 // bytes encoding/json gives the document types above. A NaN or infinite
-// time fails the export before anything is written.
-
-// counters is one consistent read of the ring counters and tallies.
-type counters struct {
-	total, dropped, freezes int
-	kinds                   [numKinds]int
-}
-
-// countersLocked reads the counters; r.mu must be held.
-func (r *Recorder) countersLocked() counters {
-	return counters{r.ring.Total(), r.ring.Dropped(), r.frozen, r.counts}
-}
+// time fails the export before anything is written. A nil recorder
+// exports as an empty one.
 
 // WriteJSON writes the recorder's state as one deterministic JSON
 // document (Export): ring counters, per-kind tallies, the retained ring
 // oldest first, and any anomaly dumps. Same run, same bytes.
 func (r *Recorder) WriteJSON(w io.Writer) error {
-	var (
-		c     counters
-		recs  []entry
-		dumps []dump
-		t     tables
-	)
-	if r != nil {
-		r.mu.Lock()
-		c, recs, dumps, t = r.countersLocked(), r.ring.Snapshot(), r.dumps, r.tables()
-		r.mu.Unlock()
+	if r == nil {
+		r = &Recorder{}
 	}
-	if err := t.checkFinite(recs); err != nil {
+	recs := r.ring.Snapshot()
+	if err := r.checkFinite(recs); err != nil {
 		return err
 	}
-	for i := range dumps {
-		d := &dumps[i]
+	for i := range r.dumps {
+		d := &r.dumps[i]
 		if !jsonw.Finite(d.time) {
 			return fmt.Errorf("decisions: json export: dump %d (%q) has non-finite time %v", i, d.reason, d.time)
 		}
-		if err := t.checkFinite(d.entries); err != nil {
+		if err := r.checkFinite(d.entries); err != nil {
 			return err
 		}
 	}
 	jw := jsonw.NewWriter(w, " ")
 	jw.BeginObject()
 	jw.Key("total")
-	jw.Int(c.total)
+	jw.Int(r.ring.Total())
 	jw.Key("dropped")
-	jw.Int(c.dropped)
+	jw.Int(r.ring.Dropped())
 	jw.Key("counts")
-	writeCounts(jw, &c.kinds)
-	if c.freezes != 0 {
+	writeCounts(jw, &r.counts)
+	if r.frozen != 0 {
 		jw.Key("freezes")
-		jw.Int(c.freezes)
+		jw.Int(r.frozen)
 	}
 	jw.Key("records")
-	t.writeEntries(jw, recs)
-	if len(dumps) > 0 {
+	r.writeEntries(jw, recs)
+	if len(r.dumps) > 0 {
 		jw.Key("dumps")
 		jw.BeginArray()
-		for i := range dumps {
-			t.writeDump(jw, &dumps[i])
+		for i := range r.dumps {
+			r.writeDump(jw, &r.dumps[i])
 		}
 		jw.EndArray()
 	}
@@ -736,14 +677,11 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 // WriteChainJSON writes one request's complete decision chain as JSON
 // (ChainExport; an empty chain for unknown requests).
 func (r *Recorder) WriteChainJSON(w io.Writer, req int) error {
-	var (
-		es []entry
-		t  tables
-	)
-	if r != nil {
-		es, t = r.chain(req)
+	if r == nil {
+		r = &Recorder{}
 	}
-	if err := t.checkFinite(es); err != nil {
+	es := r.chain(req)
+	if err := r.checkFinite(es); err != nil {
 		return err
 	}
 	jw := jsonw.NewWriter(w, " ")
@@ -751,7 +689,7 @@ func (r *Recorder) WriteChainJSON(w io.Writer, req int) error {
 	jw.Key("req")
 	jw.Int(req)
 	jw.Key("chain")
-	t.writeEntries(jw, es)
+	r.writeEntries(jw, es)
 	jw.EndObject()
 	return jw.Finish()
 }
@@ -765,22 +703,19 @@ func (r *Recorder) WriteMatchJSON(w io.Writer, matched []Record) error {
 			return fmt.Errorf("decisions: json export: record %d (%s) has non-finite time %v", rec.Seq, rec.Kind, rec.Time)
 		}
 	}
-	var c counters
-	if r != nil {
-		r.mu.Lock()
-		c = r.countersLocked()
-		r.mu.Unlock()
+	if r == nil {
+		r = &Recorder{}
 	}
 	jw := jsonw.NewWriter(w, " ")
 	jw.BeginObject()
 	jw.Key("total")
-	jw.Int(c.total)
+	jw.Int(r.ring.Total())
 	jw.Key("dropped")
-	jw.Int(c.dropped)
+	jw.Int(r.ring.Dropped())
 	jw.Key("matched")
 	jw.Int(len(matched))
 	jw.Key("counts")
-	writeCounts(jw, &c.kinds)
+	writeCounts(jw, &r.counts)
 	jw.Key("records")
 	jw.BeginArray()
 	for i := range matched {
@@ -791,10 +726,10 @@ func (r *Recorder) WriteMatchJSON(w io.Writer, matched []Record) error {
 	return jw.Finish()
 }
 
-func (t *tables) checkFinite(es []entry) error {
+func (r *Recorder) checkFinite(es []entry) error {
 	for i := range es {
 		if e := &es[i]; !jsonw.Finite(e.time) {
-			return fmt.Errorf("decisions: json export: record %d (%s) has non-finite time %v", e.seq, t.bodies.At(int(e.body)).kind, e.time)
+			return fmt.Errorf("decisions: json export: record %d (%s) has non-finite time %v", e.seq, r.bodies.At(int(e.body)).kind, e.time)
 		}
 	}
 	return nil
@@ -825,19 +760,19 @@ func writeCounts(jw *jsonw.Writer, counts *[numKinds]int) {
 }
 
 // writeEntries writes es as an array of records.
-func (t *tables) writeEntries(jw *jsonw.Writer, es []entry) {
+func (r *Recorder) writeEntries(jw *jsonw.Writer, es []entry) {
 	var typed []Cand
 	jw.BeginArray()
 	for i := range es {
 		e := &es[i]
-		rec := t.fields(e)
-		typed = t.typed(e, typed)
-		writeRecord(jw, &rec, typed, t.ids)
+		rec := r.fields(e)
+		typed = r.typed(e, typed)
+		writeRecord(jw, &rec, typed, r.ids)
 	}
 	jw.EndArray()
 }
 
-func (t *tables) writeDump(jw *jsonw.Writer, d *dump) {
+func (r *Recorder) writeDump(jw *jsonw.Writer, d *dump) {
 	jw.BeginObject()
 	jw.Key("time")
 	jw.Float(d.time)
@@ -848,7 +783,7 @@ func (t *tables) writeDump(jw *jsonw.Writer, d *dump) {
 	jw.Key("dropped")
 	jw.Int(d.dropped)
 	jw.Key("records")
-	t.writeEntries(jw, d.entries)
+	r.writeEntries(jw, d.entries)
 	jw.EndObject()
 }
 

@@ -3,9 +3,7 @@ package platform
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"math"
-	"net/http/httptest"
 	"reflect"
 	"testing"
 
@@ -15,7 +13,6 @@ import (
 	"fluidfaas/internal/metrics"
 	"fluidfaas/internal/obs"
 	"fluidfaas/internal/obs/analytics"
-	"fluidfaas/internal/obs/decisions"
 	"fluidfaas/internal/overload"
 	"fluidfaas/internal/scheduler"
 )
@@ -181,45 +178,4 @@ func TestSnapshotDeterministic(t *testing.T) {
 	if s.Counters.Launched != p.Launched() {
 		t.Errorf("snapshot launched %d != platform %d", s.Counters.Launched, p.Launched())
 	}
-}
-
-// TestServerReadsDecisionsDuringRun: the introspection server's /why
-// and /decisions render records while the run is still making them.
-// Under -race it checks that readers share the recorder's intern table,
-// candidate arena and chain log with the recording run safely.
-func TestServerReadsDecisionsDuringRun(t *testing.T) {
-	dec := decisions.NewRecorder(64)
-	h := analytics.Handler(analytics.ServerOptions{Decisions: dec})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		runRich(t, Options{Decisions: dec})
-	}()
-	get := func(url string) []byte {
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest("GET", url, nil))
-		if w.Code != 200 || !json.Valid(w.Body.Bytes()) {
-			t.Fatalf("GET %s: status %d, body %.200q", url, w.Code, w.Body.String())
-		}
-		return w.Body.Bytes()
-	}
-	reads := 0
-	for running := true; running; reads++ {
-		select {
-		case <-done:
-			running = false
-		default:
-		}
-		get(fmt.Sprintf("/why?req=%d", reads%50))
-		get("/decisions?kind=admit&limit=8")
-		get("/decisions")
-	}
-	if dec.Total() == 0 || len(dec.Chain(0)) == 0 {
-		t.Fatalf("run recorded %d decisions, chain(0) %d", dec.Total(), len(dec.Chain(0)))
-	}
-	var chain decisions.ChainExport
-	if err := json.Unmarshal(get("/why?req=0"), &chain); err != nil || !reflect.DeepEqual(chain.Chain, dec.Chain(0)) {
-		t.Errorf("/why?req=0 after the run disagrees with Chain(0) (err %v)", err)
-	}
-	t.Logf("%d rounds of reads during the run", reads)
 }

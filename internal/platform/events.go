@@ -179,7 +179,9 @@ func (p *Platform) logEvent(kind EventKind, subject, detail string, t transition
 // EventBus exposes the lifecycle event stream. Subscribe before Run to
 // observe every event without ring loss; subscribers must only observe
 // (mutating platform state from a subscriber breaks determinism
-// guarantees).
+// guarantees). The bus takes no lock: subscribers run on the engine
+// goroutine, and other goroutines may read the bus only after Run
+// returns.
 func (p *Platform) EventBus() *obs.Bus[Event] { return p.events }
 
 // Events returns the retained lifecycle events, oldest first (the ring
