@@ -430,9 +430,11 @@ func BenchmarkPlannerConstruct(b *testing.B) {
 		pl := pipeline.NewPlanner(d, parts, slo)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := pl.Construct(free); err != nil {
-				b.Fatal(err)
+			res := pl.Result(pipeline.CountsOf(free), func() []mig.SliceType { return free })
+			if res.Err != nil {
+				b.Fatal(res.Err)
 			}
+			res.BindIndices(free, nil)
 		}
 		b.ReportMetric(pl.Stats().HitRate()*100, "hit_rate_%")
 	})

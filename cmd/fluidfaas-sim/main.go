@@ -28,7 +28,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "random seed")
 	partition := flag.String("partition", "P1", "partition scheme: P1|P2|Hybrid")
 	events := flag.Int("events", 0, "print the last N platform lifecycle events (0 with -events-kind prints all matching)")
-	eventsKind := flag.String("events-kind", "", "only print lifecycle events of these kinds (comma-separated, e.g. fault,retry); collected losslessly off the event bus")
+	eventsKind := flag.String("events-kind", "", "only print lifecycle events of these kinds (comma-separated, e.g. fault,retry); collected losslessly from the platform's event stream")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON file (load in Perfetto / chrome://tracing)")
 	metricsOut := flag.String("metrics-out", "", "write Prometheus text-exposition metrics to this file")
 	serve := flag.String("serve", "", "after the run, serve introspection of it on this address (e.g. 127.0.0.1:8080): /metrics, /analytics, /state, /decisions, /why, /debug/pprof; blocks until killed")
@@ -107,7 +107,7 @@ func main() {
 	if *serve != "" {
 		cfg.OnPlatform = func(p *platform.Platform) { snap = p.Snapshot() }
 	}
-	// The event listing is a lossless bus subscriber that keeps the
+	// The event listing is a platform event subscriber that keeps the
 	// matching events (all of them without -events-kind); -events N
 	// prints the last N.
 	var evs []platform.Event

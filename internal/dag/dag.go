@@ -109,28 +109,6 @@ func (d *DAG) Validate() error {
 	return nil
 }
 
-// Entries returns the nodes with no predecessors.
-func (d *DAG) Entries() []NodeID {
-	var out []NodeID
-	for i := range d.nodes {
-		if len(d.pred[i]) == 0 {
-			out = append(out, NodeID(i))
-		}
-	}
-	return out
-}
-
-// Exits returns the nodes with no successors.
-func (d *DAG) Exits() []NodeID {
-	var out []NodeID
-	for i := range d.nodes {
-		if len(d.succ[i]) == 0 {
-			out = append(out, NodeID(i))
-		}
-	}
-	return out
-}
-
 // TopoSort returns a topological order, or an error if the graph has a
 // cycle. Ties break by node ID so the order is deterministic.
 func (d *DAG) TopoSort() ([]NodeID, error) {
@@ -177,20 +155,4 @@ func (d *DAG) TotalMemGB() float64 {
 		t += d.nodes[i].MemGB
 	}
 	return t
-}
-
-// TotalExecOn returns the summed component time on the slice profile —
-// the service time of a monolithic deployment — and whether every
-// component fits the profile's compute. Memory feasibility is checked
-// separately against TotalMemGB.
-func (d *DAG) TotalExecOn(t mig.SliceType) (float64, bool) {
-	sum := 0.0
-	for i := range d.nodes {
-		dt, ok := d.nodes[i].ExecOn(t)
-		if !ok {
-			return 0, false
-		}
-		sum += dt
-	}
-	return sum, true
 }

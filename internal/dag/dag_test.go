@@ -111,33 +111,10 @@ func TestTopoSortChain(t *testing.T) {
 	}
 }
 
-func TestEntriesExits(t *testing.T) {
-	d := fig7DAG()
-	if got := d.Entries(); len(got) != 2 {
-		t.Errorf("entries = %v, want m1,m2", got)
-	}
-	if got := d.Exits(); len(got) != 1 || d.Node(got[0]).Name != "m5" {
-		t.Errorf("exits = %v, want m5", got)
-	}
-}
-
 func TestTotals(t *testing.T) {
 	d := chain(0.1, 0.2, 0.3)
 	if got := d.TotalMemGB(); got != 15 {
 		t.Errorf("TotalMemGB = %v, want 15", got)
-	}
-	got, ok := d.TotalExecOn(mig.Slice7g)
-	if !ok || got < 0.599 || got > 0.601 {
-		t.Errorf("TotalExecOn(7g) = %v, %v; want 0.6", got, ok)
-	}
-}
-
-func TestTotalExecOnMissingProfile(t *testing.T) {
-	d := New()
-	d.AddNode(Node{Name: "only7g", MemGB: 50,
-		Exec: map[mig.SliceType]float64{mig.Slice7g: 1}})
-	if _, ok := d.TotalExecOn(mig.Slice1g); ok {
-		t.Error("TotalExecOn should report infeasible profile")
 	}
 }
 

@@ -119,12 +119,6 @@ func TestExecProfileOmitsOOM(t *testing.T) {
 	}
 }
 
-func TestVariantMultMonotone(t *testing.T) {
-	if !(VariantMult(Small) < VariantMult(Medium) && VariantMult(Medium) < VariantMult(Large)) {
-		t.Error("variant multipliers not increasing")
-	}
-}
-
 func TestBuildDAGValid(t *testing.T) {
 	for _, a := range Apps() {
 		for _, v := range Variants {

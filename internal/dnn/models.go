@@ -82,10 +82,6 @@ const Alpha = 0.4
 // variantMult scales batch execution time per variant.
 var variantMult = [numVariants]float64{1.0, 2.5, 4.5}
 
-// VariantMult returns the execution-time multiplier of a variant
-// relative to Small.
-func VariantMult(v Variant) float64 { return variantMult[mustVariant(v)] }
-
 type modelInfo struct {
 	name    string
 	baseLat float64              // seconds on 7g.80gb, Small variant

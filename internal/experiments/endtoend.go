@@ -205,10 +205,3 @@ func (e *EndToEnd) Fig16Utilization() Table {
 	}
 	return t
 }
-
-// Fig16Timeline returns one system's sampled utilisation series for
-// plotting (time, activeGPCfraction).
-func (e *EndToEnd) Fig16Timeline(w Workload, system string) ([]float64, []float64) {
-	tl := e.Results[w][system].UtilGPCs
-	return tl.Times, tl.Values
-}

@@ -137,9 +137,9 @@ type Config struct {
 	// busy/idle/waste state, with fragmentation analytics and roll-ups
 	// (the /util and /heatmap endpoints).
 	Util *util.Ledger
-	// OnEvent subscribes to the platform's lifecycle event bus before
-	// the run starts, seeing every event losslessly. Subscribers must
-	// only observe.
+	// OnEvent subscribes to the platform's lifecycle events
+	// (Platform.Subscribe) before the run starts, seeing every event.
+	// Subscribers must only observe.
 	OnEvent func(platform.Event)
 	// OnPlatform, when set, observes the finished platform after the run
 	// (before RunSystem returns), e.g. to take an introspection
@@ -305,9 +305,11 @@ type SystemResult struct {
 	Recoveries   int
 	Retries      int
 
-	// EventsTotal counts every lifecycle event the run published and
-	// EventsDropped how many the platform's bounded ring overwrote
-	// (Config.OnEvent sees them all).
+	// EventsTotal counts every lifecycle event the run published.
+	// EventsDropped is the deprecated Platform.DroppedEvents,
+	// max(0, EventsTotal-4096): what the retired 4096-event ring would
+	// have overwritten. Nothing is dropped; Config.OnEvent sees every
+	// event.
 	EventsTotal   int
 	EventsDropped int
 
@@ -339,7 +341,7 @@ func RunSystem(pol scheduler.Policy, w Workload, cfg Config) SystemResult {
 		Obs: cfg.Obs, Decisions: cfg.Decisions, Util: cfg.Util,
 	})
 	if cfg.OnEvent != nil {
-		p.EventBus().Subscribe(cfg.OnEvent)
+		p.Subscribe(cfg.OnEvent)
 	}
 	tr := TraceFor(w, cfg)
 	p.Run(tr, cfg.Drain)

@@ -131,10 +131,8 @@ func TestEndToEndShape(t *testing.T) {
 		t.Errorf("heavy utilisation: fluidfaas %.2f vs esg %.2f", ffUtil.Mean(), esgUtil.Mean())
 	}
 
-	// Timeline accessor works.
-	ts, vs := e.Fig16Timeline(Heavy, "fluidfaas")
-	if len(ts) == 0 || len(ts) != len(vs) {
-		t.Error("Fig16Timeline empty or ragged")
+	if ffUtil.Len() == 0 || len(ffUtil.Values) != ffUtil.Len() {
+		t.Error("heavy fluidfaas utilisation timeline empty or ragged")
 	}
 }
 

@@ -64,10 +64,13 @@ func TestBuildDAGMatchesDNN(t *testing.T) {
 	if math.Abs(d.TotalMemGB()-want.TotalMemGB()) > 1e-9 {
 		t.Errorf("mem %v != %v", d.TotalMemGB(), want.TotalMemGB())
 	}
-	e1, _ := d.TotalExecOn(mig.Slice2g)
-	e2, _ := want.TotalExecOn(mig.Slice2g)
-	if math.Abs(e1-e2) > 1e-12 {
-		t.Errorf("exec %v != %v", e1, e2)
+	for i := range d.Len() {
+		id := dag.NodeID(i)
+		e1, ok1 := d.Node(id).ExecOn(mig.Slice2g)
+		e2, ok2 := want.Node(id).ExecOn(mig.Slice2g)
+		if ok1 != ok2 || math.Abs(e1-e2) > 1e-12 {
+			t.Errorf("component %d exec on 2g = %v, %v; want %v, %v", i, e1, ok1, e2, ok2)
+		}
 	}
 }
 

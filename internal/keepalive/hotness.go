@@ -5,26 +5,17 @@ package keepalive
 const HotnessWindow = 30.0
 
 // Tracker measures an instance's recent utilisation: the fraction of the
-// sliding window its slice spent serving the instance's requests. The
+// HotnessWindow its slice spent serving the instance's requests. The
 // FFS invoker continuously assesses this to decide promotions to
 // exclusive-hot and demotions to time sharing (§5.3).
 type Tracker struct {
-	window float64
 	// busy intervals, pruned to the window; open interval uses end < 0.
 	intervals [][2]float64
 	lastUse   float64
 }
 
-// NewTracker returns a tracker with the default window.
-func NewTracker() *Tracker { return &Tracker{window: HotnessWindow} }
-
-// NewTrackerWindow returns a tracker with a custom window length.
-func NewTrackerWindow(w float64) *Tracker {
-	if w <= 0 {
-		panic("keepalive: non-positive hotness window")
-	}
-	return &Tracker{window: w}
-}
+// NewTracker returns a tracker with no recorded activity.
+func NewTracker() *Tracker { return &Tracker{} }
 
 // Begin records that the instance started serving at time now. Busy
 // intervals may legitimately begin in the past (completion callbacks
@@ -69,7 +60,7 @@ func (t *Tracker) LastUse() float64 { return t.lastUse }
 
 // Utilization returns the busy fraction of the window ending at now.
 func (t *Tracker) Utilization(now float64) float64 {
-	lo := now - t.window
+	lo := now - HotnessWindow
 	if lo < 0 {
 		lo = 0
 	}

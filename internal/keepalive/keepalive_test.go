@@ -73,58 +73,60 @@ func TestStateString(t *testing.T) {
 	}
 }
 
+// The tracker tests run on the 30 s HotnessWindow.
+
 func TestTrackerUtilization(t *testing.T) {
-	tr := NewTrackerWindow(10)
+	tr := NewTracker()
 	tr.Begin(0)
-	tr.End(3)
-	if got := tr.Utilization(10); math.Abs(got-0.3) > 1e-12 {
+	tr.End(9)
+	if got := tr.Utilization(30); math.Abs(got-0.3) > 1e-12 {
 		t.Errorf("utilization = %v, want 0.3", got)
 	}
-	// Window slides: by t=20 the [0,3] interval has aged out.
-	if got := tr.Utilization(20); got != 0 {
+	// Window slides: by t=60 the [0,9] interval has aged out.
+	if got := tr.Utilization(60); got != 0 {
 		t.Errorf("utilization after aging = %v, want 0", got)
 	}
 }
 
 func TestTrackerOpenInterval(t *testing.T) {
-	tr := NewTrackerWindow(10)
-	tr.Begin(5)
-	if got := tr.Utilization(10); math.Abs(got-0.5) > 1e-12 {
+	tr := NewTracker()
+	tr.Begin(15)
+	if got := tr.Utilization(30); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("open interval utilization = %v, want 0.5", got)
 	}
 	// Still serving: stays at 100% of the recent window eventually.
-	if got := tr.Utilization(100); math.Abs(got-1.0) > 1e-12 {
+	if got := tr.Utilization(300); math.Abs(got-1.0) > 1e-12 {
 		t.Errorf("long open interval = %v, want 1", got)
 	}
 }
 
 func TestTrackerPartialOverlap(t *testing.T) {
-	tr := NewTrackerWindow(10)
+	tr := NewTracker()
 	tr.Begin(0)
-	tr.End(8)
-	// Window [5,15]: overlap [5,8] = 3 of 10.
-	if got := tr.Utilization(15); math.Abs(got-0.3) > 1e-12 {
+	tr.End(24)
+	// Window [15,45]: overlap [15,24] = 9 of 30.
+	if got := tr.Utilization(45); math.Abs(got-0.3) > 1e-12 {
 		t.Errorf("partial overlap = %v, want 0.3", got)
 	}
 }
 
 func TestTrackerIsHotThreshold(t *testing.T) {
-	tr := NewTrackerWindow(10)
+	tr := NewTracker()
 	tr.Begin(0)
-	tr.End(3.1)
-	if !tr.IsHot(10) {
+	tr.End(9.3)
+	if !tr.IsHot(30) {
 		t.Error("31% utilization should be hot (threshold 30%)")
 	}
-	tr2 := NewTrackerWindow(10)
+	tr2 := NewTracker()
 	tr2.Begin(0)
-	tr2.End(2.9)
-	if tr2.IsHot(10) {
+	tr2.End(8.7)
+	if tr2.IsHot(30) {
 		t.Error("29% utilization should not be hot")
 	}
 }
 
 func TestTrackerEarlyWindow(t *testing.T) {
-	tr := NewTrackerWindow(30)
+	tr := NewTracker()
 	tr.Begin(0)
 	tr.End(2)
 	// At t=4, the window clips to [0,4]: 2/4.
@@ -154,11 +156,11 @@ func TestTrackerIdleAndTouch(t *testing.T) {
 }
 
 func TestTrackerDoubleBeginIgnored(t *testing.T) {
-	tr := NewTrackerWindow(10)
+	tr := NewTracker()
 	tr.Begin(0)
-	tr.Begin(2) // already serving
-	tr.End(4)
-	if got := tr.Utilization(10); math.Abs(got-0.4) > 1e-12 {
+	tr.Begin(6) // already serving
+	tr.End(12)
+	if got := tr.Utilization(30); math.Abs(got-0.4) > 1e-12 {
 		t.Errorf("utilization = %v, want 0.4", got)
 	}
 }
@@ -171,14 +173,14 @@ func TestTrackerDefensiveSequences(t *testing.T) {
 		name    string
 		drive   func(tr *Tracker)
 		lastUse float64
-		util    float64 // at now=10, window 10
+		util    float64 // at now=30
 	}{
 		{
 			// An End with no open interval is still evidence the
 			// instance was active: it must count as a Touch, not vanish.
 			name:    "end without begin touches",
-			drive:   func(tr *Tracker) { tr.End(3) },
-			lastUse: 3,
+			drive:   func(tr *Tracker) { tr.End(9) },
+			lastUse: 9,
 			util:    0,
 		},
 		{
@@ -186,11 +188,11 @@ func TestTrackerDefensiveSequences(t *testing.T) {
 			// must not rewind lastUse.
 			name: "stale begin keeps lastUse",
 			drive: func(tr *Tracker) {
-				tr.Touch(6)
-				tr.Begin(2)
-				tr.End(4)
+				tr.Touch(18)
+				tr.Begin(6)
+				tr.End(12)
 			},
-			lastUse: 6,
+			lastUse: 18,
 			util:    0.2,
 		},
 		{
@@ -198,10 +200,10 @@ func TestTrackerDefensiveSequences(t *testing.T) {
 			// interval rather than going negative.
 			name: "end before start clamps",
 			drive: func(tr *Tracker) {
-				tr.Begin(5)
-				tr.End(3)
+				tr.Begin(15)
+				tr.End(9)
 			},
-			lastUse: 5,
+			lastUse: 15,
 			util:    0,
 		},
 		{
@@ -209,23 +211,23 @@ func TestTrackerDefensiveSequences(t *testing.T) {
 			// the End time but leaves lastUse at the Touch.
 			name: "stale end keeps lastUse",
 			drive: func(tr *Tracker) {
-				tr.Begin(1)
-				tr.Touch(8)
-				tr.End(4)
+				tr.Begin(3)
+				tr.Touch(24)
+				tr.End(12)
 			},
-			lastUse: 8,
+			lastUse: 24,
 			util:    0.3,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tr := NewTrackerWindow(10)
+			tr := NewTracker()
 			tc.drive(tr)
 			if got := tr.LastUse(); got != tc.lastUse {
 				t.Errorf("LastUse = %v, want %v", got, tc.lastUse)
 			}
-			if got := tr.Utilization(10); math.Abs(got-tc.util) > 1e-12 {
-				t.Errorf("Utilization(10) = %v, want %v", got, tc.util)
+			if got := tr.Utilization(30); math.Abs(got-tc.util) > 1e-12 {
+				t.Errorf("Utilization(30) = %v, want %v", got, tc.util)
 			}
 		})
 	}
@@ -234,10 +236,10 @@ func TestTrackerDefensiveSequences(t *testing.T) {
 // Property: utilisation is always within [0, 1].
 func TestTrackerBoundsProperty(t *testing.T) {
 	f := func(raw []uint8) bool {
-		tr := NewTrackerWindow(5)
+		tr := NewTracker()
 		now := 0.0
 		for _, r := range raw {
-			now += float64(r%7) * 0.5
+			now += float64(r%7) * 3
 			if r%2 == 0 {
 				tr.Begin(now)
 			} else {
@@ -253,15 +255,6 @@ func TestTrackerBoundsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestNewTrackerWindowPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("zero window did not panic")
-		}
-	}()
-	NewTrackerWindow(0)
 }
 
 func TestLoadTimes(t *testing.T) {

@@ -127,21 +127,6 @@ func (c *Collector) Goodput(duration float64) float64 {
 	return float64(c.sloHits) / duration
 }
 
-// GoodputByFunc returns per-function SLO-meeting completions per
-// second.
-func (c *Collector) GoodputByFunc(duration float64) map[int]float64 {
-	out := map[int]float64{}
-	if duration <= 0 {
-		return out
-	}
-	for _, r := range c.records {
-		if r.SLOHit() {
-			out[r.Func] += 1 / duration
-		}
-	}
-	return out
-}
-
 // FailedCount returns requests abandoned because of hardware faults.
 func (c *Collector) FailedCount() int {
 	n := 0
@@ -341,16 +326,4 @@ func JainIndex(xs []float64) float64 {
 		return 1
 	}
 	return sum * sum / (float64(len(xs)) * sumsq)
-}
-
-// Mean returns the arithmetic mean; NaN for empty input.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }

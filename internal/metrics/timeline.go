@@ -1,7 +1,5 @@
 package metrics
 
-import "sort"
-
 // Timeline is a sampled time series (e.g. GPU utilisation over time,
 // Fig. 3a / Fig. 16).
 type Timeline struct {
@@ -20,20 +18,6 @@ func (tl *Timeline) Add(t, v float64) {
 
 // Len returns the sample count.
 func (tl *Timeline) Len() int { return len(tl.Times) }
-
-// At returns the most recent sample value at or before t (zero before
-// the first sample). Binary search: Times is non-decreasing by
-// construction, and the O(n) scan this replaces dominated profile time
-// for drivers probing long runs (see BenchmarkTimelineAt).
-func (tl *Timeline) At(t float64) float64 {
-	// First index with Times[i] > t; duplicates at exactly t resolve to
-	// the last of them, matching the linear scan's semantics.
-	i := sort.Search(len(tl.Times), func(i int) bool { return tl.Times[i] > t })
-	if i == 0 {
-		return 0
-	}
-	return tl.Values[i-1]
-}
 
 // Max returns the largest sample value (0 if empty).
 func (tl *Timeline) Max() float64 {

@@ -5,66 +5,6 @@ import (
 	"testing"
 )
 
-// TestTimelineAt: table-driven checks of the binary-search lookup,
-// including exact sample times, duplicate timestamps (the last value
-// at a duplicated time wins, matching the old linear scan), and
-// out-of-range probes.
-func TestTimelineAt(t *testing.T) {
-	var tl Timeline
-	tl.Add(0, 0.1)
-	tl.Add(10, 0.2)
-	tl.Add(10, 0.3) // duplicate time: later sample supersedes
-	tl.Add(20, 0.4)
-
-	cases := []struct {
-		t    float64
-		want float64
-	}{
-		{-5, 0},   // before the first sample
-		{0, 0.1},  // exactly the first sample
-		{5, 0.1},  // between samples: hold the previous value
-		{10, 0.3}, // duplicate time: last value at that time
-		{10.01, 0.3},
-		{19.999, 0.3},
-		{20, 0.4},  // exactly the last sample
-		{1e9, 0.4}, // far past the end
-	}
-	for _, c := range cases {
-		if got := tl.At(c.t); got != c.want {
-			t.Errorf("At(%v) = %v, want %v", c.t, got, c.want)
-		}
-	}
-
-	var empty Timeline
-	if got := empty.At(3); got != 0 {
-		t.Errorf("empty.At = %v, want 0", got)
-	}
-}
-
-// TestTimelineAtMatchesLinearScan: the binary search agrees with the
-// reference linear scan on a dense probe sweep.
-func TestTimelineAtMatchesLinearScan(t *testing.T) {
-	var tl Timeline
-	for i := 0; i < 100; i++ {
-		tl.Add(float64(i)*0.7, float64(i%13))
-	}
-	linear := func(q float64) float64 {
-		v := 0.0
-		for i, tt := range tl.Times {
-			if tt > q {
-				break
-			}
-			v = tl.Values[i]
-		}
-		return v
-	}
-	for q := -1.0; q < 75; q += 0.13 {
-		if got, want := tl.At(q), linear(q); got != want {
-			t.Fatalf("At(%v) = %v, linear scan says %v", q, got, want)
-		}
-	}
-}
-
 // TestTimelineMeanEdgeCases: table-driven edge cases of the
 // time-weighted mean.
 func TestTimelineMeanEdgeCases(t *testing.T) {
@@ -121,40 +61,5 @@ func TestTimelineFractionBelowEdgeCases(t *testing.T) {
 		if got := tl.FractionBelow(c.threshold); math.Abs(got-c.want) > 1e-12 {
 			t.Errorf("%s: FractionBelow(%v) = %v, want %v", c.name, c.threshold, got, c.want)
 		}
-	}
-}
-
-// BenchmarkTimelineAt measures the lookup on a long run's worth of
-// samples (1 Hz sampling over ~3 hours). The binary search turned the
-// old O(n) scan (~3 µs/op at this size) into ~15 ns/op.
-func BenchmarkTimelineAt(b *testing.B) {
-	var tl Timeline
-	for i := 0; i < 10000; i++ {
-		tl.Add(float64(i), float64(i%100)/100)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tl.At(float64((i * 7919) % 10000))
-	}
-}
-
-// BenchmarkTimelineAtLinear is the replaced O(n) scan, kept as the
-// benchmark baseline.
-func BenchmarkTimelineAtLinear(b *testing.B) {
-	var tl Timeline
-	for i := 0; i < 10000; i++ {
-		tl.Add(float64(i), float64(i%100)/100)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := float64((i * 7919) % 10000)
-		v := 0.0
-		for j, tt := range tl.Times {
-			if tt > q {
-				break
-			}
-			v = tl.Values[j]
-		}
-		_ = v
 	}
 }

@@ -1,7 +1,6 @@
 package mig
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 )
@@ -41,36 +40,11 @@ func (c Config) String() string {
 	return strings.Join(parts, "+")
 }
 
-// ParseConfig parses the String form back into a Config.
-func ParseConfig(s string) (Config, error) {
-	if s == "" || s == "(empty)" {
-		return nil, nil
-	}
-	var c Config
-	for _, part := range strings.Split(s, "+") {
-		t, err := ParseSliceType(strings.TrimSpace(part))
-		if err != nil {
-			return nil, err
-		}
-		c = append(c, t)
-	}
-	return c, nil
-}
-
 // TotalGPCs returns the summed compute of all slices.
 func (c Config) TotalGPCs() int {
 	n := 0
 	for _, t := range c {
 		n += t.GPCs()
-	}
-	return n
-}
-
-// TotalMemGB returns the summed memory of all slices.
-func (c Config) TotalMemGB() int {
-	n := 0
-	for _, t := range c {
-		n += t.MemGB()
 	}
 	return n
 }
@@ -132,83 +106,6 @@ func (c Config) Valid() bool {
 		return false
 	}
 	return place(0)
-}
-
-// Maximal reports whether the config is valid and no further slice of any
-// profile can be added.
-func (c Config) Maximal() bool {
-	if !c.Valid() {
-		return false
-	}
-	for _, t := range SliceTypes {
-		if Config(append(append(Config{}, c...), t)).Valid() {
-			return false
-		}
-	}
-	return true
-}
-
-// key returns a canonical comparable representation.
-func (c Config) key() string { return c.String() }
-
-// EnumerateConfigs returns every physically valid, non-empty partition of
-// one A100, deduplicated as multisets and sorted by descending total GPCs
-// then name. The NVIDIA MIG user guide tabulates 18 of these as the
-// officially documented configurations (paper §2.2); our enumeration is a
-// superset derived from the placement rules, and contains every
-// configuration the paper uses.
-func EnumerateConfigs() []Config {
-	seen := make(map[string]Config)
-	// Upper bounds per profile keep the search tiny.
-	var rec func(cur Config, next int)
-	rec = func(cur Config, next int) {
-		if len(cur) > 0 {
-			cc := cur.Canonical()
-			if cc.Valid() {
-				seen[cc.key()] = cc
-			} else {
-				return // adding more slices cannot restore validity
-			}
-		}
-		for ti := next; ti < len(SliceTypes); ti++ {
-			t := SliceTypes[ti]
-			if cur.Counts()[t] >= t.MaxCount() {
-				continue
-			}
-			rec(append(cur, t), ti)
-		}
-	}
-	rec(nil, 0)
-	out := make([]Config, 0, len(seen))
-	for _, c := range seen {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		gi, gj := out[i].TotalGPCs(), out[j].TotalGPCs()
-		if gi != gj {
-			return gi > gj
-		}
-		return out[i].key() < out[j].key()
-	})
-	return out
-}
-
-// MustConfig builds a Config from profile names and panics if the result
-// is not a valid partition; intended for package-level configuration
-// tables.
-func MustConfig(names ...string) Config {
-	var c Config
-	for _, n := range names {
-		t, err := ParseSliceType(n)
-		if err != nil {
-			panic(err)
-		}
-		c = append(c, t)
-	}
-	if !c.Valid() {
-		panic(fmt.Sprintf("mig: invalid config %v", c))
-	}
-	return c
 }
 
 // Partition schemes used in the paper's evaluation.

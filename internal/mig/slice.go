@@ -99,14 +99,3 @@ func ParseSliceType(s string) (SliceType, error) {
 	}
 	return 0, fmt.Errorf("mig: unknown slice profile %q", s)
 }
-
-// SmallestFitting returns the smallest slice profile with at least memGB
-// gigabytes of memory and at least gpcs GPCs, and whether one exists.
-func SmallestFitting(memGB float64, gpcs int) (SliceType, bool) {
-	for _, t := range SliceTypes {
-		if float64(t.MemGB()) >= memGB && t.GPCs() >= gpcs {
-			return t, true
-		}
-	}
-	return 0, false
-}

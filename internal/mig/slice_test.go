@@ -47,31 +47,6 @@ func TestParseSliceType(t *testing.T) {
 	}
 }
 
-func TestSmallestFitting(t *testing.T) {
-	cases := []struct {
-		memGB float64
-		gpcs  int
-		want  SliceType
-		ok    bool
-	}{
-		{5, 1, Slice1g, true},
-		{10, 1, Slice1g, true},
-		{10.5, 1, Slice2g, true},
-		{25, 1, Slice3g, true},
-		{40, 4, Slice4g, true},
-		{41, 1, Slice7g, true},
-		{81, 1, 0, false},
-		{10, 8, 0, false},
-	}
-	for _, c := range cases {
-		got, ok := SmallestFitting(c.memGB, c.gpcs)
-		if ok != c.ok || (ok && got != c.want) {
-			t.Errorf("SmallestFitting(%v, %d) = %v, %v; want %v, %v",
-				c.memGB, c.gpcs, got, ok, c.want, c.ok)
-		}
-	}
-}
-
 func TestInvalidSliceTypePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -19,12 +19,7 @@
 //     functions, the quantity strong isolation drives to zero.
 package mps
 
-import (
-	"fmt"
-	"sort"
-
-	"fluidfaas/internal/sim"
-)
+import "fluidfaas/internal/sim"
 
 // Beta is the contention coefficient: co-runners claiming the whole
 // remaining GPU add Beta to the slowdown even without compute
@@ -283,19 +278,4 @@ func (c *Cluster) Finish(duration float64) Result {
 		r.MeanSlowdown = c.slowdownSum / float64(c.completed)
 	}
 	return r
-}
-
-// Describe renders the cluster state for diagnostics.
-func (c *Cluster) Describe() string {
-	var b []byte
-	for _, g := range c.gpus {
-		b = append(b, fmt.Sprintf("gpu%d mem=%.0f procs=%d\n", g.id, g.memGB, len(g.procs))...)
-	}
-	return string(b)
-}
-
-// SortProfiles orders profiles by name (determinism helper for callers
-// building profile sets from maps).
-func SortProfiles(ps []FunctionProfile) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Name < ps[j].Name })
 }

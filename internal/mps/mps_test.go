@@ -160,17 +160,3 @@ func TestNewClusterPanics(t *testing.T) {
 	}()
 	NewCluster(sim.NewEngine(), 0, nil)
 }
-
-func TestDescribeAndSort(t *testing.T) {
-	eng := sim.NewEngine()
-	c := NewCluster(eng, 1, profiles())
-	c.Submit(0, 0)
-	if c.Describe() == "" {
-		t.Error("Describe empty")
-	}
-	ps := []FunctionProfile{{Name: "z"}, {Name: "a"}}
-	SortProfiles(ps)
-	if ps[0].Name != "a" {
-		t.Error("SortProfiles did not sort")
-	}
-}

@@ -41,11 +41,6 @@ type Components struct {
 	Retry    float64 `json:"retry"`
 }
 
-// Total returns the summed components.
-func (c Components) Total() float64 {
-	return c.Queue + c.Load + c.Exec + c.Transfer + c.Retry
-}
-
 // byName returns the component value for a taxonomy name.
 func (c Components) byName(name string) float64 {
 	switch name {

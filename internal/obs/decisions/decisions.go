@@ -333,7 +333,7 @@ type Recorder struct {
 }
 
 // NewRecorder returns a recorder whose ring retains the newest ringCap
-// records (obs.DefaultBusCapacity when ringCap <= 0).
+// records (obs.DefaultRingCapacity when ringCap <= 0).
 func NewRecorder(ringCap int) *Recorder {
 	return &Recorder{
 		ring:   obs.NewRing[entry](ringCap),

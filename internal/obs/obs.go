@@ -1,11 +1,11 @@
 // Package obs is the platform's observability layer: per-request traces
-// built from typed spans, a lossless streaming event bus with a bounded
-// ring as the default sink, log-bucketed latency histograms, and two
-// deterministic exporters (Chrome trace-event JSON for Perfetto, and
-// Prometheus-style text exposition).
+// built from typed spans, a bounded ring that counts what it overwrites,
+// log-bucketed latency histograms, and two deterministic exporters
+// (Chrome trace-event JSON for Perfetto, and Prometheus-style text
+// exposition).
 //
-// Everything here is an observer: recording a span or publishing an
-// event never schedules simulation work or mutates platform state, so a
+// Everything here is an observer: recording a span or a lifecycle mark
+// never schedules simulation work or mutates platform state, so a
 // run with observability attached is bit-for-bit identical to one
 // without. The Recorder's methods are nil-receiver safe — a nil
 // *Recorder is the disabled sink and every call short-circuits — so

@@ -17,7 +17,7 @@ type Config struct {
 	// between two backlogged flows, so it was removed; a shared slice
 	// always serves in deadline order.
 	//
-	// Deprecated: ignored; deleted when bench/ next changes (ROADMAP item 3).
+	// Deprecated: ignored; deleted when bench/ next changes.
 	FairQueue bool
 
 	// Brownout once enabled a degradation ladder driven by node
@@ -25,7 +25,7 @@ type Config struct {
 	// shedding and swap relief. With admission on, pressure never
 	// reached its first rung, so it was removed.
 	//
-	// Deprecated: ignored; deleted when bench/ next changes (ROADMAP item 3).
+	// Deprecated: ignored; deleted when bench/ next changes.
 	Brownout bool
 }
 

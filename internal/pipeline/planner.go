@@ -202,23 +202,6 @@ func (p *Planner) observe(cached, sigOK bool, sig uint64, res *PlanResult) {
 	}
 }
 
-// Construct is a cached replacement for the package-level Construct
-// under the planner's SLO: same outputs, served from the plan cache when
-// the free multiset has been seen before.
-func (p *Planner) Construct(avail []mig.SliceType) (Plan, []int, error) {
-	plan, idx, _, err := p.ConstructRanked(avail)
-	return plan, idx, err
-}
-
-// ConstructRanked is Construct plus the chosen partition's rank.
-func (p *Planner) ConstructRanked(avail []mig.SliceType) (Plan, []int, int, error) {
-	res := p.Result(CountsOf(avail), func() []mig.SliceType { return avail })
-	if res.Err != nil {
-		return Plan{}, nil, -1, res.Err
-	}
-	return res.Plan, res.BindIndices(avail, nil), res.Rank, nil
-}
-
 // BindIndices replays the index binding of a successful result against
 // a concrete free-slice view with the result's multiset: stages bind in
 // the recorded order, each taking the first unused index of its profile

@@ -52,8 +52,8 @@ func randomHoleyChain(raw []byte) *dag.DAG {
 	return d
 }
 
-// TestPlannerMatchesConstructProperty: the memoized planner is
-// extensionally equal to ConstructRanked — same plan, same slice
+// TestPlannerMatchesConstructProperty: the memoized planner's result,
+// bound to the view, is extensionally equal to ConstructRanked — same plan, same slice
 // indices, same partition rank, same error — over random DAGs (with
 // non-monotone feasibility holes), random free-slice multisets and
 // SLOs, including after simulated alloc/release churn of the free pool.
@@ -76,16 +76,16 @@ func TestPlannerMatchesConstructProperty(t *testing.T) {
 			free = append(free, menu[int(freeRaw[i])%len(menu)])
 		}
 		check := func(avail []mig.SliceType) bool {
-			ap, ai, ar, ae := pl.ConstructRanked(avail)
+			res := pl.Result(CountsOf(avail), func() []mig.SliceType { return avail })
 			bp, bi, br, be := ConstructRanked(d, parts, avail, slo)
-			if (ae == nil) != (be == nil) || ae != be {
+			if res.Err != be {
 				return false
 			}
-			if ae != nil {
+			if be != nil {
 				return true
 			}
-			return reflect.DeepEqual(ap, bp) &&
-				reflect.DeepEqual(ai, bi) && ar == br
+			return reflect.DeepEqual(res.Plan, bp) &&
+				reflect.DeepEqual(res.BindIndices(avail, nil), bi) && res.Rank == br
 		}
 		// Churn loop: allocate (drop) and release (add) slices, and
 		// permute index order, re-comparing after every mutation. Each
@@ -187,7 +187,7 @@ func TestPlannerNegativeCaching(t *testing.T) {
 	pl := NewPlanner(d, parts, 0)
 	avail := []mig.SliceType{mig.Slice1g, mig.Slice2g}
 	for i := 0; i < 3; i++ {
-		if _, _, err := pl.Construct(avail); err != ErrNoFit {
+		if err := pl.Result(CountsOf(avail), func() []mig.SliceType { return avail }).Err; err != ErrNoFit {
 			t.Fatalf("query %d: err = %v, want ErrNoFit", i, err)
 		}
 	}
@@ -282,7 +282,7 @@ func TestPlannerObserver(t *testing.T) {
 
 	avail := []mig.SliceType{mig.Slice2g, mig.Slice2g}
 	for i := 0; i < 3; i++ {
-		if _, _, err := pl.Construct(avail); err != nil {
+		if err := pl.Result(CountsOf(avail), func() []mig.SliceType { return avail }).Err; err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
 	}
@@ -313,7 +313,7 @@ func TestPlannerObserver(t *testing.T) {
 	// Removing the observer stops delivery.
 	pl.SetObserver(nil)
 	obs = nil
-	if _, _, err := pl.Construct(avail); err != nil {
+	if err := pl.Result(CountsOf(avail), func() []mig.SliceType { return avail }).Err; err != nil {
 		t.Fatal(err)
 	}
 	if len(obs) != 0 {

@@ -332,17 +332,8 @@ func (p *Platform) scaleUp() {
 		nodeIdx := pl.Node // views carry real node IDs == invoker index
 		inv := p.inv[nodeIdx]
 		slices := make([]*mig.Slice, len(pl.SliceIdx))
-		ok := true
 		for i, si := range pl.SliceIdx {
-			sl := phys[nodeIdx][si]
-			if !sl.Free() {
-				ok = false // consumed by an earlier placement this tick
-				break
-			}
-			slices[i] = sl
-		}
-		if !ok {
-			continue
+			slices[i] = phys[nodeIdx][si]
 		}
 		load := p.loadTimeFor(fn, inv.node, now)
 		inst := p.launchInstance(fn, inv.node, pl.Plan, slices, load)

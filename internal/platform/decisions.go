@@ -245,7 +245,7 @@ func (p *Platform) exportRunCounters() {
 	r.SetGauge("fluidfaas_swap_outs_total", float64(p.SwapOuts()))
 	// Nothing swaps for relief any more. The gauge stays, a constant 0,
 	// because bench/golden/seed42.json pins this export; delete it when
-	// bench/ next changes (ROADMAP item 3).
+	// bench/ next changes.
 	r.SetGauge("fluidfaas_swap_reliefs_total", 0)
 	for _, inv := range p.inv {
 		r.SetSeries("fluidfaas_host_pool_occupancy",

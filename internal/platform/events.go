@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"fluidfaas/internal/mig"
-	"fluidfaas/internal/obs"
 	"fluidfaas/internal/obs/decisions"
 )
 
@@ -121,10 +120,9 @@ func ParseEventKind(name string) (EventKind, error) {
 	return 0, fmt.Errorf("platform: unknown event kind %q", name)
 }
 
-// eventLogCap bounds the retained lifecycle-event ring. Subscribers on
-// the EventBus see every event regardless; the ring only limits
-// after-the-fact Events() inspection.
-const eventLogCap = obs.DefaultBusCapacity
+// eventLogCap is the size of the retired lifecycle-event ring;
+// DroppedEvents still reports what a ring that size would have lost.
+const eventLogCap = 4096
 
 // transition is what one lifecycle transition carries besides its
 // event's kind, subject and detail: the state it changed, what it acted
@@ -147,13 +145,13 @@ type transition struct {
 
 // logEvent is the one call a lifecycle transition makes: a teardown
 // truncates the touched slices' recorded work, the per-kind tally counts
-// the event, subscribers see it losslessly and the bounded ring retains
-// it for Events(), the util ledger re-derives the touched slices' base
-// state, and the decision behind the transition is recorded, stamped
-// with the current time and t's request. The event's strings stay out
-// of t: the bus retains them, and Go's escape analysis does not tell a
-// struct's fields apart, so a decision builder beside them would be
-// heap-allocated on every call, provenance on or off.
+// the event, every subscriber sees it, the util ledger re-derives the
+// touched slices' base state, and the decision behind the transition is
+// recorded, stamped with the current time and t's request. The event's
+// strings stay out of t: subscribers may keep them, and Go's escape
+// analysis does not tell a struct's fields apart, so a decision builder
+// beside them would be heap-allocated on every call, provenance on or
+// off.
 func (p *Platform) logEvent(kind EventKind, subject, detail string, t transition) {
 	now := p.eng.Now()
 	if t.teardown {
@@ -163,7 +161,9 @@ func (p *Platform) logEvent(kind EventKind, subject, detail string, t transition
 		}
 	}
 	p.tally[kind]++
-	p.events.Publish(Event{Time: now, Kind: kind, Subject: subject, Detail: detail})
+	for _, fn := range p.subs {
+		fn(Event{Time: now, Kind: kind, Subject: subject, Detail: detail})
+	}
 	p.utilTouch(t.touched...)
 	if t.decision == nil || !p.decOn() {
 		return
@@ -176,30 +176,32 @@ func (p *Platform) logEvent(kind EventKind, subject, detail string, t transition
 	p.opts.Decisions.Record(rec)
 }
 
-// EventBus exposes the lifecycle event stream. Subscribe before Run to
-// observe every event without ring loss; subscribers must only observe
-// (mutating platform state from a subscriber breaks determinism
-// guarantees). The bus takes no lock: subscribers run on the engine
-// goroutine, and other goroutines may read the bus only after Run
-// returns.
-func (p *Platform) EventBus() *obs.Bus[Event] { return p.events }
+// Subscribe registers fn to be called with every lifecycle event
+// published from now on, in publish order, after the subscribers
+// already registered. Subscribe before Run to see the whole run.
+// Subscribers must only observe: mutating platform state from one
+// breaks determinism. They run on the engine goroutine.
+func (p *Platform) Subscribe(fn func(Event)) { p.subs = append(p.subs, fn) }
 
-// Events returns the retained lifecycle events, oldest first (the ring
-// keeps the most recent eventLogCap, 4096; see
-// TotalEvents and DroppedEvents for what fell off).
-func (p *Platform) Events() []Event { return p.events.Snapshot() }
+// TotalEvents returns how many lifecycle events the run published.
+func (p *Platform) TotalEvents() int {
+	n := 0
+	for _, c := range p.tally {
+		n += c
+	}
+	return n
+}
 
-// TotalEvents returns how many lifecycle events the run ever published,
-// including those the bounded ring has since overwritten.
-func (p *Platform) TotalEvents() int { return p.events.Total() }
-
-// DroppedEvents returns how many lifecycle events the bounded ring
-// overwrote (subscribers saw them; Events() no longer does).
-func (p *Platform) DroppedEvents() int { return p.events.Dropped() }
+// DroppedEvents returns how many of the run's lifecycle events a
+// 4096-event ring would have overwritten: max(0, TotalEvents()-4096).
+//
+// Deprecated: the platform keeps no event ring, so nothing is dropped.
+// It survives only for the fluidfaas_events_dropped gauge that the
+// benchmark's pinned export still carries; subscribers see every event.
+func (p *Platform) DroppedEvents() int { return max(0, p.TotalEvents()-eventLogCap) }
 
 // CountEvents returns how many events of each kind the run published
-// (kinds that never fired are absent). It reads the per-kind tally, so
-// it stays exact after the bounded ring wraps.
+// (kinds that never fired are absent).
 func (p *Platform) CountEvents() map[EventKind]int {
 	out := map[EventKind]int{}
 	for k, n := range p.tally {

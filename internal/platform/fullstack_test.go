@@ -5,7 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"hash/fnv"
 	"math"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -17,7 +19,6 @@ import (
 	"fluidfaas/internal/obs/decisions"
 	"fluidfaas/internal/obs/util"
 	"fluidfaas/internal/scheduler"
-	"fluidfaas/internal/sim"
 	"fluidfaas/internal/trace"
 )
 
@@ -29,32 +30,46 @@ type fullStackRun struct {
 	rec  *obs.Recorder
 	dec  *decisions.Recorder
 	util *util.Ledger
+	// events is every lifecycle event the run published, in order.
+	events []Event
 }
 
 // runRich runs the rich Small configuration, richOptions with opts'
 // observers attached: degraded and slice faults, gray scoring with
 // hedging, the swap tier and full overload control.
-func runRich(t *testing.T, opts Options) *Platform {
+func runRich(t *testing.T, opts Options, subs ...func(Event)) *Platform {
 	t.Helper()
 	specs := specsFor(t, dnn.Small)
 	rich := richOptions(opts.Decisions)
 	rich.Obs, rich.Util = opts.Obs, opts.Util
 	p := newRich(specs, rich)
+	for _, fn := range subs {
+		p.Subscribe(fn)
+	}
 	p.Run(flatTrace(specs, 6, 180, 7), 60)
 	return p
 }
 
 // observed runs run with all three observers attached: the span
-// recorder, the decision recorder and the utilization ledger.
-func observed(t *testing.T, run func(*testing.T, Options) *Platform) fullStackRun {
+// recorder, the decision recorder and the utilization ledger, and
+// keeps the run's event stream.
+func observed(t *testing.T, run runFunc) fullStackRun {
 	t.Helper()
 	r := fullStackRun{
 		rec:  obs.NewRecorder(),
 		dec:  decisions.NewRecorder(0),
 		util: util.NewLedger(),
 	}
-	r.p = run(t, Options{Obs: r.rec, Decisions: r.dec, Util: r.util})
+	r.p = run(t, Options{Obs: r.rec, Decisions: r.dec, Util: r.util}, collect(&r.events))
 	return r
+}
+
+// runFunc runs a rig with opts, subs subscribed to its lifecycle events.
+type runFunc func(t *testing.T, opts Options, subs ...func(Event)) *Platform
+
+// collect returns a subscriber that appends every event to dst.
+func collect(dst *[]Event) func(Event) {
+	return func(e Event) { *dst = append(*dst, e) }
 }
 
 // runFullStack exercises every subsystem at once, every observer
@@ -143,8 +158,8 @@ func TestFullStackRunRepeatable(t *testing.T) {
 	if a.p.Engine().Executed() != b.p.Engine().Executed() {
 		t.Errorf("event counts diverged: %d vs %d", a.p.Engine().Executed(), b.p.Engine().Executed())
 	}
-	if !reflect.DeepEqual(a.p.Events(), b.p.Events()) {
-		t.Error("event logs diverged")
+	if !reflect.DeepEqual(a.events, b.events) {
+		t.Error("event streams diverged")
 	}
 	if !reflect.DeepEqual(a.p.UtilGPCs, b.p.UtilGPCs) {
 		t.Error("utilisation timelines diverged")
@@ -165,15 +180,15 @@ func TestFullStackRunRepeatable(t *testing.T) {
 // faults, quarantine with hedging, the swap tier, overload control) and
 // two plain FluidFaaS medium runs.
 func TestObserversDisabledIdentity(t *testing.T) {
-	medium := func(seed int64) func(*testing.T, Options) *Platform {
-		return func(t *testing.T, opts Options) *Platform {
+	medium := func(seed int64) runFunc {
+		return func(t *testing.T, opts Options, subs ...func(Event)) *Platform {
 			opts.Policy = &scheduler.FluidFaaS{}
-			return runMedium(t, opts, seed)
+			return runMedium(t, opts, seed, subs...)
 		}
 	}
 	for _, c := range []struct {
 		name string
-		run  func(*testing.T, Options) *Platform
+		run  runFunc
 		rich bool
 	}{
 		{"rich", runRich, true},
@@ -181,7 +196,8 @@ func TestObserversDisabledIdentity(t *testing.T) {
 		{"medium-seed311", medium(311), false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			a := c.run(t, Options{})
+			var events []Event
+			a := c.run(t, Options{}, collect(&events))
 			full := observed(t, c.run)
 			b := full.p
 			if !reflect.DeepEqual(a.Collector().Records(), b.Collector().Records()) {
@@ -190,9 +206,9 @@ func TestObserversDisabledIdentity(t *testing.T) {
 			if a.Engine().Executed() != b.Engine().Executed() {
 				t.Errorf("event counts diverged: %d vs %d", a.Engine().Executed(), b.Engine().Executed())
 			}
-			if !reflect.DeepEqual(a.Events(), b.Events()) || a.TotalEvents() != b.TotalEvents() ||
+			if !reflect.DeepEqual(events, full.events) || a.TotalEvents() != b.TotalEvents() ||
 				!reflect.DeepEqual(a.CountEvents(), b.CountEvents()) {
-				t.Error("event logs diverged")
+				t.Error("event streams diverged")
 			}
 			if !reflect.DeepEqual(a.UtilGPCs, b.UtilGPCs) {
 				t.Error("utilisation timelines diverged")
@@ -238,18 +254,18 @@ func TestObserversDisabledIdentity(t *testing.T) {
 	}
 }
 
-// TestCountEventsLossless: CountEvents reads the per-kind tally, so
-// after the bounded ring has wrapped it still counts every published
-// event: it sums to TotalEvents, matches a lossless bus subscriber, and
-// agrees with the run-counter accessors.
+// TestCountEventsLossless: CountEvents reads the per-kind tally, so on a
+// run of more than 4096 events it still counts every published event:
+// it sums to TotalEvents, matches a subscriber, and agrees with the
+// run-counter accessors.
 func TestCountEventsLossless(t *testing.T) {
 	specs := specsFor(t, dnn.Small)
 	p := newRich(specs, richOptions(nil))
 	var streamed [numEventKinds]int
-	p.EventBus().Subscribe(func(e Event) { streamed[e.Kind]++ })
+	p.Subscribe(func(e Event) { streamed[e.Kind]++ })
 	p.Run(flatTrace(specs, 12, 1800, 7), 60)
-	if p.DroppedEvents() == 0 {
-		t.Fatalf("ring kept all %d events; the run must wrap it", p.TotalEvents())
+	if p.TotalEvents() <= eventLogCap {
+		t.Fatalf("run published only %d events; it must exceed %d", p.TotalEvents(), eventLogCap)
 	}
 	counts := p.CountEvents()
 	sum := 0
@@ -299,11 +315,15 @@ func tiedTrace(specs []FunctionSpec) *trace.Trace {
 }
 
 // shuffledTrace returns a copy of tr with its requests in a seeded random
-// order; IDs travel with their requests.
+// order; IDs travel with their requests. The permutation is the one the
+// pinned hashes were recorded with: a math/rand shuffle seeded as
+// sim.NewRNG(3, "shuffle") seeds its stream.
 func shuffledTrace(tr *trace.Trace) *trace.Trace {
 	out := *tr
 	out.Requests = append([]trace.Request(nil), tr.Requests...)
-	sim.NewRNG(3, "shuffle").Shuffle(len(out.Requests), func(i, j int) {
+	h := fnv.New64a()
+	h.Write([]byte("shuffle"))
+	rand.New(rand.NewSource(3^int64(h.Sum64()))).Shuffle(len(out.Requests), func(i, j int) {
 		out.Requests[i], out.Requests[j] = out.Requests[j], out.Requests[i]
 	})
 	return &out

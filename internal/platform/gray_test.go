@@ -16,15 +16,17 @@ import (
 // be bit-for-bit identical to one that never mentioned the subsystem —
 // the Hedge sibling switch must not leak into behaviour.
 func TestGrayDisabledIdentity(t *testing.T) {
-	run := func(g GrayOptions) *Platform {
+	run := func(g GrayOptions) (*Platform, []Event) {
 		specs := specsFor(t, dnn.Medium)
 		cl := cluster.New(cluster.DefaultSpec())
 		p := New(cl, specs, Options{Policy: &scheduler.FluidFaaS{}, Seed: 77, Gray: g})
+		var events []Event
+		p.Subscribe(collect(&events))
 		p.Run(flatTrace(specs, 10, 120, 77), 60)
-		return p
+		return p, events
 	}
-	a := run(GrayOptions{})
-	b := run(GrayOptions{Enabled: false, Hedge: true})
+	a, evA := run(GrayOptions{})
+	b, evB := run(GrayOptions{Enabled: false, Hedge: true})
 	if !reflect.DeepEqual(a.Collector().Records(), b.Collector().Records()) {
 		t.Error("request records diverged with the subsystem disabled")
 	}
@@ -35,8 +37,8 @@ func TestGrayDisabledIdentity(t *testing.T) {
 	if a.Launched() != b.Launched() || a.Evictions() != b.Evictions() {
 		t.Error("launch/eviction counters diverged")
 	}
-	if !reflect.DeepEqual(a.Events(), b.Events()) {
-		t.Error("event logs diverged")
+	if !reflect.DeepEqual(evA, evB) {
+		t.Error("event streams diverged")
 	}
 	if !reflect.DeepEqual(a.UtilGPCs, b.UtilGPCs) {
 		t.Error("utilisation timelines diverged")

@@ -8,7 +8,6 @@ import (
 	"fluidfaas/internal/dnn"
 	"fluidfaas/internal/keepalive"
 	"fluidfaas/internal/mig"
-	"fluidfaas/internal/obs"
 	"fluidfaas/internal/pipeline"
 	"fluidfaas/internal/scheduler"
 	"fluidfaas/internal/trace"
@@ -355,11 +354,11 @@ func TestHybridPartitionRun(t *testing.T) {
 	}
 }
 
-// TestEventLog: the lifecycle events of a run are recorded in order and
-// cover the expected kinds.
+// TestEventLog: the lifecycle events of a run reach a subscriber in
+// order and cover the expected kinds.
 func TestEventLog(t *testing.T) {
-	p := runOne(t, &scheduler.FluidFaaS{}, dnn.Medium, 8, 150, 23)
-	evs := p.Events()
+	var evs []Event
+	p := runOne(t, &scheduler.FluidFaaS{}, dnn.Medium, 8, 150, 23, collect(&evs))
 	if len(evs) == 0 {
 		t.Fatal("no events recorded")
 	}
@@ -377,9 +376,6 @@ func TestEventLog(t *testing.T) {
 	if counts[EvLaunch] == 0 {
 		t.Error("no launch events")
 	}
-	if counts[EvLaunch] > eventLogCap && len(evs) != eventLogCap {
-		t.Error("ring buffer not bounded")
-	}
 	if p.Evictions() > 0 && counts[EvEvict] == 0 {
 		t.Error("evictions happened but no evict events")
 	}
@@ -388,59 +384,37 @@ func TestEventLog(t *testing.T) {
 	}
 }
 
-// TestEventLogRing: the ring keeps only the newest entries, and the
-// platform reports what fell off instead of dropping silently.
-func TestEventLogRing(t *testing.T) {
-	l := obs.NewBus[Event](eventLogCap)
-	for i := 0; i < eventLogCap+10; i++ {
-		l.Publish(Event{Time: float64(i)})
-	}
-	snap := l.Snapshot()
-	if len(snap) != eventLogCap {
-		t.Fatalf("snapshot = %d, want %d", len(snap), eventLogCap)
-	}
-	if snap[0].Time != 10 || snap[len(snap)-1].Time != float64(eventLogCap+9) {
-		t.Errorf("ring window = [%v, %v], want [10, %d]",
-			snap[0].Time, snap[len(snap)-1].Time, eventLogCap+9)
-	}
-	if l.Total() != eventLogCap+10 || l.Dropped() != 10 {
-		t.Errorf("total/dropped = %d/%d, want %d/10", l.Total(), l.Dropped(), eventLogCap+10)
-	}
-}
+// TestEventTotals: TotalEvents counts every event a subscriber sees, and
+// the deprecated DroppedEvents reports what the retired 4096-event ring
+// would have overwritten, max(0, TotalEvents()-4096), on runs below and
+// above that size.
+func TestEventTotals(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		duration float64
+		over     bool
+	}{
+		{"under-4096", 60, false},
+		{"over-4096", 600, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			specs := specsFor(t, dnn.Medium)
+			p := New(smallCluster(8), specs, Options{Policy: &scheduler.FluidFaaS{}, Seed: 23})
+			var stream []Event
+			p.Subscribe(collect(&stream))
+			p.Run(flatTrace(specs, 8, c.duration, 23), 40)
 
-// TestEventLogRingWraparound: a platform run on a tiny ring retains
-// only that many events, counts the overflow, and a bus subscriber
-// still sees every event losslessly.
-func TestEventLogRingWraparound(t *testing.T) {
-	specs := specsFor(t, dnn.Medium)
-	cl := smallCluster(8)
-	p := New(cl, specs, Options{Policy: &scheduler.FluidFaaS{}, Seed: 23})
-	p.events = obs.NewBus[Event](16)
-	var streamed []Event
-	p.EventBus().Subscribe(func(e Event) { streamed = append(streamed, e) })
-	tr := flatTrace(specs, 8, 150, 23)
-	p.Run(tr, 40)
-
-	if p.TotalEvents() <= 16 {
-		t.Skipf("run produced only %d events; cannot exercise wraparound", p.TotalEvents())
-	}
-	evs := p.Events()
-	if len(evs) != 16 {
-		t.Fatalf("retained %d events, want ring cap 16", len(evs))
-	}
-	if got := p.DroppedEvents(); got != p.TotalEvents()-16 {
-		t.Errorf("DroppedEvents = %d, want %d", got, p.TotalEvents()-16)
-	}
-	if len(streamed) != p.TotalEvents() {
-		t.Errorf("subscriber saw %d of %d events; the bus must be lossless",
-			len(streamed), p.TotalEvents())
-	}
-	// The ring holds exactly the newest events, in order.
-	tail := streamed[len(streamed)-16:]
-	for i, e := range evs {
-		if e != tail[i] {
-			t.Fatalf("ring[%d] = %+v, want newest-16 window %+v", i, e, tail[i])
-		}
+			total := p.TotalEvents()
+			if (total > eventLogCap) != c.over {
+				t.Fatalf("run published %d events; this case needs over 4096 = %v", total, c.over)
+			}
+			if total != len(stream) {
+				t.Errorf("TotalEvents = %d, subscriber saw %d", total, len(stream))
+			}
+			if got, want := p.DroppedEvents(), max(0, total-4096); got != want {
+				t.Errorf("DroppedEvents = %d, want %d", got, want)
+			}
+		})
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"fluidfaas/internal/cluster"
 	"fluidfaas/internal/dag"
 	"fluidfaas/internal/faults"
+	"fluidfaas/internal/keepalive"
 	"fluidfaas/internal/metrics"
 	"fluidfaas/internal/mig"
 	"fluidfaas/internal/obs"
@@ -157,7 +158,7 @@ func (o *Options) fillDefaults() {
 		o.IdleDemote = 20
 	}
 	if o.KeepAlive <= 0 {
-		o.KeepAlive = 600
+		o.KeepAlive = keepalive.IdleTimeout
 	}
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 1
@@ -240,7 +241,9 @@ type Platform struct {
 	// whether the tier is enabled).
 	HostPoolOcc metrics.Timeline
 
-	events *obs.Bus[Event]
+	// subs are the lifecycle-event subscribers (Subscribe), called in
+	// registration order.
+	subs []func(Event)
 
 	// Scratch buffers reused across scaleUp passes (controller.go)
 	// and by nodeFreeViews.
@@ -319,7 +322,6 @@ func New(cl *cluster.Cluster, specs []FunctionSpec, opts Options) *Platform {
 		probation: grayProbation,
 	}
 	p.kickFn = p.kicked
-	p.events = obs.NewBus[Event](eventLogCap)
 	if rec := p.opts.Obs; rec != nil {
 		// One trace track per MIG slice, in topology order, and a
 		// lossless mirror of the lifecycle stream into the recorder.
@@ -330,7 +332,7 @@ func New(cl *cluster.Cluster, specs []FunctionSpec, opts Options) *Platform {
 				}
 			}
 		}
-		p.events.Subscribe(func(e Event) {
+		p.Subscribe(func(e Event) {
 			rec.MarkCat(eventCat(e.Kind), e.Kind.String(), e.Subject, e.Time, e.Detail)
 		})
 	}

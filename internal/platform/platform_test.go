@@ -41,11 +41,14 @@ func flatTrace(specs []FunctionSpec, rps, duration float64, seed int64) *trace.T
 	return trace.Generate(trace.Spec{Duration: duration, Seed: seed, Streams: streams})
 }
 
-func runOne(t *testing.T, pol scheduler.Policy, v dnn.Variant, rps, duration float64, seed int64) *Platform {
+func runOne(t *testing.T, pol scheduler.Policy, v dnn.Variant, rps, duration float64, seed int64, subs ...func(Event)) *Platform {
 	t.Helper()
 	specs := specsFor(t, v)
 	cl := cluster.New(cluster.DefaultSpec())
 	p := New(cl, specs, Options{Policy: pol, Seed: seed})
+	for _, fn := range subs {
+		p.Subscribe(fn)
+	}
 	tr := flatTrace(specs, rps, duration, seed)
 	p.Run(tr, 60)
 	if p.Collector().Len() != len(tr.Requests) {
@@ -57,11 +60,14 @@ func runOne(t *testing.T, pol scheduler.Policy, v dnn.Variant, rps, duration flo
 
 // runMedium runs the medium functions at 8 req/s each for 120 s, with a
 // 40 s drain, under opts at seed.
-func runMedium(t *testing.T, opts Options, seed int64) *Platform {
+func runMedium(t *testing.T, opts Options, seed int64, subs ...func(Event)) *Platform {
 	t.Helper()
 	specs := specsFor(t, dnn.Medium)
 	opts.Seed = seed
 	p := New(cluster.New(cluster.DefaultSpec()), specs, opts)
+	for _, fn := range subs {
+		p.Subscribe(fn)
+	}
 	p.Run(flatTrace(specs, 8, 120, seed), 40)
 	return p
 }

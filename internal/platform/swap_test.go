@@ -213,15 +213,17 @@ func TestSwapParkOnUnbind(t *testing.T) {
 // TestSwapDisabledIdentity: with Swap.Enabled false, the platform must
 // be bit-for-bit identical to one that never mentioned the tier.
 func TestSwapDisabledIdentity(t *testing.T) {
-	run := func(sw SwapOptions) *Platform {
+	run := func(sw SwapOptions) (*Platform, []Event) {
 		specs := specsFor(t, dnn.Medium)
 		cl := cluster.New(cluster.DefaultSpec())
 		p := New(cl, specs, Options{Policy: &scheduler.FluidFaaS{}, Seed: 77, Swap: sw})
+		var events []Event
+		p.Subscribe(collect(&events))
 		p.Run(flatTrace(specs, 10, 120, 77), 60)
-		return p
+		return p, events
 	}
-	a := run(SwapOptions{})
-	b := run(SwapOptions{Enabled: false})
+	a, evA := run(SwapOptions{})
+	b, evB := run(SwapOptions{Enabled: false})
 	if !reflect.DeepEqual(a.Collector().Records(), b.Collector().Records()) {
 		t.Error("request records diverged with the tier disabled")
 	}
@@ -232,8 +234,8 @@ func TestSwapDisabledIdentity(t *testing.T) {
 	if a.Launched() != b.Launched() || a.Evictions() != b.Evictions() {
 		t.Error("launch/eviction counters diverged")
 	}
-	if !reflect.DeepEqual(a.Events(), b.Events()) {
-		t.Error("event logs diverged")
+	if !reflect.DeepEqual(evA, evB) {
+		t.Error("event streams diverged")
 	}
 	if !reflect.DeepEqual(a.UtilGPCs, b.UtilGPCs) {
 		t.Error("utilisation timelines diverged")

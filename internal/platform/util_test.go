@@ -129,7 +129,7 @@ func TestLedgerBaseTracksSliceState(t *testing.T) {
 		}
 		p = newRich(specs, opts)
 		evAt := map[float64]bool{}
-		p.EventBus().Subscribe(func(e Event) { evAt[e.Time] = true })
+		p.Subscribe(func(e Event) { evAt[e.Time] = true })
 		p.Run(flatTrace(specs, 6, 180, 7), 60)
 
 		checked := 0

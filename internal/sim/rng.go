@@ -64,6 +64,3 @@ func (g *RNG) Poisson(mean float64) int {
 func (g *RNG) LogNorm(mu, sigma float64) float64 {
 	return math.Exp(g.r.NormFloat64()*sigma + mu)
 }
-
-// Shuffle randomises the order of n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }

@@ -110,59 +110,3 @@ func ReadAzureCSV(r io.Reader, seed int64, minutes int) (*Trace, error) {
 	sortAndNumber(t)
 	return t, nil
 }
-
-// Scale returns a copy of the trace with arrival density scaled: factor
-// 2 doubles the request rate by halving inter-arrival gaps (duration
-// shrinks accordingly); factor 0.5 halves it. Used to sweep trace
-// intensity without re-deriving the shape.
-func (t *Trace) Scale(factor float64) *Trace {
-	if factor <= 0 {
-		panic("trace: non-positive scale factor")
-	}
-	out := &Trace{
-		Requests: make([]Request, len(t.Requests)),
-		Duration: t.Duration / factor,
-		NumFuncs: t.NumFuncs,
-	}
-	for i, r := range t.Requests {
-		out.Requests[i] = Request{ID: i, Func: r.Func, Arrival: r.Arrival / factor}
-	}
-	return out
-}
-
-// Window returns the sub-trace with arrivals in [from, to), re-based to
-// time zero.
-func (t *Trace) Window(from, to float64) *Trace {
-	if to <= from {
-		panic("trace: empty window")
-	}
-	out := &Trace{Duration: to - from, NumFuncs: t.NumFuncs}
-	for _, r := range t.Requests {
-		if r.Arrival >= from && r.Arrival < to {
-			out.Requests = append(out.Requests, Request{
-				Func: r.Func, Arrival: r.Arrival - from,
-			})
-		}
-	}
-	for i := range out.Requests {
-		out.Requests[i].ID = i
-	}
-	return out
-}
-
-// Merge combines traces into one (function indices must already be
-// disjoint or intentionally shared).
-func Merge(traces ...*Trace) *Trace {
-	out := &Trace{}
-	for _, t := range traces {
-		out.Requests = append(out.Requests, t.Requests...)
-		if t.Duration > out.Duration {
-			out.Duration = t.Duration
-		}
-		if t.NumFuncs > out.NumFuncs {
-			out.NumFuncs = t.NumFuncs
-		}
-	}
-	sortAndNumber(out)
-	return out
-}

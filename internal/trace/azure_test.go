@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -115,66 +114,5 @@ func TestReadAzureCSVErrors(t *testing.T) {
 		if _, err := ReadAzureCSV(strings.NewReader(in), 1, 0); err == nil {
 			t.Errorf("%s accepted", name)
 		}
-	}
-}
-
-func TestScaleAndWindowAndMerge(t *testing.T) {
-	tr := Generate(Spec{Duration: 100, Seed: 1,
-		Streams: []StreamSpec{{Func: 0, MeanRPS: 5}}})
-
-	double := tr.Scale(2)
-	if double.Duration != 50 {
-		t.Errorf("scaled duration = %v, want 50", double.Duration)
-	}
-	if len(double.Requests) != len(tr.Requests) {
-		t.Error("scale changed request count")
-	}
-	if math.Abs(double.MeanRate()-2*tr.MeanRate()) > 1e-9 {
-		t.Errorf("scaled rate = %v, want %v", double.MeanRate(), 2*tr.MeanRate())
-	}
-
-	win := tr.Window(20, 60)
-	if win.Duration != 40 {
-		t.Errorf("window duration = %v, want 40", win.Duration)
-	}
-	for _, r := range win.Requests {
-		if r.Arrival < 0 || r.Arrival >= 40 {
-			t.Fatalf("window arrival %v outside [0,40)", r.Arrival)
-		}
-	}
-
-	other := Generate(Spec{Duration: 100, Seed: 2,
-		Streams: []StreamSpec{{Func: 1, MeanRPS: 3}}})
-	merged := Merge(tr, other)
-	if len(merged.Requests) != len(tr.Requests)+len(other.Requests) {
-		t.Error("merge lost requests")
-	}
-	if merged.NumFuncs != 2 {
-		t.Errorf("merged NumFuncs = %d, want 2", merged.NumFuncs)
-	}
-	last := -1.0
-	for _, r := range merged.Requests {
-		if r.Arrival < last {
-			t.Fatal("merged trace not sorted")
-		}
-		last = r.Arrival
-	}
-}
-
-func TestScaleWindowPanics(t *testing.T) {
-	tr := Generate(Spec{Duration: 10, Seed: 1,
-		Streams: []StreamSpec{{Func: 0, MeanRPS: 1}}})
-	for name, f := range map[string]func(){
-		"scale":  func() { tr.Scale(0) },
-		"window": func() { tr.Window(5, 5) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			f()
-		}()
 	}
 }

@@ -107,18 +107,6 @@ func (m Model) ExecOn(t mig.SliceType) (float64, bool) {
 	return total, true
 }
 
-// Profile measures the model on every slice profile — the BUILDDAG
-// profiling step. Slices the model does not fit are omitted.
-func (m Model) Profile() map[mig.SliceType]float64 {
-	out := make(map[mig.SliceType]float64, len(mig.SliceTypes))
-	for _, t := range mig.SliceTypes {
-		if et, ok := m.ExecOn(t); ok {
-			out[t] = et
-		}
-	}
-	return out
-}
-
 // EffectiveAlpha estimates the model's GPC-scaling exponent between two
 // slice profiles: t(small) = t(big)·(gBig/gSmall)^alpha. It quantifies
 // how much the model benefits from bigger slices — the sublinearity

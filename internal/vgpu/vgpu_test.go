@@ -74,18 +74,20 @@ func resnetish(batch int) Model {
 
 func TestModelProfileAndOOM(t *testing.T) {
 	m := resnetish(4)
-	p := m.Profile()
-	if len(p) != len(mig.SliceTypes) {
-		t.Fatalf("profile entries = %d, want all slices (%.1f GB fits everywhere)",
-			len(p), m.MemGB())
+	for _, st := range mig.SliceTypes {
+		if _, ok := m.ExecOn(st); !ok {
+			t.Errorf("%.1f GB model does not fit %v", m.MemGB(), st)
+		}
 	}
-	if p[mig.Slice1g] <= p[mig.Slice7g] {
+	t1, _ := m.ExecOn(mig.Slice1g)
+	t7, _ := m.ExecOn(mig.Slice7g)
+	if t1 <= t7 {
 		t.Error("1g not slower than 7g")
 	}
-	// A model bigger than 10 GB must drop the 1g entry.
+	// A model bigger than 10 GB must not fit 1g.
 	big := m
 	big.ParamsGB = 12
-	if _, ok := big.Profile()[mig.Slice1g]; ok {
+	if _, ok := big.ExecOn(mig.Slice1g); ok {
 		t.Error("12 GB model fits 1g")
 	}
 	if _, ok := big.ExecOn(mig.Slice2g); !ok {
