@@ -19,8 +19,6 @@ func TestConfigValidity(t *testing.T) {
 		{Slice1g, Slice1g, Slice1g, Slice1g, Slice1g, Slice1g, Slice1g},
 		{Slice4g, Slice1g, Slice1g, Slice1g},
 		{Slice3g, Slice2g, Slice1g, Slice1g},
-		// Every partition scheme the paper uses.
-		DefaultConfig, ConfigP1, ConfigP2, ConfigFull1g, Config2g3x1g, Config3g4g, ConfigWhole,
 	}
 	for _, c := range valid {
 		if !c.Valid() {
@@ -105,6 +103,23 @@ func TestTable7Partitions(t *testing.T) {
 	uni := UniformNode(ConfigP2, 8)
 	if len(uni) != 8 || uni[3].String() != ConfigP2.String() {
 		t.Errorf("UniformNode wrong: %v", uni)
+	}
+}
+
+// TestEnumerateConfigs: every partition scheme the paper uses is a
+// valid MIG config, and the distinct schemes render distinctly.
+func TestEnumerateConfigs(t *testing.T) {
+	seen := make(map[string]bool)
+	for _, c := range []Config{DefaultConfig, ConfigP1, ConfigP2, ConfigFull1g,
+		Config2g3x1g, Config3g4g, ConfigWhole} {
+		if !c.Valid() {
+			t.Errorf("paper config %v is invalid", c)
+		}
+		seen[c.Canonical().String()] = true
+	}
+	// DefaultConfig and ConfigP1 are the same 4g+2g+1g partition.
+	if len(seen) != 6 {
+		t.Errorf("paper configs render as %d distinct partitions, want 6", len(seen))
 	}
 }
 

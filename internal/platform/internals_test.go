@@ -384,37 +384,41 @@ func TestEventLog(t *testing.T) {
 	}
 }
 
-// TestEventTotals: TotalEvents counts every event a subscriber sees, and
-// the deprecated DroppedEvents reports what the retired 4096-event ring
-// would have overwritten, max(0, TotalEvents()-4096), on runs below and
-// above that size.
-func TestEventTotals(t *testing.T) {
-	for _, c := range []struct {
-		name     string
-		duration float64
-		over     bool
-	}{
-		{"under-4096", 60, false},
-		{"over-4096", 600, true},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			specs := specsFor(t, dnn.Medium)
-			p := New(smallCluster(8), specs, Options{Policy: &scheduler.FluidFaaS{}, Seed: 23})
-			var stream []Event
-			p.Subscribe(collect(&stream))
-			p.Run(flatTrace(specs, 8, c.duration, 23), 40)
+// TestEventLogRing: on a run below 4096 events, TotalEvents counts every
+// event a subscriber sees and the deprecated DroppedEvents reports 0, as
+// the retired 4096-event ring did.
+func TestEventLogRing(t *testing.T) {
+	checkEventTotals(t, 60, false)
+}
 
-			total := p.TotalEvents()
-			if (total > eventLogCap) != c.over {
-				t.Fatalf("run published %d events; this case needs over 4096 = %v", total, c.over)
-			}
-			if total != len(stream) {
-				t.Errorf("TotalEvents = %d, subscriber saw %d", total, len(stream))
-			}
-			if got, want := p.DroppedEvents(), max(0, total-4096); got != want {
-				t.Errorf("DroppedEvents = %d, want %d", got, want)
-			}
-		})
+// TestEventLogRingWraparound: on a run above 4096 events, TotalEvents
+// still counts every event a subscriber sees, and DroppedEvents reports
+// what the retired ring would have overwritten, TotalEvents()-4096.
+func TestEventLogRingWraparound(t *testing.T) {
+	checkEventTotals(t, 600, true)
+}
+
+// checkEventTotals runs a platform for duration seconds, requires its
+// event count to be above 4096 exactly when over is set, and checks
+// TotalEvents against a subscriber's stream and DroppedEvents against
+// max(0, TotalEvents()-4096).
+func checkEventTotals(t *testing.T, duration float64, over bool) {
+	t.Helper()
+	specs := specsFor(t, dnn.Medium)
+	p := New(smallCluster(8), specs, Options{Policy: &scheduler.FluidFaaS{}, Seed: 23})
+	var stream []Event
+	p.Subscribe(collect(&stream))
+	p.Run(flatTrace(specs, 8, duration, 23), 40)
+
+	total := p.TotalEvents()
+	if (total > eventLogCap) != over {
+		t.Fatalf("run published %d events; this case needs over 4096 = %v", total, over)
+	}
+	if total != len(stream) {
+		t.Errorf("TotalEvents = %d, subscriber saw %d", total, len(stream))
+	}
+	if got, want := p.DroppedEvents(), max(0, total-4096); got != want {
+		t.Errorf("DroppedEvents = %d, want %d", got, want)
 	}
 }
 
