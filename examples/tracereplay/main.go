@@ -27,6 +27,10 @@ func main() {
 	minutes := flag.Int("minutes", 0, "with -azure: replay only the first N minutes (0 = all)")
 	policy := flag.String("policy", "fluidfaas", "policy: fluidfaas|esg|infless")
 	flag.Parse()
+	if *minutes < 0 {
+		fmt.Fprintf(os.Stderr, "invalid -minutes %d: want a count of 0 or more\n", *minutes)
+		os.Exit(2)
+	}
 
 	var pol scheduler.Policy
 	switch *policy {

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"math"
 	"strconv"
@@ -41,17 +40,10 @@ func usec(t float64) int64 { return int64(math.Round(t * 1e6)) }
 type trackLoc struct{ node, tid int }
 
 // WriteChromeTrace writes the recorder's spans as Chrome trace-event
-// JSON. Same recorder contents ⇒ byte-identical output. A counter with
-// a NaN or infinite value is an error, reported before anything is
-// written.
+// JSON. Same recorder contents ⇒ byte-identical output. The trace
+// carries no floats (timestamps are integral microseconds), so only a
+// write error fails it.
 func WriteChromeTrace(w io.Writer, r *Recorder) error {
-	for sp := range r.Spans() {
-		if sp.Kind == KindCounter && !jsonw.Finite(sp.Value) {
-			return fmt.Errorf("obs: chrome trace: counter %q on track %q at t=%v has non-finite value %v",
-				sp.Name, sp.Track, sp.Start, sp.Value)
-		}
-	}
-
 	cw := chromeWriter{bw: bufio.NewWriterSize(w, 64<<10)}
 	cw.b = append(cw.b, `{"traceEvents":[`...)
 
@@ -113,15 +105,6 @@ func WriteChromeTrace(w io.Writer, r *Recorder) error {
 			cw.funcReq(sp)
 			cw.b = append(cw.b, '}')
 			cw.emit()
-		case KindCounter:
-			// Counter timeline on the owning track's process (health
-			// scores per slice); unregistered tracks chart platform-wide.
-			cw.open('C', sp.Cat, usec(sp.Start), sp.Name, " ", sp.Track)
-			cw.trackPlace(locs, sp.Track)
-			cw.b = append(cw.b, `,"args":{"value":`...)
-			cw.b = jsonw.AppendFloat(cw.b, sp.Value)
-			cw.b = append(cw.b, '}')
-			cw.emit()
 		case KindMark:
 			cw.open('i', sp.Cat, usec(sp.Start), sp.Name)
 			cw.trackPlace(locs, sp.Track)
@@ -151,14 +134,14 @@ type chromeWriter struct {
 }
 
 // open starts an event in b with the fields before dur: the separator,
-// name (the concatenation of nameParts), cat when non-empty, ph and ts.
-func (cw *chromeWriter) open(ph byte, cat string, ts int64, nameParts ...string) {
+// name, cat when non-empty, ph and ts.
+func (cw *chromeWriter) open(ph byte, cat string, ts int64, name string) {
 	if cw.n > 0 {
 		cw.b = append(cw.b, ',')
 	}
 	cw.n++
 	cw.b = append(cw.b, `{"name":`...)
-	cw.b = jsonw.AppendString(cw.b, nameParts...)
+	cw.b = jsonw.AppendString(cw.b, name)
 	if cat != "" {
 		cw.b = append(cw.b, `,"cat":`...)
 		cw.b = jsonw.AppendString(cw.b, cat)
@@ -197,7 +180,7 @@ func (cw *chromeWriter) place(pid, tid int) {
 	cw.b = strconv.AppendInt(cw.b, int64(tid), 10)
 }
 
-// trackPlace puts an instant or counter on its registered track, or on
+// trackPlace puts an instant on its registered track, or on
 // the platform-wide track when the track is unregistered.
 func (cw *chromeWriter) trackPlace(locs map[string]trackLoc, track string) {
 	if loc, ok := locs[track]; ok {

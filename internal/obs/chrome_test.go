@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -104,16 +103,6 @@ func writeChromeTraceRef(w io.Writer, r *Recorder) error {
 				Pid: requestsPid, Tid: 0, ID: refAsyncID(sp.Func, sp.Req),
 				Args: map[string]any{"func": sp.Func, "req": sp.Req, "detail": sp.Detail},
 			})
-		case KindCounter:
-			pid, tid := platformPid, 0
-			if t, ok := tids[sp.Track]; ok {
-				pid, tid = nodePidBase+nodeOf[sp.Track], t
-			}
-			evs = append(evs, refChromeEvent{
-				Name: sp.Name + " " + sp.Track, Cat: sp.Cat, Ph: "C",
-				Ts: usec(sp.Start), Pid: pid, Tid: tid,
-				Args: map[string]any{"value": sp.Value},
-			})
 		case KindMark:
 			pid, tid := platformPid, 0
 			if t, ok := tids[sp.Track]; ok {
@@ -145,15 +134,12 @@ var chromeStrings = []string{
 	"cut\xe2\x82",
 }
 
-// chromeValues covers zero, negative zero, the 'e'-format boundaries on
-// both sides and the smallest subnormal.
-var chromeValues = []float64{0, math.Copysign(0, -1), 1e-7, 1e21, 123.456, -5e-324,
-	1e-6, 9.99e20, -2.5e-9, 0.85}
-
 // randomChromeRecorder fills a recorder with every span kind on
-// registered and unregistered tracks, with adversarial strings.
-func randomChromeRecorder(rng *rand.Rand, spans int) *Recorder {
-	pick := func() string { return chromeStrings[rng.Intn(len(chromeStrings))] }
+// registered and unregistered tracks, with adversarial strings drawn
+// from chromeStrings and extra.
+func randomChromeRecorder(rng *rand.Rand, spans int, extra ...string) *Recorder {
+	pool := append(chromeStrings[:len(chromeStrings):len(chromeStrings)], extra...)
+	pick := func() string { return pool[rng.Intn(len(pool))] }
 	r := NewRecorder()
 	var tracks []string
 	for i, n := 0, 1+rng.Intn(6); i < n; i++ {
@@ -186,11 +172,7 @@ func randomChromeRecorder(rng *rand.Rand, spans int) *Recorder {
 		case 4:
 			r.AsyncMark(pick(), pick(), fn, req, t0, pick())
 		case 5:
-			v := chromeValues[rng.Intn(len(chromeValues))]
-			if rng.Intn(3) == 0 {
-				v = (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(50)-25))
-			}
-			r.Counter(pick(), pick(), track(), t0, v)
+			r.RequestSpan(pick(), fn, req, t0, t1, rng.Float64(), pick())
 		case 6:
 			r.MarkCat(pick(), pick(), track(), t0, "")
 		case 7:
@@ -223,8 +205,8 @@ func assertChromeMatchesRef(t *testing.T, name string, r *Recorder) {
 
 // TestChromeTraceMatchesReference: the streaming writer is byte-identical
 // to the encoding/json exporter on seeded random recorders covering
-// every span kind, adversarial strings and float edge cases, and on the
-// empty and nil recorders.
+// every span kind and adversarial strings, and on the empty and nil
+// recorders.
 func TestChromeTraceMatchesReference(t *testing.T) {
 	assertChromeMatchesRef(t, "nil", nil)
 	assertChromeMatchesRef(t, "empty", NewRecorder())
@@ -233,33 +215,20 @@ func TestChromeTraceMatchesReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		assertChromeMatchesRef(t, fmt.Sprintf("seed %d", seed), randomChromeRecorder(rng, rng.Intn(300)))
 	}
-	// Every pinned counter value on a registered and an unregistered track.
-	r := NewRecorder()
-	r.RegisterTrack(0, "gpu0/1g.10gb#0")
-	for i, v := range chromeValues {
-		r.Counter("health", "score", "gpu0/1g.10gb#0", float64(i), v)
-		r.Counter("health", "score", "nowhere", float64(i), v)
-	}
-	assertChromeMatchesRef(t, "counters", r)
 }
 
-// TestChromeTraceNonFinite: a NaN or infinite counter fails the export
-// before a single byte is written, as the encoding/json exporter did.
-func TestChromeTraceNonFinite(t *testing.T) {
-	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		r := sampleRecorder()
-		r.Counter("health", "score", "gpu0/4g.40gb#0", 3, v)
-		var ref, got bytes.Buffer
-		if err := writeChromeTraceRef(&ref, r); err == nil || ref.Len() != 0 {
-			t.Fatalf("value %v: reference err=%v wrote %d bytes", v, err, ref.Len())
-		}
-		if err := WriteChromeTrace(&got, r); err == nil {
-			t.Errorf("value %v: no error", v)
-		}
-		if got.Len() != 0 {
-			t.Errorf("value %v: wrote %d bytes before failing", v, got.Len())
-		}
+// FuzzChromeTrace: on a random recorder built from the fuzz seed, with
+// the fuzzed string among its names, categories, tracks and details,
+// the streaming writer is byte-identical to the encoding/json exporter.
+func FuzzChromeTrace(f *testing.F) {
+	for i, s := range chromeStrings {
+		f.Add(int64(i), uint16(37*i), s)
 	}
+	f.Add(int64(-1), uint16(0), "")
+	f.Fuzz(func(t *testing.T, seed int64, spans uint16, s string) {
+		rng := rand.New(rand.NewSource(seed))
+		assertChromeMatchesRef(t, "fuzz", randomChromeRecorder(rng, int(spans%512), s))
+	})
 }
 
 // TestChromeTraceAllocs: the export allocates per track, not per span —
@@ -283,7 +252,7 @@ func TestChromeTraceAllocs(t *testing.T) {
 			case 2:
 				r.AsyncMark("retry", "retry", 0, i, t0, "slice failed")
 			case 3:
-				r.Counter("health", "score", tr, t0, 1+float64(i)*1e-4)
+				r.StageSpan("exec app0", tr, "4g.40gb", 0, i, i%3, t0, t0+0.004, 0.005)
 			case 4:
 				r.MarkCat("event", "launch", "app0#1", t0, "[4g]")
 			case 5:

@@ -13,35 +13,21 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"strings"
 	"unicode/utf8"
 )
 
 const hexDigits = "0123456789abcdef"
 
-// AppendString appends the concatenation of parts as encoding/json
-// renders a string: `"\<>&` and control bytes escaped, invalid UTF-8
-// replaced by \ufffd, U+2028 and U+2029 escaped.
-func AppendString(b []byte, parts ...string) []byte {
-	plain := true
-	for _, s := range parts {
-		if !isPlain(s) {
-			plain = false
-			break
-		}
-	}
-	if plain {
+// AppendString appends s as encoding/json renders a string: `"\<>&`
+// and control bytes escaped, invalid UTF-8 replaced by \ufffd, U+2028
+// and U+2029 escaped.
+func AppendString(b []byte, s string) []byte {
+	if isPlain(s) {
 		b = append(b, '"')
-		for _, s := range parts {
-			b = append(b, s...)
-		}
+		b = append(b, s...)
 		return append(b, '"')
 	}
-	if len(parts) == 1 {
-		return appendEscaped(b, parts[0])
-	}
-	// Joined, so a UTF-8 sequence split across parts decodes as one.
-	return appendEscaped(b, strings.Join(parts, ""))
+	return appendEscaped(b, s)
 }
 
 // isPlain reports whether s renders as itself between quotes.

@@ -39,22 +39,22 @@ const (
 	// KindAsyncMark is an instant on a request's causal chain (retry
 	// and migration hops).
 	KindAsyncMark
-	// KindCounter is a sampled numeric value on a hardware track
-	// (per-slice health scores), rendered as a counter timeline.
-	KindCounter
 )
 
-// Span is one recorded observation. Times are virtual-time seconds.
+// Span is one recorded observation, a row of the span table (120 bytes
+// on 64-bit platforms). Times are virtual-time seconds.
 type Span struct {
 	Kind SpanKind
-	// Cat groups spans (queue, load, exec, transfer, request, retry).
+	// Cat groups spans (queue, load, exec, transfer, request, retry,
+	// and event for lifecycle instants).
 	Cat string
 	// Name labels the span (function name, event kind, ...).
 	Name string
-	// Track is the hardware track (a MIG slice ID) for KindSlice and
-	// KindMark spans; empty means the platform-wide track.
+	// Track is the hardware track (a MIG slice ID) of a KindSlice span,
+	// or a KindMark span's subject; a mark whose subject is not a
+	// registered track goes on the platform-wide track.
 	Track string
-	// Func and Req tie the span to a request ("-1" = none). Together
+	// Func and Req tie the span to a request (-1 = none). Together
 	// they are the async chain identity.
 	Func, Req int
 	// Stage is the pipeline stage index (-1 when not stage-scoped).
@@ -68,8 +68,6 @@ type Span struct {
 	// span (exec spans; 0 = no declared baseline), which drift analysis
 	// compares End-Start against, or a request envelope's SLO (0 = none).
 	Declared float64
-	// Value is the sample of a KindCounter span.
-	Value float64
 }
 
 // Track is one registered hardware track.
@@ -93,8 +91,8 @@ type Recorder struct {
 	// gauges holds driver-set scalar metrics (e.g. dropped events).
 	gauges map[string]float64
 
-	// series holds driver-set labeled gauge families (per-slice health,
-	// per-node pool occupancy, per-reason reject counts).
+	// series holds driver-set labeled gauge families (per-node pool
+	// occupancy, the fragmentation index over time).
 	series map[string]*labeledSeries
 
 	// duration is the observed run length, for utilisation fractions.
@@ -214,11 +212,10 @@ func (r *Recorder) AsyncMark(cat, name string, fn, req int, t float64, detail st
 }
 
 // MarkCat records an instant on a hardware or platform track under a
-// category ("event" for lifecycle events, "health" for gray
-// transitions, "swap" for tier traffic, ...), so trace viewers can
-// group and filter instants by subsystem; the metrics export counts
-// instants by name. The track may be unregistered (instance IDs,
-// function names); the export puts those on the platform-wide track.
+// category (the platform files every lifecycle event under "event");
+// the metrics export counts instants by name. The track may be
+// unregistered (instance IDs, function names); the export puts those
+// on the platform-wide track.
 func (r *Recorder) MarkCat(cat, name, track string, t float64, detail string) {
 	if r == nil {
 		return
@@ -226,19 +223,6 @@ func (r *Recorder) MarkCat(cat, name, track string, t float64, detail string) {
 	r.spans.Push(Span{
 		Kind: KindMark, Cat: cat, Name: name, Track: track,
 		Func: -1, Req: -1, Stage: -1, Start: t, End: t, Detail: detail,
-	})
-}
-
-// Counter records a sampled numeric value on a hardware track at time t
-// (e.g. a slice's health score). The chrome export renders these as
-// counter timelines on the owning track's process.
-func (r *Recorder) Counter(cat, name, track string, t, value float64) {
-	if r == nil {
-		return
-	}
-	r.spans.Push(Span{
-		Kind: KindCounter, Cat: cat, Name: name, Track: track,
-		Func: -1, Req: -1, Stage: -1, Start: t, End: t, Value: value,
 	})
 }
 

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"fluidfaas/internal/obs/chunk"
 )
@@ -38,6 +39,17 @@ func TestNilRecorder(t *testing.T) {
 	}
 	if err := WritePrometheus(&buf, r); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSpanRowSize: on a 64-bit platform a span is the 120-byte row its
+// doc states.
+func TestSpanRowSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the row size is stated for 64-bit platforms")
+	}
+	if n := unsafe.Sizeof(Span{}); n != 120 {
+		t.Errorf("Span is %d bytes, want 120", n)
 	}
 }
 

@@ -118,8 +118,8 @@ func WritePrometheus(w io.Writer, r *Recorder) error {
 			n, n, n, promFloat(r.gauges[n]))
 	}
 
-	// Labeled gauge families (per-slice health scores, per-node pool
-	// occupancy, per-reason reject counts), in family-name order with
+	// Labeled gauge families (per-node pool occupancy, the
+	// fragmentation index over time), in family-name order with
 	// samples in the caller's insertion order.
 	for _, n := range sortedKeys(r.series) {
 		s := r.series[n]

@@ -405,7 +405,7 @@ func (p *Platform) manageKeepAlive() {
 	for _, fn := range p.funcs {
 		insts := append([]*Instance(nil), fn.instances...)
 		for _, inst := range insts {
-			if inst.retiring || inst.outstanding > 0 {
+			if inst.retiring || len(inst.inflight) > 0 {
 				continue
 			}
 			if p.opts.Policy.TimeSharing() {

@@ -71,7 +71,7 @@ func instCand(inst *Instance) decisions.Cand {
 		return decisions.Cand{ID: inst.decID, Reason: decisions.ReasonRetiring}
 	}
 	return decisions.Cand{ID: inst.decID, Reason: decisions.ReasonAtCapacity,
-		N: int32(inst.outstanding), M: int32(inst.capacity)}
+		N: int32(len(inst.inflight)), M: int32(inst.capacity)}
 }
 
 // poolCandidates lists the invoker's other pool slices and why each was
@@ -214,24 +214,11 @@ func sliceIDs(sls []*mig.Slice) string {
 	return strings.Join(ids, "+")
 }
 
-// eventCat maps a lifecycle event to the trace category its instant is
-// filed under, so health and swap instants can be filtered apart from
-// ordinary lifecycle in the Chrome trace.
-func eventCat(k EventKind) string {
-	switch k {
-	case EvDegrade, EvSliceSuspect, EvSliceQuarantine, EvRecover:
-		return "health"
-	case EvSwapIn, EvSwapOut:
-		return "swap"
-	}
-	return "event"
-}
-
 // exportRunCounters publishes the end-of-run counters that previously
 // lived only on the Platform struct into the trace recorder's metric
 // surface: hedge economics, swap-tier traffic, per-node host-pool
-// occupancy, per-slice health scores, and typed reject reasons. Called
-// once at the end of Run; a nil recorder skips everything.
+// occupancy and the fragmentation index. Called once at the end of
+// Run; a nil recorder skips everything.
 func (p *Platform) exportRunCounters() {
 	r := p.opts.Obs
 	if r == nil {
@@ -252,23 +239,6 @@ func (p *Platform) exportRunCounters() {
 			"Host-memory pool occupancy (UsedGB/CapacityGB) per node at run end.",
 			inv.node.Pool().Occupancy(),
 			[2]string{"node", strconv.Itoa(inv.node.ID)})
-	}
-	ids, byID := p.healthByID()
-	for _, id := range ids {
-		h := byID[id]
-		r.SetSeries("fluidfaas_slice_health_score",
-			"Gray-failure health score (EWMA observed/declared exec ratio) per scored slice at run end.",
-			h.score,
-			[2]string{"slice", id}, [2]string{"state", healthStateName(h.state)})
-	}
-	for why := RejectReason(0); why < numRejectReasons; why++ {
-		if p.rejectReasons[why] == 0 && !p.opts.Overload.Enabled() {
-			continue
-		}
-		r.SetSeries("fluidfaas_rejects_total",
-			"Admission fast-fails by typed reason.",
-			float64(p.rejectReasons[why]),
-			[2]string{"reason", why.String()})
 	}
 	r.SetGauge("fluidfaas_fragmentation_index_mean", p.Fragmentation.Mean())
 	for i, t := range p.Fragmentation.Times {

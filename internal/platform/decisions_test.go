@@ -242,7 +242,7 @@ func skippingPlatform(t *testing.T, n int) (*Platform, *decisions.Recorder) {
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("%s#x%d", fn.spec.Name, i)
 		fn.instances = append(fn.instances, &Instance{
-			id: id, decID: dec.Intern(id), fn: fn, capacity: 2, outstanding: 2,
+			id: id, decID: dec.Intern(id), fn: fn, capacity: 2, inflight: make([]*request, 2),
 		})
 	}
 	p.scaleKick = true
@@ -280,7 +280,7 @@ func TestAdmitCandidatesRenderAtDecisionTime(t *testing.T) {
 	fn := p.funcs[0]
 	fn.instances[1].retiring = true
 	p.route(&request{id: 7, fn: fn})
-	fn.instances[0].outstanding, fn.instances[1].retiring = 1, false
+	fn.instances[0].inflight, fn.instances[1].retiring = fn.instances[0].inflight[:1], false
 	want := []decisions.Candidate{
 		{ID: fn.instances[0].id, Reason: "at capacity (2/2)"},
 		{ID: fn.instances[1].id, Reason: "retiring"},

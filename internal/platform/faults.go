@@ -220,7 +220,6 @@ func (p *Platform) failInstance(inst *Instance) {
 	p.logEvent(EvRelease, inst.id, "torn down by fault", transition{touched: inst.slices, teardown: true})
 	rqs := inst.inflight
 	inst.inflight = nil
-	inst.outstanding = 0
 	for _, rq := range rqs {
 		p.retryAfterFault(rq, "instance "+inst.id+" failed")
 	}

@@ -2,10 +2,8 @@ package platform
 
 import (
 	"fmt"
-	"sort"
 
 	"fluidfaas/internal/mig"
-	"fluidfaas/internal/obs"
 	"fluidfaas/internal/obs/decisions"
 )
 
@@ -277,41 +275,6 @@ func (p *Platform) liftQuarantine(sl *mig.Slice) {
 		},
 	})
 	p.kickScaleUp()
-}
-
-// healthByID returns the scored slices' IDs in sorted order and their
-// scorer state by ID, so walks over the scorer are deterministic.
-func (p *Platform) healthByID() ([]string, map[string]*sliceHealth) {
-	ids := make([]string, 0, len(p.health))
-	byID := make(map[string]*sliceHealth, len(p.health))
-	for sl, h := range p.health {
-		ids = append(ids, sl.ID())
-		byID[sl.ID()] = h
-	}
-	sort.Strings(ids)
-	return ids, byID
-}
-
-// sampleHealth writes every scored slice's current health score to the
-// trace recorder's "health" counter on the slice's hardware track
-// (called from sampleUtilization while the scorer is on and a recorder
-// is attached).
-func (p *Platform) sampleHealth(r *obs.Recorder, now float64) {
-	ids, byID := p.healthByID()
-	for _, id := range ids {
-		r.Counter("health", "health", id, now, byID[id].score)
-	}
-}
-
-// healthStateName names a scorer state for metrics labels.
-func healthStateName(state int) string {
-	switch state {
-	case sliceSuspect:
-		return "suspect"
-	case sliceQuarantinedState:
-		return "quarantined"
-	}
-	return "healthy"
 }
 
 // Suspects returns how many healthy->suspect transitions occurred.

@@ -145,7 +145,7 @@ func (p *Platform) maybeHedgeInstance(inst *Instance, rq *request) {
 		loadWait = 0
 	}
 	est := now + loadWait +
-		float64(inst.outstanding-1)*inst.plan.Bottleneck +
+		float64(len(inst.inflight)-1)*inst.plan.Bottleneck +
 		inst.plan.Latency*worst.score
 	if p.shouldHedge(worstSl, rq, est) {
 		p.launchHedge(rq, inst, nil)

@@ -27,8 +27,11 @@ type Instance struct {
 	// Options.MaxBatch > 1.
 	stations []*sim.Station
 
-	outstanding int
-	capacity    int
+	// inflight holds the admitted, not-yet-completed requests: its
+	// length is the load held against capacity, and a fault retries
+	// exactly these.
+	inflight []*request
+	capacity int
 
 	tracker  *keepalive.Tracker
 	retiring bool
@@ -44,9 +47,6 @@ type Instance struct {
 	// engine events referencing it become no-ops, and its in-flight
 	// requests were already retried elsewhere.
 	failed bool
-	// inflight tracks admitted, not-yet-completed requests so a fault
-	// can retry exactly the work that was lost.
-	inflight []*request
 }
 
 // forget drops rq from the in-flight list (on completion).
@@ -168,7 +168,6 @@ func admissionCapacity(slo, bottleneck, slack float64) int {
 
 // admit runs a request through the instance's stage stations.
 func (inst *Instance) admit(p *Platform, rq *request) {
-	inst.outstanding++
 	inst.inflight = append(inst.inflight, rq)
 	rq.snapshot()
 	inst.tracker.Touch(p.eng.Now())
@@ -305,7 +304,6 @@ func (sj *stageJob) Done() {
 	if rq.hedgeCancelled() {
 		// Losing copy of a hedged request: stop its pipeline here;
 		// complete() swallows it (no record, waste counted).
-		inst.outstanding--
 		inst.forget(rq)
 		p.complete(rq)
 		p.onInstanceSlack(inst)
@@ -323,7 +321,6 @@ func (sj *stageJob) Done() {
 		p.observeSliceExec(sl, declared, exec)
 		return
 	}
-	inst.outstanding--
 	inst.forget(rq)
 	p.complete(rq)
 	p.onInstanceSlack(inst)
@@ -335,13 +332,13 @@ func (sj *stageJob) Done() {
 
 // hasCapacity reports whether the instance can admit another request.
 func (inst *Instance) hasCapacity() bool {
-	return !inst.retiring && inst.outstanding < inst.capacity
+	return !inst.retiring && len(inst.inflight) < inst.capacity
 }
 
 // release frees the instance's slices and unlinks it. Only call when no
 // requests are outstanding.
 func (p *Platform) releaseInstance(inst *Instance) {
-	if inst.outstanding > 0 {
+	if len(inst.inflight) > 0 {
 		panic("platform: releasing instance with outstanding requests")
 	}
 	now := p.eng.Now()
@@ -382,7 +379,7 @@ func (p *Platform) onInstanceSlack(inst *Instance) {
 	p.drainPending(inst, inst.fn.admits.drainSlack)
 	// A fault-failed instance already released its slices in
 	// failInstance; releasing again would double-release and panic.
-	if inst.retiring && !inst.failed && inst.outstanding == 0 {
+	if inst.retiring && !inst.failed && len(inst.inflight) == 0 {
 		p.releaseInstance(inst)
 	}
 }

@@ -735,7 +735,7 @@ func (p *Platform) tryMigration(freed *mig.Slice) {
 			// tracker is about to be demoted by the keep-alive manager;
 			// migrating it would pay a model load on the freed slice
 			// for a function nobody is calling.
-			if inst.outstanding == 0 && !inst.tracker.IsHot(now) {
+			if len(inst.inflight) == 0 && !inst.tracker.IsHot(now) {
 				continue
 			}
 			// Prefer migrating the highest-latency pipeline.
@@ -757,7 +757,7 @@ func (p *Platform) tryMigration(freed *mig.Slice) {
 	// away — discarding it stranded those requests until the next
 	// completion or control tick.
 	p.drainPending(newInst, bestFn.admits.drainMigrate)
-	if bestInst.outstanding == 0 {
+	if len(bestInst.inflight) == 0 {
 		p.releaseInstance(bestInst)
 	}
 }

@@ -9,25 +9,6 @@ import (
 	"fluidfaas/internal/overload"
 )
 
-// RejectReason is the typed cause of an admission-time rejection: the
-// reason selects the per-reason counter and the provenance label; the
-// human-readable detail rides alongside.
-type RejectReason int
-
-const (
-	// RejectDeadline: the completion estimate already missed the deadline.
-	RejectDeadline RejectReason = iota
-	numRejectReasons
-)
-
-// String names the reason for metrics labels and decision records.
-func (r RejectReason) String() string {
-	if r == RejectDeadline {
-		return "deadline-estimate"
-	}
-	return fmt.Sprintf("RejectReason(%d)", int(r))
-}
-
 // This file integrates SLO-aware admission (internal/overload) with the
 // platform. It is a no-op when opts.Overload.Admission is off, keeping
 // feature-off runs bit-for-bit identical.
@@ -47,7 +28,7 @@ func (p *Platform) admissionReject(rq *request) bool {
 		// up and rejects forever.
 		fn.rejectDemand++
 		p.kickScaleUp()
-		p.reject(rq, RejectDeadline,
+		p.reject(rq,
 			fmt.Sprintf("estimated completion %.3fs past deadline", est), func() []decisions.KV {
 				return []decisions.KV{
 					kvF("estimate", est),
@@ -64,26 +45,16 @@ func (p *Platform) admissionReject(rq *request) bool {
 // rejection instant as its completion, so fast-fail latency is bounded
 // (zero wait) and distinct from a timeout drop. inputs builds the Reject
 // decision's inputs; it runs only while provenance is on.
-func (p *Platform) reject(rq *request, why RejectReason, detail string, inputs func() []decisions.KV) {
-	p.rejectReasons[why]++
+func (p *Platform) reject(rq *request, detail string, inputs func() []decisions.KV) {
 	p.finishUnserved(EvReject, detail, transition{
 		rq: rq,
 		decision: func() decisions.Record {
 			return decisions.Record{
-				Kind: decisions.KindReject, Rule: why.String(), Outcome: detail,
+				Kind: decisions.KindReject, Rule: "deadline-estimate", Outcome: detail,
 				Inputs: inputs(),
 			}
 		},
 	})
-}
-
-// RejectedByReason returns admission rejections keyed by typed reason.
-func (p *Platform) RejectedByReason() map[string]int {
-	out := make(map[string]int, numRejectReasons)
-	for r := RejectReason(0); r < numRejectReasons; r++ {
-		out[r.String()] = p.rejectReasons[r]
-	}
-	return out
 }
 
 // completionEstimate is the optimistic end-to-end estimate for a new
@@ -101,7 +72,7 @@ func (p *Platform) completionEstimate(fn *Function) float64 {
 		if wait < 0 {
 			wait = 0
 		}
-		est := wait + float64(inst.outstanding)*inst.plan.Bottleneck + inst.plan.Latency
+		est := wait + float64(len(inst.inflight))*inst.plan.Bottleneck + inst.plan.Latency
 		if est < best {
 			best = est
 		}

@@ -8,6 +8,7 @@ import (
 	"fluidfaas/internal/dnn"
 	"fluidfaas/internal/metrics"
 	"fluidfaas/internal/mig"
+	"fluidfaas/internal/obs/decisions"
 	"fluidfaas/internal/overload"
 	"fluidfaas/internal/pipeline"
 	"fluidfaas/internal/scheduler"
@@ -62,13 +63,36 @@ func TestOverloadOffBitForBit(t *testing.T) {
 			if ea, eb := a.CountEvents(), b.CountEvents(); !reflect.DeepEqual(ea, eb) {
 				t.Errorf("event tallies differ:\n%v\n%v", ea, eb)
 			}
-			if ca, cb := a.RejectedByReason(), b.RejectedByReason(); !reflect.DeepEqual(ca, cb) {
-				t.Errorf("reject reasons differ:\n%v\n%v", ca, cb)
-			}
 			if got := b.Rejected() > 0; got != tc.wantRejected {
 				t.Errorf("rejected = %d, want rejections: %v", b.Rejected(), tc.wantRejected)
 			}
 		})
+	}
+}
+
+// TestRejectCountsAgree: on the rich rig, with admission and decisions
+// on, the platform's event tally, the request collector and the
+// decision recorder count the same rejections, and every reject record
+// carries the deadline-estimate rule.
+func TestRejectCountsAgree(t *testing.T) {
+	dec := decisions.NewRecorder(0)
+	p := runRich(t, Options{Decisions: dec})
+	n := p.Rejected()
+	if n == 0 {
+		t.Fatal("no rejections; the rig lost its admission coverage")
+	}
+	if c := p.Collector().RejectedCount(); c != n {
+		t.Errorf("collector counts %d rejections, platform %d", c, n)
+	}
+	if d := dec.Counts()["reject"]; d != n {
+		t.Errorf("decision recorder counts %d rejections, platform %d", d, n)
+	}
+	for _, id := range dec.Requests() {
+		for _, rec := range dec.Chain(id) {
+			if rec.Kind == decisions.KindReject && rec.Rule != "deadline-estimate" {
+				t.Fatalf("req %d: reject rule %q, want deadline-estimate", id, rec.Rule)
+			}
+		}
 	}
 }
 
@@ -384,9 +408,9 @@ func TestMigrationDrainsPending(t *testing.T) {
 	if drained == 0 {
 		t.Fatal("pending overflow not drained into the migrated instance")
 	}
-	if mono.outstanding != drained {
-		t.Errorf("replacement outstanding = %d, want the %d drained requests",
-			mono.outstanding, drained)
+	if n := len(mono.inflight); n != drained {
+		t.Errorf("replacement in flight = %d, want the %d drained requests",
+			n, drained)
 	}
 	if !inst.retiring {
 		t.Error("migrated pipeline not retiring")

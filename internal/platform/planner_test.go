@@ -74,7 +74,7 @@ func TestRoundRobinAdvancesOnlyOnAdmit(t *testing.T) {
 	// cursor past the serving instance, to offset 2.
 	fn.instances[1].capacity = saved[1]
 	p.InjectRequest(0, 101)
-	if fn.instances[1].outstanding != 1 {
+	if len(fn.instances[1].inflight) != 1 {
 		t.Fatalf("request did not admit at the open instance")
 	}
 	if fn.rrNext != 2 {

@@ -274,9 +274,6 @@ type Platform struct {
 	// readmission also emits EvRecover.
 	recoveries int // hardware repairs applied
 
-	// rejectReasons counts admission fast-fails by typed cause.
-	rejectReasons [numRejectReasons]int
-
 	// Gray-failure resilience state (gray.go, hedge.go; all inert when
 	// opts.Gray is zero except degraded, which degraded-slice fault
 	// events populate regardless — the slowdown is physics, the scorer
@@ -333,7 +330,7 @@ func New(cl *cluster.Cluster, specs []FunctionSpec, opts Options) *Platform {
 			}
 		}
 		p.Subscribe(func(e Event) {
-			rec.MarkCat(eventCat(e.Kind), e.Kind.String(), e.Subject, e.Time, e.Detail)
+			rec.MarkCat("event", e.Kind.String(), e.Subject, e.Time, e.Detail)
 		})
 	}
 	for i, spec := range specs {
@@ -542,9 +539,6 @@ func (p *Platform) sampleUtilization() {
 	p.Fragmentation.Add(now, fi)
 	p.utilSample(now, fi)
 	p.HostPoolOcc.Add(now, p.poolOccupancy())
-	if r := p.opts.Obs; r != nil && p.grayOn() {
-		p.sampleHealth(r, now)
-	}
 	if p.opts.OnSample != nil {
 		p.opts.OnSample(now, p.cl)
 	}

@@ -271,8 +271,8 @@ func TestNoSliceLeak(t *testing.T) {
 	// All requests accounted for, none stuck in flight.
 	for _, fn := range p.funcs {
 		for _, inst := range fn.instances {
-			if inst.outstanding != 0 {
-				t.Errorf("instance %s still has %d outstanding", inst.id, inst.outstanding)
+			if n := len(inst.inflight); n != 0 {
+				t.Errorf("instance %s still has %d in flight", inst.id, n)
 			}
 		}
 		if fn.ts != nil && fn.ts.outstanding != 0 {

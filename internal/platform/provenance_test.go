@@ -111,7 +111,7 @@ func TestTransitionProvenanceGolden(t *testing.T) {
 
 	want := map[string]string{
 		"decisions": "b70a61263d44e078abc8b796955a6ddf940fe5915cd6c2b76efb9e2cd42e57e3",
-		"trace":     "e05ffaad194cfba8bc62cbcd2704dd8d9adca7e89a51ded8ee1c87079c62eb54",
+		"trace":     "ee0c2b9e1cbc9d645eee4804724928bc161c0e5715663b2084ca5e0415c0c44c",
 		"util":      "4852f815710765cbef87e23100aa08ff2a4697c3a488b9ee194e958846af24ba",
 	}
 	got := map[string]string{

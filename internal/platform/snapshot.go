@@ -147,7 +147,7 @@ func (p *Platform) Snapshot() Snapshot {
 		for _, inst := range fn.instances {
 			is := InstanceState{
 				ID: inst.id, Pipelined: inst.Pipelined(),
-				Outstanding: inst.outstanding, Capacity: inst.capacity,
+				Outstanding: len(inst.inflight), Capacity: inst.capacity,
 				Retiring: inst.retiring,
 			}
 			for _, sl := range inst.slices {
