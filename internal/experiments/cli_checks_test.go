@@ -46,6 +46,31 @@ func TestSwapStudyGolden(t *testing.T) {
 	}
 }
 
+// TestStudyGoldens pins the studies that build their own cluster and
+// platform outside RunSystem and that no other golden covers: a sha256
+// over the JSON encoding of each result.
+func TestStudyGoldens(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(Config) any
+		want string
+	}{
+		{"fig3", func(c Config) any { return RunMotivation(c) }, "38246f547f68ae545bfa3946ddf2cf12f192075510b1520efd78f8e951af6811"},
+		{"fig5", func(c Config) any { return RunKeepAlive(c) }, "6ef17b384f35aceeef76adfdd830aa8e20d2f550988fb63327d9436c1e614840"},
+		{"chaining", func(c Config) any { return RunChaining(c) }, "55d42725e33443daee695d4395e85873ad087ddd4d8597f0df623ab2171a3270"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, err := json.Marshal(tc.run(cliConfig()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != tc.want {
+				t.Errorf("%s digest %s, want %s\n%s", tc.name, got, tc.want, b)
+			}
+		})
+	}
+}
+
 // TestGrayHedgeBudget: with quarantine and hedging on, every point of
 // the gray-failure sweep keeps hedging inside its budget.
 func TestGrayHedgeBudget(t *testing.T) {
