@@ -96,7 +96,8 @@ func main() {
 	// per system and app.
 	figCDF := func(fig string, w experiments.Workload) {
 		fmt.Println(e2e.FigCDF(w))
-		for _, sys := range []string{"infless", "esg", "fluidfaas"} {
+		for _, pol := range experiments.Systems() {
+			sys := pol.Name()
 			cdfs := e2e.Results[w][sys].CDFByApp
 			for _, app := range slices.Sorted(maps.Keys(cdfs)) {
 				writeCSV(fmt.Sprintf("%s_%s_%s_app%d.csv", fig, w, sys, app), func(f *os.File) error {
@@ -113,8 +114,9 @@ func main() {
 	show("fig16", func() {
 		fmt.Println(e2e.Fig16Utilization())
 		for _, w := range experiments.Workloads {
-			for _, sys := range []string{"esg", "fluidfaas"} {
-				w, sys := w, sys
+			// Fig. 16 compares ESG and FluidFaaS, the last two systems.
+			for _, pol := range experiments.Systems()[1:] {
+				sys := pol.Name()
 				writeCSV(fmt.Sprintf("fig16_%s_%s.csv", w, sys), func(f *os.File) error {
 					return experiments.WriteTimelineCSV(f, e2e.Results[w][sys].UtilGPCs)
 				})

@@ -12,13 +12,11 @@ import (
 	"strings"
 
 	"fluidfaas/internal/experiments"
-	"fluidfaas/internal/mig"
 	"fluidfaas/internal/obs"
 	"fluidfaas/internal/obs/analytics"
 	"fluidfaas/internal/obs/decisions"
 	"fluidfaas/internal/obs/util"
 	"fluidfaas/internal/platform"
-	"fluidfaas/internal/scheduler"
 )
 
 func main() {
@@ -45,46 +43,26 @@ func main() {
 		os.Exit(2)
 	}
 
-	var pol scheduler.Policy
-	switch *policy {
-	case "fluidfaas":
-		pol = &scheduler.FluidFaaS{}
-	case "esg":
-		pol = &scheduler.ESG{}
-	case "infless":
-		pol = &scheduler.INFlessMIG{}
-	default:
+	pol := experiments.SystemNamed(*policy)
+	if pol == nil {
 		fmt.Fprintf(os.Stderr, "unknown policy %q\n", *policy)
 		os.Exit(2)
 	}
-
-	var w experiments.Workload
-	switch *workload {
-	case "light":
-		w = experiments.Light
-	case "medium":
-		w = experiments.Medium
-	case "heavy":
-		w = experiments.Heavy
-	default:
+	w, ok := experiments.ParseWorkload(*workload)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *workload)
+		os.Exit(2)
+	}
+	scheme, ok := experiments.SchemeNamed(*partition)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "unknown partition %q\n", *partition)
 		os.Exit(2)
 	}
 
 	cfg := experiments.DefaultConfig()
 	cfg.Seed = *seed
 	cfg.Duration = *duration
-	switch *partition {
-	case "P1":
-		cfg.GPUConfigs = mig.UniformNode(mig.ConfigP1, 8)
-	case "P2":
-		cfg.GPUConfigs = mig.UniformNode(mig.ConfigP2, 8)
-	case "Hybrid":
-		cfg.GPUConfigs = mig.HybridNode()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown partition %q\n", *partition)
-		os.Exit(2)
-	}
+	cfg.GPUConfigs = scheme.GPUConfigs
 
 	// Observability: a recorder only when an export or the introspection
 	// server is requested (the nil default keeps the run on the

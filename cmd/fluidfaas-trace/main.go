@@ -25,15 +25,8 @@ func main() {
 
 	switch {
 	case *gen != "":
-		var w experiments.Workload
-		switch *gen {
-		case "light":
-			w = experiments.Light
-		case "medium":
-			w = experiments.Medium
-		case "heavy":
-			w = experiments.Heavy
-		default:
+		w, ok := experiments.ParseWorkload(*gen)
+		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown workload %q\n", *gen)
 			os.Exit(2)
 		}

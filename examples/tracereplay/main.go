@@ -17,7 +17,6 @@ import (
 	"fluidfaas/internal/cluster"
 	"fluidfaas/internal/experiments"
 	"fluidfaas/internal/platform"
-	"fluidfaas/internal/scheduler"
 	"fluidfaas/internal/trace"
 )
 
@@ -32,15 +31,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	var pol scheduler.Policy
-	switch *policy {
-	case "fluidfaas":
-		pol = &scheduler.FluidFaaS{}
-	case "esg":
-		pol = &scheduler.ESG{}
-	case "infless":
-		pol = &scheduler.INFlessMIG{}
-	default:
+	pol := experiments.SystemNamed(*policy)
+	if pol == nil {
 		log.Fatalf("unknown policy %q", *policy)
 	}
 
@@ -74,9 +66,10 @@ func main() {
 	if tr.NumFuncs > len(specs) {
 		log.Fatalf("trace references %d functions, only %d registered", tr.NumFuncs, len(specs))
 	}
-	cl := cluster.New(cluster.Spec{Nodes: cfg.Nodes, GPUConfigs: cfg.GPUConfigs, CPUMemGB: 1440})
-	p := platform.New(cl, specs, platform.Options{Policy: pol, Seed: cfg.Seed})
-	p.Run(tr, 40)
+	cfg.Policy = pol
+	cl := cluster.New(cfg.Spec)
+	p := platform.New(cl, specs, cfg.Options)
+	p.Run(tr, cfg.Drain)
 
 	col := p.Collector()
 	fmt.Printf("policy           %s\n", pol.Name())
@@ -90,5 +83,5 @@ func main() {
 	fmt.Printf("instances        %d launched, %d evictions, %d migrations\n",
 		p.Launched(), p.Evictions(), p.Migrations())
 	fmt.Printf("GPU / MIG time   %.0f s / %.0f s\n",
-		cl.GPUTime(tr.Duration+40), cl.MIGTime(tr.Duration+40))
+		cl.GPUTime(tr.Duration+cfg.Drain), cl.MIGTime(tr.Duration+cfg.Drain))
 }

@@ -44,16 +44,16 @@ func RunChaining(cfg Config) ChainingResult {
 			BurstFactor: 1.6, BurstFraction: 0.12, BurstLen: 25,
 		}},
 	})
-	spec := cluster.Spec{
+	cfg.Spec = cluster.Spec{
 		Nodes: 1, GPUConfigs: cfg.GPUConfigs[:4], CPUMemGB: 720,
 	}
 
 	// Whole workflow: one FluidFaaS function.
 	wholeSpecs := []FunctionSpecBuilder{{App: app, Variant: variant}}
-	whole := runWholeWorkflow(wholeSpecs, tr, spec, cfg)
+	whole := runWholeWorkflow(wholeSpecs, tr, cfg)
 
 	// Chained: one function per model.
-	chain := workflow.RunChained(app, variant, tr, spec,
+	chain := workflow.RunChained(app, variant, tr, cfg.Spec,
 		&scheduler.FluidFaaS{}, cfg.Seed, cfg.SLOScale)
 
 	return ChainingResult{
@@ -74,10 +74,9 @@ type FunctionSpecBuilder struct {
 	Variant dnn.Variant
 }
 
-// runWholeWorkflow runs the apps as whole-workflow functions over tr.
-func runWholeWorkflow(builders []FunctionSpecBuilder, tr *trace.Trace,
-	spec cluster.Spec, cfg Config) SystemResult {
-
+// runWholeWorkflow runs the apps as FluidFaaS whole-workflow functions
+// over tr.
+func runWholeWorkflow(builders []FunctionSpecBuilder, tr *trace.Trace, cfg Config) SystemResult {
 	var specs []platform.FunctionSpec
 	for i, b := range builders {
 		d := b.App.BuildDAG(b.Variant)
@@ -93,11 +92,8 @@ func runWholeWorkflow(builders []FunctionSpecBuilder, tr *trace.Trace,
 			ID: i, Name: b.App.Name, DAG: d, Parts: parts, SLO: slo,
 		})
 	}
-	cl := cluster.New(spec)
-	p := platform.New(cl, specs, platform.Options{
-		Policy: &scheduler.FluidFaaS{}, Seed: cfg.Seed,
-	})
-	p.Run(tr, cfg.Drain)
+	cfg.Policy = &scheduler.FluidFaaS{}
+	_, p := cfg.run(specs, tr)
 	col := p.Collector()
 	return SystemResult{
 		System:     "fluidfaas-whole",

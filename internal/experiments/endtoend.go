@@ -17,8 +17,9 @@ type EndToEnd struct {
 // (system, workload) simulations are independent deterministic runs, so
 // they execute in parallel; results are identical to a serial sweep.
 // Observers are written on one run's engine goroutine only, so cfg must
-// set none of Obs, Decisions, Util, OnEvent and OnPlatform: the nine
-// runs would share it. RunEndToEnd panics naming the first one set.
+// set none of Obs, Decisions, Util, OnSample, OnComplete, OnEvent and
+// OnPlatform: the nine runs would share it. RunEndToEnd panics naming
+// the first one set.
 func RunEndToEnd(cfg Config) *EndToEnd {
 	for _, f := range []struct {
 		name string
@@ -27,6 +28,8 @@ func RunEndToEnd(cfg Config) *EndToEnd {
 		{"Obs", cfg.Obs != nil},
 		{"Decisions", cfg.Decisions != nil},
 		{"Util", cfg.Util != nil},
+		{"OnSample", cfg.OnSample != nil},
+		{"OnComplete", cfg.OnComplete != nil},
 		{"OnEvent", cfg.OnEvent != nil},
 		{"OnPlatform", cfg.OnPlatform != nil},
 	} {
@@ -60,7 +63,14 @@ func RunEndToEnd(cfg Config) *EndToEnd {
 	return e
 }
 
-func systemsOrder() []string { return []string{"infless", "esg", "fluidfaas"} }
+// systemsOrder lists the system names in Systems() order.
+func systemsOrder() []string {
+	var names []string
+	for _, pol := range Systems() {
+		names = append(names, pol.Name())
+	}
+	return names
+}
 
 // Fig9SLOHitRates returns the per-application SLO hit rates of Fig. 9.
 func (e *EndToEnd) Fig9SLOHitRates() Table {

@@ -11,13 +11,8 @@ import (
 
 	"fluidfaas/internal/cluster"
 	"fluidfaas/internal/dnn"
-	"fluidfaas/internal/faults"
 	"fluidfaas/internal/metrics"
 	"fluidfaas/internal/mig"
-	"fluidfaas/internal/obs"
-	"fluidfaas/internal/obs/decisions"
-	"fluidfaas/internal/obs/util"
-	"fluidfaas/internal/overload"
 	"fluidfaas/internal/platform"
 	"fluidfaas/internal/scheduler"
 	"fluidfaas/internal/sim"
@@ -38,6 +33,16 @@ const (
 
 // Workloads lists all levels.
 var Workloads = []Workload{Light, Medium, Heavy}
+
+// ParseWorkload returns the level whose String is name.
+func ParseWorkload(name string) (Workload, bool) {
+	for _, w := range Workloads {
+		if w.String() == name {
+			return w, true
+		}
+	}
+	return 0, false
+}
 
 // String returns the level name.
 func (w Workload) String() string {
@@ -82,10 +87,18 @@ func (w Workload) appRPS() []float64 {
 	}
 }
 
-// Config parameterises an experiment run.
+// Config parameterises an experiment run: the testbed, the platform's
+// options and the run knobs below. Every run builds its cluster from
+// Spec and its platform from Options. RunSystem sets Options.Policy from
+// its argument, and the studies that fix their system (Figs. 3 and 5,
+// chaining, swap) set it themselves, so a Policy set here is never read.
 type Config struct {
-	// Seed drives trace generation and platform randomness.
-	Seed int64
+	// Spec is the testbed (default: the paper's 2 nodes of 8 GPUs, each
+	// 4g+2g+1g, with 1440 GB host memory).
+	cluster.Spec
+	// Options configures the platform (zero: the paper's configuration,
+	// with every extension subsystem and observer off).
+	platform.Options
 	// Duration is the trace length in seconds (default 300).
 	Duration float64
 	// Drain is extra time for in-flight requests (default 40).
@@ -93,57 +106,16 @@ type Config struct {
 	// SLOScale is the SLO latency over the reference latency
 	// (default 1.5, §6).
 	SLOScale float64
-	// GPUConfigs is the per-GPU partition layout of each node
-	// (default: the paper's 4g+2g+1g on all 8 GPUs).
-	GPUConfigs []mig.Config
-	// Nodes is the node count (default 2).
-	Nodes int
-	// MaxBatch enables dynamic batching at instances (1 = off, the
-	// paper's configuration).
-	MaxBatch int
 	// RateScale multiplies every stream's request rate (default 1);
 	// extension studies use it to push systems past saturation.
 	RateScale float64
-	// Routing overrides the load balancer's instance ordering (for the
-	// routing ablation; default is the paper's latency-ascending).
-	Routing platform.RoutingOrder
-	// Faults injects a deterministic hardware-fault schedule (nil = the
-	// paper's fault-free runs; used by the resilience extension study).
-	Faults *faults.Spec
-	// Overload enables the overload-control subsystem (zero = off, the
-	// paper's configuration; used by the overload extension study).
-	Overload overload.Config
-	// Swap enables the model-swapping memory tier (zero = off, the
-	// paper's configuration; used by the density extension study).
-	Swap platform.SwapOptions
-	// Gray enables the gray-failure resilience subsystem — slice health
-	// scoring, quarantine and hedged retries (zero = off, the paper's
-	// configuration; used by the gray-failure extension study).
-	Gray platform.GrayOptions
-	// CPUMemGB is the host memory per node (default 1440, paper Table 3;
-	// the density study constrains it to put the pool under pressure).
-	CPUMemGB float64
-	// Obs attaches an observability recorder to the run (nil = off, the
-	// zero-cost default). The recorder fills with request traces, slice
-	// spans and metrics for the Chrome-trace / Prometheus exporters.
-	Obs *obs.Recorder
-	// Decisions attaches a decision-provenance recorder (nil = off, the
-	// zero-cost default): every scheduling choice point logs the inputs
-	// it saw and the outcome it chose, queryable per request after the
-	// run ("why did request N end up there?").
-	Decisions *decisions.Recorder
-	// Util attaches a GPU utilization ledger (nil = off, the zero-cost
-	// default): a pure observer that attributes every slice-second to a
-	// busy/idle/waste state, with fragmentation analytics and roll-ups
-	// (the /util and /heatmap endpoints).
-	Util *util.Ledger
 	// OnEvent subscribes to the platform's lifecycle events
 	// (Platform.Subscribe) before the run starts, seeing every event.
 	// Subscribers must only observe.
 	OnEvent func(platform.Event)
-	// OnPlatform, when set, observes the finished platform after the run
-	// (before RunSystem returns), e.g. to take an introspection
-	// Snapshot. Observers must not mutate the platform.
+	// OnPlatform, when set, observes the finished platform after the
+	// run, e.g. to take an introspection Snapshot. Observers must not
+	// mutate the platform.
 	OnPlatform func(*platform.Platform)
 	// TransferScale multiplies every stage-boundary hop cost (0 = 1,
 	// the paper's cost model); the transfer-sensitivity ablation sweeps
@@ -193,11 +165,24 @@ func CheckDuration(d float64) error {
 }
 
 // DefaultConfig returns the paper's evaluation setup.
-func DefaultConfig() Config { return Config{Seed: 42}.withDefaults() }
+func DefaultConfig() Config {
+	return Config{Options: platform.Options{Seed: 42}}.withDefaults()
+}
 
 // Systems returns the three compared systems in paper order.
 func Systems() []scheduler.Policy {
 	return []scheduler.Policy{&scheduler.INFlessMIG{}, &scheduler.ESG{}, &scheduler.FluidFaaS{}}
+}
+
+// SystemNamed returns a fresh instance of the compared system whose Name
+// is name, or nil if there is none.
+func SystemNamed(name string) scheduler.Policy {
+	for _, pol := range Systems() {
+		if pol.Name() == name {
+			return pol
+		}
+	}
+	return nil
 }
 
 // appsFor lists the applications active at a workload level (App 3's
@@ -330,21 +315,8 @@ func RunSystem(pol scheduler.Policy, w Workload, cfg Config) SystemResult {
 			specs[i].DAG.TransferScale = cfg.TransferScale
 		}
 	}
-	cl := cluster.New(cluster.Spec{
-		Nodes:      cfg.Nodes,
-		GPUConfigs: cfg.GPUConfigs,
-		CPUMemGB:   cfg.CPUMemGB,
-	})
-	p := platform.New(cl, specs, platform.Options{
-		Policy: pol, Seed: cfg.Seed, MaxBatch: cfg.MaxBatch, Routing: cfg.Routing,
-		Faults: cfg.Faults, Overload: cfg.Overload, Swap: cfg.Swap, Gray: cfg.Gray,
-		Obs: cfg.Obs, Decisions: cfg.Decisions, Util: cfg.Util,
-	})
-	if cfg.OnEvent != nil {
-		p.Subscribe(cfg.OnEvent)
-	}
-	tr := TraceFor(w, cfg)
-	p.Run(tr, cfg.Drain)
+	cfg.Policy = pol
+	cl, p := cfg.run(specs, TraceFor(w, cfg))
 
 	col := p.Collector()
 	lats := col.Latencies()
@@ -396,10 +368,24 @@ func RunSystem(pol scheduler.Policy, w Workload, cfg Config) SystemResult {
 		}
 	}
 	res.Fairness = metrics.JainIndex(hits)
-	if cfg.OnPlatform != nil {
-		cfg.OnPlatform(p)
-	}
 	return res
+}
+
+// run builds the cluster from c.Spec and the platform from c.Options,
+// subscribes c.OnEvent, replays tr with c.Drain of drain time and hands
+// the finished platform to c.OnPlatform. Every run of the package goes
+// through it.
+func (c Config) run(specs []platform.FunctionSpec, tr *trace.Trace) (*cluster.Cluster, *platform.Platform) {
+	cl := cluster.New(c.Spec)
+	p := platform.New(cl, specs, c.Options)
+	if c.OnEvent != nil {
+		p.Subscribe(c.OnEvent)
+	}
+	p.Run(tr, c.Drain)
+	if c.OnPlatform != nil {
+		c.OnPlatform(p)
+	}
+	return cl, p
 }
 
 // Table is a printable experiment result in the paper's row format.

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"fluidfaas/internal/cluster"
+	"fluidfaas/internal/metrics"
 	"fluidfaas/internal/obs"
 	"fluidfaas/internal/obs/decisions"
 	"fluidfaas/internal/obs/util"
@@ -35,6 +37,32 @@ func TestWorkloadDefinitions(t *testing.T) {
 		if len(w.appRPS()) != len(appsFor(w)) {
 			t.Errorf("%v: rate vector arity mismatch", w)
 		}
+	}
+}
+
+// TestNameLookups: the CLIs resolve -policy, -workload and -partition
+// through these tables, so every listed name resolves to itself and an
+// unlisted one resolves to nothing.
+func TestNameLookups(t *testing.T) {
+	for _, pol := range Systems() {
+		if got := SystemNamed(pol.Name()); got == nil || got.Name() != pol.Name() {
+			t.Errorf("SystemNamed(%q) = %v", pol.Name(), got)
+		}
+	}
+	for _, w := range Workloads {
+		if got, ok := ParseWorkload(w.String()); !ok || got != w {
+			t.Errorf("ParseWorkload(%q) = %v, %v", w, got, ok)
+		}
+	}
+	for _, s := range Table7Schemes() {
+		if got, ok := SchemeNamed(s.Name); !ok || got.Name != s.Name {
+			t.Errorf("SchemeNamed(%q) = %v, %v", s.Name, got.Name, ok)
+		}
+	}
+	_, wok := ParseWorkload("bogus")
+	_, sok := SchemeNamed("bogus")
+	if SystemNamed("bogus") != nil || wok || sok {
+		t.Error("an unknown name resolved")
 	}
 }
 
@@ -147,6 +175,8 @@ func TestEndToEndRejectsSharedObservers(t *testing.T) {
 		{"Obs", func(c *Config) { c.Obs = obs.NewRecorder() }},
 		{"Decisions", func(c *Config) { c.Decisions = decisions.NewRecorder(0) }},
 		{"Util", func(c *Config) { c.Util = util.NewLedger() }},
+		{"OnSample", func(c *Config) { c.OnSample = func(float64, *cluster.Cluster) {} }},
+		{"OnComplete", func(c *Config) { c.OnComplete = func(metrics.RequestRecord) {} }},
 		{"OnEvent", func(c *Config) { c.OnEvent = func(platform.Event) {} }},
 		{"OnPlatform", func(c *Config) { c.OnPlatform = func(*platform.Platform) {} }},
 	} {

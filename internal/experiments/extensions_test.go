@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"testing"
+
+	"fluidfaas/internal/platform"
 )
 
 func TestIsolationStudy(t *testing.T) {
@@ -66,7 +68,7 @@ func TestSLOSweep(t *testing.T) {
 		t.Error("SLOSweepTable incomplete")
 	}
 	// Default scales.
-	if got := RunSLOSweep(Config{Seed: 1, Duration: 60, Drain: 20}, nil); len(got) != 4 {
+	if got := RunSLOSweep(Config{Options: platform.Options{Seed: 1}, Duration: 60, Drain: 20}, nil); len(got) != 4 {
 		t.Errorf("default sweep = %d points, want 4", len(got))
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"fluidfaas/internal/metrics"
 	"fluidfaas/internal/mig"
 	"fluidfaas/internal/pipeline"
-	"fluidfaas/internal/platform"
 	"fluidfaas/internal/scheduler"
 	"fluidfaas/internal/trace"
 )
@@ -37,9 +36,6 @@ func RunMotivation(cfg Config) MotivationResult {
 	w := Medium
 	specs := SpecsFor(w, cfg.SLOScale)
 	tr := TraceFor(w, cfg)
-	cl := cluster.New(cluster.Spec{
-		Nodes: cfg.Nodes, GPUConfigs: cfg.GPUConfigs, CPUMemGB: 1440,
-	})
 
 	// Per-second per-slice-type activity snapshots.
 	type snap struct {
@@ -48,27 +44,24 @@ func RunMotivation(cfg Config) MotivationResult {
 		occGPCs int
 	}
 	var snaps []snap
-	opts := platform.Options{
-		Policy: &scheduler.ESG{},
-		Seed:   cfg.Seed,
-		OnSample: func(now float64, cl *cluster.Cluster) {
-			s := snap{now: now, byType: map[mig.SliceType][2]int{}}
-			for _, g := range cl.AllGPUs() {
-				for _, sl := range g.Slices {
-					c := s.byType[sl.Type]
-					c[1]++
-					if sl.Active() {
-						c[0]++
-					}
-					s.byType[sl.Type] = c
+	cfg.Policy = &scheduler.ESG{}
+	cfg.CPUMemGB = 1440
+	cfg.OnSample = func(now float64, cl *cluster.Cluster) {
+		s := snap{now: now, byType: map[mig.SliceType][2]int{}}
+		for _, g := range cl.AllGPUs() {
+			for _, sl := range g.Slices {
+				c := s.byType[sl.Type]
+				c[1]++
+				if sl.Active() {
+					c[0]++
 				}
-				s.occGPCs += g.OccupiedGPCs()
+				s.byType[sl.Type] = c
 			}
-			snaps = append(snaps, s)
-		},
+			s.occGPCs += g.OccupiedGPCs()
+		}
+		snaps = append(snaps, s)
 	}
-	p := platform.New(cl, specs, opts)
-	p.Run(tr, cfg.Drain)
+	cl, _ := cfg.run(specs, tr)
 
 	// Ideal requirement: per-bucket arrival rate times the most
 	// GPC-efficient per-request cost of each application.
@@ -264,25 +257,19 @@ func RunKeepAlive(cfg Config) KeepAliveResult {
 		cfg.Duration = 600
 	}
 	specs := SpecsFor(Light, cfg.SLOScale)
-	cl := cluster.New(cluster.Spec{
-		Nodes: 1, GPUConfigs: cfg.GPUConfigs, CPUMemGB: 1440,
-	})
 	var activeVsOccupied metrics.Timeline
-	p := platform.New(cl, specs, platform.Options{
-		Policy: &scheduler.ESG{},
-		Seed:   cfg.Seed,
-		OnSample: func(now float64, cl *cluster.Cluster) {
-			occ := cl.OccupiedGPCs()
-			if occ == 0 {
-				return
-			}
-			activeVsOccupied.Add(now, float64(cl.ActiveGPCs())/float64(occ))
-		},
-	})
+	cfg.Policy = &scheduler.ESG{}
+	cfg.Nodes, cfg.CPUMemGB = 1, 1440
+	cfg.OnSample = func(now float64, cl *cluster.Cluster) {
+		occ := cl.OccupiedGPCs()
+		if occ == 0 {
+			return
+		}
+		activeVsOccupied.Add(now, float64(cl.ActiveGPCs())/float64(occ))
+	}
 	// Sparse but regular traffic: enough to keep instances alive, far
 	// below their capacity.
-	tr := sparseTrace(len(specs), cfg)
-	p.Run(tr, cfg.Drain)
+	cl, _ := cfg.run(specs, sparseTrace(len(specs), cfg))
 
 	end := cfg.Duration + cfg.Drain
 	res := KeepAliveResult{}

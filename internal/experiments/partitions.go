@@ -22,6 +22,16 @@ func Table7Schemes() []PartitionScheme {
 	}
 }
 
+// SchemeNamed returns the Table 7 scheme called name.
+func SchemeNamed(name string) (PartitionScheme, bool) {
+	for _, s := range Table7Schemes() {
+		if s.Name == name {
+			return s, true
+		}
+	}
+	return PartitionScheme{}, false
+}
+
 // PartitionResult is one row of Fig. 15.
 type PartitionResult struct {
 	Scheme        string

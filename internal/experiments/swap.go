@@ -190,18 +190,16 @@ func swapTrace(n int) *trace.Trace {
 
 // runDensity executes one census point: n models on the density testbed
 // with the swap tier configured by sw.
-func runDensity(n int, seed int64, sloScale float64, sw platform.SwapOptions) *platform.Platform {
-	specs := swapSpecs(n, sloScale)
-	cl := cluster.New(cluster.Spec{
+func runDensity(n int, cfg Config, sw platform.SwapOptions) *platform.Platform {
+	cfg.Spec = cluster.Spec{
 		Nodes:      1,
 		GPUConfigs: mig.UniformNode(mig.DefaultConfig, swapGPUs),
 		CPUMemGB:   swapHostMemGB,
-	})
-	p := platform.New(cl, specs, platform.Options{
-		Policy: &scheduler.FluidFaaS{}, Seed: seed, Swap: sw,
-		KeepAlive: swapKeepAlive, IdleDemote: swapIdleDemote,
-	})
-	p.Run(swapTrace(n), 40)
+	}
+	cfg.Policy = &scheduler.FluidFaaS{}
+	cfg.Swap = sw
+	cfg.KeepAlive, cfg.IdleDemote = swapKeepAlive, swapIdleDemote
+	_, p := cfg.run(swapSpecs(n, swapSLOScale), swapTrace(n))
 	return p
 }
 
@@ -232,8 +230,8 @@ func RunSwap(cfg Config) SwapResult {
 	// Density sweep: each census on/off. The sweep uses its own phased
 	// trace and testbed (fixed duration), independent of cfg.Duration.
 	for _, n := range swapCensus {
-		on := runDensity(n, cfg.Seed, swapSLOScale, platform.SwapOptions{Enabled: true})
-		offP := runDensity(n, cfg.Seed, swapSLOScale, platform.SwapOptions{})
+		on := runDensity(n, cfg, platform.SwapOptions{Enabled: true})
+		offP := runDensity(n, cfg, platform.SwapOptions{})
 		onLats := on.Collector().Latencies()
 		offLats := offP.Collector().Latencies()
 		res.Points = append(res.Points, SwapPoint{
