@@ -165,50 +165,22 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 	}
-	if rec := cfg.Obs; rec != nil {
-		rec.SetGauge("fluidfaas_events_dropped", float64(r.EventsDropped))
-		rec.SetGauge("fluidfaas_events_published_total", float64(r.EventsTotal))
-		if *traceOut != "" {
-			writeExport(*traceOut, func(f *os.File) error { return obs.WriteChromeTrace(f, rec) })
-		}
-		if *metricsOut != "" {
-			writeExport(*metricsOut, func(f *os.File) error { return obs.WritePrometheus(f, rec) })
-		}
+	report, utilRep, err := experiments.FinishObservers(cfg, r)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-
-	var utilRep *util.Report
-	if cfg.Util != nil {
-		if err := cfg.Util.Check(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		utilRep = cfg.Util.Report()
-		if *utilOut != "" {
-			writeExport(*utilOut, func(f *os.File) error { return utilRep.WriteJSON(f) })
-		}
+	if *traceOut != "" {
+		writeExport(*traceOut, func(f *os.File) error { return obs.WriteChromeTrace(f, cfg.Obs) })
 	}
-
-	// An SLO burn-rate page is an anomaly: freeze the decision ring so
-	// the export carries a full dump of what the scheduler was deciding
-	// when the budget burned. Deterministic — the page count and freeze
-	// time derive only from the simulated run.
-	var report *analytics.Report
-	if cfg.Obs != nil {
-		report = analytics.Analyze(analytics.Config{}, cfg.Obs)
+	if *metricsOut != "" {
+		writeExport(*metricsOut, func(f *os.File) error { return obs.WritePrometheus(f, cfg.Obs) })
 	}
-	if dr := cfg.Decisions; dr != nil {
-		if report != nil {
-			pages := 0
-			for _, b := range report.Burn {
-				pages += b.Pages
-			}
-			if pages > 0 {
-				dr.Freeze(cfg.Duration, fmt.Sprintf("slo-burn: %d pages", pages))
-			}
-		}
-		if *decisionsOut != "" {
-			writeExport(*decisionsOut, func(f *os.File) error { return dr.WriteJSON(f) })
-		}
+	if *utilOut != "" {
+		writeExport(*utilOut, func(f *os.File) error { return utilRep.WriteJSON(f) })
+	}
+	if *decisionsOut != "" {
+		writeExport(*decisionsOut, func(f *os.File) error { return cfg.Decisions.WriteJSON(f) })
 	}
 
 	// Introspection after the run: analyse the finished run and serve

@@ -41,10 +41,16 @@ func main() {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-			defer f.Close()
 			dst = f
 		}
-		if err := tr.WriteCSV(dst); err != nil {
+		err := tr.WriteCSV(dst)
+		if *out != "" {
+			// Close reports the write errors some file systems defer to it.
+			if cerr := dst.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -11,8 +12,9 @@ import (
 // checks it against a plain map of the held copies: after each step
 // UsedGB equals the sum of the held copies and stays within [0,
 // capacity], Models lists exactly the held keys, ParkedCount counts the
-// parked ones, and ReserveModel and EvictLRU answer as the map says
-// they must. Each op is three bytes: operation, key, size.
+// parked ones, ReserveModel answers as the map says it must, and
+// EvictParked takes the least-recently-used parked copy of a model LRU
+// list. Each op is three bytes: operation, key, size.
 func FuzzMemPool(f *testing.F) {
 	f.Add([]byte{0, 0, 80, 0, 1, 80, 0, 2, 40, 1, 0, 0, 0, 2, 40})
 	f.Add([]byte{0, 0, 200, 3, 0, 0, 2, 0, 0, 6, 0, 0, 0, 1, 250, 6, 1, 1})
@@ -23,6 +25,17 @@ func FuzzMemPool(f *testing.F) {
 		m := NewMemPool(capGB)
 		held := map[string]float64{}
 		parked := map[string]bool{}
+		// lru lists the held keys, most recently used first.
+		var lru []string
+		drop := func(k string) {
+			if j := slices.Index(lru, k); j >= 0 {
+				lru = slices.Delete(lru, j, j+1)
+			}
+		}
+		toFront := func(k string) {
+			drop(k)
+			lru = slices.Insert(lru, 0, k)
+		}
 		for i := 0; i+2 < len(ops); i += 3 {
 			op, key, gb := ops[i]%8, keys[int(ops[i+1])%len(keys)], float64(ops[i+2])/8
 			switch op {
@@ -39,11 +52,15 @@ func FuzzMemPool(f *testing.F) {
 				if want && !had {
 					held[key] = gb
 				}
+				if want {
+					toFront(key)
+				}
 				delete(parked, key)
 			case 1:
 				m.ReleaseModel(key)
 				delete(held, key)
 				delete(parked, key)
+				drop(key)
 			case 2:
 				m.Park(key)
 				if _, ok := held[key]; ok {
@@ -54,44 +71,40 @@ func FuzzMemPool(f *testing.F) {
 				if got := m.Reclaim(key); got != had {
 					t.Fatalf("step %d: Reclaim(%s) = %v, want %v", i/3, key, got, had)
 				}
+				if had {
+					toFront(key)
+				}
 				delete(parked, key)
 			case 4:
 				m.Touch(key)
+				if _, ok := held[key]; ok {
+					toFront(key)
+				}
 			case 5:
 				m.MarkLoaded(key)
 				if _, ok := held[key]; m.LoadedCopy(key) != ok {
 					t.Fatalf("step %d: LoadedCopy(%s) = %v after MarkLoaded, want %v", i/3, key, !ok, ok)
 				}
 			case 6:
-				// The size byte picks which keys the predicate allows.
-				mask := ops[i+2]
-				evictable := func(k string) bool {
-					for j, x := range keys {
-						if x == k {
-							return mask&(1<<j) != 0
-						}
-					}
-					return false
-				}
-				victim, vgb, ok := m.EvictLRU(evictable)
-				if ok {
-					g, isHeld := held[victim]
-					if !isHeld || vgb != g || !(parked[victim] || evictable(victim)) {
-						t.Fatalf("step %d: EvictLRU took %s (%v GB): held %v, parked %v", i/3, victim, vgb, isHeld, parked[victim])
-					}
-					delete(held, victim)
-					delete(parked, victim)
-				} else {
-					for k := range held {
-						if parked[k] || evictable(k) {
-							t.Fatalf("step %d: EvictLRU found no victim but %s may go", i/3, k)
-						}
+				want := ""
+				for _, k := range lru {
+					if parked[k] {
+						want = k // the last parked key is the LRU one
 					}
 				}
+				victim, vgb, ok := m.EvictParked()
+				if victim != want || ok != (want != "") || vgb != held[want] {
+					t.Fatalf("step %d: EvictParked = %q (%v GB), %v; want %q (%v GB), LRU order %v, parked %v",
+						i/3, victim, vgb, ok, want, held[want], lru, parked)
+				}
+				delete(held, victim)
+				delete(parked, victim)
+				drop(victim)
 			case 7:
 				m.DropAll()
 				held = map[string]float64{}
 				parked = map[string]bool{}
+				lru = nil
 			}
 
 			sum := 0.0

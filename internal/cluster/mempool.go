@@ -8,12 +8,12 @@ import (
 // MemPool is a node's host-memory pool. It backs the warm keep-alive
 // tier: every model copy held in CPU memory is one keyed reservation
 // (ReserveModel/ReleaseModel), tracked in LRU order so the swap tier
-// can evict the least-recently-used copy under pressure. A copy may be
-// "parked" — still resident, but with no live binding — which makes it
-// the preferred eviction victim and lets a later binding reclaim it
-// instead of refetching remotely. With the swap tier off the platform
-// only reserves and releases: one copy per bound function, never
-// evicted or parked.
+// can evict the least-recently-used parked copy under pressure. A copy
+// may be "parked" — still resident, but with no live binding — which
+// makes it an eviction candidate (the only kind) and lets a later
+// binding reclaim it instead of refetching remotely. With the swap
+// tier off the platform only reserves and releases: one copy per bound
+// function, never evicted or parked.
 type MemPool struct {
 	capGB  float64
 	usedGB float64
@@ -154,13 +154,12 @@ func (m *MemPool) Reclaim(key string) bool {
 	return true
 }
 
-// EvictLRU removes and returns the least-recently-used copy for which
-// evictable returns true (parked copies are always candidates). ok is
-// false when no copy may be evicted.
-func (m *MemPool) EvictLRU(evictable func(key string) bool) (string, float64, bool) {
+// EvictParked removes and returns the least-recently-used parked copy;
+// a copy in use is never evicted. ok is false when no copy is parked.
+func (m *MemPool) EvictParked() (string, float64, bool) {
 	for el := m.lru.Back(); el != nil; el = el.Prev() {
 		e := el.Value.(*poolEntry)
-		if e.parked || (evictable != nil && evictable(e.key)) {
+		if e.parked {
 			m.lru.Remove(e.elem)
 			delete(m.entries, e.key)
 			m.usedGB -= e.gb

@@ -45,12 +45,14 @@ func TestMemPoolLRUEvictionOrder(t *testing.T) {
 	m.ReserveModel("b", 30)
 	m.ReserveModel("c", 30)
 	m.Touch("a") // order (MRU..LRU): a c b
-	all := func(string) bool { return true }
-	key, gb, ok := m.EvictLRU(all)
+	for _, k := range []string{"a", "b", "c"} {
+		m.Park(k)
+	}
+	key, gb, ok := m.EvictParked()
 	if !ok || key != "b" || gb != 30 {
 		t.Fatalf("first eviction = %q/%v/%v, want b/30/true", key, gb, ok)
 	}
-	key, _, ok = m.EvictLRU(all)
+	key, _, ok = m.EvictParked()
 	if !ok || key != "c" {
 		t.Fatalf("second eviction = %q, want c", key)
 	}
@@ -59,21 +61,25 @@ func TestMemPoolLRUEvictionOrder(t *testing.T) {
 	}
 }
 
-func TestMemPoolEvictionRespectsPredicate(t *testing.T) {
+// TestMemPoolEvictsOnlyParked: eviction passes over copies in use,
+// however old, and finds nothing when no copy is parked.
+func TestMemPoolEvictsOnlyParked(t *testing.T) {
 	m := NewMemPool(100)
-	m.ReserveModel("pinned", 40)
-	m.ReserveModel("free", 40)
-	m.Touch("free") // make "pinned" the LRU victim
-	key, _, ok := m.EvictLRU(func(k string) bool { return k != "pinned" })
-	if !ok || key != "free" {
-		t.Fatalf("eviction = %q/%v, want free/true (skipping pinned LRU)", key, ok)
+	m.ReserveModel("live", 40)
+	m.ReserveModel("parked", 40)
+	m.Park("parked") // "live" stays the LRU copy
+	key, _, ok := m.EvictParked()
+	if !ok || key != "parked" {
+		t.Fatalf("eviction = %q/%v, want parked/true (skipping the live LRU copy)", key, ok)
 	}
-	if _, _, ok := m.EvictLRU(func(string) bool { return false }); ok {
-		t.Error("eviction succeeded with nothing evictable")
+	if _, _, ok := m.EvictParked(); ok {
+		t.Error("eviction succeeded with no copy parked")
 	}
-	// Parked copies are always candidates, predicate notwithstanding.
-	m.Park("pinned")
-	if key, _, ok := m.EvictLRU(func(string) bool { return false }); !ok || key != "pinned" {
+	if !m.Has("live") || m.UsedGB() != 40 {
+		t.Errorf("live copy lost: has=%v used=%v", m.Has("live"), m.UsedGB())
+	}
+	m.Park("live")
+	if key, _, ok := m.EvictParked(); !ok || key != "live" {
 		t.Errorf("parked copy not evicted: %q/%v", key, ok)
 	}
 }

@@ -54,15 +54,6 @@ type Segment struct {
 	Nodes []NodeID
 }
 
-// memGB returns the segment's total memory footprint.
-func (s Segment) memGB(d *DAG) float64 {
-	t := 0.0
-	for _, id := range s.Nodes {
-		t += d.Node(id).MemGB
-	}
-	return t
-}
-
 // Linearize splits the DAG into the ordered list of segments between
 // consecutive cut points. A cut point is a node on every entry-to-exit
 // path (computed with virtual super-entry/exit, so fork-at-entry and

@@ -5,6 +5,7 @@ import (
 
 	"fluidfaas/internal/obs"
 	"fluidfaas/internal/obs/analytics"
+	"fluidfaas/internal/obs/util"
 	"fluidfaas/internal/platform"
 	"fluidfaas/internal/scheduler"
 )
@@ -15,6 +16,38 @@ func obsRecorder(cfg *Config) *obs.Recorder {
 		cfg.Obs = obs.NewRecorder()
 	}
 	return cfg.Obs
+}
+
+// FinishObservers is fluidfaas-sim's post-run sequence over the
+// observers cfg attached to run r, each step skipped when its observer
+// is nil: set the two lifecycle-event gauges on cfg.Obs, check the
+// ledger's conservation invariant and resolve its report, analyse the
+// span log, and freeze the decision ring at cfg.Duration when the
+// analysis paged on an SLO burn, so the decisions export dumps what the
+// scheduler was deciding then. Call it once, before any export.
+func FinishObservers(cfg Config, r SystemResult) (*analytics.Report, *util.Report, error) {
+	var utilRep *util.Report
+	if l := cfg.Util; l != nil {
+		if err := l.Check(); err != nil {
+			return nil, nil, err
+		}
+		utilRep = l.Report()
+	}
+	rec := cfg.Obs
+	if rec == nil {
+		return nil, utilRep, nil
+	}
+	rec.SetGauge("fluidfaas_events_dropped", float64(r.EventsDropped))
+	rec.SetGauge("fluidfaas_events_published_total", float64(r.EventsTotal))
+	report := analytics.Analyze(analytics.Config{}, rec)
+	pages := 0
+	for _, b := range report.Burn {
+		pages += b.Pages
+	}
+	if pages > 0 && cfg.Decisions != nil {
+		cfg.Decisions.Freeze(cfg.Duration, fmt.Sprintf("slo-burn: %d pages", pages))
+	}
+	return report, utilRep, nil
 }
 
 // The span-analytics study: one instrumented FluidFaaS run whose span

@@ -23,8 +23,8 @@ import (
 
 // simCell is one run of the fluidfaas-sim default cell (FluidFaaS,
 // medium, P1, seed 42) for 30 s with all three recorders attached,
-// post-processed the way the CLI does before it writes exports or
-// serves introspection.
+// post-processed by FinishObservers, as the CLI does before it writes
+// exports or serves introspection.
 type simCell struct {
 	cfg    Config
 	p      *platform.Platform
@@ -42,19 +42,9 @@ func runSimCell(t *testing.T) simCell {
 	c.cfg.Util = util.NewLedger()
 	c.cfg.OnPlatform = func(p *platform.Platform) { c.p = p }
 	r := RunSystem(&scheduler.FluidFaaS{}, Medium, c.cfg)
-	c.cfg.Obs.SetGauge("fluidfaas_events_dropped", float64(r.EventsDropped))
-	c.cfg.Obs.SetGauge("fluidfaas_events_published_total", float64(r.EventsTotal))
-	if err := c.cfg.Util.Check(); err != nil {
+	var err error
+	if c.report, c.util, err = FinishObservers(c.cfg, r); err != nil {
 		t.Fatal(err)
-	}
-	c.util = c.cfg.Util.Report()
-	c.report = analytics.Analyze(analytics.Config{}, c.cfg.Obs)
-	pages := 0
-	for _, b := range c.report.Burn {
-		pages += b.Pages
-	}
-	if pages > 0 {
-		c.cfg.Decisions.Freeze(c.cfg.Duration, fmt.Sprintf("slo-burn: %d pages", pages))
 	}
 	return c
 }

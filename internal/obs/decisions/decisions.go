@@ -56,9 +56,6 @@ const (
 	// KindPlanMiss: a placement lookup ran the full constructor and
 	// populated the cache.
 	KindPlanMiss
-	// KindPlanUncached: a placement lookup bypassed the cache (counts
-	// multiset overflowed the signature).
-	KindPlanUncached
 	// KindBind: capacity was bound — an exclusive instance launched on
 	// slices, or a function bound to a time-sharing pool slice.
 	KindBind
@@ -95,7 +92,7 @@ const (
 var kindLabels = [numKinds]string{
 	KindAdmit: "admit", KindReject: "reject",
 	KindPlanHit: "plan-hit", KindPlanMiss: "plan-miss",
-	KindPlanUncached: "plan-uncached", KindBind: "bind", KindDemote: "demote",
+	KindBind: "bind", KindDemote: "demote",
 	KindSwapEvict: "swap-evict", KindSuspect: "suspect",
 	KindQuarantine: "quarantine", KindHedgeSpawn: "hedge-spawn",
 	KindHedgeSettle: "hedge-settle", KindRetry: "retry",

@@ -84,7 +84,8 @@ type SliceReport struct {
 	Type  string  `json:"type"`
 	GPCs  int     `json:"gpcs"`
 	MemGB float64 `json:"mem_gb"`
-	// Wall is the slice's existence time: registration to run end.
+	// Wall is the slice's existence time, the run length: the
+	// partition is fixed, so every slice exists for the whole run.
 	Wall     float64   `json:"wall"`
 	Seconds  Totals    `json:"seconds"`
 	Segments []Segment `json:"segments"`
@@ -142,8 +143,8 @@ func (l *Ledger) build(end float64) *Report {
 			ID: ss.id, Node: ss.node, GPU: ss.gpu,
 			Type: ss.typ, GPCs: ss.gpcs, MemGB: ss.memGB,
 		}
-		if end > ss.born {
-			sr.Wall = end - ss.born
+		if end > 0 {
+			sr.Wall = end
 		}
 		sr.Segments = ss.resolve(end)
 		for _, seg := range sr.Segments {
@@ -186,8 +187,8 @@ func (l *Ledger) build(end float64) *Report {
 const conservationEps = 1e-6
 
 // Check verifies the conservation invariant on the resolved report:
-// every slice's segments tile its lifetime exactly — first boundary at
-// registration, consecutive segments abutting with bitwise-equal
+// every slice's segments tile the run exactly — first boundary at
+// time 0, consecutive segments abutting with bitwise-equal
 // floats, last boundary at run end — and the per-state seconds sum back
 // to the slice's wall time. An error here means the ledger lost or
 // double-counted slice-seconds. Like Report, it panics before Close.
@@ -197,14 +198,13 @@ func (l *Ledger) Check() error {
 	}
 	rep := l.Report()
 	for _, sr := range rep.Slices {
-		born := l.slices[sr.ID].born
-		if l.end <= born {
+		if l.end <= 0 {
 			if len(sr.Segments) != 0 {
-				return fmt.Errorf("util: %s: %d segments outside its lifetime", sr.ID, len(sr.Segments))
+				return fmt.Errorf("util: %s: %d segments outside the run", sr.ID, len(sr.Segments))
 			}
 			continue
 		}
-		prev := born
+		prev := 0.0
 		for _, seg := range sr.Segments {
 			if seg.Start != prev {
 				return fmt.Errorf("util: %s: segment gap [%v != %v)", sr.ID, prev, seg.Start)

@@ -142,8 +142,8 @@ func FuzzUtilReportJSON(f *testing.F) {
 func TestUtilJSONMatchesReference(t *testing.T) {
 	l := NewLedger()
 	reg(l, "a")
-	l.Register("b", 0, 1, "2g.20gb", 2, 20, 0, WarmIdle)
-	l.Register("c<&>", 1, 0, "7g.80gb", 7, 80, 0, Stranded)
+	l.Register("b", 0, 1, "2g.20gb", 2, 20, WarmIdle)
+	l.Register("c<&>", 1, 0, "7g.80gb", 7, 80, Stranded)
 	l.Busy("a", BusyExec, 1, 4)
 	l.Busy("b", BusyLoad, 2, 3)
 	l.Busy("b", BusyTransfer, 2.5, 3.25)
@@ -198,7 +198,7 @@ func TestUtilJSONAllocs(t *testing.T) {
 	build := func(segs int) *Report {
 		l := NewLedger()
 		reg(l, "a")
-		l.Register("b", 0, 1, "2g.20gb", 2, 20, 0, WarmIdle)
+		l.Register("b", 0, 1, "2g.20gb", 2, 20, WarmIdle)
 		for i := 0; i < segs/2; i++ {
 			t0 := float64(i)
 			l.Busy("a", BusyExec, t0, t0+0.5)

@@ -115,7 +115,7 @@ type claim struct {
 }
 
 // sliceSeries is the ledger's record of one slice: its identity and
-// one timeline from registration to the end of the run.
+// one timeline from time 0 to the end of the run.
 type sliceSeries struct {
 	id    string
 	node  int
@@ -123,7 +123,6 @@ type sliceSeries struct {
 	typ   string
 	gpcs  int
 	memGB float64
-	born  float64
 	base  []basePoint
 	busy  []claim
 }
@@ -175,9 +174,10 @@ func (l *Ledger) series(id string) *sliceSeries {
 }
 
 // Register opens a slice's timeline: topology identity, capacity, and
-// the base state it starts in. The timeline runs until Close, since a
-// run's partition is fixed; registering an ID twice is a caller bug.
-func (l *Ledger) Register(id string, node, gpu int, sliceType string, gpcs int, memGB, now float64, base State) {
+// the base state it starts in at time 0. The timeline runs until
+// Close, since a run's partition is fixed; registering an ID twice is
+// a caller bug.
+func (l *Ledger) Register(id string, node, gpu int, sliceType string, gpcs int, memGB float64, base State) {
 	if l == nil {
 		return
 	}
@@ -189,7 +189,7 @@ func (l *Ledger) Register(id string, node, gpu int, sliceType string, gpcs int, 
 	}
 	l.slices[id] = &sliceSeries{
 		id: id, node: node, gpu: gpu, typ: sliceType, gpcs: gpcs, memGB: memGB,
-		born: now, base: []basePoint{{t: now, s: base}},
+		base: []basePoint{{t: 0, s: base}},
 	}
 	l.order = append(l.order, id)
 }
@@ -307,7 +307,7 @@ func (l *Ledger) Report() *Report {
 }
 
 // resolve turns the slice's base timeline and busy claims into
-// contiguous segments over [born, end] via a single sweep:
+// contiguous segments over [0, end] via a single sweep:
 // at every elementary interval the highest-priority active busy claim
 // wins, else the base state. Segment boundaries come from one shared
 // sorted slice, so consecutive segments abut exactly (bitwise-equal
@@ -315,7 +315,7 @@ func (l *Ledger) Report() *Report {
 // buffer is sized up front from the claim and base counts, so closing
 // a slice allocates the same number of times whatever its claim count.
 func (ss *sliceSeries) resolve(end float64) []Segment {
-	if end <= ss.born {
+	if end <= 0 {
 		return nil
 	}
 
@@ -327,11 +327,11 @@ func (ss *sliceSeries) resolve(end float64) []Segment {
 	}
 	evs := make([]ev, 0, 2*len(ss.busy))
 	bounds := make([]float64, 0, 2+2*len(ss.busy)+len(ss.base))
-	bounds = append(bounds, ss.born, end)
+	bounds = append(bounds, 0, end)
 	for _, c := range ss.busy {
 		cs, ce := c.start, c.end
-		if cs < ss.born {
-			cs = ss.born
+		if cs < 0 {
+			cs = 0
 		}
 		if ce > end {
 			ce = end
@@ -343,7 +343,7 @@ func (ss *sliceSeries) resolve(end float64) []Segment {
 		bounds = append(bounds, cs, ce)
 	}
 	for _, bp := range ss.base {
-		if bp.t > ss.born && bp.t < end {
+		if bp.t > 0 && bp.t < end {
 			bounds = append(bounds, bp.t)
 		}
 	}

@@ -9,7 +9,7 @@ import (
 
 // reg registers a 1-GPC test slice with a cold-idle base at t=0.
 func reg(l *Ledger, id string) {
-	l.Register(id, 0, 0, "1g.10gb", 1, 10, 0, ColdIdle)
+	l.Register(id, 0, 0, "1g.10gb", 1, 10, ColdIdle)
 }
 
 func segEq(t *testing.T, got []Segment, want []Segment) {
@@ -139,8 +139,8 @@ func TestCancelBusy(t *testing.T) {
 // slice size and sums plain seconds unweighted.
 func TestRollups(t *testing.T) {
 	l := NewLedger()
-	l.Register("g0/4g#0", 0, 0, "4g.40gb", 4, 40, 0, ColdIdle)
-	l.Register("g1/1g#0", 0, 1, "1g.10gb", 1, 10, 0, Stranded)
+	l.Register("g0/4g#0", 0, 0, "4g.40gb", 4, 40, ColdIdle)
+	l.Register("g1/1g#0", 0, 1, "1g.10gb", 1, 10, Stranded)
 	l.Busy("g0/4g#0", BusyExec, 0, 10)
 	l.Close(10)
 	rep := l.Report()
@@ -170,7 +170,7 @@ func TestDeterministicJSON(t *testing.T) {
 	build := func() *Ledger {
 		l := NewLedger()
 		reg(l, "a")
-		l.Register("b", 0, 0, "2g.20gb", 2, 20, 0, WarmIdle)
+		l.Register("b", 0, 0, "2g.20gb", 2, 20, WarmIdle)
 		l.Busy("a", BusyExec, 1, 4)
 		l.Busy("b", BusyLoad, 2, 3)
 		l.SetBase("a", 6, WarmIdle)
@@ -199,8 +199,8 @@ func TestDeterministicJSON(t *testing.T) {
 // GPC-weighted waste summary.
 func TestHeatmap(t *testing.T) {
 	l := NewLedger()
-	l.Register("g0/4g#0", 0, 0, "4g.40gb", 4, 40, 0, ColdIdle)
-	l.Register("g0/1g#1", 0, 0, "1g.10gb", 1, 10, 0, Stranded)
+	l.Register("g0/4g#0", 0, 0, "4g.40gb", 4, 40, ColdIdle)
+	l.Register("g0/1g#1", 0, 0, "1g.10gb", 1, 10, Stranded)
 	l.Busy("g0/4g#0", BusyExec, 0, 5)
 	l.AddFragSample(FragSample{Time: 9, Index: 0.2, FreeGPCs: 5, StrandedGPCs: 1, StrandedGB: 10})
 	l.Close(10)

@@ -22,26 +22,29 @@ func CountsOf(avail []mig.SliceType) Counts {
 	return c
 }
 
-// sigBits is the width of each per-type count in a Signature; counts at
-// or above 1<<sigBits cannot be canonicalized and fall back to the
-// uncached path.
+// sigBits is the width of each per-type count in a Signature.
 const sigBits = 12
+
+// MaxCount is the most slices of one profile a Signature can pack
+// (4095, far beyond any real MIG inventory). platform.New rejects a
+// node with more slices of one profile, so no free-slice view exceeds
+// it.
+const MaxCount = 1<<sigBits - 1
 
 // Signature packs the multiset into a canonical uint64 key: sigBits bits
 // per slice type, smallest profile in the low bits. Two free-slice views
 // have equal signatures iff they are the same multiset, regardless of
-// index order. ok is false when any count overflows sigBits bits
-// (≥ 4096 free slices of one profile on a node — far beyond any real
-// MIG inventory); callers then skip the cache rather than corrupt it.
-func (c Counts) Signature() (uint64, bool) {
+// index order. It panics when a count lies outside [0, MaxCount]: such
+// a key would collide with another multiset's.
+func (c Counts) Signature() uint64 {
 	var sig uint64
 	for i, v := range c {
-		if uint(v) >= 1<<sigBits { // also rejects v < 0
-			return 0, false
+		if uint(v) > MaxCount { // also rejects v < 0
+			panic("pipeline: a slice count lies outside [0, MaxCount]")
 		}
 		sig |= uint64(v) << (sigBits * i)
 	}
-	return sig, true
+	return sig
 }
 
 // PlanResult is one memoized construction outcome for a multiset under
@@ -73,13 +76,10 @@ type PlannerStats struct {
 	Hits uint64
 	// Misses ran the full walk and cached the result.
 	Misses uint64
-	// Uncached ran the full walk without caching (signature
-	// overflow).
-	Uncached uint64
 }
 
-// Walks returns how many full partition-list walks ran.
-func (s PlannerStats) Walks() uint64 { return s.Misses + s.Uncached }
+// Walks returns how many full partition-list walks ran: one per miss.
+func (s PlannerStats) Walks() uint64 { return s.Misses }
 
 // Lookups returns the total number of construction requests.
 func (s PlannerStats) Lookups() uint64 { return s.Hits + s.Walks() }
@@ -96,7 +96,6 @@ func (s PlannerStats) HitRate() float64 {
 func (s *PlannerStats) Add(o PlannerStats) {
 	s.Hits += o.Hits
 	s.Misses += o.Misses
-	s.Uncached += o.Uncached
 }
 
 // Planner memoizes the §5.2.2 construction procedure for one function
@@ -124,12 +123,9 @@ type Planner struct {
 // PlanObservation describes one Result lookup for provenance: how the
 // cache answered and what the construction concluded.
 type PlanObservation struct {
-	// Cached reports a cache hit; SigOK is false when the multiset
-	// overflowed the signature and bypassed the cache entirely.
+	// Cached reports a cache hit.
 	Cached bool
-	SigOK  bool
-	// Sig is the multiset signature (0 on overflow), SLO the planner's
-	// latency budget.
+	// Sig is the multiset signature, SLO the planner's latency budget.
 	Sig uint64
 	SLO float64
 	// Rank is the chosen partition's CV rank (-1 when construction
@@ -164,21 +160,15 @@ func (p *Planner) Mono() *MonoTable {
 
 // Result returns the memoized construction outcome for the free-slice
 // multiset c. avail materializes the concrete free-slice view and is
-// only invoked on a cache miss (or signature overflow); the view it
-// returns must have exactly the multiset c.
+// only invoked on a cache miss; the view it returns must have exactly
+// the multiset c.
 //
 // No explicit invalidation exists or is needed: the key is the free
 // state itself, so any allocation, release, or health change that
 // changes the free multiset selects a different cache line. Stale
 // entries for multisets that no longer occur are merely unused.
 func (p *Planner) Result(c Counts, avail func() []mig.SliceType) *PlanResult {
-	sig, ok := c.Signature()
-	if !ok {
-		p.stats.Uncached++
-		res := p.walk(avail())
-		p.observe(false, false, 0, res)
-		return res
-	}
+	sig := c.Signature()
 	res, cached := p.last, p.last != nil && sig == p.lastSig
 	if !cached {
 		if res, cached = p.cache[sig]; !cached {
@@ -191,15 +181,10 @@ func (p *Planner) Result(c Counts, avail func() []mig.SliceType) *PlanResult {
 	if cached {
 		p.stats.Hits++
 	}
-	p.observe(cached, true, sig, res)
-	return res
-}
-
-// observe reports one lookup to the observer, if any.
-func (p *Planner) observe(cached, sigOK bool, sig uint64, res *PlanResult) {
 	if p.observer != nil {
-		p.observer(PlanObservation{Cached: cached, SigOK: sigOK, Sig: sig, SLO: p.slo, Rank: res.Rank, Err: res.Err})
+		p.observer(PlanObservation{Cached: cached, Sig: sig, SLO: p.slo, Rank: res.Rank, Err: res.Err})
 	}
+	return res
 }
 
 // BindIndices replays the index binding of a successful result against

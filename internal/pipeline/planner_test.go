@@ -122,21 +122,17 @@ func TestPlannerMatchesConstructProperty(t *testing.T) {
 
 // TestCountsSignatureCanonicalization: the multiset signature is
 // order-independent, injective across distinct multisets within the
-// packing bound, and refuses to canonicalize overflowing counts.
+// packing bound, and panics on a count outside [0, MaxCount].
 func TestCountsSignatureCanonicalization(t *testing.T) {
 	perms := [][]mig.SliceType{
 		{mig.Slice1g, mig.Slice2g, mig.Slice1g, mig.Slice7g},
 		{mig.Slice7g, mig.Slice1g, mig.Slice2g, mig.Slice1g},
 		{mig.Slice2g, mig.Slice7g, mig.Slice1g, mig.Slice1g},
 	}
-	want, ok := CountsOf(perms[0]).Signature()
-	if !ok {
-		t.Fatal("signature overflow on a 4-slice view")
-	}
+	want := CountsOf(perms[0]).Signature()
 	for _, p := range perms {
-		got, ok := CountsOf(p).Signature()
-		if !ok || got != want {
-			t.Errorf("permuted view %v: signature %#x ok=%v, want %#x", p, got, ok, want)
+		if got := CountsOf(p).Signature(); got != want {
+			t.Errorf("permuted view %v: signature %#x, want %#x", p, got, want)
 		}
 	}
 
@@ -153,10 +149,7 @@ func TestCountsSignatureCanonicalization(t *testing.T) {
 	}
 	seen := map[uint64][]mig.SliceType{}
 	for _, v := range distinct {
-		sig, ok := CountsOf(v).Signature()
-		if !ok {
-			t.Fatalf("overflow on %v", v)
-		}
+		sig := CountsOf(v).Signature()
 		if prev, dup := seen[sig]; dup {
 			t.Errorf("multisets %v and %v collide on %#x", prev, v, sig)
 		}
@@ -164,13 +157,22 @@ func TestCountsSignatureCanonicalization(t *testing.T) {
 	}
 
 	var big Counts
-	big[mig.Slice1g] = 1 << sigBits // 4096: one past the packing bound
-	if _, ok := big.Signature(); ok {
-		t.Error("overflowing count canonicalized; cache keys would collide")
+	big[mig.Slice1g] = MaxCount
+	atBound := big.Signature()
+	big[mig.Slice1g]--
+	if big.Signature() == atBound {
+		t.Error("counts MaxCount and MaxCount-1 share a signature")
 	}
-	big[mig.Slice1g] = 1<<sigBits - 1
-	if _, ok := big.Signature(); !ok {
-		t.Error("count at the packing bound should canonicalize")
+	for _, v := range []int{MaxCount + 1, -1} {
+		big[mig.Slice1g] = v
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("count %d canonicalized; cache keys would collide", v)
+				}
+			}()
+			big.Signature()
+		}()
 	}
 }
 
@@ -266,8 +268,9 @@ func TestPlannerBindIndicesSkipsConsumed(t *testing.T) {
 }
 
 // TestPlannerObserver: the lookup observer fires once per Result call
-// and correctly distinguishes a constructing miss, a cache hit, and a
-// signature-overflow bypass — the provenance layer's raw signal.
+// and correctly distinguishes a constructing miss from a cache hit —
+// the provenance layer's raw signal. A multiset beyond MaxCount panics
+// before any walk or observation.
 func TestPlannerObserver(t *testing.T) {
 	d := dag.New()
 	d.AddNode(dag.Node{Name: "n", MemGB: 8,
@@ -289,25 +292,31 @@ func TestPlannerObserver(t *testing.T) {
 	if len(obs) != 3 {
 		t.Fatalf("observer fired %d times, want 3", len(obs))
 	}
-	if obs[0].Cached || !obs[0].SigOK || obs[0].Err != nil {
-		t.Errorf("first lookup = %+v, want uncached miss", obs[0])
+	if obs[0].Cached || obs[0].Err != nil {
+		t.Errorf("first lookup = %+v, want a miss", obs[0])
 	}
 	for i := 1; i < 3; i++ {
-		if !obs[i].Cached || !obs[i].SigOK || obs[i].Sig != obs[0].Sig {
+		if !obs[i].Cached || obs[i].Sig != obs[0].Sig {
 			t.Errorf("lookup %d = %+v, want hit with same signature", i, obs[i])
 		}
 	}
 
-	// A multiset too large to pack bypasses the cache and reports
-	// SigOK=false.
 	obs = nil
-	big := make([]mig.SliceType, 1<<sigBits)
-	for i := range big {
-		big[i] = mig.Slice1g
-	}
-	pl.Result(CountsOf(big), func() []mig.SliceType { return big })
-	if len(obs) != 1 || obs[0].SigOK || obs[0].Cached {
-		t.Errorf("overflow lookup = %+v, want uncached SigOK=false", obs)
+	var big Counts
+	big[mig.Slice1g] = MaxCount + 1
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("lookup beyond MaxCount did not panic")
+			}
+		}()
+		pl.Result(big, func() []mig.SliceType {
+			t.Error("lookup beyond MaxCount walked the partition list")
+			return nil
+		})
+	}()
+	if len(obs) != 0 {
+		t.Errorf("lookup beyond MaxCount observed %+v", obs)
 	}
 
 	// Removing the observer stops delivery.
@@ -322,9 +331,9 @@ func TestPlannerObserver(t *testing.T) {
 }
 
 // TestPlannerLastAnswerMemo: the last-answer memo serves a repeated
-// multiset without the map, yet never answers a different multiset (or
-// an overflowing one) with the previous result, and counts and observes
-// each lookup exactly as the map would.
+// multiset without the map, yet never answers a different multiset
+// (one at the MaxCount bound included) with the previous result, and
+// counts and observes each lookup exactly as the map would.
 func TestPlannerLastAnswerMemo(t *testing.T) {
 	d := dag.New()
 	d.AddNode(dag.Node{Name: "n", MemGB: 15,
@@ -338,7 +347,7 @@ func TestPlannerLastAnswerMemo(t *testing.T) {
 	pl.SetObserver(func(o PlanObservation) { obs = append(obs, o) })
 	fit := []mig.SliceType{mig.Slice2g}
 	noFit := []mig.SliceType{mig.Slice1g, mig.Slice1g}
-	big := make([]mig.SliceType, 1<<sigBits)
+	big := make([]mig.SliceType, MaxCount)
 	for i := range big {
 		big[i] = mig.Slice2g
 	}
@@ -350,7 +359,7 @@ func TestPlannerLastAnswerMemo(t *testing.T) {
 		{fit, true, true},
 		{noFit, false, false},
 		{fit, true, true},
-		{big, true, false}, // overflow: walks, leaves the memo alone
+		{big, true, false}, // at the bound: a new multiset, walked
 		{fit, true, true},
 		{noFit, false, true},
 		{noFit, false, true},
@@ -364,7 +373,7 @@ func TestPlannerLastAnswerMemo(t *testing.T) {
 			t.Errorf("lookup %d: observed Cached=%v, want %v", i, obs[i].Cached, s.cached)
 		}
 	}
-	if st := pl.Stats(); st != (PlannerStats{Hits: 5, Misses: 2, Uncached: 1}) {
-		t.Errorf("stats = %+v, want 5 hits, 2 misses, 1 uncached", st)
+	if st := pl.Stats(); st != (PlannerStats{Hits: 5, Misses: 3}) {
+		t.Errorf("stats = %+v, want 5 hits, 3 misses", st)
 	}
 }

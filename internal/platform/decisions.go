@@ -153,8 +153,8 @@ func (p *Platform) planObserver(funcName string) func(pipeline.PlanObservation) 
 	return func(o pipeline.PlanObservation) {
 		p.decideShared(body(o))
 		if m := &p.lastEmpty; m.capturing {
-			// Asking again finds every cacheable signature cached.
-			o.Cached = o.SigOK
+			// Asking again finds every signature cached.
+			o.Cached = true
 			m.bodies = append(m.bodies, body(o))
 		}
 	}
@@ -176,13 +176,10 @@ type planMemoKey struct {
 	err  string
 }
 
-// planKind classifies a lookup as hit, miss, or uncached (signature
-// overflow bypasses the cache) and names the rule behind it.
+// planKind classifies a lookup as hit or miss and names the rule
+// behind it.
 func planKind(o pipeline.PlanObservation) (decisions.Kind, string) {
-	switch {
-	case !o.SigOK:
-		return decisions.KindPlanUncached, "signature overflow"
-	case o.Cached:
+	if o.Cached {
 		return decisions.KindPlanHit, "served from cache"
 	}
 	return decisions.KindPlanMiss, "constructed and cached"

@@ -157,11 +157,7 @@ func TestQuarantineFreezesRing(t *testing.T) {
 func wantPlanRecord(funcName string, o pipeline.PlanObservation) decisions.Record {
 	kind := decisions.KindPlanMiss
 	rule := "constructed and cached"
-	switch {
-	case !o.SigOK:
-		kind = decisions.KindPlanUncached
-		rule = "signature overflow"
-	case o.Cached:
+	if o.Cached {
 		kind = decisions.KindPlanHit
 		rule = "served from cache"
 	}
@@ -192,18 +188,16 @@ func TestPlanProvenanceMemo(t *testing.T) {
 	errA := errors.New("pipeline: no partition fits the available slices")
 	errB := errors.New("pipeline: stage 1 cannot run on 1g.10gb")
 	script := []pipeline.PlanObservation{
-		{SigOK: true, Sig: 0x1f3, SLO: 0.5, Rank: 2},               // miss
-		{Cached: true, SigOK: true, Sig: 0x1f3, SLO: 0.5, Rank: 2}, // hit
-		{Cached: true, SigOK: true, Sig: 0x1f3, SLO: 0.5, Rank: 2}, // hit, memoized
-		{SLO: 0.5, Rank: 0}, // uncached
-		{SLO: 0.5, Rank: 0}, // uncached, memoized
-		{SigOK: true, Sig: 0x2a, SLO: 0.5, Rank: -1, Err: errA},
-		{SigOK: true, Sig: 0x2a, SLO: 0.5, Rank: -1, Err: errB},
-		{Cached: true, SigOK: true, Sig: 0x2a, SLO: 0.5, Rank: -1, Err: errA},
-		{SigOK: true, Sig: 0x1f3, SLO: 1.25, Rank: 2}, // same signature and rank, other SLO
-		{Cached: true, SigOK: true, Sig: 0x1f3, SLO: 1.25, Rank: 2},
-		{Cached: true, SigOK: true, Sig: 0x1f3, SLO: 0.5, Rank: 2},
-		{SigOK: true, Sig: 0x3c, SLO: 0.5, Rank: 2}, // other signature, same answer
+		{Sig: 0x1f3, SLO: 0.5, Rank: 2},               // miss
+		{Cached: true, Sig: 0x1f3, SLO: 0.5, Rank: 2}, // hit
+		{Cached: true, Sig: 0x1f3, SLO: 0.5, Rank: 2}, // hit, memoized
+		{Sig: 0x2a, SLO: 0.5, Rank: -1, Err: errA},
+		{Sig: 0x2a, SLO: 0.5, Rank: -1, Err: errB},
+		{Cached: true, Sig: 0x2a, SLO: 0.5, Rank: -1, Err: errA},
+		{Sig: 0x1f3, SLO: 1.25, Rank: 2}, // same signature and rank, other SLO
+		{Cached: true, Sig: 0x1f3, SLO: 1.25, Rank: 2},
+		{Cached: true, Sig: 0x1f3, SLO: 0.5, Rank: 2},
+		{Sig: 0x3c, SLO: 0.5, Rank: 2}, // other signature, same answer
 	}
 	for _, o := range script {
 		observe(o)
@@ -220,10 +214,10 @@ func TestPlanProvenanceMemo(t *testing.T) {
 		}
 	}
 	shared := func(i, j int) bool { return &got[i].Inputs[0] == &got[j].Inputs[0] }
-	if !shared(1, 2) || !shared(1, 10) || !shared(3, 4) {
+	if !shared(1, 2) || !shared(1, 8) {
 		t.Error("repeated lookups did not reuse the memoized rendering")
 	}
-	if shared(0, 1) || shared(0, 11) || shared(5, 6) || shared(1, 9) || shared(5, 7) {
+	if shared(0, 1) || shared(0, 9) || shared(3, 4) || shared(1, 7) || shared(3, 5) {
 		t.Error("distinct lookups share a rendering")
 	}
 }

@@ -210,7 +210,7 @@ func (b *tsBinding) estLoad() float64 {
 }
 
 // reserveWarmCopy backs b with a keyed host-pool copy of its model.
-// With the swap tier on, the reservation may evict LRU victims or
+// With the swap tier on, the reservation may evict parked LRU copies or
 // reclaim a parked copy of the same model (making the next load a
 // swap-in instead of a remote fetch); off, a full pool simply leaves
 // the binding copyless.

@@ -345,6 +345,21 @@ func New(cl *cluster.Cluster, specs []FunctionSpec, opts Options) *Platform {
 		p.fnByName[spec.Name] = fn
 	}
 	for _, node := range cl.Nodes {
+		// The plan cache's key packs each per-profile count of a
+		// node's free slices; a count above pipeline.MaxCount does not
+		// fit.
+		var per pipeline.Counts
+		for _, g := range node.GPUs {
+			for _, sl := range g.Slices {
+				per[sl.Type]++
+			}
+		}
+		for t, n := range per {
+			if n > pipeline.MaxCount {
+				panic(fmt.Sprintf("platform: node %d has %d %v slices; at most %d of one profile fit the plan cache",
+					node.ID, n, mig.SliceType(t), pipeline.MaxCount))
+			}
+		}
 		p.inv = append(p.inv, newInvoker(p, node))
 	}
 	p.utilRegister()

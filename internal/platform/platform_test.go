@@ -6,6 +6,7 @@ import (
 	"fluidfaas/internal/cluster"
 	"fluidfaas/internal/dnn"
 	"fluidfaas/internal/mig"
+	"fluidfaas/internal/pipeline"
 	"fluidfaas/internal/scheduler"
 	"fluidfaas/internal/trace"
 )
@@ -321,20 +322,33 @@ func TestBreakdownComponentsPresent(t *testing.T) {
 
 func TestNewPanicsOnBadInput(t *testing.T) {
 	cl := cluster.New(cluster.DefaultSpec())
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("nil policy accepted")
-			}
+	ff := Options{Policy: &scheduler.FluidFaaS{}}
+	// oneNode has n GPUs of seven 1g slices each: 585 of them hold
+	// pipeline.MaxCount (4095) 1g slices, one more holds too many.
+	oneNode := func(n int) *cluster.Cluster {
+		return cluster.New(cluster.Spec{Nodes: 1, GPUConfigs: mig.UniformNode(mig.ConfigFull1g, n), CPUMemGB: 400})
+	}
+	for _, tc := range []struct {
+		name  string
+		cl    *cluster.Cluster
+		specs []FunctionSpec
+		opts  Options
+	}{
+		{"nil policy", cl, nil, Options{}},
+		{"sparse IDs", cl, []FunctionSpec{{ID: 3}}, ff},
+		{"over MaxCount slices of one profile on a node", oneNode(586), nil, ff},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted", tc.name)
+				}
+			}()
+			New(tc.cl, tc.specs, tc.opts)
 		}()
-		New(cl, nil, Options{})
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("sparse IDs accepted")
-			}
-		}()
-		New(cl, []FunctionSpec{{ID: 3}}, Options{Policy: &scheduler.FluidFaaS{}})
-	}()
+	}
+	if n := 585 * len(mig.ConfigFull1g); n != pipeline.MaxCount {
+		t.Fatalf("585 GPUs hold %d 1g slices, want pipeline.MaxCount %d", n, pipeline.MaxCount)
+	}
+	New(oneNode(585), nil, ff) // exactly MaxCount: accepted
 }

@@ -13,9 +13,11 @@ import (
 // With the tier enabled:
 //
 //   - A binding or exclusive launch reserves its model copy by name;
-//     when the pool is full, the least-recently-used idle copy is
-//     evicted to make room (its binding's next load pays a full cold
-//     start — "Cold" now means the pool truly evicted the model).
+//     when the pool is full, the least-recently-used parked copy is
+//     evicted to make room (its model's next load pays a full cold
+//     start — "Cold" now means the pool truly evicted the model). A
+//     copy in use is never evicted: with no parked copy left, the
+//     reservation fails and the load goes without a host copy.
 //   - When a binding unbinds (keep-alive ageing, pool reclaim), its
 //     copy is parked rather than freed: a later rebind or exclusive
 //     launch reclaims it and pays SwapInTime, not a remote refetch.
@@ -34,10 +36,6 @@ type SwapOptions struct {
 
 // Swap-tier tuning.
 const (
-	// swapPinRecent protects a binding's host copy from pool eviction
-	// while the binding was active within this window (s), so a
-	// momentary lull cannot evict a model mid-burst.
-	swapPinRecent float64 = 2
 	// swapParkAfter is the swap-aware demotion window (s): a
 	// time-sharing binding idle this long whose pool copy is
 	// materialised unbinds early — long before the legacy keep-alive
@@ -82,12 +80,12 @@ func (p *Platform) SwapIns() int { return p.tally[EvSwapIn] }
 func (p *Platform) SwapOuts() int { return p.tally[EvSwapOut] }
 
 // ensureHostCopy reserves pool space for fn's model on node, evicting
-// LRU victims as needed. It returns the reserved size (0 when the pool
-// could not fit the copy even after evictions) and whether a
-// materialised copy was already resident — the caller then knows the
-// next load is a swap-in, not a remote fetch. A bare reservation (fetch
-// never completed) is reclaimed but reported as no copy: warm starts
-// need data, not just space.
+// the least-recently-used parked copies as needed. It returns the
+// reserved size (0 when the pool could not fit the copy even after
+// evictions) and whether a materialised copy was already resident —
+// the caller then knows the next load is a swap-in, not a remote fetch.
+// A bare reservation (fetch never completed) is reclaimed but reported
+// as no copy: warm starts need data, not just space.
 func (p *Platform) ensureHostCopy(node *cluster.Node, fn *Function) (gb float64, hadCopy bool) {
 	pool := node.Pool()
 	name := fn.spec.Name
@@ -99,11 +97,8 @@ func (p *Platform) ensureHostCopy(node *cluster.Node, fn *Function) (gb float64,
 		pool.Reclaim(name)
 		return fn.memGB, loaded
 	}
-	now := p.eng.Now()
 	for !pool.ReserveModel(name, fn.memGB) {
-		victim, vgb, ok := pool.EvictLRU(func(k string) bool {
-			return p.copyEvictable(node, k, now)
-		})
+		victim, vgb, ok := pool.EvictParked()
 		if !ok {
 			return 0, false
 		}
@@ -112,34 +107,10 @@ func (p *Platform) ensureHostCopy(node *cluster.Node, fn *Function) (gb float64,
 	return fn.memGB, false
 }
 
-// copyEvictable reports whether model key's host copy on node may be
-// evicted: not while the model has a live exclusive instance there, and
-// not while its time-sharing binding is resident, has work in flight,
-// or was active within the swapPinRecent window.
-func (p *Platform) copyEvictable(node *cluster.Node, key string, now float64) bool {
-	fn := p.fnByName[key]
-	if fn == nil {
-		return true
-	}
-	for _, inst := range fn.instances {
-		if inst.node == node && !inst.failed {
-			return false
-		}
-	}
-	if b := fn.ts; b != nil && b.shared.inv.node == node {
-		if b.outstanding > 0 || b.resident {
-			return false
-		}
-		if b.tracker.IdleFor(now) < swapPinRecent {
-			return false
-		}
-	}
-	return true
-}
-
-// dropHostCopy records the pool eviction of model key's copy on node:
-// the owning binding (if any) loses its warm backing, so its next load
-// pays a full cold start.
+// dropHostCopy records the pool eviction of model key's parked copy on
+// node. A parked copy can sit beside a binding that holds no copy of
+// its own; that binding loses its warm backing, so its next load pays
+// a full cold start.
 func (p *Platform) dropHostCopy(node *cluster.Node, key string, gb float64) {
 	if fn := p.fnByName[key]; fn != nil {
 		if b := fn.ts; b != nil && b.shared.inv.node == node {

@@ -165,15 +165,74 @@ func TestEnsureHostCopyEvictsUnderPressure(t *testing.T) {
 	if p.SwapOuts() != 1 {
 		t.Errorf("swapOuts = %d, want 1", p.SwapOuts())
 	}
-	// With fn1's copy unevictable (not parked, no binding — but guard
-	// via a live binding) the pool refuses fn0.
-	b1 := p.inv[0].bindTS(fn1)
-	if b1 == nil {
+	// fn1's copy is in use, not parked, so the pool refuses fn0.
+	if gb, _ := p.ensureHostCopy(node, fn0); gb != 0 {
+		t.Errorf("reserve = %v with nothing parked, want 0", gb)
+	}
+}
+
+// TestPoolEvictsOnlyParkedCopies: a pool full of copies that live
+// bindings hold evicts none of them, however idle the bindings are; the
+// new binding goes without a copy and its load is cold. Once one of the
+// bindings unbinds, its parked copy at the LRU tail is the victim.
+func TestPoolEvictsOnlyParkedCopies(t *testing.T) {
+	specs := specsFor(t, dnn.Small)[:3]
+	probe := New(smallCluster(1), specs, Options{Policy: &scheduler.FluidFaaS{}, Seed: 1})
+	mem := []float64{probe.funcs[0].memGB, probe.funcs[1].memGB, probe.funcs[2].memGB}
+	// Room for the first two copies and less than half the third.
+	capGB := mem[0] + mem[1] + mem[2]/2
+	cl := cluster.New(cluster.Spec{
+		Nodes: 1, GPUConfigs: mig.UniformNode(mig.DefaultConfig, 4), CPUMemGB: capGB,
+	})
+	p := New(cl, specs, Options{
+		Policy: &scheduler.FluidFaaS{}, Seed: 1, Swap: SwapOptions{Enabled: true},
+	})
+	var events []Event
+	p.Subscribe(collect(&events))
+	inv, pool := p.inv[0], cl.Nodes[0].Pool()
+	fn0, fn1, fn2 := p.funcs[0], p.funcs[1], p.funcs[2]
+	b0, b1 := inv.bindTS(fn0), inv.bindTS(fn1)
+	if b0 == nil || b1 == nil || b0.hostMemGB == 0 || b1.hostMemGB == 0 {
+		t.Fatal("the first two bindings did not get their copies")
+	}
+	pool.MarkLoaded(fn0.spec.Name)
+	pool.MarkLoaded(fn1.spec.Name)
+	p.eng.RunUntil(100) // both bindings idle far past any recency window
+
+	b2 := inv.bindTS(fn2)
+	if b2 == nil {
 		t.Fatal("bindTS failed")
 	}
-	b1.outstanding = 1
-	if gb, _ := p.ensureHostCopy(node, fn0); gb != 0 {
-		t.Errorf("reserve = %v with nothing evictable, want 0", gb)
+	if b2.hostMemGB != 0 {
+		t.Errorf("hostMemGB = %v with every copy in use, want 0", b2.hostMemGB)
+	}
+	if got, want := b2.estLoad(), keepalive.ColdStartTime(fn2.memGB); got != want {
+		t.Errorf("estLoad = %v, want cold %v", got, want)
+	}
+	if p.SwapOuts() != 0 || !pool.Has(fn0.spec.Name) || !pool.Has(fn1.spec.Name) {
+		t.Fatalf("a live copy was evicted: swapOuts %d, models %v", p.SwapOuts(), pool.Models())
+	}
+
+	inv.unbind(b0)
+	if !pool.Parked(fn0.spec.Name) {
+		t.Fatal("unbind did not park fn0's copy")
+	}
+	inv.unbind(b2)
+	b2 = inv.bindTS(fn2)
+	if b2 == nil || b2.hostMemGB != fn2.memGB {
+		t.Fatalf("rebind did not get a copy: %+v", b2)
+	}
+	if p.SwapOuts() != 1 || pool.Has(fn0.spec.Name) || !pool.Has(fn1.spec.Name) {
+		t.Errorf("swapOuts %d, models %v: want fn0's parked copy evicted and fn1's kept", p.SwapOuts(), pool.Models())
+	}
+	var outs []string
+	for _, e := range events {
+		if e.Kind == EvSwapOut {
+			outs = append(outs, e.Subject)
+		}
+	}
+	if !reflect.DeepEqual(outs, []string{fn0.spec.Name}) {
+		t.Errorf("swap-out events for %v, want [%s]", outs, fn0.spec.Name)
 	}
 }
 

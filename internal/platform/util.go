@@ -68,7 +68,7 @@ func (p *Platform) utilRegister() {
 		for _, g := range node.GPUs {
 			for _, sl := range g.Slices {
 				l.Register(sl.ID(), node.ID, g.ID, sl.Type.String(),
-					sl.Type.GPCs(), float64(sl.Type.MemGB()), 0, p.utilBase(sl))
+					sl.Type.GPCs(), float64(sl.Type.MemGB()), p.utilBase(sl))
 			}
 		}
 	}

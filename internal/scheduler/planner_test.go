@@ -44,17 +44,13 @@ func newRefPlanner(obs *[]pipeline.PlanObservation) *refPlanner {
 func (rp *refPlanner) construct(req Req, types []mig.SliceType) (pipeline.Plan, []int, int, error) {
 	plan, idx, rank, err := pipeline.ConstructRanked(req.DAG, req.Parts, types, req.SLO)
 	o := pipeline.PlanObservation{SLO: req.SLO, Rank: rank, Err: err}
-	if sig, ok := pipeline.CountsOf(types).Signature(); !ok {
-		rp.stats.Uncached++
+	key := refKey{pipeline.CountsOf(types).Signature(), req.SLO}
+	o.Sig, o.Cached = key.sig, rp.seen[key]
+	if o.Cached {
+		rp.stats.Hits++
 	} else {
-		key := refKey{sig, req.SLO}
-		o.SigOK, o.Sig, o.Cached = true, sig, rp.seen[key]
-		if o.Cached {
-			rp.stats.Hits++
-		} else {
-			rp.stats.Misses++
-			rp.seen[key] = true
-		}
+		rp.stats.Misses++
+		rp.seen[key] = true
 	}
 	if rp.obs != nil {
 		*rp.obs = append(*rp.obs, o)

@@ -26,17 +26,15 @@ func TestStationMD1MeanWait(t *testing.T) {
 	e := NewEngine()
 	st := NewStation(e)
 	rng := NewRNG(1, "md1")
-	svc := func() Time { return service }
 	var waited float64
 	served, arrived := 0, 0
 	var arrive func()
 	arrive = func() {
-		j := &Job{Service: svc}
-		j.Done = func() {
-			waited += j.StartedAt - j.EnqueuedAt
-			served++
-		}
-		st.Enqueue(j)
+		enqueued := e.Now()
+		st.Enqueue(&Job{
+			Service: func() Time { waited += e.Now() - enqueued; return service },
+			Done:    func() { served++ },
+		})
 		if arrived++; arrived < jobs {
 			e.After(rng.Exp(1/lambda), arrive)
 		}
@@ -62,7 +60,13 @@ func runMM1(seed int64, lambda, mu float64, jobs int) (util, inSystem float64) {
 	e := NewEngine()
 	st := NewStation(e)
 	arrivals, services := NewRNG(seed, "mm1-arrive"), NewRNG(seed, "mm1-serve")
-	svc := func() Time { return services.Exp(1 / mu) }
+	// busy sums the service times, each drawn as its job starts.
+	var busy Time
+	svc := func() Time {
+		d := services.Exp(1 / mu)
+		busy += d
+		return d
+	}
 	// area integrates the number in system n over time.
 	var area, last Time
 	n := 0
@@ -83,7 +87,7 @@ func runMM1(seed int64, lambda, mu float64, jobs int) (util, inSystem float64) {
 	}
 	e.After(arrivals.Exp(1/lambda), arrive)
 	e.Run()
-	return st.Utilization(), area / e.Now()
+	return busy / e.Now(), area / e.Now()
 }
 
 // TestStationMM1: Poisson arrivals at λ = 0.8 into an exponential

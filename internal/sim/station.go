@@ -34,10 +34,6 @@ type Station struct {
 	// Paused stations accept jobs but do not start service; used while a
 	// time-sharing instance's model is being (re)loaded onto a slice.
 	paused bool
-
-	busySince Time
-	busyTotal Time
-	served    uint64
 }
 
 // batching is a batched station's state (see SetBatching).
@@ -66,10 +62,6 @@ type Job struct {
 	// allocation per job instead of one per captured closure variable —
 	// this is the platform's hot path for pipeline stages.
 	Runner Runner
-	// EnqueuedAt records when the job entered the current station's queue.
-	EnqueuedAt Time
-	// StartedAt records when service began at the current station.
-	StartedAt Time
 }
 
 // Runner is the allocation-lean form of a job's callbacks (see
@@ -148,32 +140,9 @@ func (s *Station) InService() int {
 	return 1
 }
 
-// Served returns the number of jobs completed.
-func (s *Station) Served() uint64 { return s.served }
-
-// BusyTime returns the cumulative time spent serving jobs, up to now.
-func (s *Station) BusyTime() Time {
-	t := s.busyTotal
-	if s.busy {
-		t += s.eng.Now() - s.busySince
-	}
-	return t
-}
-
-// Utilization returns BusyTime divided by elapsed time since start of the
-// simulation (or zero at time zero).
-func (s *Station) Utilization() float64 {
-	now := s.eng.Now()
-	if now == 0 {
-		return 0
-	}
-	return s.BusyTime() / now
-}
-
 // Enqueue adds a job; service starts immediately if the station is idle
 // and not paused.
 func (s *Station) Enqueue(j *Job) {
-	j.EnqueuedAt = s.eng.Now()
 	if n := len(s.queue); n == cap(s.queue) && s.head >= n/2 && s.head > 0 {
 		// Full, and at least half of it popped: slide the live jobs
 		// down instead of growing. Compacting only then keeps each
@@ -206,21 +175,18 @@ func (s *Station) start(expired bool) {
 	if s.busy || s.paused || s.head == len(s.queue) {
 		return
 	}
-	now := s.eng.Now()
 	b := s.batch
 	if b == nil {
 		j := s.pop()
 		s.busy = true
 		s.cur = j
-		s.busySince = now
-		j.StartedAt = now
 		s.serve(j.service())
 		return
 	}
 	n := s.QueueLen()
 	if n < b.max && b.window > 0 && !expired {
 		if !s.eng.queued(&b.timer) {
-			s.eng.Rearm(&b.timer, now+b.window, b.timerFn)
+			s.eng.Rearm(&b.timer, s.eng.Now()+b.window, b.timerFn)
 		}
 		return
 	}
@@ -229,10 +195,8 @@ func (s *Station) start(expired bool) {
 		b.jobs = append(b.jobs, s.pop())
 	}
 	s.busy = true
-	s.busySince = now
 	var d Time
 	for _, j := range b.jobs {
-		j.StartedAt = now
 		d = max(d, j.service())
 	}
 	s.serve(d)
@@ -258,11 +222,9 @@ func (s *Station) serve(d Time) {
 
 func (s *Station) complete() {
 	s.busy = false
-	s.busyTotal += s.eng.Now() - s.busySince
 	if b := s.batch; b != nil {
 		jobs := b.jobs
 		b.jobs, b.spare = b.spare[:0], jobs
-		s.served += uint64(len(jobs))
 		for i, j := range jobs {
 			jobs[i] = nil
 			j.done()
@@ -270,7 +232,6 @@ func (s *Station) complete() {
 	} else {
 		j := s.cur
 		s.cur = nil
-		s.served++
 		j.done()
 	}
 	s.start(false)

@@ -24,38 +24,43 @@ func TestStationServesFIFO(t *testing.T) {
 	if e.Now() != 6 {
 		t.Errorf("three 2s jobs finished at %v, want 6", e.Now())
 	}
-	if st.Served() != 3 {
-		t.Errorf("Served = %d, want 3", st.Served())
-	}
 }
 
+// TestStationBusyTime: an idle station starts a job the moment it
+// arrives and holds it for exactly its Service time, so the server is
+// busy 5 of the 12 seconds two spaced-out jobs take.
 func TestStationBusyTime(t *testing.T) {
 	e := NewEngine()
 	st := NewStation(e)
-	e.At(0, func() {
-		st.Enqueue(&Job{Service: func() Time { return 3 }})
-	})
-	e.At(10, func() {
-		st.Enqueue(&Job{Service: func() Time { return 2 }})
-	})
-	e.Run()
-	if got := st.BusyTime(); got != 5 {
-		t.Errorf("BusyTime = %v, want 5", got)
+	var busy Time
+	job := func(d Time) *Job {
+		var start Time
+		return &Job{
+			Service: func() Time { start = e.Now(); return d },
+			Done:    func() { busy += e.Now() - start },
+		}
 	}
-	if u := st.Utilization(); u != 5.0/12.0 {
-		t.Errorf("Utilization = %v, want %v", u, 5.0/12.0)
+	e.At(0, func() { st.Enqueue(job(3)) })
+	e.At(10, func() { st.Enqueue(job(2)) })
+	e.Run()
+	if busy != 5 || e.Now() != 12 {
+		t.Errorf("busy %v of %v s, want 5 of 12", busy, e.Now())
 	}
 }
 
+// TestStationBusyTimeMidService: mid-service the station reports one
+// job in service, which completes only when its Service time is up.
 func TestStationBusyTimeMidService(t *testing.T) {
 	e := NewEngine()
 	st := NewStation(e)
-	st.Enqueue(&Job{Service: func() Time { return 10 }})
-	var mid Time
-	e.At(4, func() { mid = st.BusyTime() })
+	done := Time(-1)
+	st.Enqueue(&Job{Service: func() Time { return 10 }, Done: func() { done = e.Now() }})
+	var busy bool
+	var inService int
+	e.At(4, func() { busy, inService = st.Busy(), st.InService() })
 	e.Run()
-	if mid != 4 {
-		t.Errorf("BusyTime mid-service = %v, want 4", mid)
+	if !busy || inService != 1 || done != 10 {
+		t.Errorf("at 4: busy=%v in service %d; done at %v, want true, 1 and 10", busy, inService, done)
 	}
 }
 
@@ -337,9 +342,6 @@ func TestStationBatchCoalesces(t *testing.T) {
 	if e.Now() != 1 {
 		t.Errorf("full batch served at %v, want immediately (1s service)", e.Now())
 	}
-	if st.Served() != 4 || st.BusyTime() != 1 {
-		t.Errorf("stats: served=%d busy=%v, want 4 and 1", st.Served(), st.BusyTime())
-	}
 }
 
 func TestStationBatchWindowExpiry(t *testing.T) {
@@ -381,8 +383,8 @@ func TestStationBatchOverflowSplitsBatches(t *testing.T) {
 	if want := []int{1, 2, 2, 2, 2}; !slices.Equal(sizes, want) {
 		t.Errorf("batch sizes = %v, want %v", sizes, want)
 	}
-	if e.Now() != 3 || st.BusyTime() != 3 {
-		t.Errorf("makespan = %v, busy = %v, want 3 and 3", e.Now(), st.BusyTime())
+	if e.Now() != 3 {
+		t.Errorf("makespan = %v, want 3", e.Now())
 	}
 }
 
@@ -436,9 +438,6 @@ func TestStationBatchLongestService(t *testing.T) {
 	if !slices.Equal(sizes, []int{2, 2}) || !slices.Equal(doneAt, []Time{2, 2}) {
 		t.Errorf("sizes=%v done at %v, want one batch of 2 done at 2", sizes, doneAt)
 	}
-	if st.BusyTime() != 2 {
-		t.Errorf("BusyTime = %v, want 2", st.BusyTime())
-	}
 }
 
 // TestStationBatchStartsFromDone: a Done callback that enqueues a full
@@ -466,8 +465,8 @@ func TestStationBatchStartsFromDone(t *testing.T) {
 	if want := []string{"a", "b", "c", "d"}; !slices.Equal(order, want) {
 		t.Errorf("completion order = %v, want %v", order, want)
 	}
-	if e.Now() != 2 || st.Served() != 4 {
-		t.Errorf("now=%v served=%d, want 2 and 4", e.Now(), st.Served())
+	if e.Now() != 2 {
+		t.Errorf("now=%v, want 2", e.Now())
 	}
 }
 
