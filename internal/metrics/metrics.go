@@ -59,6 +59,9 @@ type Collector struct {
 	records []RequestRecord
 
 	completed, rejected, timeoutDrops, sloHits int
+	// failed, retried and retries count hardware-fault casualties,
+	// requests re-routed at least once, and re-routes in total.
+	failed, retried, retries int
 	// sum holds the breakdown components of completed requests, added
 	// in record order — the order a scan of records would add them, so
 	// MeanBreakdown is bit-identical to one.
@@ -86,6 +89,13 @@ func (c *Collector) Record(r RequestRecord) {
 	}
 	if r.SLOHit() {
 		c.sloHits++
+	}
+	if r.Failed {
+		c.failed++
+	}
+	if r.Retries > 0 {
+		c.retried++
+		c.retries += r.Retries
 	}
 }
 
@@ -128,36 +138,14 @@ func (c *Collector) Goodput(duration float64) float64 {
 }
 
 // FailedCount returns requests abandoned because of hardware faults.
-func (c *Collector) FailedCount() int {
-	n := 0
-	for _, r := range c.records {
-		if r.Failed {
-			n++
-		}
-	}
-	return n
-}
+func (c *Collector) FailedCount() int { return c.failed }
 
 // RetriedCount returns requests that were re-routed at least once after
 // a hardware fault (whether they ultimately completed or not).
-func (c *Collector) RetriedCount() int {
-	n := 0
-	for _, r := range c.records {
-		if r.Retries > 0 {
-			n++
-		}
-	}
-	return n
-}
+func (c *Collector) RetriedCount() int { return c.retried }
 
 // TotalRetries sums fault-triggered re-routes across all requests.
-func (c *Collector) TotalRetries() int {
-	n := 0
-	for _, r := range c.records {
-		n += r.Retries
-	}
-	return n
-}
+func (c *Collector) TotalRetries() int { return c.retries }
 
 // Availability is the fraction of requests not lost to hardware
 // faults: 1 - FailedCount/Len. An empty collector reports 1 (no
@@ -166,7 +154,7 @@ func (c *Collector) Availability() float64 {
 	if len(c.records) == 0 {
 		return 1
 	}
-	return 1 - float64(c.FailedCount())/float64(len(c.records))
+	return 1 - float64(c.failed)/float64(len(c.records))
 }
 
 // SLOHitRate returns the fraction of all requests that met their SLO.
@@ -182,7 +170,8 @@ func (c *Collector) SLOHitRate() float64 {
 func (c *Collector) SLOHitRateByFunc() map[int]float64 {
 	hits := map[int]int{}
 	total := map[int]int{}
-	for _, r := range c.records {
+	for i := range c.records {
+		r := &c.records[i]
 		total[r.Func]++
 		if r.SLOHit() {
 			hits[r.Func]++
@@ -209,8 +198,8 @@ func (c *Collector) Latencies() []float64 {
 		return nil
 	}
 	out := make([]float64, 0, c.completed)
-	for _, r := range c.records {
-		if !r.Dropped {
+	for i := range c.records {
+		if r := &c.records[i]; !r.Dropped {
 			out = append(out, r.Latency())
 		}
 	}
@@ -221,8 +210,8 @@ func (c *Collector) Latencies() []float64 {
 // LatenciesByFunc returns sorted per-function latencies.
 func (c *Collector) LatenciesByFunc() map[int][]float64 {
 	out := map[int][]float64{}
-	for _, r := range c.records {
-		if !r.Dropped {
+	for i := range c.records {
+		if r := &c.records[i]; !r.Dropped {
 			out[r.Func] = append(out[r.Func], r.Latency())
 		}
 	}

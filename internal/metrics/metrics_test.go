@@ -271,7 +271,8 @@ func TestJainIndex(t *testing.T) {
 // TestCollectorTalliesMatchScan: the tallies Record keeps answer every
 // summary exactly as a scan of the records does — counts equal,
 // latencies equal, and the mean breakdown equal to the bit, over random
-// mixes of served, rejected, fault-failed and timeout-dropped requests.
+// mixes of served, rejected, fault-failed and timeout-dropped requests,
+// some of them retried.
 func TestCollectorTalliesMatchScan(t *testing.T) {
 	for seed := int64(1); seed <= 100; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -298,16 +299,25 @@ func TestCollectorTalliesMatchScan(t *testing.T) {
 				r.Dropped, r.Failed, r.Retries = true, true, 1+rng.Intn(3)
 			case 2:
 				r.Dropped = true
+			case 3:
+				r.Retries = 1 + rng.Intn(2)
 			}
 			c.Record(r)
 		}
 
-		var completed, rejected, timeouts, hits int
+		var completed, rejected, timeouts, hits, failed, retried, retries int
 		var lat []float64
 		var b Breakdown
 		for _, r := range c.Records() {
 			if r.Rejected {
 				rejected++
+			}
+			if r.Failed {
+				failed++
+			}
+			if r.Retries > 0 {
+				retried++
+				retries += r.Retries
 			}
 			if r.Dropped && !r.Rejected && !r.Failed {
 				timeouts++
@@ -343,6 +353,17 @@ func TestCollectorTalliesMatchScan(t *testing.T) {
 			t.Fatalf("seed %d: completed/rejected/timeouts = %d/%d/%d, scan says %d/%d/%d",
 				seed, c.Completed(), c.RejectedCount(), c.TimeoutDropCount(),
 				completed, rejected, timeouts)
+		}
+		if c.FailedCount() != failed || c.RetriedCount() != retried || c.TotalRetries() != retries {
+			t.Fatalf("seed %d: failed/retried/retries = %d/%d/%d, scan says %d/%d/%d",
+				seed, c.FailedCount(), c.RetriedCount(), c.TotalRetries(), failed, retried, retries)
+		}
+		avail := 1.0
+		if n > 0 {
+			avail = 1 - float64(failed)/float64(n)
+		}
+		if got := c.Availability(); got != avail {
+			t.Fatalf("seed %d: Availability = %v, scan says %v", seed, got, avail)
 		}
 		if got := c.SLOHitRate(); got != hitRate {
 			t.Fatalf("seed %d: SLOHitRate = %v, scan says %v", seed, got, hitRate)

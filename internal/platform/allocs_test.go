@@ -37,10 +37,11 @@ func twoStagePlatform(t *testing.T, maxBatch int) (*Platform, *Instance) {
 
 // TestPipelineAllocsPerRequest: carrying a request through a two-stage
 // exclusive pipeline allocates a constant per request, the same at 4
-// and at 64 requests in flight, batched or not: its one stage job and
-// the job's bound hop callback. Stations, their batches, the hop event
-// and the engine heap reuse their storage, so nothing is allocated per
-// stage, batch or event.
+// and at 64 requests in flight, batched or not: its stage job's bound
+// hop callback. The stage job comes from a block shared with later
+// admissions. Stations, their batches, the hop event and the engine
+// heap reuse their storage, so nothing is allocated per stage, batch or
+// event.
 func TestPipelineAllocsPerRequest(t *testing.T) {
 	for _, maxBatch := range []int{1, 4} {
 		few, many := pipelineAllocs(t, maxBatch, 4), pipelineAllocs(t, maxBatch, 64)
@@ -48,8 +49,8 @@ func TestPipelineAllocsPerRequest(t *testing.T) {
 			t.Errorf("MaxBatch %d: a request costs %v allocations with 4 in flight, %v with 64",
 				maxBatch, few, many)
 		}
-		if few != 2 {
-			t.Errorf("MaxBatch %d: a request costs %v allocations, want 2 (its stage job and hop callback)",
+		if few != 1 {
+			t.Errorf("MaxBatch %d: a request costs %v allocations, want 1 (its hop callback)",
 				maxBatch, few)
 		}
 	}
@@ -136,5 +137,30 @@ func TestTransitionAllocatesNothingWithoutObservers(t *testing.T) {
 	}
 	if n := p.CountEvents()[EvRelease]; n < 100 {
 		t.Errorf("%d release events logged, want at least 100", n)
+	}
+}
+
+// TestArrivalAllocsAmortized: an arrival that finds every instance full
+// and parks pending allocates nothing of its own: its request comes
+// from a block shared with the next arrivals, and the pending queue
+// grows by doubling.
+func TestArrivalAllocsAmortized(t *testing.T) {
+	p := New(smallCluster(1), specsFor(t, dnn.Small)[:1], Options{
+		Policy: &scheduler.ESG{}, Seed: 1,
+	})
+	for _, inst := range launchMonos(t, p, p.funcs[0], 3) {
+		saturate(p, inst)
+	}
+	p.scaleKick = true
+	id := 0
+	got := testing.AllocsPerRun(1000, func() {
+		id++
+		p.InjectRequest(0, id)
+	})
+	if got != 0 {
+		t.Errorf("an arrival parked pending allocates %v times, want 0", got)
+	}
+	if n := len(p.funcs[0].pending); n != 1001 {
+		t.Fatalf("%d requests pending, want 1001", n)
 	}
 }

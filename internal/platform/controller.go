@@ -31,21 +31,15 @@ func (p *Platform) route(rq *request) {
 	// Passed-over candidates are typed facts gathered in a reused
 	// buffer; route is never re-entered before its record is made.
 	dec := p.decOn()
-	cands := p.candBuf[:0]
-	for k, inst := range p.routedInstances(fn) {
-		if inst.hasCapacity() {
-			if dec {
-				p.decideAdmit(rq, fn.admits.exclusive, inst.decID, cands)
-			}
-			inst.admit(p, rq)
-			p.advanceRoundRobin(fn, k)
-			return
-		}
+	if inst, k := p.pickInstance(fn, dec); inst != nil {
 		if dec {
-			cands = append(cands, instCand(inst))
-			p.candBuf = cands
+			p.decideAdmit(rq, fn.admits.exclusive, inst.decID, p.candBuf)
 		}
+		inst.admit(p, rq)
+		p.advanceRoundRobin(fn, k)
+		return
 	}
+	cands := p.candBuf
 	if fn.ts != nil && fn.ts.outstanding < fn.ts.capacity {
 		if dec {
 			b := p.opts.Decisions.Body(decisions.Record{
@@ -86,41 +80,52 @@ func (p *Platform) route(rq *request) {
 	p.kickScaleUp()
 }
 
-// routedInstances returns the function's exclusive instances in the
-// configured routing order. fn.instances is kept latency-ascending, so
-// the default order is a plain view. The call is a pure inspection: for
-// round-robin it reads the cursor without advancing it — the cursor
-// moves only when a request actually lands (advanceRoundRobin), so
-// saturated instances and inspection-only calls cannot skew the
-// rotation.
-func (p *Platform) routedInstances(fn *Function) []*Instance {
+// pickInstance returns the first of fn's exclusive instances with room
+// in the configured routing order, and its offset k in that order; nil
+// when none has room. fn.instances is kept latency-ascending, so the
+// order starts at position 0 and steps up, starts at the end and steps
+// down, or starts at the round-robin cursor and steps up cyclically.
+// The open set answers the search; the cursor moves only when a request
+// actually lands (advanceRoundRobin). With dec set, p.candBuf holds the
+// instances passed over, in routing order.
+func (p *Platform) pickInstance(fn *Function, dec bool) (*Instance, int) {
+	p.candBuf = p.candBuf[:0]
+	n := len(fn.instances)
+	if n == 0 {
+		return nil, 0
+	}
+	start, step, i := 0, 1, -1
 	switch p.opts.Routing {
 	case RouteLatencyDesc:
-		out := make([]*Instance, len(fn.instances))
-		for i, inst := range fn.instances {
-			out[len(out)-1-i] = inst
-		}
-		return out
+		start, step = n-1, -1
+		i = fn.open.prev(start)
 	case RouteRoundRobin:
-		n := len(fn.instances)
-		if n == 0 {
-			return nil
+		start = fn.rrNext % n
+		if i = fn.open.next(start); i < 0 {
+			i = fn.open.next(0)
 		}
-		start := fn.rrNext % n
-		out := make([]*Instance, 0, n)
-		for i := 0; i < n; i++ {
-			out = append(out, fn.instances[(start+i)%n])
-		}
-		return out
 	default:
-		return fn.instances
+		i = fn.open.next(0)
 	}
+	k := n
+	if i >= 0 {
+		k = ((i-start)*step + n) % n
+	}
+	if dec {
+		for j := 0; j < k; j++ {
+			p.candBuf = append(p.candBuf, instCand(fn.instances[(start+j*step+n)%n]))
+		}
+	}
+	if i < 0 {
+		return nil, 0
+	}
+	return fn.instances[i], k
 }
 
 // advanceRoundRobin moves the round-robin cursor past the instance that
-// just admitted a request: k is the instance's position in the order
-// routedInstances returned, so the next request starts its scan at the
-// instance after the one that served.
+// just admitted a request: k is the instance's offset in routing order
+// (pickInstance), so the next request starts its search at the instance
+// after the one that served.
 func (p *Platform) advanceRoundRobin(fn *Function, k int) {
 	if p.opts.Routing != RouteRoundRobin {
 		return

@@ -223,21 +223,18 @@ func TestPlanProvenanceMemo(t *testing.T) {
 }
 
 // skippingPlatform builds a one-function platform with decisions on and
-// n hand-built exclusive instances, each at capacity 2/2. Its policy
+// n loaded monolithic instances, each filled to capacity. Its policy
 // never time-shares, and the scale-up kick counts as already queued, so
-// a route() pass scans every instance and parks the request pending.
-func skippingPlatform(t *testing.T, n int) (*Platform, *decisions.Recorder) {
+// a route() pass passes over every instance and parks the request
+// pending.
+func skippingPlatform(t testing.TB, n int) (*Platform, *decisions.Recorder) {
 	t.Helper()
 	dec := decisions.NewRecorder(0)
-	p := New(smallCluster(1), specsFor(t, dnn.Small)[:1], Options{
+	p := New(smallCluster((n+2)/3), specsFor(t, dnn.Small)[:1], Options{
 		Policy: &scheduler.ESG{}, Seed: 1, Decisions: dec,
 	})
-	fn := p.funcs[0]
-	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("%s#x%d", fn.spec.Name, i)
-		fn.instances = append(fn.instances, &Instance{
-			id: id, decID: dec.Intern(id), fn: fn, capacity: 2, inflight: make([]*request, 2),
-		})
+	for _, inst := range launchMonos(t, p, p.funcs[0], n) {
+		saturate(p, inst)
 	}
 	p.scaleKick = true
 	return p, dec
@@ -272,13 +269,14 @@ func TestRouteAllocsIndependentOfSkipped(t *testing.T) {
 func TestAdmitCandidatesRenderAtDecisionTime(t *testing.T) {
 	p, dec := skippingPlatform(t, 2)
 	fn := p.funcs[0]
-	fn.instances[1].retiring = true
+	full, retiring := fn.instances[0], fn.instances[1]
+	retiring.retire()
 	p.route(&request{id: 7, fn: fn})
-	fn.instances[0].inflight, fn.instances[1].retiring = fn.instances[0].inflight[:1], false
 	want := []decisions.Candidate{
-		{ID: fn.instances[0].id, Reason: "at capacity (2/2)"},
-		{ID: fn.instances[1].id, Reason: "retiring"},
+		{ID: full.id, Reason: fmt.Sprintf("at capacity (%d/%d)", full.capacity, full.capacity)},
+		{ID: retiring.id, Reason: "retiring"},
 	}
+	full.forget(full.inflight[0])
 	check := func(where string, recs []decisions.Record) {
 		t.Helper()
 		if len(recs) == 0 || !reflect.DeepEqual(recs[len(recs)-1].Candidates, want) {

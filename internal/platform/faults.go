@@ -206,7 +206,7 @@ func (p *Platform) failInstance(inst *Instance) {
 		return
 	}
 	inst.failed = true
-	inst.retiring = true
+	inst.retire()
 	now := p.eng.Now()
 	for _, sl := range inst.slices {
 		if !sl.Free() {

@@ -1,6 +1,8 @@
 package platform
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
 
 	"fluidfaas/internal/mig"
@@ -15,6 +17,9 @@ type Function struct {
 	// pipelined), kept sorted by unloaded latency for the
 	// heterogeneity-aware routing of §5.3.
 	instances []*Instance
+	// open has bit i set exactly when instances[i].hasCapacity(): the
+	// instances routing, admission estimates and hedging may pick.
+	open openSet
 	// ts is the function's single time-sharing binding (§5.3: "each
 	// serverless function is restricted to a maximum of one instance in
 	// the time sharing state"); nil when cold.
@@ -89,15 +94,84 @@ func (fn *Function) sortInstances() {
 		}
 		return fn.instances[i].id < fn.instances[j].id
 	})
+	fn.reindex()
 }
 
 // removeInstance unlinks inst from the function.
 func (fn *Function) removeInstance(inst *Instance) {
-	for i, x := range fn.instances {
-		if x == inst {
-			fn.instances = append(fn.instances[:i], fn.instances[i+1:]...)
-			return
+	if inst.pos < 0 {
+		return
+	}
+	fn.instances = slices.Delete(fn.instances, inst.pos, inst.pos+1)
+	inst.pos = -1
+	fn.reindex()
+}
+
+// reindex renumbers every instance's position and rebuilds the open
+// set from scratch. Positions move only on launch and removal, which
+// are rare next to admissions and completions.
+func (fn *Function) reindex() {
+	fn.open = fn.open[:0]
+	for len(fn.open)*64 < len(fn.instances) {
+		fn.open = append(fn.open, 0)
+	}
+	for i, inst := range fn.instances {
+		inst.pos = i
+		fn.markOpen(inst)
+	}
+}
+
+// markOpen re-derives inst's open bit after its in-flight count or
+// retirement changed. An instance no longer linked to the function has
+// no bit.
+func (fn *Function) markOpen(inst *Instance) {
+	if inst.pos < 0 {
+		return
+	}
+	w, b := inst.pos/64, uint64(1)<<(inst.pos%64)
+	if inst.hasCapacity() {
+		fn.open[w] |= b
+	} else {
+		fn.open[w] &^= b
+	}
+}
+
+// openSet is a bitset over instance positions.
+type openSet []uint64
+
+// next returns the lowest set position at or after i, or -1.
+func (s openSet) next(i int) int {
+	w := i / 64
+	if w >= len(s) {
+		return -1
+	}
+	word := s[w] >> (i % 64) << (i % 64)
+	for {
+		if word != 0 {
+			return w*64 + bits.TrailingZeros64(word)
 		}
+		if w++; w == len(s) {
+			return -1
+		}
+		word = s[w]
+	}
+}
+
+// prev returns the highest set position at or before i, or -1.
+func (s openSet) prev(i int) int {
+	if i < 0 {
+		return -1
+	}
+	w := i / 64
+	word := s[w] << (63 - i%64) >> (63 - i%64)
+	for {
+		if word != 0 {
+			return w*64 + 63 - bits.LeadingZeros64(word)
+		}
+		if w--; w < 0 {
+			return -1
+		}
+		word = s[w]
 	}
 }
 
@@ -107,10 +181,14 @@ func (fn *Function) removeInstance(inst *Instance) {
 func (fn *Function) pushPending(rq *request) {
 	// Upper-bound insert: the new request lands after any equal
 	// deadlines, exactly where a stable sort of an appended element
-	// would place it, without re-sorting the whole queue.
-	i := sort.Search(len(fn.pending), func(i int) bool {
-		return fn.pending[i].deadline > rq.deadline
-	})
+	// would place it, without re-sorting the whole queue. A fresh
+	// arrival's deadline is the latest, so only a retry searches.
+	i := len(fn.pending)
+	if i > 0 && fn.pending[i-1].deadline > rq.deadline {
+		i = sort.Search(i, func(i int) bool {
+			return fn.pending[i].deadline > rq.deadline
+		})
+	}
 	fn.pending = append(fn.pending, nil)
 	copy(fn.pending[i+1:], fn.pending[i:])
 	fn.pending[i] = rq

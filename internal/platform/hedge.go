@@ -172,8 +172,9 @@ func (p *Platform) launchHedge(rq *request, avoidInst *Instance, avoidShared *sh
 			SLO:     rq.rec.SLO,
 		},
 	}
-	for _, inst := range fn.instances {
-		if inst == avoidInst || inst.failed || !inst.hasCapacity() {
+	for i := fn.open.next(0); i >= 0; i = fn.open.next(i + 1) {
+		inst := fn.instances[i]
+		if inst == avoidInst || inst.failed {
 			continue
 		}
 		if !p.instanceSlicesClean(inst) {

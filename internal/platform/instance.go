@@ -33,8 +33,11 @@ type Instance struct {
 	inflight []*request
 	capacity int
 
-	tracker  *keepalive.Tracker
+	tracker *keepalive.Tracker
+	// retiring instances take no new work (set once, by retire).
 	retiring bool
+	// pos is the instance's index in fn.instances, -1 while unlinked.
+	pos int
 	// decID is id interned in the decision recorder (NoID without one).
 	decID decisions.ID
 	// loadEndsAt is when the initial model load finishes; stations stay
@@ -54,9 +57,17 @@ func (inst *Instance) forget(rq *request) {
 	for i, x := range inst.inflight {
 		if x == rq {
 			inst.inflight = append(inst.inflight[:i], inst.inflight[i+1:]...)
+			inst.fn.markOpen(inst)
 			return
 		}
 	}
+}
+
+// retire stops the instance taking new work; it releases once its
+// in-flight requests drain.
+func (inst *Instance) retire() {
+	inst.retiring = true
+	inst.fn.markOpen(inst)
 }
 
 // Pipelined reports whether the instance spans multiple slices.
@@ -79,6 +90,7 @@ func (p *Platform) launchInstance(fn *Function, node *cluster.Node, plan pipelin
 		plan:    plan,
 		slices:  slices,
 		tracker: keepalive.NewTracker(),
+		pos:     -1,
 	}
 	inst.decID = p.opts.Decisions.Intern(inst.id)
 	bottleneck := plan.Bottleneck
@@ -169,15 +181,17 @@ func admissionCapacity(slo, bottleneck, slack float64) int {
 // admit runs a request through the instance's stage stations.
 func (inst *Instance) admit(p *Platform, rq *request) {
 	inst.inflight = append(inst.inflight, rq)
+	inst.fn.markOpen(inst)
 	rq.snapshot()
 	inst.tracker.Touch(p.eng.Now())
 	// A torn-down instance takes no work; its requests were already
 	// retried elsewhere.
 	if !inst.failed {
-		// One allocation per admission: the stageJob embeds the sim.Job
-		// and serves as its Runner, and the same job carries the request
-		// through every stage.
-		sj := &stageJob{p: p, inst: inst, rq: rq}
+		// The stageJob embeds the sim.Job and serves as its Runner, and
+		// the same job carries the request through every stage. Jobs
+		// come from shared blocks, not one allocation each.
+		sj := carve(p, &p.jobFree)
+		*sj = stageJob{p: p, inst: inst, rq: rq}
 		sj.job.Runner = sj
 		sj.enqueue()
 	}

@@ -751,7 +751,7 @@ func (p *Platform) tryMigration(freed *mig.Slice) {
 	load := p.loadTimeFor(bestFn, node, now)
 	newInst := p.launchInstance(bestFn, node, bestFn.mono(freed.Type).Plan, []*mig.Slice{freed}, load)
 	bestInst.migrating = true
-	bestInst.retiring = true
+	bestInst.retire()
 	p.logEvent(EvMigrate, bestInst.id, "replaced by monolithic on "+freed.ID(), transition{})
 	// The fresh monolith absorbs the function's pending overflow right
 	// away — discarding it stranded those requests until the next

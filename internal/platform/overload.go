@@ -28,14 +28,18 @@ func (p *Platform) admissionReject(rq *request) bool {
 		// up and rejects forever.
 		fn.rejectDemand++
 		p.kickScaleUp()
-		p.reject(rq,
-			fmt.Sprintf("estimated completion %.3fs past deadline", est), func() []decisions.KV {
-				return []decisions.KV{
-					kvF("estimate", est),
-					kvF("slack", overload.AdmissionSlack),
-					kvF("deadline", rq.deadline),
-				}
-			})
+		// Only subscribers and the decision recorder read the detail.
+		detail := ""
+		if len(p.subs) > 0 || p.decOn() {
+			detail = fmt.Sprintf("estimated completion %.3fs past deadline", est)
+		}
+		p.reject(rq, detail, func() []decisions.KV {
+			return []decisions.KV{
+				kvF("estimate", est),
+				kvF("slack", overload.AdmissionSlack),
+				kvF("deadline", rq.deadline),
+			}
+		})
 		return true
 	}
 	return false
@@ -64,10 +68,8 @@ func (p *Platform) reject(rq *request, detail string, inputs func() []decisions.
 func (p *Platform) completionEstimate(fn *Function) float64 {
 	now := p.eng.Now()
 	best := math.Inf(1)
-	for _, inst := range fn.instances {
-		if !inst.hasCapacity() {
-			continue
-		}
+	for i := fn.open.next(0); i >= 0; i = fn.open.next(i + 1) {
+		inst := fn.instances[i]
 		wait := inst.loadEndsAt - now
 		if wait < 0 {
 			wait = 0

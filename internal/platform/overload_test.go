@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -106,6 +107,13 @@ func TestAdmissionFastFail(t *testing.T) {
 		Policy: &scheduler.FluidFaaS{}, Seed: 7,
 		Overload: overload.Config{Admission: true},
 	})
+	// The detail is built only for readers such as this subscriber.
+	var details []string
+	p.Subscribe(func(ev Event) {
+		if ev.Kind == EvReject {
+			details = append(details, ev.Detail)
+		}
+	})
 	tr := flatTrace(specs, 25, 90, 7)
 	p.Run(tr, 60)
 	col := p.Collector()
@@ -133,6 +141,12 @@ func TestAdmissionFastFail(t *testing.T) {
 	}
 	if p.CountEvents()[EvReject] == 0 {
 		t.Error("no reject events logged")
+	}
+	for _, d := range details {
+		var est float64
+		if _, err := fmt.Sscanf(d, "estimated completion %fs past deadline", &est); err != nil || est <= 0 {
+			t.Fatalf("reject detail %q, want the estimate past the deadline", d)
+		}
 	}
 }
 
@@ -236,91 +250,6 @@ func TestDropStaleTSQueue(t *testing.T) {
 			t.Error("dropped request not recorded")
 		}
 	})
-}
-
-// TestRoutedInstanceOrders covers the three routing orders over a
-// hand-built instance list (satellite coverage task).
-func TestRoutedInstanceOrders(t *testing.T) {
-	specs := specsFor(t, dnn.Small)[:1]
-	p := New(smallCluster(1), specs, Options{Policy: &scheduler.FluidFaaS{}, Seed: 1})
-	fn := p.funcs[0]
-	mk := func(id string, lat float64) *Instance {
-		return &Instance{id: id, fn: fn, plan: pipeline.Plan{Latency: lat}}
-	}
-	a, b, c := mk("a", 0.1), mk("b", 0.2), mk("c", 0.3)
-	fn.instances = []*Instance{a, b, c} // latency-ascending invariant
-
-	p.opts.Routing = RouteLatencyAsc
-	got := p.routedInstances(fn)
-	if got[0] != a || got[1] != b || got[2] != c {
-		t.Errorf("ascending order wrong: %v", ids(got))
-	}
-
-	p.opts.Routing = RouteLatencyDesc
-	got = p.routedInstances(fn)
-	if got[0] != c || got[1] != b || got[2] != a {
-		t.Errorf("descending order wrong: %v", ids(got))
-	}
-	if fn.instances[0] != a {
-		t.Error("descending view mutated the underlying slice")
-	}
-
-	p.opts.Routing = RouteRoundRobin
-	// routedInstances is a pure inspection: repeated calls must return
-	// the same rotation (the cursor only moves when a request admits,
-	// via advanceRoundRobin).
-	for i := 0; i < 3; i++ {
-		got = p.routedInstances(fn)
-		if len(got) != 3 {
-			t.Fatalf("round-robin returned %d instances", len(got))
-		}
-		if got[0] != a || got[1] != b || got[2] != c {
-			t.Fatalf("inspection call %d moved the cursor: %v", i, ids(got))
-		}
-	}
-	// Admits advance the cursor past the serving instance: each admit at
-	// offset k in the returned order starts the next scan at k+1.
-	firsts := map[string]int{}
-	for i := 0; i < 6; i++ {
-		got = p.routedInstances(fn)
-		// Each view is a rotation: order must be preserved cyclically.
-		for j := 1; j < 3; j++ {
-			prev, cur := got[j-1], got[j]
-			if !(prev == a && cur == b || prev == b && cur == c || prev == c && cur == a) {
-				t.Fatalf("round-robin view %v is not a rotation", ids(got))
-			}
-		}
-		firsts[got[0].id]++
-		p.advanceRoundRobin(fn, 0) // the head instance admitted
-	}
-	// Over 6 admits every instance leads exactly twice: rotation fairness.
-	for _, inst := range []*Instance{a, b, c} {
-		if firsts[inst.id] != 2 {
-			t.Errorf("instance %s led %d of 6 admits, want 2", inst.id, firsts[inst.id])
-		}
-	}
-	// An admit deeper in the scan (offset k) moves the cursor past the
-	// instance that served, not just one step.
-	fn.rrNext = 0
-	p.advanceRoundRobin(fn, 1) // head was full; b (offset 1) admitted
-	if got = p.routedInstances(fn); got[0] != c {
-		t.Errorf("after admit at offset 1 the scan should start at c, got %v", ids(got))
-	}
-
-	// Empty instance list under round-robin must not panic or divide by
-	// zero.
-	fn.instances = nil
-	if got := p.routedInstances(fn); len(got) != 0 {
-		t.Errorf("round-robin over no instances returned %v", ids(got))
-	}
-}
-
-func ids(insts []*Instance) []string {
-	out := make([]string, len(insts))
-	for i, inst := range insts {
-		out[i] = inst.id
-	}
-	return out
 }
 
 // TestMigrationDrainsPending is the regression test for the satellite

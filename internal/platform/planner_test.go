@@ -1,11 +1,11 @@
 package platform
 
 import (
+	"slices"
 	"testing"
 
 	"fluidfaas/internal/cluster"
 	"fluidfaas/internal/dnn"
-	"fluidfaas/internal/mig"
 	"fluidfaas/internal/scheduler"
 )
 
@@ -33,35 +33,27 @@ func TestPlanCacheServesSteadyRun(t *testing.T) {
 // cursor must move only when a request admits, and then past the
 // instance that served it.
 func TestRoundRobinAdvancesOnlyOnAdmit(t *testing.T) {
-	specs := specsFor(t, dnn.Small)[:1]
-	p := New(smallCluster(1), specs, Options{
-		Policy:  &scheduler.FluidFaaS{DisableTimeSharing: true},
-		Routing: RouteRoundRobin,
-		Seed:    3,
-	})
-	fn := p.funcs[0]
-	node := p.Cluster().Nodes[0]
-
-	// Three real monolithic instances, one per default-partition slice.
-	for _, sl := range node.FreeSlices() {
-		m := fn.mono(sl.Type)
-		if !m.OK {
-			t.Fatalf("small function should run monolithically on %v", sl.Type)
+	// open builds three real monolithic instances, one per
+	// default-partition slice, and fills every one not listed to
+	// capacity.
+	open := func(keep ...int) (*Platform, *Function) {
+		p := New(smallCluster(1), specsFor(t, dnn.Small)[:1], Options{
+			Policy:  &scheduler.FluidFaaS{DisableTimeSharing: true},
+			Routing: RouteRoundRobin,
+			Seed:    3,
+		})
+		fn := p.funcs[0]
+		for i, inst := range launchMonos(t, p, fn, 3) {
+			if !slices.Contains(keep, i) {
+				saturate(p, inst)
+			}
 		}
-		p.launchInstance(fn, node, m.Plan, []*mig.Slice{sl}, 0)
-	}
-	if len(fn.instances) != 3 {
-		t.Fatalf("launched %d instances, want 3", len(fn.instances))
+		return p, fn
 	}
 
 	// Saturate everything: a request that admits nowhere must leave the
 	// cursor exactly where it was (the old code advanced it here).
-	saved := make([]int, 3)
-	for i, inst := range fn.instances {
-		saved[i] = inst.capacity
-		inst.capacity = 0
-	}
-	fn.rrNext = 0
+	p, fn := open()
 	p.InjectRequest(0, 100)
 	if fn.rrNext != 0 {
 		t.Errorf("saturated scan moved the round-robin cursor to %d", fn.rrNext)
@@ -72,9 +64,10 @@ func TestRoundRobinAdvancesOnlyOnAdmit(t *testing.T) {
 
 	// Open capacity at offset 1 only: the admit there must move the
 	// cursor past the serving instance, to offset 2.
-	fn.instances[1].capacity = saved[1]
+	p, fn = open(1)
+	before := len(fn.instances[1].inflight)
 	p.InjectRequest(0, 101)
-	if len(fn.instances[1].inflight) != 1 {
+	if len(fn.instances[1].inflight) != before+1 {
 		t.Fatalf("request did not admit at the open instance")
 	}
 	if fn.rrNext != 2 {

@@ -255,6 +255,14 @@ type Platform struct {
 	lastEmpty emptyRound
 	// candBuf is route's reused buffer of passed-over candidates.
 	candBuf []decisions.Cand
+	// reqFree and jobFree are the unused tails of the blocks arrivals
+	// and admissions are carved from (carve). arrivalsLeft, set by
+	// Run's trace stream, is how many trace arrivals remain; it caps a
+	// new block's size, so a trace's last blocks are no larger than
+	// the arrivals left to fill them.
+	reqFree      []request
+	jobFree      []stageJob
+	arrivalsLeft int
 
 	// tally counts published lifecycle events by kind (logEvent). It is
 	// the single source of the run counters whose transitions emit
@@ -415,7 +423,10 @@ func (p *Platform) Run(tr *trace.Trace, drain float64) {
 	}
 	p.eng.Stream(len(reqs),
 		func(i int) sim.Time { return reqs[i].Arrival },
-		func(i int) { p.InjectRequest(reqs[i].Func, reqs[i].ID) })
+		func(i int) {
+			p.arrivalsLeft = len(reqs) - i
+			p.InjectRequest(reqs[i].Func, reqs[i].ID)
+		})
 	end := tr.Duration + drain
 	p.runEnd = end
 	p.scheduleFaults(end)
@@ -460,6 +471,26 @@ func (p *Platform) Run(tr *trace.Trace, drain float64) {
 	p.opts.Obs.SetDuration(end)
 }
 
+// blockLen is how many requests, or stage jobs, one allocation holds.
+const blockLen = 512
+
+// carve returns the next element of the block *free, allocating a new
+// block first when it is used up. The element is zero. A block stays
+// live while any of its elements is reachable; requests and their jobs
+// finish roughly in arrival order, so few blocks are live at once.
+func carve[T any](p *Platform, free *[]T) *T {
+	if len(*free) == 0 {
+		n := blockLen
+		if p.arrivalsLeft > 0 {
+			n = min(n, p.arrivalsLeft)
+		}
+		*free = make([]T, n)
+	}
+	x := &(*free)[0]
+	*free = (*free)[1:]
+	return x
+}
+
 // InjectRequest routes a request for function fn arriving now, tagged
 // with id. Trace replay uses it internally; external drivers (e.g. the
 // workflow chaining study) call it from engine events to create
@@ -470,7 +501,8 @@ func (p *Platform) InjectRequest(fn, id int) {
 	}
 	f := p.funcs[fn]
 	now := p.eng.Now()
-	rq := &request{
+	rq := carve(p, &p.reqFree)
+	*rq = request{
 		id:       id,
 		fn:       f,
 		arrival:  now,

@@ -13,7 +13,7 @@ import (
 
 // specsFor builds FunctionSpecs for the paper's applications at one
 // variant (excluded variants are skipped); IDs are dense in app order.
-func specsFor(t *testing.T, v dnn.Variant) []FunctionSpec {
+func specsFor(t testing.TB, v dnn.Variant) []FunctionSpec {
 	t.Helper()
 	var out []FunctionSpec
 	for _, a := range dnn.Apps() {

@@ -122,7 +122,7 @@ func TestMigrationSkipsIdlePipeline(t *testing.T) {
 			t.Fatal("migrated an idle pipeline with no outstanding work")
 		}
 		// With in-flight work the same instance is worth migrating.
-		inst.inflight = make([]*request, 1)
+		inst.admit(p, &request{fn: fn})
 		p.tryMigration(free4g())
 		if p.Migrations() != 1 {
 			t.Error("did not migrate a pipeline with outstanding work")
@@ -130,7 +130,6 @@ func TestMigrationSkipsIdlePipeline(t *testing.T) {
 		if !inst.migrating || !inst.retiring {
 			t.Error("migrated instance not marked migrating/retiring")
 		}
-		inst.inflight = nil // let the run wind down cleanly
 	})
 	p.eng.RunUntil(101)
 }
