@@ -21,14 +21,42 @@ func NewTracker() *Tracker { return &Tracker{} }
 // intervals may legitimately begin in the past (completion callbacks
 // back-date the service start), but lastUse never moves backwards past
 // activity a later Touch already recorded.
+//
+// Before the buffer grows, Begin drops the intervals Utilization(now)
+// would prune. Callers pass Begin the simulation clock or an earlier
+// time, and Utilization the clock, so no later Utilization call would
+// have counted them. Without this a tracker nobody asks for its
+// utilisation grows one interval per busy period.
 func (t *Tracker) Begin(now float64) {
 	if now > t.lastUse {
 		t.lastUse = now
 	}
-	if n := len(t.intervals); n > 0 && t.intervals[n-1][1] < 0 {
+	n := len(t.intervals)
+	if n > 0 && t.intervals[n-1][1] < 0 {
 		return // already serving
 	}
+	if n == cap(t.intervals) {
+		lo := windowStart(now)
+		kept := t.intervals[:0]
+		for _, iv := range t.intervals {
+			if !agedOut(iv, lo) {
+				kept = append(kept, iv)
+			}
+		}
+		t.intervals = kept
+	}
 	t.intervals = append(t.intervals, [2]float64{now, -1})
+}
+
+// windowStart is where the hotness window ending at now begins.
+func windowStart(now float64) float64 {
+	return max(now-HotnessWindow, 0)
+}
+
+// agedOut reports whether iv closed at or before lo, so that no window
+// starting at lo or later overlaps it.
+func agedOut(iv [2]float64, lo float64) bool {
+	return iv[1] >= 0 && iv[1] <= lo
 }
 
 // End records that the instance stopped serving at time now. An End
@@ -60,10 +88,7 @@ func (t *Tracker) LastUse() float64 { return t.lastUse }
 
 // Utilization returns the busy fraction of the window ending at now.
 func (t *Tracker) Utilization(now float64) float64 {
-	lo := now - HotnessWindow
-	if lo < 0 {
-		lo = 0
-	}
+	lo := windowStart(now)
 	span := now - lo
 	if span <= 0 {
 		return 0
@@ -71,15 +96,14 @@ func (t *Tracker) Utilization(now float64) float64 {
 	busy := 0.0
 	kept := t.intervals[:0]
 	for _, iv := range t.intervals {
-		start, end := iv[0], iv[1]
-		open := end < 0
-		if open {
-			end = now
-		}
-		if end <= lo && !open {
-			continue // aged out; prune
+		if agedOut(iv, lo) {
+			continue // prune
 		}
 		kept = append(kept, iv)
+		start, end := iv[0], iv[1]
+		if end < 0 {
+			end = now // open
+		}
 		if start < lo {
 			start = lo
 		}

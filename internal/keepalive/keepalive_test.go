@@ -2,6 +2,7 @@ package keepalive
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -254,6 +255,119 @@ func TestTrackerBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// unpruned is a Tracker's busy-interval record kept whole: the oracle
+// for Begin's pruning.
+type unpruned [][2]float64
+
+func (u *unpruned) begin(now float64) {
+	if n := len(*u); n > 0 && (*u)[n-1][1] < 0 {
+		return
+	}
+	*u = append(*u, [2]float64{now, -1})
+}
+
+func (u *unpruned) end(now float64) {
+	if n := len(*u); n > 0 && (*u)[n-1][1] < 0 {
+		(*u)[n-1][1] = max(now, (*u)[n-1][0])
+	}
+}
+
+// utilization sums every interval's overlap with the window, in
+// recording order, skipping the ones that closed at or before its start.
+func (u unpruned) utilization(now float64) float64 {
+	lo := max(now-HotnessWindow, 0)
+	if now-lo <= 0 {
+		return 0
+	}
+	busy := 0.0
+	for _, iv := range u {
+		start, end := iv[0], iv[1]
+		if end >= 0 && end <= lo {
+			continue
+		}
+		if end < 0 || end > now {
+			end = now
+		}
+		if end > max(start, lo) {
+			busy += end - max(start, lo)
+		}
+	}
+	return min(busy/(now-lo), 1)
+}
+
+// TestTrackerPruneMatchesUnpruned: Begin drops aged intervals when its
+// buffer is full, and no Utilization call at a clock at or after every
+// earlier Begin notices. Seeded random Begin/End/Touch/Utilization
+// sequences on a non-decreasing clock, with Begins back-dated as a
+// completion callback does (Begin(end - exec) then End(end)), must read
+// utilisations bit-equal to an unpruned record's.
+func TestTrackerPruneMatchesUnpruned(t *testing.T) {
+	prunedSeeds := 0 // seeds in which Begin pruned
+	for seed := int64(1); seed <= 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tr, ref := NewTracker(), unpruned(nil)
+		now := 0.0
+		pruned := false
+		begin := func(at float64) {
+			n := len(tr.intervals)
+			tr.Begin(at)
+			ref.begin(at)
+			pruned = pruned || len(tr.intervals) < n
+		}
+		// Utilization prunes too; rare calls leave Begin to do it.
+		readEvery := 2 + rng.Intn(100)
+		for op := 0; op < 3000; op++ {
+			now += float64(rng.Intn(8)) * rng.Float64() // some ties
+			if rng.Intn(readEvery) == 0 {
+				got, want := tr.Utilization(now), ref.utilization(now)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("seed %d op %d: Utilization(%v) = %v, unpruned %v", seed, op, now, got, want)
+				}
+				continue
+			}
+			switch r := rng.Intn(8); {
+			case r < 3:
+				begin(now)
+			case r < 5:
+				begin(now - rng.Float64()*5)
+				tr.End(now)
+				ref.end(now)
+			case r < 7:
+				tr.End(now)
+				ref.end(now)
+			default:
+				tr.Touch(now)
+			}
+		}
+		if pruned {
+			prunedSeeds++
+		}
+	}
+	if prunedSeeds < 50 {
+		t.Fatalf("Begin pruned in %d of 100 seeds, want at least 50", prunedSeeds)
+	}
+}
+
+// TestTrackerBoundedWhileBusy: a tracker busy for 1800 s (ten busy
+// periods a second) that nobody asks for its utilisation keeps about a
+// window's worth of intervals, not the whole history.
+func TestTrackerBoundedWhileBusy(t *testing.T) {
+	tr := NewTracker()
+	const perSecond = 10
+	for i := 0; i < 1800*perSecond; i++ {
+		start := float64(i) / perSecond
+		tr.Begin(start)
+		tr.End(start + 0.5/perSecond)
+	}
+	window := int(HotnessWindow * perSecond)
+	if c := cap(tr.intervals); c > 4*window {
+		t.Errorf("capacity %d after 1800 s busy, want at most %d (4 windows' worth)", c, 4*window)
+	}
+	if got := tr.Utilization(1800); math.Abs(got-0.5) > 1e-9 {
+		t.Errorf("Utilization = %v, want 0.5", got)
 	}
 }
 

@@ -21,8 +21,7 @@ func (p *Platform) admissionReject(rq *request) bool {
 	if !p.opts.Overload.Admission || fn.spec.SLO <= 0 {
 		return false
 	}
-	est := p.completionEstimate(fn)
-	if p.eng.Now()+est*overload.AdmissionSlack > rq.deadline {
+	if est, late := p.completionEstimate(fn, rq.deadline); late {
 		// Rejections are still demand: autoscaling must see them, or a
 		// cold function whose whole first wave fast-fails never scales
 		// up and rejects forever.
@@ -61,11 +60,25 @@ func (p *Platform) reject(rq *request, detail string, inputs func() []decisions.
 	})
 }
 
+// late is the admission test: a request due at deadline whose estimated
+// completion is est seconds from now would miss it.
+func (p *Platform) late(est, deadline float64) bool {
+	return p.eng.Now()+est*overload.AdmissionSlack > deadline
+}
+
 // completionEstimate is the optimistic end-to-end estimate for a new
 // request of fn, mirroring the routing order: the best exclusive
 // instance with capacity, else the time-sharing binding's queue, else
 // the scale-up path (a fresh instance plus the pending backlog ahead).
-func (p *Platform) completionEstimate(fn *Function) float64 {
+//
+// It returns the estimate and whether it is late for deadline, and it
+// stops at the first candidate (open instances in set order, then the
+// binding) that is not late: the estimate is then that candidate's, not
+// the minimum. late is monotone in
+// est, so the minimum passes exactly when some candidate does, and only
+// a rejection, which reads est, needs the full minimum or the scale-up
+// path.
+func (p *Platform) completionEstimate(fn *Function, deadline float64) (float64, bool) {
 	now := p.eng.Now()
 	best := math.Inf(1)
 	for i := fn.open.next(0); i >= 0; i = fn.open.next(i + 1) {
@@ -75,6 +88,9 @@ func (p *Platform) completionEstimate(fn *Function) float64 {
 			wait = 0
 		}
 		est := wait + float64(len(inst.inflight))*inst.plan.Bottleneck + inst.plan.Latency
+		if !p.late(est, deadline) {
+			return est, false
+		}
 		if est < best {
 			best = est
 		}
@@ -82,12 +98,15 @@ func (p *Platform) completionEstimate(fn *Function) float64 {
 	if b := fn.ts; b != nil && b.outstanding < b.capacity {
 		ss := b.shared
 		est := ss.queuedWork + ss.servingWork + b.estLoad() + b.execOn()
+		if !p.late(est, deadline) {
+			return est, false
+		}
 		if est < best {
 			best = est
 		}
 	}
 	if !math.IsInf(best, 1) {
-		return best
+		return best, true
 	}
 	// Scale-up path: a new instance must load and then chew through
 	// the backlog ahead of this request. Optimistic about parallelism
@@ -103,7 +122,8 @@ func (p *Platform) completionEstimate(fn *Function) float64 {
 	ahead := len(fn.pending)
 	par := 4 * fn.bestCapacity(queueSlack)
 	waves := float64(ahead / par)
-	return load + exec + waves*exec
+	est := load + exec + waves*exec
+	return est, p.late(est, deadline)
 }
 
 // bestExec is the function's fastest monolithic service time (its

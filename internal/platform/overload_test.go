@@ -3,10 +3,12 @@ package platform
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fluidfaas/internal/cluster"
 	"fluidfaas/internal/dnn"
+	"fluidfaas/internal/keepalive"
 	"fluidfaas/internal/metrics"
 	"fluidfaas/internal/mig"
 	"fluidfaas/internal/obs/decisions"
@@ -343,5 +345,163 @@ func TestMigrationDrainsPending(t *testing.T) {
 	}
 	if !inst.retiring {
 		t.Error("migrated pipeline not retiring")
+	}
+}
+
+// admissionCandidates lists the estimates the admission gate weighs, in
+// its order: every exclusive instance with capacity (by hasCapacity, not
+// the open set), then the time-sharing binding if it has room.
+func admissionCandidates(p *Platform, fn *Function) []float64 {
+	now := p.eng.Now()
+	var c []float64
+	for _, inst := range fn.instances {
+		if inst.hasCapacity() {
+			wait := max(inst.loadEndsAt-now, 0)
+			c = append(c, wait+float64(len(inst.inflight))*inst.plan.Bottleneck+inst.plan.Latency)
+		}
+	}
+	if b := fn.ts; b != nil && b.outstanding < b.capacity {
+		c = append(c, b.shared.queuedWork+b.shared.servingWork+b.estLoad()+b.execOn())
+	}
+	return c
+}
+
+// fullMinimum is the admission estimate as a full scan computes it: the
+// least candidate, or with none the scale-up path (a fresh instance's
+// load and exec plus the backlog ahead in waves of four instances).
+func fullMinimum(p *Platform, fn *Function) float64 {
+	if c := admissionCandidates(p, fn); len(c) > 0 {
+		return slices.Min(c)
+	}
+	exec := fn.bestExec()
+	load := keepalive.ColdStartTime(fn.memGB)
+	for _, last := range fn.lastNodeUse {
+		if p.eng.Now()-last < p.opts.KeepAlive {
+			load = keepalive.WarmLoadTime(fn.memGB)
+			break
+		}
+	}
+	par := 4 * fn.bestCapacity(queueSlack)
+	return load + exec + float64(len(fn.pending)/par)*exec
+}
+
+// TestAdmissionStopsAtFirstPass: the admission gate accepts at the first
+// candidate that meets the deadline, in routing order, and only on a
+// rejection computes the full minimum (or the scale-up path), which must
+// equal a full scan's. Each case builds its state through launchInstance,
+// admit, forget and bindTS, at time 0 with the admission slack of 1, so
+// a candidate passes exactly when its estimate is at most the deadline.
+func TestAdmissionStopsAtFirstPass(t *testing.T) {
+	if overload.AdmissionSlack != 1 {
+		t.Fatalf("AdmissionSlack = %v; the deadlines below assume 1", overload.AdmissionSlack)
+	}
+	// build launches a monolithic instance on each of the node's first
+	// len(loads) free slices (4g, then 2g: routing order) with the given
+	// model-load times, and binds fn's time-sharing slice if ts is set.
+	build := func(ts bool, loads ...float64) (*Platform, *Function, []*Instance) {
+		p := New(smallCluster(2), specsFor(t, dnn.Small)[:1], Options{
+			Policy: &scheduler.FluidFaaS{}, Seed: 1, Overload: overload.Config{Admission: true},
+		})
+		fn := p.funcs[0]
+		node := p.cl.Nodes[0]
+		free := node.FreeSlices()
+		var insts []*Instance
+		for i, load := range loads {
+			insts = append(insts, p.launchInstance(fn, node, fn.mono(free[i].Type).Plan, free[i:i+1], load))
+		}
+		if ts && p.inv[0].bindTS(fn) == nil {
+			t.Fatal("no time-sharing binding")
+		}
+		return p, fn, insts
+	}
+	fill := func(p *Platform, inst *Instance, n int) []*request {
+		var rqs []*request
+		for i := 0; i < n; i++ {
+			rq := &request{fn: inst.fn}
+			inst.admit(p, rq)
+			rqs = append(rqs, rq)
+		}
+		return rqs
+	}
+	for _, c := range []struct {
+		name string
+		// setup returns the platform and the deadline to test.
+		setup func() (*Platform, *Function, float64)
+		// accept is the candidate that must accept, in routing order;
+		// -1 when none does, and the full minimum (with no candidates,
+		// the scale-up path) decides.
+		accept int
+	}{
+		{"first instance, not the least", func() (*Platform, *Function, float64) {
+			p, fn, insts := build(false, 0, 0)
+			fill(p, insts[0], 1) // 2 x 0.167 s > 0.219 s, still open
+			c := admissionCandidates(p, fn)
+			if !(c[0] > c[1]) {
+				t.Fatalf("candidates %v: the first is the least", c)
+			}
+			return p, fn, c[0]
+		}, 0},
+		{"later instance", func() (*Platform, *Function, float64) {
+			p, fn, insts := build(false, 0, 0)
+			fill(p, insts[0], 1)
+			return p, fn, admissionCandidates(p, fn)[1]
+		}, 1},
+		{"time-sharing binding", func() (*Platform, *Function, float64) {
+			p, fn, insts := build(true, 20, 0)
+			// The 2g instance is full (capacity 1) and so skipped; one
+			// request forgotten from the 4g one leaves it open but late.
+			fill(p, insts[1], 1)
+			rqs := fill(p, insts[0], 2)
+			insts[0].forget(rqs[1])
+			c := admissionCandidates(p, fn)
+			if len(c) != 2 {
+				t.Fatalf("candidates %v, want the 4g instance and the binding", c)
+			}
+			return p, fn, c[1]
+		}, 1},
+		{"reject, every candidate late", func() (*Platform, *Function, float64) {
+			p, fn, _ := build(true, 20, 3) // the least is neither first nor last
+			return p, fn, 1
+		}, -1},
+		{"reject on the scale-up path", func() (*Platform, *Function, float64) {
+			p, fn, insts := build(false, 0)
+			saturate(p, insts[0])
+			return p, fn, 0.1
+		}, -1},
+		{"accept on the scale-up path", func() (*Platform, *Function, float64) {
+			p, fn, _ := build(false)
+			return p, fn, fn.spec.SLO * 1000
+		}, -1},
+	} {
+		p, fn, deadline := c.setup()
+		cands := admissionCandidates(p, fn)
+		full := fullMinimum(p, fn)
+		est, late := p.completionEstimate(fn, deadline)
+		switch {
+		case c.accept >= 0:
+			if late || est != cands[c.accept] {
+				t.Errorf("%s: est %v late %v, want candidate %d of %v, not late", c.name, est, late, c.accept, cands)
+			}
+			for _, e := range cands[:c.accept] {
+				if e <= deadline {
+					t.Errorf("%s: an earlier candidate (%v) meets deadline %v", c.name, e, deadline)
+				}
+			}
+		case len(cands) == 0 && full <= deadline:
+			if late {
+				t.Errorf("%s: rejected a request the scale-up path (%v) serves by %v", c.name, full, deadline)
+			}
+		default:
+			if !late || est != full {
+				t.Errorf("%s: est %v late %v, want the full minimum %v, late", c.name, est, late, full)
+			}
+		}
+		want := full > deadline
+		if got := p.admissionReject(&request{fn: fn, deadline: deadline}); got != want || late != want {
+			t.Errorf("%s: admissionReject = %v, late = %v, want %v", c.name, got, late, want)
+		}
+		if n := p.Rejected(); (n == 1) != want || n > 1 {
+			t.Errorf("%s: platform counted %d rejections", c.name, n)
+		}
 	}
 }

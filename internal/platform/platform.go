@@ -226,9 +226,11 @@ type Platform struct {
 	inv      []*Invoker
 	col      *metrics.Collector
 
-	// gpus is cl.AllGPUs(), taken once: the topology is fixed at
-	// construction, and the utilisation sampler walks it every period.
-	gpus []*mig.GPU
+	// gpus is cl.AllGPUs() and totalGPCs is cl.TotalGPCs(), taken once:
+	// the topology is fixed at construction, and the utilisation sampler
+	// reads both every period.
+	gpus      []*mig.GPU
+	totalGPCs float64
 
 	// Sampled series for Figs. 3a and 16.
 	UtilGPCs     metrics.Timeline // active GPCs / total GPCs
@@ -318,6 +320,7 @@ func New(cl *cluster.Cluster, specs []FunctionSpec, opts Options) *Platform {
 		eng:       sim.NewEngine(),
 		cl:        cl,
 		gpus:      cl.AllGPUs(),
+		totalGPCs: float64(cl.TotalGPCs()),
 		opts:      opts,
 		fnByName:  make(map[string]*Function),
 		col:       metrics.NewCollector(),
@@ -579,9 +582,8 @@ func recordOutcome(rec metrics.RequestRecord) string {
 
 func (p *Platform) sampleUtilization() {
 	now := p.eng.Now()
-	total := float64(p.cl.TotalGPCs())
-	p.UtilGPCs.Add(now, float64(p.cl.ActiveGPCs())/total)
-	p.OccupiedGPCs.Add(now, float64(p.cl.OccupiedGPCs())/total)
+	p.UtilGPCs.Add(now, float64(p.cl.ActiveGPCs())/p.totalGPCs)
+	p.OccupiedGPCs.Add(now, float64(p.cl.OccupiedGPCs())/p.totalGPCs)
 	fi := mig.FragmentationIndex(p.gpus)
 	p.Fragmentation.Add(now, fi)
 	p.utilSample(now, fi)

@@ -58,12 +58,16 @@ func (e *Event) before(o *Event) bool {
 
 // Engine is a discrete-event simulator. The zero value is ready to use.
 type Engine struct {
-	now     Time
-	seq     uint64
-	heap    []*Event // binary min-heap on (time, seq)
-	nRun    uint64   // events executed
-	cancels uint64   // events cancelled before firing
-	peak    int      // deepest the heap ever got
+	now  Time
+	seq  uint64
+	heap []*Event // binary min-heap on (time, seq)
+	// firing is the event whose callback is running while it still sits
+	// at heap[0]; nil once its callback re-arms it, or between events.
+	firing  *Event
+	inFire  bool   // a callback is running
+	nRun    uint64 // events executed
+	cancels uint64 // events cancelled before firing
+	peak    int    // deepest the heap ever got
 	wall    time.Duration
 }
 
@@ -112,9 +116,14 @@ func NewEngine() *Engine { return &Engine{} }
 func (e *Engine) Now() Time { return e.now }
 
 // Pending returns the number of queued events. Cancel removes events
-// eagerly, so this is just the heap size; an unfinished Stream counts
-// as one.
-func (e *Engine) Pending() int { return len(e.heap) }
+// eagerly, so this is the heap size less the firing event, if it still
+// holds the root; an unfinished Stream counts as one.
+func (e *Engine) Pending() int {
+	if e.firing != nil {
+		return len(e.heap) - 1
+	}
+	return len(e.heap)
+}
 
 // Executed returns the number of events executed so far.
 func (e *Engine) Executed() uint64 { return e.nRun }
@@ -150,11 +159,13 @@ func (e *Engine) Rearm(ev *Event, t Time, fn func()) {
 	e.seq++
 	ev.time, ev.seq, ev.fn = t, e.seq, fn
 	ev.cancelled, ev.fired = false, false
-	e.push(ev)
+	e.schedule(ev)
 }
 
 // queued reports whether ev is in the heap. The zero Event's index is 0,
-// so the slot's occupant is the authority, not the index alone.
+// so the slot's occupant is the authority, not the index alone. The
+// firing event's index is -1 while it holds the root, so it is not
+// queued: Cancel on it is a no-op and Rearm re-seats it.
 func (e *Engine) queued(ev *Event) bool {
 	i := ev.index
 	return i >= 0 && i < len(e.heap) && e.heap[i] == ev
@@ -186,7 +197,7 @@ func (e *Engine) Stream(n int, at func(i int) Time, fn func(i int)) {
 	s := &stream{e: e, n: n, base: e.seq + 1, at: at, fn: fn}
 	e.seq += uint64(n)
 	s.ev = Event{time: t, seq: s.base, fn: s.fire}
-	e.push(&s.ev)
+	e.schedule(&s.ev)
 }
 
 // stream is the state of one Stream call: a single Event that stands for
@@ -208,7 +219,7 @@ func (s *stream) fire() {
 		t := s.at(s.next)
 		s.e.check(t)
 		s.ev.time, s.ev.seq, s.ev.fired = t, s.base+uint64(s.next), false
-		s.e.push(&s.ev)
+		s.e.schedule(&s.ev)
 	}
 	s.fn(i)
 }
@@ -230,27 +241,50 @@ func (e *Engine) Cancel(ev *Event) {
 // events remain. Cancelled events are removed eagerly by Cancel, so
 // whatever is at the heap top is live.
 func (e *Engine) Step() bool {
+	e.checkNotFiring()
 	if len(e.heap) == 0 {
 		return false
 	}
-	e.fire(e.pop())
+	e.fire()
 	return true
 }
 
-func (e *Engine) fire(ev *Event) {
+// checkNotFiring panics inside a callback: Step, RunUntil and Run may
+// not nest.
+func (e *Engine) checkNotFiring() {
+	if e.inFire {
+		panic("sim: Step, RunUntil or Run called from inside an event callback")
+	}
+}
+
+// fire runs the root event's callback with the event left at the root.
+// Everything scheduled meanwhile sorts after it (time >= now, a larger
+// seq), so no push or cancel moves the root. If the callback re-arms the
+// event, schedule sifts it down from the root; otherwise it is removed
+// afterwards, as a pop would have.
+func (e *Engine) fire() {
+	ev := e.heap[0]
+	ev.index = -1
+	e.firing, e.inFire = ev, true
 	e.now = ev.time
 	ev.fired = true
 	e.nRun++
 	ev.fn()
+	e.inFire = false
+	if e.firing != nil {
+		e.firing = nil
+		e.remove(0)
+	}
 }
 
 // RunUntil executes events in order until the clock would pass t or the
 // schedule drains. After the call Now() == t unless the schedule drained
 // earlier, in which case the clock stays at the last event time.
 func (e *Engine) RunUntil(t Time) {
+	e.checkNotFiring()
 	start := time.Now()
 	for len(e.heap) > 0 && e.heap[0].time <= t {
-		e.fire(e.pop())
+		e.fire()
 	}
 	if e.now < t && t != Forever {
 		e.now = t
@@ -266,20 +300,20 @@ func (e *Engine) Run() {
 	e.wall += time.Since(start)
 }
 
-// push adds ev to the heap.
-func (e *Engine) push(ev *Event) {
-	e.heap = append(e.heap, ev)
-	e.up(len(e.heap)-1, ev)
-	if len(e.heap) > e.peak {
-		e.peak = len(e.heap)
+// schedule queues ev, whose time and seq are set. The firing event is
+// re-seated: it takes its own root slot back and sifts down once,
+// instead of a pop and a push.
+func (e *Engine) schedule(ev *Event) {
+	if ev == e.firing {
+		e.firing = nil
+		e.down(0, ev)
+	} else {
+		e.heap = append(e.heap, ev)
+		e.up(len(e.heap)-1, ev)
 	}
-}
-
-// pop removes and returns the heap's least event.
-func (e *Engine) pop() *Event {
-	top := e.heap[0]
-	e.remove(0)
-	return top
+	if n := e.Pending(); n > e.peak {
+		e.peak = n
+	}
 }
 
 // remove deletes the event in slot i, refilling the slot with the last

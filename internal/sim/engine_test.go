@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -331,10 +330,15 @@ func TestEngineScheduleBelowNextEvent(t *testing.T) {
 }
 
 // checkHeap asserts the heap invariant and every event's slot index.
+// The firing event, while it still holds the root, is indexed -1.
 func checkHeap(t *testing.T, e *Engine) {
 	t.Helper()
 	for i, ev := range e.heap {
-		if ev.index != i {
+		want := i
+		if i == 0 && ev == e.firing {
+			want = -1
+		}
+		if ev.index != want {
 			t.Fatalf("slot %d holds an event indexed %d", i, ev.index)
 		}
 		if i > 0 && ev.before(e.heap[(i-1)/2]) {
@@ -343,106 +347,320 @@ func checkHeap(t *testing.T, e *Engine) {
 	}
 }
 
-// byTimeSeq sorts events by (time, seq), the engine's firing contract.
-func byTimeSeq(evs []*Event) {
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].time != evs[j].time {
-			return evs[i].time < evs[j].time
+// key is a firing's place in the (time, seq) order.
+type key struct {
+	t   Time
+	seq uint64
+}
+
+func (k key) less(o key) bool {
+	if k.t != o.t {
+		return k.t < o.t
+	}
+	return k.seq < o.seq
+}
+
+// heapModel is the reference schedule TestEngineHeapRandomized holds the
+// engine to: the pending events, at most one Stream, and the Stats the
+// engine must report (wall fields aside).
+type heapModel struct {
+	queued map[*Event]bool
+	sev    *Event // the stream's event, nil before the stream starts
+	stimes []Time
+	sbase  uint64
+	snext  int // next stream element to fire
+	stats  Stats
+}
+
+func (m *heapModel) pending() int {
+	n := len(m.queued)
+	if m.snext < len(m.stimes) {
+		n++
+	}
+	return n
+}
+
+// add records one scheduling of ev (nil for a stream start, which
+// schedules n).
+func (m *heapModel) add(ev *Event, n int) {
+	if ev != nil {
+		m.queued[ev] = true
+	}
+	m.stats.Scheduled += uint64(n)
+	m.stats.PeakHeapDepth = max(m.stats.PeakHeapDepth, m.pending())
+}
+
+// least is the key the engine must fire next.
+func (m *heapModel) least() key {
+	best := key{t: math.Inf(1)}
+	for ev := range m.queued {
+		if k := (key{ev.time, ev.seq}); k.less(best) {
+			best = k
 		}
-		return evs[i].seq < evs[j].seq
-	})
+	}
+	if i := m.snext; i < len(m.stimes) {
+		if k := (key{m.stimes[i], m.sbase + uint64(i)}); k.less(best) {
+			best = k
+		}
+	}
+	return best
 }
 
 // TestEngineHeapRandomized drives seeded random interleavings of At,
-// After, Cancel (of the root, the last slot, a middle slot, a random
-// queued event and an already-fired one) and Step, with callbacks that
-// schedule zero-delay ties. Every Step must fire the least queued event
-// by (time, seq), and the final drain must fire the survivors in sorted
-// order.
+// After, Rearm (of a caller-owned event, including one still pending,
+// which must panic), Cancel (of the root, the last slot, a middle slot,
+// a random queued event and an already-fired one), a Stream, and Step.
+// Callbacks do the same from inside a firing: schedule ties, re-arm or
+// cancel other events, and re-arm or cancel their own event, before or
+// after touching the others. Every firing must be the least pending
+// event by (time, seq), and Pending and every Stats count must match
+// the reference, inside callbacks as well as between Steps.
 func TestEngineHeapRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := NewRNG(seed, "heap")
 		e := NewEngine()
-		queued := map[*Event]bool{}
-		var log, firedEvs []*Event
-		var schedule func(at bool)
-		schedule = func(at bool) {
-			d := Time(rng.Intn(8)) * 0.25 // coarse delays: many exact ties
-			var ev *Event
-			fn := func() {
-				log = append(log, ev)
-				if rng.Intn(4) == 0 {
-					schedule(false)
-				}
+		m := &heapModel{queued: map[*Event]bool{}}
+		owned := make([]Event, 6)
+		var firedEvs []*Event
+		// Callbacks schedule only while budget lasts, so the drain ends.
+		budget := 2000
+		// Coarse delays: many exact ties.
+		delay := func() Time { return Time(rng.Intn(8)) * 0.25 }
+		check := func(where string) {
+			t.Helper()
+			checkHeap(t, e)
+			if e.Pending() != m.pending() {
+				t.Fatalf("seed %d %s: Pending = %d, want %d", seed, where, e.Pending(), m.pending())
 			}
-			if at {
-				ev = e.At(e.Now()+d, fn)
-			} else {
-				ev = e.After(d, fn)
+			s := e.Stats()
+			s.WallSeconds, s.EventsPerSec = 0, 0
+			if s != m.stats {
+				t.Fatalf("seed %d %s: stats %+v, want %+v", seed, where, s, m.stats)
 			}
-			queued[ev] = true
 		}
-		for op := 0; op < 400; op++ {
-			switch r := rng.Intn(20); {
-			case r < 7:
-				schedule(true)
-			case r < 10:
-				schedule(false)
-			case r < 15 && len(e.heap) > 0:
-				var victim *Event
-				switch rng.Intn(5) {
-				case 0:
-					victim = e.heap[0]
-				case 1:
-					victim = e.heap[len(e.heap)-1]
-				case 2:
-					victim = e.heap[len(e.heap)/2]
-				case 3:
-					victim = e.heap[rng.Intn(len(e.heap))]
+		// fired checks that the firing k is the one due and books it.
+		fired := func(k key) {
+			t.Helper()
+			if want := m.least(); k != want {
+				t.Fatalf("seed %d: fired %+v, want %+v", seed, k, want)
+			}
+			m.stats.Executed++
+		}
+
+		var act func(self *Event)
+		fire := func(ev *Event) {
+			fired(key{ev.time, ev.seq})
+			delete(m.queued, ev)
+			firedEvs = append(firedEvs, ev)
+			if !ev.Fired() {
+				t.Fatalf("seed %d: a firing event does not report Fired", seed)
+			}
+			check("callback start")
+			act(ev)
+		}
+		// arm schedules a fresh event (ev nil, through At or After) or
+		// re-arms ev, and books it.
+		arm := func(ev *Event, at Time) {
+			budget--
+			switch {
+			case ev != nil:
+				e.Rearm(ev, at, func() { fire(ev) })
+			case rng.Intn(2) == 0:
+				var p *Event
+				p = e.At(at, func() { fire(p) })
+				ev = p
+			default:
+				var p *Event
+				p = e.After(at-e.Now(), func() { fire(p) })
+				ev = p
+			}
+			m.add(ev, 1)
+		}
+		cancel := func(ev *Event) {
+			if ev == nil {
+				e.Cancel(nil) // a no-op
+				return
+			}
+			if ev == m.sev {
+				return // the stream's event is the engine's, not the caller's
+			}
+			was, already := m.queued[ev], ev.Cancelled()
+			e.Cancel(ev)
+			if ev.Cancelled() != (was || already) {
+				t.Fatalf("seed %d: Cancelled = %v after cancelling an event queued=%v", seed, ev.Cancelled(), was)
+			}
+			if was {
+				delete(m.queued, ev)
+				m.stats.Cancellations++
+			}
+		}
+		victim := func() *Event {
+			switch rng.Intn(5) {
+			case 0:
+				return e.heap[0]
+			case 1:
+				return e.heap[len(e.heap)-1]
+			case 2:
+				return e.heap[len(e.heap)/2]
+			case 3:
+				return e.heap[rng.Intn(len(e.heap))]
+			}
+			if len(firedEvs) > 0 {
+				return firedEvs[rng.Intn(len(firedEvs))]
+			}
+			return nil
+		}
+		rearmOwned := func() {
+			ev := &owned[rng.Intn(len(owned))]
+			if !m.queued[ev] {
+				arm(ev, e.Now()+delay())
+				return
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("seed %d: re-arming a pending event did not panic", seed)
+					}
+				}()
+				e.Rearm(ev, e.Now()+delay(), func() {})
+			}()
+		}
+		// act is a callback's body; self is the firing event, nil for a
+		// stream element.
+		act = func(self *Event) {
+			for budget > 0 {
+				switch r := rng.Intn(16); {
+				case r < 2:
+					arm(nil, e.Now()+delay())
+				case r < 3:
+					rearmOwned()
+				case r < 4 && len(e.heap) > 0:
+					cancel(victim())
+				case r < 6 && self != nil:
+					cancel(self)
+				case r < 8 && self != nil && !m.queued[self]:
+					arm(self, e.Now()+delay())
 				default:
-					if len(firedEvs) > 0 {
-						victim = firedEvs[rng.Intn(len(firedEvs))]
+					return
+				}
+				check("callback")
+			}
+		}
+
+		for op := 0; op < 400; op++ {
+			switch r := rng.Intn(22); {
+			case r < 6:
+				arm(nil, e.Now()+delay())
+			case r < 9:
+				rearmOwned()
+			case r < 14 && len(e.heap) > 0:
+				cancel(victim())
+			case r < 15 && m.sev == nil:
+				n := 1 + rng.Intn(30)
+				m.stimes = make([]Time, n)
+				at := e.Now()
+				for i := range m.stimes {
+					at += delay() / 2
+					m.stimes[i] = at
+				}
+				m.sbase = m.stats.Scheduled + 1
+				e.Stream(n, func(i int) Time { return m.stimes[i] }, func(i int) {
+					fired(key{m.stimes[i], m.sbase + uint64(i)})
+					m.snext = i + 1
+					check("stream callback start")
+					act(nil)
+				})
+				m.add(nil, n)
+				for _, ev := range e.heap {
+					if ev.seq == m.sbase {
+						m.sev = ev
 					}
 				}
-				e.Cancel(victim)
-				delete(queued, victim)
 			case r >= 15 && len(e.heap) > 0:
-				want := make([]*Event, 0, len(queued))
-				for ev := range queued {
-					want = append(want, ev)
-				}
-				byTimeSeq(want)
-				n := len(log)
+				n := m.stats.Executed
 				e.Step()
-				if len(log) != n+1 || log[n] != want[0] {
-					t.Fatalf("seed %d op %d: Step fired the wrong event", seed, op)
+				if m.stats.Executed != n+1 {
+					t.Fatalf("seed %d op %d: Step fired %d events", seed, op, m.stats.Executed-n)
 				}
-				delete(queued, want[0])
-				firedEvs = append(firedEvs, want[0])
 			}
-			checkHeap(t, e)
-			if e.Pending() != len(queued) {
-				t.Fatalf("seed %d op %d: Pending = %d, want %d", seed, op, e.Pending(), len(queued))
-			}
+			check(fmt.Sprintf("op %d", op))
 		}
-		// Callbacks keep scheduling ties during the drain, so compare the
-		// drained log against the schedule it implies: sorted by
-		// (time, seq) and fired exactly once each.
-		n := len(log)
 		e.Run()
-		rest := append([]*Event(nil), log[n:]...)
-		byTimeSeq(rest)
-		if !reflect.DeepEqual(rest, log[n:]) {
-			t.Fatalf("seed %d: drain fired out of (time, seq) order", seed)
-		}
-		for ev := range queued {
-			if !ev.Fired() {
-				t.Fatalf("seed %d: queued event never fired", seed)
-			}
-		}
+		check("drain")
 		if e.Pending() != 0 {
 			t.Fatalf("seed %d: %d events left after Run", seed, e.Pending())
 		}
+		if m.sev == nil || m.stats.Cancellations == 0 {
+			t.Fatalf("seed %d: schedule has no stream or no cancellation", seed)
+		}
+	}
+}
+
+// TestFiringEventSemantics: the firing event keeps the root slot while
+// its callback runs, but callers see it as no longer pending. Inside
+// its callback it reports Fired, and Cancel on it changes nothing; it
+// may re-arm itself once, after which it is pending and a second Rearm
+// panics. A nested Step, RunUntil or Run panics, before and after the
+// re-arm.
+func TestFiringEventSemantics(t *testing.T) {
+	panics := func(f func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		f()
+		return false
+	}
+	e := NewEngine()
+	nested := func(when string) {
+		for _, c := range []struct {
+			name string
+			f    func()
+		}{
+			{"Step", func() { e.Step() }},
+			{"RunUntil", func() { e.RunUntil(10) }},
+			{"Run", e.Run},
+		} {
+			if !panics(c.f) {
+				t.Errorf("nested %s %s did not panic", c.name, when)
+			}
+		}
+	}
+	var ev Event
+	calls := 0
+	var fn func()
+	fn = func() {
+		if calls++; calls > 1 {
+			return
+		}
+		if !ev.Fired() || ev.Cancelled() {
+			t.Errorf("in its callback: fired=%v cancelled=%v, want true false", ev.Fired(), ev.Cancelled())
+		}
+		before, pending := e.Stats(), e.Pending()
+		if pending != 1 {
+			t.Errorf("Pending = %d in the callback, want 1 (the firing event excluded)", pending)
+		}
+		e.Cancel(&ev)
+		if ev.Cancelled() || !ev.Fired() || e.Stats() != before || e.Pending() != pending {
+			t.Errorf("Cancel of the firing event changed it: cancelled=%v fired=%v stats %+v (was %+v) pending %d",
+				ev.Cancelled(), ev.Fired(), e.Stats(), before, e.Pending())
+		}
+		nested("before the re-arm")
+		e.Rearm(&ev, 2, fn)
+		if ev.Fired() || e.Pending() != 2 || e.Stats().PeakHeapDepth != 2 {
+			t.Errorf("after re-arming itself: fired=%v Pending %d peak %d, want false 2 2",
+				ev.Fired(), e.Pending(), e.Stats().PeakHeapDepth)
+		}
+		if !panics(func() { e.Rearm(&ev, 3, fn) }) {
+			t.Error("a second Rearm of the re-armed firing event did not panic")
+		}
+		nested("after the re-arm")
+	}
+	e.Rearm(&ev, 1, fn)
+	e.At(5, func() {})
+	e.Run()
+	want := Stats{Executed: 3, Scheduled: 3, PeakHeapDepth: 2}
+	s := e.Stats()
+	s.WallSeconds, s.EventsPerSec = 0, 0
+	if calls != 2 || ev.Time() != 2 || e.Now() != 5 || s != want {
+		t.Errorf("calls %d, event time %v, now %v, stats %+v; want 2 2 5 %+v", calls, ev.Time(), e.Now(), s, want)
 	}
 }
 
@@ -803,19 +1021,35 @@ func TestRearmMatchesAt(t *testing.T) {
 
 // BenchmarkEngineHold times the kernel in the hold model: the heap
 // holds a fixed number of events, and each firing re-arms its own event
-// an exponential delay later, so one op is one pop and one push at a
-// constant depth. Depths 40 and 317 are the peak heap depths of the
-// bench paper and scale workloads.
+// an exponential delay later, so one op is one firing at a constant
+// depth: a re-seat of the root. In the mixed cases every other firing
+// schedules a fresh At instead, so half the ops are a removal of the
+// root after the callback and a push. Depths 40 and 317 are the peak
+// heap depths of the bench paper and scale workloads.
 func BenchmarkEngineHold(b *testing.B) {
+	b.Run("mixed", func(b *testing.B) { benchHold(b, true) })
+	benchHold(b, false)
+}
+
+func benchHold(b *testing.B, mixed bool) {
 	for _, depth := range []int{40, 317} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			e := NewEngine()
 			rng := NewRNG(1, "hold")
 			evs := make([]Event, depth)
+			n := 0
 			for i := range evs {
 				ev := &evs[i]
 				var fire func()
-				fire = func() { e.Rearm(ev, e.Now()+rng.Exp(1), fire) }
+				fire = func() {
+					// ev is not pending: one event per slot is queued,
+					// and this firing is it.
+					if n++; mixed && n%2 == 0 {
+						e.At(e.Now()+rng.Exp(1), fire)
+					} else {
+						e.Rearm(ev, e.Now()+rng.Exp(1), fire)
+					}
+				}
 				e.Rearm(ev, rng.Exp(1), fire)
 			}
 			b.ReportAllocs()
