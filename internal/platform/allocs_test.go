@@ -36,37 +36,35 @@ func twoStagePlatform(t *testing.T, maxBatch int) (*Platform, *Instance) {
 }
 
 // TestPipelineAllocsPerRequest: carrying a request through a two-stage
-// exclusive pipeline allocates a constant per request, the same at 4
-// and at 64 requests in flight, batched or not: its stage job's bound
-// hop callback. The stage job comes from a block shared with later
-// admissions. Stations, their batches, the hop event and the engine
-// heap reuse their storage, so nothing is allocated per stage, batch or
-// event.
+// exclusive pipeline allocates nothing in steady state, at 4 and at 64
+// requests in flight, batched or not. The request and its stage job are
+// recycled when it completes, and a recycled job keeps its bound hop
+// callback. Stations, their batches, the hop event and the engine heap
+// reuse their storage, so nothing is allocated per stage, batch or
+// event either.
 func TestPipelineAllocsPerRequest(t *testing.T) {
 	for _, maxBatch := range []int{1, 4} {
-		few, many := pipelineAllocs(t, maxBatch, 4), pipelineAllocs(t, maxBatch, 64)
-		if few != many {
-			t.Errorf("MaxBatch %d: a request costs %v allocations with 4 in flight, %v with 64",
-				maxBatch, few, many)
-		}
-		if few != 1 {
-			t.Errorf("MaxBatch %d: a request costs %v allocations, want 1 (its hop callback)",
-				maxBatch, few)
+		for _, n := range []int{4, 64} {
+			if got := pipelineAllocs(t, maxBatch, n); got != 0 {
+				t.Errorf("MaxBatch %d, %d in flight: a request costs %v allocations, want 0",
+					maxBatch, n, got)
+			}
 		}
 	}
 }
 
 // pipelineAllocs returns the allocations per request of running rounds
 // of n requests through a two-stage pipeline batching up to maxBatch.
+// Requests come from the platform's pool, as arrivals' do.
 func pipelineAllocs(t *testing.T, maxBatch, n int) float64 {
 	t.Helper()
 	p, inst := twoStagePlatform(t, maxBatch)
 	p.col.Reserve(200 * n)
-	reqs := make([]request, n)
 	got := testing.AllocsPerRun(100, func() {
-		for i := range reqs {
-			reqs[i] = request{id: i, fn: inst.fn, arrival: p.eng.Now()}
-			inst.admit(p, &reqs[i])
+		for i := range n {
+			rq := take(p, &p.reqPool, &p.reqFree)
+			*rq = request{id: i, fn: inst.fn, arrival: p.eng.Now()}
+			inst.admit(p, rq)
 		}
 		p.eng.Run()
 	})
@@ -113,7 +111,8 @@ func TestKickScaleUpAllocatesNothing(t *testing.T) {
 // runs, and neither it, the touched list nor what the builder captures
 // leaves the stack. The builder nests another closure made per call, as
 // a rejection's does: each chaos-workload run logs about 83k rejections
-// with provenance off.
+// with provenance off. A whole rejection, which also records and
+// recycles its request, allocates nothing either.
 func TestTransitionAllocatesNothingWithoutObservers(t *testing.T) {
 	p, inst := twoStagePlatform(t, 1)
 	rq := &request{id: 1, fn: inst.fn}
@@ -137,6 +136,18 @@ func TestTransitionAllocatesNothingWithoutObservers(t *testing.T) {
 	}
 	if n := p.CountEvents()[EvRelease]; n < 100 {
 		t.Errorf("%d release events logged, want at least 100", n)
+	}
+	// The recycled request escapes into the pool; the builder must not
+	// go to the heap with it.
+	p.col.Reserve(200)
+	got = testing.AllocsPerRun(100, func() {
+		rq := take(p, &p.reqPool, &p.reqFree)
+		*rq = request{id: 2, fn: inst.fn}
+		est := p.eng.Now() + 1
+		p.reject(rq, "late", func() []decisions.KV { return []decisions.KV{kvF("estimate", est)} })
+	})
+	if got != 0 {
+		t.Errorf("a rejection with observers off allocates %v times, want 0", got)
 	}
 }
 
@@ -162,5 +173,33 @@ func TestArrivalAllocsAmortized(t *testing.T) {
 	}
 	if n := len(p.funcs[0].pending); n != 1001 {
 		t.Fatalf("%d requests pending, want 1001", n)
+	}
+}
+
+// TestServedArrivalAllocatesNothing: in steady state an arrival that is
+// admitted, served and finalised allocates nothing. Its request and
+// stage job are the ones the arrival before it left in the pools, so
+// the whole run holds one of each.
+func TestServedArrivalAllocatesNothing(t *testing.T) {
+	p := New(smallCluster(1), specsFor(t, dnn.Small)[:1], Options{
+		Policy: &scheduler.ESG{}, Seed: 1,
+	})
+	launchMonos(t, p, p.funcs[0], 1)
+	p.col.Reserve(2000)
+	id := 0
+	got := testing.AllocsPerRun(1000, func() {
+		id++
+		p.InjectRequest(0, id)
+		p.eng.Run()
+	})
+	if got != 0 {
+		t.Errorf("a served arrival allocates %v times, want 0", got)
+	}
+	if c := p.col.Completed(); c != 1001 {
+		t.Fatalf("%d requests served, want 1001", c)
+	}
+	if len(p.reqPool) != 1 || len(p.jobPool) != 1 {
+		t.Errorf("pools hold %d requests and %d stage jobs, want 1 and 1",
+			len(p.reqPool), len(p.jobPool))
 	}
 }

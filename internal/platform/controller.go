@@ -217,7 +217,7 @@ func (p *Platform) scaleUp() {
 		// Admission fast-fails are demand too: without counting them, a
 		// function whose whole overflow is rejected at arrival would
 		// never trigger scale-up. Zero when admission control is off.
-		demand := len(fn.pending) + fn.rejectDemand
+		demand := len(fn.waiting()) + fn.rejectDemand
 		fn.rejectDemand = 0
 		if demand > 0 {
 			// An overloaded but not-hot time-sharing function gets more
@@ -236,9 +236,9 @@ func (p *Platform) scaleUp() {
 				} else {
 					// Overloaded but not hot: grow the pool (§5.3).
 					// rebindToFreshSlice drains pending itself.
-					before := len(fn.pending)
+					before := len(fn.waiting())
 					fn.ts.shared.inv.rebindToFreshSlice(fn)
-					demand -= before - len(fn.pending)
+					demand -= before - len(fn.waiting())
 					if demand <= 0 {
 						continue
 					}
@@ -408,7 +408,9 @@ func (fn *Function) bestCapacity(slack float64) int {
 func (p *Platform) manageKeepAlive() {
 	now := p.eng.Now()
 	for _, fn := range p.funcs {
-		insts := append([]*Instance(nil), fn.instances...)
+		// demote and releaseInstance edit fn.instances: walk a copy.
+		insts := append(p.scratchInsts[:0], fn.instances...)
+		p.scratchInsts = insts
 		for _, inst := range insts {
 			if inst.retiring || len(inst.inflight) > 0 {
 				continue
@@ -503,27 +505,30 @@ func (inv *Invoker) maintainPool() {
 func (p *Platform) dropStalePending() {
 	now := p.eng.Now()
 	for _, fn := range p.funcs {
+		// Survivors slide to the front of the buffer. A dropped
+		// request's slot is nil'd before it is finished (and recycled),
+		// so the queue never shows a recycled request.
+		live := fn.waiting()
 		keep := fn.pending[:0]
-		for _, rq := range fn.pending {
+		for i, rq := range live {
 			if fn.spec.SLO > 0 && now-rq.arrival > pendingDrop*fn.spec.SLO {
-				p.finishUnserved(EvDrop, "pending past the client timeout", transition{
-					rq: rq,
-					decision: func() decisions.Record {
-						return decisions.Record{
-							Kind: decisions.KindDrop, Rule: "client-timeout",
-							Outcome: "dropped from pending overflow",
-							Inputs: []decisions.KV{
-								kvF("waited", now-rq.arrival),
-								kvF("limit", pendingDrop*rq.fn.spec.SLO),
-							},
-						}
-					},
+				live[i] = nil
+				p.finishUnserved(rq, EvDrop, "pending past the client timeout", func() decisions.Record {
+					return decisions.Record{
+						Kind: decisions.KindDrop, Rule: "client-timeout",
+						Outcome: "dropped from pending overflow",
+						Inputs: []decisions.KV{
+							kvF("waited", now-rq.arrival),
+							kvF("limit", pendingDrop*rq.fn.spec.SLO),
+						},
+					}
 				})
 				continue
 			}
 			keep = append(keep, rq)
 		}
-		fn.pending = keep
+		clear(fn.pending[len(keep):])
+		fn.pending, fn.pendHead = keep, 0
 	}
 	for _, inv := range p.inv {
 		for _, ss := range inv.shared {

@@ -308,19 +308,16 @@ func (p *Platform) retryAfterFault(rq *request, reason string) {
 	if rq.attempts > retryMaxAttempts || now+backoff >= horizon {
 		rq.rec.Failed = true
 		detail := "abandoned: " + reason
-		p.finishUnserved(EvDrop, detail, transition{
-			rq: rq,
-			decision: func() decisions.Record {
-				return decisions.Record{
-					Kind: decisions.KindDrop, Rule: "retry-abandoned", Outcome: detail,
-					Inputs: []decisions.KV{
-						kvI("attempts", rq.attempts),
-						kvI("max_attempts", retryMaxAttempts),
-						kvF("backoff", backoff),
-						kvF("horizon", horizon),
-					},
-				}
-			},
+		p.finishUnserved(rq, EvDrop, detail, func() decisions.Record {
+			return decisions.Record{
+				Kind: decisions.KindDrop, Rule: "retry-abandoned", Outcome: detail,
+				Inputs: []decisions.KV{
+					kvI("attempts", rq.attempts),
+					kvI("max_attempts", retryMaxAttempts),
+					kvF("backoff", backoff),
+					kvF("horizon", horizon),
+				},
+			}
 		})
 		return
 	}

@@ -189,9 +189,10 @@ func (inst *Instance) admit(p *Platform, rq *request) {
 	if !inst.failed {
 		// The stageJob embeds the sim.Job and serves as its Runner, and
 		// the same job carries the request through every stage. Jobs
-		// come from shared blocks, not one allocation each.
-		sj := carve(p, &p.jobFree)
-		*sj = stageJob{p: p, inst: inst, rq: rq}
+		// are recycled, or carved from shared blocks; a recycled one
+		// keeps its hop event, which is not pending, and its hopFn.
+		sj := take(p, &p.jobPool, &p.jobFree)
+		sj.p, sj.inst, sj.rq, sj.si, sj.n = p, inst, rq, 0, 0
 		sj.job.Runner = sj
 		sj.enqueue()
 	}
@@ -217,8 +218,9 @@ type stageJob struct {
 	// before service, which the health scorer ignores.
 	exec float64
 	// hop and hopFn carry the job to stage si+1 when its transfer ends;
-	// hopFn is bound on the first hop, so a monolithic instance's jobs
-	// never pay for it.
+	// hopFn is bound on the job's first hop and kept when the job is
+	// recycled, so a monolithic instance's jobs never pay for it and a
+	// job pays for it once over all its uses.
 	hop   sim.Event
 	hopFn func()
 }
@@ -342,6 +344,7 @@ func (sj *stageJob) Done() {
 	// tear this instance down, which must not race the
 	// completion bookkeeping above.
 	p.observeSliceExec(sl, declared, exec)
+	p.recycle(rq, sj)
 }
 
 // hasCapacity reports whether the instance can admit another request.
@@ -378,7 +381,7 @@ func (p *Platform) releaseInstance(inst *Instance) {
 // gets (which new capacity took it).
 func (p *Platform) drainPending(inst *Instance, body decisions.Body) {
 	fn := inst.fn
-	for len(fn.pending) > 0 && inst.hasCapacity() {
+	for len(fn.waiting()) > 0 && inst.hasCapacity() {
 		rq := fn.popPending()
 		if p.decOn() {
 			p.decideAdmit(rq, body, inst.decID, nil)

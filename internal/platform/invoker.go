@@ -564,6 +564,7 @@ func (ss *sharedSlice) kick(p *Platform) {
 		b.tracker.End(end)
 		b.outstanding--
 		p.complete(job.rq)
+		p.recycle(job.rq, nil)
 		// Health observation may quarantine this slice and tear it down
 		// (failShared); the kick below then no-ops on ss.failed.
 		p.observeSliceExec(ss.slice, declaredExec, exec)
@@ -673,18 +674,15 @@ func (ss *sharedSlice) dropStale(p *Platform, now float64) []*tsBinding {
 			p.complete(j.rq)
 		} else {
 			rq := j.rq
-			p.finishUnserved(EvDrop, "time-sharing queue past the client timeout", transition{
-				rq: rq,
-				decision: func() decisions.Record {
-					return decisions.Record{
-						Kind: decisions.KindDrop, Subject: ss.slice.ID(),
-						Rule: "client-timeout", Outcome: "dropped from time-sharing queue",
-						Inputs: []decisions.KV{
-							kvF("waited", now-rq.arrival),
-							kvF("limit", pendingDrop*rq.fn.spec.SLO),
-						},
-					}
-				},
+			p.finishUnserved(rq, EvDrop, "time-sharing queue past the client timeout", func() decisions.Record {
+				return decisions.Record{
+					Kind: decisions.KindDrop, Subject: ss.slice.ID(),
+					Rule: "client-timeout", Outcome: "dropped from time-sharing queue",
+					Inputs: []decisions.KV{
+						kvF("waited", now-rq.arrival),
+						kvF("limit", pendingDrop*rq.fn.spec.SLO),
+					},
+				}
 			})
 		}
 		seen := false
@@ -704,7 +702,7 @@ func (ss *sharedSlice) dropStale(p *Platform, now float64) []*tsBinding {
 // onTSSlack drains pending requests into the binding after a completion.
 func (p *Platform) onTSSlack(b *tsBinding) {
 	fn := b.fn
-	for len(fn.pending) > 0 && b.outstanding < b.capacity && fn.ts == b {
+	for len(fn.waiting()) > 0 && b.outstanding < b.capacity && fn.ts == b {
 		rq := fn.popPending()
 		if p.decOn() {
 			p.decideAdmit(rq, fn.admits.drainTSSlack, b.shared.decID, nil)

@@ -49,14 +49,11 @@ func (p *Platform) admissionReject(rq *request) bool {
 // (zero wait) and distinct from a timeout drop. inputs builds the Reject
 // decision's inputs; it runs only while provenance is on.
 func (p *Platform) reject(rq *request, detail string, inputs func() []decisions.KV) {
-	p.finishUnserved(EvReject, detail, transition{
-		rq: rq,
-		decision: func() decisions.Record {
-			return decisions.Record{
-				Kind: decisions.KindReject, Rule: "deadline-estimate", Outcome: detail,
-				Inputs: inputs(),
-			}
-		},
+	p.finishUnserved(rq, EvReject, detail, func() decisions.Record {
+		return decisions.Record{
+			Kind: decisions.KindReject, Rule: "deadline-estimate", Outcome: detail,
+			Inputs: inputs(),
+		}
 	})
 }
 
@@ -119,7 +116,7 @@ func (p *Platform) completionEstimate(fn *Function, deadline float64) (float64, 
 			break
 		}
 	}
-	ahead := len(fn.pending)
+	ahead := len(fn.waiting())
 	par := 4 * fn.bestCapacity(queueSlack)
 	waves := float64(ahead / par)
 	est := load + exec + waves*exec

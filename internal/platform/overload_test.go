@@ -335,7 +335,7 @@ func TestMigrationDrainsPending(t *testing.T) {
 	if mono == nil {
 		t.Fatal("no monolithic replacement instance")
 	}
-	drained := 3 - len(fn.pending)
+	drained := 3 - len(fn.waiting())
 	if drained == 0 {
 		t.Fatal("pending overflow not drained into the migrated instance")
 	}
@@ -382,7 +382,7 @@ func fullMinimum(p *Platform, fn *Function) float64 {
 		}
 	}
 	par := 4 * fn.bestCapacity(queueSlack)
-	return load + exec + float64(len(fn.pending)/par)*exec
+	return load + exec + float64(len(fn.waiting())/par)*exec
 }
 
 // TestAdmissionStopsAtFirstPass: the admission gate accepts at the first

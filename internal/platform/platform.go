@@ -257,11 +257,17 @@ type Platform struct {
 	lastEmpty emptyRound
 	// candBuf is route's reused buffer of passed-over candidates.
 	candBuf []decisions.Cand
-	// reqFree and jobFree are the unused tails of the blocks arrivals
-	// and admissions are carved from (carve). arrivalsLeft, set by
+	// scratchInsts is manageKeepAlive's copy of a function's instances.
+	scratchInsts []*Instance
+	// reqPool and jobPool hold finalised requests and the stage jobs
+	// that carried them (recycle); arrivals and admissions take from
+	// them first. reqFree and jobFree are the unused tails of the
+	// blocks carved when a pool is empty (carve). arrivalsLeft, set by
 	// Run's trace stream, is how many trace arrivals remain; it caps a
 	// new block's size, so a trace's last blocks are no larger than
 	// the arrivals left to fill them.
+	reqPool      []*request
+	jobPool      []*stageJob
 	reqFree      []request
 	jobFree      []stageJob
 	arrivalsLeft int
@@ -455,7 +461,7 @@ func (p *Platform) Run(tr *trace.Trace, drain float64) {
 	// drop time is the completion: the record's latency is how long the
 	// request waited before being abandoned, never negative.
 	for _, fn := range p.funcs {
-		for _, rq := range fn.pending {
+		for _, rq := range fn.waiting() {
 			rq.rec.Dropped = true
 			rq.rec.Completion = p.eng.Now()
 			if p.decOn() {
@@ -467,7 +473,7 @@ func (p *Platform) Run(tr *trace.Trace, drain float64) {
 			}
 			p.record(rq.rec)
 		}
-		fn.pending = nil
+		fn.pending, fn.pendHead = nil, 0
 	}
 	p.utilClose(end)
 	p.exportRunCounters()
@@ -479,8 +485,7 @@ const blockLen = 512
 
 // carve returns the next element of the block *free, allocating a new
 // block first when it is used up. The element is zero. A block stays
-// live while any of its elements is reachable; requests and their jobs
-// finish roughly in arrival order, so few blocks are live at once.
+// live while any of its elements is reachable.
 func carve[T any](p *Platform, free *[]T) *T {
 	if len(*free) == 0 {
 		n := blockLen
@@ -494,6 +499,39 @@ func carve[T any](p *Platform, free *[]T) *T {
 	return x
 }
 
+// take returns the most recently recycled element of *pool, or one
+// carved from *free when the pool is empty. A recycled element keeps
+// whatever its last use left in it.
+func take[T any](p *Platform, pool *[]*T, free *[]T) *T {
+	if n := len(*pool); n > 0 {
+		x := (*pool)[n-1]
+		*pool = (*pool)[:n-1]
+		return x
+	}
+	return carve(p, free)
+}
+
+// recycle returns a finalised request, and sj, the stage job that
+// carried it (nil when it left a shared slice or went unserved), to the
+// platform's pools. Each exit calls it once, after its last read of rq
+// and sj: the last stage's Done, the time-sharing service callback and
+// finishUnserved. Hedge copies are never recycled: their partner still
+// reads the shared hedgeState.
+//
+// A recycled request may still be referenced, but only from state that
+// never touches it again: a failed instance's stale stage jobs and a
+// failed pool slice's service closure. Each of them checks inst.failed
+// or ss.failed before it reads its request, so it must keep doing so.
+func (p *Platform) recycle(rq *request, sj *stageJob) {
+	if rq.hedge != nil {
+		return
+	}
+	p.reqPool = append(p.reqPool, rq)
+	if sj != nil {
+		p.jobPool = append(p.jobPool, sj)
+	}
+}
+
 // InjectRequest routes a request for function fn arriving now, tagged
 // with id. Trace replay uses it internally; external drivers (e.g. the
 // workflow chaining study) call it from engine events to create
@@ -504,7 +542,7 @@ func (p *Platform) InjectRequest(fn, id int) {
 	}
 	f := p.funcs[fn]
 	now := p.eng.Now()
-	rq := carve(p, &p.reqFree)
+	rq := take(p, &p.reqPool, &p.reqFree)
 	*rq = request{
 		id:       id,
 		fn:       f,
@@ -543,15 +581,19 @@ func (p *Platform) complete(rq *request) {
 // service: a client-timeout drop, an abandoned retry or a rejection.
 // Its record completes now as dropped, and as rejected for a reject.
 // The drop is when the request leaves the system; without it,
-// Latency() on a dropped record goes negative. The transition on t.rq
-// is logged, then the record is kept.
-func (p *Platform) finishUnserved(kind EventKind, detail string, t transition) {
-	rec := &t.rq.rec
+// Latency() on a dropped record goes negative. The transition on rq is
+// logged with decision, then the record is kept and rq recycled. rq is
+// not part of a caller-built transition: it escapes into the pool, and
+// a transition holding it would take decision's closure to the heap
+// with it.
+func (p *Platform) finishUnserved(rq *request, kind EventKind, detail string, decision func() decisions.Record) {
+	rec := &rq.rec
 	rec.Dropped = true
 	rec.Rejected = kind != EvDrop
 	rec.Completion = p.eng.Now()
-	p.logEvent(kind, t.rq.fn.spec.Name, detail, t)
+	p.logEvent(kind, rq.fn.spec.Name, detail, transition{rq: rq, decision: decision})
 	p.record(*rec)
+	p.recycle(rq, nil)
 }
 
 // record finalises a request record and notifies the OnComplete hook.

@@ -46,11 +46,11 @@ func TestReclaimIdleDrainsPending(t *testing.T) {
 		if b.outstanding == 0 {
 			t.Error("sibling move did not drain pending into the new slice")
 		}
-		if len(fn.pending)+b.outstanding != 2 {
+		if len(fn.waiting())+b.outstanding != 2 {
 			t.Errorf("pending %d + outstanding %d != 2 requests",
-				len(fn.pending), b.outstanding)
+				len(fn.waiting()), b.outstanding)
 		}
-		if len(fn.pending) > 0 && b.outstanding < b.capacity {
+		if len(fn.waiting()) > 0 && b.outstanding < b.capacity {
 			t.Error("requests left pending with binding capacity to spare")
 		}
 	})

@@ -135,7 +135,7 @@ func (p *Platform) Snapshot() Snapshot {
 	for _, fn := range p.funcs {
 		fs := FunctionState{
 			Name: fn.spec.Name, SLO: fn.spec.SLO,
-			KeepAlive: "cold", Pending: len(fn.pending),
+			KeepAlive: "cold", Pending: len(fn.waiting()),
 			Instances: []InstanceState{},
 		}
 		if fn.ts != nil {

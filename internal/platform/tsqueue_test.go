@@ -147,8 +147,8 @@ func TestTSCapacityAdmission(t *testing.T) {
 			t.Errorf("binding outstanding = %d, want capacity %d",
 				b0.outstanding, b0.capacity)
 		}
-		if len(fn.pending) != 2 {
-			t.Errorf("pending = %d, want the 2 overflow requests", len(fn.pending))
+		if len(fn.waiting()) != 2 {
+			t.Errorf("pending = %d, want the 2 overflow requests", len(fn.waiting()))
 		}
 	})
 	p.eng.RunUntil(0.6)
