@@ -10,9 +10,13 @@ import (
 	"fmt"
 	"log"
 
+	"fluidfaas/internal/cluster"
 	"fluidfaas/internal/ffaas"
 	"fluidfaas/internal/mig"
 	"fluidfaas/internal/pipeline"
+	"fluidfaas/internal/platform"
+	"fluidfaas/internal/scheduler"
+	"fluidfaas/internal/trace"
 )
 
 // llmModule builds a Module with an explicit per-slice profile: time
@@ -82,8 +86,8 @@ func main() {
 		mono.Latency*1000, mono.Throughput())
 
 	// The cluster is fragmented: only 2g and 1g slices are free.
-	free := []mig.SliceType{mig.Slice2g, mig.Slice2g, mig.Slice1g}
-	plan, idx, err := pipeline.Construct(d, parts, free, 0)
+	free := mig.Config{mig.Slice2g, mig.Slice2g, mig.Slice1g}
+	plan, _, err := pipeline.Construct(d, parts, free, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -91,38 +95,35 @@ func main() {
 	fmt.Printf("  latency %.0f ms, throughput %.2f req/s (%d GPCs)\n\n",
 		plan.Latency*1000, plan.Throughput(), plan.GPCs())
 
-	// Launch and drive the pipeline: decode dominates, so the pipeline
-	// streams requests at the decode stage's pace.
-	ids := make([]string, len(idx))
-	for i, ai := range idx {
-		ids[i] = fmt.Sprintf("frag%d/%s", ai, free[ai])
+	// Serve a burst on one GPU holding exactly those fragments, after a
+	// warm-up request has paid the cold load: decode dominates, so the
+	// pipeline streams requests at the decode stage's pace.
+	const n, burstAt = 16, 30.0
+	tr := &trace.Trace{Duration: burstAt, NumFuncs: 1}
+	tr.Requests = append(tr.Requests, trace.Request{ID: 0})
+	for i := 1; i <= n; i++ {
+		tr.Requests = append(tr.Requests, trace.Request{ID: i, Arrival: burstAt})
 	}
-	cfg, err := ffaas.FromPlan(plan, ids)
-	if err != nil {
-		log.Fatal(err)
-	}
-	inst, err := ffaas.Launch(fn, cfg, ffaas.LaunchOptions{Preloaded: true})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer inst.Close()
+	spec := platform.FunctionSpec{Name: fn.Name(), DAG: d, Parts: parts, SLO: 5}
+	cl := cluster.New(cluster.Spec{Nodes: 1, GPUConfigs: []mig.Config{free}})
+	p := platform.New(cl, []platform.FunctionSpec{spec}, platform.Options{Policy: &scheduler.FluidFaaS{}})
+	p.Run(tr, 30)
 
-	const n = 16
-	chans := make([]<-chan ffaas.Result, n)
-	for i := range chans {
-		chans[i] = inst.Invoke(0)
-	}
-	var first, last ffaas.Result
-	for i, ch := range chans {
-		r := <-ch
-		if i == 0 {
-			first = r
+	var first, last float64
+	for _, r := range p.Collector().Records() {
+		if r.Dropped {
+			log.Fatalf("request %d dropped after %.0f ms", r.ID, r.Latency()*1000)
 		}
-		last = r
+		switch r.ID {
+		case 1:
+			first = r.Latency()
+		case n:
+			last = r.Latency()
+		}
 	}
-	span := last.Latency - first.Latency
+	span := last - first
 	fmt.Printf("served %d requests: first finished at %.0f ms, last at %.0f ms\n",
-		n, first.Latency*1000, last.Latency*1000)
+		n, first*1000, last*1000)
 	fmt.Printf("steady-state spacing %.0f ms/request = %.2f req/s through the fragments\n",
 		span/float64(n-1)*1000, float64(n-1)/span)
 }

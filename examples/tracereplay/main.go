@@ -76,8 +76,9 @@ func main() {
 	fmt.Printf("completed        %d / %d\n", col.Completed(), col.Len())
 	fmt.Printf("throughput       %.1f req/s\n", col.Throughput(tr.Duration))
 	fmt.Printf("SLO hit rate     %.1f%%\n", col.SLOHitRate()*100)
+	byFunc := col.SLOHitRateByFunc()
 	for fnID := 0; fnID < len(specs); fnID++ {
-		fmt.Printf("  %-30s %.1f%%\n", specs[fnID].Name, col.SLOHitRateByFunc()[fnID]*100)
+		fmt.Printf("  %-30s %.1f%%\n", specs[fnID].Name, byFunc[fnID]*100)
 	}
 	fmt.Printf("breakdown        %s\n", col.MeanBreakdown())
 	fmt.Printf("instances        %d launched, %d evictions, %d migrations\n",

@@ -1,19 +1,9 @@
 // Package ffaas is the FluidFaaS programming model (paper §5.2.1,
 // Fig. 7): developers wrap each DNN component in a Module, register the
 // components and their dataflow in DefDAG, and the runtime takes care of
-// everything else. A FluidFaaS function initialises in one of two modes —
-// BuildDAG (construct and profile the FFS DAG) or Run (import the DAG
-// and the MIG assignment the invoker wrote to the configuration layer,
-// then execute stages as communicating processes, Listing 1).
-//
-// In Run mode each stage is the Listing 1 process of one MIG slice: a
-// FIFO server of its shared-memory input queue with an eviction flag,
-// costed by pipeline.BuildPlan exactly as the invoker costs it. Model
-// execution advances virtual time, so every Result is a pure function of
-// Invoke order. The instance therefore runs each request through the
-// stage tandem synchronously under one lock: a goroutine per stage buys
-// no concurrency in virtual time, and made Close racy and the effect of
-// an eviction depend on scheduling.
+// everything else. BUILDDAG mode constructs the FFS DAG and profiles its
+// components; the invoker (internal/pipeline) turns those profiles into
+// a pipeline over free MIG slices, and internal/platform serves it.
 package ffaas
 
 import (
@@ -21,7 +11,6 @@ import (
 
 	"fluidfaas/internal/dag"
 	"fluidfaas/internal/mig"
-	"fluidfaas/internal/pipeline"
 )
 
 // Module is the analog of FluidFaaS.Module: the thin wrapper developers
@@ -109,19 +98,6 @@ type Function interface {
 	DefDAG(b *Builder)
 }
 
-// Mode selects how a FluidFaaS function initialises (Fig. 7's RUN and
-// BUILDDAG entry points).
-type Mode int
-
-// Initialisation modes.
-const (
-	// BuildDAGMode constructs the FFS DAG and profiles its components.
-	BuildDAGMode Mode = iota
-	// RunMode imports the DAG and the invoker's MIG assignment from the
-	// configuration layer and serves requests.
-	RunMode
-)
-
 // BuildDAG runs the function in BUILDDAG mode and returns its validated
 // FFS DAG.
 func BuildDAG(fn Function) (*dag.DAG, error) {
@@ -165,39 +141,4 @@ func Profile(fn Function) (*dag.DAG, []ComponentProfile, error) {
 		}
 	}
 	return d, profs, nil
-}
-
-// StageConfig is one stage of the deployment the invoker decided on.
-type StageConfig struct {
-	// Nodes of the FFS DAG executing in this stage.
-	Nodes []dag.NodeID
-	// Slice profile the stage runs on.
-	Slice mig.SliceType
-	// SliceID names the physical slice (CUDA_VISIBLE_DEVICES analog).
-	SliceID string
-}
-
-// Config is the configuration layer of a FluidFaaS function: the invoker
-// writes the pipeline structure and MIG assignment here before launching
-// the instance (§5.2.1), and RUN-mode initialisation imports it.
-type Config struct {
-	Stages []StageConfig
-}
-
-// FromPlan converts an invoker pipeline plan plus physical slice IDs to
-// a Config.
-func FromPlan(plan pipeline.Plan, sliceIDs []string) (Config, error) {
-	if len(sliceIDs) != len(plan.Stages) {
-		return Config{}, fmt.Errorf("ffaas: %d slice IDs for %d stages",
-			len(sliceIDs), len(plan.Stages))
-	}
-	var cfg Config
-	for i, sp := range plan.Stages {
-		cfg.Stages = append(cfg.Stages, StageConfig{
-			Nodes:   sp.Stage.Nodes,
-			Slice:   sp.SliceType,
-			SliceID: sliceIDs[i],
-		})
-	}
-	return cfg, nil
 }

@@ -42,7 +42,7 @@ func TestPolicyFlags(t *testing.T) {
 		t.Error("ESG flags wrong")
 	}
 	inf := &INFlessMIG{}
-	if inf.Pipelines() || inf.TimeSharing() || inf.Name() != "infless" {
+	if inf.Pipelines() || inf.TimeSharing() || inf.Migration() || inf.Name() != "infless" {
 		t.Error("INFless flags wrong")
 	}
 }
