@@ -49,9 +49,6 @@ func (m *MemPool) CapacityGB() float64 { return m.capGB }
 // UsedGB returns reserved memory, the sum of the held copies.
 func (m *MemPool) UsedGB() float64 { return m.usedGB }
 
-// FreeGB returns unreserved capacity.
-func (m *MemPool) FreeGB() float64 { return m.capGB - m.usedGB }
-
 // Occupancy returns UsedGB/CapacityGB, the pool-pressure metric; zero
 // when the pool has no capacity.
 func (m *MemPool) Occupancy() float64 {

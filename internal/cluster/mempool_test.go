@@ -16,8 +16,8 @@ func TestMemPoolKeyedReserveRelease(t *testing.T) {
 	if !m.ReserveModel("c", 20) {
 		t.Error("exact-fit keyed reservation refused")
 	}
-	if m.UsedGB() != 100 || m.FreeGB() != 0 {
-		t.Errorf("used/free = %v/%v, want 100/0", m.UsedGB(), m.FreeGB())
+	if m.UsedGB() != 100 || m.capGB-m.usedGB != 0 {
+		t.Errorf("used/free = %v/%v, want 100/0", m.UsedGB(), m.capGB-m.usedGB)
 	}
 	// Re-reserving an existing key refreshes in place: no double charge.
 	if !m.ReserveModel("a", 40) {

@@ -83,9 +83,6 @@ func (t *Tracker) Touch(now float64) {
 	}
 }
 
-// LastUse returns the time of the most recent activity.
-func (t *Tracker) LastUse() float64 { return t.lastUse }
-
 // Utilization returns the busy fraction of the window ending at now.
 func (t *Tracker) Utilization(now float64) float64 {
 	lo := windowStart(now)

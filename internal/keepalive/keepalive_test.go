@@ -147,12 +147,12 @@ func TestTrackerIdleAndTouch(t *testing.T) {
 	if got := tr.IdleFor(16); got != 1 {
 		t.Errorf("IdleFor after touch = %v, want 1", got)
 	}
-	if got := tr.LastUse(); got != 15 {
-		t.Errorf("LastUse = %v, want 15", got)
+	if got := tr.lastUse; got != 15 {
+		t.Errorf("lastUse = %v, want 15", got)
 	}
 	tr.Touch(2) // stale touch must not move time backwards
-	if got := tr.LastUse(); got != 15 {
-		t.Errorf("LastUse after stale touch = %v", got)
+	if got := tr.lastUse; got != 15 {
+		t.Errorf("lastUse after stale touch = %v", got)
 	}
 }
 
@@ -224,8 +224,8 @@ func TestTrackerDefensiveSequences(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := NewTracker()
 			tc.drive(tr)
-			if got := tr.LastUse(); got != tc.lastUse {
-				t.Errorf("LastUse = %v, want %v", got, tc.lastUse)
+			if got := tr.lastUse; got != tc.lastUse {
+				t.Errorf("lastUse = %v, want %v", got, tc.lastUse)
 			}
 			if got := tr.Utilization(30); math.Abs(got-tc.util) > 1e-12 {
 				t.Errorf("Utilization(30) = %v, want %v", got, tc.util)

@@ -52,6 +52,21 @@ func (r RequestRecord) SLOHit() bool {
 	return !r.Dropped && r.SLO > 0 && r.Latency() <= r.SLO
 }
 
+// Outcome classifies the request for the exports: "rejected",
+// "failed", "dropped" (a timeout drop) or "served".
+func (r RequestRecord) Outcome() string {
+	switch {
+	case r.Rejected:
+		return "rejected"
+	case r.Failed:
+		return "failed"
+	case r.Dropped:
+		return "dropped"
+	default:
+		return "served"
+	}
+}
+
 // Collector accumulates request records. Record also keeps the tallies
 // and latency-breakdown sums the run summaries read, so those cost O(1)
 // instead of a scan over every record.

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
-	"strings"
 
 	"fluidfaas/internal/obs"
 )
@@ -78,10 +77,10 @@ func (rp *Report) WriteJSON(w io.Writer) error {
 // aggregation, straggler extraction, drift detection, burn-rate replay —
 // over a finished recorder. The recorder is read, never mutated.
 func Analyze(_ Config, rec *obs.Recorder) *Report {
-	paths := Reconstruct(rec.Spans())
+	paths := Reconstruct(rec)
 	rp := &Report{Requests: len(paths)}
 	rp.Blame, rp.Stragglers = blame(paths, stragglerLimit)
-	rp.Drift, rp.DriftEvents = drift(rec, paths)
+	rp.Drift, rp.DriftEvents = drift(rec)
 	rp.Burn, rp.BurnAlerts = burn(rec)
 	return rp
 }
@@ -188,27 +187,16 @@ func blame(paths []RequestPath, stragglerLimit int) ([]FuncBlame, []Straggler) {
 }
 
 // drift replays exec spans carrying a declared profile through the EWMA
-// tracker, in record order (the simulation's causal order).
-func drift(rec *obs.Recorder, paths []RequestPath) ([]DriftEntry, []DriftEvent) {
+// tracker, in record order (the simulation's causal order), keyed by
+// the function names bound to the recorder.
+func drift(rec *obs.Recorder) ([]DriftEntry, []DriftEvent) {
 	tr := NewDriftTracker()
-	// Function names for drift keys come from the request envelopes;
-	// exec spans only carry the function index.
-	names := map[int]string{}
-	for _, p := range paths {
-		names[p.Func] = p.Name
-	}
 	var events []DriftEvent
 	for sp := range rec.Spans() {
 		if sp.Kind != obs.KindSlice || sp.Cat != "exec" || sp.Declared <= 0 {
 			continue
 		}
-		fn, ok := names[sp.Func]
-		if !ok {
-			// The request never finalised (still in flight at run end);
-			// fall back to the span label.
-			fn = strings.TrimPrefix(sp.Name, "exec ")
-		}
-		k := DriftKey{Func: fn, Stage: sp.Stage, Slice: sp.Detail}
+		k := DriftKey{Func: rec.FuncName(sp.Func), Stage: sp.Stage, Slice: sp.Detail}
 		if ev := tr.Observe(sp.End, k, sp.End-sp.Start, sp.Declared); ev != nil {
 			events = append(events, *ev)
 		}
@@ -216,14 +204,13 @@ func drift(rec *obs.Recorder, paths []RequestPath) ([]DriftEntry, []DriftEvent) 
 	return tr.Entries(), events
 }
 
-// burn replays the request envelopes (recorded in completion order, so
-// times are non-decreasing) through the burn monitor.
+// burn replays the finalised requests (in completion order, so times
+// are non-decreasing) through the burn monitor. A request misses when
+// it has an SLO and did not meet it.
 func burn(rec *obs.Recorder) ([]BurnStatus, []BurnAlert) {
 	m := NewBurnMonitor()
-	for sp := range rec.Spans() {
-		if sp.IsRequest() {
-			m.Observe(sp.Name, sp.End, sp.SLOMiss())
-		}
+	for _, r := range rec.Requests() {
+		m.Observe(rec.FuncName(r.Func), r.Completion, r.SLO > 0 && !r.SLOHit())
 	}
 	return m.Status(), m.Alerts()
 }

@@ -4,22 +4,38 @@ import (
 	"bytes"
 	"testing"
 
+	"fluidfaas/internal/metrics"
 	"fluidfaas/internal/obs"
 )
+
+// boundRecorder returns a recorder bound to a fresh collector over the
+// functions app0, app1 and app2.
+func boundRecorder() (*obs.Recorder, *metrics.Collector) {
+	r, col := obs.NewRecorder(), metrics.NewCollector()
+	r.Bind(col, []string{"app0", "app1", "app2"})
+	return r, col
+}
+
+// finalise records rec and notes it done, as the platform does when a
+// request finishes.
+func finalise(r *obs.Recorder, col *metrics.Collector, rec metrics.RequestRecord) {
+	col.Record(rec)
+	r.RequestDone()
+}
 
 // synthRecorder builds a small deterministic recorder: two functions,
 // one with drifting exec times and SLO misses.
 func synthRecorder() *obs.Recorder {
-	r := obs.NewRecorder()
+	r, col := boundRecorder()
 	for i := 0; i < 40; i++ {
 		t0 := float64(i * 10)
 		// app0: healthy, exec matches its declared 1s profile.
 		r.StageSpan("exec app0", "gpu0/2g.20gb#0", "2g.20gb", 0, i, -1, t0+1, t0+2, 1)
-		r.RequestSpan("app0", 0, i, t0, t0+2, 5, "served")
+		finalise(r, col, metrics.RequestRecord{ID: i, Func: 0, Arrival: t0, Completion: t0 + 2, SLO: 5})
 		// app1: observed exec is 1.6x the declared profile and misses
 		// its SLO every time.
 		r.StageSpan("exec app1", "gpu0/3g.40gb#0", "3g.40gb", 1, i, -1, t0+0.8, t0+4, 2)
-		r.RequestSpan("app1", 1, i, t0, t0+4, 1, "served")
+		finalise(r, col, metrics.RequestRecord{ID: i, Func: 1, Arrival: t0, Completion: t0 + 4, SLO: 1})
 	}
 	r.SetDuration(400)
 	return r

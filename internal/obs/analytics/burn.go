@@ -9,7 +9,7 @@ import "sort"
 // BOTH windows burn faster than a severity's threshold; it resolves
 // when either window drops back under. All windows are virtual-time
 // seconds, so the monitor is as deterministic as the simulation feeding
-// it: replaying a run's request envelopes reproduces the alert sequence
+// it: replaying a run's request records reproduces the alert sequence
 // byte-for-byte.
 
 // BurnSeverity orders alert severities.

@@ -9,7 +9,6 @@
 package analytics
 
 import (
-	"iter"
 	"sort"
 
 	"fluidfaas/internal/obs"
@@ -88,10 +87,9 @@ func (p RequestPath) Latency() float64 { return p.End - p.Arrival }
 type pathKey struct{ fn, req int }
 
 // Reconstruct rebuilds every finalised request's critical path from the
-// recorder's span log. The chain grammar it consumes:
+// recorder: the bound collector's records give each request's window
+// and outcome, and the span log its chain:
 //
-//   - one "request" async span per finalised request (the envelope;
-//     Detail carries the outcome),
 //   - "retry" async marks for fault re-routes — each mark restarts the
 //     chain: slice spans recorded before the last mark belong to a
 //     failed attempt and are charged to the retry component, not to
@@ -99,67 +97,64 @@ type pathKey struct{ fn, req int }
 //   - "exec"/"load"/"transfer" spans tied to the request (Req >= 0).
 //
 // Robustness over adversarial chains (partial chains of dropped or
-// rejected requests, spans overlapping or spilling past the envelope)
-// comes from clipping every span to the envelope and trimming the
+// rejected requests, spans overlapping or spilling past the request's
+// window) comes from clipping every span to the window and trimming the
 // summed components, in taxonomy order, to never exceed the remaining
 // end-to-end budget; queue is the residual. That construction makes
 // "components sum exactly to end-to-end latency" an invariant rather
 // than a hope.
-//
-// spans is iterated twice; obs.Recorder.Spans yields the span log in
-// record order on every iteration.
-func Reconstruct(spans iter.Seq[*obs.Span]) []RequestPath {
+func Reconstruct(rec *obs.Recorder) []RequestPath {
 	type acc struct {
 		path      RequestPath
-		hasReq    bool
 		lastRetry float64
 		retries   int
 		exec      float64
 		load      float64
 		transfer  float64
 	}
-	// The accumulators live in one table, indexed by chain.
+	// The accumulators live in one table, indexed by chain; a later
+	// record of the same chain replaces an earlier one.
 	var accs chunk.Table[acc]
 	chains := map[pathKey]int{}
-	get := func(fn, req int) *acc {
-		k := pathKey{fn, req}
-		i, ok := chains[k]
+	for _, r := range rec.Requests() {
+		k := pathKey{r.Func, r.ID}
+		j, ok := chains[k]
 		if !ok {
-			i = accs.Len()
-			accs.Push(acc{lastRetry: -1})
-			chains[k] = i
+			j = accs.Len()
+			accs.Push(acc{})
+			chains[k] = j
 		}
-		return accs.At(i)
+		*accs.At(j) = acc{
+			path: RequestPath{
+				Func: r.Func, Name: rec.FuncName(r.Func), Req: r.ID,
+				Arrival: r.Arrival, End: r.Completion, Outcome: r.Outcome(),
+			},
+			lastRetry: -1,
+		}
 	}
 
-	// Pass 1: envelopes and retry marks fix each chain's window and the
-	// start of its surviving attempt.
-	for sp := range spans {
-		if sp.Req < 0 {
+	// Pass 1: retry marks fix the start of each chain's surviving
+	// attempt.
+	for sp := range rec.Spans() {
+		if sp.Req < 0 || sp.Kind != obs.KindAsyncMark || sp.Cat != "retry" {
 			continue
 		}
-		switch {
-		case sp.IsRequest():
-			a := get(sp.Func, sp.Req)
-			a.hasReq = true
-			a.path = RequestPath{
-				Func: sp.Func, Name: sp.Name, Req: sp.Req,
-				Arrival: sp.Start, End: sp.End, Outcome: sp.Detail,
-			}
-		case sp.Kind == obs.KindAsyncMark && sp.Cat == "retry":
-			a := get(sp.Func, sp.Req)
-			a.retries++
-			if sp.Start > a.lastRetry {
-				a.lastRetry = sp.Start
-			}
+		i, ok := chains[pathKey{sp.Func, sp.Req}]
+		if !ok {
+			continue
+		}
+		a := accs.At(i)
+		a.retries++
+		if sp.Start > a.lastRetry {
+			a.lastRetry = sp.Start
 		}
 	}
 
 	// Pass 2: sum the surviving attempt's slice work, clipped to the
-	// envelope. Spans that start before the last retry mark belong to a
-	// torn-down attempt (their recorded durations cover time that never
-	// completed) and are excluded.
-	for sp := range spans {
+	// request's window. Spans that start before the last retry mark
+	// belong to a torn-down attempt (their recorded durations cover time
+	// that never completed) and are excluded.
+	for sp := range rec.Spans() {
 		if sp.Req < 0 {
 			continue
 		}
@@ -173,9 +168,6 @@ func Reconstruct(spans iter.Seq[*obs.Span]) []RequestPath {
 			continue
 		}
 		a := accs.At(i)
-		if !a.hasReq {
-			continue
-		}
 		if a.lastRetry >= 0 && sp.Start < a.lastRetry {
 			continue
 		}
@@ -201,9 +193,6 @@ func Reconstruct(spans iter.Seq[*obs.Span]) []RequestPath {
 
 	out := make([]RequestPath, 0, accs.Len())
 	for a := range accs.All() {
-		if !a.hasReq {
-			continue // orphan slice spans (run ended mid-service)
-		}
 		retryPenalty := 0.0
 		if a.lastRetry >= 0 {
 			retryPenalty = a.lastRetry - a.path.Arrival
@@ -228,7 +217,7 @@ func Reconstruct(spans iter.Seq[*obs.Span]) []RequestPath {
 		out = append(out, a.path)
 	}
 	// Completion order (ties by function then request) mirrors the
-	// envelopes' record order and keeps downstream aggregation and JSON
+	// collector's record order and keeps downstream aggregation and JSON
 	// byte-deterministic.
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].End != out[j].End {

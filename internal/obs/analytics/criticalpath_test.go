@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"fluidfaas/internal/obs"
+	"fluidfaas/internal/metrics"
 )
 
 // checkSums asserts the package invariant: every reconstructed path's
@@ -24,15 +24,15 @@ func checkSums(t *testing.T, paths []RequestPath) {
 // TestReconstructSimpleChain: a clean chain decomposes into its parts
 // with queue as the residual.
 func TestReconstructSimpleChain(t *testing.T) {
-	r := obs.NewRecorder()
-	// Envelope 0..10: load 1..2, exec 2..5 and 6..8, transfer 5..6.
-	r.AsyncSpan("request", "app0", 0, 1, 0, 10, "served")
+	r, col := boundRecorder()
+	// Request window 0..10: load 1..2, exec 2..5 and 6..8, transfer 5..6.
+	finalise(r, col, metrics.RequestRecord{ID: 1, Func: 0, Arrival: 0, Completion: 10})
 	r.SliceSpan("load", "load app0", "gpu0/3g.40gb#0", 0, 1, 0, 1, 2)
 	r.StageSpan("exec app0", "gpu0/3g.40gb#0", "3g.40gb", 0, 1, 0, 2, 5, 3)
 	r.SliceSpan("transfer", "s0->s1", "gpu0/3g.40gb#0", 0, 1, 0, 5, 6)
 	r.StageSpan("exec app0", "gpu0/2g.20gb#0", "2g.20gb", 0, 1, 1, 6, 8, 2)
 
-	paths := Reconstruct(r.Spans())
+	paths := Reconstruct(r)
 	if len(paths) != 1 {
 		t.Fatalf("got %d paths, want 1", len(paths))
 	}
@@ -51,8 +51,8 @@ func TestReconstructSimpleChain(t *testing.T) {
 // recorded before the last mark belong to the failed attempt and are
 // charged to the retry component instead of exec.
 func TestReconstructRetriedChain(t *testing.T) {
-	r := obs.NewRecorder()
-	r.AsyncSpan("request", "app0", 0, 7, 0, 20, "served")
+	r, col := boundRecorder()
+	finalise(r, col, metrics.RequestRecord{ID: 7, Func: 0, Arrival: 0, Completion: 20})
 	// Failed attempt: exec span recorded ahead-of-time, torn down by a
 	// fault at t=4 (span covers time that never completed).
 	r.StageSpan("exec app0", "gpu0/3g.40gb#0", "3g.40gb", 0, 7, -1, 2, 8, 6)
@@ -61,7 +61,7 @@ func TestReconstructRetriedChain(t *testing.T) {
 	r.SliceSpan("load", "load app0", "gpu1/3g.40gb#0", 0, 7, -1, 6, 8)
 	r.StageSpan("exec app0", "gpu1/3g.40gb#0", "3g.40gb", 0, 7, -1, 8, 14, 6)
 
-	paths := Reconstruct(r.Spans())
+	paths := Reconstruct(r)
 	if len(paths) != 1 {
 		t.Fatalf("got %d paths, want 1", len(paths))
 	}
@@ -81,14 +81,14 @@ func TestReconstructRetriedChain(t *testing.T) {
 // TestReconstructDoubleRetry: only the last retry mark splits the
 // chain; earlier marks just count.
 func TestReconstructDoubleRetry(t *testing.T) {
-	r := obs.NewRecorder()
-	r.AsyncSpan("request", "app0", 0, 3, 0, 30, "served")
+	r, col := boundRecorder()
+	finalise(r, col, metrics.RequestRecord{ID: 3, Func: 0, Arrival: 0, Completion: 30})
 	r.AsyncMark("retry", "retry", 0, 3, 5, "fault")
 	r.StageSpan("exec app0", "gpu0/1g.10gb#0", "1g.10gb", 0, 3, -1, 6, 9, 3)
 	r.AsyncMark("retry", "retry", 0, 3, 10, "fault")
 	r.StageSpan("exec app0", "gpu0/1g.10gb#1", "1g.10gb", 0, 3, -1, 12, 18, 3)
 
-	paths := Reconstruct(r.Spans())
+	paths := Reconstruct(r)
 	p := paths[0]
 	if p.Retries != 2 {
 		t.Errorf("retries = %d, want 2", p.Retries)
@@ -104,17 +104,17 @@ func TestReconstructDoubleRetry(t *testing.T) {
 // TestReconstructPartialChains: dropped and rejected requests have
 // partial (or empty) chains; components still sum exactly.
 func TestReconstructPartialChains(t *testing.T) {
-	r := obs.NewRecorder()
-	// Rejected at admission: zero-length envelope, no slice spans.
-	r.AsyncSpan("request", "app0", 0, 1, 5, 5, "rejected")
+	r, col := boundRecorder()
+	// Rejected at admission: zero-length window, no slice spans.
+	finalise(r, col, metrics.RequestRecord{ID: 1, Func: 0, Arrival: 5, Completion: 5, Dropped: true, Rejected: true})
 	// Dropped after queueing and a partial load.
-	r.AsyncSpan("request", "app1", 1, 2, 0, 9, "dropped")
+	finalise(r, col, metrics.RequestRecord{ID: 2, Func: 1, Arrival: 0, Completion: 9, Dropped: true})
 	r.SliceSpan("load", "load app1", "gpu0/2g.20gb#0", 1, 2, -1, 6, 8)
 	// Failed after exhausting retries: mark only, no surviving spans.
-	r.AsyncSpan("request", "app2", 2, 3, 0, 12, "failed")
+	finalise(r, col, metrics.RequestRecord{ID: 3, Func: 2, Arrival: 0, Completion: 12, Dropped: true, Failed: true})
 	r.AsyncMark("retry", "retry", 2, 3, 7, "fault")
 
-	paths := Reconstruct(r.Spans())
+	paths := Reconstruct(r)
 	if len(paths) != 3 {
 		t.Fatalf("got %d paths, want 3", len(paths))
 	}
@@ -138,20 +138,20 @@ func TestReconstructPartialChains(t *testing.T) {
 }
 
 // TestReconstructOverlapAndSpill: overlapping stage spans and spans
-// spilling past the envelope are trimmed so the sum never exceeds the
-// end-to-end latency.
+// spilling past the request window are trimmed so the sum never exceeds
+// the end-to-end latency.
 func TestReconstructOverlapAndSpill(t *testing.T) {
-	r := obs.NewRecorder()
-	r.AsyncSpan("request", "app0", 0, 4, 0, 10, "served")
+	r, col := boundRecorder()
+	finalise(r, col, metrics.RequestRecord{ID: 4, Func: 0, Arrival: 0, Completion: 10})
 	// Two overlapping exec spans totalling 12 raw seconds inside a
-	// 10-second envelope, plus a transfer spilling past the end.
+	// 10-second window, plus a transfer spilling past the end.
 	r.StageSpan("exec app0", "gpu0/3g.40gb#0", "3g.40gb", 0, 4, 0, 1, 8, 7)
 	r.StageSpan("exec app0", "gpu0/2g.20gb#0", "2g.20gb", 0, 4, 1, 4, 9, 5)
 	r.SliceSpan("transfer", "s0->s1", "gpu0/2g.20gb#0", 0, 4, 1, 9, 15)
 	// A load span entirely before arrival: clipped away.
 	r.SliceSpan("load", "load app0", "gpu0/3g.40gb#0", 0, 4, -1, -3, -1)
 
-	paths := Reconstruct(r.Spans())
+	paths := Reconstruct(r)
 	p := paths[0]
 	if p.Comp.Exec != 10 || p.Comp.Transfer != 0 || p.Comp.Load != 0 || p.Comp.Queue != 0 {
 		t.Errorf("components = %+v, want exec=10 rest 0", p.Comp)
@@ -163,14 +163,14 @@ func TestReconstructOverlapAndSpill(t *testing.T) {
 // to different slices mid-request; the chain still sums. Migration hop
 // marks (cat "migrate") must not be mistaken for retries.
 func TestReconstructMigratedChain(t *testing.T) {
-	r := obs.NewRecorder()
-	r.AsyncSpan("request", "app0", 0, 5, 0, 12, "served")
+	r, col := boundRecorder()
+	finalise(r, col, metrics.RequestRecord{ID: 5, Func: 0, Arrival: 0, Completion: 12})
 	r.StageSpan("exec app0", "gpu0/2g.20gb#0", "2g.20gb", 0, 5, 0, 1, 4, 3)
 	r.AsyncMark("migrate", "hop", 0, 5, 4, "gpu0->gpu1")
 	r.SliceSpan("transfer", "s0->s1", "gpu1/2g.20gb#0", 0, 5, 1, 4, 5)
 	r.StageSpan("exec app0", "gpu1/2g.20gb#0", "2g.20gb", 0, 5, 1, 5, 9, 4)
 
-	paths := Reconstruct(r.Spans())
+	paths := Reconstruct(r)
 	p := paths[0]
 	if p.Retries != 0 {
 		t.Errorf("migration hop counted as retry: retries = %d", p.Retries)
@@ -183,28 +183,28 @@ func TestReconstructMigratedChain(t *testing.T) {
 }
 
 // TestReconstructOrphans: slice spans for requests the run never
-// finalised (no request envelope) produce no path.
+// finalised (no record) produce no path.
 func TestReconstructOrphans(t *testing.T) {
-	r := obs.NewRecorder()
+	r, _ := boundRecorder()
 	r.StageSpan("exec app0", "gpu0/2g.20gb#0", "2g.20gb", 0, 9, 0, 1, 4, 3)
 	r.AsyncMark("retry", "retry", 0, 9, 2, "fault")
 	// Instance-scoped spans (req = -1) are never request work.
 	r.SliceSpan("load", "launch app0", "gpu0/2g.20gb#0", 0, -1, -1, 0, 5)
 
-	if paths := Reconstruct(r.Spans()); len(paths) != 0 {
+	if paths := Reconstruct(r); len(paths) != 0 {
 		t.Errorf("got %d paths from orphan spans, want 0", len(paths))
 	}
 }
 
 // TestReconstructOrdering: output is sorted by completion time, ties by
-// function then request, independent of span record order.
+// function then request, independent of record order.
 func TestReconstructOrdering(t *testing.T) {
-	r := obs.NewRecorder()
-	r.AsyncSpan("request", "app1", 1, 0, 2, 8, "served")
-	r.AsyncSpan("request", "app0", 0, 5, 0, 8, "served")
-	r.AsyncSpan("request", "app0", 0, 1, 0, 4, "served")
+	r, col := boundRecorder()
+	finalise(r, col, metrics.RequestRecord{ID: 0, Func: 1, Arrival: 2, Completion: 8})
+	finalise(r, col, metrics.RequestRecord{ID: 5, Func: 0, Arrival: 0, Completion: 8})
+	finalise(r, col, metrics.RequestRecord{ID: 1, Func: 0, Arrival: 0, Completion: 4})
 
-	paths := Reconstruct(r.Spans())
+	paths := Reconstruct(r)
 	got := [][2]int{}
 	for _, p := range paths {
 		got = append(got, [2]int{p.Func, p.Req})

@@ -39,8 +39,9 @@ func usec(t float64) int64 { return int64(math.Round(t * 1e6)) }
 // (the track's per-node index).
 type trackLoc struct{ node, tid int }
 
-// WriteChromeTrace writes the recorder's spans as Chrome trace-event
-// JSON. Same recorder contents ⇒ byte-identical output. The trace
+// WriteChromeTrace writes the recorder's spans, and the bound
+// collector's requests as envelope spans, as Chrome trace-event JSON.
+// Same recorder contents ⇒ byte-identical output. The trace
 // carries no floats (timestamps are integral microseconds), so only a
 // write error fails it.
 func WriteChromeTrace(w io.Writer, r *Recorder) error {
@@ -65,7 +66,19 @@ func WriteChromeTrace(w io.Writer, r *Recorder) error {
 		cw.meta("thread_name", pid, tid, tr.Name)
 	}
 
+	// envelopes emits, as "request" async spans, the requests finalised
+	// before span-log position pos, or all the rest at pos -1.
+	reqs, next := r.Requests(), 0
+	envelopes := func(pos int) {
+		for ; next < len(reqs) && (pos < 0 || int(r.reqPos[next]) <= pos); next++ {
+			rec := &reqs[next]
+			cw.async("request", r.FuncName(rec.Func), rec.Func, rec.ID, rec.Arrival, rec.Completion, rec.Outcome())
+		}
+	}
+	i := 0
 	for sp := range r.Spans() {
+		envelopes(i)
+		i++
 		switch sp.Kind {
 		case KindSlice:
 			loc := locs[sp.Track]
@@ -74,7 +87,7 @@ func WriteChromeTrace(w io.Writer, r *Recorder) error {
 			cw.b = strconv.AppendInt(cw.b, usec(sp.End)-usec(sp.Start), 10)
 			cw.place(nodePidBase+loc.node, loc.tid)
 			cw.b = append(cw.b, `,"args":{`...)
-			cw.funcReq(sp)
+			cw.funcReq(sp.Func, sp.Req)
 			if sp.Stage >= 0 {
 				cw.b = append(cw.b, `,"stage":`...)
 				cw.b = strconv.AppendInt(cw.b, int64(sp.Stage), 10)
@@ -82,27 +95,14 @@ func WriteChromeTrace(w io.Writer, r *Recorder) error {
 			cw.b = append(cw.b, '}')
 			cw.emit()
 		case KindAsync:
-			cw.open('b', sp.Cat, usec(sp.Start), sp.Name)
-			cw.place(requestsPid, 0)
-			cw.asyncID(sp)
-			cw.b = append(cw.b, `,"args":{`...)
-			if sp.Detail != "" {
-				cw.detail(sp.Detail)
-			}
-			cw.funcReq(sp)
-			cw.b = append(cw.b, '}')
-			cw.emit()
-			cw.open('e', sp.Cat, usec(sp.End), sp.Name)
-			cw.place(requestsPid, 0)
-			cw.asyncID(sp)
-			cw.emit()
+			cw.async(sp.Cat, sp.Name, sp.Func, sp.Req, sp.Start, sp.End, sp.Detail)
 		case KindAsyncMark:
 			cw.open('n', sp.Cat, usec(sp.Start), sp.Name)
 			cw.place(requestsPid, 0)
-			cw.asyncID(sp)
+			cw.asyncID(sp.Func, sp.Req)
 			cw.b = append(cw.b, `,"args":{`...)
 			cw.detail(sp.Detail)
-			cw.funcReq(sp)
+			cw.funcReq(sp.Func, sp.Req)
 			cw.b = append(cw.b, '}')
 			cw.emit()
 		case KindMark:
@@ -118,6 +118,7 @@ func WriteChromeTrace(w io.Writer, r *Recorder) error {
 			cw.emit()
 		}
 	}
+	envelopes(-1)
 
 	cw.b = append(cw.b, `],"displayTimeUnit":"ms"}`+"\n"...)
 	cw.write()
@@ -190,12 +191,31 @@ func (cw *chromeWriter) trackPlace(locs map[string]trackLoc, track string) {
 	cw.place(platformPid, 0)
 }
 
+// async emits a duration span on a request's causal chain: a b/e pair
+// under the chain's async identity.
+func (cw *chromeWriter) async(cat, name string, fn, req int, start, end float64, detail string) {
+	cw.open('b', cat, usec(start), name)
+	cw.place(requestsPid, 0)
+	cw.asyncID(fn, req)
+	cw.b = append(cw.b, `,"args":{`...)
+	if detail != "" {
+		cw.detail(detail)
+	}
+	cw.funcReq(fn, req)
+	cw.b = append(cw.b, '}')
+	cw.emit()
+	cw.open('e', cat, usec(end), name)
+	cw.place(requestsPid, 0)
+	cw.asyncID(fn, req)
+	cw.emit()
+}
+
 // asyncID appends the request's async chain identity, "f<func>-r<req>".
-func (cw *chromeWriter) asyncID(sp *Span) {
+func (cw *chromeWriter) asyncID(fn, req int) {
 	cw.b = append(cw.b, `,"id":"f`...)
-	cw.b = strconv.AppendInt(cw.b, int64(sp.Func), 10)
+	cw.b = strconv.AppendInt(cw.b, int64(fn), 10)
 	cw.b = append(cw.b, "-r"...)
-	cw.b = strconv.AppendInt(cw.b, int64(sp.Req), 10)
+	cw.b = strconv.AppendInt(cw.b, int64(req), 10)
 	cw.b = append(cw.b, '"')
 }
 
@@ -207,9 +227,9 @@ func (cw *chromeWriter) detail(s string) {
 	cw.b = append(cw.b, ',')
 }
 
-func (cw *chromeWriter) funcReq(sp *Span) {
+func (cw *chromeWriter) funcReq(fn, req int) {
 	cw.b = append(cw.b, `"func":`...)
-	cw.b = strconv.AppendInt(cw.b, int64(sp.Func), 10)
+	cw.b = strconv.AppendInt(cw.b, int64(fn), 10)
 	cw.b = append(cw.b, `,"req":`...)
-	cw.b = strconv.AppendInt(cw.b, int64(sp.Req), 10)
+	cw.b = strconv.AppendInt(cw.b, int64(req), 10)
 }

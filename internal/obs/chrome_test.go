@@ -7,6 +7,8 @@ import (
 	"io"
 	"math/rand"
 	"testing"
+
+	"fluidfaas/internal/metrics"
 )
 
 // refChromeEvent is one trace event for the reference exporter; field
@@ -71,7 +73,35 @@ func writeChromeTraceRef(w io.Writer, r *Recorder) error {
 		nodeOf[tr.Name] = tr.Node
 	}
 
+	async := func(cat, name string, fn, req int, start, end float64, detail string) {
+		args := map[string]any{"func": fn, "req": req}
+		if detail != "" {
+			args["detail"] = detail
+		}
+		id := refAsyncID(fn, req)
+		evs = append(evs, refChromeEvent{
+			Name: name, Cat: cat, Ph: "b", Ts: usec(start),
+			Pid: requestsPid, Tid: 0, ID: id, Args: args,
+		})
+		evs = append(evs, refChromeEvent{
+			Name: name, Cat: cat, Ph: "e", Ts: usec(end),
+			Pid: requestsPid, Tid: 0, ID: id,
+		})
+	}
+	// Request i's envelope goes before span reqPos[i].
+	reqs := r.Requests()
+	next := 0
+	request := func() {
+		rec := reqs[next]
+		async("request", r.FuncName(rec.Func), rec.Func, rec.ID, rec.Arrival, rec.Completion, rec.Outcome())
+		next++
+	}
+	i := 0
 	for sp := range r.Spans() {
+		for next < len(reqs) && int(r.reqPos[next]) <= i {
+			request()
+		}
+		i++
 		switch sp.Kind {
 		case KindSlice:
 			dur := usec(sp.End) - usec(sp.Start)
@@ -84,19 +114,7 @@ func writeChromeTraceRef(w io.Writer, r *Recorder) error {
 				Pid: nodePidBase + nodeOf[sp.Track], Tid: tids[sp.Track], Args: args,
 			})
 		case KindAsync:
-			args := map[string]any{"func": sp.Func, "req": sp.Req}
-			if sp.Detail != "" {
-				args["detail"] = sp.Detail
-			}
-			id := refAsyncID(sp.Func, sp.Req)
-			evs = append(evs, refChromeEvent{
-				Name: sp.Name, Cat: sp.Cat, Ph: "b", Ts: usec(sp.Start),
-				Pid: requestsPid, Tid: 0, ID: id, Args: args,
-			})
-			evs = append(evs, refChromeEvent{
-				Name: sp.Name, Cat: sp.Cat, Ph: "e", Ts: usec(sp.End),
-				Pid: requestsPid, Tid: 0, ID: id,
-			})
+			async(sp.Cat, sp.Name, sp.Func, sp.Req, sp.Start, sp.End, sp.Detail)
 		case KindAsyncMark:
 			evs = append(evs, refChromeEvent{
 				Name: sp.Name, Cat: sp.Cat, Ph: "n", Ts: usec(sp.Start),
@@ -118,6 +136,9 @@ func writeChromeTraceRef(w io.Writer, r *Recorder) error {
 			})
 		}
 	}
+	for next < len(reqs) {
+		request()
+	}
 
 	enc := json.NewEncoder(w)
 	return enc.Encode(refChromeTrace{TraceEvents: evs, DisplayTimeUnit: "ms"})
@@ -135,12 +156,16 @@ var chromeStrings = []string{
 }
 
 // randomChromeRecorder fills a recorder with every span kind on
-// registered and unregistered tracks, with adversarial strings drawn
-// from chromeStrings and extra.
+// registered and unregistered tracks, finalised requests of every
+// outcome interleaved with the spans and with CancelSliceWork cuts, and
+// adversarial strings drawn from chromeStrings and extra, function
+// names included.
 func randomChromeRecorder(rng *rand.Rand, spans int, extra ...string) *Recorder {
 	pool := append(chromeStrings[:len(chromeStrings):len(chromeStrings)], extra...)
 	pick := func() string { return pool[rng.Intn(len(pool))] }
 	r := NewRecorder()
+	col := metrics.NewCollector()
+	r.Bind(col, []string{pick(), pick(), pick(), pick()})
 	var tracks []string
 	for i, n := 0, 1+rng.Intn(6); i < n; i++ {
 		name := pick()
@@ -160,7 +185,7 @@ func randomChromeRecorder(rng *rand.Rand, spans int, extra ...string) *Recorder 
 		t0 := rng.Float64() * 100
 		t1 := t0 + rng.Float64()*3
 		fn, req := rng.Intn(5)-1, rng.Intn(1000)-1
-		switch rng.Intn(8) {
+		switch rng.Intn(9) {
 		case 0:
 			r.SliceSpan(pick(), pick(), track(), fn, req, rng.Intn(4)-1, t0, t1)
 		case 1:
@@ -172,11 +197,18 @@ func randomChromeRecorder(rng *rand.Rand, spans int, extra ...string) *Recorder 
 		case 4:
 			r.AsyncMark(pick(), pick(), fn, req, t0, pick())
 		case 5:
-			r.RequestSpan(pick(), fn, req, t0, t1, rng.Float64(), pick())
+			// Func 4 has no bound name.
+			col.Record(metrics.RequestRecord{
+				ID: req, Func: rng.Intn(5), Arrival: t0, Completion: t1, SLO: rng.Float64(),
+				Dropped: rng.Intn(2) == 0, Rejected: rng.Intn(4) == 0, Failed: rng.Intn(4) == 0,
+			})
+			r.RequestDone()
 		case 6:
 			r.MarkCat(pick(), pick(), track(), t0, "")
 		case 7:
 			r.MarkCat(pick(), pick(), track(), t0, pick())
+		case 8:
+			r.CancelSliceWork(track(), t0)
 		}
 	}
 	return r
@@ -237,6 +269,7 @@ func FuzzChromeTrace(f *testing.F) {
 func TestChromeTraceAllocs(t *testing.T) {
 	build := func(spans int) *Recorder {
 		r := NewRecorder()
+		r.Bind(metrics.NewCollector(), []string{"app0"})
 		tracks := []string{"gpu0/4g.40gb#0", "gpu0/2g.20gb#0", "gpu1/7g.80gb#0"}
 		for i, tr := range tracks {
 			r.RegisterTrack(i/2, tr)
@@ -248,7 +281,7 @@ func TestChromeTraceAllocs(t *testing.T) {
 			case 0:
 				r.SliceSpan("exec", "exec app0", tr, 0, i, i%3, t0, t0+0.005)
 			case 1:
-				r.AsyncSpan("request", "app0", 0, i, t0, t0+0.02, "served")
+				finalise(r, metrics.RequestRecord{ID: i, Arrival: t0, Completion: t0 + 0.02})
 			case 2:
 				r.AsyncMark("retry", "retry", 0, i, t0, "slice failed")
 			case 3:

@@ -18,6 +18,7 @@ import (
 	"sort"
 	"strings"
 
+	"fluidfaas/internal/metrics"
 	"fluidfaas/internal/obs/chunk"
 )
 
@@ -30,8 +31,8 @@ const (
 	// MIG slice): model loads, stage executions, transfers.
 	KindSlice SpanKind = iota
 	// KindAsync is a duration span on a request's causal chain
-	// (admission-to-completion, queueing). Async spans with the same
-	// request identity nest in Perfetto.
+	// (queueing, load waits). Async spans with the same request
+	// identity nest in Perfetto, inside the request's envelope.
 	KindAsync
 	// KindMark is an instant on a hardware or platform track
 	// (lifecycle events: launch, evict, fault, reject, ...).
@@ -45,8 +46,8 @@ const (
 // on 64-bit platforms). Times are virtual-time seconds.
 type Span struct {
 	Kind SpanKind
-	// Cat groups spans (queue, load, exec, transfer, request, retry,
-	// and event for lifecycle instants).
+	// Cat groups spans (queue, load, exec, transfer, retry, and event
+	// for lifecycle instants).
 	Cat string
 	// Name labels the span (function name, event kind, ...).
 	Name string
@@ -64,9 +65,9 @@ type Span struct {
 	// Detail is free-form context (event detail, retry reason; for
 	// exec spans recorded via StageSpan, the slice type).
 	Detail string
-	// Declared is the profiled duration the scheduler assumed for this
-	// span (exec spans; 0 = no declared baseline), which drift analysis
-	// compares End-Start against, or a request envelope's SLO (0 = none).
+	// Declared is the profiled duration the scheduler assumed for an
+	// exec span (0 = no declared baseline), which drift analysis
+	// compares End-Start against.
 	Declared float64
 }
 
@@ -76,17 +77,24 @@ type Track struct {
 	Name string
 }
 
-// Recorder accumulates spans, tracks, and request metrics for one run.
-// Apart from caller-set gauges it keeps one raw log, the span log, with
-// each finalised request's envelope in it: the aggregates the exports
-// show (busy seconds, event totals, latency histograms) are derived
-// from it at export time. The log is a chunked table, so recording a
-// span never copies the spans before it. The zero value is ready to
-// use; a nil *Recorder is the disabled sink.
+// Recorder accumulates spans and tracks for one run. Apart from
+// caller-set gauges it keeps one raw log, the span log, from which the
+// exports derive their aggregates. The log is a chunked table, so
+// recording a span never copies the spans before it. Requests are not
+// in it: the request store is the metrics.Collector bound with Bind,
+// and the recorder keeps only each record's position in the log. The
+// zero value is ready to use; a nil *Recorder is the disabled sink.
 type Recorder struct {
 	spans  chunk.Table[Span]
 	tracks []Track
 	tidx   map[string]int
+
+	// col is the request store, names its function names by
+	// RequestRecord.Func, and reqPos[i] the log length when col's
+	// record i was finalised.
+	col    *metrics.Collector
+	names  []string
+	reqPos []int32
 
 	// gauges holds driver-set scalar metrics (e.g. dropped events).
 	gauges map[string]float64
@@ -172,9 +180,14 @@ func (r *Recorder) CancelSliceWork(track string, at float64) {
 		return
 	}
 	// Compact in place, in record order; Truncate zeroes the vacated
-	// tail so the cut spans' strings are not kept alive.
-	n := 0
+	// tail so the cut spans' strings are not kept alive. A request
+	// finalised before old span i moves to before its new index n.
+	n, i, k := 0, 0, 0
 	for sp := range r.spans.All() {
+		for ; k < len(r.reqPos) && int(r.reqPos[k]) == i; k++ {
+			r.reqPos[k] = int32(n)
+		}
+		i++
 		if sp.Kind == KindSlice && sp.Track == track && sp.End > at &&
 			(sp.Cat == "load" || sp.Cat == "exec" || sp.Cat == "transfer") {
 			if sp.Start >= at {
@@ -184,6 +197,9 @@ func (r *Recorder) CancelSliceWork(track string, at float64) {
 		}
 		*r.spans.At(n) = *sp
 		n++
+	}
+	for ; k < len(r.reqPos); k++ {
+		r.reqPos[k] = int32(n)
 	}
 	r.spans.Truncate(n)
 }
@@ -230,36 +246,39 @@ func (r *Recorder) MarkCat(cat, name, track string, t float64, detail string) {
 // histogram keys; it cannot appear in either.
 const histKeySep = "\xff"
 
-// RequestSpan records a finalised request's envelope on its causal
-// chain: the span from arrival to completion (the drop or reject
-// instant for requests the platform abandoned), with the outcome
-// (served, dropped, rejected or failed) in Detail and the request's
-// SLO in Declared. It is the recorder's one request record: critical-
-// path analysis, the burn monitor and the metrics export's latency
-// histograms all read it.
-func (r *Recorder) RequestSpan(name string, fn, req int, arrival, completion, slo float64, outcome string) {
+// Bind makes col the recorder's request store and names its function
+// names; call RequestDone once after every record col takes.
+func (r *Recorder) Bind(col *metrics.Collector, names []string) {
 	if r == nil {
 		return
 	}
-	r.spans.Push(Span{
-		Kind: KindAsync, Cat: "request", Name: name,
-		Func: fn, Req: req, Stage: -1, Start: arrival, End: completion,
-		Detail: outcome, Declared: slo,
-	})
+	r.col, r.names = col, names
 }
 
-// IsRequest reports whether the span is a request envelope, as
-// RequestSpan records it.
-func (s *Span) IsRequest() bool { return s.Kind == KindAsync && s.Cat == "request" }
-
-// SLOMiss reports whether a request envelope counts against its
-// function's violation budget: any non-served outcome, or a served
-// response later than the SLO. Requests without an SLO never miss.
-func (s *Span) SLOMiss() bool {
-	if s.Declared <= 0 {
-		return false
+// RequestDone notes that the bound collector's newest record was
+// finalised at the current end of the span log.
+func (r *Recorder) RequestDone() {
+	if r == nil {
+		return
 	}
-	return s.Detail != "served" || s.End-s.Start > s.Declared
+	r.reqPos = append(r.reqPos, int32(r.spans.Len()))
+}
+
+// Requests returns the bound collector's records in completion order
+// (none when unbound). The slice is the collector's: do not mutate it.
+func (r *Recorder) Requests() []metrics.RequestRecord {
+	if r == nil || r.col == nil {
+		return nil
+	}
+	return r.col.Records()
+}
+
+// FuncName returns the bound name of function fn ("" when none).
+func (r *Recorder) FuncName(fn int) string {
+	if r == nil || fn < 0 || fn >= len(r.names) {
+		return ""
+	}
+	return r.names[fn]
 }
 
 // SetGauge records a driver-supplied scalar metric.

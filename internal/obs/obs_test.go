@@ -8,6 +8,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"fluidfaas/internal/metrics"
 	"fluidfaas/internal/obs/chunk"
 )
 
@@ -17,7 +18,8 @@ func TestNilRecorder(t *testing.T) {
 	var r *Recorder
 	r.RegisterTrack(0, "gpu0/1g.10gb#0")
 	r.SliceSpan("exec", "app0", "gpu0/1g.10gb#0", 0, 1, 0, 0, 1)
-	r.RequestSpan("app0", 0, 1, 0, 0.5, 1, "served")
+	r.Bind(metrics.NewCollector(), []string{"app0"})
+	r.RequestDone()
 	r.AsyncMark("retry", "retry", 0, 1, 1, "node died")
 	r.MarkCat("event", "launch", "app0#1", 0, "")
 	r.CancelSliceWork("gpu0/1g.10gb#0", 0.5)
@@ -31,6 +33,9 @@ func TestNilRecorder(t *testing.T) {
 	}
 	if r.Duration() != 0 {
 		t.Fatal("nil recorder returned a duration")
+	}
+	if r.Requests() != nil || r.FuncName(0) != "" {
+		t.Fatal("nil recorder returned requests or a function name")
 	}
 	// Exporters accept a nil recorder too.
 	var buf bytes.Buffer
@@ -55,8 +60,9 @@ func TestSpanRowSize(t *testing.T) {
 
 // TestCancelSliceWorkAcrossChunks: cutting a track whose spans sit in
 // the first and the last of more than two chunks removes and truncates
-// exactly those spans, keeps every other span in record order, and
-// later spans land right after the compacted end.
+// exactly those spans, keeps every other span in record order, moves
+// each finalised request to just after the surviving spans recorded
+// before it, and later spans land right after the compacted end.
 func TestCancelSliceWorkAcrossChunks(t *testing.T) {
 	const (
 		track = "gpu0/1g.10gb#0"
@@ -68,10 +74,16 @@ func TestCancelSliceWorkAcrossChunks(t *testing.T) {
 	removed := map[int]bool{3: true, chunk.Size - 1: true, n - 5: true, n - 1: true}
 	truncated := map[int]bool{4: true, n - 2: true}
 	r := NewRecorder()
+	r.Bind(metrics.NewCollector(), []string{"f"})
 	r.RegisterTrack(0, track)
 	r.RegisterTrack(0, "other")
-	var want []int // the Req of every span the cut keeps, in record order
+	var want []int    // the Req of every span the cut keeps, in record order
+	var wantPos []int // each request's surviving spans recorded before it
 	for i := range n {
+		if i%7 == 0 || removed[i-1] {
+			finalise(r, metrics.RequestRecord{ID: i})
+			wantPos = append(wantPos, len(want))
+		}
 		switch {
 		case removed[i]:
 			r.SliceSpan("exec", "f", track, 0, i, 0, at+1, at+2)
@@ -88,6 +100,8 @@ func TestCancelSliceWorkAcrossChunks(t *testing.T) {
 			want = append(want, i)
 		}
 	}
+	finalise(r, metrics.RequestRecord{ID: n})
+	wantPos = append(wantPos, len(want))
 	r.CancelSliceWork(track, at)
 	r.SliceSpan("exec", "f", track, 0, n, 0, at, at+1)
 	want = append(want, n)
@@ -102,6 +116,58 @@ func TestCancelSliceWorkAcrossChunks(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("%d spans after the cut, want %d in record order, the new span last", len(got), len(want))
 	}
+	var gotPos []int
+	for _, pos := range r.reqPos {
+		gotPos = append(gotPos, int(pos))
+	}
+	if !slices.Equal(gotPos, wantPos) {
+		t.Fatalf("request positions after the cut = %v, want %v", gotPos, wantPos)
+	}
+}
+
+// TestCancelSliceWorkKeepsRequestNeighbours: a cut that removes spans
+// recorded both before and after a request was finalised leaves the
+// request's envelope between the same surviving neighbours in the
+// Chrome export.
+func TestCancelSliceWorkKeepsRequestNeighbours(t *testing.T) {
+	const track = "gpu0/1g.10gb#0"
+	r := NewRecorder()
+	r.Bind(metrics.NewCollector(), []string{"app0"})
+	r.RegisterTrack(0, track)
+	r.SliceSpan("exec", "before", track, 0, 1, 0, 0, 1)
+	r.SliceSpan("exec", "cut", track, 0, 2, 0, 5, 6)
+	finalise(r, metrics.RequestRecord{ID: 3, Arrival: 0, Completion: 3})
+	r.SliceSpan("exec", "cut", track, 0, 4, 0, 5, 6)
+	r.MarkCat("event", "after", track, 2, "")
+	r.CancelSliceWork(track, 4)
+
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, r); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct{ Name, Ph string } `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph != "M" {
+			got = append(got, ev.Name+":"+ev.Ph)
+		}
+	}
+	want := []string{"before:X", "app0:b", "app0:e", "after:i"}
+	if !slices.Equal(got, want) {
+		t.Errorf("events after the cut = %v, want %v", got, want)
+	}
+}
+
+// finalise records rec in the collector bound to r and notes it done,
+// as the platform does when a request finishes.
+func finalise(r *Recorder, rec metrics.RequestRecord) {
+	r.col.Record(rec)
+	r.RequestDone()
 }
 
 func sampleRecorder() *Recorder {
@@ -109,7 +175,8 @@ func sampleRecorder() *Recorder {
 	r.RegisterTrack(0, "gpu0/4g.40gb#0")
 	r.RegisterTrack(0, "gpu0/2g.20gb#0")
 	r.RegisterTrack(1, "gpu8/4g.40gb#0")
-	r.RequestSpan("app0", 0, 7, 0, 2.5, 0, "served")
+	r.Bind(metrics.NewCollector(), []string{"app0", "app1"})
+	finalise(r, metrics.RequestRecord{ID: 7, Func: 0, Arrival: 0, Completion: 2.5})
 	r.AsyncSpan("queue", "queue", 0, 7, 0, 0.5, "")
 	r.SliceSpan("load", "load app0", "gpu0/4g.40gb#0", 0, 7, -1, 0.5, 1.0)
 	r.SliceSpan("exec", "exec app0", "gpu0/4g.40gb#0", 0, 7, 0, 1.0, 2.0)
@@ -117,9 +184,9 @@ func sampleRecorder() *Recorder {
 	r.AsyncMark("retry", "retry", 0, 7, 2.2, "slice failed")
 	r.MarkCat("event", "launch", "app0#1", 0.1, "[4g]")
 	r.MarkCat("event", "evict", "gpu0/2g.20gb#0", 1.5, "LRU")
-	r.RequestSpan("app0", 0, 8, 1, 9, 0, "dropped")
+	finalise(r, metrics.RequestRecord{ID: 8, Func: 0, Arrival: 1, Completion: 9, Dropped: true})
 	// Exactly on the first bound.
-	r.RequestSpan("app1", 1, 9, 0, 0.001, 0, "served")
+	finalise(r, metrics.RequestRecord{ID: 9, Func: 1, Arrival: 0, Completion: 0.001})
 	r.SetGauge("fluidfaas_events_dropped", 3)
 	r.SetDuration(10)
 	return r

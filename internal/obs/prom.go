@@ -11,28 +11,28 @@ import (
 // Prometheus-style text exposition of the recorder's metrics:
 // per-(function, outcome) request counts and latency histograms,
 // per-slice busy-seconds and utilisation, lifecycle event totals, and
-// caller-set gauges. The first three are derived here, in one pass over
-// the span log: histograms from the request envelopes, busy seconds
-// from load and exec spans, event totals from instants. The output is
-// deterministic: series are emitted in sorted label order and floats
+// caller-set gauges. The first three are derived here: histograms from
+// the bound collector's request records, busy seconds from the span
+// log's load and exec spans, event totals from its instants. The output
+// is deterministic: series are emitted in sorted label order and floats
 // use shortest-round-trip formatting, so identical recorder contents
 // produce byte-identical files.
 
 func promFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // WritePrometheus writes the recorder's metrics in Prometheus text
-// exposition format.
+// exposition format. The request counts and latency histograms come
+// from the records of the collector bound to r, one observation per
+// record.
 func WritePrometheus(w io.Writer, r *Recorder) error {
 	if r == nil {
 		r = &Recorder{}
 	}
 	var b strings.Builder
 
-	// One pass over the span log derives all three: request envelopes
-	// feed the latency histograms, one family per (function, outcome),
-	// in completion order; load and exec spans sum into per-track busy
-	// seconds; instants count lifecycle events by name. Families sort
-	// by function+histKeySep+outcome, a key built once per family.
+	// The requests feed the latency histograms, one family per
+	// (function, outcome), in completion order. Families sort by
+	// function+histKeySep+outcome, a key built once per family.
 	type famKey struct{ fn, outcome string }
 	type family struct {
 		famKey
@@ -41,20 +41,23 @@ func WritePrometheus(w io.Writer, r *Recorder) error {
 	}
 	idx := map[famKey]int{}
 	var fams []family
+	for _, rec := range r.Requests() {
+		k := famKey{r.FuncName(rec.Func), rec.Outcome()}
+		j, ok := idx[k]
+		if !ok {
+			j = len(fams)
+			idx[k] = j
+			fams = append(fams, family{k, k.fn + histKeySep + k.outcome, NewLatencyHistogram()})
+		}
+		fams[j].h.Observe(rec.Latency())
+	}
+	// One pass over the span log sums load and exec spans into
+	// per-track busy seconds and counts instants by name.
 	tracks := r.Tracks()
 	busy := make([]float64, len(tracks))
 	marks := map[string]int{}
 	for sp := range r.Spans() {
 		switch {
-		case sp.IsRequest():
-			k := famKey{sp.Name, sp.Detail}
-			i, ok := idx[k]
-			if !ok {
-				i = len(fams)
-				idx[k] = i
-				fams = append(fams, family{k, sp.Name + histKeySep + sp.Detail, NewLatencyHistogram()})
-			}
-			fams[i].h.Observe(sp.End - sp.Start)
 		case sp.Kind == KindSlice && (sp.Cat == "load" || sp.Cat == "exec"):
 			if t, ok := r.tidx[sp.Track]; ok {
 				busy[t] += sp.End - sp.Start

@@ -134,7 +134,7 @@ func TestTransitionAllocatesNothingWithoutObservers(t *testing.T) {
 	if built != 0 {
 		t.Errorf("the decision builder ran %d times with provenance off", built)
 	}
-	if n := p.CountEvents()[EvRelease]; n < 100 {
+	if n := p.tally[EvRelease]; n < 100 {
 		t.Errorf("%d release events logged, want at least 100", n)
 	}
 	// The recycled request escapes into the pool; the builder must not

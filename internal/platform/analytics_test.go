@@ -48,7 +48,7 @@ func TestAnalyticsComponentSum(t *testing.T) {
 	for _, r := range p.Collector().Records() {
 		records[[2]int{r.Func, r.ID}] = r
 	}
-	paths := analytics.Reconstruct(rec.Spans())
+	paths := analytics.Reconstruct(rec)
 	if len(paths) != len(records) {
 		t.Fatalf("reconstructed %d paths, collector has %d records", len(paths), len(records))
 	}
@@ -157,7 +157,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 
 	s := p.Snapshot()
 	var nSlices int
-	for _, node := range p.Cluster().Nodes {
+	for _, node := range p.cl.Nodes {
 		for _, g := range node.GPUs {
 			nSlices += len(g.Slices)
 		}

@@ -199,15 +199,3 @@ func (p *Platform) TotalEvents() int {
 // It survives only for the fluidfaas_events_dropped gauge that the
 // benchmark's pinned export still carries; subscribers see every event.
 func (p *Platform) DroppedEvents() int { return max(0, p.TotalEvents()-eventLogCap) }
-
-// CountEvents returns how many events of each kind the run published
-// (kinds that never fired are absent).
-func (p *Platform) CountEvents() map[EventKind]int {
-	out := map[EventKind]int{}
-	for k, n := range p.tally {
-		if n > 0 {
-			out[EventKind(k)] = n
-		}
-	}
-	return out
-}

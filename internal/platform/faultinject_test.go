@@ -1,7 +1,6 @@
 package platform
 
 import (
-	"reflect"
 	"testing"
 
 	"fluidfaas/internal/cluster"
@@ -39,8 +38,8 @@ func TestZeroFaultSpecBitForBit(t *testing.T) {
 	if a.Launched() != b.Launched() {
 		t.Errorf("launch counts differ: %d vs %d", a.Launched(), b.Launched())
 	}
-	if !reflect.DeepEqual(a.CountEvents(), b.CountEvents()) {
-		t.Errorf("event counts differ: %v vs %v", a.CountEvents(), b.CountEvents())
+	if a.tally != b.tally {
+		t.Errorf("event counts differ: %v vs %v", a.tally, b.tally)
 	}
 	if b.FaultsInjected() != 0 || b.Retries() != 0 {
 		t.Errorf("zero-rate spec injected %d faults, %d retries",
@@ -153,7 +152,7 @@ func TestScriptedGPUFaultsRetryInFlight(t *testing.T) {
 	if !resumed {
 		t.Error("no completions after the GPUs recovered")
 	}
-	counts := p.CountEvents()
+	counts := p.tally
 	if counts[EvFault] != 2 || counts[EvRecover] != 2 {
 		t.Errorf("event counts fault=%d recover=%d, want 2/2",
 			counts[EvFault], counts[EvRecover])
@@ -187,7 +186,7 @@ func TestNodeCrashAndRecovery(t *testing.T) {
 	if p.Collector().Len() != len(tr.Requests) {
 		t.Fatalf("recorded %d of %d requests", p.Collector().Len(), len(tr.Requests))
 	}
-	counts := p.CountEvents()
+	counts := p.tally
 	if counts[EvFault] != 1 || counts[EvRecover] != 1 {
 		t.Errorf("event counts fault=%d recover=%d, want 1/1",
 			counts[EvFault], counts[EvRecover])

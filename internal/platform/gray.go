@@ -282,6 +282,3 @@ func (p *Platform) Suspects() int { return p.suspects }
 
 // Quarantines returns how many slices were quarantined.
 func (p *Platform) Quarantines() int { return p.tally[EvSliceQuarantine] }
-
-// DegradedActive returns how many slices are gray-degraded right now.
-func (p *Platform) DegradedActive() int { return len(p.degraded) }

@@ -45,7 +45,7 @@ func TestGrayDisabledIdentity(t *testing.T) {
 	}
 	for _, p := range []*Platform{a, b} {
 		if p.Suspects() != 0 || p.Quarantines() != 0 || p.Hedges() != 0 ||
-			p.HedgeWins() != 0 || p.HedgeCancels() != 0 || p.HedgeWastedSeconds() != 0 {
+			p.HedgeWins() != 0 || p.hedgeCancels != 0 || p.HedgeWastedSeconds() != 0 {
 			t.Error("disabled subsystem recorded gray activity")
 		}
 		if len(p.health) != 0 {
@@ -102,7 +102,7 @@ func TestDegradedSliceSlowsExecution(t *testing.T) {
 	if got := p.degradeFactor(sl); got != sev {
 		t.Fatalf("degradeFactor = %v, want %v", got, sev)
 	}
-	if p.DegradedActive() != 1 || p.FaultsInjected() != 1 {
+	if len(p.degraded) != 1 || p.FaultsInjected() != 1 {
 		t.Error("degradation not accounted")
 	}
 	// A degraded slice is NOT fail-stop: it stays in placement.
@@ -113,7 +113,7 @@ func TestDegradedSliceSlowsExecution(t *testing.T) {
 	if got := p.degradeFactor(sl); got != 1 {
 		t.Errorf("degradeFactor after recovery = %v, want 1", got)
 	}
-	if p.DegradedActive() != 0 || p.Recoveries() != 1 {
+	if len(p.degraded) != 0 || p.Recoveries() != 1 {
 		t.Error("recovery not accounted")
 	}
 }
@@ -160,7 +160,7 @@ func TestHealthScoreSuspectThenRecovery(t *testing.T) {
 	if p.Quarantines() != 0 || sl.Quarantined() {
 		t.Error("recovering slice was quarantined")
 	}
-	if got := p.CountEvents()[EvSliceSuspect]; got != 1 {
+	if got := p.tally[EvSliceSuspect]; got != 1 {
 		t.Errorf("EvSliceSuspect count = %d, want 1", got)
 	}
 }
@@ -200,7 +200,7 @@ func TestQuarantineLifecycle(t *testing.T) {
 	if got := len(cl.Nodes[0].FreeSlices()); got != len(cl.Nodes[0].GPUs[0].Slices)-1 {
 		t.Errorf("quarantined slice still placeable: %d free slices", got)
 	}
-	if got := p.CountEvents()[EvSliceQuarantine]; got != 1 {
+	if got := p.tally[EvSliceQuarantine]; got != 1 {
 		t.Errorf("EvSliceQuarantine count = %d, want 1", got)
 	}
 	// Probation readmits the slice as suspect with a reset score.
@@ -263,8 +263,8 @@ func TestHedgeSingleRecord(t *testing.T) {
 	if got, want := p.HedgeWastedSeconds(), 2.5; got != want {
 		t.Errorf("wasted = %v, want %v", got, want)
 	}
-	if p.HedgeCancels() != 1 {
-		t.Errorf("hedgeCancels = %d, want 1", p.HedgeCancels())
+	if p.hedgeCancels != 1 {
+		t.Errorf("hedgeCancels = %d, want 1", p.hedgeCancels)
 	}
 	if fn.served != 1 {
 		t.Errorf("fn.served = %d, want 1 (winner only)", fn.served)

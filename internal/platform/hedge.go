@@ -252,10 +252,6 @@ func (p *Platform) Hedges() int { return p.tally[EvHedge] }
 // clone completed before the primary).
 func (p *Platform) HedgeWins() int { return p.hedgeWins }
 
-// HedgeCancels returns how many losing hedge copies were cancelled or
-// swallowed.
-func (p *Platform) HedgeCancels() int { return p.hedgeCancels }
-
 // HedgeWastedSeconds returns the execution+load seconds losing hedge
 // copies burned — the price paid for the tail-latency insurance,
 // bounded by the per-function budget.

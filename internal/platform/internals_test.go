@@ -372,7 +372,7 @@ func TestEventLog(t *testing.T) {
 			t.Fatal("empty event render")
 		}
 	}
-	counts := p.CountEvents()
+	counts := p.tally
 	if counts[EvLaunch] == 0 {
 		t.Error("no launch events")
 	}

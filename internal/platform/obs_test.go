@@ -2,21 +2,31 @@ package platform
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"math"
+	"reflect"
+	"regexp"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"fluidfaas/internal/cluster"
 	"fluidfaas/internal/dnn"
 	"fluidfaas/internal/faults"
+	"fluidfaas/internal/metrics"
 	"fluidfaas/internal/obs"
+	"fluidfaas/internal/obs/analytics"
 	"fluidfaas/internal/obs/util"
 	"fluidfaas/internal/scheduler"
 )
 
 // TestObsSpansCoverRun: an instrumented run produces request chains
 // with queue spans, slice-track exec spans on registered MIG tracks,
-// and lifecycle marks mirrored off the event bus.
+// and lifecycle marks mirrored off the event bus. (The requests
+// themselves are the collector's records, which the recorder reads:
+// TestReadersSeeEveryRecordOnce.)
 func TestObsSpansCoverRun(t *testing.T) {
 	rec := obs.NewRecorder()
 	p := runMedium(t, Options{Policy: &scheduler.FluidFaaS{}, Obs: rec}, 23)
@@ -26,7 +36,7 @@ func TestObsSpansCoverRun(t *testing.T) {
 		tracks[tr.Name] = true
 	}
 	var nSlices int
-	for _, node := range p.Cluster().Nodes {
+	for _, node := range p.cl.Nodes {
 		for _, g := range node.GPUs {
 			nSlices += len(g.Slices)
 		}
@@ -45,15 +55,10 @@ func TestObsSpansCoverRun(t *testing.T) {
 			t.Fatalf("slice span on unregistered track %q", sp.Track)
 		}
 	}
-	for _, cat := range []string{"request", "queue", "exec", "load", "event"} {
+	for _, cat := range []string{"queue", "exec", "load", "event"} {
 		if kinds[cat] == 0 {
 			t.Errorf("no %q spans recorded", cat)
 		}
-	}
-	// Every finalised request has exactly one request chain span.
-	if kinds["request"] != p.Collector().Len() {
-		t.Errorf("request spans = %d, want one per record (%d)",
-			kinds["request"], p.Collector().Len())
 	}
 	// Lifecycle marks mirror the event bus losslessly, and the recorder
 	// logged load/exec work on the slice tracks.
@@ -66,9 +71,9 @@ func TestObsSpansCoverRun(t *testing.T) {
 			busy += sp.End - sp.Start
 		}
 	}
-	for k, n := range p.CountEvents() {
-		if marks[k.String()] != n {
-			t.Errorf("%s marks = %d, events = %d", k, marks[k.String()], n)
+	for k, n := range p.tally {
+		if kind := EventKind(k).String(); marks[kind] != n {
+			t.Errorf("%s marks = %d, events = %d", kind, marks[kind], n)
 		}
 	}
 	if rec.Duration() <= 0 {
@@ -203,44 +208,94 @@ func TestBusySecondsSpanReconciliation(t *testing.T) {
 	t.Logf("%d busy slices reconciled", busy)
 }
 
-// TestRequestSpanIsTheRecord: the request envelope span is the
-// recorder's one request record. Every collector record has exactly
-// one, in record order, with the record's function, request, arrival,
-// completion, SLO and outcome; a hedge's losing copy, which the
-// collector never records, has none. The rig drops requests on client
-// timeouts, rejects them at admission, retries them after faults and
-// hedges them off suspect slices.
-func TestRequestSpanIsTheRecord(t *testing.T) {
+// TestReadersSeeEveryRecordOnce: the collector's records are the one
+// request store, and every reader of the recorder sees each record
+// exactly once: the Prometheus request counts per (function, outcome),
+// the Chrome trace's request envelopes (with the record's id and
+// arrival) and the critical paths. A hedge's losing copy, which shares
+// its winner's function and id but is never recorded, shows up in none
+// of them. The rig drops requests on client timeouts, rejects them at
+// admission, retries them after faults and hedges them off suspect
+// slices.
+func TestReadersSeeEveryRecordOnce(t *testing.T) {
 	rec := obs.NewRecorder()
 	p := runTransitionRig(t, nil, rec, nil)
 	col := p.Collector()
-	if col.TimeoutDropCount() == 0 || col.RejectedCount() == 0 || p.Retries() == 0 || p.HedgeCancels() == 0 {
+	if col.TimeoutDropCount() == 0 || col.RejectedCount() == 0 || p.Retries() == 0 || p.hedgeCancels == 0 {
 		t.Fatalf("timeout drops %d, rejects %d, retries %d, cancelled hedge losers %d: the rig must exercise all four",
-			col.TimeoutDropCount(), col.RejectedCount(), p.Retries(), p.HedgeCancels())
+			col.TimeoutDropCount(), col.RejectedCount(), p.Retries(), p.hedgeCancels)
 	}
-	var envs []obs.Span
-	for sp := range rec.Spans() {
-		if sp.IsRequest() {
-			envs = append(envs, *sp)
+	type key struct{ fn, id int }
+	records := map[key]metrics.RequestRecord{}
+	wantCounts := map[[2]string]int{}
+	for _, r := range col.Records() {
+		k := key{r.Func, r.ID}
+		if _, dup := records[k]; dup {
+			t.Fatalf("func %d req %d recorded twice", r.Func, r.ID)
+		}
+		records[k] = r
+		wantCounts[[2]string{p.funcs[r.Func].spec.Name, r.Outcome()}]++
+	}
+
+	var prom bytes.Buffer
+	if err := obs.WritePrometheus(&prom, rec); err != nil {
+		t.Fatal(err)
+	}
+	total := regexp.MustCompile(`^fluidfaas_requests_total\{func="([^"]*)",outcome="([^"]*)"\} (\d+)$`)
+	gotCounts := map[[2]string]int{}
+	for _, line := range strings.Split(prom.String(), "\n") {
+		if m := total.FindStringSubmatch(line); m != nil {
+			n, _ := strconv.Atoi(m[3])
+			gotCounts[[2]string{m[1], m[2]}] = n
 		}
 	}
-	recs := col.Records()
-	if len(envs) != len(recs) {
-		t.Fatalf("%d request spans for %d records", len(envs), len(recs))
+	if !reflect.DeepEqual(gotCounts, wantCounts) {
+		t.Errorf("fluidfaas_requests_total = %v, want the records' %v", gotCounts, wantCounts)
 	}
-	seen := map[[2]int]bool{}
-	for i, r := range recs {
-		sp := envs[i]
-		if sp.Func != r.Func || sp.Req != r.ID || sp.Start != r.Arrival || sp.End != r.Completion ||
-			sp.Declared != r.SLO || sp.Detail != recordOutcome(r) {
-			t.Fatalf("record %d: span func %d req %d [%v, %v] slo %v %s, record func %d req %d [%v, %v] slo %v %s",
-				i, sp.Func, sp.Req, sp.Start, sp.End, sp.Declared, sp.Detail,
-				r.Func, r.ID, r.Arrival, r.Completion, r.SLO, recordOutcome(r))
+
+	var trace bytes.Buffer
+	if err := obs.WriteChromeTrace(&trace, rec); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Cat, Ph, ID string
+			Ts          int64
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(trace.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	envelopes := map[key]int{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Cat != "request" || ev.Ph != "b" {
+			continue
 		}
-		k := [2]int{sp.Func, sp.Req}
-		if seen[k] {
-			t.Fatalf("func %d req %d has two request spans", sp.Func, sp.Req)
+		var k key
+		if _, err := fmt.Sscanf(ev.ID, "f%d-r%d", &k.fn, &k.id); err != nil {
+			t.Fatalf("request envelope id %q: %v", ev.ID, err)
 		}
-		seen[k] = true
+		r, ok := records[k]
+		if !ok {
+			t.Fatalf("request envelope %s has no record", ev.ID)
+		}
+		if want := int64(math.Round(r.Arrival * 1e6)); ev.Ts != want {
+			t.Errorf("request envelope %s starts at %d us, its record arrives at %d us", ev.ID, ev.Ts, want)
+		}
+		envelopes[k]++
+	}
+	paths := map[key]int{}
+	for _, pa := range analytics.Reconstruct(rec) {
+		paths[key{pa.Func, pa.Req}]++
+	}
+	for k := range records {
+		if envelopes[k] != 1 || paths[k] != 1 {
+			t.Errorf("func %d req %d: %d trace envelopes and %d critical paths, want 1 and 1",
+				k.fn, k.id, envelopes[k], paths[k])
+		}
+	}
+	if len(envelopes) != len(records) || len(paths) != len(records) {
+		t.Errorf("%d enveloped and %d reconstructed requests for %d records",
+			len(envelopes), len(paths), len(records))
 	}
 }

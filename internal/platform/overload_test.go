@@ -2,7 +2,6 @@ package platform
 
 import (
 	"fmt"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -63,7 +62,7 @@ func TestOverloadOffBitForBit(t *testing.T) {
 					t.Fatalf("record %d differs:\n%+v\n%+v", i, ra[i], rb[i])
 				}
 			}
-			if ea, eb := a.CountEvents(), b.CountEvents(); !reflect.DeepEqual(ea, eb) {
+			if ea, eb := a.tally, b.tally; ea != eb {
 				t.Errorf("event tallies differ:\n%v\n%v", ea, eb)
 			}
 			if got := b.Rejected() > 0; got != tc.wantRejected {
@@ -141,7 +140,7 @@ func TestAdmissionFastFail(t *testing.T) {
 	if col.Completed() == 0 {
 		t.Error("admission rejected everything: reject demand did not drive scale-up")
 	}
-	if p.CountEvents()[EvReject] == 0 {
+	if p.tally[EvReject] == 0 {
 		t.Error("no reject events logged")
 	}
 	for _, d := range details {

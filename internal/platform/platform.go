@@ -350,7 +350,9 @@ func New(cl *cluster.Cluster, specs []FunctionSpec, opts Options) *Platform {
 			rec.MarkCat("event", e.Kind.String(), e.Subject, e.Time, e.Detail)
 		})
 	}
+	names := make([]string, len(specs))
 	for i, spec := range specs {
+		names[i] = spec.Name
 		if spec.ID != i {
 			panic(fmt.Sprintf("platform: spec %d has ID %d; IDs must be dense", i, spec.ID))
 		}
@@ -361,6 +363,9 @@ func New(cl *cluster.Cluster, specs []FunctionSpec, opts Options) *Platform {
 		}
 		p.fnByName[spec.Name] = fn
 	}
+	// The collector is the run's one request store: the recorder reads
+	// its records, and record notes each one's place in the span log.
+	p.opts.Obs.Bind(p.col, names)
 	for _, node := range cl.Nodes {
 		// The plan cache's key packs each per-profile count of a
 		// node's free slices; a count above pipeline.MaxCount does not
@@ -413,9 +418,6 @@ func (p *Platform) Retries() int { return p.tally[EvRetry] }
 
 // Rejected returns how many requests admission control fast-failed.
 func (p *Platform) Rejected() int { return p.tally[EvReject] }
-
-// Cluster returns the underlying cluster for post-run inspection.
-func (p *Platform) Cluster() *cluster.Cluster { return p.cl }
 
 // Run replays the trace: requests arrive at their trace times, the
 // controller ticks at its period, and the engine runs until the trace
@@ -599,26 +601,9 @@ func (p *Platform) finishUnserved(rq *request, kind EventKind, detail string, de
 // record finalises a request record and notifies the OnComplete hook.
 func (p *Platform) record(rec metrics.RequestRecord) {
 	p.col.Record(rec)
-	if r := p.opts.Obs; r != nil {
-		r.RequestSpan(p.funcs[rec.Func].spec.Name, rec.Func, rec.ID,
-			rec.Arrival, rec.Completion, rec.SLO, recordOutcome(rec))
-	}
+	p.opts.Obs.RequestDone()
 	if p.opts.OnComplete != nil {
 		p.opts.OnComplete(rec)
-	}
-}
-
-// recordOutcome classifies a finalised record for the metrics export.
-func recordOutcome(rec metrics.RequestRecord) string {
-	switch {
-	case rec.Rejected:
-		return "rejected"
-	case rec.Failed:
-		return "failed"
-	case rec.Dropped:
-		return "dropped"
-	default:
-		return "served"
 	}
 }
 

@@ -187,7 +187,7 @@ func TestKeepAliveRelease(t *testing.T) {
 	esg := mk(&scheduler.ESG{})
 	// ESG holds the slice for the whole keep-alive window after the last
 	// request: occupied time >= 120 + 600.
-	occ := esg.Cluster().AllGPUs()[0].Slices[2].OccupiedTime(900) // 1g slice
+	occ := esg.cl.AllGPUs()[0].Slices[2].OccupiedTime(900) // 1g slice
 	if occ < 600 {
 		t.Errorf("esg occupied 1g slice for %.0f s, want >= 600 (exclusive keep-alive)", occ)
 	}
@@ -262,7 +262,7 @@ func TestNoSliceLeak(t *testing.T) {
 	for _, inv := range p.inv {
 		owners[inv.sharedOwner()] = true
 	}
-	for _, g := range p.Cluster().AllGPUs() {
+	for _, g := range p.cl.AllGPUs() {
 		for _, s := range g.Slices {
 			if !s.Free() && !owners[s.Owner] {
 				t.Errorf("slice %s owned by unknown %q", s.ID(), s.Owner)
@@ -284,8 +284,8 @@ func TestNoSliceLeak(t *testing.T) {
 
 func TestGPUTimeAccounting(t *testing.T) {
 	p := runOne(t, &scheduler.ESG{}, dnn.Small, 5, 200, 7)
-	gpu := p.Cluster().GPUTime(260)
-	mig := p.Cluster().MIGTime(260)
+	gpu := p.cl.GPUTime(260)
+	mig := p.cl.MIGTime(260)
 	if gpu <= 0 || mig <= 0 {
 		t.Fatalf("GPU time %.1f / MIG time %.1f should be positive", gpu, mig)
 	}

@@ -258,7 +258,7 @@ func TestTimeSharingBookkeeping(t *testing.T) {
 		}
 		p = newRich(specs, opts)
 		p.Run(tr, 60)
-		c := p.CountEvents()
+		c := p.tally
 		if shared == 0 || c[EvPoolShrink] == 0 || p.FaultsInjected() == 0 {
 			t.Errorf("swap %v: %d shared-slice samples, %d pool shrinks, %d faults: the run must exercise all three",
 				swap, shared, c[EvPoolShrink], p.FaultsInjected())
