@@ -22,7 +22,7 @@ func obsRecorder(cfg *Config) *obs.Recorder {
 // observers cfg attached to run r, each step skipped when its observer
 // is nil: set the two lifecycle-event gauges on cfg.Obs, check the
 // ledger's conservation invariant and resolve its report, analyse the
-// span log, and freeze the decision ring at cfg.Duration when the
+// run, and freeze the decision ring at cfg.Duration when the
 // analysis paged on an SLO burn, so the decisions export dumps what the
 // scheduler was deciding then. Call it once, before any export.
 func FinishObservers(cfg Config, r SystemResult) (*analytics.Report, *util.Report, error) {
@@ -50,9 +50,9 @@ func FinishObservers(cfg Config, r SystemResult) (*analytics.Report, *util.Repor
 	return report, utilRep, nil
 }
 
-// The span-analytics study: one instrumented FluidFaaS run whose span
-// log is decomposed into per-function latency blame tables, profile-
-// drift ratios and SLO burn-rate alerts. The analysis is a pure
+// The span-analytics study: one instrumented FluidFaaS run whose request
+// records and span log are decomposed into per-function latency blame
+// tables, profile-drift ratios and SLO burn-rate alerts. The analysis is a pure
 // post-run observer — the run itself is bit-for-bit the same as an
 // uninstrumented one — and deterministic, so the tables regenerate
 // identically for a given seed.
@@ -65,7 +65,7 @@ type AnalyticsResult struct {
 }
 
 // RunAnalytics executes one instrumented FluidFaaS run on the medium
-// workload under cfg and analyses its span log. Set cfg.MaxBatch > 1 to
+// workload under cfg and analyses it. Set cfg.MaxBatch > 1 to
 // make the drift detector earn its keep: batched stage executions run
 // n^gamma longer than the declared per-request profile, exactly the
 // divergence it watches for.

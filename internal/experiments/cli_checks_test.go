@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"fluidfaas/internal/obs/util"
@@ -46,9 +47,11 @@ func TestSwapStudyGolden(t *testing.T) {
 	}
 }
 
-// TestStudyGoldens pins the studies that build their own cluster and
-// platform outside RunSystem and that no other golden covers: a sha256
-// over the JSON encoding of each result.
+// TestStudyGoldens pins the studies that no other golden covers: those
+// that build their own cluster and platform outside RunSystem, and the
+// span-analytics study. Each is a sha256 over the JSON encoding of the
+// result; for analytics, of the tables fluidfaas-bench -exp analytics
+// prints.
 func TestStudyGoldens(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -58,6 +61,7 @@ func TestStudyGoldens(t *testing.T) {
 		{"fig3", func(c Config) any { return RunMotivation(c) }, "38246f547f68ae545bfa3946ddf2cf12f192075510b1520efd78f8e951af6811"},
 		{"fig5", func(c Config) any { return RunKeepAlive(c) }, "6ef17b384f35aceeef76adfdd830aa8e20d2f550988fb63327d9436c1e614840"},
 		{"chaining", func(c Config) any { return RunChaining(c) }, "55d42725e33443daee695d4395e85873ad087ddd4d8597f0df623ab2171a3270"},
+		{"analytics", func(c Config) any { return analyticsTables(c) }, "40bcc52cc9cb49ad02ac35b5dcf593c6103e74dbf6a4a15865a73f15361d1d9d"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b, err := json.Marshal(tc.run(cliConfig()))
@@ -69,6 +73,21 @@ func TestStudyGoldens(t *testing.T) {
 			}
 		})
 	}
+}
+
+// analyticsTables renders the tables fluidfaas-bench -exp analytics
+// prints, in its order: blame, stragglers, burn and drift of one run,
+// then the drift table of a MaxBatch=4 run.
+func analyticsTables(c Config) string {
+	rp := RunAnalytics(c).Report
+	var b strings.Builder
+	for _, t := range []Table{AnalyticsBlameTable(rp), AnalyticsStragglerTable(rp),
+		AnalyticsBurnTable(rp), AnalyticsDriftTable(rp)} {
+		fmt.Fprintln(&b, t)
+	}
+	c.MaxBatch = 4
+	fmt.Fprintln(&b, AnalyticsDriftTable(RunAnalytics(c).Report))
+	return b.String()
 }
 
 // TestGrayHedgeBudget: with quarantine and hedging on, every point of

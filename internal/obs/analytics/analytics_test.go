@@ -24,18 +24,19 @@ func finalise(r *obs.Recorder, col *metrics.Collector, rec metrics.RequestRecord
 }
 
 // synthRecorder builds a small deterministic recorder: two functions,
-// one with drifting exec times and SLO misses.
+// one with drifting exec times and SLO misses. The records carry the
+// exec time blame reads; the exec spans feed drift.
 func synthRecorder() *obs.Recorder {
 	r, col := boundRecorder()
 	for i := 0; i < 40; i++ {
 		t0 := float64(i * 10)
 		// app0: healthy, exec matches its declared 1s profile.
 		r.StageSpan("exec app0", "gpu0/2g.20gb#0", "2g.20gb", 0, i, -1, t0+1, t0+2, 1)
-		finalise(r, col, metrics.RequestRecord{ID: i, Func: 0, Arrival: t0, Completion: t0 + 2, SLO: 5})
+		finalise(r, col, metrics.RequestRecord{ID: i, Func: 0, Arrival: t0, Completion: t0 + 2, Exec: 1, SLO: 5})
 		// app1: observed exec is 1.6x the declared profile and misses
 		// its SLO every time.
 		r.StageSpan("exec app1", "gpu0/3g.40gb#0", "3g.40gb", 1, i, -1, t0+0.8, t0+4, 2)
-		finalise(r, col, metrics.RequestRecord{ID: i, Func: 1, Arrival: t0, Completion: t0 + 4, SLO: 1})
+		finalise(r, col, metrics.RequestRecord{ID: i, Func: 1, Arrival: t0, Completion: t0 + 4, Exec: 3.2, SLO: 1})
 	}
 	r.SetDuration(400)
 	return r
@@ -123,6 +124,31 @@ func TestAnalyzeDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("reports differ across identical runs")
+	}
+}
+
+// TestAnalyzeAllocsIndependentOfSpans: with no retried record the
+// analysis reads the span log only for drift, which keeps per-key
+// state, so it allocates the same over N exec spans as over 10N.
+func TestAnalyzeAllocsIndependentOfSpans(t *testing.T) {
+	build := func(spans int) *obs.Recorder {
+		r, col := boundRecorder()
+		for i := 0; i < 20; i++ {
+			t0 := float64(i * 10)
+			finalise(r, col, metrics.RequestRecord{ID: i, Func: i % 2, Arrival: t0, Completion: t0 + 2, Exec: 1, SLO: 5})
+		}
+		for i := 0; i < spans; i++ {
+			t0 := float64(i)
+			r.StageSpan("exec app0", "gpu0/2g.20gb#0", "2g.20gb", 0, i%20, 0, t0, t0+1, 1)
+		}
+		r.SetDuration(200)
+		return r
+	}
+	allocs := func(r *obs.Recorder) float64 {
+		return testing.AllocsPerRun(20, func() { Analyze(Config{}, r) })
+	}
+	if n, n10 := allocs(build(200)), allocs(build(2000)); n10 != n {
+		t.Errorf("Analyze allocates %v over 200 exec spans but %v over 2000", n, n10)
 	}
 }
 

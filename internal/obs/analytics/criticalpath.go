@@ -9,10 +9,11 @@
 package analytics
 
 import (
+	"slices"
 	"sort"
 
+	"fluidfaas/internal/metrics"
 	"fluidfaas/internal/obs"
-	"fluidfaas/internal/obs/chunk"
 )
 
 // Component names, in the fixed taxonomy (and trim-precedence) order.
@@ -83,121 +84,46 @@ type RequestPath struct {
 // Latency is the end-to-end latency the components decompose.
 func (p RequestPath) Latency() float64 { return p.End - p.Arrival }
 
-// pathKey identifies a request's span chain.
-type pathKey struct{ fn, req int }
-
-// Reconstruct rebuilds every finalised request's critical path from the
-// recorder: the bound collector's records give each request's window
-// and outcome, and the span log its chain:
+// Reconstruct builds every finalised request's critical path from the
+// bound collector's records, in completion order. Exec, transfer and
+// load are the record's own breakdown (the surviving attempt's work,
+// which a hedged request counts once); retry is the penalty from
+// arrival to the request's last "retry" async mark, the only thing read
+// from the span log, and only when some record was retried.
 //
-//   - "retry" async marks for fault re-routes — each mark restarts the
-//     chain: slice spans recorded before the last mark belong to a
-//     failed attempt and are charged to the retry component, not to
-//     exec/load/transfer,
-//   - "exec"/"load"/"transfer" spans tied to the request (Req >= 0).
-//
-// Robustness over adversarial chains (partial chains of dropped or
-// rejected requests, spans overlapping or spilling past the request's
-// window) comes from clipping every span to the window and trimming the
-// summed components, in taxonomy order, to never exceed the remaining
-// end-to-end budget; queue is the residual. That construction makes
+// The components are trimmed, in taxonomy order, to never exceed the
+// remaining end-to-end budget, and queue is the residual, which makes
 // "components sum exactly to end-to-end latency" an invariant rather
 // than a hope.
 func Reconstruct(rec *obs.Recorder) []RequestPath {
-	type acc struct {
-		path      RequestPath
-		lastRetry float64
-		retries   int
-		exec      float64
-		load      float64
-		transfer  float64
-	}
-	// The accumulators live in one table, indexed by chain; a later
-	// record of the same chain replaces an earlier one.
-	var accs chunk.Table[acc]
-	chains := map[pathKey]int{}
-	for _, r := range rec.Requests() {
-		k := pathKey{r.Func, r.ID}
-		j, ok := chains[k]
-		if !ok {
-			j = accs.Len()
-			accs.Push(acc{})
-			chains[k] = j
-		}
-		*accs.At(j) = acc{
-			path: RequestPath{
-				Func: r.Func, Name: rec.FuncName(r.Func), Req: r.ID,
-				Arrival: r.Arrival, End: r.Completion, Outcome: r.Outcome(),
-			},
-			lastRetry: -1,
+	records := rec.Requests()
+	// lastRetry holds each retried chain's latest retry mark.
+	var lastRetry map[[2]int]float64
+	if slices.ContainsFunc(records, func(r metrics.RequestRecord) bool { return r.Retries > 0 }) {
+		lastRetry = map[[2]int]float64{}
+		for sp := range rec.Spans() {
+			if sp.Req < 0 || sp.Kind != obs.KindAsyncMark || sp.Cat != "retry" {
+				continue
+			}
+			k := [2]int{sp.Func, sp.Req}
+			if t, ok := lastRetry[k]; !ok || sp.Start > t {
+				lastRetry[k] = sp.Start
+			}
 		}
 	}
 
-	// Pass 1: retry marks fix the start of each chain's surviving
-	// attempt.
-	for sp := range rec.Spans() {
-		if sp.Req < 0 || sp.Kind != obs.KindAsyncMark || sp.Cat != "retry" {
-			continue
+	out := make([]RequestPath, 0, len(records))
+	for _, r := range records {
+		p := RequestPath{
+			Func: r.Func, Name: rec.FuncName(r.Func), Req: r.ID,
+			Arrival: r.Arrival, End: r.Completion, Outcome: r.Outcome(),
+			Retries: r.Retries,
 		}
-		i, ok := chains[pathKey{sp.Func, sp.Req}]
-		if !ok {
-			continue
-		}
-		a := accs.At(i)
-		a.retries++
-		if sp.Start > a.lastRetry {
-			a.lastRetry = sp.Start
-		}
-	}
-
-	// Pass 2: sum the surviving attempt's slice work, clipped to the
-	// request's window. Spans that start before the last retry mark
-	// belong to a torn-down attempt (their recorded durations cover time
-	// that never completed) and are excluded.
-	for sp := range rec.Spans() {
-		if sp.Req < 0 {
-			continue
-		}
-		switch sp.Cat {
-		case "exec", "load", "transfer":
-		default:
-			continue
-		}
-		i, ok := chains[pathKey{sp.Func, sp.Req}]
-		if !ok {
-			continue
-		}
-		a := accs.At(i)
-		if a.lastRetry >= 0 && sp.Start < a.lastRetry {
-			continue
-		}
-		start, end := sp.Start, sp.End
-		if start < a.path.Arrival {
-			start = a.path.Arrival
-		}
-		if end > a.path.End {
-			end = a.path.End
-		}
-		if end <= start {
-			continue
-		}
-		switch sp.Cat {
-		case "exec":
-			a.exec += end - start
-		case "load":
-			a.load += end - start
-		case "transfer":
-			a.transfer += end - start
-		}
-	}
-
-	out := make([]RequestPath, 0, accs.Len())
-	for a := range accs.All() {
 		retryPenalty := 0.0
-		if a.lastRetry >= 0 {
-			retryPenalty = a.lastRetry - a.path.Arrival
+		if t, ok := lastRetry[[2]int{r.Func, r.ID}]; ok {
+			retryPenalty = t - r.Arrival
 		}
-		rem := a.path.Latency()
+		rem := p.Latency()
 		trim := func(v float64) float64 {
 			if v > rem {
 				v = rem
@@ -208,13 +134,12 @@ func Reconstruct(rec *obs.Recorder) []RequestPath {
 			rem -= v
 			return v
 		}
-		a.path.Comp.Exec = trim(a.exec)
-		a.path.Comp.Transfer = trim(a.transfer)
-		a.path.Comp.Load = trim(a.load)
-		a.path.Comp.Retry = trim(retryPenalty)
-		a.path.Comp.Queue = rem
-		a.path.Retries = a.retries
-		out = append(out, a.path)
+		p.Comp.Exec = trim(r.Exec)
+		p.Comp.Transfer = trim(r.Transfer)
+		p.Comp.Load = trim(r.Load)
+		p.Comp.Retry = trim(retryPenalty)
+		p.Comp.Queue = rem
+		out = append(out, p)
 	}
 	// Completion order (ties by function then request) mirrors the
 	// collector's record order and keeps downstream aggregation and JSON

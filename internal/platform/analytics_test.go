@@ -36,63 +36,131 @@ func runMixed(t *testing.T, rec *obs.Recorder, seed int64) *Platform {
 	return p
 }
 
-// TestAnalyticsComponentSum: for every finalised request in the mixed
-// run, the reconstructed components sum exactly to the recorded
-// end-to-end latency, and for served requests each component matches
-// the metrics layer's own breakdown.
+// spanBreakdown sums each request chain's exec, load and transfer spans
+// from the span log, skipping spans that start before the chain's last
+// retry mark (a torn-down attempt's work). Both copies of a hedged
+// request share one chain, so its sum counts them both.
+func spanBreakdown(rec *obs.Recorder) map[[2]int]metrics.RequestRecord {
+	lastRetry := map[[2]int]float64{}
+	for sp := range rec.Spans() {
+		if sp.Req >= 0 && sp.Kind == obs.KindAsyncMark && sp.Cat == "retry" {
+			k := [2]int{sp.Func, sp.Req}
+			if t, ok := lastRetry[k]; !ok || sp.Start > t {
+				lastRetry[k] = sp.Start
+			}
+		}
+	}
+	sums := map[[2]int]metrics.RequestRecord{}
+	for sp := range rec.Spans() {
+		k := [2]int{sp.Func, sp.Req}
+		if t, ok := lastRetry[k]; sp.Req < 0 || ok && sp.Start < t {
+			continue
+		}
+		s := sums[k]
+		switch sp.Cat {
+		case "exec":
+			s.Exec += sp.End - sp.Start
+		case "load":
+			s.Load += sp.End - sp.Start
+		case "transfer":
+			s.Transfer += sp.End - sp.Start
+		default:
+			continue
+		}
+		sums[k] = s
+	}
+	return sums
+}
+
+// TestAnalyticsComponentSum: in the mixed run every finalised request's
+// reconstructed components sum exactly to its end-to-end latency, and
+// the platform's own breakdown agrees with the trace: each served
+// request's exec, load and transfer spans sum to its record's values.
 func TestAnalyticsComponentSum(t *testing.T) {
 	rec := obs.NewRecorder()
 	p := runMixed(t, rec, 42)
-
-	records := map[[2]int]metrics.RequestRecord{}
-	for _, r := range p.Collector().Records() {
-		records[[2]int{r.Func, r.ID}] = r
+	if p.Hedges() != 0 {
+		t.Fatal("mixed run hedged; the span sums below assume one copy per request")
 	}
+
+	records := p.Collector().Records()
 	paths := analytics.Reconstruct(rec)
 	if len(paths) != len(records) {
 		t.Fatalf("reconstructed %d paths, collector has %d records", len(paths), len(records))
 	}
-
 	const tol = 1e-9
-	retried, served := 0, 0
 	for _, pa := range paths {
-		r, ok := records[[2]int{pa.Func, pa.Req}]
-		if !ok {
-			t.Fatalf("path %d/%d has no record", pa.Func, pa.Req)
-		}
 		c := pa.Comp
-		if sum := c.Queue + c.Load + c.Exec + c.Transfer + c.Retry; math.Abs(sum-r.Latency()) > tol {
+		if sum := c.Queue + c.Load + c.Exec + c.Transfer + c.Retry; math.Abs(sum-pa.Latency()) > tol {
 			t.Errorf("req %d/%d (%s): components sum %v != latency %v",
-				pa.Func, pa.Req, pa.Outcome, sum, r.Latency())
+				pa.Func, pa.Req, pa.Outcome, sum, pa.Latency())
 		}
-		if pa.Retries != r.Retries {
-			t.Errorf("req %d/%d: path retries %d != record retries %d",
-				pa.Func, pa.Req, pa.Retries, r.Retries)
-		}
+	}
+
+	spans := spanBreakdown(rec)
+	retried, served := 0, 0
+	for _, r := range records {
 		if r.Retries > 0 {
 			retried++
 		}
-		if pa.Outcome != "served" {
+		if r.Dropped {
 			continue
 		}
 		served++
-		// Served requests: the span-derived components must agree with
-		// the metrics layer's independent accounting — exec, load and
-		// transfer exactly, and queue+retry together covering the
-		// completion residual.
-		if math.Abs(pa.Comp.Exec-r.Exec) > tol ||
-			math.Abs(pa.Comp.Load-r.Load) > tol ||
-			math.Abs(pa.Comp.Transfer-r.Transfer) > tol ||
-			math.Abs(pa.Comp.Queue+pa.Comp.Retry-r.Queue) > tol {
-			t.Errorf("req %d/%d: components %+v disagree with record exec=%v load=%v transfer=%v queue=%v",
-				pa.Func, pa.Req, pa.Comp, r.Exec, r.Load, r.Transfer, r.Queue)
+		s := spans[[2]int{r.Func, r.ID}]
+		if math.Abs(s.Exec-r.Exec) > tol || math.Abs(s.Load-r.Load) > tol ||
+			math.Abs(s.Transfer-r.Transfer) > tol {
+			t.Errorf("req %d/%d: spans sum to exec=%v load=%v transfer=%v, record has exec=%v load=%v transfer=%v",
+				r.Func, r.ID, s.Exec, s.Load, s.Transfer, r.Exec, r.Load, r.Transfer)
 		}
 	}
 	if served == 0 {
 		t.Fatal("mixed run served nothing; the invariant was never exercised")
 	}
 	if retried == 0 && p.Retries() > 0 {
-		t.Error("platform retried requests but no path shows retries")
+		t.Error("platform retried requests but no record shows retries")
+	}
+}
+
+// TestAnalyticsHedgedCountedOnce: both copies of a hedged request share
+// its request ID, yet its critical path carries only the record's
+// breakdown — the winning copy's work, not the sum of both copies'.
+func TestAnalyticsHedgedCountedOnce(t *testing.T) {
+	specs := specsFor(t, dnn.Medium)
+	rec := obs.NewRecorder()
+	p := New(cluster.New(cluster.DefaultSpec()), specs, Options{
+		Policy: &scheduler.FluidFaaS{}, Seed: 9, Obs: rec,
+		Faults: &faults.Spec{
+			DegradedRate: 0.08, DegradedMTTR: 40,
+			DegradedMinSeverity: 3, DegradedMaxSeverity: 6,
+		},
+		Gray: GrayOptions{Enabled: true, Hedge: true},
+	})
+	p.Run(flatTrace(specs, 8, 150, 9), 40)
+	if p.Hedges() == 0 {
+		t.Fatal("run spawned no hedge; the test exercises nothing")
+	}
+
+	records := map[[2]int]metrics.RequestRecord{}
+	for _, r := range p.Collector().Records() {
+		records[[2]int{r.Func, r.ID}] = r
+	}
+	const tol = 1e-9
+	served := 0
+	for _, pa := range analytics.Reconstruct(rec) {
+		if pa.Outcome != "served" {
+			continue
+		}
+		served++
+		r := records[[2]int{pa.Func, pa.Req}]
+		if math.Abs(pa.Comp.Exec-r.Exec) > tol || math.Abs(pa.Comp.Load-r.Load) > tol ||
+			math.Abs(pa.Comp.Transfer-r.Transfer) > tol {
+			t.Errorf("req %d/%d: path exec=%v load=%v transfer=%v, record exec=%v load=%v transfer=%v",
+				pa.Func, pa.Req, pa.Comp.Exec, pa.Comp.Load, pa.Comp.Transfer, r.Exec, r.Load, r.Transfer)
+		}
+	}
+	if served == 0 {
+		t.Fatal("run served nothing")
 	}
 }
 

@@ -290,8 +290,9 @@ func (sj *stageJob) Service() sim.Time {
 		}
 		if load > 0 {
 			// The share of the wait spent behind the initial model
-			// load, so the critical-path reconstruction can split
-			// load from queue exactly as the metrics layer does.
+			// load (rec.Load above), drawn for the Chrome view only:
+			// the critical-path reconstruction reads the record. The
+			// observed chrome-trace digest pins it.
 			r.AsyncSpan("load", "load-wait", rq.rec.Func, rq.rec.ID,
 				sj.enqueueAt, sj.enqueueAt+load, "")
 		}
