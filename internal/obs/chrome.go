@@ -39,8 +39,9 @@ func usec(t float64) int64 { return int64(math.Round(t * 1e6)) }
 // (the track's per-node index).
 type trackLoc struct{ node, tid int }
 
-// WriteChromeTrace writes the recorder's spans, and the bound
-// collector's requests as envelope spans, as Chrome trace-event JSON.
+// WriteChromeTrace writes the recorder's spans, the bound collector's
+// requests as envelope spans and, after them, the bound utilization
+// report's slice segments, as Chrome trace-event JSON.
 // Same recorder contents ⇒ byte-identical output. The trace
 // carries no floats (timestamps are integral microseconds), so only a
 // write error fails it.
@@ -81,19 +82,7 @@ func WriteChromeTrace(w io.Writer, r *Recorder) error {
 		i++
 		switch sp.Kind {
 		case KindSlice:
-			loc := locs[sp.Track]
-			cw.open('X', sp.Cat, usec(sp.Start), sp.Name)
-			cw.b = append(cw.b, `,"dur":`...)
-			cw.b = strconv.AppendInt(cw.b, usec(sp.End)-usec(sp.Start), 10)
-			cw.place(nodePidBase+loc.node, loc.tid)
-			cw.b = append(cw.b, `,"args":{`...)
-			cw.funcReq(sp.Func, sp.Req)
-			if sp.Stage >= 0 {
-				cw.b = append(cw.b, `,"stage":`...)
-				cw.b = strconv.AppendInt(cw.b, int64(sp.Stage), 10)
-			}
-			cw.b = append(cw.b, '}')
-			cw.emit()
+			cw.slice(sp.Cat, sp.Name, locs[sp.Track], sp.Func, sp.Req, sp.Stage, sp.Start, sp.End)
 		case KindAsync:
 			cw.async(sp.Cat, sp.Name, sp.Func, sp.Req, sp.Start, sp.End, sp.Detail)
 		case KindAsyncMark:
@@ -119,6 +108,16 @@ func WriteChromeTrace(w io.Writer, r *Recorder) error {
 		}
 	}
 	envelopes(-1)
+	// The bound ledger report's segments, in report order, on their
+	// slices' tracks.
+	if r != nil && r.states != nil {
+		for _, sr := range r.states.Slices {
+			loc := locs[sr.ID]
+			for _, seg := range sr.Segments {
+				cw.slice("state", seg.State.String(), loc, -1, -1, -1, seg.Start, seg.End)
+			}
+		}
+	}
 
 	cw.b = append(cw.b, `],"displayTimeUnit":"ms"}`+"\n"...)
 	cw.write()
@@ -179,6 +178,24 @@ func (cw *chromeWriter) place(pid, tid int) {
 	cw.b = strconv.AppendInt(cw.b, int64(pid), 10)
 	cw.b = append(cw.b, `,"tid":`...)
 	cw.b = strconv.AppendInt(cw.b, int64(tid), 10)
+}
+
+// slice emits a duration span on a hardware track: an X event with
+// the span's function, request and (when non-negative) stage as args.
+// An unregistered track's zero loc puts it on node 0's first thread.
+func (cw *chromeWriter) slice(cat, name string, loc trackLoc, fn, req, stage int, start, end float64) {
+	cw.open('X', cat, usec(start), name)
+	cw.b = append(cw.b, `,"dur":`...)
+	cw.b = strconv.AppendInt(cw.b, usec(end)-usec(start), 10)
+	cw.place(nodePidBase+loc.node, loc.tid)
+	cw.b = append(cw.b, `,"args":{`...)
+	cw.funcReq(fn, req)
+	if stage >= 0 {
+		cw.b = append(cw.b, `,"stage":`...)
+		cw.b = strconv.AppendInt(cw.b, int64(stage), 10)
+	}
+	cw.b = append(cw.b, '}')
+	cw.emit()
 }
 
 // trackPlace puts an instant on its registered track, or on

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"fluidfaas/internal/metrics"
+	"fluidfaas/internal/obs/util"
 )
 
 // refChromeEvent is one trace event for the reference exporter; field
@@ -139,6 +140,20 @@ func writeChromeTraceRef(w io.Writer, r *Recorder) error {
 	for next < len(reqs) {
 		request()
 	}
+	// The bound ledger report's segments follow, slice by slice; an
+	// unregistered slice lands where an unregistered track's span does.
+	if r != nil && r.states != nil {
+		for _, sr := range r.states.Slices {
+			for _, seg := range sr.Segments {
+				dur := usec(seg.End) - usec(seg.Start)
+				evs = append(evs, refChromeEvent{
+					Name: seg.State.String(), Cat: "state", Ph: "X", Ts: usec(seg.Start), Dur: &dur,
+					Pid: nodePidBase + nodeOf[sr.ID], Tid: tids[sr.ID],
+					Args: map[string]any{"func": -1, "req": -1},
+				})
+			}
+		}
+	}
 
 	enc := json.NewEncoder(w)
 	return enc.Encode(refChromeTrace{TraceEvents: evs, DisplayTimeUnit: "ms"})
@@ -159,7 +174,9 @@ var chromeStrings = []string{
 // registered and unregistered tracks, finalised requests of every
 // outcome interleaved with the spans and with CancelSliceWork cuts, and
 // adversarial strings drawn from chromeStrings and extra, function
-// names included.
+// names included. On about half the seeds it binds a ledger report
+// whose segments take every state on registered and unregistered
+// slices.
 func randomChromeRecorder(rng *rand.Rand, spans int, extra ...string) *Recorder {
 	pool := append(chromeStrings[:len(chromeStrings):len(chromeStrings)], extra...)
 	pick := func() string { return pool[rng.Intn(len(pool))] }
@@ -210,6 +227,22 @@ func randomChromeRecorder(rng *rand.Rand, spans int, extra ...string) *Recorder 
 		case 8:
 			r.CancelSliceWork(track(), t0)
 		}
+	}
+	if rng.Intn(2) == 0 {
+		rep := &util.Report{}
+		for i, n := 0, rng.Intn(5); i < n; i++ {
+			sr := util.SliceReport{ID: track()}
+			t0 := rng.Float64() * 100
+			for j, m := 0, rng.Intn(10); j < m; j++ {
+				t1 := t0 + rng.Float64()*3
+				sr.Segments = append(sr.Segments, util.Segment{
+					State: util.State(rng.Intn(util.NumStates)), Start: t0, End: t1,
+				})
+				t0 = t1
+			}
+			rep.Slices = append(rep.Slices, sr)
+		}
+		r.BindUtil(rep)
 	}
 	return r
 }
@@ -263,9 +296,10 @@ func FuzzChromeTrace(f *testing.F) {
 	})
 }
 
-// TestChromeTraceAllocs: the export allocates per track, not per span —
-// a 10k-span recorder costs no more allocations than a 100-span one
-// over the same tracks.
+// TestChromeTraceAllocs: the export allocates per track, not per span
+// or ledger segment — a 10k-span recorder bound to a 10k-segment report
+// costs as many allocations as a 100-span, 100-segment one over the
+// same tracks.
 func TestChromeTraceAllocs(t *testing.T) {
 	build := func(spans int) *Recorder {
 		r := NewRecorder()
@@ -292,6 +326,17 @@ func TestChromeTraceAllocs(t *testing.T) {
 				r.MarkCat("event", "evict", tr, t0, "")
 			}
 		}
+		rep := &util.Report{}
+		for _, tr := range tracks {
+			rep.Slices = append(rep.Slices, util.SliceReport{ID: tr})
+		}
+		for i := 0; i < spans; i++ {
+			sr := &rep.Slices[i%len(tracks)]
+			sr.Segments = append(sr.Segments, util.Segment{
+				State: util.States[i%util.NumStates], Start: float64(i), End: float64(i + 1),
+			})
+		}
+		r.BindUtil(rep)
 		return r
 	}
 	measure := func(r *Recorder) float64 {
@@ -302,7 +347,7 @@ func TestChromeTraceAllocs(t *testing.T) {
 		})
 	}
 	small, large := measure(build(100)), measure(build(10000))
-	if large > small || large > 20 {
-		t.Errorf("allocs: %v for 10k spans vs %v for 100 spans; want O(tracks), independent of spans", large, small)
+	if large != small || large > 20 {
+		t.Errorf("allocs: %v for 10k spans and segments vs %v for 100; want O(tracks), independent of both", large, small)
 	}
 }

@@ -20,6 +20,7 @@ import (
 
 	"fluidfaas/internal/metrics"
 	"fluidfaas/internal/obs/chunk"
+	"fluidfaas/internal/obs/util"
 )
 
 // SpanKind classifies how a span is rendered in the trace export.
@@ -28,7 +29,9 @@ type SpanKind int
 // Span kinds.
 const (
 	// KindSlice is a duration span on a hardware track (one track per
-	// MIG slice): model loads, stage executions, transfers.
+	// MIG slice): model loads, stage executions, transfers. Every
+	// KindSlice row is work; the slice-state timeline is not in the
+	// log (see BindUtil).
 	KindSlice SpanKind = iota
 	// KindAsync is a duration span on a request's causal chain
 	// (queueing, load waits). Async spans with the same request
@@ -82,8 +85,10 @@ type Track struct {
 // exports derive their aggregates. The log is a chunked table, so
 // recording a span never copies the spans before it. Requests are not
 // in it: the request store is the metrics.Collector bound with Bind,
-// and the recorder keeps only each record's position in the log. The
-// zero value is ready to use; a nil *Recorder is the disabled sink.
+// and the recorder keeps only each record's position in the log. Nor
+// are the utilization ledger's state segments: the Chrome export draws
+// them from the report bound with BindUtil. The zero value is ready to
+// use; a nil *Recorder is the disabled sink.
 type Recorder struct {
 	spans  chunk.Table[Span]
 	tracks []Track
@@ -95,6 +100,10 @@ type Recorder struct {
 	col    *metrics.Collector
 	names  []string
 	reqPos []int32
+
+	// states is the closed utilization ledger's report, whose slice
+	// segments the Chrome export draws after the span log.
+	states *util.Report
 
 	// gauges holds driver-set scalar metrics (e.g. dropped events).
 	gauges map[string]float64
@@ -135,8 +144,9 @@ func (r *Recorder) Tracks() []Track {
 	return r.tracks
 }
 
-// SliceSpan records a duration span on a hardware track. Load and exec
-// spans count as the track's busy time in the metrics export.
+// SliceSpan records a load, exec or transfer span on a hardware track;
+// every KindSlice row is work, which CancelSliceWork may cut. Load and
+// exec spans count as the track's busy time in the metrics export.
 func (r *Recorder) SliceSpan(cat, name, track string, fn, req, stage int, start, end float64) {
 	if r == nil {
 		return
@@ -164,17 +174,18 @@ func (r *Recorder) StageSpan(name, track, sliceType string, fn, req, stage int, 
 }
 
 // CancelSliceWork truncates the track's hardware work spans at `at`:
-// load/exec/transfer slice spans ending later are cut there (removed
-// entirely when they start at or after it). Fault and quarantine
-// teardowns call this because work spans are recorded upfront with
-// their future end times — without the cut, the phantom tail of an
-// execution that died with its hardware stays on the books as busy
-// time, overstating the exported busy seconds and overlapping whatever
-// the reallocated slice runs next. Safe to call broadly: on the single-threaded engine, any work
-// span still open on a track at teardown time belongs to the owner
-// being torn down. (A truncated exec span keeps its Declared profile
-// time; the drift analytics see cancelled work as a fast outlier,
-// which is accurate — the work did end early.)
+// its slice spans (all of them load, exec or transfer work) ending
+// later are cut there (removed entirely when they start at or after
+// it). Fault and quarantine teardowns call this because work spans are
+// recorded upfront with their future end times — without the cut, the
+// phantom tail of an execution that died with its hardware stays on
+// the books as busy time, overstating the exported busy seconds and
+// overlapping whatever the reallocated slice runs next. Safe to call
+// broadly: on the single-threaded engine, any work span still open on
+// a track at teardown time belongs to the owner being torn down. (A
+// truncated exec span keeps its Declared profile time; the drift
+// analytics see cancelled work as a fast outlier, which is accurate —
+// the work did end early.)
 func (r *Recorder) CancelSliceWork(track string, at float64) {
 	if r == nil {
 		return
@@ -188,8 +199,7 @@ func (r *Recorder) CancelSliceWork(track string, at float64) {
 			r.reqPos[k] = int32(n)
 		}
 		i++
-		if sp.Kind == KindSlice && sp.Track == track && sp.End > at &&
-			(sp.Cat == "load" || sp.Cat == "exec" || sp.Cat == "transfer") {
+		if sp.Kind == KindSlice && sp.Track == track && sp.End > at {
 			if sp.Start >= at {
 				continue
 			}
@@ -253,6 +263,17 @@ func (r *Recorder) Bind(col *metrics.Collector, names []string) {
 		return
 	}
 	r.col, r.names = col, names
+}
+
+// BindUtil hands the recorder the closed utilization ledger's report;
+// the Chrome export draws its slice segments as "state" spans after
+// the span log. The report is the ledger's: the recorder does not
+// mutate it.
+func (r *Recorder) BindUtil(rep *util.Report) {
+	if r == nil {
+		return
+	}
+	r.states = rep
 }
 
 // RequestDone notes that the bound collector's newest record was

@@ -10,6 +10,7 @@ import (
 
 	"fluidfaas/internal/metrics"
 	"fluidfaas/internal/obs/chunk"
+	"fluidfaas/internal/obs/util"
 )
 
 // TestNilRecorder: every method of a nil recorder is a safe no-op —
@@ -20,6 +21,7 @@ func TestNilRecorder(t *testing.T) {
 	r.SliceSpan("exec", "app0", "gpu0/1g.10gb#0", 0, 1, 0, 0, 1)
 	r.Bind(metrics.NewCollector(), []string{"app0"})
 	r.RequestDone()
+	r.BindUtil(&util.Report{})
 	r.AsyncMark("retry", "retry", 0, 1, 1, "node died")
 	r.MarkCat("event", "launch", "app0#1", 0, "")
 	r.CancelSliceWork("gpu0/1g.10gb#0", 0.5)

@@ -164,10 +164,11 @@ func (p *Platform) utilSample(now, fi float64) {
 	l.AddFragSample(s)
 }
 
-// utilClose resolves the ledger at the end of the run and exports it:
-// per-slice state Gantt segments on the chrome hardware tracks (cat
-// "state", which the busy-seconds export ignores) and the cluster
-// state-seconds as a labeled Prometheus series.
+// utilClose resolves the ledger at the end of the run and hands its
+// report to the span recorder (Recorder.BindUtil): the Chrome export
+// draws the per-slice state segments on the hardware tracks from it,
+// after the span log, which holds none of them. The cluster and
+// per-node state-seconds go out as labeled Prometheus series.
 func (p *Platform) utilClose(end float64) {
 	l := p.opts.Util
 	if l == nil {
@@ -179,12 +180,7 @@ func (p *Platform) utilClose(end float64) {
 		return
 	}
 	rep := l.Report()
-	for _, sr := range rep.Slices {
-		for _, seg := range sr.Segments {
-			r.SliceSpan("state", seg.State.String(), sr.ID, -1, -1, -1,
-				seg.Start, seg.End)
-		}
-	}
+	r.BindUtil(rep)
 	for _, st := range util.States {
 		r.SetSeries("fluidfaas_util_state_seconds",
 			"Slice-seconds of the run by ledger state (cluster roll-up).",

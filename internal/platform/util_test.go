@@ -1,6 +1,8 @@
 package platform
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -156,5 +158,75 @@ func TestLedgerBaseTracksSliceState(t *testing.T) {
 			t.Fatalf("swap=%v: no slice-sample checked", swap)
 		}
 		t.Logf("swap=%v: %d slice-samples checked", swap, checked)
+	}
+}
+
+// TestUtilSegmentsLeaveSpanLog: attaching the ledger adds no row to the
+// span log, and the Chrome trace draws exactly the ledger's segments
+// as "state" events, in report order, each on its slice's track with
+// the segment's state, microsecond start and duration.
+func TestUtilSegmentsLeaveSpanLog(t *testing.T) {
+	logLen := func(r *obs.Recorder) int {
+		n := 0
+		for range r.Spans() {
+			n++
+		}
+		return n
+	}
+	bare := obs.NewRecorder()
+	runMedium(t, Options{Policy: &scheduler.FluidFaaS{}, Obs: bare}, 5)
+	rec, led := obs.NewRecorder(), util.NewLedger()
+	runMedium(t, Options{Policy: &scheduler.FluidFaaS{}, Obs: rec, Util: led}, 5)
+	if a, b := logLen(bare), logLen(rec); a != b {
+		t.Errorf("span log holds %d rows with the ledger, %d without", b, a)
+	}
+
+	var buf bytes.Buffer
+	if err := obs.WriteChromeTrace(&buf, rec); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name, Cat, Ph string
+			Ts, Dur       int64
+			Pid, Tid      int
+			Args          struct{ Name string }
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	type place struct{ pid, tid int }
+	thread := map[place]string{}
+	var got []int // indices of the state events
+	for i, ev := range doc.TraceEvents {
+		switch {
+		case ev.Ph == "M" && ev.Name == "thread_name":
+			thread[place{ev.Pid, ev.Tid}] = ev.Args.Name
+		case ev.Cat == "state":
+			got = append(got, i)
+		}
+	}
+	usec := func(v float64) int64 { return int64(math.Round(v * 1e6)) }
+	var want []util.Segment
+	var tracks []string
+	for _, sr := range led.Report().Slices {
+		for _, seg := range sr.Segments {
+			want = append(want, seg)
+			tracks = append(tracks, sr.ID)
+		}
+	}
+	if len(want) == 0 || len(got) != len(want) {
+		t.Fatalf("trace holds %d state events, want one per ledger segment (%d)", len(got), len(want))
+	}
+	for k, seg := range want {
+		ev := doc.TraceEvents[got[k]]
+		if tr := thread[place{ev.Pid, ev.Tid}]; tr != tracks[k] || ev.Ph != "X" ||
+			ev.Name != seg.State.String() || ev.Ts != usec(seg.Start) ||
+			ev.Dur != usec(seg.End)-usec(seg.Start) {
+			t.Fatalf("state event %d = %s %q on %q at %d for %d, want X %q on %q at %d for %d",
+				k, ev.Ph, ev.Name, tr, ev.Ts, ev.Dur, seg.State, tracks[k],
+				usec(seg.Start), usec(seg.End)-usec(seg.Start))
+		}
 	}
 }
