@@ -117,7 +117,7 @@ func Reconstruct(rec *obs.Recorder) []RequestPath {
 		p := RequestPath{
 			Func: r.Func, Name: rec.FuncName(r.Func), Req: r.ID,
 			Arrival: r.Arrival, End: r.Completion, Outcome: r.Outcome(),
-			Retries: r.Retries,
+			Retries: int(r.Retries),
 		}
 		retryPenalty := 0.0
 		if t, ok := lastRetry[[2]int{r.Func, r.ID}]; ok {

@@ -153,6 +153,10 @@ const (
 	retryBackoffCap float64 = 1
 )
 
+// A request's re-routes are counted in metrics.RequestRecord.Retries,
+// an int16: a retry cap past its range fails to build.
+var _ int16 = retryMaxAttempts
+
 func (o *Options) fillDefaults() {
 	if o.IdleDemote <= 0 {
 		o.IdleDemote = 20
