@@ -171,7 +171,7 @@ func TestArrivalAllocsAmortized(t *testing.T) {
 	if got != 0 {
 		t.Errorf("an arrival parked pending allocates %v times, want 0", got)
 	}
-	if n := len(p.funcs[0].pending); n != 1001 {
+	if n := p.funcs[0].pending.Len(); n != 1001 {
 		t.Fatalf("%d requests pending, want 1001", n)
 	}
 }
@@ -201,5 +201,42 @@ func TestServedArrivalAllocatesNothing(t *testing.T) {
 	if len(p.reqPool) != 1 || len(p.jobPool) != 1 {
 		t.Errorf("pools hold %d requests and %d stage jobs, want 1 and 1",
 			len(p.reqPool), len(p.jobPool))
+	}
+}
+
+// TestServedTimeSharingAllocatesNothing: in steady state a request
+// served on a time-sharing pool slice allocates nothing, as on the
+// exclusive path: its request comes from the pool, its job waits in
+// the slice's queue by value, and the slice's one completion event
+// serves it. Each request runs a second of simulated time, so the
+// binding's hotness window stays bounded.
+func TestServedTimeSharingAllocatesNothing(t *testing.T) {
+	p := New(smallCluster(1), specsFor(t, dnn.Small)[:1], Options{
+		Policy: &scheduler.FluidFaaS{}, Seed: 1,
+	})
+	b := p.inv[0].bindTS(p.funcs[0])
+	if b == nil {
+		t.Fatal("bindTS failed")
+	}
+	b.everLoaded = true
+	p.col.Reserve(2000)
+	id := 0
+	got := testing.AllocsPerRun(1000, func() {
+		id++
+		p.InjectRequest(0, id)
+		p.eng.RunUntil(p.eng.Now() + 1)
+	})
+	if got != 0 {
+		t.Errorf("a request served by time sharing allocates %v times, want 0", got)
+	}
+	if c := p.col.Completed(); c != 1001 {
+		t.Fatalf("%d requests served, want 1001", c)
+	}
+	if !b.resident || len(p.funcs[0].instances) != 0 || p.Evictions() != 0 {
+		t.Errorf("resident %v, %d exclusive instances, %d evictions: want the one resident binding to serve every request",
+			b.resident, len(p.funcs[0].instances), p.Evictions())
+	}
+	if len(p.reqPool) != 1 {
+		t.Errorf("pool holds %d requests, want 1", len(p.reqPool))
 	}
 }

@@ -76,7 +76,7 @@ func (p *Platform) route(rq *request) {
 	if dec {
 		p.decideAdmit(rq, fn.admits.pending, decisions.NoID, cands)
 	}
-	fn.pushPending(rq)
+	fn.pending.Insert(rq, byDeadline)
 	p.kickScaleUp()
 }
 
@@ -161,9 +161,9 @@ func (p *Platform) pickInvokerForTS(fn *Function) *Invoker {
 		if !inv.node.Healthy() {
 			continue
 		}
-		if ss := inv.pickSharedSlice(fn); ss != nil && ss.qlen() < bestQ {
+		if ss := inv.pickSharedSlice(fn); ss != nil && ss.queue.Len() < bestQ {
 			best = inv
-			bestQ = ss.qlen()
+			bestQ = ss.queue.Len()
 		}
 	}
 	if best != nil {
@@ -217,7 +217,7 @@ func (p *Platform) scaleUp() {
 		// Admission fast-fails are demand too: without counting them, a
 		// function whose whole overflow is rejected at arrival would
 		// never trigger scale-up. Zero when admission control is off.
-		demand := len(fn.waiting()) + fn.rejectDemand
+		demand := fn.pending.Len() + fn.rejectDemand
 		fn.rejectDemand = 0
 		if demand > 0 {
 			// An overloaded but not-hot time-sharing function gets more
@@ -236,9 +236,9 @@ func (p *Platform) scaleUp() {
 				} else {
 					// Overloaded but not hot: grow the pool (§5.3).
 					// rebindToFreshSlice drains pending itself.
-					before := len(fn.waiting())
+					before := fn.pending.Len()
 					fn.ts.shared.inv.rebindToFreshSlice(fn)
-					demand -= before - len(fn.waiting())
+					demand -= before - fn.pending.Len()
 					if demand <= 0 {
 						continue
 					}
@@ -491,7 +491,7 @@ func (inv *Invoker) maintainPool() {
 				inv.unbind(b)
 			}
 		}
-		if len(ss.bindings) == 0 && ss.serving == nil && ss.qlen() == 0 {
+		if len(ss.bindings) == 0 && !ss.busy() && ss.queue.Len() == 0 {
 			inv.releaseShared(ss, "")
 		}
 	}
@@ -505,30 +505,24 @@ func (inv *Invoker) maintainPool() {
 func (p *Platform) dropStalePending() {
 	now := p.eng.Now()
 	for _, fn := range p.funcs {
-		// Survivors slide to the front of the buffer. A dropped
-		// request's slot is nil'd before it is finished (and recycled),
-		// so the queue never shows a recycled request.
-		live := fn.waiting()
-		keep := fn.pending[:0]
-		for i, rq := range live {
-			if fn.spec.SLO > 0 && now-rq.arrival > pendingDrop*fn.spec.SLO {
-				live[i] = nil
-				p.finishUnserved(rq, EvDrop, "pending past the client timeout", func() decisions.Record {
-					return decisions.Record{
-						Kind: decisions.KindDrop, Rule: "client-timeout",
-						Outcome: "dropped from pending overflow",
-						Inputs: []decisions.KV{
-							kvF("waited", now-rq.arrival),
-							kvF("limit", pendingDrop*rq.fn.spec.SLO),
-						},
-					}
-				})
-				continue
+		// Filter zeroes a dropped request's slot before it is finished
+		// (and recycled), so the queue never shows a recycled request.
+		fn.pending.Filter(func(rq *request) bool {
+			if !(fn.spec.SLO > 0 && now-rq.arrival > pendingDrop*fn.spec.SLO) {
+				return true
 			}
-			keep = append(keep, rq)
-		}
-		clear(fn.pending[len(keep):])
-		fn.pending, fn.pendHead = keep, 0
+			p.finishUnserved(rq, EvDrop, "pending past the client timeout", func() decisions.Record {
+				return decisions.Record{
+					Kind: decisions.KindDrop, Rule: "client-timeout",
+					Outcome: "dropped from pending overflow",
+					Inputs: []decisions.KV{
+						kvF("waited", now-rq.arrival),
+						kvF("limit", pendingDrop*rq.fn.spec.SLO),
+					},
+				}
+			})
+			return false
+		})
 	}
 	for _, inv := range p.inv {
 		for _, ss := range inv.shared {

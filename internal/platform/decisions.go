@@ -82,7 +82,7 @@ func poolCandidates(inv *Invoker, fn *Function, chosen *sharedSlice) []decisions
 		if ss == chosen {
 			continue
 		}
-		reason := fmt.Sprintf("queue %d", ss.qlen())
+		reason := fmt.Sprintf("queue %d", ss.queue.Len())
 		if !fn.mono(ss.slice.Type).OK {
 			reason = "type cannot host function"
 		}

@@ -237,13 +237,15 @@ func (p *Platform) failShared(ss *sharedSlice) {
 	ss.failed = true
 	inv := ss.inv
 	var rqs []*request
-	if ss.serving != nil {
+	if ss.busy() {
 		rqs = append(rqs, ss.serving.rq)
-		ss.serving = nil
+		ss.serving = tsJob{}
 	}
-	for _, job := range ss.drainJobs() {
+	ss.queue.Filter(func(job tsJob) bool {
 		rqs = append(rqs, job.rq)
-	}
+		return false
+	})
+	ss.queuedWork = 0
 	ss.servingWork = 0
 
 	for _, b := range ss.bindings {

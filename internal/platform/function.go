@@ -7,6 +7,7 @@ import (
 
 	"fluidfaas/internal/mig"
 	"fluidfaas/internal/pipeline"
+	"fluidfaas/internal/sim"
 )
 
 // Function is the platform-side state of one registered function.
@@ -24,12 +25,9 @@ type Function struct {
 	// serverless function is restricted to a maximum of one instance in
 	// the time sharing state"); nil when cold.
 	ts *tsBinding
-	// pending[pendHead:] holds requests no instance could admit,
-	// EDF-ordered (waiting). Popping nils the slot and advances
-	// pendHead; the buffer is reused rather than resliced, so the queue
-	// stops allocating once it has seen its deepest backlog.
-	pending  []*request
-	pendHead int
+	// pending holds requests no instance could admit, most urgent
+	// first (byDeadline).
+	pending sim.Queue[*request]
 
 	// planner memoizes the §5.2.2 construction procedure for this
 	// function; every construction goes through it, and its Mono() table
@@ -179,48 +177,7 @@ func (s openSet) prev(i int) int {
 	}
 }
 
-// waiting returns the pending requests, most urgent first.
-func (fn *Function) waiting() []*request { return fn.pending[fn.pendHead:] }
-
-// pushPending enqueues a request EDF-ordered (ascending deadline; the
-// paper routes by deadline minus estimated execution and load, which for
-// a single function's uniform SLO reduces to arrival order).
-func (fn *Function) pushPending(rq *request) {
-	q := fn.pending
-	if n := len(q); n == cap(q) && fn.pendHead >= n/2 && fn.pendHead > 0 {
-		// Full, and at least half of it popped: slide the live requests
-		// down instead of growing, as sim.Station does.
-		live := copy(q, q[fn.pendHead:])
-		clear(q[live:])
-		q, fn.pendHead = q[:live], 0
-	}
-	// Upper-bound insert: the new request lands after any equal
-	// deadlines, exactly where a stable sort of an appended element
-	// would place it, without re-sorting the whole queue. A fresh
-	// arrival's deadline is the latest, so only a retry searches.
-	live := q[fn.pendHead:]
-	i := len(live)
-	if i > 0 && live[i-1].deadline > rq.deadline {
-		i = sort.Search(i, func(i int) bool {
-			return live[i].deadline > rq.deadline
-		})
-	}
-	i += fn.pendHead
-	q = append(q, nil)
-	copy(q[i+1:], q[i:])
-	q[i] = rq
-	fn.pending = q
-}
-
-// popPending removes and returns the most urgent pending request.
-func (fn *Function) popPending() *request {
-	if fn.pendHead == len(fn.pending) {
-		return nil
-	}
-	rq := fn.pending[fn.pendHead]
-	fn.pending[fn.pendHead] = nil
-	if fn.pendHead++; fn.pendHead == len(fn.pending) {
-		fn.pending, fn.pendHead = fn.pending[:0], 0
-	}
-	return rq
-}
+// byDeadline orders the pending overflow EDF: the paper routes by
+// deadline minus estimated execution and load, which for one function's
+// uniform SLO is deadline order, and a fresh arrival's is the latest.
+func byDeadline(a, b *request) bool { return a.deadline < b.deadline }

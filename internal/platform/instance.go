@@ -382,8 +382,8 @@ func (p *Platform) releaseInstance(inst *Instance) {
 // gets (which new capacity took it).
 func (p *Platform) drainPending(inst *Instance, body decisions.Body) {
 	fn := inst.fn
-	for len(fn.waiting()) > 0 && inst.hasCapacity() {
-		rq := fn.popPending()
+	for fn.pending.Len() > 0 && inst.hasCapacity() {
+		rq := fn.pending.Pop()
 		if p.decOn() {
 			p.decideAdmit(rq, body, inst.decID, nil)
 		}

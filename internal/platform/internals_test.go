@@ -71,12 +71,12 @@ func TestSharedSliceEDFOrdering(t *testing.T) {
 	})
 	// Run and inspect queue order directly: the fn1 job must be first.
 	p.eng.RunUntil(0.002)
-	if len(ss.queue) != 2 {
-		t.Fatalf("queue length = %d, want 2", len(ss.queue))
+	if ss.queue.Len() != 2 {
+		t.Fatalf("queue length = %d, want 2", ss.queue.Len())
 	}
-	if ss.queue[0].b != b1 {
+	if ss.queue.At(0).b != b1 {
 		t.Errorf("EDF queue head is %s, want the tight-deadline function",
-			ss.queue[0].b.fn.spec.Name)
+			ss.queue.At(0).b.fn.spec.Name)
 	}
 }
 

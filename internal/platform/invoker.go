@@ -3,7 +3,6 @@ package platform
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"fluidfaas/internal/cluster"
@@ -12,6 +11,7 @@ import (
 	"fluidfaas/internal/obs/decisions"
 	"fluidfaas/internal/obs/util"
 	"fluidfaas/internal/pipeline"
+	"fluidfaas/internal/sim"
 )
 
 // Invoker is the per-node runtime: it owns the node's time-sharing slice
@@ -111,7 +111,7 @@ type sharedSlice struct {
 	// every walk over them is deterministic.
 	bindings []*tsBinding
 	// queue holds the waiting jobs in priority order (§5.3).
-	queue []*tsJob
+	queue sim.Queue[tsJob]
 	// queuedWork and servingWork track the backlog in estimated
 	// execution seconds, feeding the admission estimator.
 	queuedWork  float64
@@ -119,9 +119,17 @@ type sharedSlice struct {
 	// decID is the slice's ID interned in the decision recorder (NoID
 	// without one).
 	decID decisions.ID
-	// serving is the job in service, nil while the slice is idle; a
-	// fault retries exactly the request that was running.
-	serving *tsJob
+	// serving is the job in service; its rq is nil while the slice is
+	// idle. A fault retries exactly the request that was running. exec
+	// and declaredExec are its execution time as charged (degraded) and
+	// as declared.
+	serving            tsJob
+	exec, declaredExec float64
+	// done is the slice's completion event, re-armed with doneFn for
+	// every service: the slice serves one job at a time, so one event
+	// serves them all.
+	done   sim.Event
+	doneFn func()
 	// failed marks a pool slice torn down by a hardware fault: stale
 	// engine events referencing it become no-ops.
 	failed bool
@@ -129,12 +137,21 @@ type sharedSlice struct {
 
 // newSharedSlice builds a pool slice.
 func newSharedSlice(inv *Invoker, sl *mig.Slice) *sharedSlice {
-	return &sharedSlice{
+	ss := &sharedSlice{
 		inv:   inv,
 		slice: sl,
 		decID: inv.p.opts.Decisions.Intern(sl.ID()),
 	}
+	ss.doneFn = ss.finish
+	return ss
 }
+
+// busy reports whether a job is in service.
+func (ss *sharedSlice) busy() bool { return ss.serving.rq != nil }
+
+// byPriority orders a slice's queue by deadline minus estimated
+// execution and load (§5.3).
+func byPriority(a, b tsJob) bool { return a.priority < b.priority }
 
 // addBinding files b on the slice in function-name order.
 func (ss *sharedSlice) addBinding(b *tsBinding) {
@@ -159,29 +176,6 @@ func (b *tsBinding) place(ss *sharedSlice) {
 	b.shared = ss
 	b.capacity = admissionCapacity(b.fn.spec.SLO, b.execOn(), queueSlack)
 	ss.addBinding(b)
-}
-
-// qlen is the queued-job count.
-func (ss *sharedSlice) qlen() int { return len(ss.queue) }
-
-// pop removes the deadline-ordered head, the next job to serve. Nil
-// when empty.
-func (ss *sharedSlice) pop() *tsJob {
-	if len(ss.queue) == 0 {
-		return nil
-	}
-	job := ss.queue[0]
-	ss.queue = ss.queue[1:]
-	ss.queuedWork -= job.service
-	return job
-}
-
-// drainJobs empties the queue for teardown, in queue order.
-func (ss *sharedSlice) drainJobs() []*tsJob {
-	jobs := ss.queue
-	ss.queue = nil
-	ss.queuedWork = 0
-	return jobs
 }
 
 // sharedOwner is the slice-owner tag of pool slices.
@@ -261,7 +255,7 @@ func (inv *Invoker) bindTS(fn *Function) *tsBinding {
 			Rule:    "shortest-queue pool slice",
 			Outcome: fmt.Sprintf("time-sharing binding, capacity %d", b.capacity),
 			Inputs: []decisions.KV{
-				kvI("queue", ss.qlen()),
+				kvI("queue", ss.queue.Len()),
 				kvF("host_copy_gb", b.hostMemGB),
 			},
 			Candidates: poolCandidates(inv, fn, ss),
@@ -313,7 +307,7 @@ func (inv *Invoker) pickSharedSlice(fn *Function) *sharedSlice {
 		if !fn.mono(ss.slice.Type).OK {
 			continue
 		}
-		if best == nil || ss.qlen() < best.qlen() {
+		if best == nil || ss.queue.Len() < best.queue.Len() {
 			best = ss
 		}
 	}
@@ -416,7 +410,7 @@ func (inv *Invoker) reclaimIdle() int {
 // reclaimable reports whether reclaimIdle may free ss: nothing in
 // service or queued, and every binding idle for a while.
 func reclaimable(ss *sharedSlice, now float64) bool {
-	if ss.serving != nil || ss.qlen() > 0 {
+	if ss.busy() || ss.queue.Len() > 0 {
 		return false
 	}
 	for _, b := range ss.bindings {
@@ -444,27 +438,19 @@ func (inv *Invoker) siblingSlice(not *sharedSlice, b *tsBinding) *sharedSlice {
 
 // enqueue admits a request to the binding's shared slice, into the
 // queue ordered by deadline minus estimated execution and load times
-// (§5.3). The ordered insert is a binary search — re-sorting the whole
-// queue on every arrival was O(n log n) per request.
+// (§5.3). Equal priorities keep arrival order.
 func (ss *sharedSlice) enqueue(p *Platform, b *tsBinding, rq *request) {
 	b.outstanding++
 	rq.snapshot()
 	b.tracker.Touch(p.eng.Now())
-	job := &tsJob{
+	job := tsJob{
 		rq:       rq,
 		b:        b,
 		priority: rq.deadline - b.execOn() - b.estLoad(),
 		service:  b.execOn(),
 	}
 	ss.queuedWork += job.service
-	// Upper bound keeps equal-priority jobs in arrival order, the exact
-	// order the stable sort produced.
-	i := sort.Search(len(ss.queue), func(i int) bool {
-		return ss.queue[i].priority > job.priority
-	})
-	ss.queue = append(ss.queue, nil)
-	copy(ss.queue[i+1:], ss.queue[i:])
-	ss.queue[i] = job
+	ss.queue.Insert(job, byPriority)
 	ss.kick(p)
 }
 
@@ -473,24 +459,26 @@ func (ss *sharedSlice) enqueue(p *Platform, b *tsBinding, rq *request) {
 // completed); a gray-degraded slice stretches both the load and the
 // execution by its severity factor.
 func (ss *sharedSlice) kick(p *Platform) {
-	if ss.failed || ss.serving != nil || ss.qlen() == 0 {
+	if ss.failed || ss.busy() || ss.queue.Len() == 0 {
 		return
 	}
-	job := ss.pop()
-	var cancelled []*tsJob
-	for job != nil && job.rq.hedgeCancelled() {
-		cancelled = append(cancelled, job)
-		job = ss.pop()
+	var job tsJob
+	var cancelled []*tsBinding
+	for job.rq == nil && ss.queue.Len() > 0 {
+		job = ss.queue.Pop()
+		ss.queuedWork -= job.service
+		if job.rq.hedgeCancelled() {
+			job.b.outstanding--
+			// complete() settles the loser: no record, waste counted
+			// (zero here — the copy never served).
+			p.complete(job.rq)
+			cancelled = append(cancelled, job.b)
+			job = tsJob{}
+		}
 	}
-	for _, cj := range cancelled {
-		cj.b.outstanding--
-		// complete() settles the loser: no record, waste counted (zero
-		// here — the copy never served).
-		p.complete(cj.rq)
-	}
-	if job == nil {
-		for _, cj := range cancelled {
-			p.onTSSlack(cj.b)
+	if job.rq == nil {
+		for _, cb := range cancelled {
+			p.onTSSlack(cb)
 		}
 		return
 	}
@@ -524,6 +512,7 @@ func (ss *sharedSlice) kick(p *Platform) {
 	job.rq.rec.Load += load
 	job.rq.rec.Exec += exec
 	ss.servingWork = load + exec
+	ss.exec, ss.declaredExec = exec, declaredExec
 	ss.slice.SetActive(true, now)
 	rq := job.rq
 	p.opts.Obs.AsyncSpan("queue", "queue", rq.rec.Func, rq.rec.ID, rq.waitStart, now, "")
@@ -531,54 +520,60 @@ func (ss *sharedSlice) kick(p *Platform) {
 		p.sliceWork(ss.slice, util.BusyLoad, b.fn, rq.rec.ID, -1, now, now+load, 0)
 	}
 	p.sliceWork(ss.slice, util.BusyExec, b.fn, rq.rec.ID, -1, now+load, now+load+exec, declaredExec)
-	ss.inv.p.eng.After(load+exec, func() {
-		if ss.failed {
-			// The slice died mid-service; the fault handler already
-			// retried the job elsewhere.
-			return
-		}
-		end := p.eng.Now()
-		ss.serving = nil
-		ss.servingWork = 0
-		ss.slice.SetActive(false, end)
-		// The model is fully fetched only now; the host copy makes
-		// later loads warm (for this binding and for exclusive
-		// launches on this node).
-		b.everLoaded = true
-		b.fn.lastNodeUse[ss.inv.node.ID] = end
-		if p.swapOn() {
-			// The fetch landed in host RAM on its way to the device:
-			// (re-)reserve the pool copy if the binding lost it, refresh
-			// its LRU position either way, and mark it materialised —
-			// from here on a reload out of it is a real warm start.
-			if b.hostMemGB == 0 {
-				b.hostMemGB, _ = p.ensureHostCopy(ss.inv.node, b.fn)
-			} else {
-				ss.inv.node.Pool().Touch(b.fn.spec.Name)
-			}
-			ss.inv.node.Pool().MarkLoaded(b.fn.spec.Name)
-		}
-		// Hotness counts execution only: a cold-start load must not make
-		// a rarely-used function look hot.
-		b.tracker.Begin(end - exec)
-		b.tracker.End(end)
-		b.outstanding--
-		p.complete(job.rq)
-		p.recycle(job.rq, nil)
-		// Health observation may quarantine this slice and tear it down
-		// (failShared); the kick below then no-ops on ss.failed.
-		p.observeSliceExec(ss.slice, declaredExec, exec)
-		ss.kick(p)
-		p.onTSSlack(b)
-	})
+	p.eng.Rearm(&ss.done, now+(load+exec), ss.doneFn)
 	// The serving job may be at deadline risk on a suspect slice:
 	// consider duplicating it onto healthy hardware (no-op unless
 	// hedging is on). After the service registration so the clone's
 	// routing cannot interleave with this slice's bookkeeping.
 	p.maybeHedgeTS(ss, job.rq, now+load+exec)
-	for _, cj := range cancelled {
-		p.onTSSlack(cj.b)
+	for _, cb := range cancelled {
+		p.onTSSlack(cb)
 	}
+}
+
+// finish completes the job in service (the done event's callback).
+func (ss *sharedSlice) finish() {
+	if ss.failed {
+		// The slice died mid-service; the fault handler already
+		// retried the job elsewhere.
+		return
+	}
+	p := ss.inv.p
+	job, exec, declaredExec := ss.serving, ss.exec, ss.declaredExec
+	b := job.b
+	end := p.eng.Now()
+	ss.serving = tsJob{}
+	ss.servingWork = 0
+	ss.slice.SetActive(false, end)
+	// The model is fully fetched only now; the host copy makes
+	// later loads warm (for this binding and for exclusive
+	// launches on this node).
+	b.everLoaded = true
+	b.fn.lastNodeUse[ss.inv.node.ID] = end
+	if p.swapOn() {
+		// The fetch landed in host RAM on its way to the device:
+		// (re-)reserve the pool copy if the binding lost it, refresh
+		// its LRU position either way, and mark it materialised —
+		// from here on a reload out of it is a real warm start.
+		if b.hostMemGB == 0 {
+			b.hostMemGB, _ = p.ensureHostCopy(ss.inv.node, b.fn)
+		} else {
+			ss.inv.node.Pool().Touch(b.fn.spec.Name)
+		}
+		ss.inv.node.Pool().MarkLoaded(b.fn.spec.Name)
+	}
+	// Hotness counts execution only: a cold-start load must not make
+	// a rarely-used function look hot.
+	b.tracker.Begin(end - exec)
+	b.tracker.End(end)
+	b.outstanding--
+	p.complete(job.rq)
+	p.recycle(job.rq, nil)
+	// Health observation may quarantine this slice and tear it down
+	// (failShared); the kick below then no-ops on ss.failed.
+	p.observeSliceExec(ss.slice, declaredExec, exec)
+	ss.kick(p)
+	p.onTSSlack(b)
 }
 
 // evictResident moves the current resident out of MIG memory to the
@@ -643,29 +638,18 @@ func (inv *Invoker) releaseShared(ss *sharedSlice, detail string) {
 // capacity the sweep freed, so the caller can drain pending overflow
 // into them.
 func (ss *sharedSlice) dropStale(p *Platform, now float64) []*tsBinding {
-	stale := func(job *tsJob) bool {
+	var freed []*tsBinding
+	ss.queue.Filter(func(j tsJob) bool {
 		// A live hedge copy is never stale-dropped: its partner may be
 		// about to win, and the settle logic (not a drop record) decides
 		// the request's one outcome. Settled losers are dropped silently
 		// below.
-		if job.rq.hedge != nil && job.rq.hedge.winner == nil {
-			return false
+		if j.rq.hedge != nil && j.rq.hedge.winner == nil {
+			return true
 		}
-		slo := job.rq.fn.spec.SLO
-		return slo > 0 && now-job.rq.arrival > pendingDrop*slo
-	}
-	var dropped []*tsJob
-	keep := ss.queue[:0]
-	for _, j := range ss.queue {
-		if stale(j) {
-			dropped = append(dropped, j)
-		} else {
-			keep = append(keep, j)
+		if slo := j.rq.fn.spec.SLO; !(slo > 0 && now-j.rq.arrival > pendingDrop*slo) {
+			return true
 		}
-	}
-	ss.queue = keep
-	var freed []*tsBinding
-	for _, j := range dropped {
 		ss.queuedWork -= j.service
 		j.b.outstanding--
 		if j.rq.hedgeCancelled() {
@@ -685,25 +669,19 @@ func (ss *sharedSlice) dropStale(p *Platform, now float64) []*tsBinding {
 				}
 			})
 		}
-		seen := false
-		for _, b := range freed {
-			if b == j.b {
-				seen = true
-				break
-			}
-		}
-		if !seen {
+		if !slices.Contains(freed, j.b) {
 			freed = append(freed, j.b)
 		}
-	}
+		return false
+	})
 	return freed
 }
 
 // onTSSlack drains pending requests into the binding after a completion.
 func (p *Platform) onTSSlack(b *tsBinding) {
 	fn := b.fn
-	for len(fn.waiting()) > 0 && b.outstanding < b.capacity && fn.ts == b {
-		rq := fn.popPending()
+	for fn.pending.Len() > 0 && b.outstanding < b.capacity && fn.ts == b {
+		rq := fn.pending.Pop()
 		if p.decOn() {
 			p.decideAdmit(rq, fn.admits.drainTSSlack, b.shared.decID, nil)
 		}

@@ -116,7 +116,7 @@ func (p *Platform) completionEstimate(fn *Function, deadline float64) (float64, 
 			break
 		}
 	}
-	ahead := len(fn.waiting())
+	ahead := fn.pending.Len()
 	par := 4 * fn.bestCapacity(queueSlack)
 	waves := float64(ahead / par)
 	est := load + exec + waves*exec

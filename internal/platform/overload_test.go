@@ -172,16 +172,16 @@ func TestDeadlineQueueOrder(t *testing.T) {
 	b0.everLoaded, b1.everLoaded = true, true
 
 	// Hold the slice busy so all six jobs queue, then drain by hand.
-	ss.serving = &tsJob{}
+	ss.serving = tsJob{rq: &request{}}
 	for i := 0; i < 4; i++ {
 		ss.enqueue(p, b0, &request{fn: b0.fn, deadline: 10 + float64(i)})
 	}
 	ss.enqueue(p, b1, &request{fn: b1.fn, deadline: 1000})
 	ss.enqueue(p, b1, &request{fn: b1.fn, deadline: 1001})
-	ss.serving = nil
+	ss.serving = tsJob{}
 	var order []int
-	for ss.qlen() > 0 {
-		order = append(order, ss.pop().b.fn.spec.ID)
+	for ss.queue.Len() > 0 {
+		order = append(order, ss.queue.Pop().b.fn.spec.ID)
 	}
 	if len(order) != 6 || order[4] != 1 || order[5] != 1 {
 		t.Errorf("deadline queue order %v, want the loose-deadline jobs last", order)
@@ -223,11 +223,11 @@ func TestDropStaleTSQueue(t *testing.T) {
 		// the job still sits in the queue.
 		cut := pendingDrop*b1.fn.spec.SLO + 1
 		p.eng.At(cut, func() {
-			if ss.qlen() != 1 {
-				t.Fatalf("queue length = %d before sweep, want the stuck job", ss.qlen())
+			if ss.queue.Len() != 1 {
+				t.Fatalf("queue length = %d before sweep, want the stuck job", ss.queue.Len())
 			}
 			p.dropStalePending()
-			if ss.qlen() != 0 {
+			if ss.queue.Len() != 0 {
 				t.Error("stale job survived the sweep")
 			}
 			if b1.outstanding != 0 {
@@ -318,7 +318,7 @@ func TestMigrationDrainsPending(t *testing.T) {
 	// in fn.pending.
 	inst.admit(p, &request{id: 0, fn: fn, deadline: 100})
 	for i := 1; i <= 3; i++ {
-		fn.pushPending(&request{id: i, fn: fn, deadline: 100 + float64(i)})
+		fn.pending.Insert(&request{id: i, fn: fn, deadline: 100 + float64(i)}, byDeadline)
 	}
 
 	p.tryMigration(target)
@@ -334,7 +334,7 @@ func TestMigrationDrainsPending(t *testing.T) {
 	if mono == nil {
 		t.Fatal("no monolithic replacement instance")
 	}
-	drained := 3 - len(fn.waiting())
+	drained := 3 - fn.pending.Len()
 	if drained == 0 {
 		t.Fatal("pending overflow not drained into the migrated instance")
 	}
@@ -381,7 +381,7 @@ func fullMinimum(p *Platform, fn *Function) float64 {
 		}
 	}
 	par := 4 * fn.bestCapacity(queueSlack)
-	return load + exec + float64(len(fn.waiting())/par)*exec
+	return load + exec + float64(fn.pending.Len()/par)*exec
 }
 
 // TestAdmissionStopsAtFirstPass: the admission gate accepts at the first

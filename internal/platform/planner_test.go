@@ -58,8 +58,8 @@ func TestRoundRobinAdvancesOnlyOnAdmit(t *testing.T) {
 	if fn.rrNext != 0 {
 		t.Errorf("saturated scan moved the round-robin cursor to %d", fn.rrNext)
 	}
-	if len(fn.waiting()) != 1 {
-		t.Fatalf("saturated request should pend, pending = %d", len(fn.waiting()))
+	if fn.pending.Len() != 1 {
+		t.Fatalf("saturated request should pend, pending = %d", fn.pending.Len())
 	}
 
 	// Open capacity at offset 1 only: the admit there must move the

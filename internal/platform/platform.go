@@ -467,7 +467,7 @@ func (p *Platform) Run(tr *trace.Trace, drain float64) {
 	// drop time is the completion: the record's latency is how long the
 	// request waited before being abandoned, never negative.
 	for _, fn := range p.funcs {
-		for _, rq := range fn.waiting() {
+		fn.pending.Filter(func(rq *request) bool {
 			rq.rec.Dropped = true
 			rq.rec.Completion = p.eng.Now()
 			if p.decOn() {
@@ -478,8 +478,8 @@ func (p *Platform) Run(tr *trace.Trace, drain float64) {
 				})
 			}
 			p.record(rq.rec)
-		}
-		fn.pending, fn.pendHead = nil, 0
+			return false
+		})
 	}
 	p.utilClose(end)
 	p.exportRunCounters()
@@ -520,14 +520,15 @@ func take[T any](p *Platform, pool *[]*T, free *[]T) *T {
 // recycle returns a finalised request, and sj, the stage job that
 // carried it (nil when it left a shared slice or went unserved), to the
 // platform's pools. Each exit calls it once, after its last read of rq
-// and sj: the last stage's Done, the time-sharing service callback and
-// finishUnserved. Hedge copies are never recycled: their partner still
-// reads the shared hedgeState.
+// and sj: the last stage's Done, a pool slice's completion callback
+// (sharedSlice.finish) and finishUnserved. Hedge copies are never
+// recycled: their partner still reads the shared hedgeState.
 //
 // A recycled request may still be referenced, but only from state that
-// never touches it again: a failed instance's stale stage jobs and a
-// failed pool slice's service closure. Each of them checks inst.failed
-// or ss.failed before it reads its request, so it must keep doing so.
+// never touches it again: a failed instance's stale stage jobs, which
+// check inst.failed before they read their request and must keep doing
+// so. A failed pool slice holds no request: failShared clears the job
+// in service, and finish checks ss.failed first.
 func (p *Platform) recycle(rq *request, sj *stageJob) {
 	if rq.hedge != nil {
 		return

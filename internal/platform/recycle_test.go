@@ -54,7 +54,7 @@ func checkRecycling(t *testing.T, admission bool) {
 		}
 		for _, inv := range p.inv {
 			for _, ss := range inv.shared {
-				shared = shared || ss.serving != nil
+				shared = shared || ss.busy()
 			}
 		}
 		scribblePools(p)
@@ -120,9 +120,9 @@ func pooledReference(p *Platform) string {
 		return true
 	}
 	for _, fn := range p.funcs {
-		for _, rq := range fn.waiting() {
+		for i := range fn.pending.Len() {
 			// A stale-drop sweep nils a slot before finishing its request.
-			if rq != nil && !unpooled(rq) {
+			if rq := fn.pending.At(i); rq != nil && !unpooled(rq) {
 				return fn.spec.Name + ": pooled request pending"
 			}
 		}
@@ -136,12 +136,13 @@ func pooledReference(p *Platform) string {
 	}
 	for _, inv := range p.inv {
 		for _, ss := range inv.shared {
-			for _, job := range ss.queue {
-				if !unpooled(job.rq) {
+			for i := range ss.queue.Len() {
+				// A stale-drop sweep zeroes a slot before finishing its job.
+				if job := ss.queue.At(i); job.rq != nil && !unpooled(job.rq) {
 					return ss.slice.ID() + ": pooled request queued"
 				}
 			}
-			if ss.serving != nil && !unpooled(ss.serving.rq) {
+			if ss.busy() && !unpooled(ss.serving.rq) {
 				return ss.slice.ID() + ": pooled request in service"
 			}
 		}

@@ -35,7 +35,7 @@ func TestReclaimIdleDrainsPending(t *testing.T) {
 		// The binding has been idle 10 s (past reclaim's 5 s bar).
 		// Overflow arrives just as exclusive demand forces reclamation.
 		for i := 0; i < 2; i++ {
-			fn.pushPending(&request{fn: fn, arrival: 10, deadline: 10 + fn.spec.SLO})
+			fn.pending.Insert(&request{fn: fn, arrival: 10, deadline: 10 + fn.spec.SLO}, byDeadline)
 		}
 		if freed := inv.reclaimIdle(); freed != 1 {
 			t.Errorf("freed %d slices, want 1", freed)
@@ -46,11 +46,11 @@ func TestReclaimIdleDrainsPending(t *testing.T) {
 		if b.outstanding == 0 {
 			t.Error("sibling move did not drain pending into the new slice")
 		}
-		if len(fn.waiting())+b.outstanding != 2 {
+		if fn.pending.Len()+b.outstanding != 2 {
 			t.Errorf("pending %d + outstanding %d != 2 requests",
-				len(fn.waiting()), b.outstanding)
+				fn.pending.Len(), b.outstanding)
 		}
-		if len(fn.waiting()) > 0 && b.outstanding < b.capacity {
+		if fn.pending.Len() > 0 && b.outstanding < b.capacity {
 			t.Error("requests left pending with binding capacity to spare")
 		}
 	})
@@ -153,10 +153,10 @@ func TestDroppedPendingCompletionAtDropTime(t *testing.T) {
 
 	dropAt := 5 + pendingDrop*fn.spec.SLO + 1
 	p.eng.At(5, func() {
-		fn.pushPending(&request{
+		fn.pending.Insert(&request{
 			fn: fn, arrival: 5, deadline: 5 + fn.spec.SLO,
 			rec: metrics.RequestRecord{Arrival: 5, SLO: fn.spec.SLO},
-		})
+		}, byDeadline)
 	})
 	p.eng.At(dropAt, func() { p.dropStalePending() })
 	p.eng.RunUntil(dropAt + 1)

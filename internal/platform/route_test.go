@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"fluidfaas/internal/dnn"
@@ -296,53 +295,5 @@ func BenchmarkRoute(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// TestPushPendingStableByDeadline: the pending queue is the stable sort
-// of its requests by deadline, whether a request arrives in deadline
-// order (appended) or out of it (inserted after its equals), with pops
-// of the most urgent in between. The buffer slides its live requests
-// down rather than growing, and popped slots hold no request.
-func TestPushPendingStableByDeadline(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	fn := &Function{}
-	var want []*request
-	for i := 0; i < 300; i++ {
-		d := float64(i / 3)
-		if rng.Intn(4) == 0 {
-			d = float64(rng.Intn(i/3 + 1))
-		}
-		rq := &request{id: i, deadline: d}
-		fn.pushPending(rq)
-		j := sort.Search(len(want), func(j int) bool { return want[j].deadline > d })
-		want = slices.Insert(want, j, rq)
-		if i%10 != 9 {
-			continue
-		}
-		// Every tenth push, pop seven.
-		for range 7 {
-			if got := fn.popPending(); got != want[0] {
-				t.Fatalf("push %d: popped request %d, want %d", i, got.id, want[0].id)
-			}
-			want = want[1:]
-		}
-	}
-	if !slices.Equal(fn.waiting(), want) {
-		t.Error("pending queue is not the stable deadline order of its pushes")
-	}
-	if c := cap(fn.pending); c >= 300 {
-		t.Errorf("buffer capacity %d holds every push; popped slots were not reused", c)
-	}
-	for _, rq := range fn.pending[:fn.pendHead] {
-		if rq != nil {
-			t.Fatalf("popped request %d still held by the pending buffer", rq.id)
-		}
-	}
-	for range want {
-		fn.popPending()
-	}
-	if fn.popPending() != nil || fn.pendHead != 0 || len(fn.pending) != 0 {
-		t.Errorf("drained queue: head %d, len %d, want both 0", fn.pendHead, len(fn.pending))
 	}
 }

@@ -101,7 +101,7 @@ func (p *Platform) Snapshot() Snapshot {
 	pools := map[string]*PoolState{}
 	for _, inv := range p.inv {
 		for _, ss := range inv.shared {
-			ps := &PoolState{Queued: ss.qlen(), Busy: ss.serving != nil}
+			ps := &PoolState{Queued: ss.queue.Len(), Busy: ss.busy()}
 			if ss.resident != nil {
 				ps.Resident = ss.resident.fn.spec.Name
 			}
@@ -135,7 +135,7 @@ func (p *Platform) Snapshot() Snapshot {
 	for _, fn := range p.funcs {
 		fs := FunctionState{
 			Name: fn.spec.Name, SLO: fn.spec.SLO,
-			KeepAlive: "cold", Pending: len(fn.waiting()),
+			KeepAlive: "cold", Pending: fn.pending.Len(),
 			Instances: []InstanceState{},
 		}
 		if fn.ts != nil {

@@ -85,13 +85,13 @@ func TestEnqueuePriorityTable(t *testing.T) {
 				}
 			})
 			p.eng.RunUntil(0.002)
-			if len(ss.queue) != len(tc.jobs) {
-				t.Fatalf("queue length = %d, want %d", len(ss.queue), len(tc.jobs))
+			if ss.queue.Len() != len(tc.jobs) {
+				t.Fatalf("queue length = %d, want %d", ss.queue.Len(), len(tc.jobs))
 			}
 			for qi, ji := range tc.wantOrder {
-				if ss.queue[qi].rq != jobs[ji] {
+				if ss.queue.At(qi).rq != jobs[ji] {
 					t.Errorf("queue[%d] is job with deadline %v, want job %d (deadline %v)",
-						qi, ss.queue[qi].rq.deadline, ji, tc.jobs[ji].deadline)
+						qi, ss.queue.At(qi).rq.deadline, ji, tc.jobs[ji].deadline)
 				}
 			}
 		})
@@ -147,8 +147,8 @@ func TestTSCapacityAdmission(t *testing.T) {
 			t.Errorf("binding outstanding = %d, want capacity %d",
 				b0.outstanding, b0.capacity)
 		}
-		if len(fn.waiting()) != 2 {
-			t.Errorf("pending = %d, want the 2 overflow requests", len(fn.waiting()))
+		if fn.pending.Len() != 2 {
+			t.Errorf("pending = %d, want the 2 overflow requests", fn.pending.Len())
 		}
 	})
 	p.eng.RunUntil(0.6)

@@ -7,7 +7,9 @@
 //
 // Station is the one queueing server built on it: a single-server FIFO
 // that serves one job at a time or, after SetBatching, coalesces
-// waiting jobs into batches. Chained, stations model pipelines.
+// waiting jobs into batches. Chained, stations model pipelines. Queue
+// is the wait buffer behind a station's FIFO, also used for ordered
+// waiting lists.
 package sim
 
 import (

@@ -16,11 +16,8 @@ package sim
 type Station struct {
 	eng *Engine
 
-	// queue[head:] is the FIFO. Popping advances head and nils the slot;
-	// the buffer is reused rather than resliced, so a long-lived station
-	// stops allocating once it has seen its deepest backlog.
-	queue []*Job
-	head  int
+	// queue is the FIFO.
+	queue Queue[*Job]
 	// cur is the job in service. finish is the station's completion
 	// event, re-armed for every job with finishFn: a single server has
 	// at most one job in service, so one event serves them all.
@@ -122,7 +119,7 @@ func (s *Station) SetBatching(max int, window Time) {
 
 // QueueLen returns the number of jobs waiting (excluding the one in
 // service).
-func (s *Station) QueueLen() int { return len(s.queue) - s.head }
+func (s *Station) QueueLen() int { return s.queue.Len() }
 
 // Busy reports whether a job is currently in service.
 func (s *Station) Busy() bool { return s.busy }
@@ -143,15 +140,7 @@ func (s *Station) InService() int {
 // Enqueue adds a job; service starts immediately if the station is idle
 // and not paused.
 func (s *Station) Enqueue(j *Job) {
-	if n := len(s.queue); n == cap(s.queue) && s.head >= n/2 && s.head > 0 {
-		// Full, and at least half of it popped: slide the live jobs
-		// down instead of growing. Compacting only then keeps each
-		// move paid for by the pops before it.
-		live := copy(s.queue, s.queue[s.head:])
-		clear(s.queue[live:])
-		s.queue, s.head = s.queue[:live], 0
-	}
-	s.queue = append(s.queue, j)
+	s.queue.Push(j)
 	s.start(false)
 }
 
@@ -172,12 +161,12 @@ func (s *Station) Resume() {
 // station starts a batch only once it is full, expired says its window
 // has passed, or it has no window; otherwise it arms the window timer.
 func (s *Station) start(expired bool) {
-	if s.busy || s.paused || s.head == len(s.queue) {
+	if s.busy || s.paused || s.queue.Len() == 0 {
 		return
 	}
 	b := s.batch
 	if b == nil {
-		j := s.pop()
+		j := s.queue.Pop()
 		s.busy = true
 		s.cur = j
 		s.serve(j.service())
@@ -192,7 +181,7 @@ func (s *Station) start(expired bool) {
 	}
 	s.eng.Cancel(&b.timer)
 	for range min(n, b.max) {
-		b.jobs = append(b.jobs, s.pop())
+		b.jobs = append(b.jobs, s.queue.Pop())
 	}
 	s.busy = true
 	var d Time
@@ -200,16 +189,6 @@ func (s *Station) start(expired bool) {
 		d = max(d, j.service())
 	}
 	s.serve(d)
-}
-
-// pop removes the job at the head of the FIFO.
-func (s *Station) pop() *Job {
-	j := s.queue[s.head]
-	s.queue[s.head] = nil
-	if s.head++; s.head == len(s.queue) {
-		s.queue, s.head = s.queue[:0], 0
-	}
-	return j
 }
 
 // serve holds the server for d (clamped at zero), then completes.

@@ -249,8 +249,8 @@ func TestStationQueueBufferBounded(t *testing.T) {
 		e.At(Time(i), func() {
 			st.Enqueue(job())
 			maxLen = max(maxLen, st.QueueLen())
-			maxCap = max(maxCap, cap(st.queue))
-			for _, j := range st.queue[:st.head] {
+			maxCap = max(maxCap, cap(st.queue.buf))
+			for _, j := range st.queue.buf[:st.queue.head] {
 				if j != nil {
 					t.Fatal("a popped slot still holds its job")
 				}
