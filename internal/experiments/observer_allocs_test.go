@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"fluidfaas/internal/obs"
+	"fluidfaas/internal/obs/analytics"
 	"fluidfaas/internal/obs/decisions"
 	"fluidfaas/internal/obs/util"
 	"fluidfaas/internal/scheduler"
@@ -60,11 +61,13 @@ func TestSpanRecorderAllocRatio(t *testing.T) {
 	checkAllocRatio(t, 1.5, func(c *Config) { c.Obs = obs.NewRecorder() })
 }
 
-// TestLedgerAllocRatio: the ledger's one transient cost is Close's
-// sweep, whose buffers are sized up front; 3x leaves room for them.
-// Regrowing sweep buffers measured 6x.
+// TestLedgerAllocRatio: the ledger keeps its claims in chunked tables
+// and Close sweeps every slice in one scratch buffer sized up front,
+// so it too allocates about what it keeps (1.03x). Regrowing sweep
+// buffers measured 6x, per-slice sweep buffers and regrowing claim
+// slices 2.65x.
 func TestLedgerAllocRatio(t *testing.T) {
-	checkAllocRatio(t, 3, func(c *Config) { c.Util = util.NewLedger() })
+	checkAllocRatio(t, 1.25, func(c *Config) { c.Util = util.NewLedger() })
 }
 
 // TestDecisionsAllocRatio: the decision recorder keeps its bodies,
@@ -72,4 +75,50 @@ func TestLedgerAllocRatio(t *testing.T) {
 // what it keeps.
 func TestDecisionsAllocRatio(t *testing.T) {
 	checkAllocRatio(t, 1.5, func(c *Config) { c.Decisions = decisions.NewRecorder(0) })
+}
+
+// TestObserverAllocCeilings: on the observed cell each recorder
+// allocates at most a fixed number of bytes beyond the bare run, and
+// analytics.Analyze at most a fixed number over the span log it reads.
+// Each ceiling is about 10% above what pointer-free span rows, chunked
+// ledger claims with one sweep buffer, a dense chain index and one burn
+// deque per function measure; the comments give what the code before
+// them measured.
+func TestObserverAllocCeilings(t *testing.T) {
+	bare, _ := heapCost(func(*Config) {})
+	for _, c := range []struct {
+		name    string
+		ceiling float64 // MB
+		attach  func(*Config)
+	}{
+		// 8.4 MB; 120-byte span rows with four strings measured 17.0.
+		{"spans", 9.2, func(c *Config) { c.Obs = obs.NewRecorder() }},
+		// 7.0 MB; per-slice sweep buffers and regrowing claim slices
+		// measured 17.0.
+		{"ledger", 7.7, func(c *Config) { c.Util = util.NewLedger() }},
+		// 14.1 MB; chains in a map by request ID measured 17.1.
+		{"decisions", 15.5, func(c *Config) { c.Decisions = decisions.NewRecorder(0) }},
+	} {
+		alloc, _ := heapCost(c.attach)
+		mb := (alloc - bare) / 1e6
+		t.Logf("%s: %.2f MB beyond the bare run", c.name, mb)
+		if mb > c.ceiling {
+			t.Errorf("%s allocates %.2f MB beyond the bare run, want at most %.1f MB", c.name, mb, c.ceiling)
+		}
+	}
+
+	// 7.5 MB; two burn windows per function, each with its own deque,
+	// measured 10.7.
+	const analyzeCeiling = 8.3
+	rec := obs.NewRecorder()
+	heapCost(func(c *Config) { c.Obs = rec })
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	analytics.Analyze(analytics.Config{}, rec)
+	runtime.ReadMemStats(&after)
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+	t.Logf("analytics.Analyze: %.2f MB", mb)
+	if mb > analyzeCeiling {
+		t.Errorf("analytics.Analyze allocates %.2f MB, want at most %.1f MB", mb, analyzeCeiling)
+	}
 }

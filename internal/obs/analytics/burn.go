@@ -64,38 +64,34 @@ type BurnStatus struct {
 	Warns int `json:"warns"`
 }
 
-// burnSample is one finalised request in a window deque.
+// burnSample is one finalised request in a function's deque.
 type burnSample struct {
 	t    float64
 	miss bool
 }
 
-// burnWindow is a sliding miss-rate window over virtual time.
+// burnWindow is a sliding miss-rate window over virtual time: the
+// suffix of its function's deque from head on.
 type burnWindow struct {
-	width   float64
-	samples []burnSample
-	head    int // index of the oldest in-window sample
-	misses  int
-	total   int
+	width  float64
+	head   int // index of the oldest in-window sample
+	misses int
+	total  int
 }
 
-func (w *burnWindow) observe(t float64, miss bool) {
-	w.samples = append(w.samples, burnSample{t, miss})
+// observe counts the sample just appended to samples and drops from the
+// window the samples older than its width.
+func (w *burnWindow) observe(samples []burnSample, t float64, miss bool) {
 	w.total++
 	if miss {
 		w.misses++
 	}
-	for w.head < len(w.samples) && w.samples[w.head].t < t-w.width {
-		if w.samples[w.head].miss {
+	for w.head < len(samples) && samples[w.head].t < t-w.width {
+		if samples[w.head].miss {
 			w.misses--
 		}
 		w.total--
 		w.head++
-	}
-	// Reclaim the dead prefix once it dominates the deque.
-	if w.head > 1024 && w.head*2 > len(w.samples) {
-		w.samples = append([]burnSample(nil), w.samples[w.head:]...)
-		w.head = 0
 	}
 }
 
@@ -108,14 +104,29 @@ func (w *burnWindow) burn() float64 {
 	return float64(w.misses) / float64(w.total) / burnBudget
 }
 
-// funcBurn is one function's monitor state.
+// funcBurn is one function's monitor state. Both windows read one
+// deque of samples, each from its own head; the prefix below the lower
+// head is in neither and is reclaimed once it dominates the deque.
 type funcBurn struct {
+	samples     []burnSample
 	short, long burnWindow
 	misses      int
 	total       int
 	active      BurnSeverity
 	pages       int
 	warns       int
+}
+
+// observe feeds one sample to both windows.
+func (fb *funcBurn) observe(t float64, miss bool) {
+	fb.samples = append(fb.samples, burnSample{t, miss})
+	fb.short.observe(fb.samples, t, miss)
+	fb.long.observe(fb.samples, t, miss)
+	if lo := min(fb.short.head, fb.long.head); lo > 1024 && lo*2 > len(fb.samples) {
+		fb.samples = fb.samples[:copy(fb.samples, fb.samples[lo:])]
+		fb.short.head -= lo
+		fb.long.head -= lo
+	}
 }
 
 // Burn-monitor tuning.
@@ -159,8 +170,7 @@ func (m *BurnMonitor) Observe(fn string, t float64, miss bool) *BurnAlert {
 	if miss {
 		fb.misses++
 	}
-	fb.short.observe(t, miss)
-	fb.long.observe(t, miss)
+	fb.observe(t, miss)
 
 	sb := fb.short.burn()
 	lb := fb.long.burn()

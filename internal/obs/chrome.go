@@ -53,18 +53,28 @@ func WriteChromeTrace(w io.Writer, r *Recorder) error {
 	cw.meta("process_name", requestsPid, 0, "requests")
 	cw.meta("process_name", platformPid, 0, "platform")
 	cw.meta("thread_name", platformPid, 0, "lifecycle")
+	// locs[i] places registered track i; a row finds its track through
+	// the intern table, not by string.
 	tracks := r.Tracks()
-	locs := make(map[string]trackLoc, len(tracks))
+	locs := make([]trackLoc, len(tracks))
 	nodeNext := map[int]int{} // next tid per node; present once named
-	for _, tr := range tracks {
+	for i, tr := range tracks {
 		pid := nodePidBase + tr.Node
 		tid, named := nodeNext[tr.Node]
 		if !named {
 			cw.meta("process_name", pid, 0, "node"+strconv.Itoa(tr.Node))
 		}
 		nodeNext[tr.Node] = tid + 1
-		locs[tr.Name] = trackLoc{node: tr.Node, tid: tid}
+		locs[i] = trackLoc{node: tr.Node, tid: tid}
 		cw.meta("thread_name", pid, tid, tr.Name)
+	}
+	// loc places a slice span on the track string ID id names; an
+	// unregistered track's zero loc puts it on node 0's first thread.
+	loc := func(id uint32) trackLoc {
+		if t := r.trackOf(id); t >= 0 {
+			return locs[t]
+		}
+		return trackLoc{}
 	}
 
 	// envelopes emits, as "request" async spans, the requests finalised
@@ -77,32 +87,38 @@ func WriteChromeTrace(w io.Writer, r *Recorder) error {
 		}
 	}
 	i := 0
-	for sp := range r.Spans() {
+	for rw := range r.rows() {
 		envelopes(i)
 		i++
-		switch sp.Kind {
+		cat, name := r.syms[rw.cat].s, r.syms[rw.name].s
+		fn, req := int(rw.fn), int(rw.req)
+		switch rw.kind {
 		case KindSlice:
-			cw.slice(sp.Cat, sp.Name, locs[sp.Track], sp.Func, sp.Req, sp.Stage, sp.Start, sp.End)
+			cw.slice(cat, name, loc(rw.track), fn, req, int(rw.stage), rw.start, rw.end)
 		case KindAsync:
-			cw.async(sp.Cat, sp.Name, sp.Func, sp.Req, sp.Start, sp.End, sp.Detail)
+			cw.async(cat, name, fn, req, rw.start, rw.end, r.syms[rw.detail].s)
 		case KindAsyncMark:
-			cw.open('n', sp.Cat, usec(sp.Start), sp.Name)
+			cw.open('n', cat, usec(rw.start), name)
 			cw.place(requestsPid, 0)
-			cw.asyncID(sp.Func, sp.Req)
+			cw.asyncID(fn, req)
 			cw.b = append(cw.b, `,"args":{`...)
-			cw.detail(sp.Detail)
-			cw.funcReq(sp.Func, sp.Req)
+			cw.detail(r.syms[rw.detail].s)
+			cw.funcReq(fn, req)
 			cw.b = append(cw.b, '}')
 			cw.emit()
 		case KindMark:
-			cw.open('i', sp.Cat, usec(sp.Start), sp.Name)
-			cw.trackPlace(locs, sp.Track)
+			cw.open('i', cat, usec(rw.start), name)
+			if t := r.trackOf(rw.track); t >= 0 {
+				cw.place(nodePidBase+locs[t].node, locs[t].tid)
+			} else {
+				cw.place(platformPid, 0)
+			}
 			cw.b = append(cw.b, `,"s":"t","args":{`...)
-			if sp.Detail != "" {
-				cw.detail(sp.Detail)
+			if rw.detail != 0 {
+				cw.detail(r.syms[rw.detail].s)
 			}
 			cw.b = append(cw.b, `"subject":`...)
-			cw.b = jsonw.AppendString(cw.b, sp.Track)
+			cw.b = jsonw.AppendString(cw.b, r.syms[rw.track].s)
 			cw.b = append(cw.b, '}')
 			cw.emit()
 		}
@@ -112,9 +128,12 @@ func WriteChromeTrace(w io.Writer, r *Recorder) error {
 	// slices' tracks.
 	if r != nil && r.states != nil {
 		for _, sr := range r.states.Slices {
-			loc := locs[sr.ID]
+			var l trackLoc
+			if id, ok := r.symOf[sr.ID]; ok {
+				l = loc(id)
+			}
 			for _, seg := range sr.Segments {
-				cw.slice("state", seg.State.String(), loc, -1, -1, -1, seg.Start, seg.End)
+				cw.slice("state", seg.State.String(), l, -1, -1, -1, seg.Start, seg.End)
 			}
 		}
 	}
@@ -196,16 +215,6 @@ func (cw *chromeWriter) slice(cat, name string, loc trackLoc, fn, req, stage int
 	}
 	cw.b = append(cw.b, '}')
 	cw.emit()
-}
-
-// trackPlace puts an instant on its registered track, or on
-// the platform-wide track when the track is unregistered.
-func (cw *chromeWriter) trackPlace(locs map[string]trackLoc, track string) {
-	if loc, ok := locs[track]; ok {
-		cw.place(nodePidBase+loc.node, loc.tid)
-		return
-	}
-	cw.place(platformPid, 0)
 }
 
 // async emits a duration span on a request's causal chain: a b/e pair

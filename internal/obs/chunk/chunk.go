@@ -1,6 +1,7 @@
 // Package chunk holds the append-only table every observer log is kept
-// in: the decision recorder's bodies, candidates and chain log, and the
-// span recorder's span log.
+// in: the decision recorder's bodies, candidates, chain log and chain
+// index, the span recorder's span log, and the utilization ledger's
+// per-slice busy claims.
 //
 // A growing slice copies every row each time it regrows, by 1.25× past
 // 256 elements, so a log of n rows ends up allocating several times

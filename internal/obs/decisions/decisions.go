@@ -293,7 +293,7 @@ type entry struct {
 }
 
 // chain locates one request's entries in the log: a list threaded
-// through entry.next.
+// through entry.next. A request with no entry has n == 0.
 type chain struct{ head, tail, n int32 }
 
 // dump is a retained Dump before rendering.
@@ -314,6 +314,10 @@ type dump struct {
 // append-only log, so a request's complete fate survives ring
 // wraparound.
 //
+// The chains are indexed by request ID, so a recorder expects request
+// IDs dense from 0, as the platform's are (trace indices): recording
+// for request n keeps room for n+1 chains.
+//
 // A Recorder takes no lock. It is written and read on the engine
 // goroutine; other goroutines may read it only after the run ends.
 type Recorder struct {
@@ -323,7 +327,7 @@ type Recorder struct {
 	idOf   map[string]ID
 	cands  chunk.Table[Cand] // the typed-candidate arena
 	log    chunk.Table[entry]
-	chains map[int]chain
+	chains chunk.Table[chain] // indexed by request ID
 	counts [numKinds]int
 	dumps  []dump
 	frozen int // freezes triggered, including those past maxDumps
@@ -333,10 +337,9 @@ type Recorder struct {
 // records (obs.DefaultRingCapacity when ringCap <= 0).
 func NewRecorder(ringCap int) *Recorder {
 	return &Recorder{
-		ring:   obs.NewRing[entry](ringCap),
-		ids:    []string{""},
-		idOf:   map[string]ID{"": NoID},
-		chains: map[int]chain{},
+		ring: obs.NewRing[entry](ringCap),
+		ids:  []string{""},
+		idOf: map[string]ID{"": NoID},
 	}
 }
 
@@ -417,15 +420,17 @@ func (r *Recorder) emit(rec *Record, e entry, cands []Cand) {
 	r.ring.Push(e)
 	if e.req >= 0 {
 		i := int32(r.log.Len())
-		c, ok := r.chains[e.req]
-		if ok {
+		for r.chains.Len() <= e.req {
+			r.chains.Push(chain{})
+		}
+		c := r.chains.At(e.req)
+		if c.n > 0 {
 			r.log.At(int(c.tail)).next = i
 			c.tail = i
 		} else {
 			c.head, c.tail = i, i
 		}
 		c.n++
-		r.chains[e.req] = c
 		r.log.Push(e)
 	}
 }
@@ -495,8 +500,11 @@ func (r *Recorder) records(es []entry) []Record {
 
 // chain returns req's entries in record order.
 func (r *Recorder) chain(req int) []entry {
-	c, ok := r.chains[req]
-	if !ok {
+	if req < 0 || req >= r.chains.Len() {
+		return nil
+	}
+	c := r.chains.At(req)
+	if c.n == 0 {
 		return nil
 	}
 	es := make([]entry, 0, c.n)
@@ -519,16 +527,17 @@ func (r *Recorder) Chain(req int) []Record {
 }
 
 // Requests returns the IDs of all requests with a recorded chain,
-// ascending.
+// ascending: the chain table's order.
 func (r *Recorder) Requests() []int {
 	if r == nil {
 		return nil
 	}
-	out := make([]int, 0, len(r.chains))
-	for id := range r.chains {
-		out = append(out, id)
+	var out []int
+	for id := range r.chains.Len() {
+		if r.chains.At(id).n > 0 {
+			out = append(out, id)
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 

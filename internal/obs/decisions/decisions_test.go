@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"testing"
+
+	"fluidfaas/internal/obs/chunk"
 )
 
 // TestKindNames: every kind has a name and round-trips String ->
@@ -90,6 +93,47 @@ func TestRecorderChains(t *testing.T) {
 	}
 	if len(r.Snapshot()) != 4 {
 		t.Errorf("snapshot len = %d, want ring capacity 4", len(r.Snapshot()))
+	}
+}
+
+// TestDenseChains: the chain index is a table by request ID. IDs
+// recorded out of order and with gaps read back ascending, each with
+// its own chain; an unseen ID inside the table, a negative ID and an
+// ID past its end have no chain and export an empty one.
+func TestDenseChains(t *testing.T) {
+	r := NewRecorder(4)
+	ids := []int{2*chunk.Size + 3, 7, 0, 7, 40, 2*chunk.Size + 3, 7}
+	for _, id := range ids {
+		r.Record(Record{Kind: KindAdmit, Req: id, Outcome: "ok"})
+	}
+	r.Record(Record{Kind: KindSuspect, Req: NoRequest})
+	want := []int{0, 7, 40, 2*chunk.Size + 3}
+	if got := r.Requests(); !slices.Equal(got, want) {
+		t.Fatalf("Requests() = %v, want %v", got, want)
+	}
+	for id, n := range map[int]int{0: 1, 7: 3, 40: 1, 2*chunk.Size + 3: 2} {
+		chain := r.Chain(id)
+		if len(chain) != n {
+			t.Fatalf("Chain(%d) has %d records, want %d", id, len(chain), n)
+		}
+		for i, rec := range chain {
+			if rec.Req != id || i > 0 && rec.Seq <= chain[i-1].Seq {
+				t.Fatalf("Chain(%d) = %+v, want its own records in order", id, chain)
+			}
+		}
+	}
+	for _, id := range []int{1, 39, 2 * chunk.Size, -1, NoRequest - 1, 2*chunk.Size + 4, 1 << 40} {
+		if chain := r.Chain(id); len(chain) != 0 {
+			t.Errorf("Chain(%d) = %+v, want none", id, chain)
+		}
+		var buf bytes.Buffer
+		if err := r.WriteChainJSON(&buf, id); err != nil {
+			t.Fatal(err)
+		}
+		var exp ChainExport
+		if err := json.Unmarshal(buf.Bytes(), &exp); err != nil || exp.Req != id || len(exp.Chain) != 0 {
+			t.Errorf("WriteChainJSON(%d) = %s, want an empty chain", id, buf.Bytes())
+		}
 	}
 }
 

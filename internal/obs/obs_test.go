@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -49,15 +50,85 @@ func TestNilRecorder(t *testing.T) {
 	}
 }
 
-// TestSpanRowSize: on a 64-bit platform a span is the 120-byte row its
-// doc states.
+// TestSpanRowSize: on a 64-bit platform a span-table row is at most
+// 56 bytes and holds only numbers, so the log costs the GC no scan. A
+// string field would cost 16 bytes and a scan on every span.
 func TestSpanRowSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the row size is stated for 64-bit platforms")
 	}
-	if n := unsafe.Sizeof(Span{}); n != 120 {
-		t.Errorf("Span is %d bytes, want 120", n)
+	if n := unsafe.Sizeof(row{}); n > 56 {
+		t.Errorf("a span row is %d bytes, want at most 56", n)
 	}
+	rt := reflect.TypeOf(row{})
+	for i := range rt.NumField() {
+		switch f := rt.Field(i); f.Type.Kind() {
+		case reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+		default:
+			t.Errorf("span row field %s is a %s, want a sized number", f.Name, f.Type)
+		}
+	}
+}
+
+// TestSpanViewRoundTrip: the Span each recording method's row resolves
+// to carries exactly the method's arguments, and a cut on a registered
+// or an unregistered track changes only the cut spans' ends.
+func TestSpanViewRoundTrip(t *testing.T) {
+	const (
+		reg   = "gpu0/1g.10gb#0"
+		unreg = "gpu9/7g.80gb#0"
+	)
+	r := NewRecorder()
+	r.RegisterTrack(0, reg)
+	want := []Span{
+		{Kind: KindSlice, Cat: "load", Name: "load app0", Track: reg, Func: 0, Req: 7, Stage: -1, Start: 0.5, End: 1},
+		{Kind: KindSlice, Cat: "exec", Name: "exec app0", Track: reg, Func: 0, Req: 7, Stage: 2, Start: 1, End: 3, Detail: "1g.10gb", Declared: 1.5},
+		{Kind: KindSlice, Cat: "transfer", Name: "transfer", Track: unreg, Func: 3, Req: 1 << 30, Stage: 1, Start: 2, End: 4},
+		{Kind: KindAsync, Cat: "queue", Name: "queue", Func: 1, Req: 8, Stage: -1, Start: 0, End: 0.25},
+		{Kind: KindAsync, Cat: "load", Name: "load-wait", Func: 1, Req: 8, Stage: -1, Start: 0.25, End: 2, Detail: "cold"},
+		{Kind: KindAsyncMark, Cat: "retry", Name: "retry", Func: 2, Req: 9, Stage: -1, Start: 1.5, End: 1.5, Detail: "slice failed"},
+		{Kind: KindMark, Cat: "event", Name: "launch", Track: "app0#1", Func: -1, Req: -1, Stage: -1, Start: 0.1, End: 0.1, Detail: "[4g]"},
+		{Kind: KindMark, Cat: "event", Name: "evict", Track: reg, Func: -1, Req: -1, Stage: -1, Start: 2.5, End: 2.5},
+		{Kind: KindSlice, Cat: "exec", Name: "exec app1", Track: unreg, Func: 1, Req: 10, Stage: 0, Start: 3.5, End: 5},
+	}
+	for _, sp := range want {
+		switch {
+		case sp.Kind == KindSlice && sp.Declared > 0:
+			r.StageSpan(sp.Name, sp.Track, sp.Detail, sp.Func, sp.Req, sp.Stage, sp.Start, sp.End, sp.Declared)
+		case sp.Kind == KindSlice:
+			r.SliceSpan(sp.Cat, sp.Name, sp.Track, sp.Func, sp.Req, sp.Stage, sp.Start, sp.End)
+		case sp.Kind == KindAsync:
+			r.AsyncSpan(sp.Cat, sp.Name, sp.Func, sp.Req, sp.Start, sp.End, sp.Detail)
+		case sp.Kind == KindAsyncMark:
+			r.AsyncMark(sp.Cat, sp.Name, sp.Func, sp.Req, sp.Start, sp.Detail)
+		default:
+			r.MarkCat(sp.Cat, sp.Name, sp.Track, sp.Start, sp.Detail)
+		}
+	}
+	check := func(stage string) {
+		t.Helper()
+		if got := slices.Collect(r.Spans()); !slices.Equal(got, want) {
+			t.Fatalf("%s: spans = %+v\nwant %+v", stage, got, want)
+		}
+	}
+	check("recorded")
+
+	// A track no span names: nothing to cut.
+	r.CancelSliceWork("gpu1/3g.40gb#0", 0)
+	check("cut on an unnamed track")
+	// The registered track at 2: the exec span ends there; the evict
+	// mark on it is not work and stays.
+	r.CancelSliceWork(reg, 2)
+	want[1].End = 2
+	check("cut on a registered track")
+	// The unregistered track at 3.5: the transfer ends there and the
+	// exec span starting at the cut goes.
+	r.CancelSliceWork(unreg, 3.5)
+	want[2].End = 3.5
+	want = want[:len(want)-1]
+	check("cut on an unregistered track")
 }
 
 // TestCancelSliceWorkAcrossChunks: cutting a track whose spans sit in

@@ -51,19 +51,28 @@ func WritePrometheus(w io.Writer, r *Recorder) error {
 		}
 		fams[j].h.Observe(rec.Latency())
 	}
-	// One pass over the span log sums load and exec spans into
-	// per-track busy seconds and counts instants by name.
+	// One pass over the span log's rows sums load and exec spans into
+	// per-track busy seconds and counts instants by name, comparing
+	// and counting interned IDs.
 	tracks := r.Tracks()
 	busy := make([]float64, len(tracks))
-	marks := map[string]int{}
-	for sp := range r.Spans() {
+	load, lok := r.symOf["load"]
+	exec, eok := r.symOf["exec"]
+	byName := make([]int, len(r.syms))
+	for rw := range r.spans.All() {
 		switch {
-		case sp.Kind == KindSlice && (sp.Cat == "load" || sp.Cat == "exec"):
-			if t, ok := r.tidx[sp.Track]; ok {
-				busy[t] += sp.End - sp.Start
+		case rw.kind == KindSlice && (lok && rw.cat == load || eok && rw.cat == exec):
+			if t := r.trackOf(rw.track); t >= 0 {
+				busy[t] += rw.end - rw.start
 			}
-		case sp.Kind == KindMark:
-			marks[sp.Name]++
+		case rw.kind == KindMark:
+			byName[rw.name]++
+		}
+	}
+	marks := map[string]int{}
+	for id, n := range byName {
+		if n > 0 {
+			marks[r.syms[id].s] = n
 		}
 	}
 	sort.Slice(fams, func(i, j int) bool { return fams[i].sortKey < fams[j].sortKey })

@@ -137,6 +137,7 @@ func (l *Ledger) build(end float64) *Report {
 	type gpuKey struct{ node, gpu int }
 	gpuIdx := map[gpuKey]int{}
 	nodeIdx := map[int]int{}
+	sw := l.newSweep()
 	for _, id := range l.order {
 		ss := l.slices[id]
 		sr := SliceReport{
@@ -146,7 +147,7 @@ func (l *Ledger) build(end float64) *Report {
 		if end > 0 {
 			sr.Wall = end
 		}
-		sr.Segments = ss.resolve(end)
+		sr.Segments = ss.resolve(end, sw)
 		for _, seg := range sr.Segments {
 			sr.Seconds.Add(seg.State, seg.End-seg.Start)
 		}

@@ -27,6 +27,8 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+
+	"fluidfaas/internal/obs/chunk"
 )
 
 // State classifies one slice-second. The declaration order is the
@@ -115,7 +117,8 @@ type claim struct {
 }
 
 // sliceSeries is the ledger's record of one slice: its identity and
-// one timeline from time 0 to the end of the run.
+// one timeline from time 0 to the end of the run. The claims are a
+// chunked table, so claiming never copies the claims before it.
 type sliceSeries struct {
 	id    string
 	node  int
@@ -124,7 +127,7 @@ type sliceSeries struct {
 	gpcs  int
 	memGB float64
 	base  []basePoint
-	busy  []claim
+	busy  chunk.Table[claim]
 }
 
 // FragSample is one fragmentation-analytics sample: the scalar
@@ -239,8 +242,7 @@ func (l *Ledger) Busy(id string, s State, start, end float64) {
 	if end <= start {
 		return
 	}
-	ss := l.series(id)
-	ss.busy = append(ss.busy, claim{s: s, start: start, end: end})
+	l.series(id).busy.Push(claim{s: s, start: start, end: end})
 }
 
 // CancelBusy truncates the slice's busy claims at `at`: claims that
@@ -253,18 +255,20 @@ func (l *Ledger) CancelBusy(id string, at float64) {
 	if l == nil {
 		return
 	}
-	ss := l.series(id)
-	kept := ss.busy[:0]
-	for _, c := range ss.busy {
+	// Compact in place, in claim order.
+	busy := &l.series(id).busy
+	n := 0
+	for c := range busy.All() {
 		if c.end > at {
 			if c.start >= at {
 				continue
 			}
 			c.end = at
 		}
-		kept = append(kept, c)
+		*busy.At(n) = *c
+		n++
 	}
-	ss.busy = kept
+	busy.Truncate(n)
 }
 
 // AddFragSample appends one fragmentation-analytics sample. Samples
@@ -306,29 +310,52 @@ func (l *Ledger) Report() *Report {
 	return l.report
 }
 
+// sweepEv is one claim boundary in resolve's sweep: claim state s
+// starts (delta 1) or ends (delta -1) at t.
+type sweepEv struct {
+	t     float64
+	s     State
+	delta int
+}
+
+// sweep is resolve's scratch: the claim boundaries and the sorted
+// segment bounds of one slice. Close sizes it once, for the slice with
+// the most claims and base points, and every slice reuses it.
+type sweep struct {
+	evs    []sweepEv
+	bounds []float64
+}
+
+// newSweep returns a sweep with room for any of the ledger's slices.
+func (l *Ledger) newSweep() *sweep {
+	claims, base := 0, 0
+	for _, ss := range l.slices {
+		claims = max(claims, ss.busy.Len())
+		base = max(base, len(ss.base))
+	}
+	return &sweep{
+		evs:    make([]sweepEv, 0, 2*claims),
+		bounds: make([]float64, 0, 2+2*claims+base),
+	}
+}
+
 // resolve turns the slice's base timeline and busy claims into
 // contiguous segments over [0, end] via a single sweep:
 // at every elementary interval the highest-priority active busy claim
 // wins, else the base state. Segment boundaries come from one shared
 // sorted slice, so consecutive segments abut exactly (bitwise-equal
-// floats), which is what makes the conservation check exact. Every
-// buffer is sized up front from the claim and base counts, so closing
-// a slice allocates the same number of times whatever its claim count.
-func (ss *sliceSeries) resolve(end float64) []Segment {
+// floats), which is what makes the conservation check exact. The sweep
+// buffers are sw's, sized for every slice, so only the segments are
+// allocated here.
+func (ss *sliceSeries) resolve(end float64, sw *sweep) []Segment {
 	if end <= 0 {
 		return nil
 	}
 
 	// Clip claims to the run window; build start/end events.
-	type ev struct {
-		t     float64
-		s     State
-		delta int
-	}
-	evs := make([]ev, 0, 2*len(ss.busy))
-	bounds := make([]float64, 0, 2+2*len(ss.busy)+len(ss.base))
-	bounds = append(bounds, 0, end)
-	for _, c := range ss.busy {
+	evs := sw.evs[:0]
+	bounds := append(sw.bounds[:0], 0, end)
+	for c := range ss.busy.All() {
 		cs, ce := c.start, c.end
 		if cs < 0 {
 			cs = 0
@@ -339,7 +366,7 @@ func (ss *sliceSeries) resolve(end float64) []Segment {
 		if cs >= ce {
 			continue
 		}
-		evs = append(evs, ev{t: cs, s: c.s, delta: 1}, ev{t: ce, s: c.s, delta: -1})
+		evs = append(evs, sweepEv{t: cs, s: c.s, delta: 1}, sweepEv{t: ce, s: c.s, delta: -1})
 		bounds = append(bounds, cs, ce)
 	}
 	for _, bp := range ss.base {
@@ -356,7 +383,7 @@ func (ss *sliceSeries) resolve(end float64) []Segment {
 	}
 	// The sweep sums the deltas of all events at one t before reading
 	// them, so the order among tied events does not matter.
-	slices.SortFunc(evs, func(a, b ev) int { return cmp.Compare(a.t, b.t) })
+	slices.SortFunc(evs, func(a, b sweepEv) int { return cmp.Compare(a.t, b.t) })
 
 	segs := make([]Segment, 0, len(uniq)-1)
 	var active [BusyTransfer + 1]int
